@@ -86,19 +86,15 @@ type Entry struct {
 	// Atomic because in sharded hierarchies the evicting shard and a
 	// reference tier's reader hold different locks.
 	dead atomic.Bool
+
+	// st is the subtable the entry is resident in (nil once evicted), so
+	// run accounting reaches it without hashing the mask.
+	st *mfSubtable
 }
 
 // Dead reports whether the entry has been evicted from the megaflow cache
 // (EMC references to it are stale).
 func (e *Entry) Dead() bool { return e.dead.Load() }
-
-type mfSubtable struct {
-	mask    flow.Mask
-	entries map[flow.Key]*Entry
-	hits    uint64       // for sorted TSS
-	lastHit uint64       // for LRU mask eviction
-	staged  *stagedState // staged-lookup/pruning state; nil unless StagedPruning
-}
 
 // Megaflow is the TSS-based megaflow cache. Not safe for concurrent use
 // on its own; ShardedMegaflow composes per-shard instances behind
@@ -222,7 +218,7 @@ func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 	scanned := 0
 	for _, st := range m.subtables {
 		scanned++
-		if ent, ok := st.entries[st.mask.Apply(k)]; ok {
+		if ent := st.probe(&k); ent != nil {
 			m.creditEntry(ent, now)
 			st.hits++
 			st.lastHit = now
@@ -239,12 +235,12 @@ func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 }
 
 // LookupBatch is the burst-vectorized lookup: the loop is inverted so each
-// subtable is visited once per *burst* — one mask.Apply plus one hash probe
-// per still-unresolved key, bitmap-masked — instead of the full subtable
-// list being re-walked per packet (the dpcls_lookup structure of the OVS
-// userspace datapath). Per subtable the mask and hash table stay hot in
-// cache across the whole burst, which is where the win over the scalar
-// walk comes from once the attacker has exploded the mask count.
+// subtable is visited once per *burst* — one probe of its significant
+// words per still-unresolved key, bitmap-masked — instead of the full
+// subtable list being re-walked per packet (the dpcls_lookup structure of
+// the OVS userspace datapath). Per subtable the compiled mask and table
+// stay hot in cache across the whole burst, which is where the win over
+// the scalar walk comes from once the attacker has exploded the mask count.
 //
 // For every key index set in miss: a hit writes ents[i], adds the scan
 // depth to costs[i] and clears the bit; a miss adds the full scan length
@@ -282,16 +278,14 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 			break
 		}
 		pos := si + 1
-		mask := st.mask
-		tbl := st.entries
 		words := miss.Words()
 		for wi := range words {
 			w := words[wi]
 			for w != 0 {
 				i := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
-				ent, ok := tbl[mask.Apply(keys[i])]
-				if !ok {
+				ent := st.probe(&keys[i])
+				if ent == nil {
 					continue
 				}
 				m.creditEntry(ent, now)
@@ -339,7 +333,7 @@ func (m *Megaflow) AccountRun(ent *Entry, n int, cost int, now uint64) bool {
 	m.MasksScanned += nn * uint64(cost)
 	m.RunBilledScans += nn * uint64(cost)
 	m.creditEntryN(ent, nn, now)
-	if st := m.byMask[ent.Match.Mask]; st != nil {
+	if st := ent.st; st != nil {
 		st.hits += nn
 		st.lastHit = now
 		if st.staged != nil {
@@ -398,7 +392,7 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 				return nil, err
 			}
 		}
-		st = &mfSubtable{mask: match.Mask, entries: make(map[flow.Key]*Entry), lastHit: now}
+		st = newSubtable(match.Mask, now)
 		if m.cfg.StagedPruning {
 			st.staged = newStagedState(match.Mask)
 		}
@@ -408,7 +402,9 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 			m.hooks.Minted(match)
 		}
 	}
-	if old, ok := st.entries[match.Key]; ok {
+	slot, hash := st.find(&match.Key)
+	if slot >= 0 {
+		old := st.slots[slot].ent
 		if m.shared {
 			// Concurrent readers may hold old: never mutate its verdict in
 			// place. Equal verdicts (the common duplicate-upcall case) just
@@ -420,7 +416,7 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 				atomic.StoreUint64(&old.LastHit, now)
 				return old, nil
 			}
-			m.removeEntry(st, match.Key, old)
+			m.removeEntry(old)
 		} else {
 			old.Verdict = v
 			old.Added = now
@@ -434,21 +430,27 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 	if m.limit > 0 && m.nEntries >= m.limit {
 		return nil, ErrFlowLimit
 	}
-	ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now}
-	st.entries[match.Key] = ent
+	ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now, st: st}
+	st.put(ent, hash)
 	st.addEntry(match.Key)
 	m.nEntries++
 	return ent, nil
 }
 
-// removeEntry is the single exit door for a resident entry: every
-// eviction path funnels through it so the staged prefilters (stage
-// indices, signature sets, ports tries) stay consistent with the entries
-// map.
-func (m *Megaflow) removeEntry(st *mfSubtable, k flow.Key, ent *Entry) {
+// removeEntry evicts one resident entry outside a sweep.
+func (m *Megaflow) removeEntry(ent *Entry) {
+	ent.st.del(ent)
+	m.retireEntry(ent)
+}
+
+// retireEntry is the single exit door for a resident entry: every
+// eviction path funnels through it, next to the table delete (removeEntry,
+// or the sweep it runs under), so the staged prefilters (stage indices,
+// signature sets, ports tries) stay consistent with the table.
+func (m *Megaflow) retireEntry(ent *Entry) {
 	ent.dead.Store(true)
-	delete(st.entries, k)
-	st.dropEntry(k)
+	ent.st.dropEntry(ent.Match.Key)
+	ent.st = nil
 	m.nEntries--
 }
 
@@ -459,12 +461,12 @@ func (m *Megaflow) Remove(match flow.Match) bool {
 	if st == nil {
 		return false
 	}
-	ent, ok := st.entries[match.Key]
-	if !ok {
+	ent := st.probe(&match.Key)
+	if ent == nil {
 		return false
 	}
-	m.removeEntry(st, match.Key, ent)
-	if len(st.entries) == 0 {
+	m.removeEntry(ent)
+	if st.n == 0 {
 		m.dropSubtable(st)
 	}
 	return true
@@ -482,23 +484,49 @@ func (m *Megaflow) evictColdestSubtable() {
 			coldest = st
 		}
 	}
-	for k, ent := range coldest.entries {
-		m.removeEntry(coldest, k, ent)
-	}
+	coldest.sweep(func(ent *Entry) bool {
+		m.retireEntry(ent)
+		return true
+	})
 	m.dropSubtable(coldest)
 }
 
-func (m *Megaflow) dropSubtable(st *mfSubtable) {
+// forgetSubtable reports a dying subtable to the mask hooks and unlists
+// its mask; the caller takes it out of the scan order.
+func (m *Megaflow) forgetSubtable(st *mfSubtable) {
 	if m.hooks.Dropped != nil {
 		m.hooks.Dropped(st.mask)
 	}
 	delete(m.byMask, st.mask)
+}
+
+// dropSubtable retires one subtable: a linear search and shift of the
+// scan order, for the callers that empty a single subtable.
+func (m *Megaflow) dropSubtable(st *mfSubtable) {
+	m.forgetSubtable(st)
 	for i, have := range m.subtables {
 		if have == st {
 			m.subtables = append(m.subtables[:i], m.subtables[i+1:]...)
 			return
 		}
 	}
+}
+
+// dropEmptySubtables retires every subtable a maintenance sweep emptied
+// in one compaction of the scan order, keeping the survivors' relative
+// order: linear in the subtable count however many die together (the
+// attack's masks expire in one revalidator round).
+func (m *Megaflow) dropEmptySubtables() {
+	kept := m.subtables[:0]
+	for _, st := range m.subtables {
+		if st.n == 0 {
+			m.forgetSubtable(st)
+			continue
+		}
+		kept = append(kept, st)
+	}
+	clear(m.subtables[len(kept):])
+	m.subtables = kept
 }
 
 // MaskHooks observe (and may veto) the lifecycle of masks — one hook
@@ -539,19 +567,9 @@ func (m *Megaflow) TrimToLimit() int {
 	if m.limit <= 0 || m.nEntries <= m.limit {
 		return 0
 	}
-	type resident struct {
-		st  *mfSubtable
-		key flow.Key
-		ent *Entry
-	}
-	all := make([]resident, 0, m.nEntries)
-	for _, st := range m.subtables {
-		for k, ent := range st.entries {
-			all = append(all, resident{st, k, ent})
-		}
-	}
+	all := m.Entries()
 	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i].ent, all[j].ent
+		a, b := all[i], all[j]
 		if al, bl := m.entryLastHit(a), m.entryLastHit(b); al != bl {
 			return al < bl
 		}
@@ -561,21 +579,15 @@ func (m *Megaflow) TrimToLimit() int {
 		return matchLess(a.Match, b.Match)
 	})
 	n := m.nEntries - m.limit
-	for _, r := range all[:n] {
-		m.removeEntry(r.st, r.key, r.ent)
+	for _, ent := range all[:n] {
+		m.removeEntry(ent)
 	}
-	for i := 0; i < len(m.subtables); {
-		if len(m.subtables[i].entries) == 0 {
-			m.dropSubtable(m.subtables[i])
-			continue
-		}
-		i++
-	}
+	m.dropEmptySubtables()
 	return n
 }
 
 // matchLess orders matches lexicographically (mask, then key) so staleness
-// ties trim deterministically regardless of map iteration order.
+// ties trim deterministically regardless of table order.
 func matchLess(a, b flow.Match) bool {
 	for i := range a.Mask {
 		if a.Mask[i] != b.Mask[i] {
@@ -595,20 +607,18 @@ func matchLess(a, b flow.Match) bool {
 // sweep (OVS max-idle, default 10s).
 func (m *Megaflow) EvictIdle(deadline uint64) int {
 	evicted := 0
-	for i := 0; i < len(m.subtables); {
-		st := m.subtables[i]
-		for k, ent := range st.entries {
-			if m.entryLastHit(ent) < deadline {
-				m.removeEntry(st, k, ent)
-				evicted++
-			}
+	idle := func(ent *Entry) bool {
+		if m.entryLastHit(ent) >= deadline {
+			return false
 		}
-		if len(st.entries) == 0 {
-			m.dropSubtable(st)
-			continue // subtables slice shifted; revisit index i
-		}
-		i++
+		m.retireEntry(ent)
+		evicted++
+		return true
 	}
+	for _, st := range m.subtables {
+		st.sweep(idle)
+	}
+	m.dropEmptySubtables()
 	return evicted
 }
 
@@ -619,29 +629,27 @@ func (m *Megaflow) EvictIdle(deadline uint64) int {
 // flow-table changes.
 func (m *Megaflow) Revalidate(check func(*Entry) (Verdict, bool)) int {
 	flushed := 0
-	for i := 0; i < len(m.subtables); {
-		st := m.subtables[i]
-		for k, ent := range st.entries {
-			v, keep := check(ent)
-			if !keep || v != ent.Verdict {
-				m.removeEntry(st, k, ent)
-				flushed++
-			}
+	stale := func(ent *Entry) bool {
+		if v, keep := check(ent); keep && v == ent.Verdict {
+			return false
 		}
-		if len(st.entries) == 0 {
-			m.dropSubtable(st)
-			continue
-		}
-		i++
+		m.retireEntry(ent)
+		flushed++
+		return true
 	}
+	for _, st := range m.subtables {
+		st.sweep(stale)
+	}
+	m.dropEmptySubtables()
 	return flushed
 }
 
 // Flush drops everything.
 func (m *Megaflow) Flush() {
 	for _, st := range m.subtables {
-		for _, ent := range st.entries {
+		for ent := range st.residents {
 			ent.dead.Store(true)
+			ent.st = nil
 		}
 		if m.hooks.Dropped != nil {
 			m.hooks.Dropped(st.mask)
@@ -656,7 +664,7 @@ func (m *Megaflow) Flush() {
 func (m *Megaflow) Entries() []*Entry {
 	out := make([]*Entry, 0, m.nEntries)
 	for _, st := range m.subtables {
-		for _, ent := range st.entries {
+		for ent := range st.residents {
 			out = append(out, ent)
 		}
 	}

@@ -522,12 +522,12 @@ func (sm *ShardedMegaflow) Snapshot() MegaflowShardSnapshot {
 // lookupShared is the read-side scalar probe of a shared child: safe
 // under the shard's read lock concurrently with other readers. Every
 // counter and entry mutation is atomic; no resorting, no staged state,
-// no map writes.
+// no table writes.
 func (m *Megaflow) lookupShared(k flow.Key, now uint64) (*Entry, int, bool) {
 	scanned := 0
 	for _, st := range m.subtables {
 		scanned++
-		if ent, ok := st.entries[st.mask.Apply(k)]; ok {
+		if ent := st.probe(&k); ent != nil {
 			atomic.AddUint64(&ent.Hits, 1)
 			atomic.StoreUint64(&ent.LastHit, now)
 			atomic.AddUint64(&st.hits, 1)
@@ -575,8 +575,6 @@ func (m *Megaflow) lookupBatchShared(keys []flow.Key, hashes []uint64, now uint6
 			break
 		}
 		pos := uint64(si + 1)
-		mask := st.mask
-		tbl := st.entries
 		words := miss.Words()
 		for wi := range words {
 			w := words[wi]
@@ -586,8 +584,8 @@ func (m *Megaflow) lookupBatchShared(keys []flow.Key, hashes []uint64, now uint6
 				if (hashes[i]>>shardShift)&smask != sid {
 					continue
 				}
-				ent, ok := tbl[mask.Apply(keys[i])]
-				if !ok {
+				ent := st.probe(&keys[i])
+				if ent == nil {
 					continue
 				}
 				atomic.AddUint64(&ent.Hits, 1)

@@ -79,7 +79,7 @@ func newStagedState(mask flow.Mask) *stagedState {
 	if anyUsed {
 		// One hash index per used intermediate stage after the metadata
 		// stage (covered exactly by w0vals) and before the final stage
-		// (covered by the entries map itself).
+		// (covered by the subtable's table itself).
 		for s := flow.StageL2; s < last; s++ {
 			if mask.StageUsed(s) {
 				ss.idx = append(ss.idx, stageIndex{stage: s, hashes: make(map[uint64]int)})
@@ -205,7 +205,7 @@ const (
 
 // stagedProbe classifies k against the subtable: signature and ports
 // prefilters first (free rejects), then the incremental stage-hash chain
-// (bail at the first non-matching stage), then the full masked map probe.
+// (bail at the first non-matching stage), then the full table probe.
 // Only bails and full probes count as visits — that is the physical cost
 // the staged sweep reports. skipW0 elides the signature check when the
 // caller already proved it passes (the batched sweep does, for bursts
@@ -231,7 +231,7 @@ func (st *mfSubtable) stagedProbe(k *flow.Key, skipW0 bool) (*Entry, probeOutcom
 			return nil, probeBailed
 		}
 	}
-	if ent, ok := st.entries[st.mask.Apply(*k)]; ok {
+	if ent := st.probe(k); ent != nil {
 		return ent, probeHit
 	}
 	return nil, probeMissed

@@ -35,8 +35,8 @@ func checkStagedInvariants(t *testing.T, m *Megaflow) {
 		}
 		want := newStagedState(st.mask)
 		ref := &mfSubtable{mask: st.mask, staged: want}
-		for k := range st.entries {
-			ref.addEntry(k)
+		for ent := range st.residents {
+			ref.addEntry(ent.Match.Key)
 		}
 		got := st.staged
 		if len(got.w0vals) != len(want.w0vals) {

@@ -5,9 +5,11 @@
 // The representation mirrors Open vSwitch's struct flow / flow_wildcards
 // pair: a Key holds the parsed header fields of one packet, a Mask selects
 // the bits a classifier entry cares about, and a Match is a (Key, Mask)
-// pair with Key&Mask == Key. Keys and Masks are plain comparable arrays so
-// they can be used directly as Go map keys, which is what the tuple-space
-// search cache relies on.
+// pair with Key&Mask == Key. Keys and Masks are plain comparable arrays,
+// usable directly as Go map keys: the slow-path classifier and the
+// exact-match cache key maps by them. The megaflow cache's subtables
+// (internal/cache) do not — they hash and compare only the words a mask
+// selects, in their own open-addressed tables.
 //
 // Bit numbering is MSB-first within each word: bit 0 of a field is its most
 // significant bit. This makes prefix masks (the object of study of the

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -136,31 +137,43 @@ func (m Mask) Fields() []FieldID {
 	return out
 }
 
-// Hash returns a 64-bit hash of the key words: FNV-1a over the bytes with
-// a murmur-style finaliser. It is not cryptographic; it distributes masked
-// keys across hash buckets (and flows across RSS queues) the way the OVS
-// datapath uses its flow hash. The finaliser matters: plain FNV-1a has
-// weak low-bit avalanche on sparse keys differing in single bits — exactly
-// the covert stream's shape — which visibly skews modulo-N steering.
+// hashMul is the odd multiplier every hashed word is folded through (the
+// 64-bit golden ratio).
+const hashMul uint64 = 0x9e3779b97f4a7c15
+
+// mixWord folds one 64-bit word into the running hash h: xor it in, take
+// the full 128-bit product with hashMul and xor the halves together. The
+// high half carries every input bit down and the low half carries every
+// input bit up, so one step already spreads a single-bit difference over
+// the whole word. (The megaflow subtable probe in internal/cache has a step
+// of the same shape with a secret multiplier of its own; nothing ties the
+// two hashes together.)
+func mixWord(h, w uint64) uint64 {
+	hi, lo := bits.Mul64(h^w, hashMul)
+	return hi ^ lo
+}
+
+// Hash returns a 64-bit hash of the key: the ten words folded one at a
+// time through mixWord (one multiply a word, not one a byte), then one
+// xor-shift-multiply finaliser round. It is not cryptographic; it
+// distributes flows across RSS lanes, cache shards and the EMC/SMC index
+// bits the way the OVS datapath uses its flow hash. It is a pure function
+// of the key — no per-process seed — so the same pack and seed steer,
+// place and evict identically on every run. Consumers slice it
+// differently (hash mod N for RSS lanes, bits [32,40) for shards, the low
+// bits for EMC/SMC slots, the top 16 for the SMC signature), and the keys
+// that matter most here are sparse and differ in single bits or by one in
+// a port field — the covert stream's shape. The full-width product is
+// what keeps every slice balanced on such keys; TestHashSpread holds it
+// to a stated tolerance.
 func (k Key) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := StageHashSeed
 	for _, w := range k {
-		for i := 0; i < 8; i++ {
-			h ^= w & 0xff
-			h *= prime64
-			w >>= 8
-		}
+		h = mixWord(h, w)
 	}
-	// Murmur3 finaliser for avalanche in the low bits.
-	h ^= h >> 33
+	h ^= h >> 32
 	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
+	h ^= h >> 29
 	return h
 }
 

@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"fmt"
+	"math"
 	"net/netip"
 	"strings"
 	"testing"
@@ -251,5 +253,93 @@ func TestHashKeysMatchesScalarHash(t *testing.T) {
 	reuse := HashKeys(keys[:3], got)
 	if &reuse[0] != &got[0] || len(reuse) != 3 {
 		t.Error("HashKeys did not reuse the destination buffer")
+	}
+}
+
+// covertShapedKeys reproduces the covert stream's key shape without
+// importing the attack package: one template flow, and for every
+// combination of a bit of ip_src (32), tp_src (16) and tp_dst (16) the
+// field's allowed value with exactly that bit flipped — 8 192 sparse keys
+// that pairwise differ in at most six bits.
+func covertShapedKeys() []Key {
+	var template Key
+	template.Set(FieldInPort, 66)
+	template.Set(FieldEthType, EthTypeIPv4)
+	template.Set(FieldIPProto, 6)
+	template.Set(FieldIPDst, 0x0a000002)
+	fields := []struct {
+		id    FieldID
+		allow uint64
+	}{{FieldIPSrc, 0x0a000001}, {FieldTPSrc, 40000}, {FieldTPDst, 53211}}
+	var out []Key
+	for a := 0; a < 32; a++ {
+		for b := 0; b < 16; b++ {
+			for c := 0; c < 16; c++ {
+				k := template
+				for i, bit := range []int{a, b, c} {
+					k.Set(fields[i].id, fields[i].allow^1<<uint(bit))
+				}
+				out = append(out, k)
+			}
+		}
+	}
+	return out
+}
+
+// sequentialPortKeys is one flow template swept over 8 192 consecutive
+// source ports: keys that differ only in the low bits of one field.
+func sequentialPortKeys() []Key {
+	out := make([]Key, 8192)
+	for i := range out {
+		out[i].Set(FieldInPort, 1)
+		out[i].Set(FieldEthType, EthTypeIPv4)
+		out[i].Set(FieldIPProto, 6)
+		out[i].Set(FieldIPSrc, 0x0a0a0005)
+		out[i].Set(FieldIPDst, 0x0a0a0105)
+		out[i].Set(FieldTPSrc, uint64(1024+i))
+		out[i].Set(FieldTPDst, 5201)
+	}
+	return out
+}
+
+// TestHashSpread holds Key.Hash to balance on every slice of it the
+// datapath consumes — hash mod N for 2..8 RSS lanes, bits [32,40) for 8
+// cache shards, the low six bits the EMC/SMC slot index starts from and
+// the top 16 bits the SMC keeps as signature (folded to 64 bins) — on the
+// two adversarially regular key populations above. Tolerance: every bin
+// within five standard deviations of a uniform draw (5*sqrt(expected)),
+// which a well-mixed hash misses with probability below 1e-4 over all
+// the bins checked and a byte- or word-aligned weakness misses at once.
+func TestHashSpread(t *testing.T) {
+	type slice struct {
+		name string
+		bins int
+		bin  func(h uint64) int
+	}
+	slices := []slice{
+		{"shard bits [32,40) of 8", 8, func(h uint64) int { return int(h >> 32 & 7) }},
+		{"EMC/SMC low index bits", 64, func(h uint64) int { return int(h & 63) }},
+		{"SMC signature (top 16 bits)", 64, func(h uint64) int { return int(h >> 48 & 63) }},
+	}
+	for n := 2; n <= 8; n++ {
+		slices = append(slices, slice{fmt.Sprintf("hash mod %d RSS lanes", n), n, func(h uint64) int { return int(h % uint64(n)) }})
+	}
+	for _, pop := range []struct {
+		name string
+		keys []Key
+	}{{"covert-stream", covertShapedKeys()}, {"sequential-port", sequentialPortKeys()}} {
+		for _, sl := range slices {
+			counts := make([]int, sl.bins)
+			for _, k := range pop.keys {
+				counts[sl.bin(k.Hash())]++
+			}
+			expected := float64(len(pop.keys)) / float64(sl.bins)
+			tol := 5 * math.Sqrt(expected)
+			for b, c := range counts {
+				if d := math.Abs(float64(c) - expected); d > tol {
+					t.Errorf("%s keys, %s: bin %d holds %d, want %.0f +/- %.0f", pop.name, sl.name, b, c, expected, tol)
+				}
+			}
+		}
 	}
 }

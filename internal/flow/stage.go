@@ -79,25 +79,20 @@ func (m *Mask) LastStage() (Stage, bool) {
 }
 
 // StageHashSeed is the initial accumulator of the incremental stage hash
-// chain (the FNV-1a offset basis, matching Key.Hash's accumulator).
+// chain, and of Key.Hash.
 const StageHashSeed uint64 = 14695981039346656037
 
 // HashStage folds stage s of k, masked by m, into the running hash h and
-// returns the new accumulator. Chaining HashStage over a subtable's used
-// stages in ascending order yields the incremental per-stage hashes of
-// the staged lookup: the hash after stage s depends only on the masked
-// key bits of stages <= s, so two keys agreeing on those bits share every
-// prefix of the chain. No finaliser is applied — the per-stage hashes
-// index Go maps, which re-hash the uint64 themselves.
+// returns the new accumulator, a word at a time through the mixer Key.Hash
+// uses. Chaining HashStage over a subtable's used stages in ascending
+// order yields the incremental per-stage hashes of the staged lookup: the
+// hash after stage s depends only on the masked key bits of stages <= s,
+// so two keys agreeing on those bits share every prefix of the chain. No
+// finaliser is applied — the per-stage hashes index Go maps, which re-hash
+// the uint64 themselves.
 func (k *Key) HashStage(h uint64, m *Mask, s Stage) uint64 {
-	const prime64 = 1099511628211
 	for _, w := range stageWords[s] {
-		x := k[w] & m[w]
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
+		h = mixWord(h, k[w]&m[w])
 	}
 	return h
 }
