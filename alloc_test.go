@@ -18,7 +18,11 @@ import (
 // workloads: the EMC-hit victim mix and the 8192-mask staged megaflow
 // sweep. The telemetry legs re-run both with a live registry attached —
 // instrument recording shares the contract, so scraping in production
-// costs no hot-path garbage.
+// costs no hot-path garbage. The sharded legs run the same bursts through
+// WithShards(8) — EMC hits, the flat sweep and the staged sweep — and so
+// hold the per-shard miss bitmaps the sharded LookupBatch deals out (scratch
+// of the caller's own miss bitmap: concurrent callers share the wrapper, so
+// it cannot live there) to the same zero.
 func TestFramePathZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -48,6 +52,28 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			build: func() *dataplane.Switch {
 				return attackSwitch(t, attack.ThreeField(), true, noEMC,
 					dataplane.WithTelemetry(telemetry.NewRegistry()))
+			},
+			burst: 32,
+		},
+		{
+			name: "victim-emc-sharded",
+			build: func() *dataplane.Switch {
+				return attackSwitch(t, attack.TwoField(), false, dataplane.WithShards(8))
+			},
+			burst: 256,
+		},
+		{
+			name: "attack8192-megaflow-sharded",
+			build: func() *dataplane.Switch {
+				return attackSwitch(t, attack.ThreeField(), true, noEMC, dataplane.WithShards(8))
+			},
+			burst: 32,
+		},
+		{
+			name: "attack8192-staged-sharded",
+			build: func() *dataplane.Switch {
+				return attackSwitch(t, attack.ThreeField(), true, noEMC,
+					dataplane.WithShards(8), dataplane.WithStagedPruning())
 			},
 			burst: 32,
 		},

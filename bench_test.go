@@ -928,9 +928,7 @@ func BenchmarkSubtablePruning(b *testing.B) {
 // burst through ProcessFrames; the instrumented arm records into an
 // attached telemetry registry (per-burst wall/size/scan histograms,
 // counter-delta settlement, per-tier latency). The acceptance bar is
-// instrumented within 5% of bare ns/op at 0 allocs/op — the CI pin
-// gates the instrumented arm so registry regressions surface as
-// benchdiff failures.
+// instrumented within 5% of bare ns/op at 0 allocs/op.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	arms := []struct {
 		name string

@@ -24,6 +24,8 @@ var goldenCases = map[string][]string{
 		"lock.go:25: call to t.growLocked without holding t.mu (call it from a *Locked method or after t.mu.Lock())",
 		"shard.go:26: Len touches sharded field sh.n, guarded by sh.mu, without locking (take the shard lock first or do it from a *Locked function)",
 		"shard.go:34: drain touches sharded field sh.n, guarded by sh.mu, without locking (take the shard lock first or do it from a *Locked function)",
+		"shard.go:71: Sizes touches sharded field sh.c, guarded by sh.mu, without locking (take the shard lock first or do it from a *Locked function)",
+		"shard.go:78: child touches sharded field s.c, guarded by s.mu, without locking (take the shard lock first or do it from a *Locked function)",
 		"stats.go:14: exported method Hits touches s.hits, guarded by s.mu, without locking (lock first or move the access into a *Locked method)",
 	},
 	"counteratomic": {
@@ -40,6 +42,7 @@ var goldenCases = map[string][]string{
 func init() {
 	goldenCases["hotpathalloc"] = []string{
 		"cold.go:13: new allocates (hot path via Drain)",
+		"cold.go:33: new allocates (hot path via Drain2)",
 		"hot.go:16: unamortized make (guard growth with a cap check, or hoist the buffer to reusable scratch) (hot path via Process)",
 		"hot.go:17: new allocates (hot path via Process)",
 		"hot.go:19: append grows a function-local slice per call (reuse caller-owned or struct scratch instead) (hot path via Process)",

@@ -352,16 +352,18 @@ func capturedVar(info *types.Info, encl *ast.FuncDecl, lit *ast.FuncLit) string 
 
 // calleeOf resolves a call to its static *types.Func: a package function,
 // a concrete method, or an interface method (which then has no body in
-// the program and acts as a traversal boundary).
+// the program and acts as a traversal boundary). A function or method of
+// an instantiated generic resolves to its declaration (Origin), the one
+// that has a body.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	}
 	return nil

@@ -122,18 +122,27 @@ func collectLockedTypes(pass *Pass) map[*types.Named]*lockedType {
 	return out
 }
 
-// receiverType resolves a method's receiver to its named type, unwrapping
-// one pointer.
+// namedOrigin resolves t, through one pointer, to the named type as
+// declared: an instantiation such as shard[*EMC] resolves to the generic
+// shard[C] that carries the directives and the guarded-field list. Nil
+// when t is not a named type.
+func namedOrigin(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return nil
+	}
+	return named.Origin()
+}
+
+// receiverType resolves a method's receiver to its named type.
 func receiverType(info *types.Info, fd *ast.FuncDecl) *types.Named {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return nil
 	}
-	t := info.TypeOf(fd.Recv.List[0].Type)
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
+	return namedOrigin(info.TypeOf(fd.Recv.List[0].Type))
 }
 
 // lockedName reports whether a method name claims the convention.
@@ -254,12 +263,8 @@ func methodOwner(fn *types.Func, lts map[*types.Named]*lockedType) (*types.Named
 	if !ok || sig.Recv() == nil {
 		return nil, nil
 	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	named := namedOrigin(sig.Recv().Type())
+	if named == nil {
 		return nil, nil
 	}
 	return named, lts[named]
@@ -268,18 +273,7 @@ func methodOwner(fn *types.Func, lts map[*types.Named]*lockedType) (*types.Named
 // shardedOwner resolves the base of a field selection to a tracked
 // //lint:sharded type, or nil when the base is not one.
 func shardedOwner(info *types.Info, sel *ast.SelectorExpr, lts map[*types.Named]*lockedType) *lockedType {
-	t := info.TypeOf(sel.X)
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	lt := lts[named]
+	lt := lts[namedOrigin(info.TypeOf(sel.X))]
 	if lt == nil || !lt.sharded {
 		return nil
 	}
@@ -289,18 +283,11 @@ func shardedOwner(info *types.Info, sel *ast.SelectorExpr, lts map[*types.Named]
 // guardedBase resolves the base expression of a <base>.<mu> selector to
 // its rendered chain and the tracked type of <base>.
 func guardedBase(info *types.Info, muSel *ast.SelectorExpr, lts map[*types.Named]*lockedType) (string, *lockedType) {
-	t := info.TypeOf(muSel.X)
-	if t == nil {
+	lt := lts[namedOrigin(info.TypeOf(muSel.X))]
+	if lt == nil {
 		return "", nil
 	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", nil
-	}
-	return exprChain(muSel.X), lts[named]
+	return exprChain(muSel.X), lt
 }
 
 // exprChain renders a selector chain of identifiers ("r", "tg.t") for

@@ -24,3 +24,20 @@ func slowPath(keys []uint64) {
 	}
 	Sink = m
 }
+
+// pool is generic: Drain2 calls a method of an instantiation, and the
+// walk must follow it to the declared body.
+type pool[T any] struct{ free []*T }
+
+func (p *pool[T]) get() *T {
+	return new(T) // want: reached through pool[int].get
+}
+
+var ints pool[int]
+
+// Drain2 reaches an allocation through a generic method.
+//
+//lint:hotpath
+func Drain2() {
+	Sink = ints.get()
+}

@@ -51,3 +51,36 @@ func (c *Cache) LenSafe() int {
 func resetLocked(sh *shard) {
 	sh.n = 0
 }
+
+// gshard is the same element made generic, the shape the real sharded
+// core has: the directive sits on the declaration, and every
+// instantiation (gshard[[]int] below, gshard[C] in a method) inherits it.
+//
+//lint:sharded
+type gshard[C any] struct {
+	mu sync.RWMutex
+	c  C
+}
+
+// Sizes reads the guarded child of an instantiated shard without its
+// lock.
+func Sizes(all []gshard[[]int]) int {
+	total := 0
+	for i := range all {
+		sh := &all[i]
+		total += len(sh.c) // want: sharded field without lock
+	}
+	return total
+}
+
+// child does the same from a method of the generic type itself.
+func (s *gshard[C]) child() C {
+	return s.c // want: sharded field without lock
+}
+
+// childSafe is the correct shape.
+func (s *gshard[C]) childSafe() C {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.c
+}

@@ -14,6 +14,7 @@ import "math/bits"
 type Bitmap struct {
 	words []uint64
 	n     int
+	parts []Bitmap // Deal's result, reused across calls
 }
 
 // Reset sizes the bitmap for n indices and clears every bit.
@@ -78,6 +79,39 @@ func (b *Bitmap) CopyFrom(o *Bitmap) {
 	b.words = b.words[:len(o.words)]
 	copy(b.words, o.words)
 	b.n = o.n
+}
+
+// Or adds every index set in o, a bitmap of the same length, to b.
+func (b *Bitmap) Or(o *Bitmap) {
+	for i, w := range o.words {
+		b.words[i] |= w
+	}
+}
+
+// Deal moves every index of b into one of mask+1 bitmaps of b's length —
+// index i goes to part (keys[i]>>shift)&mask — and returns them, leaving b
+// empty. The sharded caches deal a burst's miss bitmap out this way, by
+// the shard bits of each key's flow hash. The parts are scratch b owns,
+// valid until the next Deal on b: they live with the goroutine that owns
+// the burst because the caches that consume them are shared.
+func (b *Bitmap) Deal(keys []uint64, shift uint, mask uint64) []Bitmap {
+	np := int(mask) + 1
+	if cap(b.parts) < np {
+		b.parts = make([]Bitmap, np)
+	}
+	parts := b.parts[:np]
+	for i := range parts {
+		parts[i].Reset(b.n)
+	}
+	for wi, w := range b.words {
+		b.words[wi] = 0
+		for w != 0 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			parts[(keys[i]>>shift)&mask].Set(i)
+		}
+	}
+	return parts
 }
 
 // Words exposes the backing words (64 indices per word, LSB first) for

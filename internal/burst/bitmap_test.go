@@ -87,6 +87,47 @@ func TestBitmapAndNot(t *testing.T) {
 	}
 }
 
+func TestBitmapOr(t *testing.T) {
+	var a, c Bitmap
+	a.Reset(100)
+	c.Reset(100)
+	a.Set(1)
+	a.Set(64)
+	c.Set(64)
+	c.Set(99)
+	a.Or(&c)
+	if a.Count() != 3 || !a.Test(1) || !a.Test(64) || !a.Test(99) {
+		t.Fatalf("Or left %d bits set", a.Count())
+	}
+}
+
+func TestBitmapDeal(t *testing.T) {
+	var b Bitmap
+	b.Reset(130)
+	keys := make([]uint64, 130)
+	for i := range keys {
+		keys[i] = uint64(i%3) << 8
+	}
+	for _, i := range []int{0, 1, 2, 64, 65, 129} {
+		b.Set(i)
+	}
+	for round := 0; round < 2; round++ { // the second round reuses the parts
+		parts := b.Deal(keys, 8, 3)
+		if len(parts) != 4 || !b.Empty() {
+			t.Fatalf("Deal returned %d parts, left %d bits behind", len(parts), b.Count())
+		}
+		for p, want := range [][]int{{0, 129}, {1, 64}, {2, 65}, nil} {
+			if got := parts[p].AndNot(&b, nil); len(got) != len(want) || (len(want) == 2 && (got[0] != want[0] || got[1] != want[1])) {
+				t.Fatalf("part %d = %v, want %v", p, got, want)
+			}
+			b.Or(&parts[p])
+		}
+		if b.Count() != 6 {
+			t.Fatalf("parts OR back to %d bits, want 6", b.Count())
+		}
+	}
+}
+
 func TestBitmapCopyFrom(t *testing.T) {
 	var a, b Bitmap
 	a.Reset(80)

@@ -56,10 +56,11 @@ type emcEntry struct {
 }
 
 // EMC is the exact-match (microflow) cache. Not safe for concurrent use;
-// the dataplane owns it.
+// the dataplane owns it, or a ShardedRef shard does.
 type EMC struct {
 	cfg     EMCConfig
 	max     int
+	shared  bool // a shard child: lookups run under a shared read lock (see bump)
 	entries map[flow.Key]*emcEntry
 	keys    []flow.Key // dense set for eviction victim selection
 	missSeq int        // periodic-insertion counter (InsertEvery)
@@ -113,28 +114,39 @@ func (e *EMC) Lookup(k flow.Key, now uint64) (*Entry, bool) {
 	}
 	ent, ok := e.entries[k]
 	if !ok {
-		e.Misses++
+		bump(e.shared, &e.Misses, 1)
 		return nil, false
 	}
 	if ent.flow.Dead() {
-		e.Remove(k)
-		e.Stale++
-		e.Misses++
+		if !e.shared {
+			// A purge is a map write, illegal under a shard's read lock: there
+			// the dead reference keeps missing until an insert overwrites it
+			// or a flush sweeps it.
+			e.Remove(k)
+		}
+		bump(e.shared, &e.Stale, 1)
+		bump(e.shared, &e.Misses, 1)
 		return nil, false
 	}
-	ent.flow.Hits++
-	ent.flow.LastHit = now
-	e.Hits++
+	credit(e.shared, ent.flow, 1, now)
+	bump(e.shared, &e.Hits, 1)
 	return ent.flow, true
+}
+
+// LookupHashed is Lookup under the signature the reference caches share
+// (refChild); the EMC keys on the whole flow key and has no use for h.
+func (e *EMC) LookupHashed(k flow.Key, _ uint64, now uint64) (*Entry, bool) {
+	return e.Lookup(k, now)
 }
 
 // LookupBatch consults the cache for every key index set in miss at
 // logical time now: a hit writes ents[i] and clears the bit, a miss keeps
-// it. EMC lookups cost no subtable scans, so costs are untouched. Counter
-// effects equal the scalar Lookup sequence over the same keys.
+// it. EMC lookups cost no subtable scans, so costs are untouched, and the
+// burst's flow hashes go unused. Counter effects equal the scalar Lookup
+// sequence over the same keys.
 //
 //lint:hotpath
-func (e *EMC) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, miss *burst.Bitmap) {
+func (e *EMC) LookupBatch(keys []flow.Key, _ []uint64, now uint64, ents []*Entry, miss *burst.Bitmap) {
 	if e.max == 0 {
 		return
 	}
@@ -202,6 +214,9 @@ func (e *EMC) Insert(k flow.Key, f *Entry) {
 	e.Inserts++
 }
 
+// InsertHashed is Insert under the signature the reference caches share.
+func (e *EMC) InsertHashed(k flow.Key, _ uint64, f *Entry) { e.Insert(k, f) }
+
 // evictOne removes a pseudo-random entry. OVS's EMC is a 2-way
 // hash-indexed structure where a colliding insert displaces one of two
 // victims; hashing the incoming key into the dense slot array reproduces
@@ -243,4 +258,11 @@ func (e *EMC) Remove(k flow.Key) bool {
 func (e *EMC) Flush() {
 	e.entries = make(map[flow.Key]*emcEntry, e.max)
 	e.keys = e.keys[:0]
+}
+
+func (e *EMC) snapshot() CacheSnapshot {
+	return CacheSnapshot{
+		Hits: e.Hits, Misses: e.Misses, Inserts: e.Inserts, Evictions: e.Evictions,
+		Stale: e.Stale, Entries: e.Len(), Capacity: e.max,
+	}
 }

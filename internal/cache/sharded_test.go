@@ -41,7 +41,7 @@ func TestShardedMegaflowRoutingAndLookup(t *testing.T) {
 	perShard := 0
 	seen := make(map[int]bool)
 	for si := 0; si < sm.NumShards(); si++ {
-		l := sm.ShardLen(si)
+		l := sm.ShardSnapshot(si).Entries
 		perShard += l
 		if l > 0 {
 			seen[si] = true
@@ -169,7 +169,7 @@ func TestShardedMegaflowFlowLimitSplit(t *testing.T) {
 	}
 	// Each shard holds at most its ceil(16/4)=4 slice.
 	for si := 0; si < sm.NumShards(); si++ {
-		if l := sm.ShardLen(si); l > 4 {
+		if l := sm.ShardSnapshot(si).Entries; l > 4 {
 			t.Fatalf("shard %d holds %d entries, per-shard slice is 4", si, l)
 		}
 	}
@@ -179,7 +179,7 @@ func TestShardedMegaflowFlowLimitSplit(t *testing.T) {
 		t.Fatalf("Len = %d after trim to total 8", got)
 	}
 	for si := 0; si < sm.NumShards(); si++ {
-		if l := sm.ShardLen(si); l > 2 {
+		if l := sm.ShardSnapshot(si).Entries; l > 2 {
 			t.Fatalf("shard %d holds %d entries after trim, slice is 2", si, l)
 		}
 	}

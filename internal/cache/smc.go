@@ -28,6 +28,7 @@ import (
 type SMC struct {
 	cfg    SMCConfig
 	max    int
+	shared bool // a shard child: lookups run under a shared read lock (see bump)
 	fpMask uint64
 	slots  map[uint64]smcSlot
 
@@ -104,23 +105,26 @@ func (s *SMC) LookupHashed(k flow.Key, h uint64, now uint64) (*Entry, bool) {
 	fp, sig := s.indexHash(h)
 	slot, ok := s.slots[fp]
 	if !ok || slot.sig != sig {
-		s.Misses++
+		bump(s.shared, &s.Misses, 1)
 		return nil, false
 	}
 	if slot.ent.Dead() {
-		delete(s.slots, fp)
-		s.Stale++
-		s.Misses++
+		if !s.shared {
+			// No map write under a shard's read lock: there the dead slot
+			// keeps missing until an insert overwrites it.
+			delete(s.slots, fp)
+		}
+		bump(s.shared, &s.Stale, 1)
+		bump(s.shared, &s.Misses, 1)
 		return nil, false
 	}
 	if slot.ent.Match.Mask.Apply(k) != slot.ent.Match.Key {
 		// Fingerprint collision between distinct flows: a true miss.
-		s.Misses++
+		bump(s.shared, &s.Misses, 1)
 		return nil, false
 	}
-	slot.ent.Hits++
-	slot.ent.LastHit = now
-	s.Hits++
+	credit(s.shared, slot.ent, 1, now)
+	bump(s.shared, &s.Hits, 1)
 	return slot.ent, true
 }
 
@@ -206,4 +210,11 @@ func (s *SMC) Flush() {
 		return
 	}
 	s.slots = make(map[uint64]smcSlot)
+}
+
+func (s *SMC) snapshot() CacheSnapshot {
+	return CacheSnapshot{
+		Hits: s.Hits, Misses: s.Misses, Inserts: s.Inserts, Evictions: s.Evictions,
+		Stale: s.Stale, Entries: s.Len(), Capacity: s.max,
+	}
 }

@@ -262,7 +262,7 @@ func (m *Megaflow) lookupStaged(k flow.Key, now uint64) (*Entry, int, bool) {
 		}
 		cost++
 		m.SubtableVisits++
-		m.creditEntry(ent, now)
+		credit(m.shared, ent, 1, now)
 		st.hits++
 		st.lastHit = now
 		st.staged.sinceRank++
@@ -417,7 +417,7 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 				}
 				mfCost[i]++
 				m.SubtableVisits++
-				m.creditEntry(ent, now)
+				credit(m.shared, ent, 1, now)
 				st.hits++
 				st.lastHit = now
 				ss.sinceRank++

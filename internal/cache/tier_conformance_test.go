@@ -75,16 +75,45 @@ func fixtures(t *testing.T) map[string]func() tierFixture {
 		"megaflow-staged": func() tierFixture {
 			return megaflowFixture(cache.MegaflowConfig{StagedPruning: true})
 		},
+		// The sharded wrappers are the same caches behind shard locks: the
+		// same contract, scalar and batch, whatever shard a key lands in.
+		"emc-sharded": func() tierFixture {
+			return refFixture(dataplane.NewShardedEMCTier(cache.EMCConfig{}, 4))
+		},
+		"smc-sharded": func() tierFixture {
+			return refFixture(dataplane.NewShardedSMCTier(cache.SMCConfig{}, 4))
+		},
+		"megaflow-sharded": func() tierFixture {
+			return shardedMegaflowFixture(cache.MegaflowConfig{})
+		},
+		"megaflow-staged-sharded": func() tierFixture {
+			return shardedMegaflowFixture(cache.MegaflowConfig{StagedPruning: true})
+		},
 	}
 }
 
 func megaflowFixture(cfg cache.MegaflowConfig) tierFixture {
 	tier := dataplane.NewMegaflowTier(cfg)
+	return installerFixture(tier, func(m flow.Match, v cache.Verdict, now uint64) (*cache.Entry, error) {
+		return tier.InsertMegaflow(m, v, now)
+	})
+}
+
+func shardedMegaflowFixture(cfg cache.MegaflowConfig) tierFixture {
+	tier := dataplane.NewShardedMegaflowTier(cfg, 4)
+	return installerFixture(tier, func(m flow.Match, v cache.Verdict, now uint64) (*cache.Entry, error) {
+		return tier.InsertMegaflowHashed(m, v, now, flow.Key(m.Key).Hash())
+	})
+}
+
+// installerFixture seeds an authoritative tier through insert, with an
+// exact-match megaflow for the key.
+func installerFixture(tier dataplane.Tier, insert func(flow.Match, cache.Verdict, uint64) (*cache.Entry, error)) tierFixture {
 	return tierFixture{
 		tier: tier,
 		seed: func(t *testing.T, k flow.Key, v cache.Verdict, now uint64) *cache.Entry {
 			t.Helper()
-			ent, err := tier.InsertMegaflow(flow.Match{Key: k, Mask: flow.ExactMask}, v, now)
+			ent, err := insert(flow.Match{Key: k, Mask: flow.ExactMask}, v, now)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,122 +57,68 @@ func validateSharded(cfg *config) {
 	}
 }
 
-// ShardedEMCTier adapts cache.ShardedEMC to the Tier interface — the
-// exact-match front cache of the sharded hierarchy (ConcurrentTier).
-type ShardedEMCTier struct{ emc *cache.ShardedEMC }
-
-// NewShardedEMCTier builds a sharded EMC tier with the given shard
-// count (<= 0: cache.DefaultShards).
-func NewShardedEMCTier(cfg cache.EMCConfig, shards int) *ShardedEMCTier {
-	return &ShardedEMCTier{emc: cache.NewShardedEMC(cfg, shards)}
+// ShardedRefTier adapts cache.ShardedRef — a sharded EMC or SMC — to the
+// Tier interface: the reference tiers of the sharded hierarchy
+// (ConcurrentTier).
+type ShardedRefTier struct {
+	name string
+	path Path
+	ref  *cache.ShardedRef
 }
 
-// ShardedEMC exposes the wrapped cache for inspection and experiments.
-func (t *ShardedEMCTier) ShardedEMC() *cache.ShardedEMC { return t.emc }
+// NewShardedEMCTier builds the sharded hierarchy's exact-match front
+// tier with the given shard count (<= 0: cache.DefaultShards).
+func NewShardedEMCTier(cfg cache.EMCConfig, shards int) *ShardedRefTier {
+	return &ShardedRefTier{name: "emc", path: PathEMC, ref: cache.NewShardedEMC(cfg, shards)}
+}
 
-func (t *ShardedEMCTier) Name() string     { return "emc" }
-func (t *ShardedEMCTier) Path() Path       { return PathEMC }
-func (t *ShardedEMCTier) ConcurrencySafe() {}
+// NewShardedSMCTier builds the sharded hierarchy's signature-match
+// middle tier with the given shard count (<= 0: cache.DefaultShards).
+func NewShardedSMCTier(cfg cache.SMCConfig, shards int) *ShardedRefTier {
+	return &ShardedRefTier{name: "smc", path: PathSMC, ref: cache.NewShardedSMC(cfg, shards)}
+}
+
+func (t *ShardedRefTier) Name() string     { return t.name }
+func (t *ShardedRefTier) Path() Path       { return t.path }
+func (t *ShardedRefTier) ConcurrencySafe() {}
 
 // UsesFlowHashes: the shard index is derived from the burst's cached
-// flow hashes (and reused for the insert side).
-func (t *ShardedEMCTier) UsesFlowHashes() {}
+// flow hashes (and reused for the insert side; the SMC's fingerprint
+// derives from them too).
+func (t *ShardedRefTier) UsesFlowHashes() {}
 
-func (t *ShardedEMCTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int, bool) {
-	ent, ok := t.emc.Lookup(k, now)
+func (t *ShardedRefTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int, bool) {
+	ent, ok := t.ref.Lookup(k, now)
 	return ent, 0, ok
 }
 
 // LookupBatch resolves the burst's still-missing keys shard by shard
 // under per-shard read locks.
-func (t *ShardedEMCTier) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, _ []int, miss *burst.Bitmap) {
-	if hashes == nil {
-		scalarSweep(t, keys, now, ents, nil, miss)
-		return
-	}
-	t.emc.LookupBatch(keys, hashes, now, ents, miss)
+func (t *ShardedRefTier) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, _ []int, miss *burst.Bitmap) {
+	t.ref.LookupBatch(keys, hashes, now, ents, miss)
 }
 
 // AccountRun coalesces a same-flow run into n billed hits (atomic).
-func (t *ShardedEMCTier) AccountRun(ent *cache.Entry, n int, _ int, now uint64) bool {
-	t.emc.AccountRun(ent, n, now)
+func (t *ShardedRefTier) AccountRun(ent *cache.Entry, n int, _ int, now uint64) bool {
+	t.ref.AccountRun(ent, n, now)
 	return true
 }
 
-func (t *ShardedEMCTier) Install(k flow.Key, ent *cache.Entry) { t.emc.Insert(k, ent) }
+func (t *ShardedRefTier) Install(k flow.Key, ent *cache.Entry) { t.ref.Insert(k, ent) }
 
 // InstallHashed is Install reusing the burst's cached flow hash for
 // shard selection.
-func (t *ShardedEMCTier) InstallHashed(k flow.Key, hash uint64, ent *cache.Entry) {
-	t.emc.InsertHashed(k, hash, ent)
+func (t *ShardedRefTier) InstallHashed(k flow.Key, hash uint64, ent *cache.Entry) {
+	t.ref.InsertHashed(k, hash, ent)
 }
 
-func (t *ShardedEMCTier) Flush()               { t.emc.Flush() }
-func (t *ShardedEMCTier) EvictIdle(uint64) int { return 0 } // stale refs invalidate lazily
+func (t *ShardedRefTier) Flush()               { t.ref.Flush() }
+func (t *ShardedRefTier) EvictIdle(uint64) int { return 0 } // stale refs invalidate lazily
 
-func (t *ShardedEMCTier) Stats() TierStats {
-	s := t.emc.Snapshot()
+func (t *ShardedRefTier) Stats() TierStats {
+	s := t.ref.Snapshot()
 	return TierStats{
-		Name: t.Name(), Hits: s.Hits, Misses: s.Misses,
-		Inserts: s.Inserts, Evictions: s.Evictions,
-		Entries: s.Entries, Capacity: s.Capacity,
-	}
-}
-
-// ShardedSMCTier adapts cache.ShardedSMC to the Tier interface — the
-// signature-match middle tier of the sharded hierarchy (ConcurrentTier).
-type ShardedSMCTier struct{ smc *cache.ShardedSMC }
-
-// NewShardedSMCTier builds a sharded SMC tier with the given shard
-// count (<= 0: cache.DefaultShards).
-func NewShardedSMCTier(cfg cache.SMCConfig, shards int) *ShardedSMCTier {
-	return &ShardedSMCTier{smc: cache.NewShardedSMC(cfg, shards)}
-}
-
-// ShardedSMC exposes the wrapped cache for inspection and experiments.
-func (t *ShardedSMCTier) ShardedSMC() *cache.ShardedSMC { return t.smc }
-
-func (t *ShardedSMCTier) Name() string     { return "smc" }
-func (t *ShardedSMCTier) Path() Path       { return PathSMC }
-func (t *ShardedSMCTier) ConcurrencySafe() {}
-func (t *ShardedSMCTier) UsesFlowHashes()  {}
-
-func (t *ShardedSMCTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int, bool) {
-	ent, ok := t.smc.Lookup(k, now)
-	return ent, 0, ok
-}
-
-// LookupBatch resolves the burst's still-missing keys shard by shard
-// over the burst's precomputed flow hashes.
-func (t *ShardedSMCTier) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, _ []int, miss *burst.Bitmap) {
-	if hashes == nil {
-		scalarSweep(t, keys, now, ents, nil, miss)
-		return
-	}
-	t.smc.LookupBatch(keys, hashes, now, ents, miss)
-}
-
-// AccountRun coalesces a same-flow run into n billed hits (atomic).
-func (t *ShardedSMCTier) AccountRun(ent *cache.Entry, n int, _ int, now uint64) bool {
-	t.smc.AccountRun(ent, n, now)
-	return true
-}
-
-func (t *ShardedSMCTier) Install(k flow.Key, ent *cache.Entry) { t.smc.Insert(k, ent) }
-
-// InstallHashed is Install reusing the burst's cached flow hash (shard
-// index and fingerprint both derive from it).
-func (t *ShardedSMCTier) InstallHashed(k flow.Key, hash uint64, ent *cache.Entry) {
-	t.smc.InsertHashed(k, hash, ent)
-}
-
-func (t *ShardedSMCTier) Flush()               { t.smc.Flush() }
-func (t *ShardedSMCTier) EvictIdle(uint64) int { return 0 } // stale refs invalidate lazily
-
-func (t *ShardedSMCTier) Stats() TierStats {
-	s := t.smc.Snapshot()
-	return TierStats{
-		Name: t.Name(), Hits: s.Hits, Misses: s.Misses,
+		Name: t.name, Hits: s.Hits, Misses: s.Misses,
 		Inserts: s.Inserts, Evictions: s.Evictions,
 		Entries: s.Entries, Capacity: s.Capacity,
 	}
@@ -203,8 +149,8 @@ func (t *ShardedMegaflowTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int,
 }
 
 // LookupBatch runs the inverted subtable sweep shard by shard: each
-// shard's read lock is taken once per burst and its subtables visited
-// once over the burst's keys hashing to that shard.
+// shard's lock is taken once per burst and its subtables visited once
+// over the burst's keys hashing to that shard.
 func (t *ShardedMegaflowTier) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, costs []int, miss *burst.Bitmap) {
 	t.sm.LookupBatch(keys, hashes, now, ents, costs, miss)
 }
@@ -247,45 +193,34 @@ func (t *ShardedMegaflowTier) InsertMegaflowHashed(match flow.Match, v cache.Ver
 	return t.sm.InsertHashed(match, v, now, keyHash)
 }
 
-func (t *ShardedMegaflowTier) Stats() TierStats {
-	s := t.sm.Snapshot()
+func (t *ShardedMegaflowTier) Stats() TierStats { return mfStats(t.Name(), t.sm.Snapshot()) }
+
+// mfStats renders a sharded megaflow snapshot (one shard's or the
+// aggregate) as a tier's counters.
+func mfStats(name string, s cache.MegaflowShardSnapshot) TierStats {
 	return TierStats{
-		Name: t.Name(), Hits: s.Hits, Misses: s.Misses,
+		Name: name, Hits: s.Hits, Misses: s.Misses,
 		Entries: s.Entries, Masks: s.Masks,
 		SubtableVisits: s.SubtableVisits, SubtablePrunes: s.SubtablePrunes,
 	}
 }
 
-// scalarSweep is the shared per-key fallback for sharded batch lookups
-// driven without a hash pass (only reachable through direct tier use;
-// the switch always provides hashes to HashUser tiers).
-func scalarSweep(t Tier, keys []flow.Key, now uint64, ents []*cache.Entry, costs []int, miss *burst.Bitmap) {
-	miss.ForEach(func(i int) {
-		ent, cost, ok := t.Lookup(keys[i], now)
-		if costs != nil {
-			costs[i] += cost
-		}
-		if ok {
-			ents[i] = ent
-			miss.Clear(i)
-		}
-	})
-}
-
 // mfShardTier is one shard of a ShardedMegaflowTier viewed as a Tier:
-// the unit of per-shard revalidation. Its maintenance methods (Stats,
-// EvictIdle, SetFlowLimit, TrimToLimit, Revalidate, Flush) operate on
-// the one shard only — a revalidator worker sweeping shard i excludes
-// only that shard's readers, not the switch. SetFlowLimit receives the
-// revalidator's *total* limit and takes the shard's 1/S slice. The
-// lookup-side methods delegate to the whole sharded cache (a shard view
-// is not a datapath tier; they exist to satisfy the interface).
+// the unit of per-shard revalidation. Its maintenance methods (EvictIdle,
+// FlowLimit, SetFlowLimit, TrimToLimit, Revalidate, Flush) are the
+// embedded cache.MegaflowShard's and operate on the one shard only — a
+// revalidator worker sweeping shard i excludes only that shard's
+// readers, not the switch; SetFlowLimit receives the revalidator's
+// *total* limit and takes the shard's 1/S slice. The lookup-side methods
+// delegate to the whole sharded cache (a shard view is not a datapath
+// tier; they exist to satisfy the interface).
 type mfShardTier struct {
-	sm *cache.ShardedMegaflow
-	si int
+	cache.MegaflowShard
+	sm   *cache.ShardedMegaflow
+	name string
 }
 
-func (t *mfShardTier) Name() string     { return fmt.Sprintf("megaflow/s%d", t.si) }
+func (t *mfShardTier) Name() string     { return t.name }
 func (t *mfShardTier) Path() Path       { return PathMegaflow }
 func (t *mfShardTier) ConcurrencySafe() {}
 
@@ -294,25 +229,7 @@ func (t *mfShardTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int, bool) {
 }
 func (t *mfShardTier) Install(flow.Key, *cache.Entry) {}
 
-func (t *mfShardTier) Flush()                        { t.sm.ShardFlush(t.si) }
-func (t *mfShardTier) EvictIdle(deadline uint64) int { return t.sm.ShardEvictIdle(t.si, deadline) }
-
-func (t *mfShardTier) FlowLimit() int     { return t.sm.FlowLimit() }
-func (t *mfShardTier) SetFlowLimit(n int) { t.sm.ShardSetFlowLimit(t.si, n) }
-func (t *mfShardTier) TrimToLimit() int   { return t.sm.ShardTrimToLimit(t.si) }
-
-func (t *mfShardTier) Revalidate(check func(*cache.Entry) (cache.Verdict, bool)) int {
-	return t.sm.ShardRevalidate(t.si, check)
-}
-
-func (t *mfShardTier) Stats() TierStats {
-	s := t.sm.ShardSnapshot(t.si)
-	return TierStats{
-		Name: t.Name(), Hits: s.Hits, Misses: s.Misses,
-		Entries: s.Entries, Masks: s.Masks,
-		SubtableVisits: s.SubtableVisits, SubtablePrunes: s.SubtablePrunes,
-	}
-}
+func (t *mfShardTier) Stats() TierStats { return mfStats(t.name, t.Snapshot()) }
 
 // ShardTarget is one shard of a sharded switch as a revalidation
 // target: revalidator.Revalidator.AttachSharded attaches each as its
@@ -361,7 +278,7 @@ func (s *Switch) ShardTargets() []*ShardTarget {
 	for i := range out {
 		out[i] = &ShardTarget{
 			name:  fmt.Sprintf("%s/shard%d", s.name, i),
-			tiers: []Tier{&mfShardTier{sm: sm, si: i}},
+			tiers: []Tier{&mfShardTier{MegaflowShard: sm.Shard(i), sm: sm, name: fmt.Sprintf("megaflow/s%d", i)}},
 			cls:   s.cls,
 		}
 	}

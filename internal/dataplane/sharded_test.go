@@ -270,7 +270,7 @@ func TestShardedConcurrentPMDTraffic(t *testing.T) {
 		default:
 		}
 		for si := 0; si < smf.NumShards(); si++ {
-			smf.ShardEvictIdle(si, now)
+			smf.Shard(si).EvictIdle(now)
 		}
 		smf.SetFlowLimit(256)
 		smf.TrimToLimit()

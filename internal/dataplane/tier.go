@@ -8,14 +8,26 @@ import (
 	"policyinject/internal/flow"
 )
 
-// TierReader is the read side of a cache tier: the methods the packet
-// walk calls on its hot path, plus the counter snapshot. On an ordinary
-// Tier the reader shares the owner goroutine with the writer — reads are
-// never concurrent with anything. A tier that additionally declares
-// ConcurrentTier promises its reader methods (and the BatchTier /
-// RunCoalescer extensions) are safe from any number of goroutines
-// concurrently with its TierWriter methods.
-type TierReader interface {
+// Tier is one layer of the fast-path cache hierarchy. The switch walks
+// its tiers in order on every packet: the first hit wins and the winning
+// entry is promoted into every earlier tier, so upper tiers behave as
+// cheap front caches for the authoritative megaflow store below them.
+//
+// The cost returned by Lookup is in "megaflow subtables visited" — the
+// paper's per-packet cost metric. Exact-match tiers (EMC, SMC) cost 0;
+// the TSS tier reports its scan length whether it hits or misses.
+//
+// Concurrency contract: a plain Tier is owned by one goroutine. Its read
+// side (Name, Path, Lookup, Stats, and the BatchTier / RunCoalescer
+// extensions — what the packet walk calls on its hot path) shares that
+// goroutine with its write side (Install, Flush, EvictIdle, and the
+// LimitedTier / RevalidatableTier extensions the revalidator drives):
+// the switch serializes every call, and experiments drive the switch like
+// a single PMD thread. Only tiers declaring ConcurrentTier may be shared
+// across goroutines; dataplane.New enforces the declaration for sharded
+// hierarchies (WithShards) and NewSharedPMDPool for pools sharing one
+// switch.
+type Tier interface {
 	// Name identifies the tier in counters and dumps ("emc", "smc",
 	// "megaflow", ...).
 	Name() string
@@ -25,16 +37,6 @@ type TierReader interface {
 	Lookup(k flow.Key, now uint64) (ent *cache.Entry, cost int, ok bool)
 	// Stats returns a snapshot of the tier's counters.
 	Stats() TierStats
-}
-
-// TierWriter is the write side of a cache tier: installs from promotion
-// or the slow path, and the maintenance entry points the revalidator
-// drives (Flush, EvictIdle; LimitedTier and RevalidatableTier extend
-// this side). On an ordinary Tier every writer call must be serialized
-// with every reader call by the owning goroutine; a ConcurrentTier
-// serializes internally (per-shard insert locks) and accepts writer
-// calls concurrent with reader traffic.
-type TierWriter interface {
 	// Install caches a reference produced by a lower tier or the slow
 	// path. Authoritative tiers (which mint their own entries via
 	// MegaflowInstaller) may treat this as a no-op.
@@ -46,35 +48,14 @@ type TierWriter interface {
 	EvictIdle(deadline uint64) int
 }
 
-// Tier is one layer of the fast-path cache hierarchy: the read side and
-// the write side together. The switch walks its tiers in order on every
-// packet: the first hit wins and the winning entry is promoted into
-// every earlier tier, so upper tiers behave as cheap front caches for
-// the authoritative megaflow store below them.
-//
-// The cost returned by Lookup is in "megaflow subtables visited" — the
-// paper's per-packet cost metric. Exact-match tiers (EMC, SMC) cost 0;
-// the TSS tier reports its scan length whether it hits or misses.
-//
-// Concurrency contract: a plain Tier is owned by one goroutine — the
-// switch serializes TierReader and TierWriter calls, and experiments
-// drive the switch like a single PMD thread. Only tiers declaring
-// ConcurrentTier may be shared across goroutines; dataplane.New enforces
-// the declaration for sharded hierarchies (WithShards) and
-// NewSharedPMDPool for pools sharing one switch.
-type Tier interface {
-	TierReader
-	TierWriter
-}
-
 // ConcurrentTier is the capability marking a tier safe for multi-writer
 // use — the contract of the sharded wrappers:
 //
-//   - Lookup, LookupBatch and AccountRun may run from any number of
-//     goroutines concurrently with each other AND with Install,
-//     InstallHashed, InsertMegaflow(Hashed), EvictIdle, TrimToLimit,
-//     SetFlowLimit, Revalidate and Flush;
-//   - writer calls serialize internally (per-shard locks), so two
+//   - the read side (Lookup, LookupBatch, AccountRun) may run from any
+//     number of goroutines concurrently with each other AND with the
+//     write side (Install, InstallHashed, InsertMegaflow(Hashed),
+//     EvictIdle, TrimToLimit, SetFlowLimit, Revalidate and Flush);
+//   - write-side calls serialize internally (per-shard locks), so two
 //     goroutines may install concurrently;
 //   - Stats and Name/Path are always safe.
 //
@@ -235,8 +216,8 @@ func (t *EMCTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int, bool) {
 
 // LookupBatch resolves the burst's still-missing keys in one pass (the
 // EMC's exact-match probe needs no flow hash; the map hashes internally).
-func (t *EMCTier) LookupBatch(keys []flow.Key, _ []uint64, now uint64, ents []*cache.Entry, _ []int, miss *burst.Bitmap) {
-	t.emc.LookupBatch(keys, now, ents, miss)
+func (t *EMCTier) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, _ []int, miss *burst.Bitmap) {
+	t.emc.LookupBatch(keys, hashes, now, ents, miss)
 }
 
 // AccountRun coalesces a same-flow run into n billed hits.
