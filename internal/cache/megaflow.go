@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -103,9 +104,10 @@ type Megaflow struct {
 	cfg       MegaflowConfig
 	limit     int
 	hooks     MaskHooks
-	subtables []*mfSubtable // scan order
+	subtables []scanRow // scan order, one compiled row per subtable
 	byMask    map[flow.Mask]*mfSubtable
 	nEntries  int
+	seed      uint64 // probe-hash secret, odd; tableSeed outside tests
 
 	// shared marks a shard child of ShardedMegaflow: flat lookups run
 	// under the shard's read lock, so their counters go through bump, and
@@ -165,6 +167,7 @@ func NewMegaflow(cfg MegaflowConfig) *Megaflow {
 		cfg:    cfg,
 		limit:  limit,
 		byMask: make(map[flow.Mask]*mfSubtable),
+		seed:   tableSeed,
 	}
 }
 
@@ -217,38 +220,28 @@ func (m *Megaflow) NumMasks() int { return len(m.subtables) }
 
 // Lookup scans the subtables in order, one hash probe per mask, returning
 // the first hit. The returned scan count is the number of subtables
-// visited, the direct cost measure of TSS.
+// visited, the direct cost measure of TSS. The flat scan is a one-key sweep.
 func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 	if m.cfg.StagedPruning {
 		return m.lookupStaged(k, now)
 	}
-	bump(m.shared, &m.Lookups, 1)
-	scanned := 0
-	for _, st := range m.subtables {
-		scanned++
-		if ent := st.probe(&k); ent != nil {
-			credit(m.shared, ent, 1, now)
-			bump(m.shared, &st.hits, 1)
-			stamp(m.shared, &st.lastHit, now)
-			bump(m.shared, &m.Hits, 1)
-			bump(m.shared, &m.MasksScanned, uint64(scanned))
-			m.maybeResort()
-			return ent, scanned, true
-		}
-	}
-	bump(m.shared, &m.Misses, 1)
-	bump(m.shared, &m.MasksScanned, uint64(scanned))
+	var (
+		key  = [1]flow.Key{k}
+		ent  [1]*Entry
+		cost [1]int
+		miss = [1]uint64{1}
+		buf  [1][4]uint64
+	)
+	m.sweep(key[:], now, ent[:], cost[:], miss[:], buf[:])
 	m.maybeResort()
-	return nil, scanned, false
+	return ent[0], cost[0], ent[0] != nil
 }
 
 // LookupBatch is the burst-vectorized lookup: the loop is inverted so each
 // subtable is visited once per *burst* — one probe of its significant
 // words per still-unresolved key, bitmap-masked — instead of the full
 // subtable list being re-walked per packet (the dpcls_lookup structure of
-// the OVS userspace datapath). Per subtable the compiled mask and table
-// stay hot in cache across the whole burst, which is where the win over
-// the scalar walk comes from once the attacker has exploded the mask count.
+// the OVS userspace datapath); see sweep and scan.
 //
 // For every key index set in miss: a hit writes ents[i], adds the scan
 // depth to costs[i] and clears the bit; a miss adds the full scan length
@@ -280,51 +273,123 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 		}
 		return
 	}
+	var buf [64][4]uint64 // 2 KiB zeroed a call; the callers skip a tier when miss is empty
+	m.sweep(keys, now, ents, costs, miss.Words(), buf[:])
+}
+
+// sweep is the one flat scan: miss holds a bit per unresolved key, and each
+// word of 64 keys goes down the scan order on its own — scan proves the
+// misses, walk settles the visits scan leaves open, a hit is credited here.
+// Visits, positions and credits equal the key-by-key scan's; all are sums, so
+// the order of visits shows in none. buf is scan's scratch, on the caller's
+// stack: a shard child's readers sweep together under the read lock.
+func (m *Megaflow) sweep(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss []uint64, buf [][4]uint64) {
 	nSub := len(m.subtables)
-	for si, st := range m.subtables {
-		if miss.Empty() {
-			break
-		}
-		pos := si + 1
-		words := miss.Words()
-		for wi := range words {
-			w := words[wi]
-			for w != 0 {
-				i := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				ent := st.probe(&keys[i])
-				if ent == nil {
+	g := gathered{w: buf}
+	for wi, live := range miss {
+		base := wi << 6
+		g.keys, g.live, g.shape = keys[base:], live, ^uint32(0) // no row's shape: nothing gathered
+		for ri := 0; g.live != 0; ri++ {
+			var open uint64
+			if ri, open = m.scan(ri, &g); open == 0 {
+				break
+			}
+			row := &m.subtables[ri]
+			for st := row.st; open != 0; open &= open - 1 {
+				b := bits.TrailingZeros64(open)
+				k, slot := &g.keys[b], 0
+				if row.nw > 3 {
+					slot, _ = st.find(k, m.seed)
+				} else {
+					slot = st.walk(k, g.w[b][3])
+				}
+				if slot < 0 {
 					continue
 				}
+				ent, pos := st.slots[slot].ent, ri+1
 				credit(m.shared, ent, 1, now)
 				bump(m.shared, &st.hits, 1)
 				stamp(m.shared, &st.lastHit, now)
-				// Billed per hit, in memory: an accumulator kept across the
-				// probe call would be spilled and reloaded on every visit.
 				bump(m.shared, &m.Lookups, 1)
 				bump(m.shared, &m.Hits, 1)
 				bump(m.shared, &m.MasksScanned, uint64(pos))
-				ents[i] = ent
-				costs[i] += pos
-				miss.Clear(i)
+				ents[base+b] = ent
+				costs[base+b] += pos
+				g.live &^= 1 << b
+			}
+		}
+		miss[wi] = g.live
+		// Survivors paid the full sweep: bill them exactly as scalar misses.
+		if left := uint64(bits.OnesCount64(g.live)); left > 0 {
+			bump(m.shared, &m.Lookups, left)
+			bump(m.shared, &m.Misses, left)
+			bump(m.shared, &m.MasksScanned, left*uint64(nSub))
+			for w := g.live; w != 0; w &= w - 1 {
+				costs[base+bits.TrailingZeros64(w)] += nSub
 			}
 		}
 	}
-	// Survivors paid the full sweep: bill them exactly as scalar misses.
-	if left := uint64(miss.Count()); left > 0 {
-		bump(m.shared, &m.Lookups, left)
-		bump(m.shared, &m.Misses, left)
-		bump(m.shared, &m.MasksScanned, left*uint64(nSub))
-		words := miss.Words()
-		for wi := range words {
-			w := words[wi]
-			for w != 0 {
-				i := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				costs[i] += nSub
+}
+
+// gathered is scan's working set: the unresolved keys of one miss-bitmap
+// word (bit b of live stands for keys[b]) and, in w[b], the three words shape
+// selects of keys[b], then the probe hash of a visit scan leaves open.
+type gathered struct {
+	w     [][4]uint64
+	keys  []flow.Key
+	live  uint64
+	shape uint32
+}
+
+// load gathers the live keys' words; out of line, to keep scan on registers.
+//
+//go:noinline
+func (g *gathered) load(shape uint32) {
+	g.shape = shape
+	for w := g.live; w != 0; w &= w - 1 {
+		b := bits.TrailingZeros64(w)
+		k := &g.keys[b]
+		g.w[b] = [4]uint64{k[shape&0xff], k[shape>>8&0xff], k[shape>>16&0xff]}
+	}
+}
+
+// scan walks the scan order from row ri with g's live keys and returns the
+// first row where it cannot prove every one of them a miss, with the bits of
+// those it cannot (none past the last row). A visit calls nothing, so the
+// loop runs on registers. Rows of one shape — all 7 937 masks of the
+// three-field attack — hash from one gather: three ANDs with the row's mask
+// words, the probe hash, and the pair of slots it points to; an empty slot
+// and no equal hash there prove the miss (walk's first step). Masks of over
+// three words are left to find whole.
+func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
+	rows, seed := m.subtables, m.seed
+	for ; ri < len(rows); ri++ {
+		row := &rows[ri]
+		slots := row.st.slots
+		if row.nw > 3 {
+			return ri, g.live
+		}
+		if len(slots) == 0 {
+			continue // never (minSlots); proves the masked indices in range
+		}
+		if row.shape != g.shape {
+			g.load(row.shape)
+		}
+		var open uint64
+		for w := g.live; w != 0; w &= w - 1 {
+			kw := &g.w[bits.TrailingZeros64(w)]
+			h := row.st.probeHash(seed, kw[0]&row.mw[0], kw[1]&row.mw[1], kw[2]&row.mw[2], nil, nil)
+			h0, h1 := slots[h&uint64(len(slots)-1)].hash, slots[(h+1)&uint64(len(slots)-1)].hash
+			if h0 == h || h1 == h || int64(h0&h1) < 0 {
+				kw[3] = h
+				open |= w & -w // the key's bit
 			}
 		}
+		if open != 0 {
+			return ri, open
+		}
 	}
+	return ri, 0
 }
 
 // AccountRun bills n additional lookups that hit ent at scan depth cost
@@ -364,10 +429,10 @@ func (m *Megaflow) maybeResort() {
 	m.sinceSort = 0
 	//lint:allow hotpathalloc re-sort is amortized over SortEvery lookups
 	sort.SliceStable(m.subtables, func(i, j int) bool {
-		return m.subtables[i].hits > m.subtables[j].hits
+		return m.subtables[i].st.hits > m.subtables[j].st.hits
 	})
-	for _, st := range m.subtables {
-		st.hits = 0 // decay so ordering tracks current traffic
+	for _, row := range m.subtables {
+		row.st.hits = 0 // decay so ordering tracks current traffic
 	}
 }
 
@@ -407,12 +472,12 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 			st.staged = newStagedState(match.Mask)
 		}
 		m.byMask[match.Mask] = st
-		m.subtables = append(m.subtables, st)
+		m.subtables = append(m.subtables, st.row())
 		if m.hooks.Minted != nil {
 			m.hooks.Minted(match)
 		}
 	}
-	slot, hash := st.find(&match.Key)
+	slot, hash := st.find(&match.Key, m.seed)
 	if slot >= 0 {
 		old := st.slots[slot].ent
 		if m.shared {
@@ -449,7 +514,7 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 
 // removeEntry evicts one resident entry outside a sweep.
 func (m *Megaflow) removeEntry(ent *Entry) {
-	ent.st.del(ent)
+	ent.st.del(ent, m.seed)
 	m.retireEntry(ent)
 }
 
@@ -471,7 +536,7 @@ func (m *Megaflow) Remove(match flow.Match) bool {
 	if st == nil {
 		return false
 	}
-	ent := st.probe(&match.Key)
+	ent := st.probe(&match.Key, m.seed)
 	if ent == nil {
 		return false
 	}
@@ -488,10 +553,10 @@ func (m *Megaflow) evictColdestSubtable() {
 	if len(m.subtables) == 0 {
 		return
 	}
-	coldest := m.subtables[0]
-	for _, st := range m.subtables[1:] {
-		if st.lastHit < coldest.lastHit {
-			coldest = st
+	coldest := m.subtables[0].st
+	for _, row := range m.subtables[1:] {
+		if row.st.lastHit < coldest.lastHit {
+			coldest = row.st
 		}
 	}
 	coldest.sweep(func(ent *Entry) bool {
@@ -510,15 +575,12 @@ func (m *Megaflow) forgetSubtable(st *mfSubtable) {
 	delete(m.byMask, st.mask)
 }
 
-// dropSubtable retires one subtable: a linear search and shift of the
-// scan order, for the callers that empty a single subtable.
+// dropSubtable retires one subtable: a linear search and shift of the scan
+// order (the vacated tail row zeroed), for callers that empty one subtable.
 func (m *Megaflow) dropSubtable(st *mfSubtable) {
 	m.forgetSubtable(st)
-	for i, have := range m.subtables {
-		if have == st {
-			m.subtables = append(m.subtables[:i], m.subtables[i+1:]...)
-			return
-		}
+	if i := slices.IndexFunc(m.subtables, func(row scanRow) bool { return row.st == st }); i >= 0 {
+		m.subtables = slices.Delete(m.subtables, i, i+1)
 	}
 }
 
@@ -528,12 +590,12 @@ func (m *Megaflow) dropSubtable(st *mfSubtable) {
 // attack's masks expire in one revalidator round).
 func (m *Megaflow) dropEmptySubtables() {
 	kept := m.subtables[:0]
-	for _, st := range m.subtables {
-		if st.n == 0 {
-			m.forgetSubtable(st)
+	for _, row := range m.subtables {
+		if row.st.n == 0 {
+			m.forgetSubtable(row.st)
 			continue
 		}
-		kept = append(kept, st)
+		kept = append(kept, row)
 	}
 	clear(m.subtables[len(kept):])
 	m.subtables = kept
@@ -625,8 +687,8 @@ func (m *Megaflow) EvictIdle(deadline uint64) int {
 		evicted++
 		return true
 	}
-	for _, st := range m.subtables {
-		st.sweep(idle)
+	for _, row := range m.subtables {
+		row.st.sweep(idle)
 	}
 	m.dropEmptySubtables()
 	return evicted
@@ -647,8 +709,8 @@ func (m *Megaflow) Revalidate(check func(*Entry) (Verdict, bool)) int {
 		flushed++
 		return true
 	}
-	for _, st := range m.subtables {
-		st.sweep(stale)
+	for _, row := range m.subtables {
+		row.st.sweep(stale)
 	}
 	m.dropEmptySubtables()
 	return flushed
@@ -656,13 +718,13 @@ func (m *Megaflow) Revalidate(check func(*Entry) (Verdict, bool)) int {
 
 // Flush drops everything.
 func (m *Megaflow) Flush() {
-	for _, st := range m.subtables {
-		for ent := range st.residents {
+	for _, row := range m.subtables {
+		for ent := range row.st.residents {
 			ent.dead.Store(true)
 			ent.st = nil
 		}
 		if m.hooks.Dropped != nil {
-			m.hooks.Dropped(st.mask)
+			m.hooks.Dropped(row.st.mask)
 		}
 	}
 	m.subtables = nil
@@ -673,8 +735,8 @@ func (m *Megaflow) Flush() {
 // Entries returns all cached entries, subtable scan order first.
 func (m *Megaflow) Entries() []*Entry {
 	out := make([]*Entry, 0, m.nEntries)
-	for _, st := range m.subtables {
-		for ent := range st.residents {
+	for _, row := range m.subtables {
+		for ent := range row.st.residents {
 			out = append(out, ent)
 		}
 	}

@@ -211,7 +211,7 @@ const (
 // caller already proved it passes (the batched sweep does, for bursts
 // with a single word-0 signature); eliding a check that can only pass
 // keeps counters identical to the scalar sequence.
-func (st *mfSubtable) stagedProbe(k *flow.Key, skipW0 bool) (*Entry, probeOutcome) {
+func (st *mfSubtable) stagedProbe(k *flow.Key, seed uint64, skipW0 bool) (*Entry, probeOutcome) {
 	ss := st.staged
 	if !skipW0 && ss.w0vals != nil {
 		if _, ok := ss.w0vals[k[0]&ss.w0mask]; !ok {
@@ -231,7 +231,7 @@ func (st *mfSubtable) stagedProbe(k *flow.Key, skipW0 bool) (*Entry, probeOutcom
 			return nil, probeBailed
 		}
 	}
-	if ent := st.probe(k); ent != nil {
+	if ent := st.probe(k, seed); ent != nil {
 		return ent, probeHit
 	}
 	return nil, probeMissed
@@ -244,8 +244,9 @@ func (st *mfSubtable) stagedProbe(k *flow.Key, skipW0 bool) (*Entry, probeOutcom
 func (m *Megaflow) lookupStaged(k flow.Key, now uint64) (*Entry, int, bool) {
 	m.Lookups++
 	cost := 0
-	for _, st := range m.subtables {
-		ent, outcome := st.stagedProbe(&k, false)
+	for ri := range m.subtables { // by index: the staged sweeps read only the pointer of a 40-byte row
+		st := m.subtables[ri].st
+		ent, outcome := st.stagedProbe(&k, m.seed, false)
 		switch outcome {
 		case probePruned:
 			m.SubtablePrunes++
@@ -355,10 +356,11 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 		}
 	}
 
-	for _, st := range m.subtables {
+	for ri := range m.subtables {
 		if miss.Empty() {
 			break
 		}
+		st := m.subtables[ri].st
 		ss := st.staged
 		// With a single burst-wide signature, the burst-level check settles
 		// the per-key signature checks too: they would all pass (skipW0) or
@@ -400,7 +402,7 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 			for w != 0 {
 				i := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
-				ent, outcome := st.stagedProbe(&keys[i], skipW0)
+				ent, outcome := st.stagedProbe(&keys[i], m.seed, skipW0)
 				switch outcome {
 				case probePruned:
 					m.SubtablePrunes++
@@ -457,13 +459,13 @@ func (m *Megaflow) maybeRank() {
 		return
 	}
 	m.lastRank = m.Lookups
-	for _, st := range m.subtables {
-		ss := st.staged
+	for _, row := range m.subtables {
+		ss := row.st.staged
 		ss.ewma = rankAlpha*float64(ss.sinceRank) + (1-rankAlpha)*ss.ewma
 		ss.sinceRank = 0
 	}
 	//lint:allow hotpathalloc re-rank is amortized over RankEvery lookups
 	sort.SliceStable(m.subtables, func(i, j int) bool {
-		return m.subtables[i].staged.ewma > m.subtables[j].staged.ewma
+		return m.subtables[i].st.staged.ewma > m.subtables[j].st.staged.ewma
 	})
 }

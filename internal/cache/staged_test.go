@@ -29,7 +29,8 @@ func stagedEqualFlat(t *testing.T, staged, flat *Megaflow, k flow.Key, now uint6
 // consistency contract Flush/TrimToLimit/EvictIdle/Remove must maintain.
 func checkStagedInvariants(t *testing.T, m *Megaflow) {
 	t.Helper()
-	for si, st := range m.subtables {
+	for si, row := range m.subtables {
+		st := row.st
 		if st.staged == nil {
 			t.Fatalf("subtable %d has no staged state", si)
 		}
@@ -296,7 +297,7 @@ func TestStagedRankingPromotesHot(t *testing.T) {
 	var k flow.Key
 	k.Set(flow.FieldInPort, 1)
 	k.Set(flow.FieldIPSrc, 0xc0a80101)
-	if m.subtables[len(m.subtables)-1].mask != hot.Mask {
+	if m.subtables[len(m.subtables)-1].st.mask != hot.Mask {
 		t.Fatal("precondition: hot subtable should start last in scan order")
 	}
 	for i := 0; i < 2*64; i++ {
@@ -304,7 +305,7 @@ func TestStagedRankingPromotesHot(t *testing.T) {
 			t.Fatal("hot key missed")
 		}
 	}
-	if m.subtables[0].mask != hot.Mask {
+	if m.subtables[0].st.mask != hot.Mask {
 		t.Fatal("hot subtable not ranked to the front after the EWMA window")
 	}
 	_, cost, ok := m.Lookup(k, 200)
@@ -337,8 +338,8 @@ func TestStagedFlushTrimConsistency(t *testing.T) {
 
 	order := func() []flow.Mask {
 		out := make([]flow.Mask, len(m.subtables))
-		for i, st := range m.subtables {
-			out[i] = st.mask
+		for i, row := range m.subtables {
+			out[i] = row.st.mask
 		}
 		return out
 	}

@@ -32,19 +32,18 @@ const minSlots = 2
 // table with linear probing, grown at load 1/2, deleted by backward shift
 // (no tombstones, so a miss always ends at the first empty slot).
 //
-// The fields a sweep reads lead the struct, in its first two cache lines:
-// a staged sweep, which prunes most subtables on their staged state alone,
-// reads one pointer; a flat miss in a singleton subtable reads the table
-// header, the word indices, both slot hashes, the seed and the mask words.
-// (With the staged pointer in the third line the staged attack took 17 %
-// longer to set up.)
+// What a sweep reads fills the first cache line (the 192-byte size class
+// starts a subtable on a line boundary): a staged sweep, which prunes most
+// subtables on their staged state alone, reads one pointer (in the third
+// line it cost the staged attack 17 % of its setup time); a flat sweep, with
+// the mask words in its scanRow, reads the table header and, in a singleton
+// subtable, both slot hashes.
 type mfSubtable struct {
 	staged *stagedState      // staged-lookup/pruning state; nil unless StagedPruning
 	slots  []mfSlot          // len is a power of two, >= 2*n
+	first  [minSlots]mfSlot  // backing store of slots until the first grow
 	nw     uint8             // number of significant mask words
 	widx   [flow.Words]uint8 // their Key word indices, ascending; zero past nw
-	first  [minSlots]mfSlot  // backing store of slots until the first grow
-	seed   uint64            // probe-hash secret, odd; tableSeed outside tests
 	mask   flow.Mask
 	n      int // resident entries
 
@@ -52,7 +51,27 @@ type mfSubtable struct {
 	lastHit uint64 // for LRU mask eviction
 }
 
-// tableSeed is the secret every subtable's probe hash starts from and
+// scanRow is one position of a Megaflow's scan order, by value: what the
+// flat sweep needs of the subtable there to hash a key, so that a miss reads
+// one 40-byte row, in sequence, and the subtable's first cache line.
+type scanRow struct {
+	mw    [3]uint64 // st.mask[st.widx[j]], j < 3
+	st    *mfSubtable
+	shape uint32 // st.widx[0..2], the key words mw selects, a byte each
+	nw    uint8
+}
+
+func (st *mfSubtable) row() scanRow {
+	w := st.widx
+	return scanRow{
+		mw:    [3]uint64{st.mask[w[0]], st.mask[w[1]], st.mask[w[2]]},
+		st:    st,
+		shape: uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16,
+		nw:    st.nw,
+	}
+}
+
+// tableSeed is the secret every Megaflow's probe hash starts from and
 // multiplies by: a random odd number (a regular one — 1, -1, a power of
 // two — would not mix), drawn once per process as the seed of the Go map
 // this table replaces was. Whoever owns a mask chooses the keys inside its
@@ -67,16 +86,9 @@ var tableSeed = func() uint64 {
 	return binary.LittleEndian.Uint64(b[:]) | 1
 }()
 
-// mix is the probe hash's own word mixer: the full 128-bit product with
-// the odd seed, halves xored together.
-func mix(x, seed uint64) uint64 {
-	hi, lo := bits.Mul64(x, seed)
-	return hi ^ lo
-}
-
 // newSubtable mints an empty subtable for mask.
 func newSubtable(mask flow.Mask, now uint64) *mfSubtable {
-	st := &mfSubtable{mask: mask, seed: tableSeed, lastHit: now}
+	st := &mfSubtable{mask: mask, lastHit: now}
 	for i, w := range mask {
 		if w != 0 {
 			st.widx[st.nw] = uint8(i)
@@ -87,65 +99,70 @@ func newSubtable(mask flow.Mask, now uint64) *mfSubtable {
 	return st
 }
 
-// find is the one lookup body every sweep, insert and delete runs: it
-// returns the index of the slot holding the entry that matches k under
-// the subtable's mask, or -1, and k's probe hash.
+// probeHash is the one probe hash, inlined into find and into the flat
+// sweep's scan: a, b and c are the key's first three significant words,
+// masked (find reads them through widx and mask, scan from its gather and
+// the scanRow); more is widx past the third, whose words are read from k.
 //
-// The hash folds the masked significant words of k through mix, then
-// mixes once more so the last word, too, passes two secret multiplies:
-// with one, keys in arithmetic progression cluster under an unlucky seed
-// and keys crafted against a guessed seed stay correlated under the real
-// one (TestSubtableCraftedCollisions). The first three rounds are unrolled
-// and always run — past nw they fold masked word 0 in again (widx is zero
-// there), which costs a multiply and saves the loop for the one-to-three-
-// word masks that prefix ACLs over in_port, addresses and ports compile
-// to. A catch-all mask hashes every key alike.
-//
-// The table walk takes two slots a step and confirms an equal stored hash
-// by comparing the significant words with the entry's (normalised) match
-// key. On a miss neither hash compare is ever true and, at load <= 1/2,
-// the pair nearly always holds an empty slot (always, in a singleton
-// subtable), so the sweep's common path is three well-predicted branches;
-// testing one slot at a time would branch on whether the key's home slot
-// happens to be the occupied one. Each of the two shortcuts was measured
-// on its own against `for j < nw` and a one-slot walk on attack8192_flat:
-// the unrolled rounds are worth 10-13 % of pkt_ns_p02, the paired walk
-// 18-21 %, with or without the other (CHANGES.md, PR 13). Reads only, so
-// any number of readers may search one subtable concurrently while no
-// writer runs.
-func (st *mfSubtable) find(k *flow.Key) (int, uint64) {
-	w0, w1, w2 := st.widx[0], st.widx[1], st.widx[2]
-	seed := st.seed
-	h := mix(seed^k[w0]&st.mask[w0], seed)
-	h = mix(h^k[w1]&st.mask[w1], seed)
-	h = mix(h^k[w2]&st.mask[w2], seed)
-	for j := 3; j < int(st.nw); j++ {
-		w := st.widx[j]
-		h = mix(h^k[w]&st.mask[w], seed)
+// Each round xors a masked word in and takes the full 128-bit product with
+// the odd seed, halves xored together; one more round closes, so the last
+// word, too, passes two secret multiplies: with one, keys in arithmetic
+// progression cluster under an unlucky seed and keys crafted against a
+// guessed seed stay correlated under the real one
+// (TestSubtableCraftedCollisions). The first three rounds always run — past
+// nw they fold masked word 0 in again (widx is zero there), which costs a
+// multiply and saves the loop for the one-to-three-word masks that prefix
+// ACLs compile to (10-13 % of attack8192_flat's pkt_ns_p02; CHANGES.md,
+// PR 13). A catch-all mask hashes every key alike.
+func (st *mfSubtable) probeHash(seed, a, b, c uint64, more []uint8, k *flow.Key) uint64 {
+	hi, lo := bits.Mul64(seed^a, seed)
+	hi, lo = bits.Mul64(hi^lo^b, seed)
+	hi, lo = bits.Mul64(hi^lo^c, seed)
+	for _, w := range more {
+		hi, lo = bits.Mul64(hi^lo^k[w]&st.mask[w], seed)
 	}
-	h = mix(h, seed)
-	h |= slotUsed
+	hi, lo = bits.Mul64(hi^lo, seed)
+	return hi ^ lo | slotUsed
+}
+
+// find returns the index of the slot holding the entry that matches k under
+// the subtable's mask, or -1, and k's probe hash under seed. Reads only, so
+// any number of readers may search one subtable while no writer runs.
+func (st *mfSubtable) find(k *flow.Key, seed uint64) (int, uint64) {
+	w0, w1, w2 := st.widx[0], st.widx[1], st.widx[2]
+	h := st.probeHash(seed, k[w0]&st.mask[w0], k[w1]&st.mask[w1], k[w2]&st.mask[w2], st.widx[3:max(st.nw, 3)], k)
+	return st.walk(k, h), h
+}
+
+// walk returns the slot of the entry matching k, whose probe hash is h, or
+// -1. It takes two slots a step and confirms an equal stored hash against
+// the entry's (normalised) match key. On a miss no hash is equal and, at
+// load <= 1/2, the first pair nearly always holds an empty slot (always, in
+// a singleton subtable): three well-predicted branches, which scan takes
+// inline; one slot at a time would branch on whether the key's home slot is
+// the occupied one (18-21 % of attack8192_flat's pkt_ns_p02; PR 13).
+func (st *mfSubtable) walk(k *flow.Key, h uint64) int {
 	slots := st.slots
 	m := uint64(len(slots) - 1)
 	for i := h & m; ; i = (i + 2) & m {
 		j := (i + 1) & m
 		s0, s1 := &slots[i], &slots[j]
 		if s0.hash == h && st.matches(k, s0.ent) {
-			return int(i), h
+			return int(i)
 		}
 		if s1.hash == h && st.matches(k, s1.ent) {
-			return int(j), h
+			return int(j)
 		}
 		if int64(s0.hash&s1.hash) >= 0 {
-			return -1, h // an empty slot ends the run
+			return -1 // an empty slot ends the run
 		}
 	}
 }
 
 // probe returns the resident entry matching k under the subtable's mask,
 // or nil.
-func (st *mfSubtable) probe(k *flow.Key) *Entry {
-	if i, _ := st.find(k); i >= 0 {
+func (st *mfSubtable) probe(k *flow.Key, seed uint64) *Entry {
+	if i, _ := st.find(k, seed); i >= 0 {
 		return st.slots[i].ent
 	}
 	return nil
@@ -189,8 +206,8 @@ func (st *mfSubtable) place(s mfSlot) {
 }
 
 // del removes the resident entry ent.
-func (st *mfSubtable) del(ent *Entry) {
-	if i, _ := st.find(&ent.Match.Key); i >= 0 {
+func (st *mfSubtable) del(ent *Entry, seed uint64) {
+	if i, _ := st.find(&ent.Match.Key, seed); i >= 0 {
 		st.delAt(uint64(i))
 	}
 }

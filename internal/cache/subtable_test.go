@@ -47,23 +47,22 @@ func tableKey(id uint16, mask flow.Mask, noise uint64) flow.Key {
 
 // tableModel drives one subtable and the reference map side by side.
 type tableModel struct {
-	t   *testing.T
-	st  *mfSubtable
-	ref map[flow.Key]*Entry // masked key -> resident entry
+	t    *testing.T
+	st   *mfSubtable
+	seed uint64              // probe-hash seed (Megaflow.seed's stand-in)
+	ref  map[flow.Key]*Entry // masked key -> resident entry
 }
 
 // newTableModel pins the probe-hash seed, which is per process outside
 // tests, so a failing stream fails again on the next run.
 func newTableModel(t *testing.T, mask flow.Mask, seed uint64) *tableModel {
-	st := newSubtable(mask, 0)
-	st.seed = seed | 1
-	return &tableModel{t: t, st: st, ref: make(map[flow.Key]*Entry)}
+	return &tableModel{t: t, st: newSubtable(mask, 0), seed: seed | 1, ref: make(map[flow.Key]*Entry)}
 }
 
 // probe checks the table against the reference for one raw key.
 func (tm *tableModel) probe(raw flow.Key) {
 	tm.t.Helper()
-	if got, want := tm.st.probe(&raw), tm.ref[tm.st.mask.Apply(raw)]; got != want {
+	if got, want := tm.st.probe(&raw, tm.seed), tm.ref[tm.st.mask.Apply(raw)]; got != want {
 		tm.t.Fatalf("probe(%v) = %p, reference holds %p", raw, got, want)
 	}
 }
@@ -74,7 +73,7 @@ func (tm *tableModel) put(raw flow.Key) {
 		return
 	}
 	ent := &Entry{Match: flow.Match{Key: mk, Mask: tm.st.mask}, st: tm.st}
-	_, h := tm.st.find(&mk)
+	_, h := tm.st.find(&mk, tm.seed)
 	tm.st.put(ent, h)
 	tm.ref[mk] = ent
 }
@@ -85,7 +84,7 @@ func (tm *tableModel) del(raw flow.Key) {
 	if ent == nil {
 		return
 	}
-	tm.st.del(ent)
+	tm.st.del(ent, tm.seed)
 	delete(tm.ref, mk)
 }
 
@@ -110,7 +109,7 @@ func (tm *tableModel) sweep(sel uint64) {
 	}
 	tm.check()
 	for ent := range seen {
-		if tm.ref[ent.Match.Key] == nil && tm.st.probe(&ent.Match.Key) != nil {
+		if tm.ref[ent.Match.Key] == nil && tm.st.probe(&ent.Match.Key, tm.seed) != nil {
 			tm.t.Fatalf("sweep left dropped entry %v resident", ent.Match.Key)
 		}
 	}
@@ -138,7 +137,7 @@ func (tm *tableModel) check() {
 		tm.t.Fatalf("residents walked %d entries, reference %d", walked, len(tm.ref))
 	}
 	for mk, ent := range tm.ref {
-		if got := st.probe(&mk); got != ent {
+		if got := st.probe(&mk, tm.seed); got != ent {
 			tm.t.Fatalf("resident %v not found by probe (got %p)", mk, got)
 		}
 	}
@@ -223,7 +222,7 @@ func TestSubtableBackwardShiftAcrossWrap(t *testing.T) {
 	var homed []flow.Key
 	for id := uint16(0); len(tm.ref) < 5 || len(homed) < 3; id++ {
 		raw := tableKey(id, flow.ExactMask, 0)
-		_, h := tm.st.find(&raw)
+		_, h := tm.st.find(&raw, tm.seed)
 		switch {
 		case len(tm.st.slots) == 16 && h&15 == 15 && len(homed) < 3:
 			homed = append(homed, raw)
@@ -352,11 +351,10 @@ func TestSubtableProbeLengthBound(t *testing.T) {
 func TestSubtableCraftedCollisions(t *testing.T) {
 	const guessed, want, homeBits = 0x9e3779b97f4a7c15, 512, 12
 	scout := newSubtable(portsMask(), 0)
-	scout.seed = guessed | 1
 	var keys []flow.Key
 	for i := uint64(0); len(keys) < want; i++ {
 		k := portsKey(0x0a000000|i>>32, i>>16&0xffff, i&0xffff)
-		if _, h := scout.find(&k); h&(1<<homeBits-1) == 0 {
+		if _, h := scout.find(&k, guessed|1); h&(1<<homeBits-1) == 0 {
 			keys = append(keys, k)
 		}
 	}

@@ -1,0 +1,414 @@
+package cache
+
+import (
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"policyinject/internal/burst"
+	"policyinject/internal/flow"
+)
+
+// sweepWordCounts are the mask sizes the sweep tests mix in one scan order:
+// the catch-all, one word, the three a row carries, one more than that (the
+// first to read a word through the subtable) and all ten.
+var sweepWordCounts = []int{0, 1, 3, 4, 10}
+
+// wordMask draws a mask with nw significant words at random positions, so
+// a scan order holds many shapes and changes shape from row to row.
+func wordMask(rng *rand.Rand, nw int) flow.Mask {
+	var mask flow.Mask
+	for _, w := range rng.Perm(flow.Words)[:nw] {
+		mask[w] = rng.Uint64() | 1<<uint(rng.Intn(64))
+	}
+	return mask
+}
+
+func randomKey(rng *rand.Rand) flow.Key {
+	var k flow.Key
+	for i := range k {
+		k[i] = rng.Uint64()
+	}
+	return k
+}
+
+// checkScanRows demands that row i of the scan order describes subtable i:
+// its mask words, shape and word count recomputed from the mask alone, and
+// its pointer the one the mask index holds; and that nothing past the end
+// of the scan order still references a subtable.
+func checkScanRows(t *testing.T, m *Megaflow) {
+	t.Helper()
+	if len(m.byMask) != len(m.subtables) {
+		t.Fatalf("%d rows in scan order, %d masks indexed", len(m.subtables), len(m.byMask))
+	}
+	for i, row := range m.subtables {
+		st := row.st
+		if st == nil || m.byMask[st.mask] != st {
+			t.Fatalf("row %d: subtable %p is not the one indexed under its mask", i, st)
+		}
+		var widx [3]uint32
+		nw := 0
+		for w, bits := range st.mask {
+			if bits == 0 {
+				continue
+			}
+			if nw < 3 {
+				widx[nw] = uint32(w)
+			}
+			nw++
+		}
+		want := scanRow{
+			mw:    [3]uint64{st.mask[widx[0]], st.mask[widx[1]], st.mask[widx[2]]},
+			st:    st,
+			shape: widx[0] | widx[1]<<8 | widx[2]<<16,
+			nw:    uint8(nw),
+		}
+		if row != want {
+			t.Fatalf("row %d = %+v, subtable's mask %v compiles to %+v", i, row, st.mask, want)
+		}
+	}
+	for i, row := range m.subtables[len(m.subtables):cap(m.subtables)] {
+		if row != (scanRow{}) {
+			t.Fatalf("slot %d past the end of the scan order still holds %+v", i, row)
+		}
+	}
+}
+
+// sweepCounters are the counters a flat lookup moves.
+type sweepCounters struct{ lookups, hits, misses, scanned uint64 }
+
+func countersOf(m *Megaflow) sweepCounters {
+	return sweepCounters{m.Lookups, m.Hits, m.Misses, m.MasksScanned}
+}
+
+// checkBatchAgainstProbes runs LookupBatch over the keys whose bits are set
+// in live and compares everything it reports and credits with the
+// reference: one st.probe per subtable per key, in scan order.
+func checkBatchAgainstProbes(t *testing.T, m *Megaflow, keys []flow.Key, live func(i int) bool, now uint64) {
+	t.Helper()
+	n := len(keys)
+	wantEnt, wantCost := make([]*Entry, n), make([]int, n)
+	entHits, stHits := map[*Entry]uint64{}, map[*mfSubtable]uint64{}
+	want := countersOf(m)
+	var miss burst.Bitmap
+	miss.Reset(n)
+	for i := range keys {
+		if !live(i) {
+			continue
+		}
+		miss.Set(i)
+		want.lookups++
+		wantCost[i] = len(m.subtables)
+		for si, row := range m.subtables {
+			if ent := row.st.probe(&keys[i], m.seed); ent != nil {
+				wantEnt[i], wantCost[i] = ent, si+1
+				entHits[ent]++
+				stHits[row.st]++
+				want.hits++
+				break
+			}
+		}
+		if wantEnt[i] == nil {
+			want.misses++
+		}
+		want.scanned += uint64(wantCost[i])
+	}
+	for ent, h := range entHits {
+		entHits[ent] = ent.Hits + h
+	}
+	for st, h := range stHits {
+		stHits[st] = st.hits + h
+	}
+
+	ents, costs := make([]*Entry, n), make([]int, n)
+	m.LookupBatch(keys, now, ents, costs, &miss)
+	for i := range keys {
+		if ents[i] != wantEnt[i] || costs[i] != wantCost[i] {
+			t.Fatalf("key %d of %d: sweep found %p at cost %d, probes find %p at cost %d", i, n, ents[i], costs[i], wantEnt[i], wantCost[i])
+		}
+		if miss.Test(i) != (live(i) && wantEnt[i] == nil) {
+			t.Fatalf("key %d of %d: miss bit %v after the sweep, live %v, hit %v", i, n, miss.Test(i), live(i), wantEnt[i] != nil)
+		}
+	}
+	if got := countersOf(m); got != want {
+		t.Fatalf("counters %+v after the sweep, probes bill %+v", got, want)
+	}
+	for ent, h := range entHits {
+		if ent.Hits != h || ent.LastHit != now {
+			t.Fatalf("entry %v: hits %d last hit %d, want %d at %d", ent.Match.Key, ent.Hits, ent.LastHit, h, now)
+		}
+	}
+	for st, h := range stHits {
+		if m.cfg.SortByHits {
+			h = st.hits // a re-sort right after the lookup zeroes the hit counts
+		}
+		if st.hits != h || st.lastHit != now {
+			t.Fatalf("subtable %v: hits %d last hit %d, want %d at %d", st.mask, st.hits, st.lastHit, h, now)
+		}
+	}
+}
+
+// burstOver draws n keys: three in four cover a resident entry (noise in
+// every bit its mask leaves out), the rest are random.
+func burstOver(rng *rand.Rand, resident []*Entry, n int) []flow.Key {
+	keys := make([]flow.Key, n)
+	for i := range keys {
+		keys[i] = randomKey(rng)
+		if len(resident) > 0 && rng.Intn(4) != 0 {
+			ent := resident[rng.Intn(len(resident))]
+			for w := range keys[i] {
+				keys[i][w] = ent.Match.Key[w] | keys[i][w]&^ent.Match.Mask[w]
+			}
+		}
+	}
+	return keys
+}
+
+// TestSweepMatchesProbes is the differential test of the row sweep: over
+// random scan orders mixing mask sizes and shapes, with tables grown past
+// their inline slots, bursts of 1, 8, 65 and 256 keys (one to four bitmap
+// words) with hits anywhere in the burst and part of the bitmap already
+// resolved, LookupBatch and scalar Lookup agree with one probe per subtable
+// per key, under every pinned seed.
+func TestSweepMatchesProbes(t *testing.T) {
+	for si, seed := range boundSeeds {
+		rng := rand.New(rand.NewSource(int64(si)))
+		for trial := 0; trial < 12; trial++ {
+			m := NewMegaflow(MegaflowConfig{FlowLimit: -1})
+			m.seed = seed | 1
+			for range 1 + rng.Intn(40) {
+				mask := wordMask(rng, sweepWordCounts[rng.Intn(len(sweepWordCounts))])
+				if trial%3 != 0 && mask == (flow.Mask{}) {
+					continue // the catch-all ends every scan: keep it to a third of the trials
+				}
+				for range 1 + rng.Intn(3)*rng.Intn(12) {
+					if _, err := m.Insert(flow.Match{Key: randomKey(rng), Mask: mask}, allow, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			checkScanRows(t, m)
+			resident := m.Entries()
+			for ni, n := range []int{1, 8, 65, 256} {
+				keys := burstOver(rng, resident, n)
+				skip := rng.Intn(5) // every skip-th key is not in the miss set (0, 1: all are)
+				checkBatchAgainstProbes(t, m, keys, func(i int) bool { return skip < 2 || i%skip != 0 }, uint64(10+ni))
+			}
+			for _, k := range burstOver(rng, resident, 16) {
+				var want *Entry
+				cost := 0
+				for _, row := range m.subtables {
+					cost++
+					if want = row.st.probe(&k, m.seed); want != nil {
+						break
+					}
+				}
+				if ent, c, ok := m.Lookup(k, 20); ent != want || c != cost || ok != (want != nil) {
+					t.Fatalf("Lookup = %p at cost %d, probes find %p at cost %d", ent, c, want, cost)
+				}
+			}
+		}
+	}
+}
+
+// TestRemoveUnpinsSubtable is the regression test of dropSubtable: shrinking
+// the scan order must not leave a copy of the last row behind in the vacated
+// slot, where it would pin that subtable (and its entries) after it retires.
+func TestRemoveUnpinsSubtable(t *testing.T) {
+	m := NewMegaflow(MegaflowConfig{})
+	var matches []flow.Match
+	for plen := 8; plen <= 32; plen += 8 {
+		matches = append(matches, prefixMatch(0x0a000000, plen))
+		if _, err := m.Insert(matches[len(matches)-1], allow, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, match := range matches[:3] {
+		if !m.Remove(match) {
+			t.Fatalf("Remove(%v) found nothing", match)
+		}
+		checkScanRows(t, m)
+	}
+	if m.NumMasks() != 1 {
+		t.Fatalf("%d masks left, want 1", m.NumMasks())
+	}
+}
+
+// runSweepOps interprets ops as a stream of cache operations, three bytes
+// each, over a cache configured by mode, and after every one checks the scan
+// order's rows and a burst of lookups against the probe reference. Matches
+// come from a small pool so inserts collide, replace and re-mint.
+func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) {
+	cfg := MegaflowConfig{FlowLimit: 48}
+	switch mode % 4 {
+	case 1:
+		cfg.SortByHits, cfg.SortEvery = true, 5
+	case 2:
+		cfg.StagedPruning, cfg.RankEvery = true, 5
+	case 3:
+		cfg.MaxMasks, cfg.MaskEvictLRU = 6, true
+	}
+	m := NewMegaflow(cfg)
+	m.seed = seed | 1
+	rng := rand.New(rand.NewSource(int64(seed)))
+	pool := make([]flow.Match, 64)
+	for i := range pool {
+		if cfg.StagedPruning {
+			pool[i] = randomNonOverlapMatch(rng) // staged ranking assumes disjoint megaflows
+			continue
+		}
+		pool[i] = flow.Match{Key: randomKey(rng), Mask: wordMask(rng, sweepWordCounts[i%len(sweepWordCounts)])}
+		if i%8 == 7 {
+			pool[i].Mask = pool[i-1].Mask // a second entry in the same subtable
+		}
+		pool[i].Normalize()
+	}
+	for i := 0; i+2 < len(ops); i += 3 {
+		op, a, now := ops[i], int(ops[i+1]), uint64(i+2)
+		switch op % 8 {
+		case 0, 1, 2:
+			m.Insert(pool[a%len(pool)], Verdict{Verdict: allow.Verdict, OutPort: uint32(ops[i+2] % 3)}, now)
+		case 3:
+			m.Remove(pool[a%len(pool)])
+		case 4:
+			m.EvictIdle(now - uint64(a%16))
+		case 5:
+			m.SetFlowLimit(8 + a%48)
+			m.TrimToLimit()
+		case 6:
+			m.Revalidate(func(ent *Entry) (Verdict, bool) { return ent.Verdict, ent.Match.Key[3]>>uint(a%8)&1 == 0 })
+		case 7:
+			if a%4 == 0 {
+				m.Flush()
+			}
+		}
+		checkScanRows(t, m)
+		if m.Len() != len(m.Entries()) {
+			t.Fatalf("Len %d, %d entries resident", m.Len(), len(m.Entries()))
+		}
+		keys := burstOver(rng, m.Entries(), 1+int(ops[i+2])%70)
+		switch {
+		case cfg.StagedPruning:
+			// Ranked order and physical costs are the staged sweep's own;
+			// what must hold is hit or miss, and the rows after a re-rank.
+			ents, costs := make([]*Entry, len(keys)), make([]int, len(keys))
+			var miss burst.Bitmap
+			miss.Reset(len(keys))
+			miss.SetAll()
+			m.LookupBatch(keys, now, ents, costs, &miss)
+			for j := range keys {
+				hit := slices.ContainsFunc(m.subtables, func(row scanRow) bool { return row.st.probe(&keys[j], m.seed) != nil })
+				if (ents[j] != nil) != hit || miss.Test(j) == hit {
+					t.Fatalf("staged sweep: key %d hit %v, probes say %v", j, ents[j] != nil, hit)
+				}
+			}
+		case cfg.SortByHits:
+			// A re-sort may fall between any two keys: one-key bursts.
+			for j := range keys {
+				checkBatchAgainstProbes(t, m, keys[j:j+1], func(int) bool { return true }, now)
+			}
+		default:
+			checkBatchAgainstProbes(t, m, keys, func(int) bool { return true }, now)
+		}
+		checkScanRows(t, m)
+	}
+}
+
+// FuzzMegaflowSweep feeds arbitrary operation streams, cache modes (flat,
+// hit-count re-sorting, staged re-ranking, mask-cap LRU eviction) and hash
+// seeds to runSweepOps.
+func FuzzMegaflowSweep(f *testing.F) {
+	f.Add(uint8(0), uint64(1), []byte("insert, insert, remove; trim and look again"))
+	f.Add(uint8(1), uint64(2), []byte{0, 1, 9, 0, 2, 9, 1, 3, 9, 0, 9, 70, 2, 17, 3, 3, 1, 0, 0, 1, 1})
+	f.Add(uint8(2), uint64(3), []byte{0, 1, 9, 1, 2, 9, 2, 3, 9, 4, 2, 9, 0, 5, 40, 5, 6, 7, 6, 3, 1, 7, 4, 2})
+	f.Add(uint8(3), ^uint64(0), []byte{0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 8, 1, 0, 9, 65})
+	f.Fuzz(runSweepOps)
+}
+
+// TestSweepOps runs the fuzz interpreter over random streams in every mode,
+// so the maintenance paths are cross-checked without the fuzzer.
+func TestSweepOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for mode := uint8(0); mode < 4; mode++ {
+		for trial := 0; trial < 30; trial++ {
+			ops := make([]byte, 3*(10+rng.Intn(120)))
+			rng.Read(ops)
+			runSweepOps(t, mode, boundSeeds[trial%len(boundSeeds)], ops)
+		}
+	}
+}
+
+// TestShardedChildConcurrentSweep runs the sweep the way a shard child's
+// readers do: several goroutines in LookupBatch together under the read
+// lock — each on its own stack scratch, all crediting atomically — while a
+// writer mints subtables and grows tables under the write lock. Entries
+// installed before the readers start must be found by every sweep. Run
+// under -race.
+func TestShardedChildConcurrentSweep(t *testing.T) {
+	const readers, stable, bursts = 4, 48, 60
+	m := NewMegaflow(MegaflowConfig{FlowLimit: -1})
+	m.shared = true
+	var mu sync.RWMutex
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]flow.Key, stable)
+	for i := range keys {
+		match := flow.Match{Key: randomKey(rng), Mask: wordMask(rng, sweepWordCounts[1+i%4])}
+		if _, err := m.Insert(match, allow, 1); err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = match.Key
+	}
+	grown := m.subtables[0].st.mask
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		wrng := rand.New(rand.NewSource(8))
+		for i := 0; i < 400; i++ {
+			match := flow.Match{Key: randomKey(wrng), Mask: wordMask(wrng, sweepWordCounts[1+i%4])}
+			if i%3 == 0 {
+				match.Mask = grown // grow one table past its inline slots
+			}
+			mu.Lock()
+			_, err := m.Insert(match, allow, uint64(2+i))
+			mu.Unlock()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rrng := rand.New(rand.NewSource(int64(9 + r)))
+			burstKeys := make([]flow.Key, 70)
+			ents, costs := make([]*Entry, len(burstKeys)), make([]int, len(burstKeys))
+			var miss burst.Bitmap
+			for i := 0; i < bursts; i++ {
+				for j := range burstKeys {
+					burstKeys[j] = keys[rrng.Intn(stable)]
+					if j%5 == 4 {
+						burstKeys[j] = randomKey(rrng)
+					}
+					ents[j], costs[j] = nil, 0
+				}
+				miss.Reset(len(burstKeys))
+				miss.SetAll()
+				mu.RLock()
+				m.LookupBatch(burstKeys, uint64(2+i), ents, costs, &miss)
+				mu.RUnlock()
+				for j, ent := range ents {
+					if j%5 != 4 && (ent == nil || !ent.Match.Matches(burstKeys[j])) {
+						t.Errorf("reader %d burst %d: resident key %d found %v", r, i, j, ent)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	checkScanRows(t, m)
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"policyinject/internal/dataplane"
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
+	"policyinject/internal/metrics"
 	"policyinject/internal/traffic"
 )
 
@@ -95,40 +97,60 @@ func TestSweepRejectsBadCounts(t *testing.T) {
 // sweeps a subtable: an absolute the paper's shape does not depend on.
 const unboundedGbps = 1e6
 
-// checkFig3Shape asserts the paper's curve on an unbounded-load run:
+// cheapest returns the victim's per-packet cost in nanoseconds before the
+// attack and with it resident, in an unbounded-load run of cfg: the cheapest
+// sample of each phase, MeasureCost's own estimator one level up — a busy
+// host only ever adds cost to a sample, and the two pre-attack samples a mean
+// takes in the small run are spoilt by one preemption.
+func cheapest(res *Fig3Result, cfg Fig3Config) (before, after float64) {
+	ns := func(from, to int) float64 {
+		gbps := metrics.Summarize(res.Throughput.Window(float64(from), float64(to))).Max
+		return float64(cfg.FrameLen+20) * 8 / gbps
+	}
+	return ns(0, cfg.AttackStart), ns(cfg.AttackStart+10, cfg.Duration)
+}
+
+// checkFig3Shape asserts the paper's curve on an unbounded-load run of cfg:
 // before the attack the datapath has the nominal GbE stream's capacity to
 // spare, and the resident attack multiplies the victim's per-packet cost
 // in proportion to the masks minted — at least 1 % of the pre-attack cost
-// per mask (measured: 3-5 % on the reference box, at 466 and at 7 441
-// masks alike).
-func checkFig3Shape(t *testing.T, res *Fig3Result) {
+// per mask (measured on the reference box: 3-5 % with the PR 13 subtables,
+// 1.7-2.2 % with the row sweep).
+func checkFig3Shape(t *testing.T, res *Fig3Result, cfg Fig3Config) {
 	t.Helper()
 	if res.MeanBefore < 0.95 {
 		t.Errorf("pre-attack capacity %.3f Gbps; the datapath should carry a GbE stream with room to spare", res.MeanBefore)
 	}
-	if slowdown, want := res.MeanBefore/res.MeanAfter, res.PeakMasks/100; slowdown < want {
+	before, after := cheapest(res, cfg)
+	if slowdown, want := after/before, res.PeakMasks/100; slowdown < want {
 		t.Errorf("victim per-packet cost grew %.1fx under %g masks, want >= %.1fx (cost linear in masks)\n%v",
 			slowdown, res.PeakMasks, want, res)
 	}
 }
 
-// TestFig3ShapeSmall runs a scaled-down Fig. 3 (20 s, 512-mask attack at
-// t=5) and asserts the paper's qualitative shape: capacity to spare
-// before, per-packet cost multiplied by the mask count after, mask count
-// jumping from a handful to the predicted hundreds.
-func TestFig3ShapeSmall(t *testing.T) {
-	res, err := RunFig3(Fig3Config{
+// fig3Small is a scaled-down Fig. 3 on an unbounded load: 20 s, the
+// 512-mask attack at t=5.
+func fig3Small() Fig3Config {
+	return Fig3Config{
 		Duration:    20,
 		AttackStart: 5,
 		Attack:      attack.TwoField(),
 		CostSamples: 32,
 		VictimGbps:  unboundedGbps,
 		FrameLen:    128,
-	})
+	}
+}
+
+// TestFig3ShapeSmall runs the scaled-down Fig. 3 and asserts the paper's
+// qualitative shape: capacity to spare before, per-packet cost multiplied
+// by the mask count after, mask count jumping from a handful to the
+// predicted hundreds.
+func TestFig3ShapeSmall(t *testing.T) {
+	res, err := RunFig3(fig3Small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFig3Shape(t, res)
+	checkFig3Shape(t, res, fig3Small())
 	// Mask trajectory: single digits before, hundreds after.
 	if before := res.Masks.At(4); before > 20 {
 		t.Errorf("masks before attack = %g", before)
@@ -142,41 +164,65 @@ func TestFig3ShapeSmall(t *testing.T) {
 // 8192 masks via the three-field Calico attack, MTU frames — at a
 // shortened timeline. Skipped with -short: the covert stream's own
 // processing is expensive by design.
+//
+// How much of a link N masks take, and how many times the pre-attack cost
+// they add, depends on how fast the host sweeps a subtable (the 1 %-a-mask
+// floor of checkFig3Shape is x74 here, where the row sweep reads x73-x219),
+// so the test calibrates itself. An unbounded-load run gives the datapath's
+// cost before and under the attack; the nanoseconds it adds per mask must be
+// the small run's, which is held to checkFig3Shape — cost linear in masks
+// over a 16-fold range — and the run on a link — 10 GbE, which the resident
+// attack starves on any host — must lose what the two capacities predict.
 func TestFig3FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 8192-mask Fig. 3 timeline is slow")
 	}
+	const offered = 9.5
 	res, err := RunFig3(Fig3Config{
 		Duration:    40,
 		AttackStart: 10,
 		CostSamples: 32,
+		VictimGbps:  offered,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.MeanBefore < 0.75 {
-		t.Errorf("pre-attack %.3f Gbps", res.MeanBefore)
-	}
-	// The paper's headline on the nominal GbE link. The floor is the fig3
-	// pack's: a subtable visit costs ~3 ns in these 32-packet samples, so
-	// 7 441 masks take 43-56 % of the stream on the reference box.
-	if res.Degradation() < 0.3 {
-		t.Errorf("full-scale degradation only %.0f%%: %v", res.Degradation()*100, res)
 	}
 	if res.PeakMasks < 7000 {
 		t.Errorf("peak masks = %g, want ~8192 (shared tries with the victim policy shave a few)", res.PeakMasks)
 	}
-	// And the same shape as the small run, whatever the host's speed.
-	shape, err := RunFig3(Fig3Config{
+	unbounded := Fig3Config{
 		Duration:    25,
 		AttackStart: 10,
 		CostSamples: 32,
 		VictimGbps:  unboundedGbps,
-	})
+		FrameLen:    1514,
+	}
+	capacity, err := RunFig3(unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFig3Shape(t, shape)
+	small, err := RunFig3(fig3Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFig3Shape(t, small, fig3Small())
+	if capacity.MeanBefore < 0.95 {
+		t.Errorf("pre-attack capacity %.3f Gbps; the datapath should carry a GbE stream with room to spare", capacity.MeanBefore)
+	}
+	perMask := func(res *Fig3Result, cfg Fig3Config) float64 {
+		before, after := cheapest(res, cfg)
+		return (after - before) / res.PeakMasks
+	}
+	got, ref := perMask(capacity, unbounded), perMask(small, fig3Small())
+	t.Logf("a mask adds %.2f ns at %g masks, %.2f ns at %g", got, capacity.PeakMasks, ref, small.PeakMasks)
+	if got < ref/2 || got > ref*2 {
+		t.Errorf("a mask adds %.2f ns at %g masks, %.2f ns at %g: cost not linear in masks", got, capacity.PeakMasks, ref, small.PeakMasks)
+	}
+	want := 1 - min(capacity.MeanAfter, offered)/min(capacity.MeanBefore, offered)
+	t.Logf("%.1f Gbps link: %v; predicted %.0f%%", offered, res, want*100)
+	if got := res.Degradation(); math.Abs(got-want) > 0.15 {
+		t.Errorf("degradation on the link %.0f%%, predicted %.0f%% (+-15)", got*100, want*100)
+	}
 }
 
 // TestFig3VictimKeysDistinctFromAttack guards the scenario plumbing: the
