@@ -6,11 +6,14 @@
 package policyinject_test
 
 import (
+	"net/netip"
 	"testing"
 
 	"policyinject/internal/attack"
+	"policyinject/internal/cache"
 	"policyinject/internal/dataplane"
 	"policyinject/internal/telemetry"
+	"policyinject/internal/traffic"
 )
 
 // TestFramePathZeroAlloc replays a warm burst through ProcessFrames and
@@ -22,12 +25,15 @@ import (
 // WithShards(8) — EMC hits, the flat sweep and the staged sweep — and so
 // hold the per-shard miss bitmaps the sharded LookupBatch deals out (scratch
 // of the caller's own miss bitmap: concurrent callers share the wrapper, so
-// it cannot live there) to the same zero.
+// it cannot live there) to the same zero. The emc-thrash leg sends 256 flows
+// through a 64-entry always-insert EMC, so every burst inserts and evicts: the
+// cache's slots are its own storage, reused in place.
 func TestFramePathZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() *dataplane.Switch
 		burst int
+		flows int // victim flows, 0 for victimGen's 8
 	}{
 		{
 			name:  "victim-emc",
@@ -77,11 +83,26 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			},
 			burst: 32,
 		},
+		{
+			name: "emc-thrash",
+			build: func() *dataplane.Switch {
+				return attackSwitch(t, attack.TwoField(), false,
+					dataplane.WithEMC(cache.EMCConfig{Entries: 64, InsertProb: 1}))
+			},
+			burst: 256,
+			flows: 256,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sw := tc.build()
 			gen := victimGen()
+			if tc.flows > 0 {
+				gen = traffic.NewVictim(traffic.VictimConfig{
+					Src: netip.MustParseAddr("10.10.0.5"), Dst: netip.MustParseAddr("172.16.0.2"),
+					InPort: 1, Flows: tc.flows,
+				})
+			}
 			var fb dataplane.FrameBatch
 			for i := 0; i < tc.burst; i++ {
 				f, _ := gen.NextFrame()
@@ -93,6 +114,9 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Errorf("ProcessFrames allocates %.1f times per warm burst; the hot path must hold 0", avg)
+			}
+			if emc := sw.EMC(); tc.flows > 0 && emc.Evictions < 100*uint64(tc.flows-emc.Cap()) {
+				t.Errorf("%d EMC evictions over 100 bursts of %d flows: the leg did not thrash", emc.Evictions, tc.flows)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"policyinject/internal/flow"
@@ -152,32 +151,6 @@ func TestEMCRemoveAndFlush(t *testing.T) {
 	e.Flush()
 	if e.Len() != 0 {
 		t.Fatal("Flush left entries")
-	}
-}
-
-// Property-style: random insert/remove traffic keeps the map and the slot
-// array consistent.
-func TestEMCSlotConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	e := NewEMC(EMCConfig{Entries: 32})
-	live := map[flow.Key]bool{}
-	for step := 0; step < 10000; step++ {
-		k := key(uint64(rng.Intn(64)), 0)
-		if rng.Intn(3) == 0 {
-			e.Remove(k)
-			delete(live, k)
-		} else {
-			e.Insert(k, mf(allow))
-		}
-		if len(e.keys) != len(e.entries) {
-			t.Fatalf("step %d: %d keys vs %d entries", step, len(e.keys), len(e.entries))
-		}
-	}
-	// Spot-check: every key in the dense array resolves.
-	for _, k := range e.keys {
-		if _, ok := e.entries[k]; !ok {
-			t.Fatalf("dangling key in slot array")
-		}
 	}
 }
 

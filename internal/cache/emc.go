@@ -50,22 +50,50 @@ const DefaultEMCEntries = 8192
 // candidate flow in 100), applied when the SMC tier is enabled.
 const DefaultEMCInsertProb = 100
 
-type emcEntry struct {
-	flow *Entry // referenced megaflow entry
-	slot int    // index in keys, for O(1) random-replacement eviction
+// emcSlot is one cached microflow: its key, the key's flow hash and the
+// megaflow entry it references.
+type emcSlot struct {
+	key  flow.Key
+	hash uint64 // key.Hash()
+	flow *Entry
 }
+
+// emcSlotBits is the width of the slot number in an index word (stored plus
+// one, so zero is the empty word); the rest is the tag.
+const emcSlotBits = 32
 
 // EMC is the exact-match (microflow) cache. Not safe for concurrent use;
 // the dataplane owns it, or a ShardedRef shard does.
+//
+// Resident flows sit in slots, dense and in the order eviction draws its
+// victim from: an insert appends, a removal moves the last slot into the
+// hole. A flat power-of-two index over them, at load <= 1/2, is probed
+// linearly and deleted from by backward shift (no tombstones, so a miss ends
+// at the first empty word — the conventions of the megaflow subtables). A
+// flow's home word is the top bits of hash*seed, and its index word carries
+// the product's top 32 bits as the tag over its slot number, so a probe
+// touches the slots only on a tag match and a backward shift reads homes off
+// the index alone.
+//
+// Two rules bound what keys chosen by an adversary can cost (the flow hash is
+// public, and whole IPv6 address words make keys of any one hash free to
+// craft): seed is the per-process secret tableSeed, so which hashes share a
+// home cannot be worked out offline; and at most one resident flow has any
+// one 64-bit hash — an insert of a second replaces the first where it sits —
+// so a lookup compares at most one full key. Placement feeds no result (the
+// victim is a dense position), so runs stay byte-identical per scenario
+// seed.
 type EMC struct {
 	cfg     EMCConfig
 	max     int
-	shared  bool // a shard child: lookups run under a shared read lock (see bump)
-	entries map[flow.Key]*emcEntry
-	keys    []flow.Key // dense set for eviction victim selection
-	missSeq int        // periodic-insertion counter (InsertEvery)
-	insRng  uint64     // probabilistic-insertion PRNG state (InsertProb)
-	evictRR uint64     // cheap deterministic "random" victim cursor
+	shared  bool      // a shard child: lookups run under a shared read lock (see bump)
+	slots   []emcSlot // len <= max
+	index   []uint64  // tag<<emcSlotBits | slot+1, or 0; len is a power of two >= 2*max
+	shift   uint      // 64 - log2(len(index)): hash*seed >> shift is the home word
+	seed    uint64    // tableSeed, but for tests that pin it
+	missSeq int       // periodic-insertion counter (InsertEvery)
+	insRng  uint64    // probabilistic-insertion PRNG state (InsertProb)
+	evictRR uint64    // cheap deterministic "random" victim cursor
 
 	// Stats
 	Hits, Misses, Inserts, Evictions, Stale uint64
@@ -73,7 +101,9 @@ type EMC struct {
 
 // NewEMC builds an EMC per cfg.
 func NewEMC(cfg EMCConfig) *EMC {
-	max := cfg.Entries
+	// An index word numbers slots in emcSlotBits bits, and the index is
+	// allocated whole: hold a configured size to what both can take.
+	max := min(cfg.Entries, 1<<(emcSlotBits-2))
 	if max == 0 {
 		max = DefaultEMCEntries
 	}
@@ -81,12 +111,16 @@ func NewEMC(cfg EMCConfig) *EMC {
 		max = 0
 	}
 	e := &EMC{
-		cfg:     cfg,
-		max:     max,
-		entries: make(map[flow.Key]*emcEntry, max),
+		cfg:  cfg,
+		max:  max,
+		seed: tableSeed,
 		// Splitmix-style seed scramble: distinct seeds (and seed 0) all
 		// start from well-mixed, reproducible PRNG states.
 		insRng: (cfg.Seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9,
+	}
+	if max > 0 {
+		e.shift = uint(bits.LeadingZeros64(uint64(2*max - 1))) // 2*max <= 1<<(64-shift)
+		e.index = make([]uint64, 1<<(64-e.shift))
 	}
 	if e.insRng == 0 {
 		// Zero is xorshift64's sticky fixed point (and 0 % p == 0 would
@@ -100,7 +134,36 @@ func NewEMC(cfg EMCConfig) *EMC {
 func (e *EMC) Cap() int { return e.max }
 
 // Len returns the number of cached microflows.
-func (e *EMC) Len() int { return len(e.entries) }
+func (e *EMC) Len() int { return len(e.slots) }
+
+// find returns the index position and the slot number of the one resident
+// flow whose hash is h, or slot -1. Reads only, so any number of readers may
+// probe while no writer runs.
+func (e *EMC) find(h uint64) (pos uint64, n int) {
+	ih := h * e.seed
+	m := uint64(len(e.index) - 1)
+	for i := ih >> e.shift; ; i = (i + 1) & m {
+		w := e.index[i]
+		if w == 0 {
+			return 0, -1 // an empty word ends the run
+		}
+		if w>>emcSlotBits == ih>>emcSlotBits {
+			if n := int(uint32(w)) - 1; e.slots[n].hash == h {
+				return i, n
+			}
+		}
+	}
+}
+
+// posOf returns the index position of resident slot n.
+func (e *EMC) posOf(n int) uint64 {
+	m := uint64(len(e.index) - 1)
+	i := e.slots[n].hash * e.seed >> e.shift
+	for uint32(e.index[i]) != uint32(n+1) {
+		i = (i + 1) & m
+	}
+	return i
+}
 
 // Lookup consults the cache at logical time now. A hit returns the
 // referenced megaflow entry and credits it (hit count and last-used time),
@@ -109,44 +172,50 @@ func (e *EMC) Len() int { return len(e.entries) }
 // lazily and reported as a miss — OVS's staleness check by sequence
 // number.
 func (e *EMC) Lookup(k flow.Key, now uint64) (*Entry, bool) {
+	return e.lookup(&k, k.Hash(), now)
+}
+
+// LookupHashed is Lookup with k's flow hash already computed: h is where
+// the index is probed, so it must be k.Hash().
+func (e *EMC) LookupHashed(k flow.Key, h uint64, now uint64) (*Entry, bool) {
+	return e.lookup(&k, h, now)
+}
+
+// lookup is the one probe body, on the key where it lies.
+func (e *EMC) lookup(k *flow.Key, h uint64, now uint64) (*Entry, bool) {
 	if e.max == 0 {
 		return nil, false
 	}
-	ent, ok := e.entries[k]
-	if !ok {
+	pos, n := e.find(h)
+	if n < 0 || e.slots[n].key != *k {
 		bump(e.shared, &e.Misses, 1)
 		return nil, false
 	}
-	if ent.flow.Dead() {
+	f := e.slots[n].flow
+	if f.Dead() {
 		if !e.shared {
-			// A purge is a map write, illegal under a shard's read lock: there
-			// the dead reference keeps missing until an insert overwrites it
-			// or a flush sweeps it.
-			e.Remove(k)
+			// A purge writes the table, illegal under a shard's read lock:
+			// there the dead reference keeps missing until an insert
+			// overwrites it or a flush sweeps it.
+			e.removeAt(pos, n)
 		}
 		bump(e.shared, &e.Stale, 1)
 		bump(e.shared, &e.Misses, 1)
 		return nil, false
 	}
-	credit(e.shared, ent.flow, 1, now)
+	credit(e.shared, f, 1, now)
 	bump(e.shared, &e.Hits, 1)
-	return ent.flow, true
-}
-
-// LookupHashed is Lookup under the signature the reference caches share
-// (refChild); the EMC keys on the whole flow key and has no use for h.
-func (e *EMC) LookupHashed(k flow.Key, _ uint64, now uint64) (*Entry, bool) {
-	return e.Lookup(k, now)
+	return f, true
 }
 
 // LookupBatch consults the cache for every key index set in miss at
-// logical time now: a hit writes ents[i] and clears the bit, a miss keeps
-// it. EMC lookups cost no subtable scans, so costs are untouched, and the
-// burst's flow hashes go unused. Counter effects equal the scalar Lookup
-// sequence over the same keys.
+// logical time now, probing the index by the burst's flow hashes (hashes[i]
+// must be keys[i].Hash()): a hit writes ents[i] and clears the bit, a miss
+// keeps it. EMC lookups cost no subtable scans, so costs are untouched.
+// Counter effects equal the scalar Lookup sequence over the same keys.
 //
 //lint:hotpath
-func (e *EMC) LookupBatch(keys []flow.Key, _ []uint64, now uint64, ents []*Entry, miss *burst.Bitmap) {
+func (e *EMC) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*Entry, miss *burst.Bitmap) {
 	if e.max == 0 {
 		return
 	}
@@ -156,7 +225,7 @@ func (e *EMC) LookupBatch(keys []flow.Key, _ []uint64, now uint64, ents []*Entry
 		for w != 0 {
 			i := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if f, ok := e.Lookup(keys[i], now); ok {
+			if f, ok := e.lookup(&keys[i], hashes[i], now); ok {
 				ents[i] = f
 				miss.Clear(i)
 			}
@@ -177,7 +246,13 @@ func (e *EMC) AccountRun(f *Entry, n int, now uint64) {
 // Insert caches a reference to megaflow entry f for exact key k, applying
 // the configured insertion probability and evicting a pseudo-random victim
 // when full.
-func (e *EMC) Insert(k flow.Key, f *Entry) {
+func (e *EMC) Insert(k flow.Key, f *Entry) { e.insert(&k, k.Hash(), f) }
+
+// InsertHashed is Insert with k's flow hash already computed (h must be
+// k.Hash()) — the batched datapath's promotions reuse the burst's hashes.
+func (e *EMC) InsertHashed(k flow.Key, h uint64, f *Entry) { e.insert(&k, h, f) }
+
+func (e *EMC) insert(k *flow.Key, h uint64, f *Entry) {
 	if e.max == 0 || f == nil {
 		return
 	}
@@ -201,63 +276,93 @@ func (e *EMC) Insert(k flow.Key, f *Entry) {
 			return
 		}
 	}
-	if ent, ok := e.entries[k]; ok {
-		ent.flow = f
+	if _, n := e.find(h); n >= 0 {
+		s := &e.slots[n]
+		if s.key != *k {
+			// Another flow of the same 64-bit hash: the newcomer takes its
+			// place (one resident per hash; see EMC).
+			s.key = *k
+			e.Evictions++
+			e.Inserts++
+		}
+		s.flow = f
 		return
 	}
-	if len(e.entries) >= e.max {
-		e.evictOne(k)
+	if len(e.slots) >= e.max {
+		e.evictOne(h)
 	}
-	ent := &emcEntry{flow: f, slot: len(e.keys)}
-	e.keys = append(e.keys, k)
-	e.entries[k] = ent
+	e.slots = append(e.slots, emcSlot{key: *k, hash: h, flow: f})
+	ih := h * e.seed
+	m := uint64(len(e.index) - 1)
+	i := ih >> e.shift
+	for e.index[i] != 0 {
+		i = (i + 1) & m
+	}
+	e.index[i] = ih>>emcSlotBits<<emcSlotBits | uint64(len(e.slots))
 	e.Inserts++
 }
 
-// InsertHashed is Insert under the signature the reference caches share.
-func (e *EMC) InsertHashed(k flow.Key, _ uint64, f *Entry) { e.Insert(k, f) }
-
 // evictOne removes a pseudo-random entry. OVS's EMC is a 2-way
 // hash-indexed structure where a colliding insert displaces one of two
-// victims; hashing the incoming key into the dense slot array reproduces
-// that "victim determined by the new key" behaviour deterministically.
-func (e *EMC) evictOne(incoming flow.Key) {
-	if len(e.keys) == 0 {
-		return
-	}
-	e.evictRR = e.evictRR*6364136223846793005 + incoming.Hash()
-	victimSlot := int(e.evictRR % uint64(len(e.keys)))
-	victimKey := e.keys[victimSlot]
-	last := len(e.keys) - 1
-	e.keys[victimSlot] = e.keys[last]
-	if moved, ok := e.entries[e.keys[victimSlot]]; ok && victimSlot != last {
-		moved.slot = victimSlot
-	}
-	e.keys = e.keys[:last]
-	delete(e.entries, victimKey)
+// victims; hashing the incoming key (hash incoming) into the dense slot
+// array reproduces that "victim determined by the new key" behaviour
+// deterministically.
+func (e *EMC) evictOne(incoming uint64) {
+	e.evictRR = e.evictRR*6364136223846793005 + incoming
+	victim := int(e.evictRR % uint64(len(e.slots)))
+	e.removeAt(e.posOf(victim), victim)
 	e.Evictions++
+}
+
+// removeAt drops slot n, whose index word is at pos: the word goes by
+// backward shift — each later word of the run moves back into the hole
+// unless that would put it before its home — and the last slot moves into
+// n, its index word re-pointed.
+func (e *EMC) removeAt(pos uint64, n int) {
+	m := uint64(len(e.index) - 1)
+	for i, j := pos, pos; ; {
+		j = (j + 1) & m
+		w := e.index[j]
+		if w == 0 {
+			e.index[i] = 0
+			break
+		}
+		if (j-w>>e.shift)&m >= (j-i)&m {
+			e.index[i] = w
+			i = j
+		}
+	}
+	last := len(e.slots) - 1
+	if n != last {
+		p := e.posOf(last)
+		e.index[p] = e.index[p]>>emcSlotBits<<emcSlotBits | uint64(n+1)
+		e.slots[n] = e.slots[last]
+	}
+	e.slots[last] = emcSlot{} // do not pin the retired megaflow
+	e.slots = e.slots[:last]
 }
 
 // Remove drops the entry for k if present.
 func (e *EMC) Remove(k flow.Key) bool {
-	ent, ok := e.entries[k]
-	if !ok {
+	if e.max == 0 {
 		return false
 	}
-	last := len(e.keys) - 1
-	e.keys[ent.slot] = e.keys[last]
-	if moved, ok2 := e.entries[e.keys[ent.slot]]; ok2 && ent.slot != last {
-		moved.slot = ent.slot
+	pos, n := e.find(k.Hash())
+	if n < 0 || e.slots[n].key != k {
+		return false
 	}
-	e.keys = e.keys[:last]
-	delete(e.entries, k)
+	e.removeAt(pos, n)
 	return true
 }
 
-// Flush empties the cache (used after policy changes).
+// Flush empties the cache in place (used after policy changes).
 func (e *EMC) Flush() {
-	e.entries = make(map[flow.Key]*emcEntry, e.max)
-	e.keys = e.keys[:0]
+	if len(e.slots) == 0 {
+		return // every policy change flushes: skip the index sweep of an empty cache
+	}
+	clear(e.index)
+	clear(e.slots)
+	e.slots = e.slots[:0]
 }
 
 func (e *EMC) snapshot() CacheSnapshot {

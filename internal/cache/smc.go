@@ -89,16 +89,18 @@ func (s *SMC) indexHash(h uint64) (fp uint64, sig uint16) {
 // (fingerprints collide; signatures only pre-filter), and entries whose
 // megaflow has died are purged lazily, exactly as the EMC does.
 func (s *SMC) Lookup(k flow.Key, now uint64) (*Entry, bool) {
-	if s.max == 0 {
-		return nil, false
-	}
-	return s.LookupHashed(k, k.Hash(), now)
+	return s.lookup(&k, k.Hash(), now)
 }
 
 // LookupHashed is Lookup with the key's flow hash already computed — the
 // batched datapath hashes each key once at burst entry and every
 // hash-consuming tier reuses that value instead of re-hashing per probe.
 func (s *SMC) LookupHashed(k flow.Key, h uint64, now uint64) (*Entry, bool) {
+	return s.lookup(&k, h, now)
+}
+
+// lookup is the one probe body, on the key where it lies.
+func (s *SMC) lookup(k *flow.Key, h uint64, now uint64) (*Entry, bool) {
 	if s.max == 0 {
 		return nil, false
 	}
@@ -118,10 +120,12 @@ func (s *SMC) LookupHashed(k flow.Key, h uint64, now uint64) (*Entry, bool) {
 		bump(s.shared, &s.Misses, 1)
 		return nil, false
 	}
-	if slot.ent.Match.Mask.Apply(k) != slot.ent.Match.Key {
-		// Fingerprint collision between distinct flows: a true miss.
-		bump(s.shared, &s.Misses, 1)
-		return nil, false
+	for i, m := range &slot.ent.Match.Mask {
+		if k[i]&m != slot.ent.Match.Key[i] {
+			// Fingerprint collision between distinct flows: a true miss.
+			bump(s.shared, &s.Misses, 1)
+			return nil, false
+		}
 	}
 	credit(s.shared, slot.ent, 1, now)
 	bump(s.shared, &s.Hits, 1)
@@ -145,7 +149,7 @@ func (s *SMC) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*
 		for w != 0 {
 			i := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if ent, ok := s.LookupHashed(keys[i], hashes[i], now); ok {
+			if ent, ok := s.lookup(&keys[i], hashes[i], now); ok {
 				ents[i] = ent
 				miss.Clear(i)
 			}
@@ -166,18 +170,13 @@ func (s *SMC) AccountRun(f *Entry, n int, now uint64) {
 // Insert caches a reference to megaflow entry f for key k. A colliding
 // fingerprint is overwritten — the displacement policy of the real
 // fixed-size table.
-func (s *SMC) Insert(k flow.Key, f *Entry) {
-	if s.max == 0 || f == nil {
-		return
-	}
-	s.InsertHashed(k, k.Hash(), f)
-}
+func (s *SMC) Insert(k flow.Key, f *Entry) { s.InsertHashed(k, k.Hash(), f) }
 
 // InsertHashed is Insert with k's flow hash already computed — the batched
 // datapath's install path, where promotions reuse the burst's cached
 // hashes instead of re-hashing each promoted key. Effects are identical to
-// Insert given h == k.Hash().
-func (s *SMC) InsertHashed(k flow.Key, h uint64, f *Entry) {
+// Insert given h == k.Hash(); the key itself is not stored.
+func (s *SMC) InsertHashed(_ flow.Key, h uint64, f *Entry) {
 	if s.max == 0 || f == nil {
 		return
 	}

@@ -79,7 +79,8 @@ func (st *mfSubtable) row() scanRow {
 // that all share one home slot: a single run of N slots that every insert,
 // and every probe homed inside it, has to walk. Slot placement feeds no
 // result (a subtable's residents were walked in random map order before),
-// so runs stay byte-identical per scenario seed.
+// so runs stay byte-identical per scenario seed. The EMC homes its index
+// words by the same secret (see EMC).
 var tableSeed = func() uint64 {
 	var b [8]byte
 	rand.Read(b[:])

@@ -500,12 +500,14 @@ func (s *Switch) Process(now uint64, inPort uint32, frame []byte) (Decision, err
 // both passes billed, as both cost the real switch.
 func (s *Switch) ProcessKey(now uint64, k flow.Key) Decision {
 	s.counters.Packets++
-	return s.processOne(now, k)
+	return s.processOne(now, &k)
 }
 
 // processOne is ProcessKey minus the packet counter, so batch callers can
-// bill a whole burst with one add.
-func (s *Switch) processOne(now uint64, k flow.Key) Decision {
+// bill a whole burst with one add. Like every step of the walk below it, it
+// takes the key by pointer — into the burst's key slice, or at ProcessKey's
+// copy: an 80-byte key is copied only into a Tier's exported methods.
+func (s *Switch) processOne(now uint64, k *flow.Key) Decision {
 	d, _, _ := s.processOneTracked(now, k)
 	return d
 }
@@ -514,7 +516,7 @@ func (s *Switch) processOne(now uint64, k flow.Key) Decision {
 // coalescer needs: the index of the tier that answered and the entry it
 // returned. A slow-path or recirculated decision reports tier -1 (such
 // decisions are never coalesced).
-func (s *Switch) processOneTracked(now uint64, k flow.Key) (Decision, int, *cache.Entry) {
+func (s *Switch) processOneTracked(now uint64, k *flow.Key) (Decision, int, *cache.Entry) {
 	d, ti, ent := s.classifyTracked(now, k)
 	if !d.Verdict.Recirc {
 		s.account(d.Verdict)
@@ -527,7 +529,7 @@ func (s *Switch) processOneTracked(now uint64, k flow.Key) (Decision, int, *cach
 // dispatch rule: the connection tracker classifies the 5-tuple, the
 // ct_state field is stamped into the key, and the pipeline runs again —
 // both passes billed, as both cost the real switch.
-func (s *Switch) finishRecirc(now uint64, k flow.Key, d Decision) Decision {
+func (s *Switch) finishRecirc(now uint64, k *flow.Key, d Decision) Decision {
 	if s.ct == nil {
 		// A stateful rule set on a switch without conntrack: fail closed.
 		s.counters.Denied++
@@ -536,9 +538,9 @@ func (s *Switch) finishRecirc(now uint64, k flow.Key, d Decision) Decision {
 	}
 	tuple := k.Tuple()
 	state, _ := s.ct.Lookup(tuple, now)
-	k2 := k
+	k2 := *k
 	k2.Set(flow.FieldCTState, state.CTBits())
-	d2 := s.classifyOnce(now, k2)
+	d2 := s.classifyOnce(now, &k2)
 	d2.MasksScanned += d.MasksScanned
 	d2.Recirculated = true
 	if d2.Verdict.Recirc {
@@ -601,7 +603,7 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 	case 0:
 		return
 	case 1:
-		out[0] = s.processOne(now, keys[0])
+		out[0] = s.processOne(now, &keys[0])
 		return
 	}
 	bs := &s.batch
@@ -609,10 +611,12 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 
 	// Same-flow run detection: a run of consecutive identical keys (an
 	// elephant-flow burst) enters the tier walk once, through its first
-	// key; the copies are settled against the warm cache afterwards.
+	// key; the copies are settled against the warm cache afterwards. Where
+	// the hash pass has run, unequal hashes tell two keys apart without the
+	// 80-byte compare.
 	bs.runs = append(bs.runs, 0)
 	for i := 1; i < n; i++ {
-		if keys[i] != keys[i-1] {
+		if (hashes != nil && hashes[i] != hashes[i-1]) || keys[i] != keys[i-1] {
 			bs.runs = append(bs.runs, i)
 		}
 	}
@@ -632,8 +636,8 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 			if ri+1 < len(bs.runs) {
 				end = bs.runs[ri+1]
 			}
-			h := keys[r].Hash()
-			for i := r; i < end; i++ {
+			h := flow.HashKeys(keys[r:r+1], bs.hashes[r:r+1])[0] // keys[r] where it lies, into bs.hashes[r]
+			for i := r + 1; i < end; i++ {
 				bs.hashes[i] = h
 			}
 		}
@@ -685,13 +689,15 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 			s.tel.tierNs[ti].Record(telemetry.Clock() - tierStart)
 		}
 		// Bill and promote this pass's hits (prev &^ miss), exactly as the
-		// scalar walk would: hit on tier ti installs into tiers [0, ti).
-		// Promotion reuses the burst's cached hashes where a tier can take
-		// them (the SMC batch insert path).
+		// scalar walk would: hit on tier ti installs into tiers [0, ti) —
+		// none for the top tier. Promotion reuses the burst's cached hashes
+		// where a tier can take them (the EMC and SMC insert paths).
 		bs.hits = bs.prev.AndNot(&bs.miss, bs.hits[:0])
 		for _, i := range bs.hits {
 			s.tierHits[ti]++
-			s.promoteHashed(keys[i], hashAt(hashes, i), hashes != nil, bs.ents[i], ti)
+			if ti > 0 {
+				s.promoteHashed(&keys[i], hashAt(hashes, i), hashes != nil, bs.ents[i], ti)
+			}
 			out[i] = Decision{Verdict: bs.ents[i].Verdict, Path: t.Path(), MasksScanned: bs.costs[i]}
 		}
 	}
@@ -709,7 +715,7 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 			for w != 0 {
 				i := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
-				out[i] = s.upcallOne(now, keys[i], hashAt(hashes, i), hashes != nil, bs.costs[i], &installs)
+				out[i] = s.upcallOne(now, &keys[i], hashAt(hashes, i), hashes != nil, bs.costs[i], &installs)
 			}
 		}
 	}
@@ -718,7 +724,7 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 	// representatives, in input order.
 	for _, r := range bs.runs {
 		if out[r].Verdict.Recirc {
-			out[r] = s.finishRecirc(now, keys[r], out[r])
+			out[r] = s.finishRecirc(now, &keys[r], out[r])
 		} else {
 			s.account(out[r].Verdict)
 		}
@@ -732,7 +738,7 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 			end = bs.runs[ri+1]
 		}
 		if end-start > 1 {
-			s.processRun(now, keys[start], out, start+1, end)
+			s.processRun(now, &keys[start], out, start+1, end)
 		}
 	}
 }
@@ -745,7 +751,7 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 // whole elephant burst. Anything unstable (slow path, recirculation,
 // probabilistic-insertion hierarchies still warming) falls back to exact
 // per-copy processing.
-func (s *Switch) processRun(now uint64, k flow.Key, out []Decision, from, to int) {
+func (s *Switch) processRun(now uint64, k *flow.Key, out []Decision, from, to int) {
 	d, tierIdx, ent := s.processOneTracked(now, k)
 	out[from] = d
 	rest := to - from - 1
@@ -785,12 +791,12 @@ func hashAt(hashes []uint64, i int) uint64 {
 // HashedInstaller consume it instead of re-hashing the key — the batch
 // walk's install path, which is what lets SMC promotions ride the burst's
 // single hash pass.
-func (s *Switch) promoteHashed(k flow.Key, h uint64, hasHash bool, ent *cache.Entry, upto int) {
+func (s *Switch) promoteHashed(k *flow.Key, h uint64, hasHash bool, ent *cache.Entry, upto int) {
 	for i, upper := range s.tiers[:upto] {
 		if hasHash && s.hashedInst[i] != nil {
-			s.hashedInst[i].InstallHashed(k, h, ent)
+			s.hashedInst[i].InstallHashed(*k, h, ent)
 		} else {
-			upper.Install(k, ent)
+			upper.Install(*k, ent)
 		}
 	}
 }
@@ -800,9 +806,9 @@ func (s *Switch) promoteHashed(k flow.Key, h uint64, hasHash bool, ent *cache.En
 // slow path. sweepCost is the scan cost the walk already accrued for the
 // key (the cost a scalar walk would report for the miss); h/hasHash carry
 // the key's cached burst hash for the promotion path.
-func (s *Switch) upcallOne(now uint64, k flow.Key, h uint64, hasHash bool, sweepCost int, installs *int) Decision {
+func (s *Switch) upcallOne(now uint64, k *flow.Key, h uint64, hasHash bool, sweepCost int, installs *int) Decision {
 	if *installs > 0 && s.installer != nil {
-		ent, cost, ok := s.installer.Lookup(k, now)
+		ent, cost, ok := s.installer.Lookup(*k, now)
 		if ok {
 			s.tierHits[s.promoteTo]++
 			s.promoteHashed(k, h, hasHash, ent, s.promoteTo)
@@ -819,7 +825,7 @@ func (s *Switch) upcallOne(now uint64, k flow.Key, h uint64, hasHash bool, sweep
 
 // classifyOnce runs one pipeline pass (tier walk -> upcall) without
 // verdict accounting or recirculation handling.
-func (s *Switch) classifyOnce(now uint64, k flow.Key) Decision {
+func (s *Switch) classifyOnce(now uint64, k *flow.Key) Decision {
 	d, _, _ := s.classifyTracked(now, k)
 	return d
 }
@@ -829,17 +835,17 @@ func (s *Switch) classifyOnce(now uint64, k flow.Key) Decision {
 // the authoritative tier and promoted above it. It also reports the
 // answering tier's index (-1 for the slow path) and entry, the provenance
 // the run coalescer keys on.
-func (s *Switch) classifyTracked(now uint64, k flow.Key) (Decision, int, *cache.Entry) {
+func (s *Switch) classifyTracked(now uint64, k *flow.Key) (Decision, int, *cache.Entry) {
 	scanned := 0
 	for i, t := range s.tiers {
-		ent, cost, ok := t.Lookup(k, now)
+		ent, cost, ok := t.Lookup(*k, now)
 		scanned += cost
 		if !ok {
 			continue
 		}
 		s.tierHits[i]++
 		for _, upper := range s.tiers[:i] {
-			upper.Install(k, ent)
+			upper.Install(*k, ent)
 		}
 		return Decision{Verdict: ent.Verdict, Path: t.Path(), MasksScanned: scanned}, i, ent
 	}
@@ -854,7 +860,7 @@ func (s *Switch) classifyTracked(now uint64, k flow.Key) (Decision, int, *cache.
 // later misses must re-probe).
 //
 //lint:coldpath
-func (s *Switch) upcall(now uint64, k flow.Key, scanned int) (Decision, bool) {
+func (s *Switch) upcall(now uint64, k *flow.Key, scanned int) (Decision, bool) {
 	return s.upcallHashed(now, k, 0, false, scanned)
 }
 
@@ -862,7 +868,7 @@ func (s *Switch) upcall(now uint64, k flow.Key, scanned int) (Decision, bool) {
 // promotion of the freshly installed megaflow.
 //
 //lint:coldpath
-func (s *Switch) upcallHashed(now uint64, k flow.Key, h uint64, hasHash bool, scanned int) (Decision, bool) {
+func (s *Switch) upcallHashed(now uint64, k *flow.Key, h uint64, hasHash bool, scanned int) (Decision, bool) {
 	if s.upGuard != nil && !s.upGuard.AdmitUpcall(now, uint32(k.Get(flow.FieldInPort))) {
 		// Refused at admission: the packet is dropped at the datapath
 		// without a slow-path visit — no classification, no install.
@@ -870,7 +876,7 @@ func (s *Switch) upcallHashed(now uint64, k flow.Key, h uint64, hasHash bool, sc
 		return Decision{Verdict: cache.Verdict{Verdict: flowtable.Deny}, Path: PathSlow, MasksScanned: scanned}, false
 	}
 	s.counters.Upcalls++
-	res := s.cls.Lookup(k)
+	res := s.cls.Lookup(*k)
 	v := cache.Verdict{Verdict: flowtable.Deny}
 	if res.Rule != nil {
 		v = res.Rule.Action

@@ -145,46 +145,57 @@ func (s *Switch) processFrames(now uint64, fb *FrameBatch, out []Decision) []Dec
 	}
 	keys, errs, bad := fb.Extract()
 	s.counters.Packets += uint64(n)
-	for i, frame := range fb.Frames {
-		if p := s.ports[fb.InPorts[i]]; p != nil {
-			p.RxPackets++
-			p.RxBytes += uint64(len(frame))
-		}
-		if errs[i] != nil {
-			s.counters.ParseError++
-			if p := s.ports[fb.InPorts[i]]; p != nil {
-				p.RxErrors++
-				p.RxDropped++
-			}
-			out[i] = denyDecision()
-		}
-	}
-
 	if bad == 0 {
 		s.processFrameKeys(now, keys, out)
-		for i, d := range out {
-			s.accountTx(fb.InPorts[i], len(fb.Frames[i]), d)
+	} else {
+		// Compact the parseable frames into one contiguous sub-burst (into
+		// the batch's separate compaction scratch, so Key(i) stays
+		// frame-aligned), classify it, and scatter the decisions back to
+		// input order.
+		s.counters.ParseError += uint64(bad)
+		vkeys := fb.compactValid(keys, errs)
+		fb.vout = GrowDecisions(fb.vout, len(vkeys))
+		s.processFrameKeys(now, vkeys, fb.vout)
+		for i := range out {
+			out[i] = denyDecision()
 		}
-		return out
+		for j, i := range fb.validIdx {
+			out[i] = fb.vout[j]
+		}
 	}
 
-	// Compact the parseable frames into one contiguous sub-burst (into the
-	// batch's separate compaction scratch, so Key(i) stays frame-aligned),
-	// classify it, and scatter the decisions back to input order.
-	vkeys := fb.compactValid(keys, errs)
-	fb.vout = GrowDecisions(fb.vout, len(vkeys))
-	s.processFrameKeys(now, vkeys, fb.vout)
-	for j, i := range fb.validIdx {
-		out[i] = fb.vout[j]
-		s.accountTx(fb.InPorts[i], len(fb.Frames[i]), fb.vout[j])
+	// Port counters, one pass: a port is resolved once per frame, and only
+	// where the in-port changes — a burst comes off one rx queue.
+	id := fb.InPorts[0]
+	p := s.ports[id]
+	for i, frame := range fb.Frames {
+		if fb.InPorts[i] != id {
+			id = fb.InPorts[i]
+			p = s.ports[id]
+		}
+		if p == nil {
+			continue
+		}
+		p.RxPackets++
+		p.RxBytes += uint64(len(frame))
+		switch {
+		case errs[i] != nil:
+			p.RxErrors++
+			p.RxDropped++
+		case out[i].Verdict.Verdict == flowtable.Allow:
+			p.TxPackets++
+			p.TxBytes += uint64(len(frame))
+		default:
+			p.RxDropped++
+		}
 	}
 	return out
 }
 
 // processFrameKeys runs the extracted keys of a frame burst through the
 // batched tier walk, computing the burst's flow hashes once when some tier
-// consumes them (the frame path owns the hash pass, so SMC fingerprints
-// and hashed installs all reuse it).
+// consumes them (the frame path owns the hash pass, so EMC index probes, SMC
+// fingerprints, shard choice and hashed installs all reuse it).
 func (s *Switch) processFrameKeys(now uint64, keys []flow.Key, out []Decision) {
 	var hashes []uint64
 	if s.needHashes && len(keys) > 1 {
@@ -193,18 +204,4 @@ func (s *Switch) processFrameKeys(now uint64, keys []flow.Key, out []Decision) {
 		hashes = *fb
 	}
 	s.processBatch(now, keys, hashes, out)
-}
-
-// accountTx settles frame-level port counters for one classified frame.
-func (s *Switch) accountTx(inPort uint32, frameLen int, d Decision) {
-	p := s.ports[inPort]
-	if p == nil {
-		return
-	}
-	if d.Verdict.Verdict == flowtable.Allow {
-		p.TxPackets++
-		p.TxBytes += uint64(frameLen)
-	} else {
-		p.RxDropped++
-	}
 }

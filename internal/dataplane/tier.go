@@ -87,10 +87,13 @@ type BatchTier interface {
 }
 
 // HashUser marks a BatchTier whose LookupBatch consumes the burst's
-// cached flow hashes. The switch pays for the batch-entry hash pass only
+// cached flow hashes — every in-tree reference tier does: the EMC probes
+// its index by them, the SMC takes its fingerprint from them, the sharded
+// tiers their shard. The switch pays for the batch-entry hash pass only
 // when some tier declares it (or when the PMD pool already computed the
-// hashes for RSS steering); a BatchTier that reads hashes without
-// implementing HashUser may receive nil.
+// hashes for RSS steering), so a kernel-model hierarchy of a bare megaflow
+// tier skips it; a BatchTier that reads hashes without implementing
+// HashUser may receive nil.
 type HashUser interface {
 	UsesFlowHashes()
 }
@@ -214,8 +217,8 @@ func (t *EMCTier) Lookup(k flow.Key, now uint64) (*cache.Entry, int, bool) {
 	return ent, 0, ok
 }
 
-// LookupBatch resolves the burst's still-missing keys in one pass (the
-// EMC's exact-match probe needs no flow hash; the map hashes internally).
+// LookupBatch resolves the burst's still-missing keys in one pass, probing
+// the EMC's index by the burst's precomputed flow hashes.
 func (t *EMCTier) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, _ []int, miss *burst.Bitmap) {
 	t.emc.LookupBatch(keys, hashes, now, ents, miss)
 }
@@ -226,9 +229,20 @@ func (t *EMCTier) AccountRun(ent *cache.Entry, n int, _ int, now uint64) bool {
 	return true
 }
 
+// UsesFlowHashes declares that the EMC's batch pass consumes the cached
+// burst hashes (its index is probed by the flow hash).
+func (t *EMCTier) UsesFlowHashes() {}
+
 func (t *EMCTier) Install(k flow.Key, ent *cache.Entry) { t.emc.Insert(k, ent) }
-func (t *EMCTier) Flush()                               { t.emc.Flush() }
-func (t *EMCTier) EvictIdle(uint64) int                 { return 0 } // stale refs invalidate lazily
+
+// InstallHashed is Install reusing the burst's cached flow hash, which
+// places the key in the index and picks the eviction victim.
+func (t *EMCTier) InstallHashed(k flow.Key, hash uint64, ent *cache.Entry) {
+	t.emc.InsertHashed(k, hash, ent)
+}
+
+func (t *EMCTier) Flush()               { t.emc.Flush() }
+func (t *EMCTier) EvictIdle(uint64) int { return 0 } // stale refs invalidate lazily
 
 func (t *EMCTier) Stats() TierStats {
 	return TierStats{

@@ -150,7 +150,7 @@ func (s *Switch) TraceFrame(now uint64, frame []byte, inPort uint32) *TraceResul
 			up.InstallErr = ierr.Error()
 		} else {
 			up.Installed = true
-			s.promoteHashed(k, 0, false, ent, s.promoteTo)
+			s.promoteHashed(&k, 0, false, ent, s.promoteTo)
 		}
 	}
 	res.Verdict = v

@@ -6,10 +6,12 @@
 // pair: a Key holds the parsed header fields of one packet, a Mask selects
 // the bits a classifier entry cares about, and a Match is a (Key, Mask)
 // pair with Key&Mask == Key. Keys and Masks are plain comparable arrays,
-// usable directly as Go map keys: the slow-path classifier and the
-// exact-match cache key maps by them. The megaflow cache's subtables
-// (internal/cache) do not — they hash and compare only the words a mask
-// selects, in their own open-addressed tables.
+// usable directly as Go map keys: the slow-path classifier keys maps by
+// them. The fast-path caches (internal/cache) do not — the exact-match
+// cache indexes its keys by the flow hash (Key.Hash) a burst computes once,
+// and the megaflow subtables hash and compare only the words a mask
+// selects, each in its own open-addressed table. A Key is 80 bytes: the
+// fast path hands keys around by pointer into the burst's key slice.
 //
 // Bit numbering is MSB-first within each word: bit 0 of a field is its most
 // significant bit. This makes prefix masks (the object of study of the

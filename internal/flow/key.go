@@ -161,12 +161,17 @@ func mixWord(h, w uint64) uint64 {
 // of the key — no per-process seed — so the same pack and seed steer,
 // place and evict identically on every run. Consumers slice it
 // differently (hash mod N for RSS lanes, bits [32,40) for shards, the low
-// bits for EMC/SMC slots, the top 16 for the SMC signature), and the keys
+// bits for SMC slots, the top 16 for the SMC signature, all 64 for the
+// EMC's victim and — through a secret multiply — its index), and the keys
 // that matter most here are sparse and differ in single bits or by one in
 // a port field — the covert stream's shape. The full-width product is
 // what keeps every slice balanced on such keys; TestHashSpread holds it
 // to a stated tolerance.
-func (k Key) Hash() uint64 {
+func (k Key) Hash() uint64 { return hashWords(&k) }
+
+// hashWords is Hash on the key where it lies: HashKeys walks a burst's key
+// slice without copying a key out of it.
+func hashWords(k *Key) uint64 {
 	h := StageHashSeed
 	for _, w := range k {
 		h = mixWord(h, w)
@@ -185,15 +190,15 @@ func (m Mask) Hash() uint64 { return Key(m).Hash() }
 // its capacity suffices, and returns it. This is the batch-entry hash pass
 // of the vectorized datapath: a burst's flow hashes are computed once —
 // at extract/batch-entry time — and then reused by every hash-consuming
-// consumer (SMC fingerprinting, EMC victim selection, RSS steering)
-// instead of re-hashing the key per probe.
+// consumer (EMC index and victim selection, SMC fingerprinting, shard and
+// RSS steering) instead of re-hashing the key per probe.
 func HashKeys(keys []Key, dst []uint64) []uint64 {
 	if cap(dst) < len(keys) {
 		dst = make([]uint64, len(keys))
 	}
 	dst = dst[:len(keys)]
 	for i := range keys {
-		dst[i] = keys[i].Hash()
+		dst[i] = hashWords(&keys[i])
 	}
 	return dst
 }

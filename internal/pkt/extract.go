@@ -145,7 +145,10 @@ func extractL4(b []byte, proto byte, k flow.Key) (flow.Key, error) {
 // (nil for a clean decode). Unlike an early-return loop, a malformed frame
 // never aborts the burst — every frame gets its own error slot, so the
 // dataplane can account it and keep classifying the rest. The return value
-// is the number of malformed frames (non-nil errs entries).
+// is the number of malformed frames (non-nil errs entries). Keys are composed
+// in place — no 80-byte key is returned or copied on the fast path — and
+// keys may hold anything on entry: every word of every keys[i] is
+// overwritten.
 //
 // The burst loop takes a fast path for the dominant wire shapes — IPv4
 // with no options, no fragmentation, TCP or UDP, untagged or behind a
@@ -165,13 +168,12 @@ func ExtractBatch(frames [][]byte, inPorts []uint32, keys []flow.Key, errs []err
 	}
 	bad := 0
 	for i, f := range frames {
-		if k, ok := extractFast(f, inPorts[i]); ok {
-			keys[i], errs[i] = k, nil
+		if extractFast(f, inPorts[i], &keys[i]) {
+			errs[i] = nil
 			continue
 		}
-		k, err := Extract(f, inPorts[i])
-		keys[i], errs[i] = k, err
-		if err != nil {
+		keys[i], errs[i] = Extract(f, inPorts[i])
+		if errs[i] != nil {
 			bad++
 		}
 	}
@@ -217,46 +219,48 @@ var (
 )
 
 // extractFast decodes the common wire shapes — untagged or single-802.1Q
-// IPv4, IHL 5, not a fragment, TCP or UDP — with a single bounds check per
-// layer and the key words composed by plain ORs into the zero Key (every
-// field value is already width-exact, so no per-field read-modify-write).
-// It reports false for anything it does not handle, sending the frame to
-// the full decoder. On success the key is exactly what Extract would
+// IPv4, IHL 5, not a fragment, TCP or UDP — into *k, with a single bounds
+// check per layer. It reports false, with *k untouched, for anything it does
+// not handle, sending the frame to the full decoder. Otherwise it overwrites
+// every word of *k (whatever the caller's scratch held): zeroed once, then
+// composed by plain ORs (every field value is already width-exact, so no
+// per-field read-modify-write), and the key is exactly what Extract would
 // produce.
-func extractFast(frame []byte, inPort uint32) (flow.Key, bool) {
-	var k flow.Key
+func extractFast(frame []byte, inPort uint32, k *flow.Key) bool {
 	if len(frame) < fastUDPLen {
-		return k, false
+		return false
 	}
-	l3, minTCP := EthHeaderLen, fastTCPLen
+	l3, minTCP, tci := EthHeaderLen, fastTCPLen, uint64(0)
 	switch be16(frame[12:14]) {
 	case EtherTypeIPv4:
 	case EtherTypeVLAN:
 		if len(frame) < fastVLANUDPLen || be16(frame[16:18]) != EtherTypeIPv4 {
-			return k, false
+			return false
 		}
-		k[ffVLANTCI.w] |= uint64(be16(frame[14:16])) << ffVLANTCI.s
+		tci = uint64(be16(frame[14:16]))
 		l3, minTCP = EthHeaderLen+VLANTagLen, fastVLANTCPLen
 	default:
-		return k, false
+		return false
 	}
 	ip := frame[l3 : l3+IPv4HeaderLen+UDPHeaderLen]
 	if ip[0] != 0x45 { // version 4, no options
-		return k, false
+		return false
 	}
 	if ip[6]&0x3f != 0 || ip[7] != 0 { // any fragment bits: full decoder
-		return k, false
+		return false
 	}
 	proto := ip[9]
 	switch proto {
 	case ProtoUDP:
 	case ProtoTCP:
 		if len(frame) < minTCP {
-			return k, false
+			return false
 		}
 	default:
-		return k, false
+		return false
 	}
+	*k = flow.Key{}
+	k[ffVLANTCI.w] |= tci << ffVLANTCI.s
 	k[ffInPort.w] |= uint64(inPort) << ffInPort.s
 	k[ffEthType.w] |= uint64(EtherTypeIPv4) << ffEthType.s
 	k[ffEthDst.w] |= mac48(frame[0:6]) << ffEthDst.s
@@ -270,7 +274,7 @@ func extractFast(frame []byte, inPort uint32) (flow.Key, bool) {
 	if proto == ProtoTCP {
 		k[ffTCPFlags.w] |= uint64(frame[l3+IPv4HeaderLen+13]) << ffTCPFlags.s
 	}
-	return k, true
+	return true
 }
 
 func mac48(b []byte) uint64 {

@@ -92,11 +92,19 @@ func corpusFrames(t testing.TB) [][]byte {
 
 // checkBatchEqualsScalar pins the ExtractBatch contract: identical keys
 // and identical errors (same nil-ness, same message) to a frame-by-frame
-// Extract loop, plus a correct malformed-frame count.
+// Extract loop, plus a correct malformed-frame count. Keys are composed in
+// place, so the scratch goes in dirty — every key bit set, every error slot
+// taken, as a reused FrameBatch leaves them — and must come out as if zeroed:
+// a decoder that ORs into what it finds, on the fast path or after leaving
+// it part-way, fails here.
 func checkBatchEqualsScalar(t testing.TB, frames [][]byte, inPorts []uint32) {
 	t.Helper()
 	keys := make([]flow.Key, len(frames))
 	errs := make([]error, len(frames))
+	for i := range keys {
+		keys[i] = flow.Key(flow.ExactMask)
+		errs[i] = ErrTruncated
+	}
 	bad := ExtractBatch(frames, inPorts, keys, errs)
 	wantBad := 0
 	for i, f := range frames {

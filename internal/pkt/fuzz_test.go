@@ -61,6 +61,14 @@ func FuzzExtractBatch(f *testing.F) {
 		Src: netip.MustParseAddr("2001:db8::1"), Dst: netip.MustParseAddr("2001:db8::2"),
 		Proto: ProtoICMPv6, SrcPort: 128,
 	}))
+	// A tagged frame the fast path gives up on after reading the TCI (IPv4
+	// options): the full decoder must overwrite the dirty key, tag included.
+	vlanOpts := MustBuild(Spec{
+		Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"),
+		Proto: ProtoTCP, SrcPort: 80, DstPort: 8080, VLAN: 0x0fff,
+	})
+	vlanOpts[EthHeaderLen+VLANTagLen] = 0x46
+	f.Add(vlanOpts, tcp)
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		checkBatchEqualsScalar(t, [][]byte{a, b}, []uint32{3, 9})
 	})
