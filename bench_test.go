@@ -592,103 +592,6 @@ func BenchmarkProcessBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchVsScalar — the burst-vectorization payoff, per workload.
-// "scalar" drives the pipeline one ProcessKey at a time (the per-packet
-// tier walk); "batch" hands the same keys to ProcessBatch (vectorized
-// tier sweep + cached hashes + same-flow run coalescing).
-//
-//   - benign: distinct warm victim flows; EMC hits either way, so batch
-//     must simply not regress.
-//   - elephant: few flows in long same-key runs (heavy-tailed traffic);
-//     run coalescing collapses each run into one lookup + n accountings.
-//   - attack: the paper's exploded-mask state (8192 covert masks, kernel
-//     datapath model) with the victim's megaflows installed last; the
-//     inverted sweep visits each subtable once per burst instead of once
-//     per key, so each mask's table stays cache-hot across the burst.
-//
-// The acceptance bar for the vectorized path is the attack workload at a
-// 32-key burst: batch must beat scalar there.
-func BenchmarkBatchVsScalar(b *testing.B) {
-	type workload struct {
-		name  string
-		build func(b *testing.B) *dataplane.Switch
-		burst func(sw *dataplane.Switch) []flow.Key
-	}
-	distinctBurst := func(n int) func(*dataplane.Switch) []flow.Key {
-		return func(sw *dataplane.Switch) []flow.Key {
-			gen := victimGen()
-			keys := make([]flow.Key, n)
-			for i := range keys {
-				keys[i] = gen.Next()
-			}
-			for _, k := range keys { // warm the caches
-				sw.ProcessKey(1, k)
-			}
-			return keys
-		}
-	}
-	elephantBurst := func(flows, runLen int) func(*dataplane.Switch) []flow.Key {
-		return func(sw *dataplane.Switch) []flow.Key {
-			gen := victimGen()
-			keys := make([]flow.Key, 0, flows*runLen)
-			for f := 0; f < flows; f++ {
-				k := gen.Next()
-				sw.ProcessKey(1, k)
-				for j := 0; j < runLen; j++ {
-					keys = append(keys, k)
-				}
-			}
-			return keys
-		}
-	}
-	workloads := []workload{
-		{
-			name:  "benign/256",
-			build: func(b *testing.B) *dataplane.Switch { return attackSwitch(b, attack.TwoField(), false) },
-			burst: distinctBurst(256),
-		},
-		{
-			name:  "elephant/8x32",
-			build: func(b *testing.B) *dataplane.Switch { return attackSwitch(b, attack.TwoField(), false) },
-			burst: elephantBurst(8, 32),
-		},
-		{
-			name:  "attack/32",
-			build: func(b *testing.B) *dataplane.Switch { return attackSwitch(b, attack.ThreeField(), true, noEMC) },
-			burst: distinctBurst(32),
-		},
-		{
-			name:  "attack/256",
-			build: func(b *testing.B) *dataplane.Switch { return attackSwitch(b, attack.ThreeField(), true, noEMC) },
-			burst: distinctBurst(256),
-		},
-	}
-	for _, w := range workloads {
-		b.Run(w.name+"/scalar", func(b *testing.B) {
-			sw := w.build(b)
-			keys := w.burst(sw)
-			out := make([]dataplane.Decision, len(keys))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, k := range keys {
-					out[j] = sw.ProcessKey(2, k)
-				}
-			}
-			b.ReportMetric(float64(len(keys)), "burst")
-		})
-		b.Run(w.name+"/batch", func(b *testing.B) {
-			sw := w.build(b)
-			keys := w.burst(sw)
-			out := sw.ProcessBatch(1, keys, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out = sw.ProcessBatch(2, keys, out)
-			}
-			b.ReportMetric(float64(len(keys)), "burst")
-		})
-	}
-}
-
 // BenchmarkFramePath — the frame-first ingress payoff: end-to-end cost
 // (parse included) of the same wire burst through the three entry points,
 // per workload.
@@ -696,9 +599,9 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 //   - frames: one ProcessFrames call per burst — batched extract (single
 //     bounds check on the common shape), one hash pass, vectorized tier
 //     walk. The new first-class door.
-//   - scalar: a looped scalar Process — per-frame extract, per-frame tier
-//     walk. The old entry point; the acceptance bar is frames beating
-//     this on both workloads.
+//   - scalar: a looped Process — the same walk as bursts of one frame, so
+//     the leg measures burst size 1 against n; the acceptance bar is
+//     frames beating this on both workloads.
 //   - keys: the key-level ProcessBatch over pre-extracted keys, i.e. the
 //     PR 2 surface with parsing billed to nobody — the gap between
 //     "keys" and "frames" is what the parse stage really costs.

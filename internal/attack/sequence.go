@@ -119,20 +119,26 @@ func (v Verification) String() string {
 		v.Injected, v.Predicted, v.Entries, v.Denied)
 }
 
-// Execute replays the covert sequence once against sw at logical time now
-// and reports what the cache looks like afterwards. The attack ACL must
-// already be installed (via the CMS or directly); Execute only sends
-// packets, as a tenant could.
+// burstLen is the NIC-sized burst the covert stream is replayed in.
+const burstLen = 32
+
+// Execute replays the covert sequence once against sw at logical time now,
+// as bursts of pre-extracted keys, and reports what the cache looks like
+// afterwards. The attack ACL must already be installed (via the CMS or
+// directly); Execute only sends packets, as a tenant could.
 func (a *Attack) Execute(sw *dataplane.Switch, now uint64) (Verification, error) {
 	keys, err := a.Keys()
 	if err != nil {
 		return Verification{}, err
 	}
+	var out []dataplane.Decision
 	denied := 0
-	for _, k := range keys {
-		d := sw.ProcessKey(now, k)
-		if d.Verdict.Verdict == 0 { // flowtable.Deny
-			denied++
+	for start := 0; start < len(keys); start += burstLen {
+		out = sw.ProcessBatch(now, keys[start:min(start+burstLen, len(keys))], out)
+		for _, d := range out {
+			if d.Verdict.Verdict == 0 { // flowtable.Deny
+				denied++
+			}
 		}
 	}
 	return a.verification(sw, denied), nil
@@ -148,7 +154,6 @@ func (a *Attack) ExecuteFrames(sw *dataplane.Switch, now uint64, inPort uint32) 
 	if err != nil {
 		return Verification{}, err
 	}
-	const burstLen = 32
 	var fb dataplane.FrameBatch
 	var out []dataplane.Decision
 	denied := 0

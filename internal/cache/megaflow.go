@@ -120,7 +120,8 @@ type Megaflow struct {
 	sinceSort int
 	lastRank  uint64 // Lookups value at the last EWMA re-ranking
 
-	batchCost []int // per-key scan-cost scratch of the staged batch sweep
+	batchCost []int        // per-key scan-cost scratch of the staged sweep
+	oneMiss   burst.Bitmap // the staged Lookup's one-key miss bitmap
 
 	// Stats
 	Lookups, Hits, Misses uint64
@@ -220,20 +221,23 @@ func (m *Megaflow) NumMasks() int { return len(m.subtables) }
 
 // Lookup scans the subtables in order, one hash probe per mask, returning
 // the first hit. The returned scan count is the number of subtables
-// visited, the direct cost measure of TSS. The flat scan is a one-key sweep.
+// visited, the direct cost measure of TSS (with StagedPruning: physically
+// costed, bails + full probes). Flat or staged, it is a one-key sweep.
 func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
-	if m.cfg.StagedPruning {
-		return m.lookupStaged(k, now)
-	}
 	var (
 		key  = [1]flow.Key{k}
 		ent  [1]*Entry
 		cost [1]int
-		miss = [1]uint64{1}
-		buf  [1][4]uint64
 	)
-	m.sweep(key[:], now, ent[:], cost[:], miss[:], buf[:])
-	m.maybeResort()
+	if m.cfg.StagedPruning {
+		m.oneMiss.Reset(1)
+		m.oneMiss.Set(0)
+		m.sweepStaged(key[:], now, ent[:], cost[:], &m.oneMiss)
+	} else {
+		miss, buf := [1]uint64{1}, [1][4]uint64{}
+		m.sweep(key[:], now, ent[:], cost[:], miss[:], buf[:])
+		m.maybeResort()
+	}
 	return ent[0], cost[0], ent[0] != nil
 }
 
@@ -253,7 +257,8 @@ func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 //lint:hotpath
 func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
 	if m.cfg.StagedPruning {
-		m.lookupBatchStaged(keys, now, ents, costs, miss)
+		m.BurstSweeps++
+		m.sweepStaged(keys, now, ents, costs, miss)
 		return
 	}
 	if m.cfg.SortByHits {

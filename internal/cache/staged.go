@@ -208,9 +208,9 @@ const (
 // (bail at the first non-matching stage), then the full table probe.
 // Only bails and full probes count as visits — that is the physical cost
 // the staged sweep reports. skipW0 elides the signature check when the
-// caller already proved it passes (the batched sweep does, for bursts
-// with a single word-0 signature); eliding a check that can only pass
-// keeps counters identical to the scalar sequence.
+// caller already proved it passes (the sweep does, for bursts with a
+// single word-0 signature); eliding a check that can only pass changes no
+// counter.
 func (st *mfSubtable) stagedProbe(k *flow.Key, seed uint64, skipW0 bool) (*Entry, probeOutcome) {
 	ss := st.staged
 	if !skipW0 && ss.w0vals != nil {
@@ -237,65 +237,25 @@ func (st *mfSubtable) stagedProbe(k *flow.Key, seed uint64, skipW0 bool) (*Entry
 	return nil, probeMissed
 }
 
-// lookupStaged is the scalar staged-pruning scan: ranked subtable order,
-// free prefilter rejects, stage-hash bails, full probes only where the
-// prefilters pass. Hit results equal the flat scan's; the returned cost
-// is the number of subtables physically costed (bails + full probes).
-func (m *Megaflow) lookupStaged(k flow.Key, now uint64) (*Entry, int, bool) {
-	m.Lookups++
-	cost := 0
-	for ri := range m.subtables { // by index: the staged sweeps read only the pointer of a 40-byte row
-		st := m.subtables[ri].st
-		ent, outcome := st.stagedProbe(&k, m.seed, false)
-		switch outcome {
-		case probePruned:
-			m.SubtablePrunes++
-			continue
-		case probeBailed:
-			cost++
-			m.SubtableVisits++
-			m.StageBails++
-			continue
-		case probeMissed:
-			cost++
-			m.SubtableVisits++
-			continue
-		}
-		cost++
-		m.SubtableVisits++
-		credit(m.shared, ent, 1, now)
-		st.hits++
-		st.lastHit = now
-		st.staged.sinceRank++
-		m.Hits++
-		m.MasksScanned += uint64(cost)
-		m.maybeRank()
-		return ent, cost, true
-	}
-	m.Misses++
-	m.MasksScanned += uint64(cost)
-	m.maybeRank()
-	return nil, cost, false
-}
-
 // maxBurstSignatures caps the distinct word-0 signatures the burst-level
 // prefilter tracks; bursts with more fall back to per-key checks only.
 const maxBurstSignatures = 16
 
-// lookupBatchStaged is the staged-pruning variant of the inverted
-// subtable sweep. On top of the per-key staged probes it adds a
-// burst-level prefilter: a subtable whose stage-0 signature set matches
-// none of the burst's word-0 values, or whose L4 port range cannot
-// intersect the burst's, is skipped for the whole burst in O(1) — the
-// per-key prefilters would have rejected every key anyway (prefix
-// masking is monotonic, and the signature sets are exact), so per-key
-// counter effects equal the scalar staged sequence. Ranking is deferred
-// to the sweep boundary; exact batch==scalar equality therefore holds
-// for bursts that do not cross a RankEvery boundary.
+// sweepStaged is the one staged scan, the staged-pruning variant of the
+// inverted subtable sweep: ranked subtable order, free prefilter rejects,
+// stage-hash bails, full probes only where the prefilters pass. On top of
+// the per-key staged probes it adds a burst-level prefilter: a subtable
+// whose stage-0 signature set matches none of the burst's word-0 values,
+// or whose L4 port range cannot intersect the burst's, is skipped for the
+// whole burst in O(1) — the per-key prefilters would have rejected every
+// key anyway (prefix masking is monotonic, and the signature sets are
+// exact), so per-key counter effects equal those of sweeping the keys one
+// at a time. Ranking happens at the sweep boundary; exact equality with
+// the key-by-key sequence therefore holds for bursts that do not cross a
+// RankEvery boundary.
 //
 //lint:hotpath
-func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
-	m.BurstSweeps++
+func (m *Megaflow) sweepStaged(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
 	if cap(m.batchCost) < len(keys) {
 		m.batchCost = make([]int, len(keys))
 	}
@@ -432,7 +392,7 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 			}
 		}
 	}
-	// Survivors paid their pruned sweep: bill them as scalar staged misses.
+	// Survivors paid their pruned sweep: bill each its own miss.
 	tailWords := miss.Words()
 	for wi := range tailWords {
 		w := tailWords[wi]
@@ -452,8 +412,8 @@ func (m *Megaflow) lookupBatchStaged(keys []flow.Key, now uint64, ents []*Entry,
 // RankEvery lookups: hot subtables float to the front, so warm traffic
 // resolves in the first probes regardless of how many cold masks the
 // attacker minted behind them. Safe because megaflows are disjoint — any
-// scan order finds the same (unique) match. Scalar lookups clock the
-// boundary per lookup; the batched sweep clocks it per sweep.
+// scan order finds the same (unique) match. The boundary is clocked per
+// sweep, which for a Lookup is per key.
 func (m *Megaflow) maybeRank() {
 	if !m.cfg.StagedPruning || m.Lookups-m.lastRank < uint64(m.cfg.RankEvery) {
 		return

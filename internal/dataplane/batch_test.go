@@ -49,11 +49,26 @@ func batchEq(t *testing.T, label string, seq, batch []Decision, seqSW, batchSW *
 
 // TestBatchMatchesSequentialStateful runs the full switch — conntrack
 // recirculation included — over staged bursts (connection setup, replies,
-// established data) and checks ProcessBatch produces exactly the
-// decisions and counters of a sequential ProcessKey loop.
+// established data, then same-flow runs) and checks ProcessBatch produces
+// exactly the decisions and counters of a sequential ProcessKey loop. The
+// hierarchies with an SMC promote by the burst's hashes, so the
+// recirculated key's second pass needs its own; in the last burst key 0 is
+// a settled one-packet run while later runs' copies walk and recirculate
+// through slot 0 of the same scratch.
 func TestBatchMatchesSequentialStateful(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"megaflow":       {WithoutEMC()},
+		"smc":            {WithoutEMC(), WithSMC(cache.SMCConfig{})},
+		"emc+smc":        {WithEMC(cache.EMCConfig{InsertProb: 1}), WithSMC(cache.SMCConfig{})},
+		"smc-nocoalesce": {WithoutEMC(), WithSMC(cache.SMCConfig{}), WithoutRunCoalescing()},
+	} {
+		t.Run(name, func(t *testing.T) { batchMatchesSequentialStateful(t, opts) })
+	}
+}
+
+func batchMatchesSequentialStateful(t *testing.T, opts []Option) {
 	build := func() *Switch {
-		sw := New("sg-hv", WithoutEMC(), WithConntrack(conntrack.Config{}))
+		sw := New("sg-hv", append(opts[:len(opts):len(opts)], WithConntrack(conntrack.Config{}))...)
 		group := &acl.ACL{Stateful: true}
 		group.Allow(acl.Entry{Src: netip.MustParsePrefix("10.0.0.0/8")})
 		group.Allow(acl.Entry{Proto: 6, DstPort: acl.Port(443)})
@@ -76,11 +91,15 @@ func TestBatchMatchesSequentialStateful(t *testing.T) {
 		rev[i] = conntrack.MustTuple("172.16.0.1", "10.1.2.3", 6, 443, uint16(40000+i)).Key(2)
 	}
 	outside := conntrack.MustTuple("192.168.9.9", "172.16.0.1", 6, 5555, 22).Key(1)
+	syn := conntrack.MustTuple("10.1.2.3", "172.16.0.1", 6, 50000, 443).Key(1)
 
 	bursts := [][]flow.Key{
 		fwd, // SYNs: all recirculate, +new, commit
 		rev, // replies: recirculate, established
 		append(append([]flow.Key{}, fwd...), outside), // data + a denied stray
+		// Runs: an established packet alone, a new connection whose copies
+		// find it committed, established replies, a denied run.
+		{fwd[0], syn, syn, syn, rev[2], rev[2], outside, outside},
 	}
 	var seqOut, batchOut []Decision
 	for bi, burstKeys := range bursts {
@@ -91,6 +110,9 @@ func TestBatchMatchesSequentialStateful(t *testing.T) {
 		}
 		batchOut = batchSW.ProcessBatch(now, burstKeys, batchOut)
 		batchEq(t, fmt.Sprintf("burst %d", bi), seqOut, batchOut, seqSW, batchSW)
+	}
+	if !batchOut[1].Recirculated || !batchOut[2].Recirculated {
+		t.Fatalf("the run's head and copy must both recirculate: %+v, %+v", batchOut[1], batchOut[2])
 	}
 	if seqSW.Conntrack().Len() != batchSW.Conntrack().Len() {
 		t.Fatalf("conntrack table size diverges: %d vs %d",

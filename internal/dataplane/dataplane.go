@@ -255,9 +255,12 @@ type Switch struct {
 	counters Counters
 	batch    batchScratch
 
-	frameHash []uint64   // ProcessFrames' cached burst hashes
-	oneFrame  FrameBatch // scalar Process's one-frame batch
-	oneOut    []Decision
+	frameHash  []uint64    // ProcessFrames' cached burst hashes
+	oneFrame   FrameBatch  // Process's burst of one frame
+	oneKey     [1]flow.Key // ProcessKey's burst of one key
+	oneOut     []Decision
+	recircKey  [1]flow.Key // conntrack's second pass: the restamped key, a burst of one
+	recircHash [1]uint64
 }
 
 // batchScratch is the per-switch working set ProcessBatch reuses across
@@ -266,7 +269,7 @@ type batchScratch struct {
 	hashes []uint64
 	ents   []*cache.Entry
 	costs  []int
-	runs   []int // start index of each same-key run, ascending
+	runs   []int // start index of each same-key run, ascending, then the burst length
 	hits   []int // indices resolved by the current tier pass
 	miss   burst.Bitmap
 	prev   burst.Bitmap
@@ -475,13 +478,12 @@ func (s *Switch) flushCaches() {
 func (s *Switch) Rules() []*flowtable.Rule { return s.table.Rules() }
 
 // Process runs one frame received on port inPort through the pipeline at
-// logical time now. It is a legacy scalar shim kept for tests and
-// single-packet probes: a one-frame batch through ProcessFrames, which
-// is the one documented ingress of the switch. Production-shaped callers
-// (cmd/, examples/, the simulator) assemble FrameBatch bursts and call
-// ProcessFrames — the burst is the unit of the datapath, and the batched
-// walk is where hash caching, run coalescing and the inverted subtable
-// sweep live.
+// logical time now: a burst of one through ProcessFrames, the one
+// documented ingress of the switch, kept for tests and single-packet
+// probes. Production-shaped callers (cmd/, examples/, the simulator)
+// assemble FrameBatch bursts and call ProcessFrames — the burst is the
+// unit of the datapath, and the one tier walk is where hash caching, run
+// coalescing and the inverted subtable sweep live.
 func (s *Switch) Process(now uint64, inPort uint32, frame []byte) (Decision, error) {
 	fb := &s.oneFrame
 	fb.Reset()
@@ -490,57 +492,38 @@ func (s *Switch) Process(now uint64, inPort uint32, frame []byte) (Decision, err
 	return s.oneOut[0], fb.Err(0)
 }
 
-// ProcessKey classifies an already-extracted key — a legacy measurement
-// hook for benchmarks and property tests that bypasses frame parsing.
-// Like Process it is not an ingress: external callers drive the switch
-// through ProcessFrames (or ProcessBatch when keys are pre-extracted in
-// bulk). Packets hitting a conntrack dispatch rule are
-// recirculated once: the connection tracker classifies the 5-tuple, the
-// ct_state field is stamped into the key, and the pipeline runs again —
-// both passes billed, as both cost the real switch.
+// ProcessKey classifies an already-extracted key: a burst of one through
+// ProcessBatch, the sequential reference of the batch==sequential suites
+// and a measurement hook that bypasses frame parsing. Like Process it is
+// not an ingress: external callers drive the switch through ProcessFrames
+// (or ProcessBatch when keys are pre-extracted in bulk).
 func (s *Switch) ProcessKey(now uint64, k flow.Key) Decision {
-	s.counters.Packets++
-	return s.processOne(now, &k)
+	s.oneKey[0] = k
+	s.oneOut = s.ProcessBatch(now, s.oneKey[:], s.oneOut)
+	return s.oneOut[0]
 }
 
-// processOne is ProcessKey minus the packet counter, so batch callers can
-// bill a whole burst with one add. Like every step of the walk below it, it
-// takes the key by pointer — into the burst's key slice, or at ProcessKey's
-// copy: an 80-byte key is copied only into a Tier's exported methods.
-func (s *Switch) processOne(now uint64, k *flow.Key) Decision {
-	d, _, _ := s.processOneTracked(now, k)
-	return d
-}
-
-// processOneTracked is processOne plus the hit provenance the run
-// coalescer needs: the index of the tier that answered and the entry it
-// returned. A slow-path or recirculated decision reports tier -1 (such
-// decisions are never coalesced).
-func (s *Switch) processOneTracked(now uint64, k *flow.Key) (Decision, int, *cache.Entry) {
-	d, ti, ent := s.classifyTracked(now, k)
-	if !d.Verdict.Recirc {
-		s.account(d.Verdict)
-		return d, ti, ent
-	}
-	return s.finishRecirc(now, k, d), -1, nil
-}
-
-// finishRecirc completes a packet whose first pass hit a conntrack
-// dispatch rule: the connection tracker classifies the 5-tuple, the
-// ct_state field is stamped into the key, and the pipeline runs again —
-// both passes billed, as both cost the real switch.
-func (s *Switch) finishRecirc(now uint64, k *flow.Key, d Decision) Decision {
+// recirculate completes a packet whose first pass hit a conntrack dispatch
+// rule: the connection tracker classifies the 5-tuple, the ct_state field
+// is stamped into the key, and the key walks the tiers again as a burst of
+// one — both passes billed, as both cost the real switch. The caller
+// accounts the verdict it leaves in d.
+func (s *Switch) recirculate(now uint64, k *flow.Key, d *Decision) {
 	if s.ct == nil {
 		// A stateful rule set on a switch without conntrack: fail closed.
-		s.counters.Denied++
 		d.Verdict = cache.Verdict{Verdict: flowtable.Deny}
-		return d
+		return
 	}
 	tuple := k.Tuple()
 	state, _ := s.ct.Lookup(tuple, now)
-	k2 := *k
-	k2.Set(flow.FieldCTState, state.CTBits())
-	d2 := s.classifyOnce(now, &k2)
+	// The second pass's key and hash live beside the burst's, whose hashes
+	// the runs still to settle need.
+	k2 := s.recircKey[:]
+	k2[0] = *k
+	k2[0].Set(flow.FieldCTState, state.CTBits())
+	var out [1]Decision
+	s.walkOne(now, k2, flow.HashKeys(k2, s.recircHash[:0]), out[:], 0)
+	d2 := out[0]
 	d2.MasksScanned += d.MasksScanned
 	d2.Recirculated = true
 	if d2.Verdict.Recirc {
@@ -553,8 +536,7 @@ func (s *Switch) finishRecirc(now uint64, k *flow.Key, d Decision) Decision {
 			d2.Verdict = cache.Verdict{Verdict: flowtable.Deny}
 		}
 	}
-	s.account(d2.Verdict)
-	return d2
+	*d = d2
 }
 
 // GrowDecisions returns out resized to n decisions, reallocating only
@@ -583,10 +565,11 @@ func GrowDecisions(out []Decision, n int) []Decision {
 // keys already swept past that tier. In particular a key repeated in two
 // non-consecutive runs of one burst is probed once per run in the same
 // sweep, so the second run does not see the first's promotions and may
-// answer from a lower tier than a sequential ProcessKey loop would (the
-// verdict is identical either way). This is the visibility rule of OVS's
-// dp_packet_batch processing; exact batch==sequential equivalence holds
-// for bursts whose duplicate keys are consecutive.
+// answer from a lower tier than a ProcessKey loop — the same keys as
+// bursts of one — would (the verdict is identical either way). This is
+// the visibility rule of OVS's dp_packet_batch processing; exact
+// batch==sequential equivalence holds for bursts whose duplicate keys are
+// consecutive.
 func (s *Switch) ProcessBatch(now uint64, keys []flow.Key, out []Decision) []Decision {
 	out = GrowDecisions(out, len(keys))
 	s.counters.Packets += uint64(len(keys))
@@ -599,11 +582,7 @@ func (s *Switch) ProcessBatch(now uint64, keys []flow.Key, out []Decision) []Dec
 // hashes (flow.HashKeys, index-aligned with keys); nil computes them here.
 func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out []Decision) {
 	n := len(keys)
-	switch n {
-	case 0:
-		return
-	case 1:
-		out[0] = s.processOne(now, &keys[0])
+	if n == 0 {
 		return
 	}
 	bs := &s.batch
@@ -613,13 +592,15 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 	// elephant-flow burst) enters the tier walk once, through its first
 	// key; the copies are settled against the warm cache afterwards. Where
 	// the hash pass has run, unequal hashes tell two keys apart without the
-	// 80-byte compare.
+	// 80-byte compare. Run ri is keys[runs[ri]:runs[ri+1]].
 	bs.runs = append(bs.runs, 0)
 	for i := 1; i < n; i++ {
 		if (hashes != nil && hashes[i] != hashes[i-1]) || keys[i] != keys[i-1] {
 			bs.runs = append(bs.runs, i)
 		}
 	}
+	heads := bs.runs
+	bs.runs = append(bs.runs, n)
 
 	if hashes == nil && s.needHashes {
 		// Batch-entry hash pass: one Hash per run head, reused by every
@@ -627,31 +608,47 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 		// copies take the head's hash by assignment (identical keys,
 		// identical hashes — and hashing dominates copying 40:1 on the
 		// elephant mix). Skipped when no tier declares HashUser.
-		if cap(bs.hashes) < n {
-			bs.hashes = make([]uint64, n)
-		}
-		bs.hashes = bs.hashes[:n]
-		for ri, r := range bs.runs {
-			end := n
-			if ri+1 < len(bs.runs) {
-				end = bs.runs[ri+1]
-			}
+		for ri, r := range heads {
 			h := flow.HashKeys(keys[r:r+1], bs.hashes[r:r+1])[0] // keys[r] where it lies, into bs.hashes[r]
-			for i := r + 1; i < end; i++ {
+			for i := r + 1; i < bs.runs[ri+1]; i++ {
 				bs.hashes[i] = h
 			}
 		}
 		hashes = bs.hashes
 	}
 
-	// Vectorized tier walk over the run representatives: each tier
-	// resolves what it can for the whole burst before the walk descends.
+	// The run heads walk the tiers as one burst, then settle in input order.
 	bs.miss.Reset(n)
-	for _, r := range bs.runs {
+	for _, r := range heads {
 		bs.miss.Set(r)
 		bs.ents[r] = nil
 		bs.costs[r] = 0
 	}
+	s.walk(now, keys, hashes, out)
+	for _, r := range heads {
+		if out[r].Verdict.Recirc {
+			s.recirculate(now, &keys[r], &out[r])
+		}
+		s.account(out[r].Verdict)
+	}
+
+	// Settle the runs: every non-representative copy classifies against
+	// the cache its run's first key just warmed.
+	for ri, start := range heads {
+		if end := bs.runs[ri+1]; end-start > 1 {
+			s.processRun(now, keys, hashes, out, start+1, end)
+		}
+	}
+}
+
+// walk is the one tier walk of the switch. The keys whose bits the caller
+// set in the scratch miss bitmap (ents and costs slots cleared) descend the
+// hierarchy one tier pass at a time: a hit on tier i is billed, promoted
+// into tiers [0, i) and written to out; what misses every tier upcalls, in
+// input order. Verdicts are left to the caller: recirculation, then
+// accounting. It returns how many keys the top tier answered.
+func (s *Switch) walk(now uint64, keys []flow.Key, hashes []uint64, out []Decision) (top int) {
+	bs := &s.batch
 	for ti, t := range s.tiers {
 		if bs.miss.Empty() {
 			break
@@ -664,8 +661,8 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 		if bt, ok := t.(BatchTier); ok {
 			bt.LookupBatch(keys, hashes, now, bs.ents, bs.costs, &bs.miss)
 		} else {
-			// Scalar fallback: tiers without a batch path are probed key
-			// by key, so WithTiers custom hierarchies keep working. The
+			// Tiers without a batch path are probed key by key, so
+			// WithTiers custom hierarchies keep working. The
 			// word-at-a-time iteration (not ForEach) keeps the hot loop
 			// closure-free.
 			words := bs.prev.Words()
@@ -684,81 +681,76 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 			}
 		}
 		if s.tel != nil {
-			// Tier-pass latency: one observation per burst per tier, wall
-			// time of the LookupBatch (or scalar-fallback) pass alone.
+			// Tier-pass latency: one observation per pass per tier, wall
+			// time of the LookupBatch (or key-by-key) pass alone.
 			s.tel.tierNs[ti].Record(telemetry.Clock() - tierStart)
 		}
-		// Bill and promote this pass's hits (prev &^ miss), exactly as the
-		// scalar walk would: hit on tier ti installs into tiers [0, ti) —
-		// none for the top tier. Promotion reuses the burst's cached hashes
-		// where a tier can take them (the EMC and SMC insert paths).
+		// Bill and promote this pass's hits (prev &^ miss): a hit on tier
+		// ti installs into tiers [0, ti) — none for the top tier.
 		bs.hits = bs.prev.AndNot(&bs.miss, bs.hits[:0])
+		if ti == 0 {
+			top = len(bs.hits)
+		}
 		for _, i := range bs.hits {
 			s.tierHits[ti]++
 			if ti > 0 {
-				s.promoteHashed(&keys[i], hashAt(hashes, i), hashes != nil, bs.ents[i], ti)
+				s.promote(keys, hashes, i, bs.ents[i], ti)
 			}
 			out[i] = Decision{Verdict: bs.ents[i].Verdict, Path: t.Path(), MasksScanned: bs.costs[i]}
 		}
 	}
 
 	// Upcall tail, in input order. An upcall can install a megaflow that
-	// covers later misses of the same burst, so once anything has been
+	// covers later misses of the same walk, so once anything has been
 	// installed the remaining misses re-probe the authoritative tier
 	// before their own upcall — the post-upcall re-lookup real datapaths
 	// do to avoid duplicate installs.
-	if !bs.miss.Empty() {
-		installs := 0
-		words := bs.miss.Words()
-		for wi := range words {
-			w := words[wi]
-			for w != 0 {
-				i := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				out[i] = s.upcallOne(now, &keys[i], hashAt(hashes, i), hashes != nil, bs.costs[i], &installs)
-			}
+	installs := 0
+	words := bs.miss.Words()
+	for wi := range words {
+		w := words[wi]
+		for w != 0 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			out[i] = s.upcallOne(now, keys, hashes, i, bs.costs[i], &installs)
 		}
 	}
+	return top
+}
 
-	// Verdict accounting and conntrack recirculation for the
-	// representatives, in input order.
-	for _, r := range bs.runs {
-		if out[r].Verdict.Recirc {
-			out[r] = s.finishRecirc(now, &keys[r], out[r])
-		} else {
-			s.account(out[r].Verdict)
-		}
+// walkOne walks keys[i] alone, a burst of one in slot 0 of the scratch the
+// run heads' walk has finished with; a hit leaves its entry in ents[0].
+func (s *Switch) walkOne(now uint64, keys []flow.Key, hashes []uint64, out []Decision, i int) (top int) {
+	bs := &s.batch
+	bs.miss.Reset(1)
+	bs.miss.Set(0)
+	bs.ents[0], bs.costs[0] = nil, 0
+	if hashes != nil {
+		hashes = hashes[i : i+1]
 	}
-
-	// Settle the runs: every non-representative copy classifies against
-	// the cache its run's first key just warmed.
-	for ri, start := range bs.runs {
-		end := n
-		if ri+1 < len(bs.runs) {
-			end = bs.runs[ri+1]
-		}
-		if end-start > 1 {
-			s.processRun(now, &keys[start], out, start+1, end)
-		}
-	}
+	return s.walk(now, keys[i:i+1], hashes, out[i:i+1])
 }
 
 // processRun classifies copies [from, to) of one key whose first copy the
-// batch walk already settled. The first copy here takes a real scalar
-// walk (it sees the promotions its predecessor installed); if it lands
-// stably in the top tier and the tier can coalesce, the remaining copies
-// collapse into one AccountRun — one lookup plus n accountings for the
-// whole elephant burst. Anything unstable (slow path, recirculation,
-// probabilistic-insertion hierarchies still warming) falls back to exact
-// per-copy processing.
-func (s *Switch) processRun(now uint64, k *flow.Key, out []Decision, from, to int) {
-	d, tierIdx, ent := s.processOneTracked(now, k)
-	out[from] = d
-	rest := to - from - 1
-	if rest == 0 {
-		return
-	}
-	if !s.noCoalesce && tierIdx == 0 && !d.Recirculated {
+// run heads' walk already settled. Each copy walks alone (it sees the
+// promotions its predecessor installed); if the first lands stably in the
+// top tier and the tier can coalesce, the remaining copies collapse into
+// one AccountRun — one lookup plus n accountings for the whole elephant
+// burst. Anything unstable (slow path, recirculation,
+// probabilistic-insertion hierarchies still warming) stays exact, copy by
+// copy.
+func (s *Switch) processRun(now uint64, keys []flow.Key, hashes []uint64, out []Decision, from, to int) {
+	for i := from; i < to; i++ {
+		top := s.walkOne(now, keys, hashes, out, i)
+		ent := s.batch.ents[0] // before a recirculated copy walks again
+		if out[i].Verdict.Recirc {
+			s.recirculate(now, &keys[i], &out[i])
+		}
+		d, rest := out[i], to-i-1
+		s.account(d.Verdict)
+		if i > from || rest == 0 || s.noCoalesce || top != 1 || d.Recirculated {
+			continue
+		}
 		if rc, ok := s.tiers[0].(RunCoalescer); ok && rc.AccountRun(ent, rest, d.MasksScanned, now) {
 			s.tierHits[0] += uint64(rest)
 			if d.Verdict.Verdict == flowtable.Allow {
@@ -766,145 +758,96 @@ func (s *Switch) processRun(now uint64, k *flow.Key, out []Decision, from, to in
 			} else {
 				s.counters.Denied += uint64(rest)
 			}
-			for i := from + 1; i < to; i++ {
-				out[i] = d
+			for j := i + 1; j < to; j++ {
+				out[j] = d
 			}
 			return
 		}
 	}
-	for i := from + 1; i < to; i++ {
-		out[i] = s.processOne(now, k)
-	}
 }
 
-// hashAt indexes the burst's cached hashes, tolerating a nil hash pass
-// (callers gate use on hashes != nil).
-func hashAt(hashes []uint64, i int) uint64 {
-	if hashes == nil {
-		return 0
-	}
-	return hashes[i]
-}
-
-// promoteHashed installs ent into tiers [0, upto). When the burst's cached
-// flow hash for k is resident (hasHash), tiers implementing
-// HashedInstaller consume it instead of re-hashing the key — the batch
-// walk's install path, which is what lets SMC promotions ride the burst's
-// single hash pass.
-func (s *Switch) promoteHashed(k *flow.Key, h uint64, hasHash bool, ent *cache.Entry, upto int) {
-	for i, upper := range s.tiers[:upto] {
-		if hasHash && s.hashedInst[i] != nil {
-			s.hashedInst[i].InstallHashed(*k, h, ent)
+// promote installs ent into tiers [0, upto) for keys[i]. A HashedInstaller
+// tier takes the burst's hash (declaring it makes the hash pass run), so
+// EMC and SMC promotions do not re-hash the key.
+func (s *Switch) promote(keys []flow.Key, hashes []uint64, i int, ent *cache.Entry, upto int) {
+	for ti, upper := range s.tiers[:upto] {
+		if hi := s.hashedInst[ti]; hi != nil {
+			hi.InstallHashed(keys[i], hashes[i], ent)
 		} else {
-			upper.Install(*k, ent)
+			upper.Install(keys[i], ent)
 		}
 	}
 }
 
-// upcallOne settles one batch-walk miss: re-probe the authoritative tier
-// when a same-burst upcall may have covered the key, then fall to the
-// slow path. sweepCost is the scan cost the walk already accrued for the
-// key (the cost a scalar walk would report for the miss); h/hasHash carry
-// the key's cached burst hash for the promotion path.
-func (s *Switch) upcallOne(now uint64, k *flow.Key, h uint64, hasHash bool, sweepCost int, installs *int) Decision {
+// upcallOne settles one miss of the walk: re-probe the authoritative tier
+// when an earlier upcall of the same walk may have covered the key, then
+// fall to the slow path. sweepCost is the scan cost the walk already
+// accrued for the key.
+func (s *Switch) upcallOne(now uint64, keys []flow.Key, hashes []uint64, i, sweepCost int, installs *int) Decision {
 	if *installs > 0 && s.installer != nil {
-		ent, cost, ok := s.installer.Lookup(*k, now)
+		ent, cost, ok := s.installer.Lookup(keys[i], now)
 		if ok {
 			s.tierHits[s.promoteTo]++
-			s.promoteHashed(k, h, hasHash, ent, s.promoteTo)
+			s.promote(keys, hashes, i, ent, s.promoteTo)
 			return Decision{Verdict: ent.Verdict, Path: s.installer.Path(), MasksScanned: cost}
 		}
 		sweepCost = cost
 	}
-	d, installed := s.upcallHashed(now, k, h, hasHash, sweepCost)
-	if installed {
+	d, up := s.upcall(now, keys, hashes, i, sweepCost)
+	if up.installed {
 		*installs++
 	}
 	return d
 }
 
-// classifyOnce runs one pipeline pass (tier walk -> upcall) without
-// verdict accounting or recirculation handling.
-func (s *Switch) classifyOnce(now uint64, k *flow.Key) Decision {
-	d, _, _ := s.classifyTracked(now, k)
-	return d
+// slowPath is what one upcall did beyond its Decision: the walk counts the
+// install (later misses must then re-probe), the trace renders the rest.
+type slowPath struct {
+	refused   bool              // dropped by the admission guard: nothing below ran
+	res       classifier.Result // the slow path's rule and synthesised megaflow
+	installed bool              // megaflow installed and promoted
+	err       error             // install failure
 }
 
-// classifyTracked is the scalar tier walk: a hit on tier i is promoted
-// into tiers [0, i); an upcall's synthesised megaflow is installed into
-// the authoritative tier and promoted above it. It also reports the
-// answering tier's index (-1 for the slow path) and entry, the provenance
-// the run coalescer keys on.
-func (s *Switch) classifyTracked(now uint64, k *flow.Key) (Decision, int, *cache.Entry) {
-	scanned := 0
-	for i, t := range s.tiers {
-		ent, cost, ok := t.Lookup(*k, now)
-		scanned += cost
-		if !ok {
-			continue
-		}
-		s.tierHits[i]++
-		for _, upper := range s.tiers[:i] {
-			upper.Install(*k, ent)
-		}
-		return Decision{Verdict: ent.Verdict, Path: t.Path(), MasksScanned: scanned}, i, ent
-	}
-	d, _ := s.upcall(now, k, scanned)
-	return d, -1, nil
-}
-
-// upcall runs the full slow-path classification, then caches the
-// synthesised megaflow in the authoritative tier and references it from
-// the tiers above, so their hits keep the flow warm. The bool reports
-// whether a megaflow was installed (the batch tail uses it to decide when
-// later misses must re-probe).
+// upcall runs the full slow-path classification of keys[i], then caches
+// the synthesised megaflow in the authoritative tier and references it
+// from the tiers above, so their hits keep the flow warm.
 //
 //lint:coldpath
-func (s *Switch) upcall(now uint64, k *flow.Key, scanned int) (Decision, bool) {
-	return s.upcallHashed(now, k, 0, false, scanned)
-}
-
-// upcallHashed is upcall carrying the key's cached burst hash for the
-// promotion of the freshly installed megaflow.
-//
-//lint:coldpath
-func (s *Switch) upcallHashed(now uint64, k *flow.Key, h uint64, hasHash bool, scanned int) (Decision, bool) {
+func (s *Switch) upcall(now uint64, keys []flow.Key, hashes []uint64, i, scanned int) (Decision, slowPath) {
+	var up slowPath
+	k := &keys[i]
 	if s.upGuard != nil && !s.upGuard.AdmitUpcall(now, uint32(k.Get(flow.FieldInPort))) {
 		// Refused at admission: the packet is dropped at the datapath
 		// without a slow-path visit — no classification, no install.
 		s.counters.UpcallDrops++
-		return Decision{Verdict: cache.Verdict{Verdict: flowtable.Deny}, Path: PathSlow, MasksScanned: scanned}, false
+		up.refused = true
+		return Decision{Verdict: cache.Verdict{Verdict: flowtable.Deny}, Path: PathSlow, MasksScanned: scanned}, up
 	}
 	s.counters.Upcalls++
-	res := s.cls.Lookup(*k)
+	up.res = s.cls.Lookup(*k)
 	v := cache.Verdict{Verdict: flowtable.Deny}
-	if res.Rule != nil {
-		v = res.Rule.Action
+	if up.res.Rule != nil {
+		v = up.res.Rule.Action
 	}
-	installed := false
 	if s.installer != nil {
 		var ent *cache.Entry
-		var err error
 		if s.hashedMF != nil {
 			// Sharded installer: the megaflow must land in the shard the
 			// triggering key's lookups probe, selected by the key's full
-			// flow hash (computed here when the burst's hash pass did not
-			// run — scalar ProcessKey callers).
-			if !hasHash {
-				h = k.Hash()
-			}
-			ent, err = s.hashedMF.InsertMegaflowHashed(res.Megaflow, v, now, h)
+			// flow hash.
+			ent, up.err = s.hashedMF.InsertMegaflowHashed(up.res.Megaflow, v, now, hashes[i])
 		} else {
-			ent, err = s.installer.InsertMegaflow(res.Megaflow, v, now)
+			ent, up.err = s.installer.InsertMegaflow(up.res.Megaflow, v, now)
 		}
-		if err != nil {
+		if up.err != nil {
 			s.counters.InstallErr++
 		} else {
-			s.promoteHashed(k, h, hasHash, ent, s.promoteTo)
-			installed = true
+			s.promote(keys, hashes, i, ent, s.promoteTo)
+			up.installed = true
 		}
 	}
-	return Decision{Verdict: v, Path: PathSlow, MasksScanned: scanned}, installed
+	return Decision{Verdict: v, Path: PathSlow, MasksScanned: scanned}, up
 }
 
 func (s *Switch) account(v cache.Verdict) {

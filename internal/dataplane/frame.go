@@ -103,15 +103,15 @@ func denyDecision() Decision {
 // per frame into out (grown if needed) and returning it. This is the
 // first-class ingress of the switch: the wire burst, not the packet and
 // not the pre-parsed key, is the unit of work, so the measured per-packet
-// cost finally includes the parse stage the scalar entry point hid.
+// cost includes the parse stage a pre-extracted key hides.
 //
 // Malformed frames do not abort the burst: each gets a Deny decision, a
 // switch-level ParseError and per-port RxErrors/RxDropped accounting (read
 // the per-frame cause via fb.Err), and the remaining frames classify as
 // one compacted sub-burst. On well-formed traffic the decisions and
-// counters are exactly those of a scalar Process loop, with the batch
-// visibility rule of ProcessBatch (duplicate keys in non-consecutive runs
-// may answer from a lower tier; verdicts are identical either way).
+// counters are exactly those of a Process loop (bursts of one), with the
+// batch visibility rule of ProcessBatch (duplicate keys in non-consecutive
+// runs may answer from a lower tier; verdicts are identical either way).
 //
 //lint:hotpath
 func (s *Switch) ProcessFrames(now uint64, fb *FrameBatch, out []Decision) []Decision {
@@ -198,7 +198,7 @@ func (s *Switch) processFrames(now uint64, fb *FrameBatch, out []Decision) []Dec
 // fingerprints, shard choice and hashed installs all reuse it).
 func (s *Switch) processFrameKeys(now uint64, keys []flow.Key, out []Decision) {
 	var hashes []uint64
-	if s.needHashes && len(keys) > 1 {
+	if s.needHashes {
 		fb := &s.frameHash
 		*fb = flow.HashKeys(keys, *fb)
 		hashes = *fb

@@ -212,12 +212,6 @@ func (p *PMDPool) Steer(k flow.Key) int {
 	return int(k.Hash() % uint64(len(p.pmds)))
 }
 
-// ProcessKey steers the packet to its PMD and processes it there. Not safe
-// for concurrent use; use ProcessBatch for parallel processing.
-func (p *PMDPool) ProcessKey(now uint64, k flow.Key) Decision {
-	return p.pmds[p.Steer(k)].ProcessKey(now, k)
-}
-
 // ProcessBatch distributes keys to their PMDs by RSS hash and processes
 // each PMD's share as one sub-burst on its own goroutine — the actual
 // parallelism of a multi-queue NIC. Each flow hash is computed once and

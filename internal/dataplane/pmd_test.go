@@ -56,7 +56,7 @@ func TestPMDAttackSpreadAcrossCores(t *testing.T) {
 	const n = 4
 	pool, keys := pmdPool(t, n)
 	for _, k := range keys {
-		pool.ProcessKey(1, k)
+		pool.PMD(pool.Steer(k)).ProcessKey(1, k)
 	}
 	per := pool.MasksPerPMD()
 	total := 0
@@ -77,7 +77,7 @@ func TestPMDAttackSpreadAcrossCores(t *testing.T) {
 func TestPMDVictimPaysOnlyItsCore(t *testing.T) {
 	pool, keys := pmdPool(t, 4)
 	for _, k := range keys {
-		pool.ProcessKey(1, k)
+		pool.PMD(pool.Steer(k)).ProcessKey(1, k)
 	}
 	var victim flow.Key
 	victim.Set(flow.FieldEthType, flow.EthTypeIPv4)
@@ -85,7 +85,7 @@ func TestPMDVictimPaysOnlyItsCore(t *testing.T) {
 	victim.Set(flow.FieldIPSrc, 0xc0a80005)
 	victim.Set(flow.FieldTPDst, 5201)
 	core := pool.Steer(victim)
-	d := pool.ProcessKey(2, victim)
+	d := pool.PMD(pool.Steer(victim)).ProcessKey(2, victim)
 	coreMasks := pool.MasksPerPMD()[core]
 	if d.MasksScanned > coreMasks+2 {
 		t.Fatalf("victim scanned %d masks; its core holds %d", d.MasksScanned, coreMasks)
@@ -146,7 +146,7 @@ func TestPMDBatchMatchesSequential(t *testing.T) {
 
 	seq := make([]Decision, 0, len(keys))
 	for _, k := range keys {
-		seq = append(seq, seqPool.ProcessKey(1, k))
+		seq = append(seq, seqPool.PMD(seqPool.Steer(k)).ProcessKey(1, k))
 	}
 	batch := batchPool.ProcessBatch(1, keys, nil)
 

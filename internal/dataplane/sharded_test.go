@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"net/netip"
 	"sync"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"policyinject/internal/conntrack"
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
+	"policyinject/internal/pkt"
 )
 
 // admitAllGuard is a trivial UpcallGuard for option-validation tests.
@@ -81,10 +83,9 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 	}
 }
 
-// TestShardedScalarMatchesBatch checks the scalar compatibility sweep of
-// the sharded tiers against the batched walk: the same key mix through
-// ProcessKey on one sharded switch and ProcessBatch on another resolves
-// to identical verdicts.
+// TestShardedScalarMatchesBatch checks bursts of one against whole bursts
+// on the sharded tiers: the same key mix through ProcessKey on one sharded
+// switch and ProcessBatch on another resolves to identical verdicts.
 func TestShardedScalarMatchesBatch(t *testing.T) {
 	scalar := aclSwitch(WithShards(4))
 	batch := aclSwitch(WithShards(4))
@@ -100,6 +101,26 @@ func TestShardedScalarMatchesBatch(t *testing.T) {
 			if d.Verdict.Verdict != out[i].Verdict.Verdict {
 				t.Fatalf("round %d key %d: scalar %v, batch %v", round, i, d.Verdict.Verdict, out[i].Verdict.Verdict)
 			}
+		}
+	}
+}
+
+// TestShardedTraceInstallsWhereLookupsProbe: a traced upcall on a sharded
+// switch installs its megaflow by the traced key's flow hash, as the walk
+// does, so the flow's next packet finds it. (TraceFrame once carried its
+// own upcall, which installed by the masked key's hash: most flows
+// upcalled twice.)
+func TestShardedTraceInstallsWhereLookupsProbe(t *testing.T) {
+	sw := aclSwitch(WithShards(8), WithoutEMC())
+	for i := 0; i < 64; i++ {
+		frame := pkt.MustBuild(pkt.Spec{
+			Src:   netip.AddrFrom4([4]byte{10, 0, byte(i), 1}),
+			Dst:   netip.MustParseAddr("172.16.0.2"),
+			Proto: pkt.ProtoTCP, SrcPort: uint16(40000 + i), DstPort: 80,
+		})
+		sw.TraceFrame(1, frame, 1)
+		if d, err := sw.Process(1, 1, frame); err != nil || d.Path == PathSlow {
+			t.Fatalf("flow %d: packet after its trace: %+v, err %v (want a cache hit)", i, d, err)
 		}
 	}
 }

@@ -104,6 +104,35 @@ func TestTelemetryWiring(t *testing.T) {
 	}
 }
 
+// TestTelemetryObservesOneFramePasses: the tier-pass histogram observes
+// every pass of the walk, a burst of one included — a cold one-frame
+// Process consults both tiers and lands one observation in each.
+func TestTelemetryObservesOneFramePasses(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := aclSwitch(WithTelemetry(reg))
+	frame := pkt.MustBuild(pkt.Spec{
+		Src:   netip.MustParseAddr("10.1.2.3"),
+		Dst:   netip.MustParseAddr("172.16.0.2"),
+		Proto: pkt.ProtoTCP, SrcPort: 1234, DstPort: 80,
+	})
+	if d, err := s.Process(1, 1, frame); err != nil || d.Path != PathSlow {
+		t.Fatalf("cold frame: %+v, err %v", d, err)
+	}
+	snap := reg.Snapshot()
+	series := 0
+	for i := range snap.Histograms {
+		if h := &snap.Histograms[i]; h.Name == "dp_tier_lookup_ns" {
+			series++
+			if h.Count != 1 {
+				t.Errorf("dp_tier_lookup_ns%v count = %d, want 1", h.Labels, h.Count)
+			}
+		}
+	}
+	if series != len(s.Tiers()) {
+		t.Errorf("dp_tier_lookup_ns series = %d, want one per tier (%d)", series, len(s.Tiers()))
+	}
+}
+
 // TestTelemetryOffIsUntouched pins the nil-registry contract: an
 // uninstrumented switch must classify identically and register
 // nothing.

@@ -9,9 +9,9 @@ import (
 )
 
 // Tier is one layer of the fast-path cache hierarchy. The switch walks
-// its tiers in order on every packet: the first hit wins and the winning
-// entry is promoted into every earlier tier, so upper tiers behave as
-// cheap front caches for the authoritative megaflow store below them.
+// its tiers in order, a burst at a time: a key's first hit wins and the
+// winning entry is promoted into every earlier tier, so upper tiers behave
+// as cheap front caches for the authoritative megaflow store below them.
 //
 // The cost returned by Lookup is in "megaflow subtables visited" — the
 // paper's per-packet cost metric. Exact-match tiers (EMC, SMC) cost 0;
@@ -70,9 +70,9 @@ type ConcurrentTier interface {
 }
 
 // BatchTier is the vectorized capability of a tier: resolving a whole
-// burst in one call. The switch's batched tier walk prefers it over
-// per-key Lookup; tiers without it are probed key by key by the generic
-// fallback, so custom WithTiers hierarchies keep working unchanged.
+// burst in one call. The switch's tier walk calls it for every pass, a
+// burst of one included; tiers without it are probed key by key through
+// Lookup, so custom WithTiers hierarchies keep working unchanged.
 type BatchTier interface {
 	Tier
 	// LookupBatch consults the tier for every key whose index is set in
@@ -100,11 +100,10 @@ type HashUser interface {
 
 // HashedInstaller is the install-side counterpart of HashUser: a tier
 // whose Install can consume the burst's cached flow hash instead of
-// re-hashing the key. The batched tier walk's promotion and upcall-install
-// paths prefer it whenever the burst's hash pass ran; Install remains the
-// scalar fallback and must have identical effects given hash ==
-// k.Hash(). Declaring it also makes the switch run the batch-entry hash
-// pass.
+// re-hashing the key. The tier walk's promotion and upcall-install paths
+// always take it: declaring it makes the switch run the batch-entry hash
+// pass. Install remains for callers without a hash and must have identical
+// effects given hash == k.Hash().
 type HashedInstaller interface {
 	Tier
 	InstallHashed(k flow.Key, hash uint64, ent *cache.Entry)
@@ -118,8 +117,8 @@ type RunCoalescer interface {
 	Tier
 	// AccountRun bills n additional hits of ent at scan cost cost, as if
 	// Lookup ran n more times at logical time now. Returns false when the
-	// tier cannot coalesce exactly (the switch falls back to scalar
-	// lookups for the run's remainder).
+	// tier cannot coalesce exactly (the switch then walks each of the
+	// run's remaining copies).
 	AccountRun(ent *cache.Entry, n int, cost int, now uint64) bool
 }
 
@@ -158,8 +157,8 @@ type MegaflowInstaller interface {
 // sharded authoritative tier: keyHash is the flow hash of the *key whose
 // upcall synthesised the match* (not of the masked match key), which is
 // what selects the shard that key's future lookups will probe. The
-// switch prefers it over InsertMegaflow whenever present, computing the
-// key hash if the burst's hash pass did not run.
+// switch prefers it over InsertMegaflow whenever present; declaring it
+// makes the burst's hash pass run.
 type HashedMegaflowInstaller interface {
 	MegaflowInstaller
 	InsertMegaflowHashed(match flow.Match, v cache.Verdict, now uint64, keyHash uint64) (*cache.Entry, error)
@@ -179,7 +178,7 @@ type TierStats struct {
 	// Staged-pruning counters of the megaflow sweep (zero unless
 	// cache.MegaflowConfig.StagedPruning is enabled): subtables actually
 	// probed vs rejected for free by the signature/ports prefilters.
-	// Identical whether the tier is driven scalar or batched; the burst
+	// Identical whether the tier is driven key by key or in bursts; the burst
 	// count lives on cache.Megaflow.BurstSweeps.
 	SubtableVisits, SubtablePrunes uint64
 }

@@ -81,6 +81,11 @@ func (s *Switch) TraceFrame(now uint64, frame []byte, inPort uint32) *TraceResul
 		return res
 	}
 	res.Key = k
+	// The frame is a burst of one: the annotated loop below promotes and
+	// upcalls through the walk's own promote and upcall, with the hash pass
+	// they rely on.
+	keys := [1]flow.Key{k}
+	hashes := flow.HashKeys(keys[:], nil)
 
 	scanned := 0
 	for i, t := range s.tiers {
@@ -110,9 +115,7 @@ func (s *Switch) TraceFrame(now uint64, frame []byte, inPort uint32) *TraceResul
 			step.Vd = ent.Verdict
 			res.Steps = append(res.Steps, step)
 			s.tierHits[i]++
-			for _, upper := range s.tiers[:i] {
-				upper.Install(k, ent)
-			}
+			s.promote(keys[:], hashes, 0, ent, i)
 			res.Verdict = ent.Verdict
 			res.Path = t.Path()
 			res.Scanned = scanned
@@ -122,39 +125,22 @@ func (s *Switch) TraceFrame(now uint64, frame []byte, inPort uint32) *TraceResul
 		res.Steps = append(res.Steps, step)
 	}
 
-	up := &TraceUpcall{}
+	d, sp := s.upcall(now, keys[:], hashes, 0, scanned)
+	up := &TraceUpcall{Refused: sp.refused, Installed: sp.installed}
 	res.Upcall = up
-	res.Path = PathSlow
-	res.Scanned = scanned
-	if s.upGuard != nil && !s.upGuard.AdmitUpcall(now, uint32(k.Get(flow.FieldInPort))) {
-		s.counters.UpcallDrops++
-		up.Refused = true
-		res.Verdict = cache.Verdict{Verdict: flowtable.Deny}
-		s.account(res.Verdict)
-		return res
-	}
-	s.counters.Upcalls++
-	cres := s.cls.Lookup(k)
-	v := cache.Verdict{Verdict: flowtable.Deny}
-	if cres.Rule != nil {
-		up.RuleFound = true
-		up.Rule = cres.Rule.String()
-		up.Comment = cres.Rule.Comment
-		v = cres.Rule.Action
-	}
-	up.Megaflow = cres.Megaflow.String()
-	if s.installer != nil {
-		ent, ierr := s.installer.InsertMegaflow(cres.Megaflow, v, now)
-		if ierr != nil {
-			s.counters.InstallErr++
-			up.InstallErr = ierr.Error()
-		} else {
-			up.Installed = true
-			s.promoteHashed(&k, 0, false, ent, s.promoteTo)
+	res.Verdict, res.Path, res.Scanned = d.Verdict, d.Path, d.MasksScanned
+	if !sp.refused {
+		if r := sp.res.Rule; r != nil {
+			up.RuleFound = true
+			up.Rule = r.String()
+			up.Comment = r.Comment
+		}
+		up.Megaflow = sp.res.Megaflow.String()
+		if sp.err != nil {
+			up.InstallErr = sp.err.Error()
 		}
 	}
-	res.Verdict = v
-	s.account(v)
+	s.account(d.Verdict)
 	return res
 }
 

@@ -40,7 +40,6 @@ import (
 // of the contract so sim.MeasureCost can drive wire bursts.
 type Target interface {
 	InstallRule(r flowtable.Rule) *flowtable.Rule
-	ProcessKey(now uint64, k flow.Key) dataplane.Decision
 	ProcessBatch(now uint64, keys []flow.Key, out []dataplane.Decision) []dataplane.Decision
 	ProcessFrames(now uint64, fb *dataplane.FrameBatch, out []dataplane.Decision) []dataplane.Decision
 }
@@ -260,7 +259,7 @@ func Evaluate(atk *attack.Attack, variants []Variant, samples int) ([]Outcome, e
 
 		victim := newChurnVictim()
 
-		warmup(tgt, victim, 1)
+		driveGen(tgt, 1, victim, warmupPkts)
 		before := sim.MeasureCost(tgt, victim, 1, samples)
 
 		// Attacker: inject the ACL at port 66 and run the covert stream
@@ -271,9 +270,7 @@ func Evaluate(atk *attack.Attack, variants []Variant, samples int) ([]Outcome, e
 			tgt.InstallRule(r)
 		}
 		for pass := 0; pass < 2; pass++ {
-			for _, k := range keys {
-				tgt.ProcessKey(2, k)
-			}
+			drive(tgt, 2, keys)
 		}
 
 		// Maintenance window: variants with a revalidator live through
@@ -287,12 +284,8 @@ func Evaluate(atk *attack.Attack, variants []Variant, samples int) ([]Outcome, e
 				rev := revalidator.New(*v.Reval)
 				rev.Attach(rt)
 				for round := 0; round < 8; round++ {
-					for i := 0; i < 256; i++ {
-						tgt.ProcessKey(now, victim.Next())
-					}
-					for _, k := range keys {
-						tgt.ProcessKey(now, k)
-					}
+					driveGen(tgt, now, victim, 256)
+					drive(tgt, now, keys)
 					rev.Tick(now)
 					now++
 				}
@@ -300,7 +293,7 @@ func Evaluate(atk *attack.Attack, variants []Variant, samples int) ([]Outcome, e
 			}
 		}
 
-		warmup(tgt, victim, now)
+		driveGen(tgt, now, victim, warmupPkts)
 		after := sim.MeasureCost(tgt, victim, now, samples)
 
 		o := Outcome{
@@ -319,13 +312,28 @@ func Evaluate(atk *attack.Attack, variants []Variant, samples int) ([]Outcome, e
 	return out, nil
 }
 
-// warmup drives enough victim traffic through the target to reach steady
-// state (caches populated, hit-count orderings settled) before a
-// measurement window opens.
-func warmup(tgt Target, gen traffic.Generator, now uint64) {
-	for i := 0; i < 2048; i++ {
-		tgt.ProcessKey(now, gen.Next())
+// warmupPkts is enough victim traffic to bring a target to steady state
+// (caches populated, hit-count orderings settled) before a measurement
+// window opens.
+const warmupPkts = 2048
+
+// drive runs keys through tgt in NIC-sized bursts of 32.
+func drive(tgt Target, now uint64, keys []flow.Key) {
+	var out []dataplane.Decision
+	for len(keys) > 0 {
+		n := min(32, len(keys))
+		out = tgt.ProcessBatch(now, keys[:n], out)
+		keys = keys[n:]
 	}
+}
+
+// driveGen drives the next n keys of gen through tgt.
+func driveGen(tgt Target, now uint64, gen traffic.Generator, n int) {
+	keys := make([]flow.Key, n)
+	for i := range keys {
+		keys[i] = gen.Next()
+	}
+	drive(tgt, now, keys)
 }
 
 // churnVictim models a realistic service workload at the victim port:

@@ -170,13 +170,13 @@ func TestSortedTSSMissPathStillExposed(t *testing.T) {
 	keys, _ := atk.Keys()
 	for i := range keys {
 		keys[i].Set(flow.FieldInPort, 66)
-		v.ProcessKey(1, keys[i])
 	}
+	drive(v, 1, keys)
 	var cold flow.Key
 	cold.Set(flow.FieldInPort, 1)
 	cold.Set(flow.FieldEthType, flow.EthTypeIPv4)
 	cold.Set(flow.FieldIPSrc, 0xdeadbeef)
-	d := v.ProcessKey(2, cold)
+	d := v.ProcessBatch(2, []flow.Key{cold}, nil)[0]
 	if d.MasksScanned < 450 {
 		t.Errorf("cold miss scanned only %d masks; the miss path should pay the full scan", d.MasksScanned)
 	}

@@ -26,7 +26,6 @@ import (
 // parse stage; ProcessBatch remains the key-level hook for generators
 // that have no wire rendering.
 type Pipeline interface {
-	ProcessKey(now uint64, k flow.Key) dataplane.Decision
 	ProcessBatch(now uint64, keys []flow.Key, out []dataplane.Decision) []dataplane.Decision
 	ProcessFrames(now uint64, fb *dataplane.FrameBatch, out []dataplane.Decision) []dataplane.Decision
 }
