@@ -284,7 +284,8 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 
 // sweep is the one flat scan: miss holds a bit per unresolved key, and each
 // word of 64 keys goes down the scan order on its own — scan proves the
-// misses, walk settles the visits scan leaves open, a hit is credited here.
+// misses, walk settles the visits scan leaves open (find, where scan computed
+// no hash: a single row, a mask of over three words), a hit is credited here.
 // Visits, positions and credits equal the key-by-key scan's; all are sums, so
 // the order of visits shows in none. buf is scan's scratch, on the caller's
 // stack: a shard child's readers sweep together under the read lock.
@@ -303,7 +304,7 @@ func (m *Megaflow) sweep(keys []flow.Key, now uint64, ents []*Entry, costs []int
 			for st := row.st; open != 0; open &= open - 1 {
 				b := bits.TrailingZeros64(open)
 				k, slot := &g.keys[b], 0
-				if row.nw > 3 {
+				if row.single || row.nw > 3 {
 					slot, _ = st.find(k, m.seed)
 				} else {
 					slot = st.walk(k, g.w[b][3])
@@ -338,7 +339,8 @@ func (m *Megaflow) sweep(keys []flow.Key, now uint64, ents []*Entry, costs []int
 
 // gathered is scan's working set: the unresolved keys of one miss-bitmap
 // word (bit b of live stands for keys[b]) and, in w[b], the three words shape
-// selects of keys[b], then the probe hash of a visit scan leaves open.
+// selects of keys[b], then the probe hash of a visit scan hashed and leaves
+// open.
 type gathered struct {
 	w     [][4]uint64
 	keys  []flow.Key
@@ -361,33 +363,49 @@ func (g *gathered) load(shape uint32) {
 // scan walks the scan order from row ri with g's live keys and returns the
 // first row where it cannot prove every one of them a miss, with the bits of
 // those it cannot (none past the last row). A visit calls nothing, so the
-// loop runs on registers. Rows of one shape — all 7 937 masks of the
-// three-field attack — hash from one gather: three ANDs with the row's mask
-// words, the probe hash, and the pair of slots it points to; an empty slot
-// and no equal hash there prove the miss (walk's first step). Masks of over
-// three words are left to find whole.
+// loop runs on registers, and rows of one shape — all 7 937 masks of the
+// three-field attack — read their key words from one gather.
+//
+// A visit is one probe per subtable per unresolved key, and the row says which
+// probe. A single row (one resident, at most three mask words: 7 681 of the
+// attack's 7 937) is the probe: the key's three words under the row's mask
+// words against the resident's, differences OR-ed — it loads the row, the next
+// line in sequence, and nothing of the subtable; equal words are a hit, which
+// sweep confirms through find. Any other row of at most three words takes
+// three ANDs, the probe hash, and the pair of slots it points to in the
+// subtable's first line; an empty slot and no equal hash there prove the miss
+// (walk's first step). Masks of over three words are left to find whole.
 func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 	rows, seed := m.subtables, m.seed
 	for ; ri < len(rows); ri++ {
 		row := &rows[ri]
-		slots := row.st.slots
 		if row.nw > 3 {
 			return ri, g.live
-		}
-		if len(slots) == 0 {
-			continue // never (minSlots); proves the masked indices in range
 		}
 		if row.shape != g.shape {
 			g.load(row.shape)
 		}
 		var open uint64
-		for w := g.live; w != 0; w &= w - 1 {
-			kw := &g.w[bits.TrailingZeros64(w)]
-			h := row.st.probeHash(seed, kw[0]&row.mw[0], kw[1]&row.mw[1], kw[2]&row.mw[2], nil, nil)
-			h0, h1 := slots[h&uint64(len(slots)-1)].hash, slots[(h+1)&uint64(len(slots)-1)].hash
-			if h0 == h || h1 == h || int64(h0&h1) < 0 {
-				kw[3] = h
-				open |= w & -w // the key's bit
+		if row.single {
+			for w := g.live; w != 0; w &= w - 1 {
+				kw := &g.w[bits.TrailingZeros64(w)]
+				if (kw[0]&row.mw[0])^row.ew[0]|(kw[1]&row.mw[1])^row.ew[1]|(kw[2]&row.mw[2])^row.ew[2] == 0 {
+					open |= w & -w // the key's bit
+				}
+			}
+		} else {
+			slots := row.st.slots
+			if len(slots) == 0 {
+				continue // never (minSlots); proves the masked indices in range
+			}
+			for w := g.live; w != 0; w &= w - 1 {
+				kw := &g.w[bits.TrailingZeros64(w)]
+				h := row.st.probeHash(seed, kw[0]&row.mw[0], kw[1]&row.mw[1], kw[2]&row.mw[2], nil, nil)
+				h0, h1 := slots[h&uint64(len(slots)-1)].hash, slots[(h+1)&uint64(len(slots)-1)].hash
+				if h0 == h || h1 == h || int64(h0&h1) < 0 {
+					kw[3] = h
+					open |= w & -w
+				}
 			}
 		}
 		if open != 0 {
@@ -439,6 +457,7 @@ func (m *Megaflow) maybeResort() {
 	for _, row := range m.subtables {
 		row.st.hits = 0 // decay so ordering tracks current traffic
 	}
+	m.renumber(0)
 }
 
 // Insert installs a megaflow produced by the slow path. The match is
@@ -477,6 +496,7 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 			st.staged = newStagedState(match.Mask)
 		}
 		m.byMask[match.Mask] = st
+		st.pos = uint32(len(m.subtables))
 		m.subtables = append(m.subtables, st.row())
 		if m.hooks.Minted != nil {
 			m.hooks.Minted(match)
@@ -512,14 +532,23 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 	}
 	ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now, st: st}
 	st.put(ent, hash)
+	m.syncRow(st)
 	st.addEntry(match.Key)
 	m.nEntries++
 	return ent, nil
 }
 
+// syncRow recompiles st's row in place. A row is a copy of what its subtable
+// holds, so every edit of a subtable's table is followed by this (Insert's
+// put, removeEntry) or by dropEmptySubtables, which rewrites the survivors of
+// a maintenance sweep; all of them run on the write side, which a shard child
+// holds for them already.
+func (m *Megaflow) syncRow(st *mfSubtable) { m.subtables[st.pos] = st.row() }
+
 // removeEntry evicts one resident entry outside a sweep.
 func (m *Megaflow) removeEntry(ent *Entry) {
 	ent.st.del(ent, m.seed)
+	m.syncRow(ent.st)
 	m.retireEntry(ent)
 }
 
@@ -580,27 +609,40 @@ func (m *Megaflow) forgetSubtable(st *mfSubtable) {
 	delete(m.byMask, st.mask)
 }
 
-// dropSubtable retires one subtable: a linear search and shift of the scan
-// order (the vacated tail row zeroed), for callers that empty one subtable.
+// dropSubtable retires one subtable: its row is cut out of the scan order
+// (the vacated tail row zeroed) and the rows shifted down are renumbered, for
+// callers that empty one subtable.
 func (m *Megaflow) dropSubtable(st *mfSubtable) {
 	m.forgetSubtable(st)
-	if i := slices.IndexFunc(m.subtables, func(row scanRow) bool { return row.st == st }); i >= 0 {
-		m.subtables = slices.Delete(m.subtables, i, i+1)
+	i := int(st.pos)
+	m.subtables = slices.Delete(m.subtables, i, i+1)
+	m.renumber(i)
+}
+
+// renumber points the subtables of rows i and later back at their rows,
+// after a removal or a sort moved them.
+func (m *Megaflow) renumber(i int) {
+	for ; i < len(m.subtables); i++ {
+		m.subtables[i].st.pos = uint32(i)
 	}
 }
 
 // dropEmptySubtables retires every subtable a maintenance sweep emptied
 // in one compaction of the scan order, keeping the survivors' relative
 // order: linear in the subtable count however many die together (the
-// attack's masks expire in one revalidator round).
+// attack's masks expire in one revalidator round). A survivor's row is
+// recompiled at its new position: the sweep may have taken it down to one
+// resident.
 func (m *Megaflow) dropEmptySubtables() {
 	kept := m.subtables[:0]
 	for _, row := range m.subtables {
-		if row.st.n == 0 {
-			m.forgetSubtable(row.st)
+		st := row.st
+		if st.n == 0 {
+			m.forgetSubtable(st)
 			continue
 		}
-		kept = append(kept, row)
+		st.pos = uint32(len(kept))
+		kept = append(kept, st.row())
 	}
 	clear(m.subtables[len(kept):])
 	m.subtables = kept

@@ -428,4 +428,5 @@ func (m *Megaflow) maybeRank() {
 	sort.SliceStable(m.subtables, func(i, j int) bool {
 		return m.subtables[i].st.staged.ewma > m.subtables[j].st.staged.ewma
 	})
+	m.renumber(0)
 }

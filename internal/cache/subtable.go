@@ -36,14 +36,17 @@ const minSlots = 2
 // starts a subtable on a line boundary): a staged sweep, which prunes most
 // subtables on their staged state alone, reads one pointer (in the third
 // line it cost the staged attack 17 % of its setup time); a flat sweep, with
-// the mask words in its scanRow, reads the table header and, in a singleton
-// subtable, both slot hashes.
+// the mask words in its scanRow, reads the table header and, in a two-slot
+// table, both slot hashes — and nothing at all of a subtable whose row is
+// single. pos sits in the padding before mask: the struct must stay inside
+// the 192-byte class (TestScanRowLayout).
 type mfSubtable struct {
 	staged *stagedState      // staged-lookup/pruning state; nil unless StagedPruning
 	slots  []mfSlot          // len is a power of two, >= 2*n
 	first  [minSlots]mfSlot  // backing store of slots until the first grow
 	nw     uint8             // number of significant mask words
 	widx   [flow.Words]uint8 // their Key word indices, ascending; zero past nw
+	pos    uint32            // index of the subtable's row in Megaflow.subtables
 	mask   flow.Mask
 	n      int // resident entries
 
@@ -51,24 +54,46 @@ type mfSubtable struct {
 	lastHit uint64 // for LRU mask eviction
 }
 
-// scanRow is one position of a Megaflow's scan order, by value: what the
-// flat sweep needs of the subtable there to hash a key, so that a miss reads
-// one 40-byte row, in sequence, and the subtable's first cache line.
+// scanRow is one position of a Megaflow's scan order, by value and one cache
+// line long: what the flat sweep needs of the subtable there to decide a
+// visit. With single set the row decides it alone — the subtable holds one
+// entry under a mask of at most three words, ew is that entry's (normalised)
+// key under mw, and key&mw == ew is the probe, exactly: three compares, no
+// hash, nothing of the subtable loaded. Otherwise the row carries what the
+// probe hash needs and a miss reads the row and the subtable's first line.
+//
+// A row is a copy, so it follows its subtable: only row builds one, and
+// Megaflow.syncRow rewrites it after every edit of the subtable's table.
 type scanRow struct {
-	mw    [3]uint64 // st.mask[st.widx[j]], j < 3
-	st    *mfSubtable
-	shape uint32 // st.widx[0..2], the key words mw selects, a byte each
-	nw    uint8
+	mw     [3]uint64 // st.mask[st.widx[j]], j < 3
+	ew     [3]uint64 // single: the lone resident's Match.Key[st.widx[j]]; else zero
+	st     *mfSubtable
+	shape  uint32 // st.widx[0..2], the key words mw selects, a byte each
+	nw     uint8
+	single bool // st.n == 1 && st.nw <= 3
 }
 
+// row compiles the subtable's row from its mask and, for single, its one
+// resident. Past nw, widx is zero: mw repeats mask word 0 and ew the entry's
+// key word 0, which the entry's normalisation makes the same compare again
+// (or 0 == 0 under a mask without word 0), so the three compares are exact
+// for one- and two-word masks and the catch-all too.
 func (st *mfSubtable) row() scanRow {
 	w := st.widx
-	return scanRow{
+	r := scanRow{
 		mw:    [3]uint64{st.mask[w[0]], st.mask[w[1]], st.mask[w[2]]},
 		st:    st,
 		shape: uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16,
 		nw:    st.nw,
 	}
+	if st.n == 1 && st.nw <= 3 {
+		for ent := range st.residents {
+			k := &ent.Match.Key
+			r.ew, r.single = [3]uint64{k[w[0]], k[w[1]], k[w[2]]}, true
+			break
+		}
+	}
+	return r
 }
 
 // tableSeed is the secret every Megaflow's probe hash starts from and

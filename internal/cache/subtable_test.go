@@ -255,7 +255,7 @@ func TestSubtableBackwardShiftAcrossWrap(t *testing.T) {
 const (
 	maxMeanProbeLen     = 2.0 // slots examined per resident lookup, mean
 	maxProbeLen         = 64  // ... and worst resident, up to 8192 entries
-	maxSingletonBytes   = 512 // heap per one-entry subtable, entry included
+	maxSingletonBytes   = 544 // heap per one-entry subtable, entry and 64-byte row included
 	singletonSampleSize = 4096
 )
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"policyinject/internal/burst"
 	"policyinject/internal/flow"
@@ -33,10 +34,13 @@ func randomKey(rng *rand.Rand) flow.Key {
 	return k
 }
 
-// checkScanRows demands that row i of the scan order describes subtable i:
-// its mask words, shape and word count recomputed from the mask alone, and
-// its pointer the one the mask index holds; and that nothing past the end
-// of the scan order still references a subtable.
+// checkScanRows demands that row i of the scan order describes subtable i as
+// it is now: its mask words, shape and word count recomputed from the mask
+// alone, its pointer the one the mask index holds and pointing back (pos ==
+// i), and single/ew recomputed from the residents the table holds — a row
+// that missed a sync after an insert, a removal or a maintenance sweep fails
+// here; and that nothing past the end of the scan order still references a
+// subtable.
 func checkScanRows(t *testing.T, m *Megaflow) {
 	t.Helper()
 	if len(m.byMask) != len(m.subtables) {
@@ -46,6 +50,9 @@ func checkScanRows(t *testing.T, m *Megaflow) {
 		st := row.st
 		if st == nil || m.byMask[st.mask] != st {
 			t.Fatalf("row %d: subtable %p is not the one indexed under its mask", i, st)
+		}
+		if int(st.pos) != i {
+			t.Fatalf("row %d: its subtable says it sits at %d", i, st.pos)
 		}
 		var widx [3]uint32
 		nw := 0
@@ -64,8 +71,19 @@ func checkScanRows(t *testing.T, m *Megaflow) {
 			shape: widx[0] | widx[1]<<8 | widx[2]<<16,
 			nw:    uint8(nw),
 		}
+		var resident []*Entry
+		for ent := range st.residents {
+			resident = append(resident, ent)
+		}
+		if len(resident) != st.n {
+			t.Fatalf("row %d: %d residents in the table, n = %d", i, len(resident), st.n)
+		}
+		if len(resident) == 1 && nw <= 3 {
+			k := resident[0].Match.Key
+			want.ew, want.single = [3]uint64{k[widx[0]], k[widx[1]], k[widx[2]]}, true
+		}
 		if row != want {
-			t.Fatalf("row %d = %+v, subtable's mask %v compiles to %+v", i, row, st.mask, want)
+			t.Fatalf("row %d = %+v, subtable's mask %v and %d residents compile to %+v", i, row, st.mask, len(resident), want)
 		}
 	}
 	for i, row := range m.subtables[len(m.subtables):cap(m.subtables)] {
@@ -232,6 +250,116 @@ func TestRemoveUnpinsSubtable(t *testing.T) {
 	}
 	if m.NumMasks() != 1 {
 		t.Fatalf("%d masks left, want 1", m.NumMasks())
+	}
+}
+
+// TestScanRowLayout pins the two sizes the sweep's loads rest on: a row is
+// one cache line, and a subtable fits the 192-byte size class that starts it
+// on a line boundary (pos and the row's ew must not push it out).
+func TestScanRowLayout(t *testing.T) {
+	if got := unsafe.Sizeof(scanRow{}); got != 64 {
+		t.Errorf("scanRow is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(mfSubtable{}); got > 192 {
+		t.Errorf("mfSubtable is %d bytes, over the 192-byte size class", got)
+	}
+}
+
+// TestSingleRowFollowsTable takes one mask through every edit of its table
+// that changes what its row may claim — one resident, two (the table grows),
+// one again on the grown table by Remove and by a maintenance sweep, a
+// replaced verdict, and each maintenance pass emptying the mask before it is
+// minted again — behind two bystander masks, flat and as a shard child. After
+// each step it states which of the keys A and B must hit, at the mask's depth,
+// and holds rows and sweep to the invariant and the probe reference: a row
+// left single after the second insert would miss B, one left multi after a
+// removal would still be right but slow, and checkScanRows rejects both.
+func TestSingleRowFollowsTable(t *testing.T) {
+	const far = 1 << 40 // the bystanders' clock: never idle, never the stalest
+	var mask flow.Mask
+	mask.SetExact(flow.FieldInPort)
+	mask.SetPrefix(flow.FieldIPSrc, 24)
+	mask.SetPrefix(flow.FieldTPDst, 8)
+	a, b := flow.Match{Mask: mask}, flow.Match{Mask: mask}
+	for _, mk := range []*flow.Match{&a, &b} {
+		mk.Key.Set(flow.FieldInPort, 66)
+		mk.Key.Set(flow.FieldIPSrc, 0x0a000100)
+		mk.Key.Set(flow.FieldTPDst, 0x1200)
+	}
+	b.Key.Set(flow.FieldIPSrc, 0x0a000200)
+	for _, shared := range []bool{false, true} {
+		m := NewMegaflow(MegaflowConfig{FlowLimit: -1})
+		m.shared = shared
+		for _, plen := range []int{8, 16} {
+			if _, err := m.Insert(prefixMatch(0xc0000000, plen), allow, far); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := uint64(10)
+		insert := func(match flow.Match, v Verdict) func() {
+			return func() {
+				if _, err := m.Insert(match, v, now); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ours := func(ent *Entry) bool { return ent.Match.Mask == mask }
+		steps := []struct {
+			name       string
+			do         func()
+			hitA, hitB bool
+		}{
+			{"insert A", insert(a, allow), true, false},
+			{"insert B: two residents, table grown", insert(b, allow), true, true},
+			{"remove A: one resident on the grown table", func() { m.Remove(a) }, false, true},
+			{"insert A again", insert(a, allow), true, true},
+			{"EvictIdle takes A, B was hit later", func() {
+				if ent, _, ok := m.Lookup(b.Key, now+5); !ok || ent.Match != b {
+					t.Fatalf("B not resident")
+				}
+				if n := m.EvictIdle(now + 5); n != 1 {
+					t.Fatalf("EvictIdle evicted %d, want 1", n)
+				}
+			}, false, true},
+			{"replace B's verdict", insert(b, deny), false, true},
+			{"EvictIdle empties the mask", func() { m.EvictIdle(far) }, false, false},
+			{"mint the mask again with A", insert(a, allow), true, false},
+			{"Revalidate empties the mask", func() {
+				m.Revalidate(func(ent *Entry) (Verdict, bool) { return ent.Verdict, !ours(ent) })
+			}, false, false},
+			{"mint the mask again with B", insert(b, allow), false, true},
+			{"TrimToLimit empties the mask", func() {
+				m.SetFlowLimit(2)
+				m.TrimToLimit()
+				m.SetFlowLimit(-1)
+			}, false, false},
+			{"mint the mask again with A and B", func() { insert(a, allow)(); insert(b, allow)() }, true, true},
+			{"Revalidate takes B", func() {
+				m.Revalidate(func(ent *Entry) (Verdict, bool) { return ent.Verdict, ent.Match != b })
+			}, true, false},
+		}
+		for _, step := range steps {
+			now += 10
+			step.do()
+			checkScanRows(t, m)
+			depth := 2 // the bystanders, then the mask while it has a resident
+			if step.hitA || step.hitB {
+				depth = 3
+			}
+			if m.NumMasks() != depth {
+				t.Fatalf("shared %v, %s: %d masks, want %d", shared, step.name, m.NumMasks(), depth)
+			}
+			keys := []flow.Key{a.Key, b.Key, a.Key, b.Key}
+			keys[2].Set(flow.FieldTPDst, 0x12ff) // inside A's prefix
+			keys[3].Set(flow.FieldTPDst, 0x1300) // outside B's
+			for i, wantHit := range []bool{step.hitA, step.hitB, step.hitA, false} {
+				ent, cost, ok := m.Lookup(keys[i], now)
+				if ok != wantHit || cost != depth || ok && !ent.Match.Matches(keys[i]) {
+					t.Fatalf("shared %v, %s: key %d hit %v at cost %d (%v), want hit %v at cost %d", shared, step.name, i, ok, cost, ent, wantHit, depth)
+				}
+			}
+			checkBatchAgainstProbes(t, m, keys, func(int) bool { return true }, now+1)
+		}
 	}
 }
 

