@@ -727,10 +727,10 @@ func BenchmarkFramePath(b *testing.B) {
 // The "visits/burst" metric is the subtables physically probed per burst
 // (scan positions for flat, stage hashes + full probes for pruned); the
 // acceptance bar is >= 4x fewer under pruning on the attack mix, and the
-// attack curve in `figures -fig 3` bending flat. Coalesced same-flow
-// runs bill MasksScanned logically without probing (AccountRun), so the
-// flat leg subtracts RunBilledScans to stay physical and comparable to
-// the pruned leg's SubtableVisits.
+// attack curve of the `fig3` pack's `pruned` variant bending flat.
+// Coalesced same-flow runs bill MasksScanned logically without probing
+// (AccountRun), so the flat leg subtracts RunBilledScans to stay physical
+// and comparable to the pruned leg's SubtableVisits.
 func BenchmarkSubtablePruning(b *testing.B) {
 	type workload struct {
 		name  string

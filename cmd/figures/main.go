@@ -1,20 +1,16 @@
-// Command figures regenerates every table and figure of the paper's
-// evaluation from the Go reproduction:
+// Command figures regenerates the tables of the paper's evaluation that
+// drive the dataplane directly:
 //
 //	figures -fig 2b          paper Fig. 2b: megaflow table for the simple ACL
 //	figures -fig masks       §2 mask-count table: 8 / 512 / 8192
 //	figures -fig sweep       §1-§2 degradation claims: cost vs mask count
-//	figures -fig 3           paper Fig. 3: victim throughput + megaflows over time
-//	figures -fig flowlimit   revalidator flow-limit collapse under the 8192-mask attack
-//	figures -fig guard       overload guards: kill-switch, admission breaker, mask quota
-//	figures -fig mitigation  demo discussion: mitigation comparison
 //	figures -fig all         everything above
 //
 // Output is plain text tables plus optional CSV/gnuplot blocks (-csv).
 //
-// The timeline and matrix figures (3, flowlimit, guard, mitigation) execute the
-// corresponding embedded scenario packs (see scenarios/ and cmd/scenario);
-// the remaining figures drive the dataplane directly.
+// The timeline and matrix figures are scenario packs: `scenario run
+// scenarios/fig3.yaml` (Fig. 3), flowlimit.yaml, guard-killswitch.yaml and
+// mitigation-matrix.yaml print them as human, CSV or JSON reports.
 package main
 
 import (
@@ -29,18 +25,12 @@ import (
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
 	"policyinject/internal/metrics"
-	"policyinject/internal/mitigation"
-	"policyinject/internal/scenario"
 	"policyinject/internal/sim"
-	"policyinject/scenarios"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2b, masks, sweep, 3, flowlimit, guard, mitigation, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 2b, masks, sweep, all")
 	csv := flag.Bool("csv", false, "also print CSV/gnuplot data blocks")
-	duration := flag.Int("duration", 150, "fig 3: timeline length in seconds")
-	attackStart := flag.Int("attack-start", 60, "fig 3: covert stream start second")
-	quick := flag.Bool("quick", false, "fig 3: shrink to a 30s timeline with the 512-mask attack")
 	flag.Parse()
 
 	ok := false
@@ -57,10 +47,6 @@ func main() {
 	run("2b", fig2b)
 	run("masks", figMasks)
 	run("sweep", figSweep)
-	run("3", func(csv bool) error { return fig3(csv, *duration, *attackStart, *quick) })
-	run("flowlimit", func(csv bool) error { return figFlowLimit(csv, *quick) })
-	run("guard", figGuard)
-	run("mitigation", figMitigation)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", *fig)
 		os.Exit(2)
@@ -168,228 +154,5 @@ func figSweep(csv bool) error {
 			fmt.Printf("%d,%d,%.0f,%.4f\n", p.Masks, p.CostPerPkt.Nanoseconds(), p.PPS, p.RelativePeak)
 		}
 	}
-	return nil
-}
-
-// loadPack pulls a pack from the embedded starter corpus.
-func loadPack(file string) (*scenario.Pack, error) {
-	p, err := scenario.LoadFS(scenarios.FS, file)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// runByName indexes a pack result's variant runs.
-func runByName(res *scenario.Result, name string) (*scenario.VariantRun, error) {
-	for _, r := range res.Runs {
-		if r.Variant == name {
-			return r, nil
-		}
-	}
-	return nil, fmt.Errorf("pack %s has no variant %q", res.Pack, name)
-}
-
-// fig3Summary renders a timeline run in the legacy Fig3Result shape.
-func fig3Summary(r *scenario.VariantRun) string {
-	s := r.Summary
-	return fmt.Sprintf("victim %.3f -> %.3f Gbps (%.0f%% degradation), peak %d megaflow masks",
-		s["mean_before"], s["mean_after"], s["degradation"]*100, int(s["peak_masks"]))
-}
-
-// renamed returns a copy of a timeline series under a variant-qualified
-// name, so the CSV blocks stay distinguishable to consumers.
-func renamed(r *scenario.VariantRun, series, suffix string) *metrics.Series {
-	s := *r.Timeline.Series(series)
-	s.Name += suffix
-	return &s
-}
-
-// fig3 runs the fig3 scenario pack (fig3-quick under -quick): the same
-// vanilla / smc / staged-pruning triple the hand-wired timeline used to
-// build, now declared in scenarios/fig3.yaml. The smc variant is the
-// post-paper counterpoint (the huge signature-match cache keeps warm
-// victim flows off the exploded mask scan); the pruned variant shows the
-// OVS countermeasure pair rejecting the covert ladder without hash
-// probes while the mask count still explodes.
-func fig3(csv bool, duration, attackStart int, quick bool) error {
-	header("Fig. 3 — OVS degradation in Kubernetes (victim throughput & megaflows)")
-	file := "fig3.yaml"
-	opt := scenario.RunOptions{Duration: duration, AttackStart: attackStart}
-	if quick {
-		file, opt = "fig3-quick.yaml", scenario.RunOptions{}
-	}
-	pack, err := loadPack(file)
-	if err != nil {
-		return err
-	}
-	res, err := scenario.Run(pack, opt)
-	if err != nil {
-		return err
-	}
-	vanilla, err := runByName(res, "vanilla")
-	if err != nil {
-		return err
-	}
-	smc, err := runByName(res, "smc")
-	if err != nil {
-		return err
-	}
-	pruned, err := runByName(res, "pruned")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("vanilla: %s\n", fig3Summary(vanilla))
-	fmt.Printf("smc:     %s\n", fig3Summary(smc))
-	fmt.Printf("pruned:  %s\n", fig3Summary(pruned))
-	thr := vanilla.Timeline.Series("victim_gbps")
-	masks := vanilla.Timeline.Series("mf_masks")
-	entries := vanilla.Timeline.Series("mf_entries")
-	out := &metrics.Table{Header: []string{"t[s]", "victim_gbps", "victim_gbps(smc)", "victim_gbps(pruned)", "masks", "megaflows"}}
-	for i := 0; i < thr.Len(); i += 5 {
-		out.AddRow(thr.T[i], thr.V[i], smc.Timeline.Series("victim_gbps").V[i],
-			pruned.Timeline.Series("victim_gbps").V[i], masks.V[i], entries.V[i])
-	}
-	fmt.Print(out.String())
-	if csv {
-		fmt.Println(metrics.CSV(thr, masks, entries))
-		fmt.Println(metrics.CSV(renamed(smc, "victim_gbps", "_smc"),
-			renamed(smc, "mf_masks", "_smc"), renamed(smc, "mf_entries", "_smc")))
-		fmt.Println(metrics.CSV(renamed(pruned, "victim_gbps", "_pruned"),
-			renamed(pruned, "mf_masks", "_pruned"), renamed(pruned, "mf_entries", "_pruned")))
-	}
-	return nil
-}
-
-// figFlowLimit plots the revalidator's flow-limit-vs-time curve under the
-// 8192-mask attack, adaptive heuristic against the fixed-limit control:
-// the limit collapses from the 200k ceiling to the 2k floor within a few
-// dump rounds of the covert stream landing, while the control holds flat
-// (and keeps every attacker flow resident).
-func figFlowLimit(csv bool, quick bool) error {
-	file := "flowlimit.yaml"
-	masks := 8192
-	if quick {
-		// The quick pack runs the smaller attack against a harder-overrunning
-		// dump, with a floor below the 512-flow residency, so the collapse
-		// reaches the floor and the staleness trim engages within the short
-		// timeline.
-		file, masks = "flowlimit-quick.yaml", 512
-	}
-	header(fmt.Sprintf("Flow-limit collapse — revalidator backoff under the %d-mask attack", masks))
-	pack, err := loadPack(file)
-	if err != nil {
-		return err
-	}
-	res, err := scenario.Run(pack, scenario.RunOptions{})
-	if err != nil {
-		return err
-	}
-	adaptive, err := runByName(res, "adaptive")
-	if err != nil {
-		return err
-	}
-	fixed, err := runByName(res, "fixed")
-	if err != nil {
-		return err
-	}
-	sum := func(r *scenario.VariantRun) string {
-		s := r.Summary
-		return fmt.Sprintf("flow limit %d -> %d (%d overrun dumps, %d flows trimmed by limit cuts)",
-			int(s["flow_limit_initial"]), int(s["flow_limit_final"]), int(s["overruns"]), int(s["limit_evicted"]))
-	}
-	fmt.Printf("adaptive: %s\n", sum(adaptive))
-	fmt.Printf("fixed:    %s\n", sum(fixed))
-	limA, limF := adaptive.Timeline.Series("flow_limit"), fixed.Timeline.Series("flow_limit")
-	out := &metrics.Table{Header: []string{
-		"t", "flow_limit", "flow_limit(fixed)", "flows", "dump_units", "trimmed", "masks", "victim_gbps"}}
-	for i := 0; i < limA.Len(); i += 5 {
-		out.AddRow(limA.T[i], limA.V[i], limF.V[i],
-			adaptive.Timeline.Series("flows_dumped").V[i],
-			adaptive.Timeline.Series("dump_units").V[i],
-			adaptive.Timeline.Series("evicted_limit").V[i],
-			adaptive.Timeline.Series("mf_masks").V[i],
-			adaptive.Timeline.Series("victim_gbps").V[i])
-	}
-	fmt.Print(out.String())
-	fmt.Println("OVS heuristic: dump overruns 2x its interval -> limit cut by the overrun factor; healthy dumps regrow by 1000")
-	if csv {
-		fmt.Println(adaptive.Timeline.CSV())
-		fmt.Println(metrics.CSV(renamed(fixed, "flow_limit", "_fixed")))
-	}
-	return nil
-}
-
-// figGuard runs the guard-killswitch pack: each overload guard alone
-// against the 8192-mask attack, with the attack window closing at tick
-// 80 so every variant also shows its recovery story. The table tracks
-// the mask count per variant plus the kill-switch engagement gauge.
-func figGuard(csv bool) error {
-	header("Overload guards — kill-switch, admission breaker, mask quota vs the 8192-mask attack")
-	pack, err := loadPack("guard-killswitch.yaml")
-	if err != nil {
-		return err
-	}
-	res, err := scenario.Run(pack, scenario.RunOptions{})
-	if err != nil {
-		return err
-	}
-	unguarded, err := runByName(res, "unguarded")
-	if err != nil {
-		return err
-	}
-	kill, err := runByName(res, "killswitch")
-	if err != nil {
-		return err
-	}
-	breaker, err := runByName(res, "breaker")
-	if err != nil {
-		return err
-	}
-	quota, err := runByName(res, "quota")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("unguarded:  peak %d masks, flow limit ground to %d\n",
-		int(unguarded.Summary["peak_masks"]), int(unguarded.Summary["flow_limit_final"]))
-	fmt.Printf("killswitch: %d trip(s), recovered in %d revalidator ticks, %d entries resident at end\n",
-		int(kill.Summary["killswitch_trips"]), int(kill.Summary["killswitch_recovery_ticks"]),
-		int(kill.Summary["final_entries"]))
-	fmt.Printf("breaker:    %d trip(s), %d upcalls shed, peak %d masks, flow limit held at %d\n",
-		int(breaker.Summary["breaker_trips"]), int(breaker.Summary["upcalls_dropped"]),
-		int(breaker.Summary["peak_masks"]), int(breaker.Summary["flow_limit_final"]))
-	fmt.Printf("quota:      %d mask mints rejected, attacker capped at peak %d masks\n",
-		int(quota.Summary["quota_rejects"]), int(quota.Summary["peak_masks"]))
-	base := unguarded.Timeline.Series("mf_masks")
-	out := &metrics.Table{Header: []string{
-		"t", "masks", "masks(kill)", "engaged", "masks(breaker)", "masks(quota)"}}
-	for i := 0; i < base.Len(); i += 5 {
-		out.AddRow(base.T[i], base.V[i],
-			kill.Timeline.Series("mf_masks").V[i],
-			kill.Timeline.Series("killswitch_engaged").V[i],
-			breaker.Timeline.Series("mf_masks").V[i],
-			quota.Timeline.Series("mf_masks").V[i])
-	}
-	fmt.Print(out.String())
-	fmt.Println("attack window closes at t=80; the kill-switch variant's mass-expiry and regrow is the recovery metric")
-	if csv {
-		fmt.Println(metrics.CSV(base, renamed(kill, "mf_masks", "_kill"),
-			renamed(kill, "killswitch_engaged", "_kill"),
-			renamed(breaker, "mf_masks", "_breaker"), renamed(quota, "mf_masks", "_quota")))
-	}
-	return nil
-}
-
-func figMitigation(bool) error {
-	header("Mitigation comparison under the 512-mask attack (demo discussion)")
-	pack, err := loadPack("mitigation-matrix.yaml")
-	if err != nil {
-		return err
-	}
-	res, err := scenario.Run(pack, scenario.RunOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Print(mitigation.Table(res.Runs[0].Outcomes).String())
 	return nil
 }

@@ -1,7 +1,6 @@
 package mitigation
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
@@ -10,37 +9,17 @@ import (
 	"policyinject/internal/flowtable"
 )
 
-// evaluate runs the attack against variants five times, on freshly built
-// targets each time, and returns for every variant the run whose slowdown is
-// the median. A slowdown is the ratio of two timings taken milliseconds
-// apart, so the host's speed cancels — unless it changes between the two, and
-// a shared box changes speed abruptly (x1.8 for seconds at a time, measured):
-// the run that straddles the change reads half or twice the true ratio. Such
-// runs are the few, and the median drops them (with three runs it still
-// failed 2 of 10 twenty-fold repeats beside other tests, with five 0 of 16);
-// the bars the tests hold the ratios to stay where they were.
+// evaluate runs the 512-mask attack against variants over 256-packet samples.
 func evaluate(t *testing.T, variants []Variant) []Outcome {
 	t.Helper()
-	const runs = 5
-	byVariant := make([][]Outcome, len(variants))
-	for r := 0; r < runs; r++ {
-		out, err := Evaluate(attack.TwoField(), variants, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != len(variants) {
-			t.Fatalf("outcomes = %d", len(out))
-		}
-		for i, o := range out {
-			byVariant[i] = append(byVariant[i], o)
-		}
+	out, err := Evaluate(attack.TwoField(), variants, 256)
+	if err != nil {
+		t.Fatal(err)
 	}
-	median := make([]Outcome, len(variants))
-	for i, o := range byVariant {
-		sort.Slice(o, func(a, b int) bool { return o[a].Slowdown < o[b].Slowdown })
-		median[i] = o[runs/2]
+	if len(out) != len(variants) {
+		t.Fatalf("outcomes = %d", len(out))
 	}
-	return median
+	return out
 }
 
 // TestVanillaIsVulnerable: the stock configuration slows down massively.
@@ -223,5 +202,17 @@ func TestStagedPruningRestoresVictim(t *testing.T) {
 	}
 	if !strings.Contains(Table(out).String(), "avg_scan") {
 		t.Error("table lost the avg_scan column")
+	}
+}
+
+// TestStagedPruningScanRepeats: the staged tier re-ranks its scan order
+// every RankEvery lookups, and a measurement window that opens on the wrong
+// side of a re-rank reads the attack-time order. Two back-to-back evaluations
+// must report the same scan depth.
+func TestStagedPruningScanRepeats(t *testing.T) {
+	a := evaluate(t, []Variant{StagedPruning()})[0].AvgScan
+	b := evaluate(t, []Variant{StagedPruning()})[0].AvgScan
+	if lo, hi := min(a, b), max(a, b); hi > lo*1.1 {
+		t.Errorf("avg scan %.2f then %.2f: two evaluations differ by more than 10%%", a, b)
 	}
 }

@@ -4,8 +4,7 @@
 // expected-metric assertions; the runner compiles a pack onto the
 // existing sim/traffic/attack/mitigation machinery and executes it
 // deterministically; pluggable reporters (human table, JSON, CSV) render
-// a common Result. cmd/scenario is the CLI; cmd/figures runs its
-// fig3/flowlimit/mitigation presets through the same path.
+// a common Result. cmd/scenario is the CLI.
 //
 // The split — runners vs reporters vs output formats, packs as data — is
 // modelled on elastic-package's benchrunner (see ROADMAP item 2).

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,6 +13,26 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
+
+// checkGolden holds got to testdata/golden/<pack file's stem><ext>; -update
+// rewrites the file instead.
+func checkGolden(t *testing.T, packFile, ext string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", "golden", strings.TrimSuffix(packFile, filepath.Ext(packFile))+ext)
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%s: %v (regenerate with go test -run Golden -update)", golden, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: diverges from %s\n--- got ---\n%s--- want ---\n%s", packFile, golden, got, want)
+	}
+}
 
 // TestCorpusGolden loads every starter pack from the embedded corpus and
 // pins its bound shape (Describe) against a golden file. -update rewrites.
@@ -28,21 +49,7 @@ func TestCorpusGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load %s: %v", f, err)
 		}
-		got := p.Describe()
-		golden := filepath.Join("testdata", "golden", strings.TrimSuffix(f, filepath.Ext(f))+".golden")
-		if *update {
-			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("%s: %v (regenerate with go test -run Golden -update)", golden, err)
-		}
-		if got != string(want) {
-			t.Errorf("%s: bound pack diverges from golden file\n--- got ---\n%s--- want ---\n%s", f, got, want)
-		}
+		checkGolden(t, f, ".golden", []byte(p.Describe()))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"policyinject/internal/acl"
+	"policyinject/internal/attack"
 	"policyinject/internal/cache"
 	"policyinject/internal/chaos"
 	"policyinject/internal/cms"
@@ -91,11 +92,10 @@ func (c Check) String() string {
 }
 
 // RunOptions override pack knobs at run time (the cmd-line flags of
-// cmd/scenario and cmd/figures). Zero values defer to the pack.
+// cmd/scenario). Zero values defer to the pack.
 type RunOptions struct {
 	Seed        uint64 // 0: pack seed
 	Duration    int    // 0: pack duration
-	AttackStart int    // 0: pack attack start
 	Measure     string // "": pack measure mode
 	CostSamples int    // 0: pack cost_samples
 
@@ -223,8 +223,9 @@ func buildRevalidator(r *RevalSpec, overload revalidator.OverloadController) *re
 	})
 }
 
-// defaultVictimPolicy is the whitelist the hand-wired timelines install:
-// allow the client's /24 to the iperf port, deny the rest.
+// defaultVictimPolicy is the whitelist a pack without victim.policy gets:
+// allow the client's /24 to the iperf port, deny the rest — the ordinary
+// microsegmentation the paper's intro motivates.
 func defaultVictimPolicy(client netip.Addr) *PolicySpec {
 	return &PolicySpec{Entries: []EntrySpec{{
 		Src:     netip.PrefixFrom(client, 24).Masked(),
@@ -315,8 +316,8 @@ func (p *pcapReplay) NextFrame() ([]byte, uint32) {
 // shape (one hypervisor node, victim pod + optional attacker pod +
 // declared tenant pods), the declared traffic, and the attack schedule.
 // Each tick runs churn -> inject -> covert burst -> background streams ->
-// victim drive -> revalidator round -> gauge recording; the post-round
-// recording matches the legacy RunFlowLimit loop exactly.
+// victim drive -> revalidator round -> gauge recording, so a tick's gauges
+// show the cache as the round left it.
 func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	duration := p.Duration
 	if opt.Duration > 0 {
@@ -336,11 +337,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	}
 	attackStart, attackStop := 0, 0
 	if p.Attack != nil {
-		attackStart = p.Attack.Start
-		if opt.AttackStart > 0 {
-			attackStart = opt.AttackStart
-		}
-		attackStop = p.Attack.Stop
+		attackStart, attackStop = p.Attack.Start, p.Attack.Stop
 	}
 
 	if statefulPolicies(p) && !p.Datapath.Conntrack {
@@ -421,12 +418,10 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 		return nil, err
 	}
 
-	// Tenant pods after the victim and attacker, so the victim keeps the
-	// legacy IP/port allocation and the differential packs reproduce the
-	// hand-wired numbers.
+	// Tenant pods after the victim and attacker: the cluster allocates IPs
+	// and ports in deployment order, and the run goldens pin the victim's.
 	for _, t := range p.Tenants {
-		pod, err := cluster.DeployPod(t.Name, t.Pod, "server-1")
-		if err != nil {
+		if _, err := cluster.DeployPod(t.Name, t.Pod, "server-1"); err != nil {
 			return nil, err
 		}
 		if t.Policy != nil {
@@ -434,7 +429,6 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 				return nil, err
 			}
 		}
-		_ = pod
 	}
 
 	podFor := func(name string) (*cms.Pod, error) {
@@ -489,11 +483,12 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	// Covert stream: the attack's wire frames replayed at the attacker
 	// pod's port, paced to cycle the full sequence every Cycle ticks.
 	var (
+		atk    *attack.Attack
 		replay *traffic.FrameReplayer
 		pacer  traffic.Pacer
 	)
 	if p.Attack != nil {
-		atk, err := p.Attack.Build()
+		atk, err = p.Attack.Build()
 		if err != nil {
 			return nil, err
 		}
@@ -569,12 +564,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 				return nil, err
 			}
 		}
-		if p.Attack != nil && !injected && t >= attackStart {
-			atk, err := p.Attack.Build()
-			if err != nil {
-				return nil, err
-			}
-			atk.DstIP = attackerPod.IP
+		if atk != nil && !injected && t >= attackStart {
 			theACL, err := atk.BuildACL()
 			if err != nil {
 				return nil, err
@@ -720,8 +710,8 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	return run, nil
 }
 
-// meanWindows computes the pre/post-attack throughput means with the
-// legacy fig-3 windows: before = [start/2, start), after = [start+10, end).
+// meanWindows computes the pre/post-attack throughput means over the
+// fig-3 windows: before = [start/2, start), after = [start+10, end).
 // Without an attack both windows cover the whole run.
 func meanWindows(s *metrics.Series, attacked bool, start, duration int) (before, after float64) {
 	if !attacked {

@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"policyinject/internal/attack"
-	"policyinject/internal/metrics"
 	"policyinject/internal/mitigation"
 	"policyinject/internal/scenario"
-	"policyinject/internal/sim"
 	"policyinject/scenarios"
 )
 
@@ -83,90 +81,6 @@ func TestChaosPackDeterminism(t *testing.T) {
 	}
 }
 
-// sameSeries asserts two recorded series are identical, tick for tick.
-func sameSeries(t *testing.T, label string, got, want *metrics.Series) {
-	t.Helper()
-	if got == nil || want == nil {
-		t.Fatalf("%s: missing series (got %v, want %v)", label, got, want)
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: %d samples, want %d", label, got.Len(), want.Len())
-	}
-	for i := range got.V {
-		if got.T[i] != want.T[i] || got.V[i] != want.V[i] {
-			t.Fatalf("%s[%d]: got (%g, %g), want (%g, %g)", label, i, got.T[i], got.V[i], want.T[i], want.V[i])
-		}
-	}
-}
-
-// TestFig3PackMatchesLegacy proves the fig3-quick pack reproduces the
-// hand-wired sim.RunFig3 timeline exactly on the structural series (the
-// wall-clock Gbps series is inherently nondeterministic and not compared).
-func TestFig3PackMatchesLegacy(t *testing.T) {
-	p := loadEmbedded(t, "fig3-quick.yaml")
-	res, err := scenario.Run(p, scenario.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.Fig3Config{Duration: 30, AttackStart: 10, Attack: attack.TwoField(), FrameLen: 128}
-	legacy, err := sim.RunFig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vanilla := findRun(t, res, "vanilla")
-	sameSeries(t, "vanilla mf_masks", vanilla.Timeline.Series("mf_masks"), legacy.Masks)
-	sameSeries(t, "vanilla mf_entries", vanilla.Timeline.Series("mf_entries"), legacy.Megaflows)
-	if vanilla.Summary["peak_masks"] != legacy.PeakMasks {
-		t.Errorf("peak_masks %g, legacy %g", vanilla.Summary["peak_masks"], legacy.PeakMasks)
-	}
-
-	smcCfg := cfg
-	smcCfg.SMC = true
-	smcLegacy, err := sim.RunFig3(smcCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smc := findRun(t, res, "smc")
-	sameSeries(t, "smc mf_masks", smc.Timeline.Series("mf_masks"), smcLegacy.Masks)
-	sameSeries(t, "smc mf_entries", smc.Timeline.Series("mf_entries"), smcLegacy.Megaflows)
-}
-
-// TestFlowLimitPackMatchesLegacy proves the flowlimit-quick pack
-// reproduces the hand-wired sim.RunFlowLimit timeline exactly: every
-// revalidator gauge and cache series, both variants.
-func TestFlowLimitPackMatchesLegacy(t *testing.T) {
-	p := loadEmbedded(t, "flowlimit-quick.yaml")
-	res, err := scenario.Run(p, scenario.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.FlowLimitConfig{Duration: 48, AttackStart: 8, Attack: attack.TwoField(),
-		Interval: 4, DumpRate: 16, MinFlowLimit: 256, FrameLen: 128}
-	structural := []string{"flow_limit", "dump_units", "flows_dumped", "evicted_idle", "evicted_limit", "mf_entries", "mf_masks"}
-
-	for _, tc := range []struct {
-		variant string
-		fixed   bool
-	}{{"adaptive", false}, {"fixed", true}} {
-		legacyCfg := cfg
-		legacyCfg.FixedLimit = tc.fixed
-		legacy, err := sim.RunFlowLimit(legacyCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := findRun(t, res, tc.variant)
-		for _, name := range structural {
-			sameSeries(t, tc.variant+" "+name, run.Timeline.Series(name), legacy.Timeline.Series(name))
-		}
-		if int(run.Summary["flow_limit_initial"]) != legacy.InitialLimit ||
-			int(run.Summary["flow_limit_final"]) != legacy.FinalLimit ||
-			uint64(run.Summary["overruns"]) != legacy.Overruns ||
-			uint64(run.Summary["limit_evicted"]) != legacy.LimitEvicted {
-			t.Errorf("%s summary %v diverges from legacy %+v", tc.variant, run.Summary, legacy)
-		}
-	}
-}
-
 // TestMitigationPackMatchesLegacy proves the matrix pack reproduces the
 // hand-wired mitigation.Evaluate row set on the structural columns.
 func TestMitigationPackMatchesLegacy(t *testing.T) {
@@ -194,6 +108,34 @@ func TestMitigationPackMatchesLegacy(t *testing.T) {
 				got[i].Name, got[i].Masks, got[i].FlowLimit,
 				legacy[i].Name, legacy[i].Masks, legacy[i].FlowLimit)
 		}
+	}
+}
+
+// TestQuickTimelineRunGolden runs every quick-tagged timeline pack with
+// the wall clock out of the loop (measure off: a fixed untimed victim burst
+// per tick) and pins its CSV report — every summary count and every tick of
+// every series — byte for byte against testdata/golden/<pack>.run.csv.
+// Same pack + seed => same bytes.
+func TestQuickTimelineRunGolden(t *testing.T) {
+	files, err := scenario.DiscoverFS(scenarios.FS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	for _, f := range files {
+		p := loadEmbedded(t, f)
+		if !p.HasTag("quick") || p.Mode != "timeline" {
+			continue
+		}
+		res, err := scenario.Run(p, scenario.RunOptions{Measure: "off"})
+		if err != nil {
+			t.Fatalf("run %s: %v", p.Name, err)
+		}
+		checkGolden(t, f, ".run.csv", render(t, "csv", res))
+		ran++
+	}
+	if ran < 7 {
+		t.Fatalf("only %d quick timeline packs ran, want >= 7", ran)
 	}
 }
 

@@ -1,7 +1,9 @@
-// Package sim is the experiment engine: it drives a dataplane with the
-// victim and attacker workloads on a deterministic tick clock, measures
-// real per-packet processing cost of the actual Go implementation, and
-// converts cost into achievable throughput.
+// Package sim is the cost model: it measures the real per-packet processing
+// cost of the actual Go implementation at a pipeline's current state
+// (MeasureCost), converts cost into achievable throughput (Throughput, Gbps,
+// PPSFor), and sweeps megaflow lookup cost against mask count (RunSweep). It
+// runs no timeline: who sends what on which tick is internal/scenario's, which
+// samples this model once a tick.
 //
 // Methodology (see EXPERIMENTS.md): absolute Gbps of the paper's testbed
 // cannot be reproduced on an arbitrary host, so the simulator measures the

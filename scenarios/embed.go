@@ -1,6 +1,5 @@
-// Package scenarios embeds the starter pack corpus so cmd/figures and
-// the tests can run the declarative scenarios without depending on the
-// working directory. cmd/scenario prefers the on-disk ./scenarios tree
+// Package scenarios embeds the starter pack corpus so the tests can run
+// the declarative scenarios without depending on the working directory. cmd/scenario prefers the on-disk ./scenarios tree
 // and falls back to this embedded copy.
 package scenarios
 
