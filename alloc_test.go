@@ -121,3 +121,39 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestMissBurstAllocs bounds what a burst that misses everywhere allocates:
+// 32 covert frames of the three-field stream, each an upcall that mints a mask
+// — a megaflow and its subtable per frame, and nothing per burst: the put log
+// the upcall tail fills is emptied in place by the next burst's sweep. The
+// bound, 64, is what the tree allocated before it kept a put log (the mean
+// over bursts 2 to 101 of the stream, rounded down as AllocsPerRun rounds).
+func TestMissBurstAllocs(t *testing.T) {
+	atk := attack.ThreeField()
+	sw := attackSwitch(t, atk, false, noEMC)
+	frames, err := atk.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burstLen = 32
+	ports := make([]uint32, burstLen)
+	for i := range ports {
+		ports[i] = 66
+	}
+	var fb dataplane.FrameBatch
+	var out []dataplane.Decision
+	next := 0
+	miss := func() {
+		fb.Frames, fb.InPorts = frames[next:next+burstLen], ports
+		next += burstLen
+		out = sw.ProcessFrames(1, &fb, out)
+	}
+	miss() // scratch, and the put log's backing array
+	avg := testing.AllocsPerRun(100, miss)
+	if up := sw.Counters().Upcalls; up != uint64(next) {
+		t.Fatalf("%d upcalls for %d frames: the bursts did not miss everywhere", up, next)
+	}
+	if avg > 2*burstLen {
+		t.Errorf("an all-miss burst of %d allocates %.0f times; before the put log it held %d", burstLen, avg, 2*burstLen)
+	}
+}

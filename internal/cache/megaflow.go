@@ -123,18 +123,25 @@ type Megaflow struct {
 	batchCost []int        // per-key scan-cost scratch of the staged sweep
 	oneMiss   burst.Bitmap // the staged Lookup's one-key miss bitmap
 
+	// putLog is Reprobe's: the subtables whose table took an entry since the
+	// last LookupBatch began, each once; at putLogCap, overflowed. A shard
+	// child keeps none.
+	putLog []*mfSubtable
+
 	// Stats
 	Lookups, Hits, Misses uint64
 	// MasksScanned accumulates the subtables visited across lookups; the
-	// average per lookup is the paper's cost metric. With StagedPruning
-	// it counts *physical* visits (stage-hash or full probes), so the
-	// pruning win shows up directly.
+	// average per lookup is the paper's cost metric. Flat, it is *logical*:
+	// the positions a key-by-key scan would visit, whatever was probed. With
+	// StagedPruning it counts *physical* visits (stage-hash or full
+	// probes), so the pruning win shows up directly.
 	MasksScanned uint64
 
-	// RunBilledScans is the portion of MasksScanned billed by AccountRun
-	// for coalesced same-flow runs — logical scans with no physical
-	// probe behind them. MasksScanned - RunBilledScans is the physical
-	// probe count of a flat scan (the staged SubtableVisits equivalent).
+	// RunBilledScans is the portion of MasksScanned billed with no physical
+	// probe behind it: AccountRun's scans for coalesced same-flow runs, and
+	// the positions Reprobe bills that the burst's sweep already proved a
+	// miss. MasksScanned - RunBilledScans is the physical probe count of a
+	// flat scan (the staged SubtableVisits equivalent).
 	RunBilledScans uint64
 
 	// Staged-pruning stats (zero unless StagedPruning is enabled):
@@ -256,6 +263,9 @@ func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 //
 //lint:hotpath
 func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
+	if len(m.putLog) > 0 { // never on a shard child, whose readers sweep together
+		m.resetPutLog()
+	}
 	if m.cfg.StagedPruning {
 		m.BurstSweeps++
 		m.sweepStaged(keys, now, ents, costs, miss)
@@ -335,6 +345,66 @@ func (m *Megaflow) sweep(keys []flow.Key, now uint64, ents []*Entry, costs []int
 			}
 		}
 	}
+}
+
+// putLogCap bounds the put log, and so what a Reprobe costs whoever fills it:
+// two NIC bursts of installs; a longer upcall tail re-probes by full sweeps.
+const putLogCap = 64
+
+// logPut records that st's table took an entry. A full log stays full, and so
+// reads as overflowed, until the next LookupBatch or Flush empties it.
+func (m *Megaflow) logPut(st *mfSubtable) {
+	if !m.shared && !st.logged && len(m.putLog) < putLogCap {
+		if m.putLog == nil {
+			m.putLog = make([]*mfSubtable, 0, putLogCap)
+		}
+		st.logged = true
+		m.putLog = append(m.putLog, st)
+	}
+}
+
+// resetPutLog empties the put log in place; what it logged may have retired.
+func (m *Megaflow) resetPutLog() {
+	for i, st := range m.putLog {
+		st.logged, m.putLog[i] = false, nil
+	}
+	m.putLog = m.putLog[:0]
+}
+
+// Reprobe is Lookup for a key the cache missed no earlier than its last
+// LookupBatch began: the post-upcall re-probe of a burst's later misses. Only
+// an entry put since can match it, so only the logged subtables are probed —
+// by pointer: a reorder moves none, one retired since is empty — and the
+// lowest scan position wins, as the scan's first hit would. It bills what
+// Lookup bills, and books the positions billed beyond the probes made in
+// RunBilledScans. Where the log cannot vouch for itself (overflow, a shard
+// child), the scan order is clocked per lookup (SortByHits, StagedPruning) or
+// the log is no shorter than the scan order, it is the full Lookup: a stale
+// log may cost a sweep, never a wrong miss.
+func (m *Megaflow) Reprobe(k flow.Key, now uint64) (*Entry, int, bool) {
+	if m.shared || m.cfg.SortByHits || m.cfg.StagedPruning ||
+		len(m.putLog) == putLogCap || len(m.putLog) >= len(m.subtables) {
+		return m.Lookup(k, now)
+	}
+	var ent *Entry
+	cost := len(m.subtables)
+	for _, st := range m.putLog {
+		if slot, _ := st.find(&k, m.seed); slot >= 0 && int(st.pos) < cost {
+			ent, cost = st.slots[slot].ent, int(st.pos)+1
+		}
+	}
+	m.Lookups++
+	if ent == nil {
+		m.Misses++
+	} else {
+		m.Hits++
+		credit(false, ent, 1, now)
+		ent.st.hits++
+		ent.st.lastHit = now
+	}
+	m.MasksScanned += uint64(cost)
+	m.RunBilledScans += uint64(max(cost-len(m.putLog), 0)) // a hit may lie less deep than the log is long
+	return ent, cost, ent != nil
 }
 
 // gathered is scan's working set: the unresolved keys of one miss-bitmap
@@ -533,6 +603,7 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 	ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now, st: st}
 	st.put(ent, hash)
 	m.syncRow(st)
+	m.logPut(st)
 	st.addEntry(match.Key)
 	m.nEntries++
 	return ent, nil
@@ -777,6 +848,7 @@ func (m *Megaflow) Flush() {
 	m.subtables = nil
 	m.byMask = make(map[flow.Mask]*mfSubtable)
 	m.nEntries = 0
+	m.resetPutLog() // Flush leaves the tables of the subtables it drops as they were
 }
 
 // Entries returns all cached entries, subtable scan order first.

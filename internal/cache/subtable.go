@@ -38,14 +38,15 @@ const minSlots = 2
 // line it cost the staged attack 17 % of its setup time); a flat sweep, with
 // the mask words in its scanRow, reads the table header and, in a two-slot
 // table, both slot hashes — and nothing at all of a subtable whose row is
-// single. pos sits in the padding before mask: the struct must stay inside
-// the 192-byte class (TestScanRowLayout).
+// single. logged and pos sit in the padding before mask: the struct must stay
+// inside the 192-byte class (TestScanRowLayout).
 type mfSubtable struct {
 	staged *stagedState      // staged-lookup/pruning state; nil unless StagedPruning
 	slots  []mfSlot          // len is a power of two, >= 2*n
 	first  [minSlots]mfSlot  // backing store of slots until the first grow
 	nw     uint8             // number of significant mask words
 	widx   [flow.Words]uint8 // their Key word indices, ascending; zero past nw
+	logged bool              // in Megaflow.putLog
 	pos    uint32            // index of the subtable's row in Megaflow.subtables
 	mask   flow.Mask
 	n      int // resident entries

@@ -363,11 +363,26 @@ func TestSingleRowFollowsTable(t *testing.T) {
 	}
 }
 
+// reprobePaths counts, over the re-probes runSweepOps checks on flat caches,
+// the ones that took the put log, those among them with a subtable retired
+// since it was logged, the ones an overflowed log sent to the full Lookup, and
+// (in every mode) the ones that hit.
+type reprobePaths struct{ short, retired, overflowed, hits int }
+
 // runSweepOps interprets ops as a stream of cache operations, three bytes
 // each, over a cache configured by mode, and after every one checks the scan
 // order's rows and a burst of lookups against the probe reference. Matches
 // come from a small pool so inserts collide, replace and re-mint.
-func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) {
+//
+// A twin cache takes the same calls. After each burst one to three of the
+// stream's next operations run ahead on both, with no LookupBatch in between
+// and an insert widened to a run of the pool (into new and resident masks, past
+// the put log's cap): the upcall tail of a walk, with anything the revalidator
+// or a limit may do inside it. Every key the burst left a miss is then looked
+// up again — Reprobe on the cache, Lookup on the twin — and entry, cost and
+// counters must agree: trivially in the modes that fall back, by the put log in
+// the flat ones.
+func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths {
 	cfg := MegaflowConfig{FlowLimit: 48}
 	switch mode % 4 {
 	case 1:
@@ -377,8 +392,8 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) {
 	case 3:
 		cfg.MaxMasks, cfg.MaskEvictLRU = 6, true
 	}
-	m := NewMegaflow(cfg)
-	m.seed = seed | 1
+	m, twin := NewMegaflow(cfg), NewMegaflow(cfg)
+	m.seed, twin.seed = seed|1, seed|1
 	rng := rand.New(rand.NewSource(int64(seed)))
 	pool := make([]flow.Match, 64)
 	for i := range pool {
@@ -392,30 +407,49 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) {
 		}
 		pool[i].Normalize()
 	}
-	for i := 0; i+2 < len(ops); i += 3 {
-		op, a, now := ops[i], int(ops[i+1]), uint64(i+2)
+	// apply runs the operation at ops[i:i+3] on c, an insert for run matches of
+	// the pool in sequence.
+	apply := func(c *Megaflow, i, run int, now uint64) {
+		op, a := ops[i], int(ops[i+1])
 		switch op % 8 {
 		case 0, 1, 2:
-			m.Insert(pool[a%len(pool)], Verdict{Verdict: allow.Verdict, OutPort: uint32(ops[i+2] % 3)}, now)
+			for j := range run {
+				c.Insert(pool[(a+j)%len(pool)], Verdict{Verdict: allow.Verdict, OutPort: uint32(ops[i+2] % 3)}, now)
+			}
 		case 3:
-			m.Remove(pool[a%len(pool)])
+			c.Remove(pool[a%len(pool)])
 		case 4:
-			m.EvictIdle(now - uint64(a%16))
+			c.EvictIdle(now - uint64(a%16))
 		case 5:
-			m.SetFlowLimit(8 + a%48)
-			m.TrimToLimit()
+			c.SetFlowLimit(8 + a%48)
+			c.TrimToLimit()
 		case 6:
-			m.Revalidate(func(ent *Entry) (Verdict, bool) { return ent.Verdict, ent.Match.Key[3]>>uint(a%8)&1 == 0 })
+			c.Revalidate(func(ent *Entry) (Verdict, bool) { return ent.Verdict, ent.Match.Key[3]>>uint(a%8)&1 == 0 })
 		case 7:
 			if a%4 == 0 {
-				m.Flush()
+				c.Flush()
 			}
 		}
+	}
+	var paths reprobePaths
+	nOps := len(ops) / 3
+	for n := range nOps {
+		i := 3 * n
+		now := uint64(i + 2)
+		apply(m, i, 1, now)
+		apply(twin, i, 1, now)
 		checkScanRows(t, m)
 		if m.Len() != len(m.Entries()) {
 			t.Fatalf("Len %d, %d entries resident", m.Len(), len(m.Entries()))
 		}
 		keys := burstOver(rng, m.Entries(), 1+int(ops[i+2])%70)
+		for j := 0; j < len(keys); j += 3 {
+			// What the pool may yet install: a miss now, a hit once it has.
+			cover := pool[rng.Intn(len(pool))]
+			for w := range keys[j] {
+				keys[j][w] = cover.Key[w] | keys[j][w]&^cover.Mask[w]
+			}
+		}
 		switch {
 		case cfg.StagedPruning:
 			// Ranked order and physical costs are the staged sweep's own;
@@ -425,6 +459,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) {
 			miss.Reset(len(keys))
 			miss.SetAll()
 			m.LookupBatch(keys, now, ents, costs, &miss)
+			sweepAll(twin, keys, now) // the LookupBatch m was given
 			for j := range keys {
 				hit := slices.ContainsFunc(m.subtables, func(row scanRow) bool { return row.st.probe(&keys[j], m.seed) != nil })
 				if (ents[j] != nil) != hit || miss.Test(j) == hit {
@@ -435,13 +470,74 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) {
 			// A re-sort may fall between any two keys: one-key bursts.
 			for j := range keys {
 				checkBatchAgainstProbes(t, m, keys[j:j+1], func(int) bool { return true }, now)
+				sweepAll(twin, keys[j:j+1], now)
 			}
 		default:
 			checkBatchAgainstProbes(t, m, keys, func(int) bool { return true }, now)
+			sweepAll(twin, keys, now) // the LookupBatch m was given
 		}
 		checkScanRows(t, m)
+
+		missed := slices.DeleteFunc(keys, func(k flow.Key) bool {
+			return slices.ContainsFunc(m.subtables, func(row scanRow) bool { return row.st.probe(&k, m.seed) != nil })
+		})
+		for j := range 1 + int(ops[i]>>3)%3 {
+			ahead := 3 * ((n + 1 + j) % nOps)
+			run := 1 + int(ops[ahead+2])%80
+			apply(m, ahead, run, now)
+			apply(twin, ahead, run, now)
+		}
+		checkScanRows(t, m)
+		for _, k := range missed {
+			short := false
+			if flat := !cfg.SortByHits && !cfg.StagedPruning; flat && len(m.putLog) == putLogCap {
+				paths.overflowed++
+			} else if flat && len(m.putLog) < len(m.subtables) {
+				short = true
+				paths.short++
+				if slices.ContainsFunc(m.putLog, func(st *mfSubtable) bool { return m.byMask[st.mask] != st }) {
+					paths.retired++
+				}
+			}
+			billed := m.RunBilledScans
+			ent, cost, ok := m.Reprobe(k, now+1)
+			if ok {
+				paths.hits++
+			}
+			if short {
+				billed += uint64(max(cost-len(m.putLog), 0)) // one probe per logged subtable, the rest on credit
+			}
+			if m.RunBilledScans != billed {
+				t.Fatalf("op %d: %d scans billed without a probe, want %d", n, m.RunBilledScans, billed)
+			}
+			want, wantCost, wantOK := twin.Lookup(k, now+1)
+			if ok != wantOK || cost != wantCost || ok && (ent.Match != want.Match || ent.Verdict != want.Verdict || ent.Hits != want.Hits || ent.LastHit != want.LastHit) {
+				t.Fatalf("op %d: Reprobe = %+v at cost %d (%v), the twin's Lookup = %+v at cost %d (%v); %d subtables logged of %d",
+					n, ent, cost, ok, want, wantCost, wantOK, len(m.putLog), len(m.subtables))
+			}
+			if got, want := countersOf(m), countersOf(twin); got != want {
+				t.Fatalf("op %d: counters %+v after Reprobe, %+v after the twin's Lookup", n, got, want)
+			}
+			if ok && (ent.st.hits != want.st.hits || ent.st.lastHit != want.st.lastHit) {
+				t.Fatalf("op %d: subtable credited %d hits, last at %d; the twin's %d, last at %d", n, ent.st.hits, ent.st.lastHit, want.st.hits, want.st.lastHit)
+			}
+		}
+		if len(m.putLog) > putLogCap || cap(m.putLog) > putLogCap {
+			t.Fatalf("op %d: put log of %d subtables, capacity %d, over the cap of %d", n, len(m.putLog), cap(m.putLog), putLogCap)
+		}
 	}
+	return paths
 }
+
+// The put log's two corners, as streams for runSweepOps. putLogOverflow (mode
+// 3): an insert whose look-ahead is a run of 80, each minting under the mask
+// cap and evicting for it, with no sweep in between. putLogRetired (mode 0):
+// five masks resident, then four minted and one of them removed in one
+// look-ahead, so the log is taken with a retired subtable in it.
+var (
+	putLogOverflow = []byte{0, 1, 9, 0, 2, 79}
+	putLogRetired  = []byte{0, 1, 9, 0, 2, 0, 0, 3, 0, 0, 4, 0, 8, 6, 243, 0, 11, 3, 3, 12, 0}
+)
 
 // FuzzMegaflowSweep feeds arbitrary operation streams, cache modes (flat,
 // hit-count re-sorting, staged re-ranking, mask-cap LRU eviction) and hash
@@ -451,19 +547,42 @@ func FuzzMegaflowSweep(f *testing.F) {
 	f.Add(uint8(1), uint64(2), []byte{0, 1, 9, 0, 2, 9, 1, 3, 9, 0, 9, 70, 2, 17, 3, 3, 1, 0, 0, 1, 1})
 	f.Add(uint8(2), uint64(3), []byte{0, 1, 9, 1, 2, 9, 2, 3, 9, 4, 2, 9, 0, 5, 40, 5, 6, 7, 6, 3, 1, 7, 4, 2})
 	f.Add(uint8(3), ^uint64(0), []byte{0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 8, 1, 0, 9, 65})
-	f.Fuzz(runSweepOps)
+	f.Add(uint8(3), uint64(5), putLogOverflow)
+	f.Add(uint8(0), uint64(2), putLogRetired)
+	f.Fuzz(func(t *testing.T, mode uint8, seed uint64, ops []byte) { runSweepOps(t, mode, seed, ops) })
+}
+
+// TestSweepSeedsReachPutLog holds the two put-log seeds of the fuzz corpus to
+// what they are there for.
+func TestSweepSeedsReachPutLog(t *testing.T) {
+	if p := runSweepOps(t, 3, 5, putLogOverflow); p.overflowed == 0 {
+		t.Errorf("putLogOverflow: %+v, no re-probe past an overflowed log", p)
+	}
+	if p := runSweepOps(t, 0, 2, putLogRetired); p.retired == 0 {
+		t.Errorf("putLogRetired: %+v, no re-probe by a log holding a retired subtable", p)
+	}
 }
 
 // TestSweepOps runs the fuzz interpreter over random streams in every mode,
-// so the maintenance paths are cross-checked without the fuzzer.
+// so the maintenance paths are cross-checked without the fuzzer — and the put
+// log's re-probes with them, which the streams must really reach: by the log,
+// past a subtable retired since it was logged, and past an overflow.
 func TestSweepOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	var paths reprobePaths
 	for mode := uint8(0); mode < 4; mode++ {
 		for trial := 0; trial < 30; trial++ {
 			ops := make([]byte, 3*(10+rng.Intn(120)))
 			rng.Read(ops)
-			runSweepOps(t, mode, boundSeeds[trial%len(boundSeeds)], ops)
+			p := runSweepOps(t, mode, boundSeeds[trial%len(boundSeeds)], ops)
+			paths.short += p.short
+			paths.retired += p.retired
+			paths.overflowed += p.overflowed
+			paths.hits += p.hits
 		}
+	}
+	if paths.short < 100 || paths.retired < 10 || paths.overflowed < 10 || paths.hits < 100 {
+		t.Errorf("re-probes checked: %+v — the streams no longer reach the put log", paths)
 	}
 }
 

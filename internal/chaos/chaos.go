@@ -293,11 +293,24 @@ func (f *faultyMegaflow) AccountRun(ent *cache.Entry, n int, cost int, now uint6
 func (f *faultyMegaflow) Lookup(k flow.Key, now uint64) (*cache.Entry, int, bool) {
 	f.flushDue(now)
 	ent, cost, ok := f.inner.Lookup(k, now)
+	return ent, f.slowScan(cost, now), ok
+}
+
+// Reprobe takes Lookup's faults: installs due land first (through the
+// inner tier's InsertMegaflow, so its Reprobe sees them), the cost inflates.
+func (f *faultyMegaflow) Reprobe(k flow.Key, now uint64) (*cache.Entry, int, bool) {
+	f.flushDue(now)
+	ent, cost, ok := f.inner.Reprobe(k, now)
+	return ent, f.slowScan(cost, now), ok
+}
+
+// slowScan inflates one scalar lookup's cost inside a slow-scan window.
+func (f *faultyMegaflow) slowScan(cost int, now uint64) int {
 	if sf := f.inj.faultFor(KindSlowScan, now); sf != nil && cost > 0 {
 		cost = int(float64(cost) * sf.Factor)
 		f.inj.stats.SlowScans++
 	}
-	return ent, cost, ok
+	return cost
 }
 
 func (f *faultyMegaflow) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*cache.Entry, costs []int, miss *burst.Bitmap) {

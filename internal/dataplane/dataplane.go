@@ -785,7 +785,7 @@ func (s *Switch) promote(keys []flow.Key, hashes []uint64, i int, ent *cache.Ent
 // accrued for the key.
 func (s *Switch) upcallOne(now uint64, keys []flow.Key, hashes []uint64, i, sweepCost int, installs *int) Decision {
 	if *installs > 0 && s.installer != nil {
-		ent, cost, ok := s.installer.Lookup(keys[i], now)
+		ent, cost, ok := s.installer.Reprobe(keys[i], now)
 		if ok {
 			s.tierHits[s.promoteTo]++
 			s.promote(keys, hashes, i, ent, s.promoteTo)

@@ -193,6 +193,11 @@ func (t *ShardedMegaflowTier) InsertMegaflowHashed(match flow.Match, v cache.Ver
 	return t.sm.InsertHashed(match, v, now, keyHash)
 }
 
+// Reprobe is Lookup: a shard keeps no put log, its readers sweep together.
+func (t *ShardedMegaflowTier) Reprobe(k flow.Key, now uint64) (*cache.Entry, int, bool) {
+	return t.sm.Lookup(k, now)
+}
+
 func (t *ShardedMegaflowTier) Stats() TierStats { return mfStats(t.Name(), t.sm.Snapshot()) }
 
 // mfStats renders a sharded megaflow snapshot (one shard's or the

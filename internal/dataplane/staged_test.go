@@ -14,6 +14,12 @@ import (
 // the same scenario the benchmarks use.
 func attackSwitch(t *testing.T, opts ...dataplane.Option) *dataplane.Switch {
 	t.Helper()
+	return attackSwitchFor(t, attack.TwoField(), opts...)
+}
+
+// attackSwitchFor is attackSwitch under atk's ACL.
+func attackSwitchFor(t *testing.T, atk *attack.Attack, opts ...dataplane.Option) *dataplane.Switch {
+	t.Helper()
 	sw := dataplane.New("staged-conf", opts...)
 	var vm flow.Match
 	vm.Key.Set(flow.FieldInPort, 1)
@@ -27,7 +33,7 @@ func attackSwitch(t *testing.T, opts ...dataplane.Option) *dataplane.Switch {
 	dm.Key.Set(flow.FieldInPort, 1)
 	dm.Mask.SetExact(flow.FieldInPort)
 	sw.InstallRule(flowtable.Rule{Match: dm, Priority: 0})
-	theACL, err := attack.TwoField().BuildACL()
+	theACL, err := atk.BuildACL()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +51,13 @@ func attackSwitch(t *testing.T, opts ...dataplane.Option) *dataplane.Switch {
 
 func covertKeys(t *testing.T) []flow.Key {
 	t.Helper()
-	keys, err := attack.TwoField().Keys()
+	return covertKeysFor(t, attack.TwoField())
+}
+
+// covertKeysFor is atk's covert stream on the attacker's port.
+func covertKeysFor(t *testing.T, atk *attack.Attack) []flow.Key {
+	t.Helper()
+	keys, err := atk.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}

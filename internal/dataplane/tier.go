@@ -151,6 +151,11 @@ type RevalidatableTier interface {
 type MegaflowInstaller interface {
 	Tier
 	InsertMegaflow(match flow.Match, v cache.Verdict, now uint64) (*cache.Entry, error)
+	// Reprobe is Lookup — same entry, cost and counter effects — for the
+	// walk's upcall tail, under a precondition a tier may answer it for
+	// less by: k missed this tier no earlier than its last LookupBatch
+	// began. A tier with nothing cheaper returns Lookup.
+	Reprobe(k flow.Key, now uint64) (ent *cache.Entry, cost int, ok bool)
 }
 
 // HashedMegaflowInstaller is the hash-aware install capability of a
@@ -357,6 +362,11 @@ func (t *MegaflowTier) Revalidate(check func(*cache.Entry) (cache.Verdict, bool)
 
 func (t *MegaflowTier) InsertMegaflow(match flow.Match, v cache.Verdict, now uint64) (*cache.Entry, error) {
 	return t.mfc.Insert(match, v, now)
+}
+
+// Reprobe probes only the subtables installed into since the burst's sweep.
+func (t *MegaflowTier) Reprobe(k flow.Key, now uint64) (*cache.Entry, int, bool) {
+	return t.mfc.Reprobe(k, now)
 }
 
 func (t *MegaflowTier) Stats() TierStats {
