@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"policyinject/internal/attack"
+	"policyinject/internal/burst"
 	"policyinject/internal/cache"
 	"policyinject/internal/dataplane"
+	"policyinject/internal/flow"
 	"policyinject/internal/telemetry"
 	"policyinject/internal/traffic"
 )
@@ -155,5 +157,52 @@ func TestMissBurstAllocs(t *testing.T) {
 	}
 	if avg > 2*burstLen {
 		t.Errorf("an all-miss burst of %d allocates %.0f times; before the put log it held %d", burstLen, avg, 2*burstLen)
+	}
+}
+
+// TestSweepScratchOnStack holds the flat sweep's scratch — the gathered key
+// words and the first-word groups scan tests a single row with — to its
+// caller's stack: a full miss word of 64 keys, half of them on the rows' port
+// and so through to the three-word compare, swept down 96 single rows by
+// LookupBatch, and one key by the scalar Lookup, allocate nothing. Scratch on
+// the cache would be shared by a shard child's concurrent readers.
+func TestSweepScratchOnStack(t *testing.T) {
+	m := cache.NewMegaflow(cache.MegaflowConfig{})
+	for i := range 96 {
+		var match flow.Match
+		match.Key.Set(flow.FieldInPort, 66)
+		match.Mask.SetExact(flow.FieldInPort)
+		match.Key.Set(flow.FieldIPSrc, 0x0a000001^1<<uint(31-i%32))
+		match.Mask.SetPrefix(flow.FieldIPSrc, i%32+1)
+		match.Key.Set(flow.FieldTPDst, 80^1<<uint(15-i/32))
+		match.Mask.SetPrefix(flow.FieldTPDst, i/32+1)
+		if _, err := m.Insert(match, cache.Verdict{}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.NumMasks() != 96 || m.Len() != 96 {
+		t.Fatalf("%d entries under %d masks, want 96 one-entry subtables", m.Len(), m.NumMasks())
+	}
+	keys := make([]flow.Key, 64)
+	for i := range keys {
+		keys[i].Set(flow.FieldInPort, uint64(1+65*(i%2))) // the victim's port, the rows' port
+		keys[i].Set(flow.FieldIPSrc, 0x0a000001)          // diverges from every row
+		keys[i].Set(flow.FieldTPDst, 80)
+		keys[i].Set(flow.FieldTPSrc, uint64(1024+i))
+	}
+	ents, costs := make([]*cache.Entry, len(keys)), make([]int, len(keys))
+	var miss burst.Bitmap
+	if avg := testing.AllocsPerRun(100, func() {
+		miss.Reset(len(keys))
+		miss.SetAll()
+		m.LookupBatch(keys, 2, ents, costs, &miss)
+	}); avg != 0 {
+		t.Errorf("LookupBatch over 64 misses allocates %.1f times; the sweep's scratch must stay on the stack", avg)
+	}
+	if miss.Count() != len(keys) {
+		t.Fatalf("%d of %d keys missed: the sweep did not run the whole scan order", miss.Count(), len(keys))
+	}
+	if avg := testing.AllocsPerRun(100, func() { m.Lookup(keys[1], 2) }); avg != 0 {
+		t.Errorf("Lookup allocates %.1f times; the sweep's scratch must stay on the stack", avg)
 	}
 }

@@ -410,24 +410,36 @@ func (m *Megaflow) Reprobe(k flow.Key, now uint64) (*Entry, int, bool) {
 // gathered is scan's working set: the unresolved keys of one miss-bitmap
 // word (bit b of live stands for keys[b]) and, in w[b], the three words shape
 // selects of keys[b], then the probe hash of a visit scan hashed and leaves
-// open.
+// open. first[:groups] holds the first of those words again, for the keys live
+// at the gather, four to a group with no gaps: what a single row tests first.
+// It lives on sweep's stack, as w on its caller's: shard readers share nothing.
 type gathered struct {
-	w     [][4]uint64
-	keys  []flow.Key
-	live  uint64
-	shape uint32
+	w      [][4]uint64
+	keys   []flow.Key
+	live   uint64
+	shape  uint32
+	groups int
+	first  [16][4]uint64
 }
 
 // load gathers the live keys' words; out of line, to keep scan on registers.
+// A short last group is filled up with its first member: a copy adds no pass.
 //
 //go:noinline
 func (g *gathered) load(shape uint32) {
 	g.shape = shape
+	n := 0
 	for w := g.live; w != 0; w &= w - 1 {
 		b := bits.TrailingZeros64(w)
 		k := &g.keys[b]
 		g.w[b] = [4]uint64{k[shape&0xff], k[shape>>8&0xff], k[shape>>16&0xff]}
+		g.first[n>>2][n&3] = g.w[b][0]
+		n++
 	}
+	for ; n&3 != 0; n++ {
+		g.first[n>>2][n&3] = g.first[n>>2][0]
+	}
+	g.groups = n >> 2
 }
 
 // scan walks the scan order from row ri with g's live keys and returns the
@@ -439,12 +451,18 @@ func (g *gathered) load(shape uint32) {
 // A visit is one probe per subtable per unresolved key, and the row says which
 // probe. A single row (one resident, at most three mask words: 7 681 of the
 // attack's 7 937) is the probe: the key's three words under the row's mask
-// words against the resident's, differences OR-ed — it loads the row, the next
-// line in sequence, and nothing of the subtable; equal words are a hit, which
-// sweep confirms through find. Any other row of at most three words takes
-// three ANDs, the probe hash, and the pair of slots it points to in the
-// subtable's first line; an empty slot and no equal hash there prove the miss
-// (walk's first step). Masks of over three words are left to find whole.
+// words against the resident's — it loads the row, the next line in sequence,
+// and nothing of the subtable; equal words are a hit, which sweep confirms
+// through find. The compare is cut short on its first word: the gather's
+// groups are tested four keys at a time, and a row none passes is a miss for
+// every live key — any row pinned to another in-port, the attack's whole ladder
+// for its victim — while a pass sends the row to the three-word compare,
+// differences OR-ed, over the live keys. A key resolved since the gather stays
+// in its group: it can pass a row for nothing, never hide one. Any other row of
+// at most three words takes three ANDs, the probe hash, and the pair of slots
+// it points to in the subtable's first line; an empty slot and no equal hash
+// there prove the miss (walk's first step). Masks of over three words are left
+// to find whole.
 func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 	rows, seed := m.subtables, m.seed
 	for ; ri < len(rows); ri++ {
@@ -457,6 +475,16 @@ func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 		}
 		var open uint64
 		if row.single {
+			pass, mw, ew := false, row.mw[0], row.ew[0]
+			for j := range g.first[:g.groups] {
+				if f := &g.first[j]; f[0]&mw == ew || f[1]&mw == ew || f[2]&mw == ew || f[3]&mw == ew {
+					pass = true
+					break
+				}
+			}
+			if !pass {
+				continue
+			}
 			for w := g.live; w != 0; w &= w - 1 {
 				kw := &g.w[bits.TrailingZeros64(w)]
 				if (kw[0]&row.mw[0])^row.ew[0]|(kw[1]&row.mw[1])^row.ew[1]|(kw[2]&row.mw[2])^row.ew[2] == 0 {

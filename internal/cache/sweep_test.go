@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -167,17 +168,22 @@ func checkBatchAgainstProbes(t *testing.T, m *Megaflow, keys []flow.Key, live fu
 	}
 }
 
-// burstOver draws n keys: three in four cover a resident entry (noise in
-// every bit its mask leaves out), the rest are random.
+// cover makes k match the (normalised) match, keeping its noise in every bit
+// the mask leaves out.
+func cover(k *flow.Key, match flow.Match) {
+	for w := range k {
+		k[w] = match.Key[w] | k[w]&^match.Mask[w]
+	}
+}
+
+// burstOver draws n keys: three in four cover a resident entry, the rest are
+// random.
 func burstOver(rng *rand.Rand, resident []*Entry, n int) []flow.Key {
 	keys := make([]flow.Key, n)
 	for i := range keys {
 		keys[i] = randomKey(rng)
 		if len(resident) > 0 && rng.Intn(4) != 0 {
-			ent := resident[rng.Intn(len(resident))]
-			for w := range keys[i] {
-				keys[i][w] = ent.Match.Key[w] | keys[i][w]&^ent.Match.Mask[w]
-			}
+			cover(&keys[i], resident[rng.Intn(len(resident))].Match)
 		}
 	}
 	return keys
@@ -225,6 +231,169 @@ func TestSweepMatchesProbes(t *testing.T) {
 				if ent, c, ok := m.Lookup(k, 20); ent != want || c != cost || ok != (want != nil) {
 					t.Fatalf("Lookup = %p at cost %d, probes find %p at cost %d", ent, c, want, cost)
 				}
+			}
+		}
+	}
+}
+
+// firstWordLadder is a scan order of single rows for the first-word tests, as
+// the attack mints them: nRows one-entry subtables whose masks differ in a
+// prefix length. With nw of 2 or 3 a row pins key word fw whole — the in-port;
+// every third row another port's, foreign to every hitter — and a prefix of
+// word 5 (and word 7 whole); with nw of 1 the prefix is on word fw itself, so
+// mw[1] and mw[2] repeat it (fw 0) or are zero (fw 3). Row i's resident
+// diverges from one base at bit i of the prefix word, so hitter(i) matches row
+// i and no other; a stranger matches none, on its first word. catchAll adds the
+// zero-word mask (mw[0] = ew[0] = 0: every key passes, and hits) as last row.
+type firstWordLadder struct {
+	m         *Megaflow
+	own       []int // the rows hitters may aim at, in scan order
+	residents []flow.Match
+	fw        int
+}
+
+const (
+	ladderPort, foreignPort, strangerPort = 0x42, 0x43, 0x01
+	ladderBase                            = 0x0a0000015014_beef
+)
+
+func newFirstWordLadder(t *testing.T, nRows, fw, nw int, catchAll bool) *firstWordLadder {
+	t.Helper()
+	l := &firstWordLadder{m: NewMegaflow(MegaflowConfig{FlowLimit: -1}), fw: fw}
+	l.m.seed = boundSeeds[0] | 1
+	for i := range nRows {
+		var match flow.Match
+		if nw == 1 {
+			match.Mask[fw] = ^uint64(0) << uint(i)
+			match.Key[fw] = ladderBase ^ 1<<uint(i)
+		} else {
+			match.Mask[fw], match.Key[fw] = ^uint64(0), ladderPort
+			if i%3 == 2 {
+				match.Key[fw] = foreignPort
+			}
+			match.Mask[5] = ^uint64(0) << uint(63-i)
+			match.Key[5] = ladderBase ^ 1<<uint(63-i)
+			if nw == 3 {
+				match.Mask[7], match.Key[7] = ^uint64(0), 5201
+			}
+		}
+		if nw == 1 || i%3 != 2 {
+			l.own = append(l.own, i)
+		}
+		match.Normalize()
+		l.residents = append(l.residents, match)
+	}
+	if catchAll {
+		l.residents = append(l.residents, flow.Match{})
+	}
+	for _, match := range l.residents {
+		if _, err := l.m.Insert(match, allow, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkScanRows(t, l.m)
+	for i, row := range l.m.subtables {
+		if !row.single {
+			t.Fatalf("row %d of %d-word masks is not single", i, nw)
+		}
+	}
+	return l
+}
+
+// hitter returns a key that matches row i alone (and the catch-all).
+func (l *firstWordLadder) hitter(rng *rand.Rand, i int) flow.Key {
+	k := randomKey(rng)
+	cover(&k, l.residents[i])
+	return k
+}
+
+// stranger returns a key no ladder row's first word admits.
+func (l *firstWordLadder) stranger(rng *rand.Rand) flow.Key {
+	k := randomKey(rng)
+	k[l.fw] = strangerPort
+	return k
+}
+
+// TestSweepFirstWordGroups holds the single row's first-word test to the probe
+// reference at the edges of its groups of four: miss words of 1, 3, 4, 5, 63
+// and 64 live keys (one group to sixteen, short last groups padded) at
+// scattered bit positions, beside a second miss word of six; no key sharing
+// the rows' first word, only the last live key (in the last group, among its
+// padding), only the first (group 0), every key (each resolved at its own
+// depth while its group-mates sweep on, a stale member left behind), and an
+// early hit and a late one in one group among strangers; over rows of three,
+// two, one and no mask words, rows of another port rejected between the hits.
+func TestSweepFirstWordGroups(t *testing.T) {
+	const nRows = 24
+	rng := rand.New(rand.NewSource(24))
+	for _, kind := range []struct {
+		name     string
+		fw, nw   int
+		catchAll bool
+	}{
+		{"three words", 0, 3, false},
+		{"three words, first word 3, then the catch-all", 3, 3, true},
+		{"two words", 0, 2, false},
+		{"one word, key word 0 repeated", 0, 1, false},
+		{"one word, key word 3 and zeros", 3, 1, true},
+	} {
+		l := newFirstWordLadder(t, nRows, kind.fw, kind.nw, kind.catchAll)
+		deepest := l.own[len(l.own)-1]
+		if ent, cost, ok := l.m.Lookup(l.hitter(rng, deepest), 2); !ok || cost != deepest+1 || ent.Match != l.residents[deepest] {
+			t.Fatalf("%s: Lookup of row %d's hitter = %v at cost %d (%v)", kind.name, deepest, ent, cost, ok)
+		}
+		for _, n := range []int{1, 3, 4, 5, 63, 64} {
+			// the k-th live key of the first miss word sits at bit k*64/n
+			pos := make(map[int]int, n)
+			for k := range n {
+				pos[k*64/n] = k
+			}
+			for _, arr := range []struct {
+				name string
+				row  func(k int) int // the row live key k hits, -1 for a stranger
+			}{
+				{"no key passes", func(int) int { return -1 }},
+				{"the last live key passes", func(k int) int {
+					if k == n-1 {
+						return deepest
+					}
+					return -1
+				}},
+				{"the first live key passes", func(k int) int {
+					if k == 0 {
+						return deepest
+					}
+					return -1
+				}},
+				{"every key passes", func(k int) int { return l.own[k*5%len(l.own)] }},
+				{"an early hit and a late one in group 0", func(k int) int {
+					switch k {
+					case 0:
+						return l.own[1]
+					case 1:
+						return deepest
+					}
+					return -1
+				}},
+			} {
+				keys := make([]flow.Key, 70)
+				for i := range keys {
+					k, live := pos[i]
+					switch {
+					case i >= 64 && i%2 == 0:
+						keys[i] = l.hitter(rng, l.own[i%len(l.own)])
+					case i >= 64 || !live || arr.row(k) < 0:
+						keys[i] = l.stranger(rng)
+					default:
+						keys[i] = l.hitter(rng, arr.row(k))
+						if l.m.subtables[arr.row(k)].st.probe(&keys[i], l.m.seed) == nil {
+							t.Fatalf("%s: the hitter of row %d misses it", kind.name, arr.row(k))
+						}
+					}
+				}
+				t.Run(fmt.Sprintf("%s/%d live/%s", kind.name, n, arr.name), func(t *testing.T) {
+					checkBatchAgainstProbes(t, l.m, keys, func(i int) bool { _, live := pos[i]; return live || i >= 64 }, 3)
+				})
 			}
 		}
 	}
@@ -445,10 +614,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 		keys := burstOver(rng, m.Entries(), 1+int(ops[i+2])%70)
 		for j := 0; j < len(keys); j += 3 {
 			// What the pool may yet install: a miss now, a hit once it has.
-			cover := pool[rng.Intn(len(pool))]
-			for w := range keys[j] {
-				keys[j][w] = cover.Key[w] | keys[j][w]&^cover.Mask[w]
-			}
+			cover(&keys[j], pool[rng.Intn(len(pool))])
 		}
 		switch {
 		case cfg.StagedPruning:
@@ -539,6 +705,18 @@ var (
 	putLogRetired  = []byte{0, 1, 9, 0, 2, 0, 0, 3, 0, 0, 4, 0, 8, 6, 243, 0, 11, 3, 3, 12, 0}
 )
 
+// The edges of the first-word groups, as streams for runSweepOps (mode 0; the
+// third byte of an operation sizes the burst after it): groupEdges takes bursts
+// of 64, 63, 5, 4, 3 and 1 keys — sixteen full groups, a last group of three,
+// one group and a padded second, one full, one padded, one key alone — down
+// masks of one and three words; groupEdgesCatchAll sweeps 64 and 61 keys
+// through one- and three-word masks into the zero-word mask behind them, then
+// takes the masks in front of it away.
+var (
+	groupEdges         = []byte{0, 1, 63, 0, 2, 62, 0, 6, 4, 0, 12, 3, 0, 16, 2, 0, 22, 0}
+	groupEdgesCatchAll = []byte{0, 1, 0, 0, 2, 0, 0, 5, 63, 0, 11, 60, 3, 1, 63, 3, 2, 64}
+)
+
 // FuzzMegaflowSweep feeds arbitrary operation streams, cache modes (flat,
 // hit-count re-sorting, staged re-ranking, mask-cap LRU eviction) and hash
 // seeds to runSweepOps.
@@ -549,6 +727,8 @@ func FuzzMegaflowSweep(f *testing.F) {
 	f.Add(uint8(3), ^uint64(0), []byte{0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 8, 1, 0, 9, 65})
 	f.Add(uint8(3), uint64(5), putLogOverflow)
 	f.Add(uint8(0), uint64(2), putLogRetired)
+	f.Add(uint8(0), uint64(6), groupEdges)
+	f.Add(uint8(0), uint64(7), groupEdgesCatchAll)
 	f.Fuzz(func(t *testing.T, mode uint8, seed uint64, ops []byte) { runSweepOps(t, mode, seed, ops) })
 }
 

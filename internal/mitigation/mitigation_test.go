@@ -37,19 +37,25 @@ func TestVanillaIsVulnerable(t *testing.T) {
 	}
 }
 
-// TestMaskCapContainsMaskCount: the quota holds the line on masks — but
-// note the trade-off the outcome numbers expose: in reject mode the
-// victim's own megaflow may be the one refused, turning every victim
-// packet into an upcall. The quota bounds the damage, it does not undo it.
+// TestMaskCapContainsMaskCount: the quota holds the line on masks, and so on
+// the scan — but note the trade-off the outcome numbers expose: in reject
+// mode the victim's own megaflow may be the one refused, turning every such
+// victim packet into an upcall. The quota bounds the damage, it does not undo
+// it, and against 512 masks it no longer buys time either: the capped victim
+// is upcall-bound at 9.2-17.0x, the uncapped one sweeps 451 subtables a
+// lookup at 10.1-14.6x (60 evaluations; a rejected visit is a first-word
+// compare). What the cap does bound is held in counts here — 60.0-60.5
+// subtables a lookup against 450.5-452.0; that it wins where the sweep is
+// long, TestRelativeOrdering holds at 8192 masks.
 func TestMaskCapContainsMaskCount(t *testing.T) {
 	out := evaluate(t, []Variant{NoEMC(), MaskCap(64)})
 	vanilla, capped := out[0], out[1]
 	if capped.Masks > 64 {
 		t.Errorf("mask cap exceeded: %d", capped.Masks)
 	}
-	if capped.Slowdown >= vanilla.Slowdown {
-		t.Errorf("cap (%.1fx) did not improve on vanilla (%.1fx)",
-			capped.Slowdown, vanilla.Slowdown)
+	if capped.AvgScan > 64 || capped.AvgScan >= vanilla.AvgScan/4 {
+		t.Errorf("capped lookups scan %.1f subtables, uncapped %.1f; want at most 64 and under a quarter",
+			capped.AvgScan, vanilla.AvgScan)
 	}
 }
 
@@ -81,9 +87,18 @@ func TestCacheLessIsImmune(t *testing.T) {
 }
 
 // TestRelativeOrdering: the headline comparison — vanilla suffers far more
-// than the capped and cache-less variants.
+// than the capped and cache-less variants — at the paper's operating point,
+// the 8192-mask attack: over 24 evaluations vanilla reads 84-148x, mask-cap
+// 8.5-23x, cache-less 2.8-3.5x. Under the 512-mask attack the three read
+// 10.1-14.6x, 9.2-17.0x and 2.2-2.6x since a rejected visit became a
+// first-word compare (30.3-32.7x, 15.2-16.4x, 2.3-2.4x before): 451 visits no
+// longer outweigh the capped victim's upcalls, nor five times what the
+// injected rules cost the classifier.
 func TestRelativeOrdering(t *testing.T) {
-	out := evaluate(t, []Variant{NoEMC(), MaskCap(64), CacheLess()})
+	out, err := Evaluate(attack.ThreeField(), []Variant{NoEMC(), MaskCap(64), CacheLess()}, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
 	vanilla, capped, cacheless := out[0], out[1], out[2]
 	if vanilla.Slowdown <= capped.Slowdown {
 		t.Errorf("vanilla (%.1fx) should suffer more than mask-cap (%.1fx)",

@@ -610,10 +610,13 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 
 		// 4. Victim drive: timed burst (wall) or a fixed untimed burst
 		// (off — fully deterministic).
-		gbps := 0.0
+		gbps, visits := 0.0, 0.0
 		if mode == "wall" {
+			pkts0, probed0 := physicalWork(sw)
 			cost := sim.MeasureCost(sw, victim, now, samples)
 			gbps = sim.Gbps(sim.Throughput(cost, offeredPPS), frameLen)
+			pkts, probed := physicalWork(sw)
+			visits = float64(probed-probed0) / float64(pkts-pkts0)
 		} else {
 			victimBurst.Reset()
 			for i := 0; i < samples; i++ {
@@ -651,6 +654,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 		tl.Observe(ts, "mf_masks", mfMasks)
 		if mode == "wall" {
 			tl.Observe(ts, "victim_gbps", gbps)
+			tl.Observe(ts, "victim_visits", visits)
 		}
 		if ct != nil {
 			ctEntries, _ := snap.GaugeValue("dp_ct_entries")
@@ -708,6 +712,14 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 		}
 	}
 	return run, nil
+}
+
+// physicalWork reads off a timeline switch the packets it has taken and the
+// subtables its megaflow cache has probed for them (flat or staged, what
+// MasksScanned holds beyond RunBilledScans): victim_visits is their ratio.
+func physicalWork(sw *dataplane.Switch) (packets, probed uint64) {
+	mf := sw.Megaflow()
+	return sw.Counters().Packets, mf.MasksScanned - mf.RunBilledScans
 }
 
 // meanWindows computes the pre/post-attack throughput means over the

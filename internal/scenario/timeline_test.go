@@ -119,12 +119,21 @@ func cheapest(r timelineRun) (before, after, spread float64) {
 // checkFig3Shape asserts the paper's curve on an unbounded-load run, against
 // a second run in the same process whose attack mints a mask count at least
 // 8-fold away: before the attack the datapath has the nominal GbE stream's
-// capacity to spare; the resident attack costs the victim more than the
-// pre-attack samples differ among themselves; and the cost is linear in the
-// masks minted — a mask adds the same nanoseconds in both runs, within 2x.
-// How many nanoseconds that is belongs to the host and to the sweep (3-5 % of
-// the pre-attack cost with the PR 13 subtables, ~1 % with single rows); the
-// shape does not depend on it, so no constant here has to follow the sweep.
+// capacity to spare; the resident attack costs the victim more wall time than
+// the pre-attack samples differ among themselves; and the cost is linear in
+// the masks minted — in what is exact: the subtables a victim packet has
+// physically probed (the victim_visits series, from the cache's counters) are
+// the same share of the resident masks in both runs, within 15 %.
+//
+// The share reads 168 / 466 = 0.361 (two-field), 1 861 / 4 651 = 0.400
+// (fig3Mid) and 2 958 / 7 441 = 0.398 (three-field) on every run: the victim's
+// megaflow lands in the subtable of the same mask the ladder minted that far
+// down. Wall time per mask is logged, not held: between two runs on one quiet
+// host it differs x1.45 by itself (0.455 vs 0.315 ns a mask at 466 and 4 651:
+// a fixed ~75 ns a packet besides 0.74 ns a visit), a host that changes speed
+// x1.9 for whole runs multiplies that, and the x2 band this check held it to
+// failed 2 in 20 (small) and 5 in 20 (full scale) once a rejected visit was a
+// first-word compare.
 func checkFig3Shape(t *testing.T, res, ref timelineRun) {
 	t.Helper()
 	// The one absolute here, and not the datapath's under the race detector
@@ -141,18 +150,26 @@ func checkFig3Shape(t *testing.T, res, ref timelineRun) {
 	if lo, hi := min(masks, refMasks), max(masks, refMasks); hi < 8*lo {
 		t.Fatalf("runs of %g and %g masks: too close to show linearity", masks, refMasks)
 	}
+	visits, refVisits := visitsUnderAttack(res), visitsUnderAttack(ref)
 	refBefore, refAfter, _ := cheapest(ref)
-	got, want := (after-before)/masks, (refAfter-refBefore)/refMasks
-	t.Logf("a mask adds %.2f ns at %g masks, %.2f ns at %g", got, masks, want, refMasks)
-	if got < want/2 || got > want*2 {
-		t.Errorf("a mask adds %.2f ns at %g masks, %.2f ns at %g: cost not linear in masks", got, masks, want, refMasks)
+	t.Logf("a victim packet probes %g of %g masks at %.2f ns a mask, %g of %g at %.2f ns",
+		visits, masks, (after-before)/masks, refVisits, refMasks, (refAfter-refBefore)/refMasks)
+	if got, want := visits/masks, refVisits/refMasks; got < want*0.85 || got > want*1.15 {
+		t.Errorf("a victim packet probes %g of %g masks, %g of %g: cost not linear in masks", visits, masks, refVisits, refMasks)
 	}
 }
 
+// visitsUnderAttack returns the subtables a victim packet physically probes
+// at the end of the run, with the attack long resident: a count, the same in
+// every sample and on every run.
+func visitsUnderAttack(r timelineRun) float64 {
+	return r.Timeline.Series("victim_visits").At(float64(r.pack.Duration - 1))
+}
+
 // TestFig3ShapeSmall runs the scaled-down Fig. 3 and asserts the paper's
-// qualitative shape: capacity to spare before, per-packet cost growing by
-// the mask count after (held against a run of ten times the masks), mask
-// count jumping from a handful to the predicted hundreds.
+// qualitative shape: capacity to spare before, per-packet cost up after, by
+// visits that grow with the mask count (held against a run of ten times the
+// masks), mask count jumping from a handful to the predicted hundreds.
 func TestFig3ShapeSmall(t *testing.T) {
 	res, mid := runInline(t, fig3Small), runInline(t, fig3Mid)
 	checkFig3Shape(t, res, mid)
@@ -173,7 +190,7 @@ func TestFig3ShapeSmall(t *testing.T) {
 // How much of a link N masks take, and how many times the pre-attack cost
 // they add, depends on how fast the host sweeps a subtable, so the test
 // calibrates itself. An unbounded-load run gives the datapath's cost before
-// and under the attack, held to checkFig3Shape against the small run — cost
+// and under the attack, held to checkFig3Shape against the small run — visits
 // linear in masks over a 16-fold range — and the run on the link must lose
 // what the two capacities predict.
 func TestFig3FullScale(t *testing.T) {
