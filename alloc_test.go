@@ -161,11 +161,12 @@ func TestMissBurstAllocs(t *testing.T) {
 }
 
 // TestSweepScratchOnStack holds the flat sweep's scratch — the gathered key
-// words and the first-word groups scan tests a single row with — to its
-// caller's stack: a full miss word of 64 keys, half of them on the rows' port
-// and so through to the three-word compare, swept down 96 single rows by
-// LookupBatch, and one key by the scalar Lookup, allocate nothing. Scratch on
-// the cache would be shared by a shard child's concurrent readers.
+// words and the groups of four scan tests a single row with — to its caller's
+// stack: a full miss word of 64 keys, all on the rows' port and so past the
+// first-word test, half rejected on a row's third word and half on its second
+// and third together, swept down 96 single rows by LookupBatch, and one key by
+// the scalar Lookup, allocate nothing. Scratch on the cache would be shared by
+// a shard child's concurrent readers.
 func TestSweepScratchOnStack(t *testing.T) {
 	m := cache.NewMegaflow(cache.MegaflowConfig{})
 	for i := range 96 {
@@ -185,9 +186,9 @@ func TestSweepScratchOnStack(t *testing.T) {
 	}
 	keys := make([]flow.Key, 64)
 	for i := range keys {
-		keys[i].Set(flow.FieldInPort, uint64(1+65*(i%2))) // the victim's port, the rows' port
-		keys[i].Set(flow.FieldIPSrc, 0x0a000001)          // diverges from every row
-		keys[i].Set(flow.FieldTPDst, 80)
+		keys[i].Set(flow.FieldInPort, 66)
+		keys[i].Set(flow.FieldIPSrc, 0x0a000001)         // diverges from every row
+		keys[i].Set(flow.FieldTPDst, 80^uint64(i%2)<<15) // off every row's, or rows 0-31 pass it
 		keys[i].Set(flow.FieldTPSrc, uint64(1024+i))
 	}
 	ents, costs := make([]*cache.Entry, len(keys)), make([]int, len(keys))

@@ -165,11 +165,12 @@ func BenchmarkMaskInjection(b *testing.B) {
 // bursts through ProcessFrames, kernel datapath model. The paper's
 // degradation curve is ns/op growing linearly in masks; ns/visit is its
 // slope (time per subtable a key is probed against), with the fast path's
-// fixed cost folded in on the low rungs. The slope has two values, by whether
-// the key shares the rows' first masked word — the in-port: port=victim is
-// rejected on it, four keys a compare; port=attacker offers the same frames on
-// the attacker's port, where the injected ACL's default deny decides them, and
-// every row goes on to the three-word compare.
+// fixed cost folded in on the low rungs. port=victim is rejected on the rows'
+// first masked word — the in-port — four keys a compare; port=attacker offers
+// the same frames on the attacker's port, where the injected ACL's default deny
+// decides them: they pass every first word and are rejected on the deeper
+// ones, the row's third word or its second and third together. Both legs are
+// expected at ~0.7-0.8 ns/visit at 8 192 masks.
 func BenchmarkTSSLookupMasks(b *testing.B) {
 	atk := attack.ThreeField()
 	covert := covertKeys(b, atk)

@@ -410,16 +410,17 @@ func (m *Megaflow) Reprobe(k flow.Key, now uint64) (*Entry, int, bool) {
 // gathered is scan's working set: the unresolved keys of one miss-bitmap
 // word (bit b of live stands for keys[b]) and, in w[b], the three words shape
 // selects of keys[b], then the probe hash of a visit scan hashed and leaves
-// open. first[:groups] holds the first of those words again, for the keys live
-// at the gather, four to a group with no gaps: what a single row tests first.
-// It lives on sweep's stack, as w on its caller's: shard readers share nothing.
+// open. grp[:groups] holds those three words again, for the keys live at the
+// gather, four to a group with no gaps — grp[j][i][l] is word i of the group's
+// l-th key: what a single row tests first. It lives on sweep's stack, as w on
+// its caller's: shard readers share nothing.
 type gathered struct {
 	w      [][4]uint64
 	keys   []flow.Key
 	live   uint64
 	shape  uint32
 	groups int
-	first  [16][4]uint64
+	grp    [16][3][4]uint64
 }
 
 // load gathers the live keys' words; out of line, to keep scan on registers.
@@ -431,15 +432,27 @@ func (g *gathered) load(shape uint32) {
 	n := 0
 	for w := g.live; w != 0; w &= w - 1 {
 		b := bits.TrailingZeros64(w)
-		k := &g.keys[b]
+		k, grp := &g.keys[b], &g.grp[n>>2]
 		g.w[b] = [4]uint64{k[shape&0xff], k[shape>>8&0xff], k[shape>>16&0xff]}
-		g.first[n>>2][n&3] = g.w[b][0]
+		grp[0][n&3], grp[1][n&3], grp[2][n&3] = g.w[b][0], g.w[b][1], g.w[b][2]
 		n++
 	}
 	for ; n&3 != 0; n++ {
-		g.first[n>>2][n&3] = g.first[n>>2][0]
+		grp := &g.grp[n>>2]
+		grp[0][n&3], grp[1][n&3], grp[2][n&3] = grp[0][0], grp[1][0], grp[2][0]
 	}
 	g.groups = n >> 2
+}
+
+// anyPasses reports whether word i of any group member passes the row word
+// m, e: key&m == e on that word, a necessary condition of the probe.
+func anyPasses(grp [][3][4]uint64, i int, m, e uint64) bool {
+	for j := range grp {
+		if f := &grp[j][i]; f[0]&m == e || f[1]&m == e || f[2]&m == e || f[3]&m == e {
+			return true
+		}
+	}
+	return false
 }
 
 // scan walks the scan order from row ri with g's live keys and returns the
@@ -453,16 +466,20 @@ func (g *gathered) load(shape uint32) {
 // attack's 7 937) is the probe: the key's three words under the row's mask
 // words against the resident's — it loads the row, the next line in sequence,
 // and nothing of the subtable; equal words are a hit, which sweep confirms
-// through find. The compare is cut short on its first word: the gather's
-// groups are tested four keys at a time, and a row none passes is a miss for
-// every live key — any row pinned to another in-port, the attack's whole ladder
-// for its victim — while a pass sends the row to the three-word compare,
-// differences OR-ed, over the live keys. A key resolved since the gather stays
-// in its group: it can pass a row for nothing, never hide one. Any other row of
-// at most three words takes three ANDs, the probe hash, and the pair of slots
-// it points to in the subtable's first line; an empty slot and no equal hash
-// there prove the miss (walk's first step). Masks of over three words are left
-// to find whole.
+// through find. The compare is cut short by a cascade over the gather's groups,
+// four keys a test, each a necessary condition of the probe on some live key,
+// so a row is skipped only on proof: does a member pass the row's first word —
+// no on any row pinned to another in-port, the attack's whole ladder for its
+// victim; then its third word, the deepest; then its second and third together
+// within one member — no on nearly every row of the ladder for the covert
+// stream, which shares the first word. A row all three pass goes to the
+// three-word compare, differences OR-ed, over the live keys. A key resolved
+// since the gather stays in its group, and a short last group repeats its
+// first member: either can pass a row for nothing, never hide one. Any other
+// row of at most three words takes three ANDs, the probe hash, and the pair of
+// slots it points to in the subtable's first line; an empty slot and no equal
+// hash there prove the miss (walk's first step). Masks of over three words are
+// left to find whole.
 func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 	rows, seed := m.subtables, m.seed
 	for ; ri < len(rows); ri++ {
@@ -475,9 +492,15 @@ func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 		}
 		var open uint64
 		if row.single {
-			pass, mw, ew := false, row.mw[0], row.ew[0]
-			for j := range g.first[:g.groups] {
-				if f := &g.first[j]; f[0]&mw == ew || f[1]&mw == ew || f[2]&mw == ew || f[3]&mw == ew {
+			grp := g.grp[:g.groups]
+			if !anyPasses(grp, 0, row.mw[0], row.ew[0]) || !anyPasses(grp, 2, row.mw[2], row.ew[2]) {
+				continue
+			}
+			pass, m1, e1, m2, e2 := false, row.mw[1], row.ew[1], row.mw[2], row.ew[2]
+			for j := range grp {
+				a, c := &grp[j][1], &grp[j][2]
+				if (a[0]&m1^e1)|(c[0]&m2^e2) == 0 || (a[1]&m1^e1)|(c[1]&m2^e2) == 0 ||
+					(a[2]&m1^e1)|(c[2]&m2^e2) == 0 || (a[3]&m1^e1)|(c[3]&m2^e2) == 0 {
 					pass = true
 					break
 				}

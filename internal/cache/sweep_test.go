@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -241,15 +242,17 @@ func TestSweepMatchesProbes(t *testing.T) {
 // prefix length. With nw of 2 or 3 a row pins key word fw whole — the in-port;
 // every third row another port's, foreign to every hitter — and a prefix of
 // word 5 (and word 7 whole); with nw of 1 the prefix is on word fw itself, so
-// mw[1] and mw[2] repeat it (fw 0) or are zero (fw 3). Row i's resident
-// diverges from one base at bit i of the prefix word, so hitter(i) matches row
-// i and no other; a stranger matches none, on its first word. catchAll adds the
-// zero-word mask (mw[0] = ew[0] = 0: every key passes, and hits) as last row.
+// mw[1] and mw[2] repeat it (fw 0) or are zero (fw 3). With split the second
+// half of the rows takes its prefix on word 6: the shape changes mid-sweep.
+// Row i's resident diverges from one base at bit i of the prefix word, so
+// hitter(i) matches row i and no other; a stranger matches none, on its first
+// word. catchAll adds the zero-word mask (mw[0] = ew[0] = 0: every key passes,
+// and hits) as last row.
 type firstWordLadder struct {
 	m         *Megaflow
 	own       []int // the rows hitters may aim at, in scan order
 	residents []flow.Match
-	fw        int
+	fw, nw    int
 }
 
 const (
@@ -257,9 +260,9 @@ const (
 	ladderBase                            = 0x0a0000015014_beef
 )
 
-func newFirstWordLadder(t *testing.T, nRows, fw, nw int, catchAll bool) *firstWordLadder {
+func newFirstWordLadder(t *testing.T, nRows, fw, nw int, catchAll, split bool) *firstWordLadder {
 	t.Helper()
-	l := &firstWordLadder{m: NewMegaflow(MegaflowConfig{FlowLimit: -1}), fw: fw}
+	l := &firstWordLadder{m: NewMegaflow(MegaflowConfig{FlowLimit: -1}), fw: fw, nw: nw}
 	l.m.seed = boundSeeds[0] | 1
 	for i := range nRows {
 		var match flow.Match
@@ -271,8 +274,12 @@ func newFirstWordLadder(t *testing.T, nRows, fw, nw int, catchAll bool) *firstWo
 			if i%3 == 2 {
 				match.Key[fw] = foreignPort
 			}
-			match.Mask[5] = ^uint64(0) << uint(63-i)
-			match.Key[5] = ladderBase ^ 1<<uint(63-i)
+			pw := 5
+			if split && i >= nRows/2 {
+				pw = 6
+			}
+			match.Mask[pw] = ^uint64(0) << uint(63-i)
+			match.Key[pw] = ladderBase ^ 1<<uint(63-i)
 			if nw == 3 {
 				match.Mask[7], match.Key[7] = ^uint64(0), 5201
 			}
@@ -300,10 +307,31 @@ func newFirstWordLadder(t *testing.T, nRows, fw, nw int, catchAll bool) *firstWo
 	return l
 }
 
-// hitter returns a key that matches row i alone (and the catch-all).
+// hitter returns a key that matches row i alone (and the catch-all): both
+// prefix words hold the base outside row i's mask, so no other row's diverging
+// bit is set by chance.
 func (l *firstWordLadder) hitter(rng *rand.Rand, i int) flow.Key {
 	k := randomKey(rng)
+	k[5], k[6] = ladderBase, ladderBase
 	cover(&k, l.residents[i])
+	return k
+}
+
+// nearMiss returns row r's hitter failing every row on one word alone, at
+// depth 1 (both prefix words the base: no row's diverging bit) or, on rows of
+// three words, at depth 2 (word 7 one off). It keeps the rows' first word, so
+// only the words behind it can reject it. On one-word rows the prefix is the
+// first word, and a near miss is a stranger.
+func (l *firstWordLadder) nearMiss(rng *rand.Rand, r, depth int) flow.Key {
+	k := l.hitter(rng, r)
+	switch {
+	case l.nw == 1:
+		k[l.fw] = ladderBase
+	case depth == 2 && l.nw == 3:
+		k[7] ^= 1
+	default:
+		k[5], k[6] = ladderBase, ladderBase
+	}
 	return k
 }
 
@@ -314,66 +342,96 @@ func (l *firstWordLadder) stranger(rng *rand.Rand) flow.Key {
 	return k
 }
 
-// TestSweepFirstWordGroups holds the single row's first-word test to the probe
-// reference at the edges of its groups of four: miss words of 1, 3, 4, 5, 63
-// and 64 live keys (one group to sixteen, short last groups padded) at
-// scattered bit positions, beside a second miss word of six; no key sharing
-// the rows' first word, only the last live key (in the last group, among its
-// padding), only the first (group 0), every key (each resolved at its own
-// depth while its group-mates sweep on, a stale member left behind), and an
-// early hit and a late one in one group among strangers; over rows of three,
-// two, one and no mask words, rows of another port rejected between the hits.
-func TestSweepFirstWordGroups(t *testing.T) {
+// TestSweepGroupEdges holds the single row's cascade to the probe reference at
+// the edges of its groups of four: miss words of 1 to 5, 63 and 64 live keys
+// (one group to sixteen, short last groups padded) at scattered bit positions,
+// beside a second miss word of six. Strangers, off the rows' first word, are
+// rejected by the first-word test: none but the last live key passes (in the
+// last group, among its padding), only the first, every key (each resolved at
+// its own depth while its group-mates sweep on, a stale member left behind), an
+// early hit and a late one in group 0. Near misses, on the rows' own first word,
+// are left to the deeper words: keys failing word 1 alone or word 2 alone; a
+// group 0 passing word 2 alone before groups passing word 1 alone, so the
+// third-word test passes and the pair test must reject; one true hit among
+// them, the last live key; every other key a hit at its own depth. Over rows of
+// three, two (the third word repeats word 0), one and no mask words, rows of
+// another port between the hits, and a prefix word that changes mid-ladder, so
+// the groups are gathered again mid-sweep.
+func TestSweepGroupEdges(t *testing.T) {
 	const nRows = 24
 	rng := rand.New(rand.NewSource(24))
 	for _, kind := range []struct {
-		name     string
-		fw, nw   int
-		catchAll bool
+		name            string
+		fw, nw          int
+		catchAll, split bool
 	}{
-		{"three words", 0, 3, false},
-		{"three words, first word 3, then the catch-all", 3, 3, true},
-		{"two words", 0, 2, false},
-		{"one word, key word 0 repeated", 0, 1, false},
-		{"one word, key word 3 and zeros", 3, 1, true},
+		{"three words", 0, 3, false, false},
+		{"three words, shape change mid-ladder", 0, 3, false, true},
+		{"three words, first word 3, then the catch-all", 3, 3, true, false},
+		{"two words, shape change mid-ladder", 0, 2, false, true},
+		{"one word, key word 0 repeated", 0, 1, false, false},
+		{"one word, key word 3 and zeros, then the catch-all", 3, 1, true, false},
 	} {
-		l := newFirstWordLadder(t, nRows, kind.fw, kind.nw, kind.catchAll)
+		l := newFirstWordLadder(t, nRows, kind.fw, kind.nw, kind.catchAll, kind.split)
 		deepest := l.own[len(l.own)-1]
 		if ent, cost, ok := l.m.Lookup(l.hitter(rng, deepest), 2); !ok || cost != deepest+1 || ent.Match != l.residents[deepest] {
 			t.Fatalf("%s: Lookup of row %d's hitter = %v at cost %d (%v)", kind.name, deepest, ent, cost, ok)
 		}
-		for _, n := range []int{1, 3, 4, 5, 63, 64} {
-			// the k-th live key of the first miss word sits at bit k*64/n
-			pos := make(map[int]int, n)
+		// Live key k's arrangements, as the row it hits (-1: none) and the key.
+		stranger := func(int) (flow.Key, int) { return l.stranger(rng), -1 }
+		nearMiss := func(k, depth int) (flow.Key, int) { return l.nearMiss(rng, l.own[k%len(l.own)], depth), -1 }
+		hit := func(r int) (flow.Key, int) { return l.hitter(rng, r), r }
+		for _, n := range []int{1, 2, 3, 4, 5, 63, 64} {
+			pos := make(map[int]int, n) // the k-th live key of the first miss word sits at bit k*64/n
 			for k := range n {
 				pos[k*64/n] = k
 			}
 			for _, arr := range []struct {
 				name string
-				row  func(k int) int // the row live key k hits, -1 for a stranger
+				key  func(k int) (flow.Key, int)
 			}{
-				{"no key passes", func(int) int { return -1 }},
-				{"the last live key passes", func(k int) int {
+				{"strangers", stranger},
+				{"strangers, the last live key hits", func(k int) (flow.Key, int) {
 					if k == n-1 {
-						return deepest
+						return hit(deepest)
 					}
-					return -1
+					return stranger(k)
 				}},
-				{"the first live key passes", func(k int) int {
+				{"strangers, the first live key hits", func(k int) (flow.Key, int) {
 					if k == 0 {
-						return deepest
+						return hit(deepest)
 					}
-					return -1
+					return stranger(k)
 				}},
-				{"every key passes", func(k int) int { return l.own[k*5%len(l.own)] }},
-				{"an early hit and a late one in group 0", func(k int) int {
+				{"every key hits", func(k int) (flow.Key, int) { return hit(l.own[k*5%len(l.own)]) }},
+				{"strangers, an early hit and a late one in group 0", func(k int) (flow.Key, int) {
 					switch k {
 					case 0:
-						return l.own[1]
+						return hit(l.own[1])
 					case 1:
-						return deepest
+						return hit(deepest)
 					}
-					return -1
+					return stranger(k)
+				}},
+				{"near misses failing word 1 alone", func(k int) (flow.Key, int) { return nearMiss(k, 1) }},
+				{"near misses failing word 2 alone", func(k int) (flow.Key, int) { return nearMiss(k, 2) }},
+				{"word 2 alone in group 0, word 1 alone after it", func(k int) (flow.Key, int) {
+					if k < 4 {
+						return l.nearMiss(rng, deepest, 1), -1
+					}
+					return l.nearMiss(rng, deepest, 2), -1
+				}},
+				{"near misses, the last live key hits", func(k int) (flow.Key, int) {
+					if k == n-1 {
+						return hit(deepest)
+					}
+					return nearMiss(k, 1+k%2)
+				}},
+				{"near misses, every other key hits at its own depth", func(k int) (flow.Key, int) {
+					if k%2 == 0 {
+						return hit(l.own[k*5%len(l.own)])
+					}
+					return nearMiss(k, 1+k%2)
 				}},
 			} {
 				keys := make([]flow.Key, 70)
@@ -381,19 +439,63 @@ func TestSweepFirstWordGroups(t *testing.T) {
 					k, live := pos[i]
 					switch {
 					case i >= 64 && i%2 == 0:
-						keys[i] = l.hitter(rng, l.own[i%len(l.own)])
-					case i >= 64 || !live || arr.row(k) < 0:
+						keys[i], _ = hit(l.own[i%len(l.own)])
+					case i >= 64 && i%4 == 1:
+						keys[i], _ = nearMiss(i, 1+i/4%2)
+					case i >= 64 || !live:
 						keys[i] = l.stranger(rng)
 					default:
-						keys[i] = l.hitter(rng, arr.row(k))
-						if l.m.subtables[arr.row(k)].st.probe(&keys[i], l.m.seed) == nil {
-							t.Fatalf("%s: the hitter of row %d misses it", kind.name, arr.row(k))
+						var r int
+						if keys[i], r = arr.key(k); r >= 0 && l.m.subtables[r].st.probe(&keys[i], l.m.seed) == nil {
+							t.Fatalf("%s: the hitter of row %d misses it", kind.name, r)
 						}
 					}
 				}
 				t.Run(fmt.Sprintf("%s/%d live/%s", kind.name, n, arr.name), func(t *testing.T) {
 					checkBatchAgainstProbes(t, l.m, keys, func(i int) bool { _, live := pos[i]; return live || i >= 64 }, 3)
 				})
+			}
+		}
+	}
+}
+
+// TestGatherGroups holds load to the layout the single-row tests read: after a
+// gather, group member m is the m-th live key's three shape words, all from
+// that one key, in live order, and a short last group is filled up with its
+// first member — never with zeros or with what an earlier gather left there.
+// Each live set is gathered under three shapes in turn, as a sweep does at a
+// shape change.
+func TestGatherGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	keys := make([]flow.Key, 64)
+	for i := range keys {
+		keys[i] = randomKey(rng)
+	}
+	g := gathered{w: make([][4]uint64, 64), keys: keys}
+	for _, n := range []int{1, 2, 3, 4, 5, 63, 64} {
+		g.live = 0
+		for _, b := range rng.Perm(64)[:n] {
+			g.live |= 1 << b
+		}
+		for _, shape := range []uint32{0 | 3<<8 | 4<<16, 5 | 6<<8 | 7<<16, 2 | 9<<8} {
+			g.load(shape)
+			var want [][3]uint64
+			for w := g.live; w != 0; w &= w - 1 {
+				k := &keys[bits.TrailingZeros64(w)]
+				want = append(want, [3]uint64{k[shape&0xff], k[shape>>8&0xff], k[shape>>16&0xff]})
+			}
+			if g.groups != (n+3)/4 {
+				t.Fatalf("%d live keys gathered into %d groups", n, g.groups)
+			}
+			for m := range 4 * g.groups {
+				w := m
+				if m >= n {
+					w = m &^ 3 // padding: the group's first member
+				}
+				grp := &g.grp[m>>2]
+				if got := [3]uint64{grp[0][m&3], grp[1][m&3], grp[2][m&3]}; got != want[w] {
+					t.Fatalf("%d live keys, shape %#x: member %d of group %d holds %#x, want live key %d's %#x", n, shape, m&3, m>>2, got, w, want[w])
+				}
 			}
 		}
 	}
@@ -541,7 +643,9 @@ type reprobePaths struct{ short, retired, overflowed, hits int }
 // runSweepOps interprets ops as a stream of cache operations, three bytes
 // each, over a cache configured by mode, and after every one checks the scan
 // order's rows and a burst of lookups against the probe reference. Matches
-// come from a small pool so inserts collide, replace and re-mint.
+// come from a small pool so inserts collide, replace and re-mint; every third
+// burst key covers one, and with mode&4 the key after it is a near miss of a
+// resident entry (nearMissOf): on its first words, off on a deeper one.
 //
 // A twin cache takes the same calls. After each burst one to three of the
 // stream's next operations run ahead on both, with no LookupBatch in between
@@ -611,10 +715,14 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 		if m.Len() != len(m.Entries()) {
 			t.Fatalf("Len %d, %d entries resident", m.Len(), len(m.Entries()))
 		}
-		keys := burstOver(rng, m.Entries(), 1+int(ops[i+2])%70)
+		resident := m.Entries()
+		keys := burstOver(rng, resident, 1+int(ops[i+2])%70)
 		for j := 0; j < len(keys); j += 3 {
 			// What the pool may yet install: a miss now, a hit once it has.
 			cover(&keys[j], pool[rng.Intn(len(pool))])
+			if mode&4 != 0 && j+1 < len(keys) && len(resident) > 0 {
+				keys[j+1] = nearMissOf(keys[j+1], resident[rng.Intn(len(resident))].Match, j/3)
+			}
 		}
 		switch {
 		case cfg.StagedPruning:
@@ -705,7 +813,7 @@ var (
 	putLogRetired  = []byte{0, 1, 9, 0, 2, 0, 0, 3, 0, 0, 4, 0, 8, 6, 243, 0, 11, 3, 3, 12, 0}
 )
 
-// The edges of the first-word groups, as streams for runSweepOps (mode 0; the
+// The edges of the gather's groups, as streams for runSweepOps (mode 0; the
 // third byte of an operation sizes the burst after it): groupEdges takes bursts
 // of 64, 63, 5, 4, 3 and 1 keys — sixteen full groups, a last group of three,
 // one group and a padded second, one full, one padded, one key alone — down
@@ -717,9 +825,39 @@ var (
 	groupEdgesCatchAll = []byte{0, 1, 0, 0, 2, 0, 0, 5, 63, 0, 11, 60, 3, 1, 63, 3, 2, 64}
 )
 
+// Same-port keys, as streams for runSweepOps (mode 4: near misses): bursts of
+// two and five keys, small enough that a near miss is often the only key on
+// its row's first word, after each mint of a three-word mask, so a single row's
+// third word, or its second and third together, is what rejects it (a scratch
+// count: 7 and 2 rows; 5 and 3 with the catch-all). nearMissesCatchAll mints
+// the zero-word mask mid-stream, then removes two of the masks before it.
+var (
+	nearMisses         = []byte{0, 2, 1, 0, 12, 1, 0, 17, 1, 0, 22, 1, 0, 27, 4, 0, 32, 4, 0, 42, 1, 0, 52, 1}
+	nearMissesCatchAll = []byte{0, 2, 4, 0, 12, 4, 0, 22, 4, 0, 0, 4, 0, 32, 4, 3, 12, 4, 3, 2, 4, 0, 52, 4}
+)
+
+// nearMissOf returns k covering match but one bit off it in the last of the
+// mask's significant words (d even) or the one before (d odd): a key on the
+// match's first words — its in-port — that fails it on one deeper word alone.
+// Under the catch-all it covers it.
+func nearMissOf(k flow.Key, match flow.Match, d int) flow.Key {
+	cover(&k, match)
+	var sig []int
+	for w, bits := range match.Mask {
+		if bits != 0 {
+			sig = append(sig, w)
+		}
+	}
+	if len(sig) > 0 {
+		w := sig[max(len(sig)-1-d%2, 0)]
+		k[w] ^= match.Mask[w] & -match.Mask[w]
+	}
+	return k
+}
+
 // FuzzMegaflowSweep feeds arbitrary operation streams, cache modes (flat,
-// hit-count re-sorting, staged re-ranking, mask-cap LRU eviction) and hash
-// seeds to runSweepOps.
+// hit-count re-sorting, staged re-ranking, mask-cap LRU eviction; each with or
+// without near misses) and hash seeds to runSweepOps.
 func FuzzMegaflowSweep(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte("insert, insert, remove; trim and look again"))
 	f.Add(uint8(1), uint64(2), []byte{0, 1, 9, 0, 2, 9, 1, 3, 9, 0, 9, 70, 2, 17, 3, 3, 1, 0, 0, 1, 1})
@@ -729,6 +867,8 @@ func FuzzMegaflowSweep(f *testing.F) {
 	f.Add(uint8(0), uint64(2), putLogRetired)
 	f.Add(uint8(0), uint64(6), groupEdges)
 	f.Add(uint8(0), uint64(7), groupEdgesCatchAll)
+	f.Add(uint8(4), uint64(8), nearMisses)
+	f.Add(uint8(4), uint64(9), nearMissesCatchAll)
 	f.Fuzz(func(t *testing.T, mode uint8, seed uint64, ops []byte) { runSweepOps(t, mode, seed, ops) })
 }
 
@@ -744,13 +884,13 @@ func TestSweepSeedsReachPutLog(t *testing.T) {
 }
 
 // TestSweepOps runs the fuzz interpreter over random streams in every mode,
-// so the maintenance paths are cross-checked without the fuzzer — and the put
+// with and without near misses, so the maintenance paths are cross-checked without the fuzzer — and the put
 // log's re-probes with them, which the streams must really reach: by the log,
 // past a subtable retired since it was logged, and past an overflow.
 func TestSweepOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var paths reprobePaths
-	for mode := uint8(0); mode < 4; mode++ {
+	for mode := uint8(0); mode < 8; mode++ {
 		for trial := 0; trial < 30; trial++ {
 			ops := make([]byte, 3*(10+rng.Intn(120)))
 			rng.Read(ops)
