@@ -79,14 +79,18 @@ const rankAlpha = 0.25
 type Entry struct {
 	Match   flow.Match
 	Verdict Verdict
-	Hits    uint64
-	Added   uint64 // logical insert time
-	LastHit uint64 // logical last-hit time
 
 	// dead is set on eviction so EMC/SMC references invalidate lazily.
 	// Atomic because in sharded hierarchies the evicting shard and a
-	// reference tier's reader hold different locks.
+	// reference tier's reader hold different locks. It sits in the padding
+	// behind Verdict's 12 bytes: between the 8-byte fields it would add 8
+	// bytes and move the entry into the 224-byte size class
+	// (TestScanRowLayout).
 	dead atomic.Bool
+
+	Hits    uint64
+	Added   uint64 // logical insert time
+	LastHit uint64 // logical last-hit time
 
 	// st is the subtable the entry is resident in (nil once evicted), so
 	// run accounting reaches it without hashing the mask.
@@ -104,8 +108,8 @@ type Megaflow struct {
 	cfg       MegaflowConfig
 	limit     int
 	hooks     MaskHooks
-	subtables []scanRow // scan order, one compiled row per subtable
-	byMask    map[flow.Mask]*mfSubtable
+	subtables []scanRow     // scan order, one compiled row per subtable
+	index     []*mfSubtable // the mask index, over the same subtables (see subtableOf)
 	nEntries  int
 	seed      uint64 // probe-hash secret, odd; tableSeed outside tests
 
@@ -172,10 +176,9 @@ func NewMegaflow(cfg MegaflowConfig) *Megaflow {
 		cfg.SortByHits = false
 	}
 	return &Megaflow{
-		cfg:    cfg,
-		limit:  limit,
-		byMask: make(map[flow.Mask]*mfSubtable),
-		seed:   tableSeed,
+		cfg:   cfg,
+		limit: limit,
+		seed:  tableSeed,
 	}
 }
 
@@ -510,7 +513,9 @@ func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 			}
 			for w := g.live; w != 0; w &= w - 1 {
 				kw := &g.w[bits.TrailingZeros64(w)]
-				if (kw[0]&row.mw[0])^row.ew[0]|(kw[1]&row.mw[1])^row.ew[1]|(kw[2]&row.mw[2])^row.ew[2] == 0 {
+				// ^ and | bind alike: each difference is bracketed, or the
+				// terms chain left to right and differences can cancel.
+				if ((kw[0]&row.mw[0])^row.ew[0])|((kw[1]&row.mw[1])^row.ew[1])|((kw[2]&row.mw[2])^row.ew[2]) == 0 {
 					open |= w & -w // the key's bit
 				}
 			}
@@ -586,7 +591,7 @@ func (m *Megaflow) maybeResort() {
 // the stale entry (revalidation after a policy change does this).
 func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, error) {
 	match.Normalize()
-	st := m.byMask[match.Mask]
+	st, mh := m.subtableOf(&match.Mask)
 	if st == nil {
 		// The flow limit gates *before* a new subtable is minted: a mask
 		// with no subtable cannot hold the entry either, and creating one
@@ -616,7 +621,8 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 		if m.cfg.StagedPruning {
 			st.staged = newStagedState(match.Mask)
 		}
-		m.byMask[match.Mask] = st
+		st.mhash = mh
+		m.indexAdd(st)
 		st.pos = uint32(len(m.subtables))
 		m.subtables = append(m.subtables, st.row())
 		if m.hooks.Minted != nil {
@@ -688,7 +694,7 @@ func (m *Megaflow) retireEntry(ent *Entry) {
 // Remove deletes the entry with exactly the given match.
 func (m *Megaflow) Remove(match flow.Match) bool {
 	match.Normalize()
-	st := m.byMask[match.Mask]
+	st, _ := m.subtableOf(&match.Mask)
 	if st == nil {
 		return false
 	}
@@ -728,7 +734,79 @@ func (m *Megaflow) forgetSubtable(st *mfSubtable) {
 	if m.hooks.Dropped != nil {
 		m.hooks.Dropped(st.mask)
 	}
-	delete(m.byMask, st.mask)
+	m.indexDel(st)
+}
+
+// subtableOf returns the subtable of mask, or nil, and the mask's hash.
+//
+// The mask index holds a pointer to every subtable of the scan order in a
+// power-of-two table at load <= 1/2, probed linearly from the home slot the
+// mask's hash names and deleted from by backward shift — the subtables' own
+// conventions (put, place, delAt). The hash is maskHash under the cache's
+// secret seed, since whoever writes an ACL chooses its masks; each subtable
+// keeps its own (mhash), so a probe compares masks only on an equal hash and
+// a grow re-homes without hashing. It is read and written by Insert, Remove
+// and the retirement of subtables only, all on the write side.
+func (m *Megaflow) subtableOf(mask *flow.Mask) (*mfSubtable, uint64) {
+	h := maskHash(m.seed, mask)
+	if len(m.index) == 0 {
+		return nil, h
+	}
+	n := uint64(len(m.index) - 1)
+	for i := h & n; m.index[i] != nil; i = (i + 1) & n {
+		if st := m.index[i]; st.mhash == h && st.mask == *mask {
+			return st, h
+		}
+	}
+	return nil, h
+}
+
+// indexAdd enters st, minted for a mask subtableOf did not find and not yet
+// in the scan order, in the mask index, doubling the index first if st would
+// take it past load 1/2.
+func (m *Megaflow) indexAdd(st *mfSubtable) {
+	if 2*(len(m.subtables)+1) > len(m.index) {
+		old := m.index
+		m.index = make([]*mfSubtable, max(2*len(old), 2))
+		for _, s := range old {
+			if s != nil {
+				m.indexPlace(s)
+			}
+		}
+	}
+	m.indexPlace(st)
+}
+
+// indexPlace stores st in the first empty index slot at or after its home.
+func (m *Megaflow) indexPlace(st *mfSubtable) {
+	n := uint64(len(m.index) - 1)
+	i := st.mhash & n
+	for m.index[i] != nil {
+		i = (i + 1) & n
+	}
+	m.index[i] = st
+}
+
+// indexDel takes st out of the mask index and closes the gap by backward
+// shift, as delAt does in a subtable.
+func (m *Megaflow) indexDel(st *mfSubtable) {
+	n := uint64(len(m.index) - 1)
+	i := st.mhash & n
+	for m.index[i] != st {
+		i = (i + 1) & n
+	}
+	for j := i; ; {
+		j = (j + 1) & n
+		s := m.index[j]
+		if s == nil {
+			m.index[i] = nil
+			return
+		}
+		if (j-s.mhash)&n >= (j-i)&n {
+			m.index[i] = s
+			i = j
+		}
+	}
 }
 
 // dropSubtable retires one subtable: its row is cut out of the scan order
@@ -897,7 +975,7 @@ func (m *Megaflow) Flush() {
 		}
 	}
 	m.subtables = nil
-	m.byMask = make(map[flow.Mask]*mfSubtable)
+	m.index = nil
 	m.nEntries = 0
 	m.resetPutLog() // Flush leaves the tables of the subtables it drops as they were
 }

@@ -38,8 +38,8 @@ const minSlots = 2
 // line it cost the staged attack 17 % of its setup time); a flat sweep, with
 // the mask words in its scanRow, reads the table header and, in a two-slot
 // table, both slot hashes — and nothing at all of a subtable whose row is
-// single. logged and pos sit in the padding before mask: the struct must stay
-// inside the 192-byte class (TestScanRowLayout).
+// single. logged and pos sit in the padding before mask, and mhash fills the
+// class: the struct must stay inside its 192 bytes (TestScanRowLayout).
 type mfSubtable struct {
 	staged *stagedState      // staged-lookup/pruning state; nil unless StagedPruning
 	slots  []mfSlot          // len is a power of two, >= 2*n
@@ -53,6 +53,7 @@ type mfSubtable struct {
 
 	hits    uint64 // for sorted TSS
 	lastHit uint64 // for LRU mask eviction
+	mhash   uint64 // maskHash of mask under Megaflow.seed: its home in the mask index
 }
 
 // scanRow is one position of a Megaflow's scan order, by value and one cache
@@ -150,6 +151,17 @@ func (st *mfSubtable) probeHash(seed, a, b, c uint64, more []uint8, k *flow.Key)
 	}
 	hi, lo = bits.Mul64(hi^lo, seed)
 	return hi ^ lo | slotUsed
+}
+
+// maskHash is the hash the mask index homes a mask by: probeHash's rounds
+// over all ten words of the mask, then the closing one, under the same seed.
+func maskHash(seed uint64, mask *flow.Mask) uint64 {
+	hi, lo := uint64(0), seed
+	for _, w := range mask {
+		hi, lo = bits.Mul64(hi^lo^w, seed)
+	}
+	hi, lo = bits.Mul64(hi^lo, seed)
+	return hi ^ lo
 }
 
 // find returns the index of the slot holding the entry that matches k under

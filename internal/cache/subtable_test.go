@@ -2,10 +2,14 @@ package cache
 
 import (
 	"math/rand"
+	"net/netip"
 	"runtime"
 	"testing"
 
+	"policyinject/internal/acl"
+	"policyinject/internal/classifier"
 	"policyinject/internal/flow"
+	"policyinject/internal/flowtable"
 )
 
 // tableMasks are the mask shapes the table tests run over, by number of
@@ -255,7 +259,7 @@ func TestSubtableBackwardShiftAcrossWrap(t *testing.T) {
 const (
 	maxMeanProbeLen     = 2.0 // slots examined per resident lookup, mean
 	maxProbeLen         = 64  // ... and worst resident, up to 8192 entries
-	maxSingletonBytes   = 544 // heap per one-entry subtable, entry and 64-byte row included
+	maxSingletonBytes   = 512 // heap per one-entry subtable, entry, 64-byte row and index share included
 	singletonSampleSize = 4096
 )
 
@@ -370,10 +374,124 @@ func TestSubtableCraftedCollisions(t *testing.T) {
 	}
 }
 
+// threeFieldMasks returns the masks of attack8192_flat's megaflow cache: on
+// the benchmark's policy — the victim's whitelist of 10.10.0.0/24 and default
+// deny on in_port 1, then the attack's ACL (allow 10.0.0.1/32, tcp to port 80,
+// tcp from port 5201, default deny) scoped to in_port 66 — a victim flow's
+// megaflow, then the covert stream's: one key per triple of divergence depths,
+// the whitelisted value of each field with one bit flipped. Keys go through
+// the cache, so one an earlier megaflow covers mints nothing.
+func threeFieldMasks(t *testing.T) []flow.Mask {
+	t.Helper()
+	var table flowtable.Table
+	cls := classifier.New(classifier.Config{})
+	var victim, victimDeny flow.Match
+	victim.Key.Set(flow.FieldInPort, 1)
+	victim.Mask.SetExact(flow.FieldInPort)
+	victimDeny = victim
+	victim.Key.Set(flow.FieldEthType, flow.EthTypeIPv4)
+	victim.Mask.SetExact(flow.FieldEthType)
+	victim.Key.Set(flow.FieldIPSrc, 0x0a0a0000)
+	victim.Mask.SetPrefix(flow.FieldIPSrc, 24)
+	cls.Insert(table.Insert(flowtable.Rule{Match: victim, Priority: 100, Action: flowtable.Action{Verdict: flowtable.Allow}}))
+	cls.Insert(table.Insert(flowtable.Rule{Match: victimDeny}))
+	var policy acl.ACL
+	policy.Allow(acl.Entry{Src: netip.MustParsePrefix("10.0.0.1/32")})
+	policy.Allow(acl.Entry{Proto: 6, DstPort: acl.Port(80)})
+	policy.Allow(acl.Entry{Proto: 6, SrcPort: acl.Port(5201)})
+	rules, err := policy.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rules {
+		r.Match.Key.Set(flow.FieldInPort, 66)
+		r.Match.Mask.SetExact(flow.FieldInPort)
+		cls.Insert(table.Insert(r))
+	}
+	mf := NewMegaflow(MegaflowConfig{FlowLimit: -1})
+	send := func(k flow.Key) {
+		if _, _, hit := mf.Lookup(k, 1); !hit {
+			if _, err := mf.Insert(cls.Lookup(k).Megaflow, deny, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tuple := flow.FiveTuple{
+		Src: netip.MustParseAddr("10.10.0.7"), Dst: netip.MustParseAddr("172.16.0.2"),
+		Proto: 6, SrcPort: 40000, DstPort: 5001,
+	}
+	send(tuple.Key(1)) // the victim's own megaflow
+	tuple.Src, tuple.DstPort = netip.MustParseAddr("172.16.0.66"), 53211
+	for src := range 32 {
+		for dport := range 16 {
+			for sport := range 16 {
+				k := tuple.Key(66)
+				k.Set(flow.FieldIPSrc, 0x0a000001^1<<uint(31-src))
+				k.Set(flow.FieldTPDst, 80^1<<uint(15-dport))
+				k.Set(flow.FieldTPSrc, 5201^1<<uint(15-sport))
+				send(k)
+			}
+		}
+	}
+	masks := make([]flow.Mask, 0, mf.NumMasks())
+	for _, row := range mf.subtables {
+		masks = append(masks, row.st.mask)
+	}
+	return masks
+}
+
+// TestMaskIndexProbeLengthBound mints regular mask populations — the
+// three-field attack's masks, and a prefix ladder of masks one bit apart — and
+// holds the displacement of every subtable in the mask index from its home
+// slot to the subtable tables' bounds, under every seed.
+func TestMaskIndexProbeLengthBound(t *testing.T) {
+	populations := map[string][]flow.Mask{"three-field attack": threeFieldMasks(t)}
+	if n := len(populations["three-field attack"]); n != 7937 {
+		t.Fatalf("the three-field attack mints %d masks, want 7937", n)
+	}
+	for plen := 1; plen <= 128; plen++ {
+		for dport := 1; dport <= 16; dport++ {
+			var mask flow.Mask
+			mask.SetExact(flow.FieldInPort)
+			mask.SetPrefix(flow.FieldIPv6SrcHi, min(plen, 64))
+			mask.SetPrefix(flow.FieldIPv6SrcLo, max(plen-64, 0))
+			mask.SetPrefix(flow.FieldTPDst, dport)
+			populations["prefix ladder"] = append(populations["prefix ladder"], mask)
+		}
+	}
+	for name, masks := range populations {
+		for _, seed := range boundSeeds {
+			m := NewMegaflow(MegaflowConfig{FlowLimit: -1})
+			m.seed = seed | 1
+			for _, mask := range masks {
+				if _, err := m.Insert(flow.Match{Mask: mask}, allow, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkScanRows(t, m)
+			n, total, worst := uint64(len(m.index)-1), 0, 0
+			for i, st := range m.index {
+				if st == nil {
+					continue
+				}
+				d := int((uint64(i)-st.mhash)&n) + 1
+				total += d
+				worst = max(worst, d)
+			}
+			mean := float64(total) / float64(len(masks))
+			t.Logf("%s (%d masks), seed %#x: probe length mean %.2f max %d", name, len(masks), seed, mean, worst)
+			if mean > maxMeanProbeLen || worst > maxProbeLen {
+				t.Errorf("%s, seed %#x: probe length mean %.2f max %d, bounds %.1f / %d", name, seed, mean, worst, maxMeanProbeLen, maxProbeLen)
+			}
+		}
+	}
+}
+
 // TestSingletonSubtableHeapBound mints one-entry subtables the way the
 // attack does and holds the live heap each costs — entry, descriptor with
 // its inline two-slot table, mask index and scan-order share — to the
-// stated budget.
+// stated budget. The input matches stay live to the second reading: freed
+// between the two, their 160 bytes a mask would come off the cache's cost.
 func TestSingletonSubtableHeapBound(t *testing.T) {
 	matches := make([]flow.Match, singletonSampleSize)
 	for i := range matches {
@@ -407,4 +525,5 @@ func TestSingletonSubtableHeapBound(t *testing.T) {
 		t.Errorf("%.0f bytes per singleton subtable, budget %d", per, maxSingletonBytes)
 	}
 	runtime.KeepAlive(mf)
+	runtime.KeepAlive(matches)
 }

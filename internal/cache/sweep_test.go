@@ -38,20 +38,30 @@ func randomKey(rng *rand.Rand) flow.Key {
 
 // checkScanRows demands that row i of the scan order describes subtable i as
 // it is now: its mask words, shape and word count recomputed from the mask
-// alone, its pointer the one the mask index holds and pointing back (pos ==
-// i), and single/ew recomputed from the residents the table holds — a row
-// that missed a sync after an insert, a removal or a maintenance sweep fails
-// here; and that nothing past the end of the scan order still references a
-// subtable.
+// alone, its pointer the one the mask index finds under its mask and pointing
+// back (pos == i), and single/ew recomputed from the residents the table
+// holds — a row that missed a sync after an insert, a removal or a
+// maintenance sweep fails here; that the mask index holds exactly the scan
+// order's subtables, at load <= 1/2, each homed by its own mask's hash; and
+// that nothing past the end of the scan order still references a subtable.
 func checkScanRows(t *testing.T, m *Megaflow) {
 	t.Helper()
-	if len(m.byMask) != len(m.subtables) {
-		t.Fatalf("%d rows in scan order, %d masks indexed", len(m.subtables), len(m.byMask))
+	indexed := 0
+	for _, st := range m.index {
+		if st != nil {
+			indexed++
+		}
+	}
+	if l := len(m.index); indexed != len(m.subtables) || l&(l-1) != 0 || 2*indexed > l {
+		t.Fatalf("%d rows in scan order, %d masks indexed in %d slots: want as many, at load <= 1/2 of a power of two", len(m.subtables), indexed, l)
 	}
 	for i, row := range m.subtables {
 		st := row.st
-		if st == nil || m.byMask[st.mask] != st {
-			t.Fatalf("row %d: subtable %p is not the one indexed under its mask", i, st)
+		if st == nil || st.mhash != maskHash(m.seed, &st.mask) {
+			t.Fatalf("row %d: subtable %p does not hold its mask's hash", i, st)
+		}
+		if found, _ := m.subtableOf(&st.mask); found != st {
+			t.Fatalf("row %d: subtable %p is not the one indexed under its mask (%p is)", i, st, found)
 		}
 		if int(st.pos) != i {
 			t.Fatalf("row %d: its subtable says it sits at %d", i, st.pos)
@@ -501,6 +511,36 @@ func TestGatherGroups(t *testing.T) {
 	}
 }
 
+// TestSingleRowCompareIsExact holds a single row's full compare to the probe:
+// a key that differs from the resident on two words, each difference alone a
+// miss, must leave scan with its bit clear. Under mask {1, 1, 7} the resident
+// {0, 1, 7} and the key {1, 0, 7} differ by 1 on word 0 and by 1 on word 1;
+// chained left to right, as ^ and | bind alike, the two differences cancel and
+// the compare reads zero. The resident's own key beside it carries the row
+// past the group cascade, which alone would reject the crossed key on word 0.
+func TestSingleRowCompareIsExact(t *testing.T) {
+	m := NewMegaflow(MegaflowConfig{FlowLimit: -1})
+	var match flow.Match
+	match.Mask[0], match.Mask[3], match.Mask[4] = 1, 1, 7
+	match.Key[0], match.Key[3], match.Key[4] = 0, 1, 7
+	if _, err := m.Insert(match, allow, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !m.subtables[0].single {
+		t.Fatal("the one-entry three-word row is not single")
+	}
+	crossed := match.Key
+	crossed[0], crossed[3] = 1, 0
+	keys := []flow.Key{match.Key, crossed}
+	g := gathered{w: make([][4]uint64, len(keys)), keys: keys, live: 0b11, shape: ^uint32(0)}
+	if ri, open := m.scan(0, &g); ri != 0 || open != 0b01 {
+		t.Fatalf("scan stopped at row %d with open bits %#b, want row 0 with the resident's bit alone (0b1)", ri, open)
+	}
+	if _, _, ok := m.Lookup(crossed, 2); ok {
+		t.Fatal("the crossed key hit the row")
+	}
+}
+
 // TestRemoveUnpinsSubtable is the regression test of dropSubtable: shrinking
 // the scan order must not leave a copy of the last row behind in the vacated
 // slot, where it would pin that subtable (and its entries) after it retires.
@@ -524,15 +564,20 @@ func TestRemoveUnpinsSubtable(t *testing.T) {
 	}
 }
 
-// TestScanRowLayout pins the two sizes the sweep's loads rest on: a row is
-// one cache line, and a subtable fits the 192-byte size class that starts it
-// on a line boundary (pos and the row's ew must not push it out).
+// TestScanRowLayout pins the sizes the sweep's loads and the attack's memory
+// rest on: a row is one cache line, a subtable fits the 192-byte size class
+// that starts it on a line boundary (pos, the row's ew and the mask hash must
+// not push it out), and an entry is 208 bytes, a size class of its own (dead
+// beside Verdict: between the 8-byte fields it costs a 224-byte class).
 func TestScanRowLayout(t *testing.T) {
 	if got := unsafe.Sizeof(scanRow{}); got != 64 {
 		t.Errorf("scanRow is %d bytes, want 64", got)
 	}
 	if got := unsafe.Sizeof(mfSubtable{}); got > 192 {
 		t.Errorf("mfSubtable is %d bytes, over the 192-byte size class", got)
+	}
+	if got := unsafe.Sizeof(Entry{}); got != 208 {
+		t.Errorf("Entry is %d bytes, want 208", got)
 	}
 }
 
@@ -637,8 +682,24 @@ func TestSingleRowFollowsTable(t *testing.T) {
 // reprobePaths counts, over the re-probes runSweepOps checks on flat caches,
 // the ones that took the put log, those among them with a subtable retired
 // since it was logged, the ones an overflowed log sent to the full Lookup, and
-// (in every mode) the ones that hit.
-type reprobePaths struct{ short, retired, overflowed, hits int }
+// (in every mode) the ones that hit; and, over its operations, the removals
+// that took a subtable out of the mask index across its wrap (see wrapSide).
+type reprobePaths struct{ short, retired, overflowed, hits, wrapDels int }
+
+// wrapSide returns the subtables of the mask index's run of occupied slots
+// that wraps past the last slot, from the run's head up to that slot: deleting
+// any of them shifts the run's tail back across the wrap to slot 0.
+func wrapSide(m *Megaflow) []*mfSubtable {
+	n := len(m.index)
+	if n == 0 || m.index[n-1] == nil || m.index[0] == nil {
+		return nil
+	}
+	var side []*mfSubtable
+	for i := n - 1; m.index[i] != nil; i-- { // load <= 1/2: an empty slot ends the walk
+		side = append(side, m.index[i])
+	}
+	return side
+}
 
 // runSweepOps interprets ops as a stream of cache operations, three bytes
 // each, over a cache configured by mode, and after every one checks the scan
@@ -680,6 +741,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 		}
 		pool[i].Normalize()
 	}
+	var paths reprobePaths
 	// apply runs the operation at ops[i:i+3] on c, an insert for run matches of
 	// the pool in sequence.
 	apply := func(c *Megaflow, i, run int, now uint64) {
@@ -690,7 +752,12 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 				c.Insert(pool[(a+j)%len(pool)], Verdict{Verdict: allow.Verdict, OutPort: uint32(ops[i+2] % 3)}, now)
 			}
 		case 3:
+			st, _ := c.subtableOf(&pool[a%len(pool)].Mask)
+			side := wrapSide(c)
 			c.Remove(pool[a%len(pool)])
+			if c == m && st != nil && st.n == 0 && slices.Contains(side, st) {
+				paths.wrapDels++ // Remove emptied the subtable and dropped it
+			}
 		case 4:
 			c.EvictIdle(now - uint64(a%16))
 		case 5:
@@ -704,7 +771,6 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 			}
 		}
 	}
-	var paths reprobePaths
 	nOps := len(ops) / 3
 	for n := range nOps {
 		i := 3 * n
@@ -769,7 +835,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 			} else if flat && len(m.putLog) < len(m.subtables) {
 				short = true
 				paths.short++
-				if slices.ContainsFunc(m.putLog, func(st *mfSubtable) bool { return m.byMask[st.mask] != st }) {
+				if slices.ContainsFunc(m.putLog, func(st *mfSubtable) bool { found, _ := m.subtableOf(&st.mask); return found != st }) {
 					paths.retired++
 				}
 			}
@@ -836,6 +902,14 @@ var (
 	nearMissesCatchAll = []byte{0, 2, 4, 0, 12, 4, 0, 22, 4, 0, 0, 4, 0, 32, 4, 3, 12, 4, 3, 2, 4, 0, 52, 4}
 )
 
+// The mask index's wrap, as a stream for runSweepOps (mode 0, seed 32): a run
+// of 52 inserts mints 38 masks, growing the index from nothing to 128 slots; a
+// trim retires 11 of them, and a flush drops the index; 28 masks minted again
+// grow it back to 64 slots, a Remove takes out a subtable whose run wraps past
+// the last slot (the backward shift carries its tail across to slot 0), idle
+// eviction retires 23 more, and a flush ends it.
+var indexWrap = []byte{23, 56, 31, 23, 48, 58, 0, 17, 51, 21, 23, 65, 11, 33, 30, 4, 20, 36, 15, 40, 11}
+
 // nearMissOf returns k covering match but one bit off it in the last of the
 // mask's significant words (d even) or the one before (d odd): a key on the
 // match's first words — its in-port — that fails it on one deeper word alone.
@@ -869,6 +943,7 @@ func FuzzMegaflowSweep(f *testing.F) {
 	f.Add(uint8(0), uint64(7), groupEdgesCatchAll)
 	f.Add(uint8(4), uint64(8), nearMisses)
 	f.Add(uint8(4), uint64(9), nearMissesCatchAll)
+	f.Add(uint8(0), uint64(32), indexWrap)
 	f.Fuzz(func(t *testing.T, mode uint8, seed uint64, ops []byte) { runSweepOps(t, mode, seed, ops) })
 }
 
@@ -880,6 +955,14 @@ func TestSweepSeedsReachPutLog(t *testing.T) {
 	}
 	if p := runSweepOps(t, 0, 2, putLogRetired); p.retired == 0 {
 		t.Errorf("putLogRetired: %+v, no re-probe by a log holding a retired subtable", p)
+	}
+}
+
+// TestSweepSeedReachesIndexWrap holds the mask index's seed of the fuzz
+// corpus to what it is there for.
+func TestSweepSeedReachesIndexWrap(t *testing.T) {
+	if p := runSweepOps(t, 0, 32, indexWrap); p.wrapDels == 0 {
+		t.Errorf("indexWrap: %+v, no removal across the mask index's wrap", p)
 	}
 }
 

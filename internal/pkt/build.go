@@ -32,7 +32,8 @@ var defaultSrcMAC = MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
 var defaultDstMAC = MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
 
 // Build constructs the frame described by s, with correct length fields and
-// checksums.
+// checksums. The frame is sized once, padding included, and each header is
+// written in place: one allocation a frame.
 func Build(s Spec) ([]byte, error) {
 	if !s.Src.IsValid() || !s.Dst.IsValid() {
 		return nil, fmt.Errorf("pkt: spec needs both src and dst IP")
@@ -42,38 +43,50 @@ func Build(s Spec) ([]byte, error) {
 		return nil, fmt.Errorf("pkt: src/dst address family mismatch")
 	}
 
-	payload := s.Payload
-	if payload == nil && s.PayloadLen > 0 {
-		payload = make([]byte, s.PayloadLen)
-	}
-
-	var l4 []byte
+	var l4Hdr int
 	switch s.Proto {
 	case ProtoTCP:
-		l4 = buildTCP(s, payload)
+		l4Hdr = TCPHeaderLen
 	case ProtoUDP:
-		l4 = buildUDP(s, payload)
+		l4Hdr = UDPHeaderLen
 	case ProtoICMP, ProtoICMPv6:
-		l4 = buildICMP(s, payload)
+		l4Hdr = ICMPHeaderLen
 	default:
 		return nil, fmt.Errorf("%w: proto %d", ErrUnsupported, s.Proto)
 	}
-
-	var l3 []byte
+	payloadLen := len(s.Payload)
+	if s.Payload == nil {
+		payloadLen = max(s.PayloadLen, 0) // zeros, as the frame is made
+	}
+	l2Hdr, l3Hdr := EthHeaderLen, IPv6HeaderLen
+	if s.VLAN != 0 {
+		l2Hdr += VLANTagLen
+	}
 	if v4 {
-		l3 = buildIPv4(s, l4)
-	} else {
-		l3 = buildIPv6(s, l4)
+		l3Hdr = IPv4HeaderLen
 	}
-	// L4 checksum needs the pseudo-header, hence after L3 assembly.
-	finishL4Checksum(s, v4, l3)
+	end := l2Hdr + l3Hdr + l4Hdr + payloadLen
+	frame := make([]byte, max(end, s.FrameLen))
 
-	frame := buildEth(s, v4, l3)
-	if s.FrameLen > len(frame) {
-		padded := make([]byte, s.FrameLen)
-		copy(padded, frame)
-		frame = padded
+	putEth(frame[:l2Hdr], s, v4)
+	l3 := frame[l2Hdr:end]
+	l4 := l3[l3Hdr:]
+	switch s.Proto {
+	case ProtoTCP:
+		putTCP(l4, s)
+	case ProtoUDP:
+		putUDP(l4, s)
+	default:
+		putICMP(l4, s)
 	}
+	copy(l4[l4Hdr:], s.Payload)
+	if v4 {
+		putIPv4(l3, s)
+	} else {
+		putIPv6(l3, s)
+	}
+	// L4 checksum needs the pseudo-header, hence after the L3 header.
+	finishL4Checksum(s, v4, l3)
 	return frame, nil
 }
 
@@ -86,7 +99,9 @@ func MustBuild(s Spec) []byte {
 	return f
 }
 
-func buildEth(s Spec, v4 bool, l3 []byte) []byte {
+// putEth writes the Ethernet header, VLAN tag included, into b, which is
+// exactly that long.
+func putEth(b []byte, s Spec, v4 bool) {
 	ethType := uint16(EtherTypeIPv6)
 	if v4 {
 		ethType = EtherTypeIPv4
@@ -98,26 +113,19 @@ func buildEth(s Spec, v4 bool, l3 []byte) []byte {
 	if dst == (MAC{}) {
 		dst = defaultDstMAC
 	}
-	hlen := EthHeaderLen
+	copy(b[0:6], dst[:])
+	copy(b[6:12], src[:])
 	if s.VLAN != 0 {
-		hlen += VLANTagLen
-	}
-	frame := make([]byte, hlen+len(l3))
-	copy(frame[0:6], dst[:])
-	copy(frame[6:12], src[:])
-	if s.VLAN != 0 {
-		put16(frame[12:14], EtherTypeVLAN)
-		put16(frame[14:16], s.VLAN)
-		put16(frame[16:18], ethType)
+		put16(b[12:14], EtherTypeVLAN)
+		put16(b[14:16], s.VLAN)
+		put16(b[16:18], ethType)
 	} else {
-		put16(frame[12:14], ethType)
+		put16(b[12:14], ethType)
 	}
-	copy(frame[hlen:], l3)
-	return frame
 }
 
-func buildIPv4(s Spec, l4 []byte) []byte {
-	b := make([]byte, IPv4HeaderLen+len(l4))
+// putIPv4 writes the IPv4 header at the front of b, the whole packet.
+func putIPv4(b []byte, s Spec) {
 	b[0] = 0x45 // version 4, IHL 5
 	b[1] = s.TOS
 	put16(b[2:4], uint16(len(b)))
@@ -130,15 +138,13 @@ func buildIPv4(s Spec, l4 []byte) []byte {
 	copy(b[12:16], src[:])
 	copy(b[16:20], dst[:])
 	put16(b[10:12], Checksum(b[:IPv4HeaderLen]))
-	copy(b[IPv4HeaderLen:], l4)
-	return b
 }
 
-func buildIPv6(s Spec, l4 []byte) []byte {
-	b := make([]byte, IPv6HeaderLen+len(l4))
+// putIPv6 writes the IPv6 header at the front of b, the whole packet.
+func putIPv6(b []byte, s Spec) {
 	b[0] = 0x60 | s.TOS>>4
 	b[1] = s.TOS << 4
-	put16(b[4:6], uint16(len(l4)))
+	put16(b[4:6], uint16(len(b)-IPv6HeaderLen))
 	b[6] = s.Proto
 	b[7] = s.TTL
 	if b[7] == 0 {
@@ -147,12 +153,11 @@ func buildIPv6(s Spec, l4 []byte) []byte {
 	src, dst := s.Src.As16(), s.Dst.As16()
 	copy(b[8:24], src[:])
 	copy(b[24:40], dst[:])
-	copy(b[IPv6HeaderLen:], l4)
-	return b
 }
 
-func buildTCP(s Spec, payload []byte) []byte {
-	b := make([]byte, TCPHeaderLen+len(payload))
+// putTCP writes the TCP header at the front of b, the whole segment; the
+// checksum is finishL4Checksum's.
+func putTCP(b []byte, s Spec) {
 	put16(b[0:2], s.SrcPort)
 	put16(b[2:4], s.DstPort)
 	put32(b[4:8], s.Seq)
@@ -163,25 +168,19 @@ func buildTCP(s Spec, payload []byte) []byte {
 	}
 	b[13] = flags
 	put16(b[14:16], 65535) // window
-	copy(b[TCPHeaderLen:], payload)
-	return b
 }
 
-func buildUDP(s Spec, payload []byte) []byte {
-	b := make([]byte, UDPHeaderLen+len(payload))
+// putUDP writes the UDP header at the front of b, the whole datagram.
+func putUDP(b []byte, s Spec) {
 	put16(b[0:2], s.SrcPort)
 	put16(b[2:4], s.DstPort)
 	put16(b[4:6], uint16(len(b)))
-	copy(b[UDPHeaderLen:], payload)
-	return b
 }
 
-func buildICMP(s Spec, payload []byte) []byte {
-	b := make([]byte, ICMPHeaderLen+len(payload))
+// putICMP writes the ICMP header at the front of b, the whole message.
+func putICMP(b []byte, s Spec) {
 	b[0] = byte(s.SrcPort) // type
 	b[1] = byte(s.DstPort) // code
-	copy(b[ICMPHeaderLen:], payload)
-	return b
 }
 
 // finishL4Checksum fills the transport checksum in an assembled L3 packet.
