@@ -14,6 +14,7 @@ import (
 	"policyinject/internal/cache"
 	"policyinject/internal/dataplane"
 	"policyinject/internal/flow"
+	"policyinject/internal/pkt"
 	"policyinject/internal/telemetry"
 	"policyinject/internal/traffic"
 )
@@ -29,13 +30,17 @@ import (
 // of the caller's own miss bitmap: concurrent callers share the wrapper, so
 // it cannot live there) to the same zero. The emc-thrash leg sends 256 flows
 // through a 64-entry always-insert EMC, so every burst inserts and evicts: the
-// cache's slots are its own storage, reused in place.
+// cache's slots are its own storage, reused in place. The victim-emc-malformed
+// leg cuts one frame of the burst short inside its TCP header: the full
+// decoder's error, the compaction of the other 255 keys with their hashes and
+// the malformed frame's accounting allocate nothing either.
 func TestFramePathZeroAlloc(t *testing.T) {
 	cases := []struct {
-		name  string
-		build func() *dataplane.Switch
-		burst int
-		flows int // victim flows, 0 for victimGen's 8
+		name      string
+		build     func() *dataplane.Switch
+		burst     int
+		flows     int  // victim flows, 0 for victimGen's 8
+		truncated bool // the burst's middle frame is cut inside its TCP header
 	}{
 		{
 			name:  "victim-emc",
@@ -86,6 +91,12 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			burst: 32,
 		},
 		{
+			name:      "victim-emc-malformed",
+			build:     func() *dataplane.Switch { return attackSwitch(t, attack.TwoField(), false) },
+			burst:     256,
+			truncated: true,
+		},
+		{
 			name: "emc-thrash",
 			build: func() *dataplane.Switch {
 				return attackSwitch(t, attack.TwoField(), false,
@@ -108,9 +119,15 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			var fb dataplane.FrameBatch
 			for i := 0; i < tc.burst; i++ {
 				f, _ := gen.NextFrame()
+				if tc.truncated && i == tc.burst/2 {
+					f = f[:pkt.EthHeaderLen+pkt.IPv4HeaderLen+pkt.TCPHeaderLen-1]
+				}
 				fb.Append(f, 1)
 			}
 			out := sw.ProcessFrames(1, &fb, nil) // warm caches and scratch
+			if bad := sw.Counters().ParseError; tc.truncated != (bad == 1) {
+				t.Fatalf("%d parse errors in the warm-up burst, want the truncated frame's alone", bad)
+			}
 			avg := testing.AllocsPerRun(100, func() {
 				out = sw.ProcessFrames(2, &fb, out)
 			})

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -443,8 +442,7 @@ func TestEMCCraftedCollisions(t *testing.T) {
 func hashStateBefore(k *flow.Key, n int) uint64 {
 	h := flow.StageHashSeed
 	for _, w := range k[:n] {
-		hi, lo := bits.Mul64(h^w, 0x9e3779b97f4a7c15)
-		h = hi ^ lo
+		h = flow.MixWord(h, w)
 	}
 	return h
 }

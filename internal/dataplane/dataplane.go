@@ -255,7 +255,6 @@ type Switch struct {
 	counters Counters
 	batch    batchScratch
 
-	frameHash  []uint64    // ProcessFrames' cached burst hashes
 	oneFrame   FrameBatch  // Process's burst of one frame
 	oneKey     [1]flow.Key // ProcessKey's burst of one key
 	oneOut     []Decision
@@ -579,7 +578,7 @@ func (s *Switch) ProcessBatch(now uint64, keys []flow.Key, out []Decision) []Dec
 
 // processBatch is ProcessBatch minus the packet counter and output
 // growth. hashes, when non-nil, carries the burst's precomputed flow
-// hashes (flow.HashKeys, index-aligned with keys); nil computes them here.
+// hashes (Key.Hash, index-aligned with keys); nil computes them here.
 func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out []Decision) {
 	n := len(keys)
 	if n == 0 {

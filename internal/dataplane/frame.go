@@ -16,8 +16,9 @@ import (
 // state allocates nothing.
 //
 // Frames and InPorts are plain fields so callers can fill them directly;
-// the scratch below them is owned by Extract and the ProcessFrames
-// implementations.
+// the scratch below them is owned by the batch. The batch owns the burst's
+// flow hashes too: when the hierarchy consumes them, the one
+// pkt.ExtractHashBatch pass that fills keys fills hashes beside them.
 type FrameBatch struct {
 	Frames  [][]byte
 	InPorts []uint32
@@ -28,7 +29,8 @@ type FrameBatch struct {
 
 	// Compaction scratch for bursts carrying malformed frames: the valid
 	// frames' keys and input indices, and the decisions of the compacted
-	// sub-burst. Kept separate from keys so Key(i) stays frame-aligned.
+	// sub-burst. Kept separate from keys so Key(i) stays frame-aligned;
+	// the hashes, which no accessor reads by frame, compact in place.
 	vkeys    []flow.Key
 	validIdx []int
 	vout     []Decision
@@ -49,38 +51,52 @@ func (fb *FrameBatch) Append(frame []byte, inPort uint32) {
 // Len returns the number of frames in the batch.
 func (fb *FrameBatch) Len() int { return len(fb.Frames) }
 
-// grow sizes the extract scratch for n frames.
-func (fb *FrameBatch) grow(n int) {
-	if cap(fb.keys) < n {
-		fb.keys = make([]flow.Key, n)
-		fb.errs = make([]error, n)
-	}
-	fb.keys = fb.keys[:n]
-	fb.errs = fb.errs[:n]
-}
-
 // Extract parses every frame into the batch's key scratch (one
 // pkt.ExtractBatch pass) and returns the keys, the per-frame error slots
 // and the number of malformed frames. The returned slices are the batch's
 // scratch: valid until the next Extract call.
 func (fb *FrameBatch) Extract() (keys []flow.Key, errs []error, bad int) {
-	fb.grow(fb.Len())
-	bad = pkt.ExtractBatch(fb.Frames, fb.InPorts, fb.keys, fb.errs)
-	return fb.keys, fb.errs, bad
+	keys, _, errs, bad = fb.extract(false)
+	return keys, errs, bad
+}
+
+// extract is Extract that, with hash set, also returns each frame's flow
+// hash, computed in the same pass (nil without hash).
+func (fb *FrameBatch) extract(hash bool) (keys []flow.Key, hashes []uint64, errs []error, bad int) {
+	n := fb.Len()
+	if cap(fb.keys) < n {
+		fb.keys, fb.errs = make([]flow.Key, n), make([]error, n)
+	}
+	fb.keys, fb.errs = fb.keys[:n], fb.errs[:n]
+	if hash {
+		if cap(fb.hashes) < n {
+			fb.hashes = make([]uint64, n)
+		}
+		hashes = fb.hashes[:n]
+	}
+	bad = pkt.ExtractHashBatch(fb.Frames, fb.InPorts, fb.keys, hashes, fb.errs)
+	return fb.keys, hashes, fb.errs, bad
 }
 
 // compactValid gathers the keys of cleanly parsed frames into the batch's
-// compaction scratch, recording each one's input index in validIdx.
-func (fb *FrameBatch) compactValid(keys []flow.Key, errs []error) []flow.Key {
+// compaction scratch, recording each one's input index in validIdx, and
+// moves each one's hash (when hashes is non-nil) beside it.
+func (fb *FrameBatch) compactValid(keys []flow.Key, hashes []uint64, errs []error) ([]flow.Key, []uint64) {
 	fb.vkeys = fb.vkeys[:0]
 	fb.validIdx = fb.validIdx[:0]
 	for i := range keys {
 		if errs[i] == nil {
+			if hashes != nil {
+				hashes[len(fb.vkeys)] = hashes[i]
+			}
 			fb.vkeys = append(fb.vkeys, keys[i])
 			fb.validIdx = append(fb.validIdx, i)
 		}
 	}
-	return fb.vkeys
+	if hashes != nil {
+		hashes = hashes[:len(fb.vkeys)]
+	}
+	return fb.vkeys, hashes
 }
 
 // Err returns frame i's parse outcome from the last Extract (nil for a
@@ -99,7 +115,7 @@ func denyDecision() Decision {
 }
 
 // ProcessFrames runs a burst of raw frames through the whole pipeline —
-// extract, per-burst hash pass, batched tier walk — writing one Decision
+// extract and hash in one pass, batched tier walk — writing one Decision
 // per frame into out (grown if needed) and returning it. This is the
 // first-class ingress of the switch: the wire burst, not the packet and
 // not the pre-parsed key, is the unit of work, so the measured per-packet
@@ -143,19 +159,20 @@ func (s *Switch) processFrames(now uint64, fb *FrameBatch, out []Decision) []Dec
 	if n == 0 {
 		return out
 	}
-	keys, errs, bad := fb.Extract()
+	// One pass extracts the burst and, if a tier consumes hashes, hashes it.
+	keys, hashes, errs, bad := fb.extract(s.needHashes)
 	s.counters.Packets += uint64(n)
 	if bad == 0 {
-		s.processFrameKeys(now, keys, out)
+		s.processBatch(now, keys, hashes, out)
 	} else {
 		// Compact the parseable frames into one contiguous sub-burst (into
 		// the batch's separate compaction scratch, so Key(i) stays
 		// frame-aligned), classify it, and scatter the decisions back to
 		// input order.
 		s.counters.ParseError += uint64(bad)
-		vkeys := fb.compactValid(keys, errs)
+		vkeys, vhashes := fb.compactValid(keys, hashes, errs)
 		fb.vout = GrowDecisions(fb.vout, len(vkeys))
-		s.processFrameKeys(now, vkeys, fb.vout)
+		s.processBatch(now, vkeys, vhashes, fb.vout)
 		for i := range out {
 			out[i] = denyDecision()
 		}
@@ -190,18 +207,4 @@ func (s *Switch) processFrames(now uint64, fb *FrameBatch, out []Decision) []Dec
 		}
 	}
 	return out
-}
-
-// processFrameKeys runs the extracted keys of a frame burst through the
-// batched tier walk, computing the burst's flow hashes once when some tier
-// consumes them (the frame path owns the hash pass, so EMC index probes, SMC
-// fingerprints, shard choice and hashed installs all reuse it).
-func (s *Switch) processFrameKeys(now uint64, keys []flow.Key, out []Decision) {
-	var hashes []uint64
-	if s.needHashes {
-		fb := &s.frameHash
-		*fb = flow.HashKeys(keys, *fb)
-		hashes = *fb
-	}
-	s.processBatch(now, keys, hashes, out)
 }

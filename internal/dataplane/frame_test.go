@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"policyinject/internal/cache"
@@ -169,6 +170,97 @@ func TestProcessFramesTruncatedFrameDoesNotAbortBurst(t *testing.T) {
 	}
 	if want := clean.Port(1).RxDropped + 1; p.RxDropped != want {
 		t.Fatalf("RxDropped = %d, want %d", p.RxDropped, want)
+	}
+}
+
+// TestMalformedFramesMatchOneFrameLoop puts one truncated frame first, in the
+// middle and last of a burst, on hierarchies that consume the flow hashes the
+// extract pass computes: the compaction around the bad frame must carry each
+// hash beside its key, or the frames behind it probe the EMC and SMC (and the
+// pool's RSS and shards) by a neighbour's hash. Decisions, counters and tier
+// hits must equal those of a one-frame loop. The switch runs cold, warming and
+// warm bursts, and so does a bare megaflow switch, which asks for no hashes at
+// all; the shared pool, whose two PMDs install into the same tiers
+// concurrently, is warmed by the one-frame loop first so its compared bursts
+// install nothing.
+func TestMalformedFramesMatchOneFrameLoop(t *testing.T) {
+	valid := frameCorpus()
+	truncated := valid[0][:pkt.EthHeaderLen+pkt.IPv4HeaderLen+pkt.TCPHeaderLen-1]
+	opts := []Option{WithEMC(cache.EMCConfig{InsertProb: 1}), WithSMC(cache.SMCConfig{Entries: 1 << 12})}
+	hierarchies := map[string][]Option{"emc+smc": opts, "tss-only": {WithoutEMC()}}
+	fill := func(fb *FrameBatch, frames [][]byte) {
+		fb.Reset()
+		for _, f := range frames {
+			fb.Append(f, 1)
+		}
+	}
+	for _, at := range []int{0, len(valid) / 2, len(valid)} {
+		frames := slices.Insert(slices.Clone(valid), at, truncated)
+
+		for name, hopts := range hierarchies {
+			t.Run(fmt.Sprintf("%s/bad@%d", name, at), func(t *testing.T) {
+				build := func() *Switch {
+					sw := aclSwitch(hopts...)
+					sw.AddPort(1, "vport1")
+					return sw
+				}
+				seqSW, batchSW := build(), build()
+				var fb FrameBatch
+				var batchOut []Decision
+				for round := 0; round < 3; round++ {
+					now := uint64(round + 1)
+					seqOut := make([]Decision, len(frames))
+					for i, f := range frames {
+						seqOut[i], _ = seqSW.Process(now, 1, f)
+					}
+					fill(&fb, frames)
+					batchOut = batchSW.ProcessFrames(now, &fb, batchOut)
+					batchEq(t, fmt.Sprintf("round %d", round), seqOut, batchOut, seqSW, batchSW)
+					if *seqSW.Port(1) != *batchSW.Port(1) {
+						t.Fatalf("round %d: port counters diverge:\n one-frame %+v\n burst     %+v",
+							round, *seqSW.Port(1), *batchSW.Port(1))
+					}
+				}
+			})
+		}
+
+		t.Run(fmt.Sprintf("shared-pool/bad@%d", at), func(t *testing.T) {
+			build := func() *PMDPool {
+				pool := NewSharedPMDPool(2, "pool", opts...)
+				var m flow.Match
+				m.Key.Set(flow.FieldIPSrc, 0x0a000000)
+				m.Mask.SetPrefix(flow.FieldIPSrc, 8)
+				pool.InstallRule(flowtable.Rule{Match: m, Priority: 10, Action: flowtable.Action{Verdict: flowtable.Allow}})
+				pool.InstallRule(flowtable.Rule{Priority: 0})
+				return pool
+			}
+			var one, fb FrameBatch
+			oneFrameLoop := func(pool *PMDPool, now uint64) []Decision {
+				out := make([]Decision, len(frames))
+				for i, f := range frames {
+					fill(&one, [][]byte{f})
+					out[i] = pool.ProcessFrames(now, &one, nil)[0]
+				}
+				return out
+			}
+			seqPool, batchPool := build(), build()
+			oneFrameLoop(seqPool, 1)
+			oneFrameLoop(batchPool, 1)
+			for round := 2; round < 4; round++ {
+				now := uint64(round)
+				seqOut := oneFrameLoop(seqPool, now)
+				fill(&fb, frames)
+				batchOut := batchPool.ProcessFrames(now, &fb, nil)
+				for i := range seqOut {
+					if seqOut[i] != batchOut[i] {
+						t.Fatalf("round %d frame %d: one-frame %+v != burst %+v", round, i, seqOut[i], batchOut[i])
+					}
+				}
+				for i := 0; i < seqPool.N(); i++ {
+					batchEq(t, fmt.Sprintf("round %d pmd %d", round, i), nil, nil, seqPool.PMD(i), batchPool.PMD(i))
+				}
+			}
+		})
 	}
 }
 

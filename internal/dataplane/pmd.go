@@ -24,7 +24,7 @@ import (
 type PMDPool struct {
 	pmds   []*Switch
 	lanes  []pmdLane // ProcessBatch/ProcessFrames scratch, one lane per PMD
-	hashes []uint64  // the burst's cached flow hashes (steering + tier walks)
+	hashes []uint64  // ProcessBatch's flow hashes (steering + tier walks)
 	shared bool      // NewSharedPMDPool: all PMDs view one sharded switch
 }
 
@@ -227,10 +227,11 @@ func (p *PMDPool) ProcessBatch(now uint64, keys []flow.Key, out []Decision) []De
 	return out
 }
 
-// ProcessFrames is the pool's frame-first ingress: one ExtractBatch pass,
-// one hash pass — the cached hashes steer RSS *and* feed each PMD's
-// batched tier walk, exactly once per frame — then per-PMD sub-bursts in
-// parallel. Decisions land in out (grown if needed) in frame order.
+// ProcessFrames is the pool's frame-first ingress: one pass extracts and
+// hashes the burst — RSS needs the hashes, so the pool always asks for
+// them, and they steer *and* feed each PMD's batched tier walk — then
+// per-PMD sub-bursts run in parallel. Decisions land in out (grown if
+// needed) in frame order.
 //
 // Malformed frames never reach a PMD's classifier: each gets a Deny
 // decision and is billed (Packets, ParseError) to PMD 0, the default
@@ -245,10 +246,10 @@ func (p *PMDPool) ProcessFrames(now uint64, fb *FrameBatch, out []Decision) []De
 	if n == 0 {
 		return out
 	}
-	keys, errs, bad := fb.Extract()
+	keys, hashes, errs, bad := fb.extract(true)
 	var idx []int
 	if bad > 0 {
-		keys = fb.compactValid(keys, errs)
+		keys, hashes = fb.compactValid(keys, hashes, errs)
 		idx = fb.validIdx
 		pmd0 := p.pmds[0]
 		pmd0.counters.Packets += uint64(bad)
@@ -259,8 +260,7 @@ func (p *PMDPool) ProcessFrames(now uint64, fb *FrameBatch, out []Decision) []De
 			}
 		}
 	}
-	p.hashes = flow.HashKeys(keys, p.hashes)
-	p.steerLanes(keys, p.hashes, idx)
+	p.steerLanes(keys, hashes, idx)
 	p.runLanes(now, out)
 	return out
 }

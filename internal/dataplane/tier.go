@@ -79,7 +79,7 @@ type BatchTier interface {
 	// miss, at logical time now. A resolved key writes its entry into
 	// ents[i], accumulates its scan cost into costs[i] and clears bit i;
 	// an unresolved key accumulates cost and keeps its bit. hashes[i] is
-	// keys[i]'s flow hash, computed once at burst entry (flow.HashKeys)
+	// keys[i]'s flow hash (flow.Key.Hash), computed once at burst entry
 	// and reused by every hash-consuming tier. Counter effects must equal
 	// the scalar Lookup sequence over the same keys — the conformance
 	// suite checks exactly that.

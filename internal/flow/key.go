@@ -141,21 +141,29 @@ func (m Mask) Fields() []FieldID {
 // 64-bit golden ratio).
 const hashMul uint64 = 0x9e3779b97f4a7c15
 
-// mixWord folds one 64-bit word into the running hash h: xor it in, take
+// MixWord folds one 64-bit word into the running hash h: xor it in, take
 // the full 128-bit product with hashMul and xor the halves together. The
 // high half carries every input bit down and the low half carries every
 // input bit up, so one step already spreads a single-bit difference over
 // the whole word. (The megaflow subtable probe in internal/cache has a step
 // of the same shape with a secret multiplier of its own; nothing ties the
 // two hashes together.)
-func mixWord(h, w uint64) uint64 {
+func MixWord(h, w uint64) uint64 {
 	hi, lo := bits.Mul64(h^w, hashMul)
 	return hi ^ lo
 }
 
+// HashFinish is Hash's finaliser: one xor-shift-multiply round over the
+// state MixWord left after the key's last word.
+func HashFinish(h uint64) uint64 {
+	h ^= h >> 32
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>29
+}
+
 // Hash returns a 64-bit hash of the key: the ten words folded one at a
-// time through mixWord (one multiply a word, not one a byte), then one
-// xor-shift-multiply finaliser round. It is not cryptographic; it
+// time, from StageHashSeed, through MixWord (one multiply a word, not one a
+// byte), then HashFinish. It is not cryptographic; it
 // distributes flows across RSS lanes, cache shards and the EMC/SMC index
 // bits the way the OVS datapath uses its flow hash. It is a pure function
 // of the key — no per-process seed — so the same pack and seed steer,
@@ -167,6 +175,9 @@ func mixWord(h, w uint64) uint64 {
 // a port field — the covert stream's shape. The full-width product is
 // what keeps every slice balanced on such keys; TestHashSpread holds it
 // to a stated tolerance.
+//
+// pkt.ExtractHashBatch computes it a second way, bit for bit the same: it
+// folds each fast-path key word through MixWord as it composes it.
 func (k Key) Hash() uint64 { return hashWords(&k) }
 
 // hashWords is Hash on the key where it lies: HashKeys walks a burst's key
@@ -174,12 +185,9 @@ func (k Key) Hash() uint64 { return hashWords(&k) }
 func hashWords(k *Key) uint64 {
 	h := StageHashSeed
 	for _, w := range k {
-		h = mixWord(h, w)
+		h = MixWord(h, w)
 	}
-	h ^= h >> 32
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 29
-	return h
+	return HashFinish(h)
 }
 
 // Hash returns a 64-bit hash of the mask words, used to cheaply index

@@ -254,6 +254,30 @@ func TestHashKeysMatchesScalarHash(t *testing.T) {
 	if &reuse[0] != &got[0] || len(reuse) != 3 {
 		t.Error("HashKeys did not reuse the destination buffer")
 	}
+
+	// MixWord folded over the words from StageHashSeed, then HashFinish, is
+	// Hash: the definition a decoder hashing words as it composes them
+	// relies on. The fixed keys fill the tail words (IPv6, ct_state) a
+	// fast-path IPv4 key leaves zero.
+	fold := func(k Key) uint64 {
+		h := StageHashSeed
+		for _, w := range k {
+			h = MixWord(h, w)
+		}
+		return HashFinish(h)
+	}
+	var v6 Key
+	v6.Set(FieldIPv6SrcHi, 0x20010db800000000)
+	v6.Set(FieldIPv6DstLo, 2)
+	v6.Set(FieldCTState, CTTracked|CTEstablished)
+	for _, k := range append(keys, v6, Key(ExactMask), Key{}) {
+		if fold(k) != k.Hash() {
+			t.Fatalf("MixWord/HashFinish fold of %v diverges from Key.Hash", k)
+		}
+	}
+	if err := quick.Check(func(kw [Words]uint64) bool { return fold(Key(kw)) == Key(kw).Hash() }, nil); err != nil {
+		t.Error(err)
+	}
 }
 
 // covertShapedKeys reproduces the covert stream's key shape without

@@ -92,7 +92,7 @@ const StageHashSeed uint64 = 14695981039346656037
 // the uint64 themselves.
 func (k *Key) HashStage(h uint64, m *Mask, s Stage) uint64 {
 	for _, w := range stageWords[s] {
-		h = mixWord(h, k[w]&m[w])
+		h = MixWord(h, k[w]&m[w])
 	}
 	return h
 }

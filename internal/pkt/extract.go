@@ -15,7 +15,9 @@ import (
 //
 // This is the full scalar decoder — the fallback ExtractBatch takes for
 // frames outside the dominant wire shapes, and the explicit cold side of
-// the extract hot/cold boundary: its error paths may allocate.
+// the extract hot/cold boundary: its error paths may allocate. A header
+// cut short past the Ethernet header is the exception: its error has fixed
+// text, made once below, so a burst carrying such a frame allocates nothing.
 //
 //lint:coldpath
 func Extract(frame []byte, inPort uint32) (flow.Key, error) {
@@ -32,7 +34,7 @@ func Extract(frame []byte, inPort uint32) (flow.Key, error) {
 
 	if etherType == EtherTypeVLAN {
 		if len(frame) < off+VLANTagLen {
-			return k, fmt.Errorf("%w: VLAN tag", ErrTruncated)
+			return k, errTruncVLAN
 		}
 		k.Set(flow.FieldVLANTCI, uint64(be16(frame[off:off+2])))
 		etherType = be16(frame[off+2 : off+4])
@@ -52,9 +54,19 @@ func Extract(frame []byte, inPort uint32) (flow.Key, error) {
 	}
 }
 
+var (
+	errTruncVLAN = fmt.Errorf("%w: VLAN tag", ErrTruncated)
+	errTruncARP  = fmt.Errorf("%w: ARP", ErrTruncated)
+	errTruncIPv4 = fmt.Errorf("%w: IPv4 header", ErrTruncated)
+	errTruncIPv6 = fmt.Errorf("%w: IPv6 header", ErrTruncated)
+	errTruncTCP  = fmt.Errorf("%w: TCP header", ErrTruncated)
+	errTruncUDP  = fmt.Errorf("%w: UDP header", ErrTruncated)
+	errTruncICMP = fmt.Errorf("%w: ICMP header", ErrTruncated)
+)
+
 func extractARP(b []byte, k flow.Key) (flow.Key, error) {
 	if len(b) < ARPLen {
-		return k, fmt.Errorf("%w: ARP", ErrTruncated)
+		return k, errTruncARP
 	}
 	k.Set(flow.FieldARPOp, uint64(be16(b[6:8])))
 	// ARP SPA/TPA ride in the IPv4 address fields, as in the OVS flow key.
@@ -65,7 +77,7 @@ func extractARP(b []byte, k flow.Key) (flow.Key, error) {
 
 func extractIPv4(b []byte, k flow.Key) (flow.Key, error) {
 	if len(b) < IPv4HeaderLen {
-		return k, fmt.Errorf("%w: IPv4 header", ErrTruncated)
+		return k, errTruncIPv4
 	}
 	if v := b[0] >> 4; v != 4 {
 		return k, fmt.Errorf("%w: version %d in IPv4 packet", ErrBadVersion, v)
@@ -96,7 +108,7 @@ func extractIPv4(b []byte, k flow.Key) (flow.Key, error) {
 
 func extractIPv6(b []byte, k flow.Key) (flow.Key, error) {
 	if len(b) < IPv6HeaderLen {
-		return k, fmt.Errorf("%w: IPv6 header", ErrTruncated)
+		return k, errTruncIPv6
 	}
 	if v := b[0] >> 4; v != 6 {
 		return k, fmt.Errorf("%w: version %d in IPv6 packet", ErrBadVersion, v)
@@ -115,7 +127,7 @@ func extractL4(b []byte, proto byte, k flow.Key) (flow.Key, error) {
 	switch proto {
 	case ProtoTCP:
 		if len(b) < TCPHeaderLen {
-			return k, fmt.Errorf("%w: TCP header", ErrTruncated)
+			return k, errTruncTCP
 		}
 		k.Set(flow.FieldTPSrc, uint64(be16(b[0:2])))
 		k.Set(flow.FieldTPDst, uint64(be16(b[2:4])))
@@ -123,14 +135,14 @@ func extractL4(b []byte, proto byte, k flow.Key) (flow.Key, error) {
 		return k, nil
 	case ProtoUDP:
 		if len(b) < UDPHeaderLen {
-			return k, fmt.Errorf("%w: UDP header", ErrTruncated)
+			return k, errTruncUDP
 		}
 		k.Set(flow.FieldTPSrc, uint64(be16(b[0:2])))
 		k.Set(flow.FieldTPDst, uint64(be16(b[2:4])))
 		return k, nil
 	case ProtoICMP, ProtoICMPv6:
 		if len(b) < 4 {
-			return k, fmt.Errorf("%w: ICMP header", ErrTruncated)
+			return k, errTruncICMP
 		}
 		k.Set(flow.FieldICMPType, uint64(b[0]))
 		k.Set(flow.FieldICMPCode, uint64(b[1]))
@@ -145,10 +157,10 @@ func extractL4(b []byte, proto byte, k flow.Key) (flow.Key, error) {
 // (nil for a clean decode). Unlike an early-return loop, a malformed frame
 // never aborts the burst — every frame gets its own error slot, so the
 // dataplane can account it and keep classifying the rest. The return value
-// is the number of malformed frames (non-nil errs entries). Keys are composed
-// in place — no 80-byte key is returned or copied on the fast path — and
-// keys may hold anything on entry: every word of every keys[i] is
-// overwritten.
+// is the number of malformed frames (non-nil errs entries). Keys are written
+// in place — on the fast path each key is composed in registers and stored
+// once, never returned or copied — and keys may hold anything on entry:
+// every word of every keys[i] is overwritten.
 //
 // The burst loop takes a fast path for the dominant wire shapes — IPv4
 // with no options, no fragmentation, TCP or UDP, untagged or behind a
@@ -163,18 +175,50 @@ func extractL4(b []byte, proto byte, k flow.Key) (flow.Key, error) {
 //
 //lint:hotpath
 func ExtractBatch(frames [][]byte, inPorts []uint32, keys []flow.Key, errs []error) int {
-	if len(inPorts) != len(frames) || len(keys) != len(frames) || len(errs) != len(frames) {
+	return ExtractHashBatch(frames, inPorts, keys, nil, errs)
+}
+
+// ExtractHashBatch is ExtractBatch that also writes keys[i].Hash() into
+// hashes[i], in the same pass: a fast-path key word is folded into the hash
+// while it is still in a register, so the key is never read back. A
+// fallback frame, malformed or not, is hashed from its stored key. hashes
+// may be nil, which hashes nothing; otherwise it must have len(frames).
+//
+//lint:hotpath
+func ExtractHashBatch(frames [][]byte, inPorts []uint32, keys []flow.Key, hashes []uint64, errs []error) int {
+	if len(inPorts) != len(frames) || len(keys) != len(frames) || len(errs) != len(frames) ||
+		(hashes != nil && len(hashes) != len(frames)) {
 		panic("pkt: ExtractBatch slice lengths disagree")
 	}
 	bad := 0
 	for i, f := range frames {
-		if extractFast(f, inPorts[i], &keys[i]) {
+		if w0, w1, w2, w3, w4, ok := extractFast(f, inPorts[i]); ok {
+			// Word by word, not as a composite literal: the compiler builds
+			// a literal in a stack temporary and copies it over in 16-byte
+			// moves, whose loads straddle the 8-byte stores just made.
+			k := &keys[i]
+			k[0], k[1], k[2], k[3], k[4] = w0, w1, w2, w3, w4
+			k[5], k[6], k[7], k[8], k[9] = 0, 0, 0, 0, 0
 			errs[i] = nil
+			if hashes != nil {
+				h := flow.MixWord(flow.StageHashSeed, w0)
+				h = flow.MixWord(h, w1)
+				h = flow.MixWord(h, w2)
+				h = flow.MixWord(h, w3)
+				h = flow.MixWord(h, w4)
+				for range flow.Words - 5 { // words 5-9 are zero
+					h = flow.MixWord(h, 0)
+				}
+				hashes[i] = flow.HashFinish(h)
+			}
 			continue
 		}
 		keys[i], errs[i] = Extract(f, inPorts[i])
 		if errs[i] != nil {
 			bad++
+		}
+		if hashes != nil {
+			hashes[i] = keys[i].Hash()
 		}
 	}
 	return bad
@@ -189,92 +233,58 @@ const (
 	fastVLANTCPLen = fastTCPLen + VLANTagLen
 )
 
-// fastField is a field's precomputed landing spot in a Key: word index and
-// left shift. Derived from the flow field registry at init, so the fast
-// path stays correct under layout changes; the batch==scalar property and
-// fuzz tests pin the equivalence.
-type fastField struct {
-	w int
-	s uint
-}
-
-func fastOf(id flow.FieldID) fastField {
-	f := flow.FieldByID(id)
-	return fastField{w: f.Word, s: uint(64 - f.Off - f.Bits)}
-}
-
-var (
-	ffInPort   = fastOf(flow.FieldInPort)
-	ffEthType  = fastOf(flow.FieldEthType)
-	ffEthSrc   = fastOf(flow.FieldEthSrc)
-	ffEthDst   = fastOf(flow.FieldEthDst)
-	ffVLANTCI  = fastOf(flow.FieldVLANTCI)
-	ffIPTOS    = fastOf(flow.FieldIPTOS)
-	ffIPProto  = fastOf(flow.FieldIPProto)
-	ffIPSrc    = fastOf(flow.FieldIPSrc)
-	ffIPDst    = fastOf(flow.FieldIPDst)
-	ffTPSrc    = fastOf(flow.FieldTPSrc)
-	ffTPDst    = fastOf(flow.FieldTPDst)
-	ffTCPFlags = fastOf(flow.FieldTCPFlags)
-)
-
 // extractFast decodes the common wire shapes — untagged or single-802.1Q
-// IPv4, IHL 5, not a fragment, TCP or UDP — into *k, with a single bounds
-// check per layer. It reports false, with *k untouched, for anything it does
-// not handle, sending the frame to the full decoder. Otherwise it overwrites
-// every word of *k (whatever the caller's scratch held): zeroed once, then
-// composed by plain ORs (every field value is already width-exact, so no
-// per-field read-modify-write), and the key is exactly what Extract would
-// produce.
-func extractFast(frame []byte, inPort uint32, k *flow.Key) bool {
+// IPv4, IHL 5, not a fragment, TCP or UDP — with a single bounds check per
+// layer, and returns the key's five leading words; the other five are zero,
+// and the key is exactly what Extract would produce. It reports false for
+// anything it does not handle, sending the frame to the full decoder.
+//
+// Each word is composed whole from big-endian loads, by the Words layout
+// (flow/field.go): word 1 takes eth_src from frame[6:12] as the low six
+// bytes of frame[4:12], word 2 takes eth_dst as the high six of frame[0:8]
+// and word 3 is ip_src and ip_dst as one load. The layout is written here,
+// not read from the field registry; the batch==scalar property and fuzz
+// tests pin it against the registry through Extract.
+func extractFast(frame []byte, inPort uint32) (w0, w1, w2, w3, w4 uint64, ok bool) {
 	if len(frame) < fastUDPLen {
-		return false
+		return
 	}
 	l3, minTCP, tci := EthHeaderLen, fastTCPLen, uint64(0)
 	switch be16(frame[12:14]) {
 	case EtherTypeIPv4:
 	case EtherTypeVLAN:
 		if len(frame) < fastVLANUDPLen || be16(frame[16:18]) != EtherTypeIPv4 {
-			return false
+			return
 		}
 		tci = uint64(be16(frame[14:16]))
 		l3, minTCP = EthHeaderLen+VLANTagLen, fastVLANTCPLen
 	default:
-		return false
+		return
 	}
 	ip := frame[l3 : l3+IPv4HeaderLen+UDPHeaderLen]
 	if ip[0] != 0x45 { // version 4, no options
-		return false
+		return
 	}
 	if ip[6]&0x3f != 0 || ip[7] != 0 { // any fragment bits: full decoder
-		return false
+		return
 	}
-	proto := ip[9]
+	proto, flags := ip[9], uint64(0)
 	switch proto {
 	case ProtoUDP:
 	case ProtoTCP:
 		if len(frame) < minTCP {
-			return false
+			return
 		}
+		flags = uint64(frame[l3+IPv4HeaderLen+13])
 	default:
-		return false
+		return
 	}
-	*k = flow.Key{}
-	k[ffVLANTCI.w] |= tci << ffVLANTCI.s
-	k[ffInPort.w] |= uint64(inPort) << ffInPort.s
-	k[ffEthType.w] |= uint64(EtherTypeIPv4) << ffEthType.s
-	k[ffEthDst.w] |= mac48(frame[0:6]) << ffEthDst.s
-	k[ffEthSrc.w] |= mac48(frame[6:12]) << ffEthSrc.s
-	k[ffIPTOS.w] |= uint64(ip[1]) << ffIPTOS.s
-	k[ffIPProto.w] |= uint64(proto) << ffIPProto.s
-	k[ffIPSrc.w] |= uint64(be32(ip[12:16])) << ffIPSrc.s
-	k[ffIPDst.w] |= uint64(be32(ip[16:20])) << ffIPDst.s
-	k[ffTPSrc.w] |= uint64(be16(ip[20:22])) << ffTPSrc.s
-	k[ffTPDst.w] |= uint64(be16(ip[22:24])) << ffTPDst.s
-	if proto == ProtoTCP {
-		k[ffTCPFlags.w] |= uint64(frame[l3+IPv4HeaderLen+13]) << ffTCPFlags.s
-	}
-	return true
+	w0 = uint64(inPort)<<32 | EtherTypeIPv4<<16 | tci
+	w1 = be64bytes(frame[4:12])<<16 | uint64(proto)<<8 | uint64(ip[1])
+	w2 = be64bytes(frame[0:8])&^0xffff | flags<<8
+	w3 = be64bytes(ip[12:20])
+	w4 = uint64(be32(ip[20:24])) << 32
+	return w0, w1, w2, w3, w4, true
 }
 
 func mac48(b []byte) uint64 {

@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -96,34 +97,53 @@ func corpusFrames(t testing.TB) [][]byte {
 // place, so the scratch goes in dirty — every key bit set, every error slot
 // taken, as a reused FrameBatch leaves them — and must come out as if zeroed:
 // a decoder that ORs into what it finds, on the fast path or after leaving
-// it part-way, fails here.
+// it part-way, fails here. Both forms run: ExtractBatch, and ExtractHashBatch
+// into a hash scratch of all ones, whose every slot — fast path, fallback
+// and malformed frame alike — must come out as the scalar key's Hash.
 func checkBatchEqualsScalar(t testing.TB, frames [][]byte, inPorts []uint32) {
 	t.Helper()
-	keys := make([]flow.Key, len(frames))
-	errs := make([]error, len(frames))
-	for i := range keys {
-		keys[i] = flow.Key(flow.ExactMask)
-		errs[i] = ErrTruncated
-	}
-	bad := ExtractBatch(frames, inPorts, keys, errs)
-	wantBad := 0
-	for i, f := range frames {
-		wantK, wantErr := Extract(f, inPorts[i])
-		if wantErr != nil {
-			wantBad++
+	for _, hashed := range []bool{false, true} {
+		keys := make([]flow.Key, len(frames))
+		errs := make([]error, len(frames))
+		var hashes []uint64
+		if hashed {
+			hashes = make([]uint64, len(frames))
 		}
-		if keys[i] != wantK {
-			t.Fatalf("frame %d (%d bytes): batch key %v != scalar key %v", i, len(f), keys[i], wantK)
+		for i := range keys {
+			keys[i] = flow.Key(flow.ExactMask)
+			errs[i] = ErrTruncated
+			if hashed {
+				hashes[i] = ^uint64(0)
+			}
 		}
-		if (errs[i] == nil) != (wantErr == nil) {
-			t.Fatalf("frame %d: batch err %v, scalar err %v", i, errs[i], wantErr)
+		var bad int
+		if hashed {
+			bad = ExtractHashBatch(frames, inPorts, keys, hashes, errs)
+		} else {
+			bad = ExtractBatch(frames, inPorts, keys, errs)
 		}
-		if errs[i] != nil && errs[i].Error() != wantErr.Error() {
-			t.Fatalf("frame %d: batch err %q != scalar err %q", i, errs[i], wantErr)
+		wantBad := 0
+		for i, f := range frames {
+			wantK, wantErr := Extract(f, inPorts[i])
+			if wantErr != nil {
+				wantBad++
+			}
+			if keys[i] != wantK {
+				t.Fatalf("hashed=%v frame %d (%d bytes): batch key %v != scalar key %v", hashed, i, len(f), keys[i], wantK)
+			}
+			if (errs[i] == nil) != (wantErr == nil) {
+				t.Fatalf("hashed=%v frame %d: batch err %v, scalar err %v", hashed, i, errs[i], wantErr)
+			}
+			if errs[i] != nil && errs[i].Error() != wantErr.Error() {
+				t.Fatalf("hashed=%v frame %d: batch err %q != scalar err %q", hashed, i, errs[i], wantErr)
+			}
+			if hashed && hashes[i] != wantK.Hash() {
+				t.Fatalf("frame %d (%d bytes, err %v): batch hash %#x != Key.Hash %#x", i, len(f), wantErr, hashes[i], wantK.Hash())
+			}
 		}
-	}
-	if bad != wantBad {
-		t.Fatalf("ExtractBatch reported %d malformed frames, scalar loop found %d", bad, wantBad)
+		if bad != wantBad {
+			t.Fatalf("hashed=%v: %d malformed frames reported, scalar loop found %d", hashed, bad, wantBad)
+		}
 	}
 }
 
@@ -160,19 +180,31 @@ func TestExtractBatchCountsMalformed(t *testing.T) {
 }
 
 // TestExtractBatchPanicsOnLengthMismatch pins the no-silent-truncation
-// contract.
+// contract: a short key slice, or a non-nil hash slice shorter than the
+// burst.
 func TestExtractBatchPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched slice lengths did not panic")
-		}
-	}()
-	ExtractBatch(make([][]byte, 2), make([]uint32, 2), make([]flow.Key, 1), make([]error, 2))
+	for name, extract := range map[string]func(){
+		"keys": func() {
+			ExtractBatch(make([][]byte, 2), make([]uint32, 2), make([]flow.Key, 1), make([]error, 2))
+		},
+		"hashes": func() {
+			ExtractHashBatch(make([][]byte, 2), make([]uint32, 2), make([]flow.Key, 2), make([]uint64, 1), make([]error, 2))
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("mismatched %s length did not panic", name)
+				}
+			}()
+			extract()
+		}()
+	}
 }
 
 // BenchmarkExtractBatch measures the amortised parse cost of the burst
 // path against the scalar loop (see BenchmarkExtract for the single-frame
-// baseline).
+// baseline); the hashed leg adds the flow hash the same pass computes.
 func BenchmarkExtractBatch(b *testing.B) {
 	frame := MustBuild(Spec{
 		Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"),
@@ -187,9 +219,12 @@ func BenchmarkExtractBatch(b *testing.B) {
 	}
 	keys := make([]flow.Key, n)
 	errs := make([]error, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ExtractBatch(frames, inPorts, keys, errs)
+	for _, hashes := range [][]uint64{nil, make([]uint64, n)} {
+		b.Run(fmt.Sprintf("hashed=%v", hashes != nil), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ExtractHashBatch(frames, inPorts, keys, hashes, errs)
+			}
+			b.ReportMetric(n, "burst")
+		})
 	}
-	b.ReportMetric(n, "burst")
 }
