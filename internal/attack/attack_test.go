@@ -68,7 +68,7 @@ func TestKeysCountAndUniqueness(t *testing.T) {
 func TestSingleFieldInjection(t *testing.T) {
 	a := SingleField()
 	sw := installACL(t, a)
-	v, err := a.Execute(sw, 1)
+	v, err := a.ExecuteFrames(sw, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSingleFieldInjection(t *testing.T) {
 func TestTwoFieldInjection512(t *testing.T) {
 	a := TwoField()
 	sw := installACL(t, a)
-	v, err := a.Execute(sw, 1)
+	v, err := a.ExecuteFrames(sw, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestThreeFieldInjection8192(t *testing.T) {
 	}
 	a := ThreeField()
 	sw := installACL(t, a)
-	v, err := a.Execute(sw, 1)
+	v, err := a.ExecuteFrames(sw, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +133,15 @@ func TestCovertPacketsAreInnocuous(t *testing.T) {
 func TestReplayIsIdempotent(t *testing.T) {
 	a := SingleField()
 	sw := installACL(t, a)
-	a.Execute(sw, 1)
+	a.ExecuteFrames(sw, 1, 0)
 	first := sw.Megaflow().NumMasks()
-	a.Execute(sw, 2)
+	a.ExecuteFrames(sw, 2, 0)
 	if got := sw.Megaflow().NumMasks(); got != first {
 		t.Fatalf("replay changed mask count %d -> %d", first, got)
 	}
 	// And the replay is all fast-path now: zero new upcalls.
 	before := sw.Counters().Upcalls
-	a.Execute(sw, 3)
+	a.ExecuteFrames(sw, 3, 0)
 	if got := sw.Counters().Upcalls; got != before {
 		t.Errorf("replay caused %d upcalls", got-before)
 	}
@@ -152,9 +152,9 @@ func TestReplayIsIdempotent(t *testing.T) {
 func TestReplayKeepsEntriesAliveAgainstRevalidator(t *testing.T) {
 	a := SingleField()
 	sw := installACL(t, a)
-	a.Execute(sw, 0)
+	a.ExecuteFrames(sw, 0, 0)
 	for now := uint64(5); now <= 50; now += 5 { // refresh every 5 < MaxIdle 10
-		a.Execute(sw, now)
+		a.ExecuteFrames(sw, now, 0)
 		if evicted := sw.RunRevalidator(now); evicted != 0 {
 			t.Fatalf("t=%d: revalidator evicted %d refreshed entries", now, evicted)
 		}
@@ -259,7 +259,7 @@ func TestCustomWidthSubsetsDepths(t *testing.T) {
 		{Field: flow.FieldIPSrc, Allow: 0x0a0a0000, Width: 16},
 	}}
 	sw := installACL(t, a)
-	v, err := a.Execute(sw, 1)
+	v, err := a.ExecuteFrames(sw, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestAttackDstField(t *testing.T) {
 		DstIP:  netip.MustParseAddr("10.0.0.2"),
 	}
 	sw := installACL(t, a)
-	v, err := a.Execute(sw, 1)
+	v, err := a.ExecuteFrames(sw, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestV6TwoFieldInjection1024(t *testing.T) {
 		t.Fatalf("predicted = %d, want 1024", got)
 	}
 	sw := installACL(t, a)
-	v, err := a.Execute(sw, 1)
+	v, err := a.ExecuteFrames(sw, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,33 +122,13 @@ func (v Verification) String() string {
 // burstLen is the NIC-sized burst the covert stream is replayed in.
 const burstLen = 32
 
-// Execute replays the covert sequence once against sw at logical time now,
-// as bursts of pre-extracted keys, and reports what the cache looks like
-// afterwards. The attack ACL must already be installed (via the CMS or
-// directly); Execute only sends packets, as a tenant could.
-func (a *Attack) Execute(sw *dataplane.Switch, now uint64) (Verification, error) {
-	keys, err := a.Keys()
-	if err != nil {
-		return Verification{}, err
-	}
-	var out []dataplane.Decision
-	denied := 0
-	for start := 0; start < len(keys); start += burstLen {
-		out = sw.ProcessBatch(now, keys[start:min(start+burstLen, len(keys))], out)
-		for _, d := range out {
-			if d.Verdict.Verdict == 0 { // flowtable.Deny
-				denied++
-			}
-		}
-	}
-	return a.verification(sw, denied), nil
-}
-
-// ExecuteFrames is Execute over the wire: the covert stream as raw frame
-// bursts through the switch's frame-first ingress at inPort — exactly
-// what an attacker's NIC delivers. Bursts are NIC-sized (32 frames), so
+// ExecuteFrames replays the covert sequence once against sw at logical
+// time now, as raw frame bursts through the switch's frame-first ingress
+// at inPort — exactly what an attacker's NIC delivers — and reports what
+// the cache looks like afterwards. Bursts are NIC-sized (32 frames), so
 // the replay exercises the same vectorized extract + tier walk the victim
-// measurement does.
+// measurement does. The attack ACL must already be installed (via the CMS
+// or directly); ExecuteFrames only sends packets, as a tenant could.
 func (a *Attack) ExecuteFrames(sw *dataplane.Switch, now uint64, inPort uint32) (Verification, error) {
 	frames, err := a.Frames()
 	if err != nil {

@@ -294,10 +294,6 @@ func (c *Cluster) RemovePolicy(tenant, podName string) error {
 // Policy returns the pod's applied policy, or nil.
 func (p *Pod) Policy() *Policy { return p.policy }
 
-// RuleCount returns the number of dataplane rules currently installed for
-// the pod.
-func (p *Pod) RuleCount() int { return len(p.rules) }
-
 // String renders the cluster inventory.
 func (c *Cluster) String() string {
 	s := fmt.Sprintf("cluster: %d nodes, %d pods\n", len(c.nodes), len(c.pods))

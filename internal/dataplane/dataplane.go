@@ -61,7 +61,6 @@ type config struct {
 	emc        *cache.EMCConfig
 	smc        *cache.SMCConfig
 	megaflow   cache.MegaflowConfig
-	classifier classifier.Config
 	maxIdle    uint64
 	conntrack  *conntrack.Config
 	tiers      []Tier // custom hierarchy (tiersSet): other cache opts ignored
@@ -120,9 +119,6 @@ func WithMegaflow(cfg cache.MegaflowConfig) Option { return func(c *config) { c.
 // rejects most subtables without a full hash probe, bending the paper's
 // attack curve. Composes with WithMegaflow in any order.
 func WithStagedPruning() Option { return func(c *config) { c.staged = true } }
-
-// WithClassifier sets the slow-path classifier configuration.
-func WithClassifier(cfg classifier.Config) Option { return func(c *config) { c.classifier = cfg } }
 
 // WithMaxIdle sets the revalidator idle timeout in logical time units
 // (default 10, the OVS max-idle of 10s at one unit per second).
@@ -351,7 +347,7 @@ func New(name string, opts ...Option) *Switch {
 	s := &Switch{
 		name:       name,
 		maxIdle:    cfg.maxIdle,
-		cls:        classifier.New(cfg.classifier),
+		cls:        classifier.New(classifier.Config{}),
 		ports:      make(map[uint32]*Port),
 		tiers:      tiers,
 		tierHits:   make([]uint64, len(tiers)),

@@ -139,14 +139,6 @@ func FieldByName(name string) (Field, bool) {
 	return fields[id], true
 }
 
-// AllFields returns the registry in FieldID order. The returned slice is a
-// copy and may be modified by the caller.
-func AllFields() []Field {
-	out := make([]Field, NumFields)
-	copy(out, fields[:])
-	return out
-}
-
 // Name returns the canonical name of the field.
 func (id FieldID) Name() string { return FieldByID(id).Name }
 

@@ -2,7 +2,6 @@ package pkt
 
 import (
 	"bytes"
-	"fmt"
 	"net/netip"
 	"testing"
 
@@ -199,32 +198,5 @@ func TestExtractBatchPanicsOnLengthMismatch(t *testing.T) {
 			}()
 			extract()
 		}()
-	}
-}
-
-// BenchmarkExtractBatch measures the amortised parse cost of the burst
-// path against the scalar loop (see BenchmarkExtract for the single-frame
-// baseline); the hashed leg adds the flow hash the same pass computes.
-func BenchmarkExtractBatch(b *testing.B) {
-	frame := MustBuild(Spec{
-		Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"),
-		Proto: ProtoTCP, SrcPort: 40000, DstPort: 443, FrameLen: 1514,
-	})
-	const n = 256
-	frames := make([][]byte, n)
-	inPorts := make([]uint32, n)
-	for i := range frames {
-		frames[i] = frame
-		inPorts[i] = 1
-	}
-	keys := make([]flow.Key, n)
-	errs := make([]error, n)
-	for _, hashes := range [][]uint64{nil, make([]uint64, n)} {
-		b.Run(fmt.Sprintf("hashed=%v", hashes != nil), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ExtractHashBatch(frames, inPorts, keys, hashes, errs)
-			}
-			b.ReportMetric(n, "burst")
-		})
 	}
 }
