@@ -326,7 +326,7 @@ func dumpFlows(sw *dataplane.Switch, n int, now uint64) {
 		// age: units since install; used: units since the last hit — the
 		// staleness the revalidator's idle sweep and limit trim key on.
 		fmt.Printf("%s, actions:%s, hits:%d, age:%d, used:%d\n",
-			e.Match, e.Verdict, e.Hits, now-e.Added, now-e.LastHit)
+			e.Match(), e.Verdict, e.Hits, now-e.Added, now-e.LastHit)
 	}
 }
 
@@ -334,7 +334,7 @@ func dumpMasks(sw *dataplane.Switch, n int) {
 	entries := sw.Megaflow().Entries()
 	counts := map[flow.Mask]int{}
 	for _, e := range entries {
-		counts[e.Match.Mask]++
+		counts[e.Match().Mask]++
 	}
 	type row struct {
 		mask  flow.Mask
@@ -551,10 +551,10 @@ func selfCheck(sw *dataplane.Switch) {
 	limit := min(len(entries), 200)
 	for i := 0; i < limit; i++ {
 		for j := i + 1; j < limit; j++ {
-			if entries[i].Match.Overlaps(entries[j].Match) &&
+			if entries[i].Match().Overlaps(entries[j].Match()) &&
 				entries[i].Verdict != entries[j].Verdict {
 				fmt.Printf("FAIL: conflicting overlapping megaflows %v / %v\n",
-					entries[i].Match, entries[j].Match)
+					entries[i].Match(), entries[j].Match())
 				ok = false
 			}
 		}

@@ -75,6 +75,6 @@ func main() {
 	fmt.Println()
 	fmt.Print(sw)
 	for _, e := range sw.Megaflow().Entries() {
-		fmt.Printf("  megaflow %s -> %s (hits %d)\n", e.Match, e.Verdict, e.Hits)
+		fmt.Printf("  megaflow %s -> %s (hits %d)\n", e.Match(), e.Verdict, e.Hits)
 	}
 }

@@ -532,3 +532,75 @@ func TestEMCInsertProbPrecedence(t *testing.T) {
 		t.Fatalf("Len = %d, want 50 (InsertProb=1 must beat InsertEvery)", e.Len())
 	}
 }
+
+// TestEntryMatchOutlivesEviction takes an entry out through every exit door
+// of the megaflow cache. An entry keeps its subtable pointer for life, so a
+// dead one an EMC slot, an SMC slot or a trace still holds answers Match with
+// the normalised match it was inserted under. Residency is the dead flag: run
+// accounting on a dead entry bills nothing to the subtable it left.
+func TestEntryMatchOutlivesEviction(t *testing.T) {
+	// A /16 over a key with low bits set: Insert normalises them away.
+	var in flow.Match
+	in.Key.Set(flow.FieldIPSrc, 0x0a0b0c0d)
+	in.Key.Set(flow.FieldTPDst, 443)
+	in.Mask.SetPrefix(flow.FieldIPSrc, 16)
+	want := in
+	want.Normalize()
+	if want == in {
+		t.Fatal("the input match is already normalised: the test would not see a copy")
+	}
+	other := prefixMatch(0xc0a80000, 24)
+
+	for _, tc := range []struct {
+		name  string
+		cfg   MegaflowConfig
+		evict func(m *Megaflow)
+	}{
+		{"Remove", MegaflowConfig{}, func(m *Megaflow) { m.Remove(in) }},
+		{"EvictIdle", MegaflowConfig{}, func(m *Megaflow) { m.EvictIdle(5) }},
+		{"Revalidate", MegaflowConfig{}, func(m *Megaflow) {
+			m.Revalidate(func(e *Entry) (Verdict, bool) { return e.Verdict, e.Match() != want })
+		}},
+		{"TrimToLimit", MegaflowConfig{}, func(m *Megaflow) { m.SetFlowLimit(1); m.TrimToLimit() }},
+		{"MaskEvictLRU", MegaflowConfig{MaxMasks: 2, MaskEvictLRU: true}, func(m *Megaflow) {
+			if _, err := m.Insert(prefixMatch(0xac100000, 12), allow, 9); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Flush", MegaflowConfig{}, func(m *Megaflow) { m.Flush() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMegaflow(tc.cfg)
+			ent, err := m.Insert(in, allow, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Insert(other, deny, 8); err != nil {
+				t.Fatal(err)
+			}
+			if ent.Match() != want || ent.Key != want.Key {
+				t.Fatalf("resident Match() = %v, want %v", ent.Match(), want)
+			}
+			st := ent.st
+			m.AccountRun(ent, 2, 1, 3)
+			if st.hits != 2 || st.lastHit != 3 {
+				t.Fatalf("live run billed subtable hits %d at %d, want 2 at 3", st.hits, st.lastHit)
+			}
+
+			tc.evict(m)
+			if !ent.Dead() {
+				t.Fatal("entry still live")
+			}
+			if ent.Match() != want {
+				t.Fatalf("dead Match() = %v, want %v", ent.Match(), want)
+			}
+			if hit, _, ok := m.Lookup(want.Key, 10); ok && hit == ent {
+				t.Fatal("dead entry still found by lookup")
+			}
+			m.AccountRun(ent, 5, 1, 11)
+			if st.hits != 2 || st.lastHit != 3 {
+				t.Fatalf("dead run billed its old subtable: hits %d at %d, want 2 at 3", st.hits, st.lastHit)
+			}
+		})
+	}
+}

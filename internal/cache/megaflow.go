@@ -71,31 +71,37 @@ type MegaflowConfig struct {
 // ranking: ewma' = alpha*hitsInWindow + (1-alpha)*ewma.
 const rankAlpha = 0.25
 
-// Entry is one cached megaflow. Hits and LastHit are the entry's
-// activity accounting: on a cache built for single-goroutine use they
-// are plain fields, while the sharded wrappers (ShardedMegaflow and
-// friends) credit them atomically because an EMC shard's readers and a
-// megaflow shard's sweeps touch the same entry under different locks.
+// Entry is one cached megaflow: its normalised masked key and verdict. The
+// mask is its subtable's, shared by every resident of that subtable as OVS's
+// dpcls_rule shares its subtable's mask; Match reads it through st. Hits and
+// LastHit are the entry's activity accounting: on a cache built for
+// single-goroutine use they are plain fields, while the sharded wrappers
+// (ShardedMegaflow and friends) credit them atomically because an EMC shard's
+// readers and a megaflow shard's sweeps touch the same entry under different
+// locks. An entry is 128 bytes, exactly a size class (TestScanRowLayout).
 type Entry struct {
-	Match   flow.Match
+	Key     flow.Key // normalised: every word already under the subtable's mask
 	Verdict Verdict
 
 	// dead is set on eviction so EMC/SMC references invalidate lazily.
 	// Atomic because in sharded hierarchies the evicting shard and a
 	// reference tier's reader hold different locks. It sits in the padding
 	// behind Verdict's 12 bytes: between the 8-byte fields it would add 8
-	// bytes and move the entry into the 224-byte size class
-	// (TestScanRowLayout).
+	// bytes and move the entry out of its size class.
 	dead atomic.Bool
 
 	Hits    uint64
 	Added   uint64 // logical insert time
 	LastHit uint64 // logical last-hit time
 
-	// st is the subtable the entry is resident in (nil once evicted), so
-	// run accounting reaches it without hashing the mask.
+	// st is the subtable the entry was inserted into. It is set once, by
+	// Insert, and outlives eviction, so a dead entry an EMC slot, an SMC slot
+	// or a trace still holds answers Match; dead, not st, says residency.
 	st *mfSubtable
 }
+
+// Match returns the entry's megaflow: its key under its subtable's mask.
+func (e *Entry) Match() flow.Match { return flow.Match{Key: e.Key, Mask: e.st.mask} }
 
 // Dead reports whether the entry has been evicted from the megaflow cache
 // (EMC references to it are stale).
@@ -557,7 +563,7 @@ func (m *Megaflow) AccountRun(ent *Entry, n int, cost int, now uint64) bool {
 	m.MasksScanned += nn * uint64(cost)
 	m.RunBilledScans += nn * uint64(cost)
 	credit(m.shared, ent, nn, now)
-	if st := ent.st; st != nil {
+	if st := ent.st; !ent.Dead() {
 		st.hits += nn
 		st.lastHit = now
 		if st.staged != nil {
@@ -657,7 +663,7 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 	if m.limit > 0 && m.nEntries >= m.limit {
 		return nil, ErrFlowLimit
 	}
-	ent := &Entry{Match: match, Verdict: v, Added: now, LastHit: now, st: st}
+	ent := &Entry{Key: match.Key, Verdict: v, Added: now, LastHit: now, st: st}
 	st.put(ent, hash)
 	m.syncRow(st)
 	m.logPut(st)
@@ -686,8 +692,7 @@ func (m *Megaflow) removeEntry(ent *Entry) {
 // signature sets, ports tries) stay consistent with the table.
 func (m *Megaflow) retireEntry(ent *Entry) {
 	ent.dead.Store(true)
-	ent.st.dropEntry(ent.Match.Key)
-	ent.st = nil
+	ent.st.dropEntry(ent.Key)
 	m.nEntries--
 }
 
@@ -895,7 +900,7 @@ func (m *Megaflow) TrimToLimit() int {
 		if a.Added != b.Added {
 			return a.Added < b.Added
 		}
-		return matchLess(a.Match, b.Match)
+		return matchLess(a.Match(), b.Match())
 	})
 	n := m.nEntries - m.limit
 	for _, ent := range all[:n] {
@@ -968,7 +973,6 @@ func (m *Megaflow) Flush() {
 	for _, row := range m.subtables {
 		for ent := range row.st.residents {
 			ent.dead.Store(true)
-			ent.st = nil
 		}
 		if m.hooks.Dropped != nil {
 			m.hooks.Dropped(row.st.mask)

@@ -88,7 +88,7 @@ func TestPutLogBounded(t *testing.T) {
 	for i, k := range burstOver(rng, m.Entries(), 32) {
 		ent, cost, ok := m.Reprobe(k, 2)
 		want, wantCost, wantOK := twin.Lookup(k, 2)
-		if ok != wantOK || cost != wantCost || ok && ent.Match != want.Match || countersOf(m) != countersOf(twin) {
+		if ok != wantOK || cost != wantCost || ok && ent.Match() != want.Match() || countersOf(m) != countersOf(twin) {
 			t.Fatalf("key %d: Reprobe = %v at cost %d, counters %+v; the twin's Lookup = %v at cost %d, counters %+v",
 				i, ent, cost, countersOf(m), want, wantCost, countersOf(twin))
 		}

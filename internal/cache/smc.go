@@ -76,10 +76,6 @@ func (s *SMC) Cap() int { return s.max }
 // Len returns the number of occupied fingerprint slots.
 func (s *SMC) Len() int { return len(s.slots) }
 
-func (s *SMC) index(k flow.Key) (fp uint64, sig uint16) {
-	return s.indexHash(k.Hash())
-}
-
 func (s *SMC) indexHash(h uint64) (fp uint64, sig uint16) {
 	return h & s.fpMask, uint16(h >> 48)
 }
@@ -120,16 +116,20 @@ func (s *SMC) lookup(k *flow.Key, h uint64, now uint64) (*Entry, bool) {
 		bump(s.shared, &s.Misses, 1)
 		return nil, false
 	}
-	for i, m := range &slot.ent.Match.Mask {
-		if k[i]&m != slot.ent.Match.Key[i] {
+	// The entry keeps no mask: its subtable's is the megaflow's. All ten
+	// words in a fixed loop, not st.matches over the significant ones,
+	// which read about 2 % slower on mix_smc.
+	ent := slot.ent
+	for i, m := range &ent.st.mask {
+		if k[i]&m != ent.Key[i] {
 			// Fingerprint collision between distinct flows: a true miss.
 			bump(s.shared, &s.Misses, 1)
 			return nil, false
 		}
 	}
-	credit(s.shared, slot.ent, 1, now)
+	credit(s.shared, ent, 1, now)
 	bump(s.shared, &s.Hits, 1)
-	return slot.ent, true
+	return ent, true
 }
 
 // LookupBatch consults the cache for every key index set in miss at
@@ -186,21 +186,6 @@ func (s *SMC) InsertHashed(_ flow.Key, h uint64, f *Entry) {
 	}
 	s.slots[fp] = smcSlot{sig: sig, ent: f}
 	s.Inserts++
-}
-
-// Remove drops the slot k hashes to, if it currently references a live
-// entry for k's fingerprint.
-func (s *SMC) Remove(k flow.Key) bool {
-	if s.max == 0 {
-		return false
-	}
-	fp, sig := s.index(k)
-	slot, ok := s.slots[fp]
-	if !ok || slot.sig != sig {
-		return false
-	}
-	delete(s.slots, fp)
-	return true
 }
 
 // Flush empties the cache (used after policy changes).

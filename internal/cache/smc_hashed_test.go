@@ -18,9 +18,8 @@ func TestSMCInsertHashedEqualsInsert(t *testing.T) {
 		k.Set(flow.FieldTPDst, uint64(80+i%3))
 		return k
 	}
-	entry := func(k flow.Key) *Entry {
-		return &Entry{Match: flow.Match{Key: k, Mask: flow.ExactMask}}
-	}
+	mfc := NewMegaflow(MegaflowConfig{})
+	entry := func(k flow.Key) *Entry { return smcEntry(t, mfc, k) }
 
 	plain := NewSMC(SMCConfig{Entries: 1 << 6}) // tiny: forces collisions
 	hashed := NewSMC(SMCConfig{Entries: 1 << 6})
@@ -41,7 +40,7 @@ func TestSMCInsertHashedEqualsInsert(t *testing.T) {
 		k := keyN(i)
 		a, aok := plain.Lookup(k, 1)
 		b, bok := hashed.Lookup(k, 1)
-		if aok != bok || (aok && a.Match != b.Match) {
+		if aok != bok || (aok && a.Match() != b.Match()) {
 			t.Fatalf("key %d: plain (%v,%v) != hashed (%v,%v)", i, a, aok, b, bok)
 		}
 	}

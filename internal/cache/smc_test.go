@@ -97,22 +97,6 @@ func TestSMCDisabled(t *testing.T) {
 	smc.Flush() // must not panic
 }
 
-func TestSMCRemove(t *testing.T) {
-	mfc := NewMegaflow(MegaflowConfig{})
-	smc := NewSMC(SMCConfig{Entries: 1 << 10})
-	k := smcKey(0x0a000001)
-	smc.Insert(k, smcEntry(t, mfc, k))
-	if !smc.Remove(k) {
-		t.Fatal("Remove failed on resident key")
-	}
-	if smc.Remove(k) {
-		t.Fatal("double remove succeeded")
-	}
-	if _, ok := smc.Lookup(k, 2); ok {
-		t.Fatal("hit after remove")
-	}
-}
-
 // TestSMCSurvivesEMCScaleThrash is the attack-economics property the SMC
 // tier exists for: a covert flood of distinct keys large enough to thrash
 // the 8192-entry EMC leaves a same-sized SMC with every flow still

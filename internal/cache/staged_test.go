@@ -37,7 +37,7 @@ func checkStagedInvariants(t *testing.T, m *Megaflow) {
 		want := newStagedState(st.mask)
 		ref := &mfSubtable{mask: st.mask, staged: want}
 		for ent := range st.residents {
-			ref.addEntry(ent.Match.Key)
+			ref.addEntry(ent.Key)
 		}
 		got := st.staged
 		if len(got.w0vals) != len(want.w0vals) {
@@ -114,7 +114,7 @@ func TestStagedVsFlatDifferential(t *testing.T) {
 			}
 			live = live[:0]
 			for _, ent := range flat.Entries() {
-				live = append(live, ent.Match)
+				live = append(live, ent.Match())
 			}
 		default: // lookup
 			var k flow.Key
@@ -329,7 +329,7 @@ func TestStagedFlushTrimConsistency(t *testing.T) {
 	// Heat a few subtables so ranking produces a non-insertion order.
 	for _, ent := range m.Entries()[:10] {
 		for i := 0; i < 20; i++ {
-			if _, _, ok := m.Lookup(ent.Match.Key, 50); !ok {
+			if _, _, ok := m.Lookup(ent.Key, 50); !ok {
 				t.Fatal("resident masked key missed its own subtable")
 			}
 		}

@@ -68,7 +68,7 @@ type mfSubtable struct {
 // Megaflow.syncRow rewrites it after every edit of the subtable's table.
 type scanRow struct {
 	mw     [3]uint64 // st.mask[st.widx[j]], j < 3
-	ew     [3]uint64 // single: the lone resident's Match.Key[st.widx[j]]; else zero
+	ew     [3]uint64 // single: the lone resident's Key[st.widx[j]]; else zero
 	st     *mfSubtable
 	shape  uint32 // st.widx[0..2], the key words mw selects, a byte each
 	nw     uint8
@@ -90,7 +90,7 @@ func (st *mfSubtable) row() scanRow {
 	}
 	if st.n == 1 && st.nw <= 3 {
 		for ent := range st.residents {
-			k := &ent.Match.Key
+			k := &ent.Key
 			r.ew, r.single = [3]uint64{k[w[0]], k[w[1]], k[w[2]]}, true
 			break
 		}
@@ -211,7 +211,7 @@ func (st *mfSubtable) probe(k *flow.Key, seed uint64) *Entry {
 // significant word.
 func (st *mfSubtable) matches(k *flow.Key, ent *Entry) bool {
 	for _, w := range st.widx[:st.nw] {
-		if k[w]&st.mask[w] != ent.Match.Key[w] {
+		if k[w]&st.mask[w] != ent.Key[w] {
 			return false
 		}
 	}
@@ -246,7 +246,7 @@ func (st *mfSubtable) place(s mfSlot) {
 
 // del removes the resident entry ent.
 func (st *mfSubtable) del(ent *Entry, seed uint64) {
-	if i, _ := st.find(&ent.Match.Key, seed); i >= 0 {
+	if i, _ := st.find(&ent.Key, seed); i >= 0 {
 		st.delAt(uint64(i))
 	}
 }

@@ -76,7 +76,7 @@ func (tm *tableModel) put(raw flow.Key) {
 	if tm.ref[mk] != nil {
 		return
 	}
-	ent := &Entry{Match: flow.Match{Key: mk, Mask: tm.st.mask}, st: tm.st}
+	ent := &Entry{Key: mk, st: tm.st}
 	_, h := tm.st.find(&mk, tm.seed)
 	tm.st.put(ent, h)
 	tm.ref[mk] = ent
@@ -100,21 +100,21 @@ func (tm *tableModel) sweep(sel uint64) {
 	seen := make(map[*Entry]int)
 	tm.st.sweep(func(ent *Entry) bool {
 		seen[ent]++
-		if sel != 0 && ent.Match.Key[3]>>40&sel == 0 {
+		if sel != 0 && ent.Key[3]>>40&sel == 0 {
 			return false
 		}
-		delete(tm.ref, ent.Match.Key)
+		delete(tm.ref, ent.Key)
 		return true
 	})
 	for ent, n := range seen {
 		if n != 1 {
-			tm.t.Fatalf("sweep visited %v %d times", ent.Match.Key, n)
+			tm.t.Fatalf("sweep visited %v %d times", ent.Key, n)
 		}
 	}
 	tm.check()
 	for ent := range seen {
-		if tm.ref[ent.Match.Key] == nil && tm.st.probe(&ent.Match.Key, tm.seed) != nil {
-			tm.t.Fatalf("sweep left dropped entry %v resident", ent.Match.Key)
+		if tm.ref[ent.Key] == nil && tm.st.probe(&ent.Key, tm.seed) != nil {
+			tm.t.Fatalf("sweep left dropped entry %v resident", ent.Key)
 		}
 	}
 }
@@ -133,8 +133,8 @@ func (tm *tableModel) check() {
 	walked := 0
 	for ent := range st.residents {
 		walked++
-		if tm.ref[ent.Match.Key] != ent {
-			tm.t.Fatalf("resident %v is not the reference's entry", ent.Match.Key)
+		if tm.ref[ent.Key] != ent {
+			tm.t.Fatalf("resident %v is not the reference's entry", ent.Key)
 		}
 	}
 	if walked != len(tm.ref) {
@@ -259,7 +259,7 @@ func TestSubtableBackwardShiftAcrossWrap(t *testing.T) {
 const (
 	maxMeanProbeLen     = 2.0 // slots examined per resident lookup, mean
 	maxProbeLen         = 64  // ... and worst resident, up to 8192 entries
-	maxSingletonBytes   = 512 // heap per one-entry subtable, entry, 64-byte row and index share included
+	maxSingletonBytes   = 432 // heap per one-entry subtable, entry, 64-byte row and index share included
 	singletonSampleSize = 4096
 )
 

@@ -91,7 +91,7 @@ func checkScanRows(t *testing.T, m *Megaflow) {
 			t.Fatalf("row %d: %d residents in the table, n = %d", i, len(resident), st.n)
 		}
 		if len(resident) == 1 && nw <= 3 {
-			k := resident[0].Match.Key
+			k := resident[0].Key
 			want.ew, want.single = [3]uint64{k[widx[0]], k[widx[1]], k[widx[2]]}, true
 		}
 		if row != want {
@@ -166,7 +166,7 @@ func checkBatchAgainstProbes(t *testing.T, m *Megaflow, keys []flow.Key, live fu
 	}
 	for ent, h := range entHits {
 		if ent.Hits != h || ent.LastHit != now {
-			t.Fatalf("entry %v: hits %d last hit %d, want %d at %d", ent.Match.Key, ent.Hits, ent.LastHit, h, now)
+			t.Fatalf("entry %v: hits %d last hit %d, want %d at %d", ent.Key, ent.Hits, ent.LastHit, h, now)
 		}
 	}
 	for st, h := range stHits {
@@ -194,7 +194,7 @@ func burstOver(rng *rand.Rand, resident []*Entry, n int) []flow.Key {
 	for i := range keys {
 		keys[i] = randomKey(rng)
 		if len(resident) > 0 && rng.Intn(4) != 0 {
-			cover(&keys[i], resident[rng.Intn(len(resident))].Match)
+			cover(&keys[i], resident[rng.Intn(len(resident))].Match())
 		}
 	}
 	return keys
@@ -384,7 +384,7 @@ func TestSweepGroupEdges(t *testing.T) {
 	} {
 		l := newFirstWordLadder(t, nRows, kind.fw, kind.nw, kind.catchAll, kind.split)
 		deepest := l.own[len(l.own)-1]
-		if ent, cost, ok := l.m.Lookup(l.hitter(rng, deepest), 2); !ok || cost != deepest+1 || ent.Match != l.residents[deepest] {
+		if ent, cost, ok := l.m.Lookup(l.hitter(rng, deepest), 2); !ok || cost != deepest+1 || ent.Match() != l.residents[deepest] {
 			t.Fatalf("%s: Lookup of row %d's hitter = %v at cost %d (%v)", kind.name, deepest, ent, cost, ok)
 		}
 		// Live key k's arrangements, as the row it hits (-1: none) and the key.
@@ -567,8 +567,9 @@ func TestRemoveUnpinsSubtable(t *testing.T) {
 // TestScanRowLayout pins the sizes the sweep's loads and the attack's memory
 // rest on: a row is one cache line, a subtable fits the 192-byte size class
 // that starts it on a line boundary (pos, the row's ew and the mask hash must
-// not push it out), and an entry is 208 bytes, a size class of its own (dead
-// beside Verdict: between the 8-byte fields it costs a 224-byte class).
+// not push it out), and an entry is 128 bytes, exactly a size class: its key
+// and no copy of its subtable's mask (dead beside Verdict: between the 8-byte
+// fields it costs a 144-byte class).
 func TestScanRowLayout(t *testing.T) {
 	if got := unsafe.Sizeof(scanRow{}); got != 64 {
 		t.Errorf("scanRow is %d bytes, want 64", got)
@@ -576,8 +577,8 @@ func TestScanRowLayout(t *testing.T) {
 	if got := unsafe.Sizeof(mfSubtable{}); got > 192 {
 		t.Errorf("mfSubtable is %d bytes, over the 192-byte size class", got)
 	}
-	if got := unsafe.Sizeof(Entry{}); got != 208 {
-		t.Errorf("Entry is %d bytes, want 208", got)
+	if got := unsafe.Sizeof(Entry{}); got != 128 {
+		t.Errorf("Entry is %d bytes, want 128", got)
 	}
 }
 
@@ -619,7 +620,7 @@ func TestSingleRowFollowsTable(t *testing.T) {
 				}
 			}
 		}
-		ours := func(ent *Entry) bool { return ent.Match.Mask == mask }
+		ours := func(ent *Entry) bool { return ent.Match().Mask == mask }
 		steps := []struct {
 			name       string
 			do         func()
@@ -630,7 +631,7 @@ func TestSingleRowFollowsTable(t *testing.T) {
 			{"remove A: one resident on the grown table", func() { m.Remove(a) }, false, true},
 			{"insert A again", insert(a, allow), true, true},
 			{"EvictIdle takes A, B was hit later", func() {
-				if ent, _, ok := m.Lookup(b.Key, now+5); !ok || ent.Match != b {
+				if ent, _, ok := m.Lookup(b.Key, now+5); !ok || ent.Match() != b {
 					t.Fatalf("B not resident")
 				}
 				if n := m.EvictIdle(now + 5); n != 1 {
@@ -651,7 +652,7 @@ func TestSingleRowFollowsTable(t *testing.T) {
 			}, false, false},
 			{"mint the mask again with A and B", func() { insert(a, allow)(); insert(b, allow)() }, true, true},
 			{"Revalidate takes B", func() {
-				m.Revalidate(func(ent *Entry) (Verdict, bool) { return ent.Verdict, ent.Match != b })
+				m.Revalidate(func(ent *Entry) (Verdict, bool) { return ent.Verdict, ent.Match() != b })
 			}, true, false},
 		}
 		for _, step := range steps {
@@ -670,7 +671,7 @@ func TestSingleRowFollowsTable(t *testing.T) {
 			keys[3].Set(flow.FieldTPDst, 0x1300) // outside B's
 			for i, wantHit := range []bool{step.hitA, step.hitB, step.hitA, false} {
 				ent, cost, ok := m.Lookup(keys[i], now)
-				if ok != wantHit || cost != depth || ok && !ent.Match.Matches(keys[i]) {
+				if ok != wantHit || cost != depth || ok && !ent.Match().Matches(keys[i]) {
 					t.Fatalf("shared %v, %s: key %d hit %v at cost %d (%v), want hit %v at cost %d", shared, step.name, i, ok, cost, ent, wantHit, depth)
 				}
 			}
@@ -764,7 +765,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 			c.SetFlowLimit(8 + a%48)
 			c.TrimToLimit()
 		case 6:
-			c.Revalidate(func(ent *Entry) (Verdict, bool) { return ent.Verdict, ent.Match.Key[3]>>uint(a%8)&1 == 0 })
+			c.Revalidate(func(ent *Entry) (Verdict, bool) { return ent.Verdict, ent.Key[3]>>uint(a%8)&1 == 0 })
 		case 7:
 			if a%4 == 0 {
 				c.Flush()
@@ -787,7 +788,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 			// What the pool may yet install: a miss now, a hit once it has.
 			cover(&keys[j], pool[rng.Intn(len(pool))])
 			if mode&4 != 0 && j+1 < len(keys) && len(resident) > 0 {
-				keys[j+1] = nearMissOf(keys[j+1], resident[rng.Intn(len(resident))].Match, j/3)
+				keys[j+1] = nearMissOf(keys[j+1], resident[rng.Intn(len(resident))].Match(), j/3)
 			}
 		}
 		switch {
@@ -851,7 +852,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 				t.Fatalf("op %d: %d scans billed without a probe, want %d", n, m.RunBilledScans, billed)
 			}
 			want, wantCost, wantOK := twin.Lookup(k, now+1)
-			if ok != wantOK || cost != wantCost || ok && (ent.Match != want.Match || ent.Verdict != want.Verdict || ent.Hits != want.Hits || ent.LastHit != want.LastHit) {
+			if ok != wantOK || cost != wantCost || ok && (ent.Match() != want.Match() || ent.Verdict != want.Verdict || ent.Hits != want.Hits || ent.LastHit != want.LastHit) {
 				t.Fatalf("op %d: Reprobe = %+v at cost %d (%v), the twin's Lookup = %+v at cost %d (%v); %d subtables logged of %d",
 					n, ent, cost, ok, want, wantCost, wantOK, len(m.putLog), len(m.subtables))
 			}
@@ -1051,7 +1052,7 @@ func TestShardedChildConcurrentSweep(t *testing.T) {
 				m.LookupBatch(burstKeys, uint64(2+i), ents, costs, &miss)
 				mu.RUnlock()
 				for j, ent := range ents {
-					if j%5 != 4 && (ent == nil || !ent.Match.Matches(burstKeys[j])) {
+					if j%5 != 4 && (ent == nil || !ent.Match().Matches(burstKeys[j])) {
 						t.Errorf("reader %d burst %d: resident key %d found %v", r, i, j, ent)
 						return
 					}

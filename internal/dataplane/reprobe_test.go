@@ -193,7 +193,7 @@ func TestReprobeEqualsLookup(t *testing.T) {
 			credits := func(sw *dataplane.Switch) map[flow.Match][3]uint64 {
 				out := make(map[flow.Match][3]uint64)
 				for _, ent := range sw.Megaflow().Entries() {
-					out[ent.Match] = [3]uint64{ent.Hits, ent.LastHit, ent.Added}
+					out[ent.Match()] = [3]uint64{ent.Hits, ent.LastHit, ent.Added}
 				}
 				return out
 			}

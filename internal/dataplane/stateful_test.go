@@ -193,9 +193,10 @@ func TestStatefulMegaflowsAreStateScoped(t *testing.T) {
 	sw.ProcessKey(3, fwd.Key(1)) // now +est
 	seen := map[uint64]bool{}
 	for _, e := range sw.Megaflow().Entries() {
-		ctMask := flow.FieldByID(flow.FieldCTState).GetMask(&e.Match.Mask)
+		m := e.Match()
+		ctMask := flow.FieldByID(flow.FieldCTState).GetMask(&m.Mask)
 		if ctMask != 0 {
-			seen[e.Match.Key.Get(flow.FieldCTState)] = true
+			seen[e.Key.Get(flow.FieldCTState)] = true
 		}
 	}
 	// At least the untracked-dispatch, +new and +est shapes must coexist.

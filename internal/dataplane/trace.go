@@ -111,7 +111,7 @@ func (s *Switch) TraceFrame(now uint64, frame []byte, inPort uint32) *TraceResul
 		}
 		if ok {
 			step.Hit = true
-			step.Match = ent.Match.String()
+			step.Match = ent.Match().String()
 			step.Vd = ent.Verdict
 			res.Steps = append(res.Steps, step)
 			s.tierHits[i]++

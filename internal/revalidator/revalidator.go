@@ -514,7 +514,7 @@ func (r *Revalidator) checkFor(t Target, now uint64) func(*cache.Entry) (cache.V
 		if cls == nil {
 			return e.Verdict, true
 		}
-		res := cls.Lookup(e.Match.Key)
+		res := cls.Lookup(e.Key)
 		v := cache.Verdict{Verdict: flowtable.Deny}
 		if res.Rule != nil {
 			v = res.Rule.Action
