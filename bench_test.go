@@ -129,7 +129,10 @@ func BenchmarkFig2bSlowPath(b *testing.B) {
 // expected at ~0.7-0.8 ns/visit at 8 192 masks.
 func BenchmarkTSSLookupMasks(b *testing.B) {
 	atk := attack.ThreeField()
-	covert := covertKeys(b, atk)
+	covert, err := atk.Frames()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, masks := range []int{1, 8, 64, 512, 2048, 8192} {
 		for _, port := range []struct {
 			name string
@@ -137,9 +140,13 @@ func BenchmarkTSSLookupMasks(b *testing.B) {
 		}{{"victim", 1}, {"attacker", 66}} {
 			b.Run(fmt.Sprintf("masks=%d/port=%s", masks, port.name), func(b *testing.B) {
 				sw := attackSwitch(b, atk, false, noEMC)
-				sw.ProcessBatch(1, covert[:min(masks-1, len(covert))], nil)
-				gen := victimGen()
 				var fb dataplane.FrameBatch
+				for _, f := range covert[:min(masks-1, len(covert))] {
+					fb.Append(f, 66)
+				}
+				sw.ProcessFrames(1, &fb, nil)
+				fb.Reset()
+				gen := victimGen()
 				for range 8 {
 					f, _ := gen.NextFrame()
 					fb.Append(f, port.id)

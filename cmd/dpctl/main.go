@@ -195,23 +195,18 @@ func buildScenario(fields string, execute, smc bool, extra ...dataplane.Option) 
 
 	sw := victimPod.Node.Switch
 	if execute {
-		keys, err := atk.Keys()
-		if err != nil {
+		if _, err := atk.ExecuteFrames(sw, 1, attackerPod.Port); err != nil {
 			return nil, err
 		}
-		for i := range keys {
-			keys[i].Set(flow.FieldInPort, uint64(attackerPod.Port))
-		}
-		out := sw.ProcessBatch(1, keys, nil)
 		// A little victim traffic so its megaflow shows in the dumps.
 		victim := traffic.NewVictim(traffic.VictimConfig{
 			Src: victimPod.IP, Dst: victimPod.IP, InPort: victimPod.Port,
 		})
-		vkeys := make([]flow.Key, 64)
-		for i := range vkeys {
-			vkeys[i] = victim.Next()
+		var fb dataplane.FrameBatch
+		for range 64 {
+			fb.Append(victim.NextFrame())
 		}
-		sw.ProcessBatch(2, vkeys, out)
+		sw.ProcessFrames(2, &fb, nil)
 	}
 	return &scenario{
 		sw:           sw,
@@ -227,13 +222,6 @@ func buildScenario(fields string, execute, smc bool, extra ...dataplane.Option) 
 // trickle), printing each round's dump stats and the flow limit's path —
 // the collapse, the staleness trims, and the per-worker shares.
 func runRevalidator(sc *scenario, rounds int, interval uint64, dumpRate float64, fixed bool) {
-	keys, err := sc.atk.Keys()
-	if err != nil {
-		fatal(err)
-	}
-	for i := range keys {
-		keys[i].Set(flow.FieldInPort, uint64(sc.attackerPort))
-	}
 	victim := traffic.NewVictim(traffic.VictimConfig{
 		Src: sc.victimIP, Dst: sc.victimIP, InPort: sc.victimPort,
 	})
@@ -243,17 +231,20 @@ func runRevalidator(sc *scenario, rounds int, interval uint64, dumpRate float64,
 		FixedLimit: fixed,
 	})
 	rev.Attach(sc.sw)
-	fmt.Printf("# %d rounds, interval %d, dump rate %g flows/unit/worker, covert stream %d keys/round\n",
-		rounds, interval, dumpRate, len(keys))
+	fmt.Printf("# %d rounds, interval %d, dump rate %g flows/unit/worker, covert stream %d packets/round\n",
+		rounds, interval, dumpRate, sc.atk.PredictedMasks())
 	now := uint64(1)
-	vkeys := make([]flow.Key, 64)
+	var fb dataplane.FrameBatch
 	var out []dataplane.Decision
 	for r := 0; r < rounds; r++ {
-		for i := range vkeys {
-			vkeys[i] = victim.Next()
+		fb.Reset()
+		for range 64 {
+			fb.Append(victim.NextFrame())
 		}
-		out = sc.sw.ProcessBatch(now, vkeys, out)
-		out = sc.sw.ProcessBatch(now, keys, out)
+		out = sc.sw.ProcessFrames(now, &fb, out)
+		if _, err := sc.atk.ExecuteFrames(sc.sw, now, sc.attackerPort); err != nil {
+			fatal(err)
+		}
 		rev.Tick(now)
 		st := rev.Stats()
 		over := ""

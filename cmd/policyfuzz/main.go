@@ -184,8 +184,7 @@ func evaluate(atk *attack.Attack) int {
 	if _, err := cluster.AddNode("hv"); err != nil {
 		return 0
 	}
-	victim, err := cluster.DeployPod("victim", "svc", "hv")
-	if err != nil {
+	if _, err := cluster.DeployPod("victim", "svc", "hv"); err != nil {
 		return 0
 	}
 	attacker, err := cluster.DeployPod("mallory", "probe", "hv")
@@ -212,15 +211,9 @@ func evaluate(atk *attack.Attack) int {
 	}); err != nil {
 		return 0
 	}
-	sw := attacker.Node.Switch
-	keys, err := atk.Keys()
+	v, err := atk.ExecuteFrames(attacker.Node.Switch, 1, attacker.Port)
 	if err != nil {
 		return 0
 	}
-	for i := range keys {
-		keys[i].Set(flow.FieldInPort, uint64(attacker.Port))
-	}
-	sw.ProcessBatch(1, keys, nil)
-	_ = victim
-	return sw.Megaflow().NumMasks()
+	return v.Injected
 }

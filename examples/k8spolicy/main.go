@@ -16,7 +16,6 @@ import (
 	"policyinject/internal/acl"
 	"policyinject/internal/attack"
 	"policyinject/internal/cms"
-	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
 	"policyinject/internal/pkt"
 )
@@ -72,9 +71,10 @@ func run(w io.Writer) error {
 	sw := c.probe.Node.Switch
 	fmt.Fprintf(w, "\nafter mallory's covert stream, server-1 carries %d megaflow masks\n",
 		sw.Megaflow().NumMasks())
-	d := sw.ProcessBatch(3, []flow.Key{flow.FiveTuple{
-		Src: c.client.IP, Dst: c.web.IP, Proto: 6, SrcPort: 40000, DstPort: 443,
-	}.Key(c.web.Port)}, nil)[0]
+	d, err := sw.Process(3, c.web.Port, tcp(c.client.IP, c.web.IP, 443))
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "acme's next web packet scanned %d masks to be %s\n",
 		d.MasksScanned, d.Verdict)
 	return nil
@@ -118,11 +118,9 @@ func (c *cluster) inject() (*attack.Attack, error) {
 	}); err != nil {
 		return nil, err
 	}
-	keys, _ := atk.Keys()
-	for i := range keys {
-		keys[i].Set(flow.FieldInPort, uint64(c.probe.Port))
+	if _, err := atk.ExecuteFrames(c.probe.Node.Switch, 2, c.probe.Port); err != nil {
+		return nil, err
 	}
-	c.probe.Node.Switch.ProcessBatch(2, keys, nil)
 	return atk, nil
 }
 

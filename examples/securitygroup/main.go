@@ -16,7 +16,17 @@ import (
 	"policyinject/internal/dataplane"
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
+	"policyinject/internal/pkt"
 )
+
+// frame renders a five-tuple as the wire frame a packet of it carries.
+func frame(t flow.FiveTuple) []byte {
+	f, err := pkt.BuildTuple(t, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return f
+}
 
 func main() {
 	sw := dataplane.New("sg-hv",
@@ -36,53 +46,50 @@ func main() {
 		fmt.Printf("  %s\n", stored)
 	}
 
-	var (
-		oneKey [1]flow.Key
-		out    []dataplane.Decision
-	)
-	show := func(desc string, k flow.Key, now uint64) dataplane.Decision {
-		oneKey[0] = k
-		out = sw.ProcessBatch(now, oneKey[:], out)
-		d := out[0]
+	show := func(desc string, t flow.FiveTuple, inPort uint32, now uint64) dataplane.Decision {
+		d, err := sw.Process(now, inPort, frame(t))
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-44s -> %-5s (recirc=%v, masks scanned %d)\n",
 			desc, d.Verdict.Verdict, d.Recirculated, d.MasksScanned)
 		return d
 	}
 
-	fwd := conntrack.MustTuple("10.1.2.3", "172.16.0.1", 6, 40000, 443).Key(1)
-	rev := conntrack.MustTuple("172.16.0.1", "10.1.2.3", 6, 443, 40000).Key(2)
-	scan := conntrack.MustTuple("203.0.113.9", "172.16.0.1", 6, 55555, 22).Key(1)
+	fwd := conntrack.MustTuple("10.1.2.3", "172.16.0.1", 6, 40000, 443)
+	rev := conntrack.MustTuple("172.16.0.1", "10.1.2.3", 6, 443, 40000)
+	scan := conntrack.MustTuple("203.0.113.9", "172.16.0.1", 6, 55555, 22)
 
 	fmt.Println("\nstateful semantics:")
-	show("SYN 10.1.2.3 -> :443 (+new, whitelisted)", fwd, 1)
-	show("SYN-ACK back (+est shortcut, no reverse rule)", rev, 2)
-	show("scanner 203.0.113.9 -> :22 (denied, untracked)", scan, 3)
+	show("SYN 10.1.2.3 -> :443 (+new, whitelisted)", fwd, 1, 1)
+	show("SYN-ACK back (+est shortcut, no reverse rule)", rev, 2, 2)
+	show("scanner 203.0.113.9 -> :22 (denied, untracked)", scan, 1, 3)
 	fmt.Printf("  %s\n", sw.Conntrack())
 
 	// The attack, against the stateful group: divergence ladders of the
 	// two whitelist entries (8 ip depths x 16 port depths).
 	fmt.Println("\npolicy injection vs the stateful group:")
 	before := sw.Megaflow().NumMasks()
-	akeys := make([]flow.Key, 0, 8*16)
+	var covert dataplane.FrameBatch
 	for d1 := 0; d1 < 8; d1++ {
 		for d2 := 0; d2 < 16; d2++ {
-			k := conntrack.MustTuple("10.0.0.0", "172.16.0.1", 6, 40000, 443).Key(1)
-			k.Set(flow.FieldIPSrc, 0x0a000000^(1<<uint(31-d1)))
-			k.Set(flow.FieldTPDst, uint64(443^(1<<uint(15-d2))))
-			akeys = append(akeys, k)
+			t := conntrack.MustTuple("10.0.0.0", "172.16.0.1", 6, 40000, 443)
+			t.Src = flow.V4Addr(0x0a000000 ^ 1<<uint(31-d1))
+			t.DstPort = 443 ^ 1<<uint(15-d2)
+			covert.Append(frame(t), 1)
 		}
 	}
-	out = sw.ProcessBatch(4, akeys, out)
+	sw.ProcessFrames(4, &covert, nil)
 	fmt.Printf("  covert stream minted %d megaflow masks (had %d)\n",
 		sw.Megaflow().NumMasks()-before, before)
 	// Established traffic rides the broad, early ct_state=+est megaflow:
 	// statefulness shields it.
-	show("established victim traffic (broad +est megaflow)", fwd, 5)
+	show("established victim traffic (broad +est megaflow)", fwd, 1, 5)
 	// But CONNECTION SETUP pays: a new client outside 10/8 reaching the
 	// public :443 needs a fresh divergence-combination megaflow, whose
 	// upcall and first packets scan the whole attacker ladder.
-	fresh := conntrack.MustTuple("203.0.113.50", "172.16.0.1", 6, 41000, 443).Key(1)
-	d := show("NEW connection setup after the attack", fresh, 6)
+	fresh := conntrack.MustTuple("203.0.113.50", "172.16.0.1", 6, 41000, 443)
+	d := show("NEW connection setup after the attack", fresh, 1, 6)
 	if d.Verdict.Verdict != flowtable.Allow {
 		log.Fatal("victim connection broken")
 	}

@@ -82,13 +82,7 @@ func (a *Attack) Frames() ([][]byte, error) {
 	_, _, _, flen := a.defaults()
 	out := make([][]byte, 0, len(keys))
 	for _, k := range keys {
-		t := k.Tuple()
-		spec := pkt.Spec{
-			Src: t.Src, Dst: t.Dst, Proto: t.Proto,
-			SrcPort: t.SrcPort, DstPort: t.DstPort,
-			FrameLen: flen,
-		}
-		f, err := pkt.Build(spec)
+		f, err := pkt.BuildTuple(k.Tuple(), flen)
 		if err != nil {
 			return nil, fmt.Errorf("attack: building covert frame: %w", err)
 		}

@@ -190,17 +190,6 @@ func (s *Switch) ProcessKey(_ uint64, k flow.Key) dataplane.Decision {
 	return dataplane.Decision{Verdict: v, Path: dataplane.PathSlow, MasksScanned: scanned}
 }
 
-// ProcessBatch classifies a batch of keys, writing one Decision per key
-// into out (grown if needed) and returning it — the same batch contract as
-// dataplane.Switch, so the simulator can drive either with NIC bursts.
-func (s *Switch) ProcessBatch(now uint64, keys []flow.Key, out []dataplane.Decision) []dataplane.Decision {
-	out = dataplane.GrowDecisions(out, len(keys))
-	for i := range keys {
-		out[i] = s.ProcessKey(now, keys[i])
-	}
-	return out
-}
-
 // ProcessFrames runs a burst of raw frames through extract + classify,
 // writing one Decision per frame into out (grown if needed) and returning
 // it — the same frame-first ingress contract as dataplane.Switch, so the

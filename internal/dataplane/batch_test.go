@@ -49,8 +49,9 @@ func batchEq(t *testing.T, label string, seq, batch []Decision, seqSW, batchSW *
 
 // TestBatchMatchesSequentialStateful runs the full switch — conntrack
 // recirculation included — over staged bursts (connection setup, replies,
-// established data, then same-flow runs) and checks ProcessBatch produces
-// exactly the decisions and counters of a sequential ProcessKey loop. The
+// established data, then same-flow runs) and checks ProcessFrames produces
+// exactly the decisions and counters of a sequential ProcessKey loop over
+// the burst's extracted keys. The
 // hierarchies with an SMC promote by the burst's hashes, so the
 // recirculated key's second pass needs its own; in the last burst key 0 is
 // a settled one-packet run while later runs' copies walk and recirculate
@@ -101,14 +102,15 @@ func batchMatchesSequentialStateful(t *testing.T, opts []Option) {
 		// find it committed, established replies, a denied run.
 		{fwd[0], syn, syn, syn, rev[2], rev[2], outside, outside},
 	}
+	var fb FrameBatch
 	var seqOut, batchOut []Decision
 	for bi, burstKeys := range bursts {
 		now := uint64(bi + 1)
+		batchOut = batchSW.ProcessFrames(now, keyBurst(&fb, burstKeys), batchOut)
 		seqOut = seqOut[:0]
-		for _, k := range burstKeys {
-			seqOut = append(seqOut, seqSW.ProcessKey(now, k))
+		for i := range burstKeys {
+			seqOut = append(seqOut, seqSW.ProcessKey(now, fb.Key(i)))
 		}
-		batchOut = batchSW.ProcessBatch(now, burstKeys, batchOut)
 		batchEq(t, fmt.Sprintf("burst %d", bi), seqOut, batchOut, seqSW, batchSW)
 	}
 	if !batchOut[1].Recirculated || !batchOut[2].Recirculated {
@@ -144,13 +146,14 @@ func TestBatchFallbackForNonBatchTiers(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		keys = append(keys, tcpKey(uint64(0x0a000001+i%5), 0x0a000002, uint64(2000+i), 80))
 	}
+	var fb FrameBatch
 	for round := 0; round < 2; round++ { // cold then warm
 		now := uint64(round + 1)
+		batch := batchSW.ProcessFrames(now, keyBurst(&fb, keys), nil)
 		var seq []Decision
-		for _, k := range keys {
-			seq = append(seq, seqSW.ProcessKey(now, k))
+		for i := range keys {
+			seq = append(seq, seqSW.ProcessKey(now, fb.Key(i)))
 		}
-		batch := batchSW.ProcessBatch(now, keys, nil)
 		batchEq(t, fmt.Sprintf("round %d", round), seq, batch, seqSW, batchSW)
 	}
 }
@@ -196,6 +199,7 @@ func TestRunCoalescingExactness(t *testing.T) {
 				}
 				pool[i] = tcpKey(src, 0x0a000002, uint64(1024+rng.Intn(4096)), 80)
 			}
+			var fb FrameBatch
 			var onOut, offOut []Decision
 			for tick := uint64(1); tick <= 8; tick++ {
 				// Elephant-shaped burst: random flows, geometric run lengths.
@@ -207,8 +211,8 @@ func TestRunCoalescingExactness(t *testing.T) {
 						burstKeys = append(burstKeys, k)
 					}
 				}
-				onOut = on.ProcessBatch(tick, burstKeys, onOut)
-				offOut = off.ProcessBatch(tick, burstKeys, offOut)
+				onOut = on.ProcessFrames(tick, keyBurst(&fb, burstKeys), onOut)
+				offOut = off.ProcessFrames(tick, &fb, offOut)
 				for i := range burstKeys {
 					if onOut[i] != offOut[i] {
 						t.Fatalf("tick %d key %d: coalesced %+v != exact %+v", tick, i, onOut[i], offOut[i])

@@ -142,10 +142,11 @@ func WithMaskGuard(g MaskGuard) Option { return func(c *config) { c.maskGuard = 
 // (internal/chaos wraps the megaflow tier through it).
 func WithTierWrapper(wrap func(Tier) Tier) Option { return func(c *config) { c.tierWrap = wrap } }
 
-// WithoutRunCoalescing disables same-flow run coalescing in ProcessBatch:
-// consecutive identical keys are then classified one by one. The batched
-// tier walk itself stays on. Used by the A/B benchmarks and the
-// coalescing-exactness property tests.
+// WithoutRunCoalescing disables same-flow run coalescing in the burst
+// walk: consecutive identical keys are then classified one by one. The
+// batched tier walk itself stays on. It is the reference leg of
+// TestRunCoalescingExactness and of the batch==sequential suite's
+// smc-nocoalesce hierarchy.
 func WithoutRunCoalescing() Option { return func(c *config) { c.noCoalesce = true } }
 
 // WithTiers replaces the default hierarchy with an explicit tier list,
@@ -258,7 +259,7 @@ type Switch struct {
 	recircHash [1]uint64
 }
 
-// batchScratch is the per-switch working set ProcessBatch reuses across
+// batchScratch is the per-switch working set processBatch reuses across
 // bursts, so steady-state batch classification allocates nothing.
 type batchScratch struct {
 	hashes []uint64
@@ -487,14 +488,17 @@ func (s *Switch) Process(now uint64, inPort uint32, frame []byte) (Decision, err
 	return s.oneOut[0], fb.Err(0)
 }
 
-// ProcessKey classifies an already-extracted key: a burst of one through
-// ProcessBatch, the sequential reference of the batch==sequential suites
-// and a measurement hook that bypasses frame parsing. Like Process it is
-// not an ingress: external callers drive the switch through ProcessFrames
-// (or ProcessBatch when keys are pre-extracted in bulk).
+// ProcessKey classifies an already-extracted key as a burst of one and
+// counts the packet: the one key-level entry of the switch. It is the
+// sequential reference of the batch==sequential suites (run over a
+// burst's extracted keys, FrameBatch.Key) and the seam for keys no frame
+// renders, such as a probe of protocol 0. It is not an ingress: traffic
+// enters through ProcessFrames.
 func (s *Switch) ProcessKey(now uint64, k flow.Key) Decision {
 	s.oneKey[0] = k
-	s.oneOut = s.ProcessBatch(now, s.oneKey[:], s.oneOut)
+	s.oneOut = GrowDecisions(s.oneOut, 1)
+	s.counters.Packets++
+	s.processBatch(now, s.oneKey[:], nil, s.oneOut)
 	return s.oneOut[0]
 }
 
@@ -536,7 +540,7 @@ func (s *Switch) recirculate(now uint64, k *flow.Key, d *Decision) {
 
 // GrowDecisions returns out resized to n decisions, reallocating only
 // when its capacity is insufficient — the shared output-buffer contract
-// of every ProcessBatch implementation.
+// of every ProcessFrames implementation.
 func GrowDecisions(out []Decision, n int) []Decision {
 	if cap(out) < n {
 		out = make([]Decision, n)
@@ -544,37 +548,17 @@ func GrowDecisions(out []Decision, n int) []Decision {
 	return out[:n]
 }
 
-// ProcessBatch classifies a batch of keys at logical time now, writing one
-// Decision per key into out (grown if needed) and returning it. Batching
-// is the first-class driving surface: the simulator and the PMD pool hand
-// whole NIC bursts to the pipeline instead of one packet at a time.
+// processBatch classifies a burst of keys at logical time now into out,
+// which holds one slot per key; the caller counts the packets. hashes,
+// when non-nil, carries the burst's precomputed flow hashes (Key.Hash,
+// index-aligned with keys); nil computes them here.
 //
 // The burst is the unit of classification: flow hashes are computed once
 // at batch entry, consecutive identical keys are coalesced into one lookup
 // plus n accountings (same-flow runs, the shape heavy-tailed flow-size
 // distributions produce), and the remaining distinct keys sweep the tier
 // hierarchy one tier pass at a time over a miss bitmap — the megaflow pass
-// visits each subtable once per burst instead of once per key. Within a
-// burst, one key's cache promotions become visible to later *tier passes*
-// of the same walk and to later packets of its own run — not to other
-// keys already swept past that tier. In particular a key repeated in two
-// non-consecutive runs of one burst is probed once per run in the same
-// sweep, so the second run does not see the first's promotions and may
-// answer from a lower tier than a ProcessKey loop — the same keys as
-// bursts of one — would (the verdict is identical either way). This is
-// the visibility rule of OVS's dp_packet_batch processing; exact
-// batch==sequential equivalence holds for bursts whose duplicate keys are
-// consecutive.
-func (s *Switch) ProcessBatch(now uint64, keys []flow.Key, out []Decision) []Decision {
-	out = GrowDecisions(out, len(keys))
-	s.counters.Packets += uint64(len(keys))
-	s.processBatch(now, keys, nil, out)
-	return out
-}
-
-// processBatch is ProcessBatch minus the packet counter and output
-// growth. hashes, when non-nil, carries the burst's precomputed flow
-// hashes (Key.Hash, index-aligned with keys); nil computes them here.
+// visits each subtable once per burst instead of once per key.
 func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out []Decision) {
 	n := len(keys)
 	if n == 0 {

@@ -382,17 +382,18 @@ func TestTierlessSwitchStillClassifies(t *testing.T) {
 	}
 }
 
-func TestProcessBatchMatchesProcessKey(t *testing.T) {
+func TestProcessFramesMatchesProcessKey(t *testing.T) {
 	a, b := aclSwitch(), aclSwitch()
 	keys := make([]flow.Key, 0, 64)
 	for i := 0; i < 64; i++ {
 		keys = append(keys, tcpKey(uint64(0x0a000000+i%7), 0x0a000002, uint64(1000+i), 80))
 	}
+	var fb FrameBatch
+	batch := b.ProcessFrames(1, keyBurst(&fb, keys), nil)
 	var seq []Decision
-	for _, k := range keys {
-		seq = append(seq, a.ProcessKey(1, k))
+	for i := range keys {
+		seq = append(seq, a.ProcessKey(1, fb.Key(i)))
 	}
-	batch := b.ProcessBatch(1, keys, nil)
 	for i := range keys {
 		if seq[i] != batch[i] {
 			t.Fatalf("key %d: %+v != %+v", i, seq[i], batch[i])

@@ -117,17 +117,24 @@ func denyDecision() Decision {
 // ProcessFrames runs a burst of raw frames through the whole pipeline —
 // extract and hash in one pass, batched tier walk — writing one Decision
 // per frame into out (grown if needed) and returning it. This is the
-// first-class ingress of the switch: the wire burst, not the packet and
-// not the pre-parsed key, is the unit of work, so the measured per-packet
-// cost includes the parse stage a pre-extracted key hides.
+// ingress of the switch: the wire burst, not the packet and not the
+// pre-parsed key, is the unit of work, so the measured per-packet cost
+// includes the parse stage a pre-extracted key hides.
 //
 // Malformed frames do not abort the burst: each gets a Deny decision, a
 // switch-level ParseError and per-port RxErrors/RxDropped accounting (read
 // the per-frame cause via fb.Err), and the remaining frames classify as
 // one compacted sub-burst. On well-formed traffic the decisions and
-// counters are exactly those of a Process loop (bursts of one), with the
-// batch visibility rule of ProcessBatch (duplicate keys in non-consecutive
-// runs may answer from a lower tier; verdicts are identical either way).
+// counters are exactly those of a Process loop (bursts of one), under the
+// burst's visibility rule: within a burst, one packet's cache promotions
+// become visible to later *tier passes* of the same walk and to later
+// packets of its own same-flow run — not to other packets already swept
+// past that tier. A flow repeated in two non-consecutive runs of one burst
+// is probed once per run in the same sweep, so the second run does not see
+// the first's promotions and may answer from a lower tier than a Process
+// loop would (the verdict is identical either way). This is the visibility
+// rule of OVS's dp_packet_batch processing; exact batch==sequential
+// equivalence holds for bursts whose duplicate flows are consecutive.
 //
 //lint:hotpath
 func (s *Switch) ProcessFrames(now uint64, fb *FrameBatch, out []Decision) []Decision {

@@ -290,8 +290,9 @@ func TestScalarProcessIsOneFrameBatch(t *testing.T) {
 }
 
 // TestPMDPoolProcessFrames checks the pool's frame ingress: decisions
-// equal the pool's key-level ProcessBatch over the extracted keys, and a
-// malformed frame is billed to PMD 0 without derailing the burst.
+// equal a ProcessKey loop over the extracted keys, each on the PMD RSS
+// steers it to, and a malformed frame is billed to PMD 0 without
+// derailing the burst.
 func TestPMDPoolProcessFrames(t *testing.T) {
 	build := func() *PMDPool {
 		pool := NewPMDPool(4, "pool")
@@ -313,11 +314,10 @@ func TestPMDPoolProcessFrames(t *testing.T) {
 	keysCopy := append([]flow.Key(nil), keys...)
 	for round := 0; round < 2; round++ {
 		now := uint64(round + 1)
-		keyOut := keyPool.ProcessBatch(now, keysCopy, nil)
 		frameOut := framePool.ProcessFrames(now, &fb, nil)
-		for i := range frames {
-			if keyOut[i] != frameOut[i] {
-				t.Fatalf("round %d frame %d: key-path %+v != frame-path %+v", round, i, keyOut[i], frameOut[i])
+		for i, k := range keysCopy {
+			if d := keyPool.PMD(keyPool.Steer(k)).ProcessKey(now, k); d != frameOut[i] {
+				t.Fatalf("round %d frame %d: key-path %+v != frame-path %+v", round, i, d, frameOut[i])
 			}
 		}
 	}

@@ -42,11 +42,12 @@ func TestGuardsHookOnlyTheSlowPath(t *testing.T) {
 			guarded := attackSwitch(t, append([]dataplane.Option{
 				dataplane.WithUpcallGuard(ug), dataplane.WithMaskGuard(mg)}, c.opts...)...)
 
+			var fb dataplane.FrameBatch
 			var outB, outG []dataplane.Decision
 			run := func(step string, now uint64, keys []flow.Key) {
 				t.Helper()
-				outB = bare.ProcessBatch(now, keys, outB)
-				outG = guarded.ProcessBatch(now, keys, outG)
+				outB = bare.ProcessFrames(now, dataplane.KeyBurst(&fb, keys), outB)
+				outG = guarded.ProcessFrames(now, &fb, outG)
 				for i := range keys {
 					if outB[i] != outG[i] {
 						t.Fatalf("%s key %d: unguarded %+v, guarded %+v", step, i, outB[i], outG[i])

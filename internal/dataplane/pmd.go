@@ -23,8 +23,7 @@ import (
 // the RSS function is known) restores the full count.
 type PMDPool struct {
 	pmds   []*Switch
-	lanes  []pmdLane // ProcessBatch/ProcessFrames scratch, one lane per PMD
-	hashes []uint64  // ProcessBatch's flow hashes (steering + tier walks)
+	lanes  []pmdLane // ProcessFrames' steering scratch, one lane per PMD
 	shared bool      // NewSharedPMDPool: all PMDs view one sharded switch
 }
 
@@ -97,7 +96,7 @@ type pmdLane struct {
 // from the same options (so each PMD gets its own tier instances). Rule
 // installation is replicated to every PMD, as the shared classifier would
 // be visible to each. WithTiers is rejected (panics): its explicit tier
-// instances would be shared across PMDs and raced by ProcessBatch.
+// instances would be shared across PMDs and raced by ProcessFrames.
 func NewPMDPool(n int, name string, opts ...Option) *PMDPool {
 	var probe config
 	for _, o := range opts {
@@ -212,26 +211,13 @@ func (p *PMDPool) Steer(k flow.Key) int {
 	return int(k.Hash() % uint64(len(p.pmds)))
 }
 
-// ProcessBatch distributes keys to their PMDs by RSS hash and processes
-// each PMD's share as one sub-burst on its own goroutine — the actual
-// parallelism of a multi-queue NIC. Each flow hash is computed once and
-// reused for both steering and the PMD's batched tier walk, and each PMD
-// sees its subsequence in input order, so results land in out (grown if
-// needed) in input order. Not safe for concurrent use: the pool owns its
-// scatter/gather scratch.
-func (p *PMDPool) ProcessBatch(now uint64, keys []flow.Key, out []Decision) []Decision {
-	out = GrowDecisions(out, len(keys))
-	p.hashes = flow.HashKeys(keys, p.hashes)
-	p.steerLanes(keys, p.hashes, nil)
-	p.runLanes(now, out)
-	return out
-}
-
-// ProcessFrames is the pool's frame-first ingress: one pass extracts and
-// hashes the burst — RSS needs the hashes, so the pool always asks for
-// them, and they steer *and* feed each PMD's batched tier walk — then
-// per-PMD sub-bursts run in parallel. Decisions land in out (grown if
-// needed) in frame order.
+// ProcessFrames is the pool's ingress: one pass extracts and hashes the
+// burst — RSS needs the hashes, so the pool always asks for them, and
+// they steer *and* feed each PMD's batched tier walk — then each PMD's
+// share runs as one sub-burst on its own goroutine, the actual
+// parallelism of a multi-queue NIC. Each PMD sees its subsequence in
+// input order, and decisions land in out (grown if needed) in frame
+// order.
 //
 // Malformed frames never reach a PMD's classifier: each gets a Deny
 // decision and is billed (Packets, ParseError) to PMD 0, the default

@@ -95,9 +95,10 @@ func TestPMDVictimPaysOnlyItsCore(t *testing.T) {
 	}
 }
 
-func TestPMDProcessBatchParallel(t *testing.T) {
+func TestPMDProcessFramesParallel(t *testing.T) {
 	pool, keys := pmdPool(t, 4)
-	out := pool.ProcessBatch(1, keys, nil)
+	var fb FrameBatch
+	out := pool.ProcessFrames(1, keyBurst(&fb, keys), nil)
 	if len(out) != len(keys) {
 		t.Fatalf("batch produced %d decisions for %d keys", len(out), len(keys))
 	}
@@ -116,9 +117,9 @@ func TestPMDProcessBatchParallel(t *testing.T) {
 	}
 	// Replay is idempotent and safe to run again in parallel; the output
 	// buffer is reused when large enough.
-	out2 := pool.ProcessBatch(2, keys, out)
+	out2 := pool.ProcessFrames(2, &fb, out)
 	if &out2[0] != &out[0] {
-		t.Error("ProcessBatch did not reuse the output buffer")
+		t.Error("ProcessFrames did not reuse the output buffer")
 	}
 	sum2 := 0
 	for _, m := range pool.MasksPerPMD() {
@@ -130,9 +131,10 @@ func TestPMDProcessBatchParallel(t *testing.T) {
 }
 
 // TestPMDBatchMatchesSequential asserts the batch contract: RSS steering
-// is deterministic, and ProcessBatch on one pool yields decision-for-
+// is deterministic, and ProcessFrames on one pool yields decision-for-
 // decision the same results (and the same per-core cache state) as a
-// sequential ProcessKey loop on an identically-built pool.
+// sequential ProcessKey loop over the burst's extracted keys on an
+// identically-built pool.
 func TestPMDBatchMatchesSequential(t *testing.T) {
 	seqPool, keys := pmdPool(t, 4)
 	batchPool, _ := pmdPool(t, 4)
@@ -144,11 +146,13 @@ func TestPMDBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
+	var fb FrameBatch
+	batch := batchPool.ProcessFrames(1, keyBurst(&fb, keys), nil)
 	seq := make([]Decision, 0, len(keys))
-	for _, k := range keys {
+	for i := range keys {
+		k := fb.Key(i)
 		seq = append(seq, seqPool.PMD(seqPool.Steer(k)).ProcessKey(1, k))
 	}
-	batch := batchPool.ProcessBatch(1, keys, nil)
 
 	for i := range keys {
 		if seq[i] != batch[i] {

@@ -137,14 +137,15 @@ func TestReprobeEqualsLookup(t *testing.T) {
 			}
 			// Cold, then the victim, then the stream again on what is resident.
 			stream := append(append(append([]flow.Key(nil), covert...), victimKeys(64)...), covert...)
+			var fb dataplane.FrameBatch
 			var got, want []dataplane.Decision
 			now, reprobed := uint64(0), false
 			for start := 0; start < len(stream); start += tc.burst {
 				now++
 				keys := stream[start:min(start+tc.burst, len(stream))]
 				installs, before := installed(), [2]uint64{physical(plain), physical(ref)}
-				got = plain.ProcessBatch(now, keys, got)
-				want = ref.ProcessBatch(now, keys, want)
+				got = plain.ProcessFrames(now, dataplane.KeyBurst(&fb, keys), got)
+				want = ref.ProcessFrames(now, &fb, want)
 				for i := range keys {
 					if got[i] != want[i] {
 						t.Fatalf("tick %d, key %d: %+v, the reference decides %+v", now, i, got[i], want[i])

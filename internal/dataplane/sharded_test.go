@@ -84,8 +84,9 @@ func TestShardedMatchesUnshardedDifferential(t *testing.T) {
 }
 
 // TestShardedScalarMatchesBatch checks bursts of one against whole bursts
-// on the sharded tiers: the same key mix through ProcessKey on one sharded
-// switch and ProcessBatch on another resolves to identical verdicts.
+// on the sharded tiers: the same mix through ProcessFrames on one sharded
+// switch and ProcessKey over the extracted keys on another resolves to
+// identical verdicts.
 func TestShardedScalarMatchesBatch(t *testing.T) {
 	scalar := aclSwitch(WithShards(4))
 	batch := aclSwitch(WithShards(4))
@@ -94,10 +95,11 @@ func TestShardedScalarMatchesBatch(t *testing.T) {
 		keys = append(keys, tcpKey(0x0a000000|uint64(i), 0xac100002, uint64(30000+i%7), 443))
 		keys = append(keys, tcpKey(0xcb007100|uint64(i), 0xac100002, 40000, 22))
 	}
+	var fb FrameBatch
 	for round := uint64(1); round <= 2; round++ {
-		out := batch.ProcessBatch(round, keys, nil)
-		for i, k := range keys {
-			d := scalar.ProcessKey(round, k)
+		out := batch.ProcessFrames(round, keyBurst(&fb, keys), nil)
+		for i := range keys {
+			d := scalar.ProcessKey(round, fb.Key(i))
 			if d.Verdict.Verdict != out[i].Verdict.Verdict {
 				t.Fatalf("round %d key %d: scalar %v, batch %v", round, i, d.Verdict.Verdict, out[i].Verdict.Verdict)
 			}
@@ -249,6 +251,7 @@ func TestShardedConcurrentPMDTraffic(t *testing.T) {
 			defer wg.Done()
 			sw := pool.PMD(p)
 			keys := make([]flow.Key, burstLen)
+			var fb FrameBatch
 			var out []Decision
 			for r := 0; r < rounds; r++ {
 				for i := range keys {
@@ -260,7 +263,7 @@ func TestShardedConcurrentPMDTraffic(t *testing.T) {
 					}
 					keys[i] = tcpKey(src, 0xac100002, uint64(30000+i), 443)
 				}
-				out = sw.ProcessBatch(uint64(r+1), keys, out)
+				out = sw.ProcessFrames(uint64(r+1), keyBurst(&fb, keys), out)
 				for i, d := range out {
 					if d.Verdict.Verdict != flowtable.Allow {
 						errs <- fmt.Errorf("pmd%d round %d key %d: got %v, want Allow", p, r, i, d.Verdict.Verdict)

@@ -115,14 +115,15 @@ func TestStagedSwitchEqualsUnpruned(t *testing.T) {
 	// Batched phase: victim bursts and mixed bursts against the resident
 	// mask ladder.
 	now++
+	var fb dataplane.FrameBatch
 	var outF, outP []dataplane.Decision
 	for round := 0; round < 4; round++ {
 		burst := append([]flow.Key{}, victim...)
 		if round%2 == 1 {
 			burst = append(burst, covert[:32]...)
 		}
-		outF = flat.ProcessBatch(now, burst, outF)
-		outP = pruned.ProcessBatch(now, burst, outP)
+		outF = flat.ProcessFrames(now, dataplane.KeyBurst(&fb, burst), outF)
+		outP = pruned.ProcessFrames(now, &fb, outP)
 		for i := range burst {
 			check("burst", outF[i], outP[i])
 		}
@@ -153,8 +154,8 @@ func TestStagedSwitchEqualsUnpruned(t *testing.T) {
 	// prefilters — a multi-x cut in subtables probed vs the flat scan.
 	visitsBefore := mfP.SubtableVisits
 	scansBefore := mfF.MasksScanned
-	outF = flat.ProcessBatch(now+1, victim, outF)
-	outP = pruned.ProcessBatch(now+1, victim, outP)
+	outF = flat.ProcessFrames(now+1, dataplane.KeyBurst(&fb, victim), outF)
+	outP = pruned.ProcessFrames(now+1, &fb, outP)
 	for i := range victim {
 		check("victim-only burst", outF[i], outP[i])
 	}

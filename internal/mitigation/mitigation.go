@@ -31,17 +31,18 @@ import (
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
 	"policyinject/internal/metrics"
+	"policyinject/internal/pkt"
 	"policyinject/internal/revalidator"
 	"policyinject/internal/sim"
 	"policyinject/internal/traffic"
 )
 
 // Target is a dataplane under evaluation; both dataplane.Switch and
-// baseline.Switch satisfy it. The frame-first ProcessFrames entry is part
-// of the contract so sim.MeasureCost can drive wire bursts.
+// baseline.Switch satisfy it. Every packet the evaluation sends — the
+// victim's, the covert stream's, the timed samples of sim.MeasureCost —
+// enters as a wire burst through ProcessFrames.
 type Target interface {
 	InstallRule(r flowtable.Rule) *flowtable.Rule
-	ProcessBatch(now uint64, keys []flow.Key, out []dataplane.Decision) []dataplane.Decision
 	ProcessFrames(now uint64, fb *dataplane.FrameBatch, out []dataplane.Decision) []dataplane.Decision
 }
 
@@ -238,13 +239,9 @@ func Evaluate(atk *attack.Attack, variants []Variant, samples int) ([]Outcome, e
 	if samples <= 0 {
 		samples = 128
 	}
-	keys, err := atk.Keys()
+	frames, err := atk.Frames()
 	if err != nil {
 		return nil, err
-	}
-	const attackerPort = 66
-	for i := range keys {
-		keys[i].Set(flow.FieldInPort, attackerPort)
 	}
 	theACL, err := atk.BuildACL()
 	if err != nil {
@@ -263,7 +260,7 @@ func Evaluate(atk *attack.Attack, variants []Variant, samples int) ([]Outcome, e
 	for _, v := range variants {
 		runs := make([]Outcome, evalRuns)
 		for r := range runs {
-			runs[r] = evaluateOnce(v, keys, aclRules, samples)
+			runs[r] = evaluateOnce(v, frames, aclRules, samples)
 			if runs[r].Masks != runs[0].Masks || runs[r].FlowLimit != runs[0].FlowLimit {
 				return nil, fmt.Errorf("variant %s: run %d left %d masks and flow limit %d, run 0 %d and %d",
 					v.Name, r, runs[r].Masks, runs[r].FlowLimit, runs[0].Masks, runs[0].FlowLimit)
@@ -276,9 +273,9 @@ func Evaluate(atk *attack.Attack, variants []Variant, samples int) ([]Outcome, e
 }
 
 // evaluateOnce subjects one fresh target of v to the attack — the compiled
-// ACL and its covert keys, both already scoped to the attacker's port — and
-// measures the victim's cost before and after.
-func evaluateOnce(v Variant, keys []flow.Key, aclRules []flowtable.Rule, samples int) Outcome {
+// ACL, already scoped to the attacker's port, and its covert frames, sent
+// on that port — and measures the victim's cost before and after.
+func evaluateOnce(v Variant, frames [][]byte, aclRules []flowtable.Rule, samples int) Outcome {
 	tgt := v.Build()
 
 	// Victim: a simple service whitelist on port 1, eth_type pinned as
@@ -307,7 +304,7 @@ func evaluateOnce(v Variant, keys []flow.Key, aclRules []flowtable.Rule, samples
 		tgt.InstallRule(r)
 	}
 	for pass := 0; pass < 2; pass++ {
-		drive(tgt, 2, keys)
+		drive(tgt, 2, frames, attackerPort)
 	}
 
 	// Maintenance window: variants with a revalidator live through
@@ -322,7 +319,7 @@ func evaluateOnce(v Variant, keys []flow.Key, aclRules []flowtable.Rule, samples
 			rev.Attach(rt)
 			for round := 0; round < 8; round++ {
 				driveGen(tgt, now, victim, 256)
-				drive(tgt, now, keys)
+				drive(tgt, now, frames, attackerPort)
 				rev.Tick(now)
 				now++
 			}
@@ -362,23 +359,38 @@ func evaluateOnce(v Variant, keys []flow.Key, aclRules []flowtable.Rule, samples
 // the window is measured under was computed from this traffic alone.
 const warmupPkts = 2 * 4096
 
-// drive runs keys through tgt in NIC-sized bursts of 32.
-func drive(tgt Target, now uint64, keys []flow.Key) {
+// attackerPort is the ingress port of the attacker's pod.
+const attackerPort = 66
+
+// burstLen is the NIC-sized burst every drive sends.
+const burstLen = 32
+
+// drive sends frames through tgt on inPort in bursts of burstLen.
+func drive(tgt Target, now uint64, frames [][]byte, inPort uint32) {
+	var fb dataplane.FrameBatch
 	var out []dataplane.Decision
-	for len(keys) > 0 {
-		n := min(32, len(keys))
-		out = tgt.ProcessBatch(now, keys[:n], out)
-		keys = keys[n:]
+	for start := 0; start < len(frames); start += burstLen {
+		fb.Reset()
+		for _, f := range frames[start:min(start+burstLen, len(frames))] {
+			fb.Append(f, inPort)
+		}
+		out = tgt.ProcessFrames(now, &fb, out)
 	}
 }
 
-// driveGen drives the next n keys of gen through tgt.
-func driveGen(tgt Target, now uint64, gen traffic.Generator, n int) {
-	keys := make([]flow.Key, n)
-	for i := range keys {
-		keys[i] = gen.Next()
+// driveGen sends the next n frames of src through tgt in bursts of
+// burstLen.
+func driveGen(tgt Target, now uint64, src traffic.FrameSource, n int) {
+	var fb dataplane.FrameBatch
+	var out []dataplane.Decision
+	for n > 0 {
+		fb.Reset()
+		for range min(burstLen, n) {
+			fb.Append(src.NextFrame())
+		}
+		out = tgt.ProcessFrames(now, &fb, out)
+		n -= fb.Len()
 	}
-	drive(tgt, now, keys)
 }
 
 // churnVictim models a realistic service workload at the victim port:
@@ -404,21 +416,26 @@ func newChurnVictim() *churnVictim {
 	}
 }
 
-func (c *churnVictim) Next() flow.Key {
+// NextFrame returns the next packet as a victim-sized wire frame on the
+// victim's port: nine in ten from the established flow set, the tenth
+// from a new remote client.
+func (c *churnVictim) NextFrame() ([]byte, uint32) {
 	c.i++
 	if c.i%10 != 0 {
-		return c.base.Next()
+		return c.base.NextFrame()
 	}
 	c.lcg = c.lcg*6364136223846793005 + 1442695040888963407
-	var k flow.Key
-	k.Set(flow.FieldInPort, 1)
-	k.Set(flow.FieldEthType, flow.EthTypeIPv4)
-	k.Set(flow.FieldIPProto, flow.ProtoTCP)
-	k.Set(flow.FieldIPSrc, c.lcg&0xffffffff) // arbitrary remote client
-	k.Set(flow.FieldIPDst, 0xac100002)
-	k.Set(flow.FieldTPSrc, 1024+(c.lcg>>32)%60000)
-	k.Set(flow.FieldTPDst, (c.lcg>>48)&0xffff)
-	return k
+	f, err := pkt.BuildTuple(flow.FiveTuple{
+		Src:     flow.V4Addr(c.lcg & 0xffffffff), // arbitrary remote client
+		Dst:     flow.V4Addr(0xac100002),
+		Proto:   uint8(flow.ProtoTCP),
+		SrcPort: uint16(1024 + (c.lcg>>32)%60000),
+		DstPort: uint16(c.lcg >> 48),
+	}, c.base.FrameLen())
+	if err != nil {
+		panic(err) // a TCP tuple always renders
+	}
+	return f, 1
 }
 
 // Table renders outcomes as the matrix report's text table.

@@ -3,6 +3,8 @@ package pkt
 import (
 	"fmt"
 	"net/netip"
+
+	"policyinject/internal/flow"
 )
 
 // Spec describes a frame to build. Zero values are sensible: omitting MACs
@@ -97,6 +99,20 @@ func MustBuild(s Spec) []byte {
 		panic(err)
 	}
 	return f
+}
+
+// BuildTuple renders a five-tuple as the wire frame a flow key carrying
+// it would have been parsed from, padded to frameLen (0: minimal). The
+// frame re-extracts to the tuple's L3/L4 fields; the fields a tuple does
+// not carry (MACs, TCP flags, TTL) take the builder defaults, as real
+// traffic would carry some. It fails where Build does: on a protocol the
+// builder does not speak.
+func BuildTuple(t flow.FiveTuple, frameLen int) ([]byte, error) {
+	return Build(Spec{
+		Src: t.Src, Dst: t.Dst, Proto: t.Proto,
+		SrcPort: t.SrcPort, DstPort: t.DstPort,
+		FrameLen: frameLen,
+	})
 }
 
 // putEth writes the Ethernet header, VLAN tag included, into b, which is

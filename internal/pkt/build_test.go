@@ -8,6 +8,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"policyinject/internal/flow"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/build.golden")
@@ -110,5 +112,40 @@ func TestBuildAllocatesOnce(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { MustBuild(c.spec) }); n != 1 {
 			t.Errorf("%s: Build allocates %.1f objects a frame, want 1", c.name, n)
 		}
+	}
+}
+
+// TestBuildTupleRoundTrips: a rendered tuple re-extracts to the key the
+// tuple builds on the same port, but for the L2 and TCP-flag fields the
+// builder fills in; a protocol Build does not speak is refused.
+func TestBuildTupleRoundTrips(t *testing.T) {
+	for _, tup := range []flow.FiveTuple{
+		{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("172.16.0.2"), Proto: ProtoTCP, SrcPort: 40000, DstPort: 80},
+		{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("172.16.0.2"), Proto: ProtoUDP, SrcPort: 53, DstPort: 5353},
+		{Src: netip.MustParseAddr("2001:db8::1"), Dst: netip.MustParseAddr("2001:db8::2"), Proto: ProtoTCP, SrcPort: 1, DstPort: 443},
+	} {
+		frame, err := BuildTuple(tup, 256)
+		if err != nil {
+			t.Fatalf("%+v: %v", tup, err)
+		}
+		if len(frame) != 256 {
+			t.Errorf("%+v: %d-byte frame, want 256", tup, len(frame))
+		}
+		k, err := Extract(frame, 7)
+		if err != nil {
+			t.Fatalf("%+v: %v", tup, err)
+		}
+		if got := k.Tuple(); got != tup {
+			t.Errorf("re-extracted tuple %+v, want %+v", got, tup)
+		}
+		for _, f := range []flow.FieldID{flow.FieldEthSrc, flow.FieldEthDst, flow.FieldTCPFlags} {
+			k.Set(f, 0)
+		}
+		if want := tup.Key(7); k != want {
+			t.Errorf("re-extracted key %v, want %v", k, want)
+		}
+	}
+	if _, err := BuildTuple(flow.FiveTuple{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")}, 0); err == nil {
+		t.Error("proto 0 rendered")
 	}
 }

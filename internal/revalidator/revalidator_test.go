@@ -230,7 +230,8 @@ func TestEmptyDumpDoesNotRegrow(t *testing.T) {
 	}
 }
 
-// makeFrames builds n distinct TCP wire frames.
+// makeFrames builds n distinct TCP wire frames: frame i is key(i) on the
+// wire.
 func makeFrames(t *testing.T, n int) [][]byte {
 	t.Helper()
 	frames := make([][]byte, n)
@@ -299,13 +300,11 @@ func TestAttachPool(t *testing.T) {
 	if rev.Targets() != 4 {
 		t.Fatalf("attached %d targets, want 4", rev.Targets())
 	}
-	var keys []flow.Key
-	for i := 0; i < 256; i++ {
-		keys = append(keys, key(i))
+	var fb dataplane.FrameBatch
+	for _, f := range makeFrames(t, 256) {
+		fb.Append(f, 1)
 	}
-	var out []dataplane.Decision
-	out = pool.ProcessBatch(0, keys, out)
-	_ = out
+	pool.ProcessFrames(0, &fb, nil)
 	rev.Tick(0)
 	if got := rev.Stats().Last.Flows; got != 256 {
 		t.Fatalf("round dumped %d flows across the pool, want 256", got)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"policyinject/internal/dataplane"
-	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
 )
 
@@ -36,11 +35,11 @@ func TestShardedSweepEvicts(t *testing.T) {
 	if n := rev.AttachSharded(sw); n != 4 {
 		t.Fatalf("attached %d shard targets, want 4", n)
 	}
-	keys := make([]flow.Key, 64)
-	for i := range keys {
-		keys[i] = key(i)
+	var fb dataplane.FrameBatch
+	for _, f := range makeFrames(t, 64) {
+		fb.Append(f, 1)
 	}
-	sw.ProcessBatch(0, keys, nil)
+	sw.ProcessFrames(0, &fb, nil)
 	smf := sw.ShardedMegaflow()
 	if smf.Len() != 64 {
 		t.Fatalf("expected 64 megaflows installed, got %d", smf.Len())
@@ -68,6 +67,7 @@ func TestShardedRevalidatorRace(t *testing.T) {
 	rev := New(Config{MaxIdle: 3, Workers: 2})
 	rev.AttachPool(pool)
 
+	frames := makeFrames(t, flows)
 	var wg sync.WaitGroup
 	errs := make(chan error, pmds)
 	for p := 0; p < pmds; p++ {
@@ -75,13 +75,14 @@ func TestShardedRevalidatorRace(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			sw := pool.PMD(p)
-			keys := make([]flow.Key, flows)
+			var fb dataplane.FrameBatch
 			var out []dataplane.Decision
 			for r := 0; r < rounds; r++ {
-				for i := range keys {
-					keys[i] = key((p*17 + r + i) % flows)
+				fb.Reset()
+				for i := range flows {
+					fb.Append(frames[(p*17+r+i)%flows], 1)
 				}
-				out = sw.ProcessBatch(uint64(r), keys, out)
+				out = sw.ProcessFrames(uint64(r), &fb, out)
 				for i, d := range out {
 					if d.Verdict.Verdict != flowtable.Allow {
 						errs <- fmt.Errorf("pmd%d round %d key %d: got %v, want Allow", p, r, i, d.Verdict.Verdict)

@@ -1,8 +1,9 @@
 // Package sim is the cost model: it measures the real per-packet processing
-// cost of the actual Go implementation at a pipeline's current state
-// (MeasureCost) and converts cost into achievable throughput (Throughput,
-// Gbps, PPSFor). It runs no timeline: who sends what on which tick is
-// internal/scenario's, which samples this model once a tick.
+// cost of the actual Go implementation at a pipeline's current state, over
+// bursts of wire frames (MeasureCost), and converts cost into achievable
+// throughput (Throughput, Gbps, PPSFor). It runs no timeline: who sends
+// what on which tick is internal/scenario's, which samples this model once
+// a tick.
 //
 // Methodology: absolute Gbps of the paper's testbed cannot be reproduced on
 // an arbitrary host, so the simulator measures the *real* cost of the real
@@ -15,18 +16,15 @@ import (
 	"time"
 
 	"policyinject/internal/dataplane"
-	"policyinject/internal/flow"
 	"policyinject/internal/traffic"
 )
 
 // Pipeline is the surface the simulator drives; dataplane.Switch,
 // dataplane.PMDPool and baseline.Switch all satisfy it. The wire burst is
-// the primary interface: the simulator hands whole frame bursts to
+// the only interface: the simulator hands whole frame bursts to
 // ProcessFrames, as a NIC rx queue would, so measured cost includes the
-// parse stage; ProcessBatch remains the key-level hook for generators
-// that have no wire rendering.
+// parse stage.
 type Pipeline interface {
-	ProcessBatch(now uint64, keys []flow.Key, out []dataplane.Decision) []dataplane.Decision
 	ProcessFrames(now uint64, fb *dataplane.FrameBatch, out []dataplane.Decision) []dataplane.Decision
 }
 
@@ -37,25 +35,21 @@ type Pipeline interface {
 // x2); eight are still under a millisecond on a cheap pipeline.
 const costRounds = 8
 
-// MeasureCost measures the per-packet processing cost of p for the
-// generator's traffic at the pipeline's current state, by timing real
-// burst calls over generated bursts. When gen is a traffic.FrameSource
-// the bursts are raw wire frames through ProcessFrames — end-to-end cost,
-// parsing included, the regime the paper's Figure 3 studies; otherwise
-// pre-extracted keys through ProcessBatch. It adapts the sample count so
-// each timed region is long enough to dominate clock granularity, runs
-// costRounds independent rounds, and returns the cheapest round — the
+// MeasureCost measures the per-packet processing cost of p for src's
+// traffic at the pipeline's current state, by timing real ProcessFrames
+// calls over bursts of src's wire frames — end-to-end cost, parsing
+// included, the regime the paper's Figure 3 studies. It adapts the sample
+// count so each timed region is long enough to dominate clock granularity,
+// runs costRounds independent rounds, and returns the cheapest round — the
 // minimum estimator, which discards descheduling noise that a mean would
 // absorb (cheap pipelines are otherwise dominated by a single preemption
 // inside the window). The calls mutate cache state exactly as the
 // measured traffic would — that is intentional. Burst generation happens
 // outside the timed region, so the cost is the pipeline's alone.
-func MeasureCost(p Pipeline, gen traffic.Generator, now uint64, minSamples int) time.Duration {
+func MeasureCost(p Pipeline, src traffic.FrameSource, now uint64, minSamples int) time.Duration {
 	if minSamples < 16 {
 		minSamples = 16
 	}
-	fs, frameDriven := gen.(traffic.FrameSource)
-	keys := make([]flow.Key, minSamples)
 	var fb dataplane.FrameBatch
 	var out []dataplane.Decision
 	best := time.Duration(0)
@@ -64,21 +58,12 @@ func MeasureCost(p Pipeline, gen traffic.Generator, now uint64, minSamples int) 
 		samples := 0
 		var elapsed time.Duration
 		for elapsed < minElapsed || samples < minSamples {
-			var start time.Time
-			if frameDriven {
-				fb.Reset()
-				for i := 0; i < minSamples; i++ {
-					fb.Append(fs.NextFrame())
-				}
-				start = time.Now()
-				out = p.ProcessFrames(now, &fb, out)
-			} else {
-				for i := range keys {
-					keys[i] = gen.Next()
-				}
-				start = time.Now()
-				out = p.ProcessBatch(now, keys, out)
+			fb.Reset()
+			for i := 0; i < minSamples; i++ {
+				fb.Append(src.NextFrame())
 			}
+			start := time.Now()
+			out = p.ProcessFrames(now, &fb, out)
 			elapsed += time.Since(start)
 			samples += minSamples
 			if samples > 1<<20 {

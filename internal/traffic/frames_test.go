@@ -21,7 +21,7 @@ func extractBack(t *testing.T, frame []byte, inPort uint32) flow.Key {
 
 // sameTuple fails unless the frame-extracted key carries exactly the
 // generator key's five-tuple and in-port (the frame adds L2 fields the
-// key path leaves zero; the classifier-relevant fields must agree).
+// generator's keys leave zero; the classifier-relevant fields must agree).
 func sameTuple(t *testing.T, want flow.Key, frame []byte, inPort uint32) {
 	t.Helper()
 	got := extractBack(t, frame, inPort)
@@ -103,15 +103,15 @@ func TestReplayerWithFrames(t *testing.T) {
 // TestPlainReplayerIsNotAFrameSource pins the opt-in design: a Replayer
 // without attached frames must not satisfy FrameSource (its keys may
 // carry fields or protocols no builder rendering could round-trip), so
-// sim.MeasureCost keeps such replays on the key path. The FrameReplayer
-// view shares the cursor with the underlying Replayer.
+// nothing can send or measure such a replay until its caller supplies
+// faithful frames. The FrameReplayer view shares the cursor with the
+// underlying Replayer.
 func TestPlainReplayerIsNotAFrameSource(t *testing.T) {
 	keys := []flow.Key{
 		flow.FiveTuple{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"), Proto: 17, SrcPort: 53, DstPort: 53}.Key(4),
 		flow.FiveTuple{Src: netip.MustParseAddr("10.0.0.9"), Dst: netip.MustParseAddr("10.0.0.2"), Proto: 6, SrcPort: 99, DstPort: 443}.Key(7),
 	}
-	var gen Generator = NewReplayer(keys)
-	if _, ok := gen.(FrameSource); ok {
+	if _, ok := any(NewReplayer(keys)).(FrameSource); ok {
 		t.Fatal("plain Replayer must not be a FrameSource")
 	}
 	fr := NewReplayer(keys).WithFrames([][]byte{{1}, {2}}, 4)

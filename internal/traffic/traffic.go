@@ -16,32 +16,29 @@ import (
 	"policyinject/internal/pkt"
 )
 
-// Generator produces the next packet of a stream as a flow key.
-type Generator interface {
-	Next() flow.Key
-}
-
-// FrameSource is the wire-level capability of a generator: the next packet
-// as a raw Ethernet frame plus its ingress port, ready for the dataplane's
-// frame-first ingress (dataplane.FrameBatch / ProcessFrames). All stock
-// generators implement it; frame and key cursors are shared, so a consumer
-// may interleave Next and NextFrame and see one stream.
+// FrameSource is what the simulator measures with: the next packet of a
+// stream as a raw Ethernet frame plus its ingress port, ready for the
+// dataplane's frame-first ingress (dataplane.FrameBatch / ProcessFrames).
+// The Victim and Mix generators and the FrameReplayer implement it; each
+// also has a key view (Next) over the same cursor, so a consumer may
+// interleave Next and NextFrame and see one stream.
 type FrameSource interface {
 	NextFrame() (frame []byte, inPort uint32)
 }
 
-// frameForKey renders a generator key as the wire frame the dataplane
-// would have parsed it from (pkt.Build over the key's five-tuple, padded
-// to frameLen). The frame re-extracts to the same L3/L4 fields; L2 fields
-// the key path leaves zero (MACs, TCP flags) carry the builder defaults,
-// exactly as real wire traffic would.
-func frameForKey(k flow.Key, frameLen int) []byte {
-	t := k.Tuple()
-	return pkt.MustBuild(pkt.Spec{
-		Src: t.Src, Dst: t.Dst, Proto: t.Proto,
-		SrcPort: t.SrcPort, DstPort: t.DstPort,
-		FrameLen: frameLen,
-	})
+// renderFrames renders keys as the wire frames the dataplane would have
+// parsed them from, padded to frameLen (pkt.BuildTuple over each key's
+// five-tuple). The generators build only TCP keys, which always render.
+func renderFrames(keys []flow.Key, frameLen int) [][]byte {
+	frames := make([][]byte, len(keys))
+	for i, k := range keys {
+		f, err := pkt.BuildTuple(k.Tuple(), frameLen)
+		if err != nil {
+			panic(err)
+		}
+		frames[i] = f
+	}
+	return frames
 }
 
 // VictimConfig describes the victim workload: an iperf-like transfer of
@@ -100,10 +97,7 @@ func (v *Victim) Next() flow.Key {
 // its ingress port, advancing the same round-robin cursor as Next.
 func (v *Victim) NextFrame() ([]byte, uint32) {
 	if v.frames == nil {
-		v.frames = make([][]byte, len(v.keys))
-		for i, k := range v.keys {
-			v.frames[i] = frameForKey(k, v.cfg.FrameLen)
-		}
+		v.frames = renderFrames(v.keys, v.cfg.FrameLen)
 	}
 	f := v.frames[v.next]
 	v.next = (v.next + 1) % len(v.keys)
@@ -186,10 +180,7 @@ func (m *Mix) Next() flow.Key {
 // advancing the same skewed PRNG as Next.
 func (m *Mix) NextFrame() ([]byte, uint32) {
 	if m.frames == nil {
-		m.frames = make([][]byte, len(m.keys))
-		for i, k := range m.keys {
-			m.frames[i] = frameForKey(k, m.frameLen)
-		}
+		m.frames = renderFrames(m.keys, m.frameLen)
 	}
 	return m.frames[m.draw()], m.inPort
 }
@@ -250,9 +241,9 @@ func (r *Replayer) Next() flow.Key {
 	return k
 }
 
-// FrameReplayer is a Replayer with its wire rendering attached: the
-// Generator contract via the embedded Replayer plus the FrameSource
-// contract over the supplied frames, one shared cursor.
+// FrameReplayer is a Replayer with its wire rendering attached: the key
+// view of the embedded Replayer plus the FrameSource contract over the
+// supplied frames, one shared cursor.
 type FrameReplayer struct {
 	*Replayer
 	frames [][]byte
