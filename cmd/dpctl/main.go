@@ -29,11 +29,12 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"net/netip"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -306,8 +307,19 @@ func splitComma(s string) []string {
 	return out
 }
 
+// dumpFlows prints the megaflows subtable by subtable, each subtable's
+// entries ordered by key: Entries walks a subtable's slots, which a
+// per-process seed places, so the dump orders them itself.
 func dumpFlows(sw *dataplane.Switch, n int, now uint64) {
 	entries := sw.Megaflow().Entries()
+	for i := 0; i < len(entries); {
+		j := i + 1
+		for j < len(entries) && entries[j].Match().Mask == entries[i].Match().Mask {
+			j++
+		}
+		slices.SortFunc(entries[i:j], func(a, b *cache.Entry) int { return slices.Compare(a.Key[:], b.Key[:]) })
+		i = j
+	}
 	fmt.Printf("# %d megaflow entries, %d masks (showing %d)\n",
 		len(entries), sw.Megaflow().NumMasks(), min(n, len(entries)))
 	for i, e := range entries {
@@ -335,7 +347,13 @@ func dumpMasks(sw *dataplane.Switch, n int) {
 	for m, c := range counts {
 		rows = append(rows, row{m, c})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].count > rows[j].count })
+	// Most entries first, ties by mask: the map's order is random.
+	slices.SortFunc(rows, func(a, b row) int {
+		if c := cmp.Compare(b.count, a.count); c != 0 {
+			return c
+		}
+		return slices.Compare(a.mask[:], b.mask[:])
+	})
 	fmt.Printf("# %d distinct masks (showing %d)\n", len(rows), min(n, len(rows)))
 	for i, r := range rows {
 		if i >= n {

@@ -70,7 +70,7 @@ run flags:
   -seed n                  override the pack seed
   -duration n              override the pack duration
   -measure wall|off        override the measurement mode
-  -samples n               override measure.cost_samples / matrix.samples
+  -samples n               override measure.cost_samples
   -telemetry addr          serve live telemetry on addr (/metrics,
                            /metrics.json, /debug/pprof/) while packs run
   -telemetry-hold dur      keep the telemetry listener up this long after
@@ -182,7 +182,7 @@ func cmdRun(args []string) error {
 	seed := fs.Uint64("seed", 0, "override the pack seed (0: keep)")
 	duration := fs.Int("duration", 0, "override the pack duration (0: keep)")
 	measure := fs.String("measure", "", "override the measurement mode: wall or off")
-	samples := fs.Int("samples", 0, "override cost/matrix samples (0: keep)")
+	samples := fs.Int("samples", 0, "override measure.cost_samples (0: keep)")
 	telemetryAddr := fs.String("telemetry", "", "serve live telemetry on this address while packs run (empty: off)")
 	telemetryHold := fs.Duration("telemetry-hold", 0, "keep the telemetry listener up this long after the last pack")
 	if err := fs.Parse(args); err != nil {

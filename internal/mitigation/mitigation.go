@@ -2,7 +2,9 @@
 // discussion raises ("improved heuristics in OVS, flow cache-less
 // softswitches") plus the obvious quota-based defences, by subjecting each
 // variant to the same policy-injection attack and measuring the victim's
-// per-packet cost before and after.
+// per-packet cost before and after. The variants are the rows of
+// scenarios/mitigation-matrix.yaml: each is a pack variant whose datapath
+// and revalidator sections scenario.Pack.MitigationVariant lowers.
 //
 // The punchline the benches reproduce:
 //
@@ -24,13 +26,10 @@ import (
 	"time"
 
 	"policyinject/internal/attack"
-	"policyinject/internal/baseline"
 	"policyinject/internal/cache"
-	"policyinject/internal/conntrack"
 	"policyinject/internal/dataplane"
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
-	"policyinject/internal/metrics"
 	"policyinject/internal/pkt"
 	"policyinject/internal/revalidator"
 	"policyinject/internal/sim"
@@ -46,9 +45,8 @@ type Target interface {
 	ProcessFrames(now uint64, fb *dataplane.FrameBatch, out []dataplane.Decision) []dataplane.Decision
 }
 
-// Variant is a named dataplane configuration to evaluate.
+// Variant is a dataplane configuration to evaluate.
 type Variant struct {
-	Name  string
 	Build func() Target
 	// Reval, when non-nil, attaches a revalidator to the built target and
 	// makes Evaluate run maintenance rounds (covert stream cycling, dump,
@@ -57,141 +55,8 @@ type Variant struct {
 	Reval *revalidator.Config
 }
 
-// Standard variants.
-
-// Vanilla is the stock OVS model: EMC + unbounded megaflow TSS.
-func Vanilla() Variant {
-	return Variant{Name: "vanilla", Build: func() Target {
-		return dataplane.New("vanilla")
-	}}
-}
-
-// NoEMC models the kernel datapath (no exact-match cache).
-func NoEMC() Variant {
-	return Variant{Name: "no-emc", Build: func() Target {
-		return dataplane.New("no-emc", dataplane.WithoutEMC())
-	}}
-}
-
-// SMC models OVS 2.10's signature-match cache in place of the EMC: vastly
-// more resident flows per byte, at one extra verification per hit. The
-// covert stream is far too small to thrash it, so warm victim flows stay
-// shielded even while the mask population explodes — a different
-// mask-scan economics than either EMC variant.
-func SMC() Variant {
-	return Variant{Name: "smc", Build: func() Target {
-		return dataplane.New("smc", dataplane.WithoutEMC(), dataplane.WithSMC(cache.SMCConfig{}))
-	}}
-}
-
-// EMCPlusSMC is the full OVS 2.10 userspace hierarchy: EMC, then SMC, then
-// the megaflow TSS.
-func EMCPlusSMC() Variant {
-	return Variant{Name: "emc+smc", Build: func() Target {
-		return dataplane.New("emc+smc", dataplane.WithSMC(cache.SMCConfig{}))
-	}}
-}
-
-// SortedTSS enables hit-count subtable ordering.
-func SortedTSS() Variant {
-	return Variant{Name: "sorted-tss", Build: func() Target {
-		return dataplane.New("sorted-tss",
-			dataplane.WithoutEMC(),
-			dataplane.WithMegaflow(cache.MegaflowConfig{SortByHits: true, SortEvery: 256}))
-	}}
-}
-
-// StagedPruning enables staged subtable lookups with signature/ports
-// pruning and EWMA scan ranking — the OVS countermeasure pair
-// (classifier staged indices + ports trie) this repo models as
-// cache.MegaflowConfig.StagedPruning. Unlike the quota defences it
-// changes no caching policy: every attacker megaflow stays resident, but
-// nearly all of their subtables are rejected without a hash probe, so
-// the mask ladder loses its leverage for victim traffic.
-func StagedPruning() Variant {
-	return Variant{Name: "staged-pruning", Build: func() Target {
-		return dataplane.New("staged-pruning", dataplane.WithoutEMC(), dataplane.WithStagedPruning())
-	}}
-}
-
-// MaskCap rejects megaflows beyond n distinct masks.
-func MaskCap(n int) Variant {
-	return Variant{Name: fmt.Sprintf("mask-cap-%d", n), Build: func() Target {
-		return dataplane.New("mask-cap",
-			dataplane.WithoutEMC(),
-			dataplane.WithMegaflow(cache.MegaflowConfig{MaxMasks: n}))
-	}}
-}
-
-// MaskCapLRUSorted combines the LRU mask quota with hit-count subtable
-// ordering: the victim's hot mask both survives the quota and floats to
-// the front of the scan.
-func MaskCapLRUSorted(n int) Variant {
-	return Variant{Name: fmt.Sprintf("cap-lru-sort-%d", n), Build: func() Target {
-		return dataplane.New("cap-lru-sort",
-			dataplane.WithoutEMC(),
-			dataplane.WithMegaflow(cache.MegaflowConfig{
-				MaxMasks: n, MaskEvictLRU: true,
-				SortByHits: true, SortEvery: 256,
-			}))
-	}}
-}
-
-// Stateful attaches a connection tracker and compiles security groups
-// statefully. Included to check the obvious question — "doesn't conntrack
-// save us?" — with the nuanced honest answer: established flows ride one
-// broad early ct_state=+est megaflow and are largely shielded, but every
-// new connection's setup (and all denied traffic) scans the attacker's
-// ladder, so the attack becomes a connection-setup DoS.
-func Stateful() Variant {
-	return Variant{Name: "stateful-sg", Build: func() Target {
-		return dataplane.New("stateful-sg",
-			dataplane.WithoutEMC(),
-			dataplane.WithConntrack(conntrack.Config{}))
-	}}
-}
-
-// CacheLess is the ESWITCH-style direct classifier.
-func CacheLess() Variant {
-	return Variant{Name: "cache-less", Build: func() Target {
-		return baseline.New(baseline.Config{})
-	}}
-}
-
-// slowDump is the revalidator shape the flow-limit pair shares: one worker
-// dumping 64 flows per unit, so the 512-flow attack overruns every round,
-// and a floor below the attack's flow count so the staleness trim engages.
-func slowDump(fixed bool) *revalidator.Config {
-	return &revalidator.Config{
-		Interval: 1, Workers: 1, DumpRate: 64,
-		MinFlowLimit: 256, FixedLimit: fixed,
-	}
-}
-
-// FixedFlowLimit is the revalidator with the backoff heuristic disabled:
-// dumps overrun, the limit stays at the ceiling, and every attacker flow
-// stays resident through the measurement.
-func FixedFlowLimit() Variant {
-	return Variant{Name: "fixed-limit", Build: func() Target {
-		return dataplane.New("fixed-limit", dataplane.WithoutEMC())
-	}, Reval: slowDump(true)}
-}
-
-// AdaptiveFlowLimit is stock OVS backoff: the overrunning dump slashes the
-// limit to the floor and the next dumps trim the stalest flows — the
-// attacker's trickle-refreshed entries — while the victim's warm megaflows
-// survive. The comparison with FixedFlowLimit shows what the heuristic
-// buys (a pruned mask scan for warm traffic) and what it costs (the
-// trimmed covert flows reinstall through the upcall path every cycle).
-func AdaptiveFlowLimit() Variant {
-	return Variant{Name: "adaptive-limit", Build: func() Target {
-		return dataplane.New("adaptive-limit", dataplane.WithoutEMC())
-	}, Reval: slowDump(false)}
-}
-
 // Outcome is the measured effect of the attack on one variant.
 type Outcome struct {
-	Name       string
 	Masks      int           // megaflow masks after the attack (0 for cache-less)
 	CostBefore time.Duration // victim per-packet cost pre-attack
 	CostAfter  time.Duration // victim per-packet cost with the attack resident
@@ -206,18 +71,6 @@ type Outcome struct {
 	AvgScan float64
 }
 
-func (o Outcome) String() string {
-	s := fmt.Sprintf("%-14s masks=%-5d before=%-8v after=%-8v slowdown=%.1fx",
-		o.Name, o.Masks, o.CostBefore, o.CostAfter, o.Slowdown)
-	if o.AvgScan > 0 {
-		s += fmt.Sprintf(" avg-scan=%.1f", o.AvgScan)
-	}
-	if o.FlowLimit > 0 {
-		s += fmt.Sprintf(" flow-limit=%d", o.FlowLimit)
-	}
-	return s
-}
-
 // evalRuns is how many times Evaluate runs the attack against each variant,
 // on a freshly built target each time, to report the run whose slowdown is
 // the median. A slowdown is the ratio of two timings taken milliseconds
@@ -229,47 +82,42 @@ func (o Outcome) String() string {
 // of 17).
 const evalRuns = 5
 
-// Evaluate runs the attack against each variant and reports the outcomes:
-// for every variant the median-slowdown run of evalRuns. What the attack
-// leaves behind (masks, flow limit) does not depend on timing; a variant
-// whose runs disagree on it is an error.
+// Evaluate runs the attack against the variant evalRuns times and reports
+// the median-slowdown run. What the attack leaves behind (masks, flow
+// limit) does not depend on timing; runs that disagree on it are an error.
 // The scenario mirrors the CMS layout: the victim's pod lives on port 1
 // with its own whitelist, the attacker's on port 66 with the injected ACL.
-func Evaluate(atk *attack.Attack, variants []Variant, samples int) ([]Outcome, error) {
+func Evaluate(atk *attack.Attack, v Variant, samples int) (Outcome, error) {
 	if samples <= 0 {
 		samples = 128
 	}
 	frames, err := atk.Frames()
 	if err != nil {
-		return nil, err
+		return Outcome{}, err
 	}
 	theACL, err := atk.BuildACL()
 	if err != nil {
-		return nil, err
+		return Outcome{}, err
 	}
 	aclRules, err := theACL.Compile()
 	if err != nil {
-		return nil, err
+		return Outcome{}, err
 	}
 	for i := range aclRules {
 		aclRules[i].Match.Key.Set(flow.FieldInPort, attackerPort)
 		aclRules[i].Match.Mask.SetExact(flow.FieldInPort)
 	}
 
-	out := make([]Outcome, 0, len(variants))
-	for _, v := range variants {
-		runs := make([]Outcome, evalRuns)
-		for r := range runs {
-			runs[r] = evaluateOnce(v, frames, aclRules, samples)
-			if runs[r].Masks != runs[0].Masks || runs[r].FlowLimit != runs[0].FlowLimit {
-				return nil, fmt.Errorf("variant %s: run %d left %d masks and flow limit %d, run 0 %d and %d",
-					v.Name, r, runs[r].Masks, runs[r].FlowLimit, runs[0].Masks, runs[0].FlowLimit)
-			}
+	runs := make([]Outcome, evalRuns)
+	for r := range runs {
+		runs[r] = evaluateOnce(v, frames, aclRules, samples)
+		if runs[r].Masks != runs[0].Masks || runs[r].FlowLimit != runs[0].FlowLimit {
+			return Outcome{}, fmt.Errorf("run %d left %d masks and flow limit %d, run 0 %d and %d",
+				r, runs[r].Masks, runs[r].FlowLimit, runs[0].Masks, runs[0].FlowLimit)
 		}
-		sort.Slice(runs, func(a, b int) bool { return runs[a].Slowdown < runs[b].Slowdown })
-		out = append(out, runs[evalRuns/2])
 	}
-	return out, nil
+	sort.Slice(runs, func(a, b int) bool { return runs[a].Slowdown < runs[b].Slowdown })
+	return runs[evalRuns/2], nil
 }
 
 // evaluateOnce subjects one fresh target of v to the attack — the compiled
@@ -337,7 +185,6 @@ func evaluateOnce(v Variant, frames [][]byte, aclRules []flowtable.Rule, samples
 	after := sim.MeasureCost(tgt, victim, now, samples)
 
 	o := Outcome{
-		Name:       v.Name,
 		CostBefore: before,
 		CostAfter:  after,
 		Slowdown:   float64(after) / float64(before),
@@ -436,20 +283,4 @@ func (c *churnVictim) NextFrame() ([]byte, uint32) {
 		panic(err) // a TCP tuple always renders
 	}
 	return f, 1
-}
-
-// Table renders outcomes as the matrix report's text table.
-func Table(outcomes []Outcome) *metrics.Table {
-	t := &metrics.Table{Header: []string{"variant", "masks", "ns_before", "ns_after", "slowdown", "avg_scan", "flow_limit"}}
-	for _, o := range outcomes {
-		lim := "-"
-		if o.FlowLimit > 0 {
-			lim = fmt.Sprintf("%d", o.FlowLimit)
-		}
-		t.AddRow(o.Name, o.Masks,
-			float64(o.CostBefore.Nanoseconds()),
-			float64(o.CostAfter.Nanoseconds()),
-			o.Slowdown, o.AvgScan, lim)
-	}
-	return t
 }

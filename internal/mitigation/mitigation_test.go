@@ -1,31 +1,64 @@
-package mitigation
+package mitigation_test
 
 import (
-	"strings"
 	"testing"
 
 	"policyinject/internal/attack"
 	"policyinject/internal/dataplane"
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
+	"policyinject/internal/mitigation"
+	"policyinject/internal/scenario"
+	"policyinject/scenarios"
 )
 
-// evaluate runs the 512-mask attack against variants over 256-packet samples.
-func evaluate(t *testing.T, variants []Variant) []Outcome {
+// matrixPack is the pack whose rows these tests evaluate.
+func matrixPack(t *testing.T) *scenario.Pack {
 	t.Helper()
-	out, err := Evaluate(attack.TwoField(), variants, 256)
+	p, err := scenario.LoadFS(scenarios.FS, "mitigation-matrix.yaml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(variants) {
-		t.Fatalf("outcomes = %d", len(out))
+	return p
+}
+
+// row returns the mitigation-matrix row named name.
+func row(t *testing.T, name string) mitigation.Variant {
+	t.Helper()
+	for _, v := range matrixPack(t).Variants {
+		if v.Variant == name {
+			return v.MitigationVariant()
+		}
+	}
+	t.Fatalf("mitigation-matrix has no row %q", name)
+	return mitigation.Variant{}
+}
+
+// evaluateAttack runs atk against the named rows over the pack's
+// cost_samples (256 packets).
+func evaluateAttack(t *testing.T, atk *attack.Attack, rows ...string) []mitigation.Outcome {
+	t.Helper()
+	samples := matrixPack(t).Measure.CostSamples
+	out := make([]mitigation.Outcome, len(rows))
+	for i, name := range rows {
+		o, err := mitigation.Evaluate(atk, row(t, name), samples)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[i] = o
 	}
 	return out
 }
 
+// evaluate runs the pack's 512-mask attack against the named rows.
+func evaluate(t *testing.T, rows ...string) []mitigation.Outcome {
+	t.Helper()
+	return evaluateAttack(t, attack.TwoField(), rows...)
+}
+
 // TestVanillaIsVulnerable: the stock configuration slows down massively.
 func TestVanillaIsVulnerable(t *testing.T) {
-	out := evaluate(t, []Variant{NoEMC()})
+	out := evaluate(t, "no-emc")
 	o := out[0]
 	// The victim's own /24 whitelist shares trie paths with the attack
 	// values and perturbs a handful of divergence depths, so slightly
@@ -50,7 +83,7 @@ func TestVanillaIsVulnerable(t *testing.T) {
 // subtables a lookup against 450.5-452.0; that it wins where the sweep is
 // long, TestRelativeOrdering holds at 8192 masks.
 func TestMaskCapContainsMaskCount(t *testing.T) {
-	out := evaluate(t, []Variant{NoEMC(), MaskCap(64)})
+	out := evaluate(t, "no-emc", "mask-cap-64")
 	vanilla, capped := out[0], out[1]
 	if capped.Masks > 64 {
 		t.Errorf("mask cap exceeded: %d", capped.Masks)
@@ -64,7 +97,7 @@ func TestMaskCapContainsMaskCount(t *testing.T) {
 // TestMaskCapLRUSortedRestoresVictim: the combined mitigation keeps the
 // victim's hot mask resident and early; its cost returns to near-healthy.
 func TestMaskCapLRUSortedRestoresVictim(t *testing.T) {
-	out := evaluate(t, []Variant{NoEMC(), MaskCapLRUSorted(64)})
+	out := evaluate(t, "no-emc", "cap-lru-sort-64")
 	vanilla, combo := out[0], out[1]
 	if combo.Masks > 64 {
 		t.Errorf("mask cap exceeded: %d", combo.Masks)
@@ -78,7 +111,7 @@ func TestMaskCapLRUSortedRestoresVictim(t *testing.T) {
 // TestCacheLessIsImmune: the ESWITCH-style baseline's cost is unchanged
 // within measurement noise.
 func TestCacheLessIsImmune(t *testing.T) {
-	out := evaluate(t, []Variant{CacheLess()})
+	out := evaluate(t, "cache-less")
 	o := out[0]
 	if o.Masks != 0 {
 		t.Errorf("cache-less variant reported %d masks", o.Masks)
@@ -97,10 +130,7 @@ func TestCacheLessIsImmune(t *testing.T) {
 // longer outweigh the capped victim's upcalls, nor five times what the
 // injected rules cost the classifier.
 func TestRelativeOrdering(t *testing.T) {
-	out, err := Evaluate(attack.ThreeField(), []Variant{NoEMC(), MaskCap(64), CacheLess()}, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := evaluateAttack(t, attack.ThreeField(), "no-emc", "mask-cap-64", "cache-less")
 	vanilla, capped, cacheless := out[0], out[1], out[2]
 	if vanilla.Masks != 7937 || capped.Masks != 64 {
 		t.Errorf("the attack left %d masks uncapped and %d capped, want 7937 and 64", vanilla.Masks, capped.Masks)
@@ -120,7 +150,7 @@ func TestRelativeOrdering(t *testing.T) {
 // the stateless-compiled attack ACL mints its masks regardless, and the
 // victim's (stateless) path still scans them.
 func TestStatefulIsNotAMitigation(t *testing.T) {
-	out := evaluate(t, []Variant{NoEMC(), Stateful()})
+	out := evaluate(t, "no-emc", "stateful-sg")
 	vanilla, stateful := out[0], out[1]
 	if stateful.Slowdown < vanilla.Slowdown/10 {
 		t.Errorf("stateful (%.1fx) an order of magnitude better than vanilla (%.1fx)? model drift",
@@ -131,21 +161,8 @@ func TestStatefulIsNotAMitigation(t *testing.T) {
 	}
 }
 
-func TestTableRendering(t *testing.T) {
-	out := evaluate(t, []Variant{NoEMC()})
-	tbl := Table(out).String()
-	for _, want := range []string{"variant", "no-emc", "slowdown"} {
-		if !strings.Contains(tbl, want) {
-			t.Errorf("table missing %q:\n%s", want, tbl)
-		}
-	}
-	if !strings.Contains(out[0].String(), "no-emc") {
-		t.Error("Outcome.String missing name")
-	}
-}
-
 func TestEvaluateRejectsBadAttack(t *testing.T) {
-	if _, err := Evaluate(&attack.Attack{}, []Variant{NoEMC()}, 16); err == nil {
+	if _, err := mitigation.Evaluate(&attack.Attack{}, row(t, "no-emc"), 16); err == nil {
 		t.Fatal("invalid attack accepted")
 	}
 }
@@ -156,7 +173,7 @@ func TestEvaluateRejectsBadAttack(t *testing.T) {
 // flows and recurring churn combinations alike) is largely rescued,
 // because the victim-facing subtables out-rank the attacker's trickle.
 func TestSortedTSSRescuesWarmTraffic(t *testing.T) {
-	out := evaluate(t, []Variant{NoEMC(), SortedTSS()})
+	out := evaluate(t, "no-emc", "sorted-tss")
 	vanilla, sorted := out[0], out[1]
 	if sorted.Slowdown >= vanilla.Slowdown/4 {
 		t.Errorf("sorted TSS (%.1fx) barely improved on vanilla (%.1fx)",
@@ -170,7 +187,7 @@ func TestSortedTSSRescuesWarmTraffic(t *testing.T) {
 // churn, ranking epochs, novel combos).
 func TestSortedTSSMissPathStillExposed(t *testing.T) {
 	// Build the attack scenario by hand to probe a guaranteed-cold key.
-	v := SortedTSS().Build()
+	v := row(t, "sorted-tss").Build()
 	var m flow.Match
 	m.Key.Set(flow.FieldInPort, 1)
 	m.Mask.SetExact(flow.FieldInPort)
@@ -184,7 +201,13 @@ func TestSortedTSSMissPathStillExposed(t *testing.T) {
 		v.InstallRule(r)
 	}
 	frames, _ := atk.Frames()
-	drive(v, 1, frames, attackerPort)
+	var fb dataplane.FrameBatch
+	var out []dataplane.Decision
+	for _, f := range frames {
+		fb.Reset()
+		fb.Append(f, 66)
+		out = v.ProcessFrames(1, &fb, out)
+	}
 	// Proto 0 has no wire rendering: the probe enters as a key.
 	var cold flow.Key
 	cold.Set(flow.FieldInPort, 1)
@@ -201,7 +224,7 @@ func TestSortedTSSMissPathStillExposed(t *testing.T) {
 // the victim's per-packet scan collapses to a handful of physical
 // subtable probes and the slowdown improves on vanilla by a wide margin.
 func TestStagedPruningRestoresVictim(t *testing.T) {
-	out := evaluate(t, []Variant{NoEMC(), StagedPruning()})
+	out := evaluate(t, "no-emc", "staged-pruning")
 	vanilla, staged := out[0], out[1]
 	if staged.Masks < 480 {
 		t.Errorf("staged pruning should not suppress masks; got %d", staged.Masks)
@@ -213,9 +236,6 @@ func TestStagedPruningRestoresVictim(t *testing.T) {
 	if staged.AvgScan >= vanilla.AvgScan/4 {
 		t.Errorf("avg scan %.1f not <= vanilla/4 (%.1f)", staged.AvgScan, vanilla.AvgScan)
 	}
-	if !strings.Contains(Table(out).String(), "avg_scan") {
-		t.Error("table lost the avg_scan column")
-	}
 }
 
 // TestStagedPruningScanRepeats: the staged tier re-ranks its scan order
@@ -223,8 +243,8 @@ func TestStagedPruningRestoresVictim(t *testing.T) {
 // side of a re-rank reads the attack-time order. Two back-to-back evaluations
 // must report the same scan depth.
 func TestStagedPruningScanRepeats(t *testing.T) {
-	a := evaluate(t, []Variant{StagedPruning()})[0].AvgScan
-	b := evaluate(t, []Variant{StagedPruning()})[0].AvgScan
+	a := evaluate(t, "staged-pruning")[0].AvgScan
+	b := evaluate(t, "staged-pruning")[0].AvgScan
 	if lo, hi := min(a, b), max(a, b); hi > lo*1.1 {
 		t.Errorf("avg scan %.2f then %.2f: two evaluations differ by more than 10%%", a, b)
 	}

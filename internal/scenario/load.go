@@ -15,6 +15,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -63,7 +64,28 @@ func LoadBytes(file string, data []byte) (*Pack, error) {
 		return nil, err
 	}
 	base.Variants = variants
+	if err := checkExpectVariants(file, root, base); err != nil {
+		return nil, err
+	}
 	return base, nil
+}
+
+// checkExpectVariants rejects an expectation whose variant names none of
+// the pack's variants.
+func checkExpectVariants(file string, root *node, p *Pack) error {
+	names := make([]string, len(p.Variants))
+	for i, v := range p.Variants {
+		names[i] = v.Variant
+	}
+	for i, e := range p.Expect {
+		if e.Variant == "" || slices.Contains(names, e.Variant) {
+			continue
+		}
+		n := root.fields["expect"].items[i].fields["variant"]
+		return fmt.Errorf("%s:%d: expect[%d].variant: no variant %q (have %s)",
+			file, n.line, i, e.Variant, strings.Join(names, ", "))
+	}
+	return nil
 }
 
 // bindVariants extracts the variants sequence and binds one effective

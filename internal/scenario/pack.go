@@ -24,7 +24,7 @@ type Pack struct {
 	Description string
 	File        string
 	Tags        []string
-	Mode        string // "timeline" or "matrix"
+	Mode        string // "timeline" or "matrix" (see Run)
 	Seed        uint64
 	Duration    int // ticks
 
@@ -38,7 +38,6 @@ type Pack struct {
 	Churn    *ChurnSpec
 	Guards   *GuardSpec    // nil: no overload-control guards
 	Faults   []chaos.Fault // scheduled fault injections, if any
-	Matrix   *MatrixSpec
 	Expect   []Expectation
 
 	// Variants are the effective per-variant packs, in declaration order;
@@ -55,12 +54,15 @@ type Pack struct {
 // produce a byte-identical JSON report.
 type MeasureSpec struct {
 	Mode        string // "wall" (default) or "off"
-	CostSamples int    // victim burst size per tick (default 64)
+	CostSamples int    // victim burst per tick; matrix mode: timed samples (default 64)
 }
 
 // DatapathSpec maps onto dataplane.New options. The zero value models the
 // paper's kernel datapath: no EMC, flat megaflow TSS, no conntrack.
+// CacheLess (matrix mode only, alone) builds the flow-cache-less
+// baseline.Switch instead.
 type DatapathSpec struct {
+	CacheLess     bool
 	EMC           bool
 	EMCEntries    int
 	SMC           bool
@@ -233,13 +235,6 @@ type GuardSpec struct {
 // Build assembles the configured guard bundle.
 func (g *GuardSpec) Build() *guard.Guard {
 	return guard.New(guard.Config{KillSwitch: g.KillSwitch, Admission: g.Admission, MaskQuota: g.MaskQuota})
-}
-
-// MatrixSpec (mode "matrix") evaluates the attack against a row of
-// mitigation variants via mitigation.Evaluate.
-type MatrixSpec struct {
-	Variants []string
-	Samples  int
 }
 
 // Expectation is one expected-metric assertion checked after the run.
@@ -548,21 +543,23 @@ func (b *binder) bindPack(root *node) (p *Pack, err error) {
 	for i, fn := range m.seq("faults") {
 		p.Faults = append(p.Faults, b.bindFault(fn, fmt.Sprintf("faults[%d]", i)))
 	}
-	p.Matrix = b.bindMatrix(m.child("matrix"))
 	for i, en := range m.seq("expect") {
 		p.Expect = append(p.Expect, b.bindExpect(en, fmt.Sprintf("expect[%d]", i)))
 	}
 	m.used["variants"] = true // consumed by Load, not per-variant binding
 	m.done()
 
-	if p.Mode == "matrix" && p.Matrix == nil {
-		b.failf(root, "matrix", "mode \"matrix\" requires a matrix section")
-	}
 	if p.Mode == "matrix" && p.Attack == nil {
 		b.failf(root, "attack", "mode \"matrix\" requires an attack section")
 	}
-	if p.Mode == "timeline" && p.Matrix != nil {
-		b.failf(m.child("matrix"), "matrix", "matrix section requires mode: matrix")
+	if p.Datapath.CacheLess {
+		n := m.child("datapath").fields["cache_less"]
+		if p.Mode != "matrix" {
+			b.failf(n, "datapath.cache_less", "requires mode: matrix (the cache-less switch has no timeline model)")
+		}
+		if p.Datapath != (DatapathSpec{CacheLess: true}) {
+			b.failf(n, "datapath.cache_less", "excludes every other datapath key")
+		}
 	}
 	if p.Attack != nil && p.Attack.Start >= p.Duration {
 		b.failf(m.child("attack"), "attack.start", "start tick %d is beyond duration %d", p.Attack.Start, p.Duration)
@@ -609,6 +606,7 @@ func (b *binder) bindDatapath(n *node) DatapathSpec {
 		return spec
 	}
 	m := b.mapAt(n, "datapath")
+	spec.CacheLess = m.boolval("cache_less", false)
 	spec.EMC = m.boolval("emc", false)
 	spec.EMCEntries = m.intval("emc_entries", 0)
 	spec.SMC = m.boolval("smc", false)
@@ -915,27 +913,6 @@ func (b *binder) bindFault(n *node, path string) chaos.Fault {
 	return f
 }
 
-func (b *binder) bindMatrix(n *node) *MatrixSpec {
-	if n == nil {
-		return nil
-	}
-	m := b.mapAt(n, "matrix")
-	spec := &MatrixSpec{
-		Variants: m.strs("variants"),
-		Samples:  m.intval("samples", 256),
-	}
-	m.done()
-	if len(spec.Variants) == 0 {
-		b.failf(n, "matrix.variants", "at least one variant required")
-	}
-	for i, v := range spec.Variants {
-		if _, err := mitigationVariant(v); err != nil {
-			b.failf(n, fmt.Sprintf("matrix.variants[%d]", i), "%v", err)
-		}
-	}
-	return spec
-}
-
 func (b *binder) bindExpect(n *node, path string) Expectation {
 	m := b.mapAt(n, path)
 	spec := Expectation{
@@ -965,8 +942,12 @@ func (p *Pack) Describe() string {
 		fmt.Fprintf(&sb, "variant %s\n", v.Variant)
 		fmt.Fprintf(&sb, "  measure: mode=%s samples=%d\n", v.Measure.Mode, v.Measure.CostSamples)
 		d := v.Datapath
-		fmt.Fprintf(&sb, "  datapath: emc=%v smc=%v sort=%v staged=%v max_masks=%d conntrack=%v\n",
-			d.EMC, d.SMC, d.SortByHits, d.StagedPruning, d.MaxMasks, d.Conntrack)
+		if d.CacheLess {
+			sb.WriteString("  datapath: cache_less\n")
+		} else {
+			fmt.Fprintf(&sb, "  datapath: emc=%v smc=%v sort=%v staged=%v max_masks=%d conntrack=%v\n",
+				d.EMC, d.SMC, d.SortByHits, d.StagedPruning, d.MaxMasks, d.Conntrack)
+		}
 		switch {
 		case v.Reval == nil:
 			sb.WriteString("  revalidator: default\n")
@@ -1013,9 +994,6 @@ func (p *Pack) Describe() string {
 		for _, f := range v.Faults {
 			fmt.Fprintf(&sb, "  fault %s: start=%d stop=%d prob=%g delay=%d factor=%g\n",
 				f.Kind, f.Start, f.Stop, f.Prob, f.Delay, f.Factor)
-		}
-		if v.Matrix != nil {
-			fmt.Fprintf(&sb, "  matrix: samples=%d variants=[%s]\n", v.Matrix.Samples, strings.Join(v.Matrix.Variants, " "))
 		}
 	}
 	for _, e := range p.Expect {

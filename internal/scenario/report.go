@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"policyinject/internal/metrics"
-	"policyinject/internal/mitigation"
 )
 
 // Reporter renders one Result to a writer. The three stock formats —
@@ -68,26 +67,15 @@ type jsonReport struct {
 }
 
 type jsonRun struct {
-	Variant  string             `json:"variant"`
-	Summary  map[string]float64 `json:"summary"`
-	Series   []jsonSeries       `json:"series,omitempty"`
-	Outcomes []jsonOutcome      `json:"outcomes,omitempty"`
+	Variant string             `json:"variant"`
+	Summary map[string]float64 `json:"summary"`
+	Series  []jsonSeries       `json:"series,omitempty"`
 }
 
 type jsonSeries struct {
 	Name string    `json:"name"`
 	T    []float64 `json:"t"`
 	V    []float64 `json:"v"`
-}
-
-type jsonOutcome struct {
-	Name      string  `json:"name"`
-	Masks     int     `json:"masks"`
-	NsBefore  int64   `json:"ns_before"`
-	NsAfter   int64   `json:"ns_after"`
-	Slowdown  float64 `json:"slowdown"`
-	AvgScan   float64 `json:"avg_scan"`
-	FlowLimit int     `json:"flow_limit"`
 }
 
 type jsonCheck struct {
@@ -114,13 +102,6 @@ func (JSONReporter) Report(w io.Writer, res *Result) error {
 				jr.Series = append(jr.Series, jsonSeries{Name: s.Name, T: s.T, V: s.V})
 			}
 		}
-		for _, o := range run.Outcomes {
-			jr.Outcomes = append(jr.Outcomes, jsonOutcome{
-				Name: o.Name, Masks: o.Masks,
-				NsBefore: o.CostBefore.Nanoseconds(), NsAfter: o.CostAfter.Nanoseconds(),
-				Slowdown: o.Slowdown, AvgScan: o.AvgScan, FlowLimit: o.FlowLimit,
-			})
-		}
 		doc.Runs = append(doc.Runs, jr)
 	}
 	for _, c := range res.Checks {
@@ -143,9 +124,9 @@ func (JSONReporter) Report(w io.Writer, res *Result) error {
 // CSV
 
 // CSVReporter emits flat machine-readable blocks: a
-// pack,variant,metric,value summary block, one timeline block per
-// timeline run (metrics.CSV columns), and an outcome table per matrix
-// run. Blocks are separated by blank lines and introduced by a # header.
+// pack,variant,metric,value summary block and one timeline block per
+// timeline run (metrics.CSV columns). Blocks are separated by blank lines
+// and introduced by a # header.
 type CSVReporter struct{}
 
 // Name implements Reporter.
@@ -173,15 +154,6 @@ func (CSVReporter) Report(w io.Writer, res *Result) error {
 			fmt.Fprintf(&b, "\n# pack %s variant %s timeline\n", res.Pack, run.Variant)
 			b.WriteString(run.Timeline.CSV())
 		}
-		if len(run.Outcomes) > 0 {
-			fmt.Fprintf(&b, "\n# pack %s variant %s outcomes\n", res.Pack, run.Variant)
-			b.WriteString("mitigation,masks,ns_before,ns_after,slowdown,avg_scan,flow_limit\n")
-			for _, o := range run.Outcomes {
-				fmt.Fprintf(&b, "%s,%d,%d,%d,%g,%g,%d\n",
-					o.Name, o.Masks, o.CostBefore.Nanoseconds(), o.CostAfter.Nanoseconds(),
-					o.Slowdown, o.AvgScan, o.FlowLimit)
-			}
-		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -191,8 +163,8 @@ func (CSVReporter) Report(w io.Writer, res *Result) error {
 // Human
 
 // HumanReporter renders a terminal-friendly report: the summary metrics
-// per variant, the evaluated expectations, a downsampled timeline table
-// and the matrix outcome table.
+// per variant, a downsampled timeline table and the evaluated
+// expectations.
 type HumanReporter struct{}
 
 // Name implements Reporter.
@@ -208,14 +180,11 @@ func (HumanReporter) Report(w io.Writer, res *Result) error {
 		for _, k := range summaryKeys(run) {
 			tbl.AddRow(k, run.Summary[k])
 		}
-		if len(tbl.Rows) > 0 && len(run.Outcomes) == 0 {
+		if len(tbl.Rows) > 0 {
 			b.WriteString(indent(tbl.String()))
 		}
 		if run.Timeline != nil {
 			b.WriteString(indent(timelineTable(run.Timeline)))
-		}
-		if len(run.Outcomes) > 0 {
-			b.WriteString(indent(mitigation.Table(run.Outcomes).String()))
 		}
 	}
 	if len(res.Checks) > 0 {

@@ -6,11 +6,10 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"policyinject/internal/acl"
 	"policyinject/internal/attack"
+	"policyinject/internal/baseline"
 	"policyinject/internal/cache"
 	"policyinject/internal/chaos"
 	"policyinject/internal/cms"
@@ -49,8 +48,7 @@ func (r *Result) Passed() bool {
 }
 
 // VariantRun is one executed variant: the recorded timeline (timeline
-// mode), the mitigation outcomes (matrix mode), and the summary metrics
-// expectations assert against.
+// mode) and the summary metrics expectations assert against.
 type VariantRun struct {
 	Variant  string
 	Timeline *metrics.Group // nil in matrix mode
@@ -60,12 +58,9 @@ type VariantRun struct {
 	// and with a revalidator flow_limit_initial/flow_limit_final/
 	// overruns/limit_evicted; wall measurement adds mean_before/
 	// mean_after/degradation; conntrack adds ct_peak/ct_final. Matrix
-	// metrics are "<variant>.masks", "<variant>.slowdown",
-	// "<variant>.flow_limit", "<variant>.avg_scan", "<variant>.ns_before",
-	// "<variant>.ns_after".
+	// metrics are mitigation.Outcome's: masks, slowdown, flow_limit,
+	// avg_scan, ns_before, ns_after.
 	Summary map[string]float64
-
-	Outcomes []mitigation.Outcome // matrix mode only
 }
 
 // Check is one evaluated expectation.
@@ -108,6 +103,9 @@ type RunOptions struct {
 }
 
 // Run executes every variant of the pack and evaluates its expectations.
+// A timeline variant runs through the cluster tick by tick; a matrix
+// variant's datapath and revalidator are scored by mitigation.Evaluate
+// under the pack's attack.
 func Run(p *Pack, opt RunOptions) (*Result, error) {
 	seed := p.Seed
 	if opt.Seed != 0 {
@@ -135,28 +133,20 @@ func Run(p *Pack, opt RunOptions) (*Result, error) {
 }
 
 // checkExpectations evaluates the base document's expect list: Variant
-// targets a pack variant by name (or, in matrix mode, a mitigation
-// variant on the first run); empty targets the first run.
+// targets a pack variant by name (Load has checked it names one); empty
+// targets the first run.
 func checkExpectations(p *Pack, res *Result) []Check {
 	var checks []Check
 	for _, e := range p.Expect {
 		c := Check{Expectation: e}
 		run := res.Runs[0]
-		key := e.Metric
-		if e.Variant != "" {
-			found := false
-			for _, r := range res.Runs {
-				if r.Variant == e.Variant {
-					run, found = r, true
-					break
-				}
-			}
-			if !found {
-				// Matrix outcome addressing on the first run.
-				key = e.Variant + "." + e.Metric
+		for _, r := range res.Runs {
+			if r.Variant == e.Variant {
+				run = r
+				break
 			}
 		}
-		got, ok := run.Summary[key]
+		got, ok := run.Summary[e.Metric]
 		if !ok {
 			c.Missing = true
 			checks = append(checks, c)
@@ -198,17 +188,16 @@ func datapathOptions(d DatapathSpec) []dataplane.Option {
 	return opts
 }
 
-// buildRevalidator lowers a RevalSpec; nil spec means the stock default.
-// The overload controller (the kill-switch, when guards declare one)
-// hooks into every configuration, including the default.
-func buildRevalidator(r *RevalSpec, overload revalidator.OverloadController) *revalidator.Revalidator {
+// revalConfig lowers a RevalSpec onto a revalidator configuration: nil
+// spec means the stock default, a disabled one no revalidator (nil).
+func revalConfig(r *RevalSpec) *revalidator.Config {
 	if r == nil {
-		return revalidator.New(revalidator.Config{Overload: overload})
+		return &revalidator.Config{}
 	}
 	if r.Disabled {
 		return nil
 	}
-	return revalidator.New(revalidator.Config{
+	return &revalidator.Config{
 		Interval:     r.Interval,
 		Workers:      r.Workers,
 		DumpRate:     r.DumpRate,
@@ -219,8 +208,19 @@ func buildRevalidator(r *RevalSpec, overload revalidator.OverloadController) *re
 		MaxIdle:      r.MaxIdle,
 		MaxHard:      r.MaxHard,
 		PolicyCheck:  r.PolicyCheck,
-		Overload:     overload,
-	})
+	}
+}
+
+// buildRevalidator builds the timeline's revalidator from a RevalSpec.
+// The overload controller (the kill-switch, when guards declare one)
+// hooks into every configuration, including the default.
+func buildRevalidator(r *RevalSpec, overload revalidator.OverloadController) *revalidator.Revalidator {
+	cfg := revalConfig(r)
+	if cfg == nil {
+		return nil
+	}
+	cfg.Overload = overload
+	return revalidator.New(*cfg)
 }
 
 // defaultVictimPolicy is the whitelist a pack without victim.policy gets:
@@ -752,80 +752,42 @@ func statefulPolicies(p *Pack) bool {
 	return false
 }
 
-// runMatrix executes one matrix pack: the pack's attack evaluated against
-// the declared mitigation variants via mitigation.Evaluate.
+// runMatrix scores one matrix variant: the pack's attack against its
+// datapath and revalidator, through mitigation.Evaluate.
 func runMatrix(p *Pack, opt RunOptions) (*VariantRun, error) {
 	atk, err := p.Attack.Build()
 	if err != nil {
 		return nil, err
 	}
-	variants := make([]mitigation.Variant, 0, len(p.Matrix.Variants))
-	for _, name := range p.Matrix.Variants {
-		v, err := mitigationVariant(name)
-		if err != nil {
-			return nil, err
-		}
-		variants = append(variants, v)
-	}
-	samples := p.Matrix.Samples
+	samples := p.Measure.CostSamples
 	if opt.CostSamples > 0 {
 		samples = opt.CostSamples
 	}
-	outcomes, err := mitigation.Evaluate(atk, variants, samples)
+	o, err := mitigation.Evaluate(atk, p.MitigationVariant(), samples)
 	if err != nil {
 		return nil, err
 	}
-	run := &VariantRun{Summary: map[string]float64{}, Outcomes: outcomes}
-	for _, o := range outcomes {
-		run.Summary[o.Name+".masks"] = float64(o.Masks)
-		run.Summary[o.Name+".slowdown"] = o.Slowdown
-		run.Summary[o.Name+".flow_limit"] = float64(o.FlowLimit)
-		run.Summary[o.Name+".avg_scan"] = o.AvgScan
-		run.Summary[o.Name+".ns_before"] = float64(o.CostBefore.Nanoseconds())
-		run.Summary[o.Name+".ns_after"] = float64(o.CostAfter.Nanoseconds())
-	}
-	return run, nil
+	return &VariantRun{Summary: map[string]float64{
+		"masks":      float64(o.Masks),
+		"slowdown":   o.Slowdown,
+		"flow_limit": float64(o.FlowLimit),
+		"avg_scan":   o.AvgScan,
+		"ns_before":  float64(o.CostBefore.Nanoseconds()),
+		"ns_after":   float64(o.CostAfter.Nanoseconds()),
+	}}, nil
 }
 
-// mitigationVariant resolves a matrix variant name. Fixed names map to
-// the stock constructors; "mask-cap:N" and "cap-lru-sort:N" take the
-// quota as a parameter.
-func mitigationVariant(name string) (mitigation.Variant, error) {
-	if arg, ok := strings.CutPrefix(name, "mask-cap:"); ok {
-		n, err := strconv.Atoi(arg)
-		if err != nil || n <= 0 {
-			return mitigation.Variant{}, fmt.Errorf("variant %q: mask-cap wants a positive integer", name)
-		}
-		return mitigation.MaskCap(n), nil
+// MitigationVariant lowers a variant pack's datapath and revalidator
+// sections onto the mitigation.Variant a matrix run evaluates.
+func (p *Pack) MitigationVariant() mitigation.Variant {
+	d, name := p.Datapath, p.Variant
+	return mitigation.Variant{
+		Build: func() mitigation.Target {
+			if d.CacheLess {
+				return baseline.New(baseline.Config{})
+			}
+			return dataplane.New(name, datapathOptions(d)...)
+		},
+		Reval: revalConfig(p.Reval),
 	}
-	if arg, ok := strings.CutPrefix(name, "cap-lru-sort:"); ok {
-		n, err := strconv.Atoi(arg)
-		if err != nil || n <= 0 {
-			return mitigation.Variant{}, fmt.Errorf("variant %q: cap-lru-sort wants a positive integer", name)
-		}
-		return mitigation.MaskCapLRUSorted(n), nil
-	}
-	switch name {
-	case "vanilla":
-		return mitigation.Vanilla(), nil
-	case "no-emc":
-		return mitigation.NoEMC(), nil
-	case "smc":
-		return mitigation.SMC(), nil
-	case "emc+smc":
-		return mitigation.EMCPlusSMC(), nil
-	case "sorted-tss":
-		return mitigation.SortedTSS(), nil
-	case "staged-pruning":
-		return mitigation.StagedPruning(), nil
-	case "stateful-sg":
-		return mitigation.Stateful(), nil
-	case "cache-less":
-		return mitigation.CacheLess(), nil
-	case "fixed-limit":
-		return mitigation.FixedFlowLimit(), nil
-	case "adaptive-limit":
-		return mitigation.AdaptiveFlowLimit(), nil
-	}
-	return mitigation.Variant{}, fmt.Errorf("unknown mitigation variant %q", name)
 }

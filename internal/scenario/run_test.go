@@ -2,10 +2,9 @@ package scenario_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
-	"policyinject/internal/attack"
-	"policyinject/internal/mitigation"
 	"policyinject/internal/scenario"
 	"policyinject/scenarios"
 )
@@ -81,32 +80,83 @@ func TestChaosPackDeterminism(t *testing.T) {
 	}
 }
 
-// TestMitigationPackMatchesLegacy proves the matrix pack reproduces the
-// hand-wired mitigation.Evaluate row set on the structural columns.
-func TestMitigationPackMatchesLegacy(t *testing.T) {
+// TestMitigationPackPins holds what the 512-mask attack leaves behind in
+// every row of the mitigation matrix: the masks resident and the
+// revalidator's flow limit, neither of which depends on timing. Every row
+// reports the six matrix metrics.
+func TestMitigationPackPins(t *testing.T) {
 	p := loadEmbedded(t, "mitigation-matrix.yaml")
 	res, err := scenario.Run(p, scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := mitigation.Evaluate(attack.TwoField(), []mitigation.Variant{
-		mitigation.Vanilla(), mitigation.NoEMC(), mitigation.SMC(), mitigation.EMCPlusSMC(),
-		mitigation.SortedTSS(), mitigation.StagedPruning(), mitigation.MaskCap(64),
-		mitigation.MaskCapLRUSorted(64), mitigation.FixedFlowLimit(), mitigation.AdaptiveFlowLimit(),
-		mitigation.Stateful(), mitigation.CacheLess(),
-	}, 256)
+	want := []struct {
+		variant          string
+		masks, flowLimit float64
+	}{
+		{"vanilla", 497, 0},
+		{"no-emc", 497, 0},
+		{"smc", 497, 0},
+		{"emc+smc", 497, 0},
+		{"sorted-tss", 497, 0},
+		{"staged-pruning", 497, 0},
+		{"mask-cap-64", 64, 0},
+		{"cap-lru-sort-64", 64, 0},
+		{"fixed-limit", 497, 200000},
+		{"adaptive-limit", 256, 256},
+		{"stateful-sg", 497, 0},
+		{"cache-less", 0, 0},
+	}
+	if len(res.Runs) != len(want) {
+		t.Fatalf("%d rows, want %d", len(res.Runs), len(want))
+	}
+	metrics := []string{"masks", "slowdown", "flow_limit", "avg_scan", "ns_before", "ns_after"}
+	for i, w := range want {
+		r := res.Runs[i]
+		if len(r.Summary) != len(metrics) {
+			t.Errorf("row %s reports %d metrics, want %v", r.Variant, len(r.Summary), metrics)
+		}
+		for _, m := range metrics {
+			if _, ok := r.Summary[m]; !ok {
+				t.Errorf("row %s lacks %s", r.Variant, m)
+			}
+		}
+		if r.Variant != w.variant || r.Summary["masks"] != w.masks || r.Summary["flow_limit"] != w.flowLimit {
+			t.Errorf("row %d: got %s masks=%g flow_limit=%g, want %s %g/%g", i,
+				r.Variant, r.Summary["masks"], r.Summary["flow_limit"], w.variant, w.masks, w.flowLimit)
+		}
+	}
+}
+
+// TestTableRendering: a matrix row renders through the reporters every
+// pack uses — the human report's variant block and the CSV summary both
+// carry the row's name and its matrix metrics.
+func TestTableRendering(t *testing.T) {
+	p := loadEmbedded(t, "mitigation-matrix.yaml")
+	var rows []*scenario.Pack
+	for _, v := range p.Variants {
+		if v.Variant == "no-emc" {
+			rows = append(rows, v)
+		}
+	}
+	if len(rows) != 1 {
+		t.Fatalf("mitigation-matrix has %d no-emc rows, want 1", len(rows))
+	}
+	p.Variants, p.Expect = rows, nil
+	res, err := scenario.Run(p, scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Runs[0].Outcomes
-	if len(got) != len(legacy) {
-		t.Fatalf("%d outcomes, legacy %d", len(got), len(legacy))
+	human := string(render(t, "human", res))
+	for _, want := range []string{"variant no-emc", "slowdown", "avg_scan", "flow_limit", "ns_before", "ns_after"} {
+		if !strings.Contains(human, want) {
+			t.Errorf("human report missing %q:\n%s", want, human)
+		}
 	}
-	for i := range got {
-		if got[i].Name != legacy[i].Name || got[i].Masks != legacy[i].Masks || got[i].FlowLimit != legacy[i].FlowLimit {
-			t.Errorf("outcome %d: got %s/%d/%d, legacy %s/%d/%d", i,
-				got[i].Name, got[i].Masks, got[i].FlowLimit,
-				legacy[i].Name, legacy[i].Masks, legacy[i].FlowLimit)
+	csv := string(render(t, "csv", res))
+	for _, want := range []string{"no-emc", "slowdown"} {
+		if !strings.Contains(csv, want) {
+			t.Errorf("csv report missing %q:\n%s", want, csv)
 		}
 	}
 }
