@@ -125,8 +125,12 @@ func BenchmarkFig2bSlowPath(b *testing.B) {
 // first masked word — the in-port — four keys a compare; port=attacker offers
 // the same frames on the attacker's port, where the injected ACL's default deny
 // decides them: they pass every first word and are rejected on the deeper
-// ones, the row's third word or its second and third together. Both legs are
-// expected at ~0.7-0.8 ns/visit at 8 192 masks.
+// ones. The 8 flows have distinct tp_src but share tp_dst and all but the low
+// three bits of tp_src, so the gather's summary of the third word proves most
+// rows misses in one test for all 8; the rest fall to one member's second and
+// third words together. At 8 192 masks the attacker leg reads below
+// the victim leg (0.92-0.97 against 1.24-1.31 ns/visit at 2 000 iterations on
+// a shared 2-CPU Xeon VM; 1.52 before the summary).
 func BenchmarkTSSLookupMasks(b *testing.B) {
 	atk := attack.ThreeField()
 	covert, err := atk.Frames()

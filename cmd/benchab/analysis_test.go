@@ -2,6 +2,9 @@ package main
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -200,7 +203,8 @@ func TestSymbolOffsets(t *testing.T) {
   52a3d0 T policyinject/internal/dataplane.(*Switch).processFrames
   52a3d0 T policyinject/internal/dataplane.(*Switch).processFramesX
 garbage`
-	got := symbolOffsets([]byte(nm))
+	syms := []string{"cache.(*Megaflow).scan", "cache.(*Megaflow).sweep", "dataplane.(*Switch).processFrames", "pkt.ExtractBatch"}
+	got := symbolOffsets([]byte(nm), syms)
 	want := map[string]int{"cache.(*Megaflow).scan": 0, "cache.(*Megaflow).sweep": 0x3f, "dataplane.(*Switch).processFrames": 0x10}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -208,6 +212,71 @@ garbage`
 	for k, v := range want {
 		if got[k] != v {
 			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+// TestHotSymbols holds the alignment report to the tree's hot functions:
+// every //lint:hotpath root of a fixture tree — a function, methods on pointer
+// and value receivers, a directive beside other comment lines — and nothing
+// that only looks like one: a longer directive name, a directive inside a body,
+// a root in a test file, under testdata or in a dot-directory; then the inner
+// loops. The repository's own tree must yield its megaflow roots and the gather.
+func TestHotSymbols(t *testing.T) {
+	tree := t.TempDir()
+	files := map[string]string{
+		"hot/hot.go": `package hot
+
+type T struct{}
+
+//lint:hotpath
+func Root() {}
+
+// Method is a root on a pointer receiver.
+//
+//lint:hotpath
+func (t *T) Method() {}
+
+//lint:hotpath
+func (t T) Value() {}
+
+//lint:hotpathalloc not a root
+func Longer() {}
+
+func Inner() {
+	//lint:hotpath
+	_ = 0
+}
+`,
+		"hot/hot_test.go":         "package hot\n\n//lint:hotpath\nfunc InTest() {}\n",
+		"hot/testdata/fix.go":     "package fix\n\n//lint:hotpath\nfunc Fixture() {}\n",
+		".bench_build/ab/base.go": "package base\n\n//lint:hotpath\nfunc Copy() {}\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(tree, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := hotSymbols(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{"hot.Root", "hot.(*T).Method", "hot.T.Value"}, innerSymbols...)
+	if !slices.Equal(got, want) {
+		t.Fatalf("hotSymbols = %q, want %q", got, want)
+	}
+
+	got, err = hotSymbols(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sym := range []string{"cache.(*Megaflow).LookupBatch", "cache.(*Megaflow).scan", "cache.(*gathered).load", "dataplane.(*Switch).ProcessFrames", "pkt.ExtractHashBatch"} {
+		if !slices.Contains(got, sym) {
+			t.Errorf("the repository's hot functions %q lack %s", got, sym)
 		}
 	}
 }

@@ -23,7 +23,8 @@
 //
 // --record writes the settings, every record and the analysis to one JSON
 // file as well: the BENCH_pr<N>.json a change commits. The analysis also
-// gives, per arm, the address mod 64 of the benchmark binary's hot functions.
+// gives, per arm, the address mod 64 of the benchmark binary's hot functions:
+// every //lint:hotpath root in the arm's tree, and the inner loops they call.
 //
 // Exit status: 0 when the analysis accepts the head, 1 when it rejects it, 2
 // on a usage error or a run that could not be made or read.
@@ -35,12 +36,19 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
+
+	lint "policyinject/internal/analysis"
 )
 
 // settings is what the command line asks for.
@@ -58,12 +66,57 @@ type settings struct {
 	headTree string
 }
 
-// hotSymbols are the functions whose alignment the analysis reports: the
-// megaflow sweep and its scan loop, and the burst path that calls them.
-var hotSymbols = []string{
+// innerSymbols are hot functions that no //lint:hotpath marks, whose
+// alignment the analysis reports beside the roots': the megaflow sweep, its
+// scan loop and the gather that feeds it, and the burst path that calls them.
+var innerSymbols = []string{
 	"cache.(*Megaflow).scan",
 	"cache.(*Megaflow).sweep",
+	"cache.(*gathered).load",
 	"dataplane.(*Switch).processFrames",
+}
+
+// hotSymbols names the functions whose alignment the analysis reports for a
+// tree: every //lint:hotpath root its Go files declare, as `go tool nm` names
+// them below the import path, then innerSymbols. Test files, testdata and
+// dot-directories (.git, the benchmark's build tree) are not read.
+func hotSymbols(tree string) ([]string, error) {
+	var syms []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(tree, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir():
+			if path != tree && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		case !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || !lint.HasDirective(fd.Doc, lint.DirHotpath) {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				recv := types.ExprString(fd.Recv.List[0].Type)
+				if strings.HasPrefix(recv, "*") {
+					recv = "(" + recv + ")"
+				}
+				name = recv + "." + name
+			}
+			syms = append(syms, f.Name.Name+"."+name)
+		}
+		return nil
+	})
+	return append(syms, innerSymbols...), err
 }
 
 func main() {
@@ -255,28 +308,32 @@ func (s *settings) runOne(raw string, n, pair, order int, arm, workload string) 
 		Correct: line.Correct, Attempted: line.Attempted, Failed: line.Failed, Metrics: line.Metrics}, nil
 }
 
-// alignment reads the addresses of the hot functions from the tree's
+// alignment reads the addresses of the tree's hot functions from its
 // benchmark binary, which run.sh builds into .bench_build/benchmark.
 func alignment(tree string) (map[string]int, error) {
+	syms, err := hotSymbols(tree)
+	if err != nil {
+		return nil, fmt.Errorf("hot functions of %s: %w", tree, err)
+	}
 	cmd := exec.Command("go", "tool", "nm", filepath.Join(tree, ".bench_build", "benchmark"))
 	cmd.Dir = tree
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("go tool nm in %s: %w", tree, err)
 	}
-	return symbolOffsets(out), nil
+	return symbolOffsets(out, syms), nil
 }
 
-// symbolOffsets picks hotSymbols out of `go tool nm` output (address, type,
-// name per line) and returns each address mod 64.
-func symbolOffsets(nm []byte) map[string]int {
+// symbolOffsets picks syms out of `go tool nm` output (address, type, name
+// per line) and returns each address mod 64.
+func symbolOffsets(nm []byte, syms []string) map[string]int {
 	offs := map[string]int{}
 	for _, line := range strings.Split(string(nm), "\n") {
 		f := strings.Fields(line)
 		if len(f) != 3 {
 			continue
 		}
-		for _, sym := range hotSymbols {
+		for _, sym := range syms {
 			if strings.HasSuffix(f[2], "/"+sym) {
 				if addr, err := strconv.ParseUint(f[0], 16, 64); err == nil {
 					offs[sym] = int(addr % 64)

@@ -191,8 +191,8 @@ func directiveArgs(comment, name string) (string, bool) {
 	return strings.TrimSpace(body), true
 }
 
-// hasDirective reports whether the comment group carries //lint:<name>.
-func hasDirective(cg *ast.CommentGroup, name string) bool {
+// HasDirective reports whether the comment group carries //lint:<name>.
+func HasDirective(cg *ast.CommentGroup, name string) bool {
 	if cg == nil {
 		return false
 	}

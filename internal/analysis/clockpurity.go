@@ -36,7 +36,7 @@ func runClockPurity(pass *Pass) {
 	for _, pkg := range pass.Prog.TargetPackages() {
 		deterministic := false
 		for _, f := range pkg.Files {
-			if hasDirective(f.Doc, DirDeterministic) {
+			if HasDirective(f.Doc, DirDeterministic) {
 				deterministic = true
 			}
 		}

@@ -98,7 +98,7 @@ func collectCounterStructs(pass *Pass) map[*types.Named]bool {
 					if doc == nil {
 						doc = gd.Doc
 					}
-					if !hasDirective(doc, DirAtomicCounters) {
+					if !HasDirective(doc, DirAtomicCounters) {
 						continue
 					}
 					if obj, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {

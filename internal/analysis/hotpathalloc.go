@@ -44,12 +44,12 @@ func runHotPathAlloc(pass *Pass) {
 					continue
 				}
 				decls[obj] = &hotFunc{decl: fd, pkg: pkg}
-				if hasDirective(fd.Doc, DirColdpath) {
+				if HasDirective(fd.Doc, DirColdpath) {
 					cold[obj] = true
 				}
-				if pkg.Target && hasDirective(fd.Doc, DirHotpath) {
+				if pkg.Target && HasDirective(fd.Doc, DirHotpath) {
 					roots = append(roots, obj)
-					if hasDirective(fd.Doc, DirColdpath) {
+					if HasDirective(fd.Doc, DirColdpath) {
 						pass.Reportf(fd.Pos(), "function %s is annotated both hotpath and coldpath", fd.Name.Name)
 					}
 				}

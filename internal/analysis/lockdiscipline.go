@@ -98,7 +98,7 @@ func collectLockedTypes(pass *Pass) map[*types.Named]*lockedType {
 					lt := &lockedType{
 						named:   named,
 						guarded: make(map[string]bool),
-						sharded: hasDirective(doc, DirSharded),
+						sharded: HasDirective(doc, DirSharded),
 					}
 					for _, field := range st.Fields.List {
 						ft := pkg.Info.TypeOf(field.Type)

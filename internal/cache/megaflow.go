@@ -421,31 +421,37 @@ func (m *Megaflow) Reprobe(k flow.Key, now uint64) (*Entry, int, bool) {
 // selects of keys[b], then the probe hash of a visit scan hashed and leaves
 // open. grp[:groups] holds those three words again, for the keys live at the
 // gather, four to a group with no gaps — grp[j][i][l] is word i of the group's
-// l-th key: what a single row tests first. It lives on sweep's stack, as w on
-// its caller's: shard readers share nothing.
+// l-th key: what a single row tests first. and2 and or2 are the AND and the OR
+// of the same keys' third word: a summary that tests a row's deepest word
+// once for all of them. It lives on sweep's stack, as w on its caller's: shard
+// readers share nothing.
 type gathered struct {
-	w      [][4]uint64
-	keys   []flow.Key
-	live   uint64
-	shape  uint32
-	groups int
-	grp    [16][3][4]uint64
+	w         [][4]uint64
+	keys      []flow.Key
+	live      uint64
+	shape     uint32
+	groups    int
+	and2, or2 uint64
+	grp       [16][3][4]uint64
 }
 
 // load gathers the live keys' words; out of line, to keep scan on registers.
-// A short last group is filled up with its first member: a copy adds no pass.
+// A short last group is filled up with its first member: a copy adds no pass,
+// and adds nothing to the summary either.
 //
 //go:noinline
 func (g *gathered) load(shape uint32) {
 	g.shape = shape
-	n := 0
+	n, and2, or2 := 0, ^uint64(0), uint64(0)
 	for w := g.live; w != 0; w &= w - 1 {
 		b := bits.TrailingZeros64(w)
 		k, grp := &g.keys[b], &g.grp[n>>2]
 		g.w[b] = [4]uint64{k[shape&0xff], k[shape>>8&0xff], k[shape>>16&0xff]}
 		grp[0][n&3], grp[1][n&3], grp[2][n&3] = g.w[b][0], g.w[b][1], g.w[b][2]
+		and2, or2 = and2&g.w[b][2], or2|g.w[b][2]
 		n++
 	}
+	g.and2, g.or2 = and2, or2
 	for ; n&3 != 0; n++ {
 		grp := &g.grp[n>>2]
 		grp[0][n&3], grp[1][n&3], grp[2][n&3] = grp[0][0], grp[1][0], grp[2][0]
@@ -453,11 +459,11 @@ func (g *gathered) load(shape uint32) {
 	g.groups = n >> 2
 }
 
-// anyPasses reports whether word i of any group member passes the row word
-// m, e: key&m == e on that word, a necessary condition of the probe.
-func anyPasses(grp [][3][4]uint64, i int, m, e uint64) bool {
+// anyPasses reports whether the first word of any group member passes the row
+// word m, e: key&m == e on that word, a necessary condition of the probe.
+func anyPasses(grp [][3][4]uint64, m, e uint64) bool {
 	for j := range grp {
-		if f := &grp[j][i]; f[0]&m == e || f[1]&m == e || f[2]&m == e || f[3]&m == e {
+		if f := &grp[j][0]; f[0]&m == e || f[1]&m == e || f[2]&m == e || f[3]&m == e {
 			return true
 		}
 	}
@@ -475,20 +481,23 @@ func anyPasses(grp [][3][4]uint64, i int, m, e uint64) bool {
 // attack's 7 937) is the probe: the key's three words under the row's mask
 // words against the resident's — it loads the row, the next line in sequence,
 // and nothing of the subtable; equal words are a hit, which sweep confirms
-// through find. The compare is cut short by a cascade over the gather's groups,
-// four keys a test, each a necessary condition of the probe on some live key,
-// so a row is skipped only on proof: does a member pass the row's first word —
-// no on any row pinned to another in-port, the attack's whole ladder for its
-// victim; then its third word, the deepest; then its second and third together
-// within one member — no on nearly every row of the ladder for the covert
-// stream, which shares the first word. A row all three pass goes to the
+// through find. The compare is cut short by a cascade, each test a necessary
+// condition of the probe on some live key, so a row is skipped only on proof:
+// does a member pass the row's first word (over the gather's groups, four keys
+// a test) — no on any row pinned to another in-port, the attack's whole ladder
+// for its victim; then does the gather's summary of the third word, the
+// deepest, admit the row — one test for all keys: some key has each bit the
+// row wants set, and some key lacks each bit it wants clear; it is the exact
+// test when the keys share that word, as a covert burst's do, whose keys share
+// the first word too; then does one member pass the second and third words
+// together, which no summary can ask. A row all three pass goes to the
 // three-word compare, differences OR-ed, over the live keys. A key resolved
-// since the gather stays in its group, and a short last group repeats its
-// first member: either can pass a row for nothing, never hide one. Any other
-// row of at most three words takes three ANDs, the probe hash, and the pair of
-// slots it points to in the subtable's first line; an empty slot and no equal
-// hash there prove the miss (walk's first step). Masks of over three words are
-// left to find whole.
+// since the gather stays in its group and in the summary, and a short last
+// group repeats its first member: either can pass a row for nothing, never
+// hide one. Any other row of at most three words takes three ANDs, the probe
+// hash, and the pair of slots it points to in the subtable's first line; an
+// empty slot and no equal hash there prove the miss (walk's first step). Masks
+// of over three words are left to find whole.
 func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 	rows, seed := m.subtables, m.seed
 	for ; ri < len(rows); ri++ {
@@ -502,7 +511,11 @@ func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 		var open uint64
 		if row.single {
 			grp := g.grp[:g.groups]
-			if !anyPasses(grp, 0, row.mw[0], row.ew[0]) || !anyPasses(grp, 2, row.mw[2], row.ew[2]) {
+			// After the first word, the summary: a bit the row wants set is
+			// clear in every gathered key, or one it wants clear is set in
+			// every one.
+			if !anyPasses(grp, row.mw[0], row.ew[0]) ||
+				row.ew[2]&^g.or2|row.mw[2]&^row.ew[2]&g.and2 != 0 {
 				continue
 			}
 			pass, m1, e1, m2, e2 := false, row.mw[1], row.ew[1], row.mw[2], row.ew[2]

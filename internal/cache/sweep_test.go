@@ -362,11 +362,11 @@ func (l *firstWordLadder) stranger(rng *rand.Rand) flow.Key {
 // early hit and a late one in group 0. Near misses, on the rows' own first word,
 // are left to the deeper words: keys failing word 1 alone or word 2 alone; a
 // group 0 passing word 2 alone before groups passing word 1 alone, so the
-// third-word test passes and the pair test must reject; one true hit among
-// them, the last live key; every other key a hit at its own depth. Over rows of
-// three, two (the third word repeats word 0), one and no mask words, rows of
-// another port between the hits, and a prefix word that changes mid-ladder, so
-// the groups are gathered again mid-sweep.
+// third-word summary admits the row and the pair test must reject; one true
+// hit among them, the last live key; every other key a hit at its own depth.
+// Over rows of three, two (the third word repeats word 0), one and no mask
+// words, rows of another port between the hits, and a prefix word that changes
+// mid-ladder, so the groups are gathered again mid-sweep.
 func TestSweepGroupEdges(t *testing.T) {
 	const nRows = 24
 	rng := rand.New(rand.NewSource(24))
@@ -469,33 +469,257 @@ func TestSweepGroupEdges(t *testing.T) {
 	}
 }
 
+// deepWordShared is the third-word value the bursts of TestSweepDeepWordSummary
+// share, as a covert burst shares its ports word; no ladder row admits it.
+const deepWordShared = 0x1f90_c350_0000_0000
+
+// newDeepWordLadder mints nRows single rows for the summary tests, the attack's
+// ladder in small: with nw 3, rows pin key word 0 whole (the in-port; every
+// fifth row another port's), a prefix of word 5 (row i's resident diverging
+// from ladderBase at bit 63-i) and word 7, whose wanted values are the ladder —
+// row i wants deepWordShared ^ (i+1)<<56 under ^0 << (i%3*8), which
+// deepWordShared fails on every row. With nw 2 the rows take no word 7, and the
+// third word gathered is key word 0 again; with nw 1 they take word 5 alone.
+// catchAll ends the ladder with the zero-word mask. It returns the residents in
+// scan order and the rows on the burst's port.
+func newDeepWordLadder(t *testing.T, nRows, nw int, catchAll bool) (*Megaflow, []flow.Match, []int) {
+	t.Helper()
+	m := NewMegaflow(MegaflowConfig{FlowLimit: -1})
+	m.seed = boundSeeds[1] | 1
+	var residents []flow.Match
+	var own []int
+	for i := range nRows {
+		var match flow.Match
+		match.Mask[5] = ^uint64(0) << uint(63-i)
+		match.Key[5] = ladderBase ^ 1<<uint(63-i)
+		if nw >= 2 {
+			match.Mask[0], match.Key[0] = ^uint64(0), ladderPort
+			if i%5 == 4 {
+				match.Key[0] = foreignPort
+			}
+		}
+		if nw == 3 {
+			match.Mask[7] = ^uint64(0) << uint(i%3*8)
+			match.Key[7] = deepWordShared ^ uint64(i+1)<<56
+		}
+		if match.Key[0] != foreignPort {
+			own = append(own, i)
+		}
+		match.Normalize()
+		residents = append(residents, match)
+	}
+	if catchAll {
+		residents = append(residents, flow.Match{})
+	}
+	for _, match := range residents {
+		if _, err := m.Insert(match, allow, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkScanRows(t, m)
+	for i, row := range m.subtables {
+		if !row.single || row.st.mask != residents[i].Mask {
+			t.Fatalf("row %d: single %v, mask %v; want single, %v", i, row.single, row.st.mask, residents[i].Mask)
+		}
+	}
+	return m, residents, own
+}
+
+// summaryRejects replays a flat sweep's gathers test-side and counts the
+// single rows the third-word summary proves misses after the first-word test
+// passed them. Each miss word of the burst sweeps on its own; a key is live up
+// to the row the probes say it hits; the keys live at a row whose shape differs
+// from the last gathered one are gathered again, and the summary is theirs.
+func summaryRejects(m *Megaflow, keys []flow.Key) int {
+	n := 0
+	for base := 0; base < len(keys); base += 64 {
+		word := keys[base:min(base+64, len(keys))]
+		depth := make([]int, len(word)) // the row a key hits, or past the last
+		for i := range word {
+			depth[i] = slices.IndexFunc(m.subtables, func(row scanRow) bool { return row.st.probe(&word[i], m.seed) != nil })
+			if depth[i] < 0 {
+				depth[i] = len(m.subtables)
+			}
+		}
+		var gathered []flow.Key
+		shape := ^uint32(0)
+		for ri, row := range m.subtables {
+			if row.nw > 3 {
+				continue
+			}
+			if row.shape != shape {
+				shape, gathered = row.shape, nil
+				for i := range word {
+					if depth[i] >= ri {
+						gathered = append(gathered, word[i])
+					}
+				}
+			}
+			if !row.single || len(gathered) == 0 {
+				continue
+			}
+			w0, w2 := shape&0xff, shape>>16&0xff
+			first, and2, or2 := false, ^uint64(0), uint64(0)
+			for _, k := range gathered {
+				first = first || k[w0]&row.mw[0] == row.ew[0]
+				and2, or2 = and2&k[w2], or2|k[w2]
+			}
+			if first && row.ew[2]&^or2|row.mw[2]&^row.ew[2]&and2 != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestSweepDeepWordSummary holds the third-word summary to the probe
+// reference. Bursts of 32 live keys on the ladder's port share their third
+// word, which no row admits: the summary is exact, rejects every row on the
+// port, and every key misses at the full ladder's cost (with the catch-all,
+// hits it last). Then one true hit joins them — first, last, as the padded
+// last group's first member (the one its padding repeats) or as its last — so
+// the summary is no longer exact and each row it passes falls through to the
+// group tests. Then a key that hits an early row, on another third word: it
+// resolves there, and the rows after it see a summary of a key no longer live,
+// with and without a late hit behind it. Over rows of three words, of two
+// (the third word gathered is the port again, which every key shares) and of
+// one (the third word is unmasked), with and without the catch-all.
+func TestSweepDeepWordSummary(t *testing.T) {
+	const nRows = 20
+	rng := rand.New(rand.NewSource(38))
+	for _, kind := range []struct {
+		name     string
+		nw       int
+		catchAll bool
+	}{
+		{"three words", 3, false},
+		{"three words, then the catch-all", 3, true},
+		{"two words", 2, false},
+		{"one word, then the catch-all", 1, true},
+	} {
+		m, residents, own := newDeepWordLadder(t, nRows, kind.nw, kind.catchAll)
+		deepest := own[len(own)-1]
+		// miss is a key on the port that covers row r's word 5 on three-word
+		// rows (so only the shared third word rejects it there) and no row's
+		// elsewhere; hit(r) covers row r alone.
+		miss := func(r int) (flow.Key, int) {
+			k := randomKey(rng)
+			k[0], k[5], k[7] = ladderPort, ladderBase, deepWordShared
+			if kind.nw == 3 {
+				k[5] ^= 1 << uint(63-r)
+			}
+			return k, -1
+		}
+		hit := func(r int) (flow.Key, int) {
+			k := randomKey(rng)
+			k[5] = ladderBase
+			cover(&k, residents[r])
+			return k, r
+		}
+		// hits returns the arrangement where live key k hits row at[k] and
+		// every other live key misses.
+		hits := func(at map[int]int) func(k int) (flow.Key, int) {
+			return func(k int) (flow.Key, int) {
+				if r, ok := at[k]; ok {
+					return hit(r)
+				}
+				return miss(own[k%len(own)])
+			}
+		}
+		for _, arr := range []struct {
+			name string
+			n    int
+			key  func(k int) (flow.Key, int)
+		}{
+			{"shared third word, all miss", 32, hits(nil)},
+			{"the hit first", 32, hits(map[int]int{0: deepest})},
+			{"the hit last", 32, hits(map[int]int{31: deepest})},
+			{"the hit repeated by the last group's padding", 30, hits(map[int]int{28: deepest})},
+			{"the hit last in the padded last group", 30, hits(map[int]int{29: deepest})},
+			{"an early hit on another third word", 32, hits(map[int]int{5: own[1]})},
+			{"an early hit on another third word, a late hit", 32, hits(map[int]int{5: own[1], 20: deepest})},
+		} {
+			pos := make(map[int]int, arr.n) // the k-th live key sits at bit k*64/n
+			for k := range arr.n {
+				pos[k*64/arr.n] = k
+			}
+			keys := make([]flow.Key, 64)
+			for i := range keys {
+				k, live := pos[i]
+				if !live {
+					keys[i] = randomKey(rng)
+					continue
+				}
+				var r int
+				keys[i], r = arr.key(k)
+				for ri, match := range residents {
+					if got, want := match.Matches(keys[i]), ri == r || match.Mask == (flow.Mask{}); got != want {
+						t.Fatalf("%s/%s: live key %d matches row %d: %v, want %v", kind.name, arr.name, k, ri, got, want)
+					}
+				}
+			}
+			live := func(i int) bool { _, ok := pos[i]; return ok }
+			if arr.name == "shared third word, all miss" && kind.nw == 3 {
+				var burst []flow.Key
+				for i := range keys {
+					if live(i) {
+						burst = append(burst, keys[i])
+					}
+				}
+				if got := summaryRejects(m, burst); got != len(own) {
+					t.Fatalf("%s: the summary rejects %d rows, want every row on the port (%d)", kind.name, got, len(own))
+				}
+			}
+			t.Run(kind.name+"/"+arr.name, func(t *testing.T) {
+				checkBatchAgainstProbes(t, m, keys, live, 3)
+			})
+		}
+	}
+}
+
 // TestGatherGroups holds load to the layout the single-row tests read: after a
 // gather, group member m is the m-th live key's three shape words, all from
 // that one key, in live order, and a short last group is filled up with its
-// first member — never with zeros or with what an earlier gather left there.
-// Each live set is gathered under three shapes in turn, as a sweep does at a
-// shape change.
+// first member — never with zeros or with what an earlier gather left there;
+// and the summary is the AND and the OR of the live keys' third word, of no
+// other key and of no earlier gather. Each live set is gathered under five
+// shapes in turn, as a sweep does at a shape change: three words, two and one
+// (the third word is key word 0 again) and the catch-all's. Half the keys
+// share their high words, so the AND of a small live set is rarely zero.
 func TestGatherGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	keys := make([]flow.Key, 64)
 	for i := range keys {
 		keys[i] = randomKey(rng)
+		if i%2 == 0 {
+			for w := range keys[i] {
+				keys[i][w] |= 0xffff << 48
+			}
+		}
 	}
 	g := gathered{w: make([][4]uint64, 64), keys: keys}
+	for b := range g.w {
+		g.w[b] = [4]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()} // what a dead key's slot may hold
+	}
 	for _, n := range []int{1, 2, 3, 4, 5, 63, 64} {
 		g.live = 0
 		for _, b := range rng.Perm(64)[:n] {
 			g.live |= 1 << b
 		}
-		for _, shape := range []uint32{0 | 3<<8 | 4<<16, 5 | 6<<8 | 7<<16, 2 | 9<<8} {
+		for _, shape := range []uint32{0 | 3<<8 | 4<<16, 5 | 6<<8 | 7<<16, 2 | 9<<8, 8, 0} {
 			g.load(shape)
 			var want [][3]uint64
+			and2, or2 := ^uint64(0), uint64(0)
 			for w := g.live; w != 0; w &= w - 1 {
 				k := &keys[bits.TrailingZeros64(w)]
 				want = append(want, [3]uint64{k[shape&0xff], k[shape>>8&0xff], k[shape>>16&0xff]})
+				and2, or2 = and2&k[shape>>16&0xff], or2|k[shape>>16&0xff]
 			}
 			if g.groups != (n+3)/4 {
 				t.Fatalf("%d live keys gathered into %d groups", n, g.groups)
+			}
+			if g.and2 != and2 || g.or2 != or2 {
+				t.Fatalf("%d live keys, shape %#x: summary AND %#x OR %#x, want %#x and %#x", n, shape, g.and2, g.or2, and2, or2)
 			}
 			for m := range 4 * g.groups {
 				w := m
@@ -683,9 +907,11 @@ func TestSingleRowFollowsTable(t *testing.T) {
 // reprobePaths counts, over the re-probes runSweepOps checks on flat caches,
 // the ones that took the put log, those among them with a subtable retired
 // since it was logged, the ones an overflowed log sent to the full Lookup, and
-// (in every mode) the ones that hit; and, over its operations, the removals
-// that took a subtable out of the mask index across its wrap (see wrapSide).
-type reprobePaths struct{ short, retired, overflowed, hits, wrapDels int }
+// (in every mode) the ones that hit; over its operations, the removals that
+// took a subtable out of the mask index across its wrap (see wrapSide); and,
+// over the flat bursts, the rows the third-word summary rejected before the
+// burst's first hit (see summaryRejects).
+type reprobePaths struct{ short, retired, overflowed, hits, wrapDels, summaryRejects int }
 
 // wrapSide returns the subtables of the mask index's run of occupied slots
 // that wraps past the last slot, from the run's head up to that slot: deleting
@@ -707,7 +933,10 @@ func wrapSide(m *Megaflow) []*mfSubtable {
 // order's rows and a burst of lookups against the probe reference. Matches
 // come from a small pool so inserts collide, replace and re-mint; every third
 // burst key covers one, and with mode&4 the key after it is a near miss of a
-// resident entry (nearMissOf): on its first words, off on a deeper one.
+// resident entry (nearMissOf): on its first words, off on a deeper one. With
+// mode&8 a burst then aims at a resident of a three-word mask as a covert
+// burst does (sharedDeepWord): every key on its row's first word, all sharing
+// one value of its third.
 //
 // A twin cache takes the same calls. After each burst one to three of the
 // stream's next operations run ahead on both, with no LookupBatch in between
@@ -791,6 +1020,11 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 				keys[j+1] = nearMissOf(keys[j+1], resident[rng.Intn(len(resident))].Match(), j/3)
 			}
 		}
+		if mode&8 != 0 {
+			if deep := slices.DeleteFunc(slices.Clone(resident), func(e *Entry) bool { return e.st.nw != 3 }); len(deep) > 0 {
+				sharedDeepWord(keys, deep[rng.Intn(len(deep))])
+			}
+		}
 		switch {
 		case cfg.StagedPruning:
 			// Ranked order and physical costs are the staged sweep's own;
@@ -814,6 +1048,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 				sweepAll(twin, keys[j:j+1], now)
 			}
 		default:
+			paths.summaryRejects += summaryRejects(m, keys)
 			checkBatchAgainstProbes(t, m, keys, func(int) bool { return true }, now)
 			sweepAll(twin, keys, now) // the LookupBatch m was given
 		}
@@ -903,6 +1138,15 @@ var (
 	nearMissesCatchAll = []byte{0, 2, 4, 0, 12, 4, 0, 22, 4, 0, 0, 4, 0, 32, 4, 3, 12, 4, 3, 2, 4, 0, 52, 4}
 )
 
+// Covert bursts, as a stream for runSweepOps (mode 12: near misses, then each
+// burst aimed at a resident of three words by sharedDeepWord): each insert of
+// a three-word mask (its look-ahead a run of three, keeping the catch-all out
+// of the pool's window) is followed by a no-op whose burst is 32 keys on one
+// row's first word, all sharing its third, so the summary is exact and proves
+// that row a miss (a scratch count: 24 rows over the stream's 16 bursts).
+var sharedDeepWords = []byte{0, 2, 2, 7, 1, 31, 0, 12, 2, 7, 1, 31, 0, 17, 2, 7, 1, 31, 0, 22, 2, 7, 1, 31,
+	0, 27, 2, 7, 1, 31, 0, 32, 2, 7, 1, 31, 0, 42, 2, 7, 1, 31, 0, 52, 2, 7, 1, 31}
+
 // The mask index's wrap, as a stream for runSweepOps (mode 0, seed 32): a run
 // of 52 inserts mints 38 masks, growing the index from nothing to 128 slots; a
 // trim retires 11 of them, and a flush drops the index; 28 masks minted again
@@ -910,6 +1154,18 @@ var (
 // the last slot (the backward shift carries its tail across to slot 0), idle
 // eviction retires 23 more, and a flush ends it.
 var indexWrap = []byte{23, 56, 31, 23, 48, 58, 0, 17, 51, 21, 23, 65, 11, 33, 30, 4, 20, 36, 15, 40, 11}
+
+// sharedDeepWord makes keys a covert burst against the row of ent, an entry of
+// a three-word mask: every key covers the row's first word, as a burst shares
+// its in-port, and takes keys[0]'s word at the row's third, as a burst shares
+// its ports.
+func sharedDeepWord(keys []flow.Key, ent *Entry) {
+	w0, w2, match := ent.st.widx[0], ent.st.widx[2], ent.Match()
+	for j := range keys {
+		keys[j][w0] = match.Key[w0] | keys[j][w0]&^match.Mask[w0]
+		keys[j][w2] = keys[0][w2]
+	}
+}
 
 // nearMissOf returns k covering match but one bit off it in the last of the
 // mask's significant words (d even) or the one before (d odd): a key on the
@@ -944,6 +1200,7 @@ func FuzzMegaflowSweep(f *testing.F) {
 	f.Add(uint8(0), uint64(7), groupEdgesCatchAll)
 	f.Add(uint8(4), uint64(8), nearMisses)
 	f.Add(uint8(4), uint64(9), nearMissesCatchAll)
+	f.Add(uint8(12), uint64(14), sharedDeepWords)
 	f.Add(uint8(0), uint64(32), indexWrap)
 	f.Fuzz(func(t *testing.T, mode uint8, seed uint64, ops []byte) { runSweepOps(t, mode, seed, ops) })
 }
@@ -967,10 +1224,21 @@ func TestSweepSeedReachesIndexWrap(t *testing.T) {
 	}
 }
 
+// TestSweepSeedReachesSharedDeepWords holds the covert-burst seed of the fuzz
+// corpus to what it is there for: the third-word summary, replayed test-side,
+// proves at least one row a miss per burst.
+func TestSweepSeedReachesSharedDeepWords(t *testing.T) {
+	if p := runSweepOps(t, 12, 14, sharedDeepWords); p.summaryRejects < len(sharedDeepWords)/3 {
+		t.Errorf("sharedDeepWords: %+v, the summary rejects %d rows over %d bursts", p, p.summaryRejects, len(sharedDeepWords)/3)
+	}
+}
+
 // TestSweepOps runs the fuzz interpreter over random streams in every mode,
-// with and without near misses, so the maintenance paths are cross-checked without the fuzzer — and the put
-// log's re-probes with them, which the streams must really reach: by the log,
-// past a subtable retired since it was logged, and past an overflow.
+// with and without near misses, so the maintenance paths are cross-checked
+// without the fuzzer — and the put log's re-probes with them, which the streams
+// must really reach: by the log, past a subtable retired since it was logged,
+// and past an overflow. Covert-burst trials follow, every mode over every
+// seed, and the third-word summary must prove rows misses in them.
 func TestSweepOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var paths reprobePaths
@@ -987,6 +1255,18 @@ func TestSweepOps(t *testing.T) {
 	}
 	if paths.short < 100 || paths.retired < 10 || paths.overflowed < 10 || paths.hits < 100 {
 		t.Errorf("re-probes checked: %+v — the streams no longer reach the put log", paths)
+	}
+	covert := rand.New(rand.NewSource(17))
+	rejects := 0
+	for mode := uint8(8); mode < 16; mode++ {
+		for _, seed := range boundSeeds {
+			ops := make([]byte, 3*(10+covert.Intn(120)))
+			covert.Read(ops)
+			rejects += runSweepOps(t, mode, seed, ops).summaryRejects
+		}
+	}
+	if rejects < 100 {
+		t.Errorf("%d rows proved misses by the third-word summary — the covert bursts no longer reach it", rejects)
 	}
 }
 
