@@ -398,7 +398,22 @@ func (m *Megaflow) Reprobe(k flow.Key, now uint64) (*Entry, int, bool) {
 	var ent *Entry
 	cost := len(m.subtables)
 	for _, st := range m.putLog {
-		if slot, _ := st.find(&k, m.seed); slot >= 0 && int(st.pos) < cost {
+		// A subtable at or past the best hit so far cannot win, and one
+		// emptied since it was logged, retired or not, cannot hit: neither
+		// is probed. Any other is resident, at its row; a single row decides
+		// the probe by its three-word compare, with no hash, and find only
+		// confirms an equal one.
+		if int(st.pos) >= cost || st.n == 0 {
+			continue
+		}
+		if row := &m.subtables[st.pos]; row.single {
+			kw, mw, ew := &k, &row.mw, &row.ew
+			w0, w1, w2 := row.shape&0xff, row.shape>>8&0xff, row.shape>>16&0xff
+			if (kw[w0]&mw[0]^ew[0])|(kw[w1]&mw[1]^ew[1])|(kw[w2]&mw[2]^ew[2]) != 0 {
+				continue
+			}
+		}
+		if slot, _ := st.find(&k, m.seed); slot >= 0 {
 			ent, cost = st.slots[slot].ent, int(st.pos)+1
 		}
 	}

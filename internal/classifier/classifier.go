@@ -20,6 +20,7 @@ package classifier
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -47,28 +48,42 @@ type Config struct {
 	PrefixFields []flow.FieldID
 }
 
-// fieldPlen records that a subtable matches a prefix-tracked field with a
-// given prefix length.
-type fieldPlen struct {
-	field flow.FieldID
+// gate is one trie consult of a subtable, compiled at the subtable's mint:
+// the subtable matches a prefix-tracked field with prefix length plen, and
+// the gate holds the field's trie and where the field sits in a key, so a
+// lookup reads the value off one key word and reveals the examined bits in
+// the same word of the megaflow mask, with no field-registry lookup.
+type gate struct {
+	tr    *trie.Trie
+	fmask uint64 // in-word mask of the whole field
 	plen  int
+	word  uint8 // key word the field lives in
+	shift uint8 // right shift that right-aligns the field
+	field flow.FieldID
 }
+
+// value is the gate's field of k, right-aligned.
+func (g *gate) value(k *flow.Key) uint64 { return (k[g.word] & g.fmask) >> g.shift }
+
+// examined is the in-word mask of the field's first n bits.
+func (g *gate) examined(n int) uint64 { return g.fmask &^ (g.fmask >> uint(n)) }
 
 type subtable struct {
 	mask        flow.Mask
 	rules       map[flow.Key][]*flowtable.Rule // masked key -> rules, best first
 	maxPriority int
-	prefixes    []fieldPlen // trie gates applicable to this subtable
+	gates       []gate // trie consults applicable to this subtable
 	nRules      int
 }
 
 // Classifier is the slow-path rule set. Not safe for concurrent mutation;
-// the dataplane serialises upcalls.
+// the dataplane serialises upcalls. Lookup only reads, so concurrent
+// lookups are safe between mutations.
 type Classifier struct {
 	cfg       Config
 	subtables []*subtable // sorted by maxPriority descending
 	byMask    map[flow.Mask]*subtable
-	tries     map[flow.FieldID]*trie.Trie
+	tries     [flow.NumFields]*trie.Trie // nil for a field without prefix tracking
 	nRules    int
 }
 
@@ -80,7 +95,6 @@ func New(cfg Config) *Classifier {
 	c := &Classifier{
 		cfg:    cfg,
 		byMask: make(map[flow.Mask]*subtable),
-		tries:  make(map[flow.FieldID]*trie.Trie),
 	}
 	for _, f := range cfg.PrefixFields {
 		c.tries[f] = trie.New(f.Bits())
@@ -107,10 +121,20 @@ func (c *Classifier) Insert(r *flowtable.Rule) {
 			mask:  r.Match.Mask,
 			rules: make(map[flow.Key][]*flowtable.Rule),
 		}
-		for _, f := range c.cfg.PrefixFields {
-			plen, isPrefix := r.Match.Mask.PrefixLen(f)
+		for _, id := range c.cfg.PrefixFields {
+			plen, isPrefix := r.Match.Mask.PrefixLen(id)
 			if isPrefix && plen > 0 {
-				st.prefixes = append(st.prefixes, fieldPlen{field: f, plen: plen})
+				var whole flow.Mask
+				whole.SetExact(id)
+				word := flow.FieldByID(id).Word
+				st.gates = append(st.gates, gate{
+					tr:    c.tries[id],
+					fmask: whole[word],
+					plen:  plen,
+					word:  uint8(word),
+					shift: uint8(bits.TrailingZeros64(whole[word])),
+					field: id,
+				})
 			}
 		}
 		c.byMask[r.Match.Mask] = st
@@ -129,9 +153,10 @@ func (c *Classifier) Insert(r *flowtable.Rule) {
 	}
 	c.nRules++
 
-	// Feed the tries: one prefix per trie-gated field of the subtable.
-	for _, fp := range st.prefixes {
-		c.tries[fp.field].Insert(r.Match.Key.Get(fp.field), fp.plen)
+	// Feed the tries: one prefix per gate of the subtable.
+	for i := range st.gates {
+		g := &st.gates[i]
+		g.tr.Insert(g.value(&r.Match.Key), g.plen)
 	}
 	c.resort()
 }
@@ -163,8 +188,9 @@ func (c *Classifier) Remove(r *flowtable.Rule) bool {
 	}
 	st.nRules--
 	c.nRules--
-	for _, fp := range st.prefixes {
-		c.tries[fp.field].Remove(r.Match.Key.Get(fp.field), fp.plen)
+	for i := range st.gates {
+		g := &st.gates[i]
+		g.tr.Remove(g.value(&r.Match.Key), g.plen)
 	}
 	if st.nRules == 0 {
 		delete(c.byMask, st.mask)
@@ -224,45 +250,48 @@ type Result struct {
 	Stats    Stats
 }
 
-// Lookup classifies k and synthesises the megaflow.
-func (c *Classifier) Lookup(k flow.Key) Result {
-	var wc flow.Mask
+// Lookup classifies k and synthesises the megaflow. The megaflow's mask
+// is built in place: each gate ORs the bits its trie examined into the
+// field's word, each probed subtable ORs its mask in.
+func (c *Classifier) Lookup(k flow.Key) (res Result) {
+	wc := &res.Megaflow.Mask
 	var best *flowtable.Rule
-	var stats Stats
 
 	for _, st := range c.subtables {
 		if best != nil && best.Priority > st.maxPriority {
 			break // sorted order: nothing better can follow
 		}
 		skip := false
-		for _, fp := range st.prefixes {
-			res := c.tries[fp.field].Lookup(k.Get(fp.field), fp.plen)
-			stats.TrieConsults++
-			wc.SetPrefix(fp.field, res.CheckBits)
-			if !res.CanMatch {
+		for i := range st.gates {
+			g := &st.gates[i]
+			tr := g.tr.Lookup(g.value(&k), g.plen)
+			res.Stats.TrieConsults++
+			wc[g.word] |= g.examined(tr.CheckBits)
+			if !tr.CanMatch {
 				skip = true
 				break
 			}
 		}
 		if skip {
-			stats.SubtablesSkipped++
+			res.Stats.SubtablesSkipped++
 			continue
 		}
-		stats.SubtablesProbed++
-		wc = wc.Union(st.mask)
-		for _, r := range st.rules[st.mask.Apply(k)] {
-			if best == nil || better(r, best) {
-				best = r
-			}
-			break // bucket is ordered best-first
+		res.Stats.SubtablesProbed++
+		var mk flow.Key
+		for w := range mk {
+			wc[w] |= st.mask[w]
+			mk[w] = k[w] & st.mask[w]
+		}
+		if bucket := st.rules[mk]; len(bucket) > 0 && (best == nil || better(bucket[0], best)) {
+			best = bucket[0] // bucket is ordered best-first
 		}
 	}
 
-	return Result{
-		Rule:     best,
-		Megaflow: flow.Match{Key: wc.Apply(k), Mask: wc},
-		Stats:    stats,
+	res.Rule = best
+	for w := range k {
+		res.Megaflow.Key[w] = k[w] & wc[w]
 	}
+	return res
 }
 
 // String summarises the classifier state: one line per subtable.
@@ -270,9 +299,9 @@ func (c *Classifier) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "classifier: %d rules in %d subtables\n", c.nRules, len(c.subtables))
 	for _, st := range c.subtables {
-		gates := make([]string, 0, len(st.prefixes))
-		for _, fp := range st.prefixes {
-			gates = append(gates, fmt.Sprintf("%s/%d", fp.field.Name(), fp.plen))
+		gates := make([]string, 0, len(st.gates))
+		for _, g := range st.gates {
+			gates = append(gates, fmt.Sprintf("%s/%d", g.field.Name(), g.plen))
 		}
 		fmt.Fprintf(&b, "  mask[%d rules, maxprio %d, tries: %s]\n",
 			st.nRules, st.maxPriority, strings.Join(gates, ","))

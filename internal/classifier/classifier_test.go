@@ -397,3 +397,236 @@ func TestCTStateSubtablesProbeCorrectly(t *testing.T) {
 		t.Fatalf("new key: %v", res.Rule)
 	}
 }
+
+// refTrie is the one-bit-per-node prefix trie the classifier's lookups were
+// first written against: a walk takes one pointer hop per bit.
+type refTrie struct {
+	width int
+	root  refNode
+}
+
+type refNode struct {
+	child     [2]*refNode
+	terminals int
+}
+
+func (t *refTrie) bit(v uint64, i int) int { return int(v >> uint(t.width-1-i) & 1) }
+
+func (t *refTrie) insert(v uint64, plen int) {
+	n := &t.root
+	for i := 0; i < plen; i++ {
+		b := t.bit(v, i)
+		if n.child[b] == nil {
+			n.child[b] = &refNode{}
+		}
+		n = n.child[b]
+	}
+	n.terminals++
+}
+
+func (t *refTrie) remove(v uint64, plen int) {
+	path := []*refNode{&t.root}
+	for i := 0; i < plen; i++ {
+		path = append(path, path[i].child[t.bit(v, i)])
+	}
+	path[plen].terminals--
+	for i := plen; i > 0; i-- { // prune childless, terminal-free nodes
+		if n := path[i]; n.terminals > 0 || n.child[0] != nil || n.child[1] != nil {
+			break
+		}
+		path[i-1].child[t.bit(v, i-1)] = nil
+	}
+}
+
+func (t *refTrie) lookup(v uint64, plen int) (bool, int) {
+	n := &t.root
+	for i := 0; i < plen; i++ {
+		if n = n.child[t.bit(v, i)]; n == nil {
+			return false, i + 1
+		}
+	}
+	return n.terminals > 0, plen
+}
+
+// refClassifier keeps the classifier's original lookup beside it: per-field
+// tries in a map, gates derived from each subtable's mask at every lookup,
+// field values read through Key.Get, the megaflow built by SetPrefix, Union
+// and Apply. It walks the classifier's own subtables, so scan order and rule
+// buckets are shared and the lookups differ in nothing but the gates.
+type refClassifier struct {
+	fields []flow.FieldID
+	tries  map[flow.FieldID]*refTrie
+}
+
+func newRefClassifier(cfg Config) *refClassifier {
+	r := &refClassifier{fields: cfg.PrefixFields, tries: map[flow.FieldID]*refTrie{}}
+	if r.fields == nil {
+		r.fields = DefaultPrefixFields
+	}
+	for _, f := range r.fields {
+		r.tries[f] = &refTrie{width: f.Bits()}
+	}
+	return r
+}
+
+// gates lists the (field, plen) consults of a subtable of mask.
+func (r *refClassifier) gates(mask flow.Mask) (fs []flow.FieldID, plens []int) {
+	for _, f := range r.fields {
+		if plen, ok := mask.PrefixLen(f); ok && plen > 0 {
+			fs, plens = append(fs, f), append(plens, plen)
+		}
+	}
+	return fs, plens
+}
+
+func (r *refClassifier) insert(m flow.Match) {
+	fs, plens := r.gates(m.Mask)
+	for i, f := range fs {
+		r.tries[f].insert(m.Key.Get(f), plens[i])
+	}
+}
+
+func (r *refClassifier) remove(m flow.Match) {
+	fs, plens := r.gates(m.Mask)
+	for i, f := range fs {
+		r.tries[f].remove(m.Key.Get(f), plens[i])
+	}
+}
+
+func (r *refClassifier) lookup(c *Classifier, k flow.Key) Result {
+	var wc flow.Mask
+	var best *flowtable.Rule
+	var stats Stats
+	for _, st := range c.subtables {
+		if best != nil && best.Priority > st.maxPriority {
+			break
+		}
+		skip := false
+		fs, plens := r.gates(st.mask)
+		for i, f := range fs {
+			can, check := r.tries[f].lookup(k.Get(f), plens[i])
+			stats.TrieConsults++
+			wc.SetPrefix(f, check)
+			if !can {
+				skip = true
+				break
+			}
+		}
+		if skip {
+			stats.SubtablesSkipped++
+			continue
+		}
+		stats.SubtablesProbed++
+		wc = wc.Union(st.mask)
+		if b := st.rules[st.mask.Apply(k)]; len(b) > 0 && (best == nil || better(b[0], best)) {
+			best = b[0]
+		}
+	}
+	return Result{Rule: best, Megaflow: flow.Match{Key: wc.Apply(k), Mask: wc}, Stats: stats}
+}
+
+// diffFields are the fields the differential rule sets match on: v4 and v6
+// prefix fields, the ports, and two that are never prefix-tracked.
+var diffFields = []flow.FieldID{
+	flow.FieldIPSrc, flow.FieldIPDst, flow.FieldTPSrc, flow.FieldTPDst,
+	flow.FieldIPv6SrcHi, flow.FieldIPv6SrcLo, flow.FieldIPv6DstHi,
+	flow.FieldEthType, flow.FieldCTState,
+}
+
+// diffValue draws a value of f near its base: the base with one of its bits
+// flipped, or its top bits kept and the rest random, so rules and keys share
+// prefixes of every depth.
+func diffValue(rng *rand.Rand, f flow.FieldID, base uint64) uint64 {
+	bits := f.Bits()
+	field := ^uint64(0) >> uint(64-bits)
+	switch rng.Intn(3) {
+	case 0:
+		return base & field
+	case 1:
+		return (base ^ 1<<uint(rng.Intn(bits))) & field
+	default:
+		keep := rng.Intn(bits + 1)
+		top := field &^ (field >> uint(keep))
+		return (base&top | rng.Uint64()&^top) & field
+	}
+}
+
+// diffRule draws a rule over one to three of diffFields: each a prefix of
+// length 0, full width or anything between, or now and then a mask that is
+// no prefix.
+func diffRule(rng *rand.Rand, bases []uint64) flowtable.Rule {
+	var m flow.Match
+	for n := rng.Intn(4); n > 0; n-- {
+		i := rng.Intn(len(diffFields))
+		f, fd := diffFields[i], flow.FieldByID(diffFields[i])
+		m.Key.Set(f, diffValue(rng, f, bases[i]))
+		switch rng.Intn(6) {
+		case 0: // plen 0
+		case 1:
+			m.Mask.SetExact(f)
+		case 2:
+			fd.SetMask(&m.Mask, rng.Uint64()) // no prefix, almost surely
+		default:
+			m.Mask.SetPrefix(f, 1+rng.Intn(f.Bits()))
+		}
+	}
+	m.Normalize()
+	return flowtable.Rule{Match: m, Priority: rng.Intn(4), Action: flowtable.Action{Verdict: flowtable.Verdict(rng.Intn(2))}}
+}
+
+// TestLookupMatchesReference is the differential test of the compiled gates
+// and the path-compressed tries: over random rule sets, with inserts and
+// removes interleaved, every lookup's rule, megaflow key and mask, and
+// stats must equal the reference lookup's exactly.
+func TestLookupMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	configs := []Config{
+		{},
+		{PrefixFields: []flow.FieldID{flow.FieldIPSrc, flow.FieldTPDst, flow.FieldIPv6SrcHi}},
+		{PrefixFields: []flow.FieldID{}},
+	}
+	lookups, consults := 0, 0
+	for trial := 0; trial < 90; trial++ {
+		cfg := configs[trial%len(configs)]
+		var tbl flowtable.Table
+		c, ref := New(cfg), newRefClassifier(cfg)
+		bases := make([]uint64, len(diffFields))
+		for i := range bases {
+			bases[i] = rng.Uint64()
+		}
+		var live []*flowtable.Rule
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				r := install(&tbl, c, diffRule(rng, bases))
+				ref.insert(r.Match)
+				live = append(live, r)
+			case op < 6 && len(live) > 0:
+				i := rng.Intn(len(live))
+				if !c.Remove(live[i]) {
+					t.Fatalf("trial %d: Remove of a live rule failed", trial)
+				}
+				ref.remove(live[i].Match)
+				live = append(live[:i], live[i+1:]...)
+			default:
+				for range 8 {
+					var k flow.Key
+					for i, f := range diffFields {
+						k.Set(f, diffValue(rng, f, bases[i]))
+					}
+					got, want := c.Lookup(k), ref.lookup(c, k)
+					if got.Rule != want.Rule || got.Megaflow != want.Megaflow || got.Stats != want.Stats {
+						t.Fatalf("trial %d step %d: Lookup(%v)\n got %v %v %+v\nwant %v %v %+v\n%s",
+							trial, step, k, got.Rule, got.Megaflow, got.Stats, want.Rule, want.Megaflow, want.Stats, c)
+					}
+					lookups++
+					consults += got.Stats.TrieConsults
+				}
+			}
+		}
+	}
+	t.Logf("%d lookups, %d consults", lookups, consults)
+	if consults < lookups {
+		t.Fatalf("%d trie consults over %d lookups: the rule sets hardly reach the tries", consults, lookups)
+	}
+}

@@ -16,21 +16,42 @@
 // per depth combination across fields.
 package trie
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Trie stores bit-string prefixes of a fixed-width field, MSB first, with
 // reference counts so the same prefix may be inserted by multiple rules.
 // The zero Trie is not usable; construct with New. Trie is not safe for
-// concurrent mutation; the classifier serialises access.
+// concurrent mutation; the classifier serialises access. Lookup, Min, Max
+// and Prefixes only read, so concurrent readers are safe between
+// mutations.
+//
+// The trie is path-compressed, as OVS's trie_node is: a node holds a run
+// of bits, not one bit, so a walk takes one step per branch or stored
+// prefix, not one per bit. The shape is canonical — a node with no
+// terminals has two children, and only the root's run may be empty — so a
+// trie of n distinct prefixes has at most 2n-1 nodes, whatever order they
+// were inserted and removed in.
 type Trie struct {
 	width int
-	root  *node
-	size  int // number of stored (refcounted) prefixes, counting multiplicity
+	root  *node // nil when empty
+	size  int   // number of stored (refcounted) prefixes, counting multiplicity
 }
 
+// node is one run of the trie. prefix is the whole path from the root to
+// the run's end, left-aligned in the word (bit 63 is the field's MSB) and
+// zero past end; the run itself is its bits from the parent's end to end.
+// Keeping the whole path, not the run alone, lets Lookup compare a run
+// with one XOR against the left-aligned value, with no shift per step, and
+// lets Min, Max and Prefixes read a prefix off the node it ends at.
+// child[b] continues with bit end = b.
 type node struct {
+	prefix    uint64
 	child     [2]*node
-	terminals int // prefixes ending exactly here
+	terminals int32 // prefixes ending exactly at end
+	end       uint8 // path length in bits: the depth the run ends at
 }
 
 // New returns an empty trie over a field of the given width in bits
@@ -39,7 +60,7 @@ func New(width int) *Trie {
 	if width < 1 || width > 64 {
 		panic(fmt.Sprintf("trie: invalid field width %d", width))
 	}
-	return &Trie{width: width, root: &node{}}
+	return &Trie{width: width}
 }
 
 // Width returns the field width the trie was built for.
@@ -48,9 +69,19 @@ func (t *Trie) Width() int { return t.width }
 // Len returns the number of stored prefixes, counting multiplicity.
 func (t *Trie) Len() int { return t.size }
 
-// bitOf extracts bit i (0 = MSB of the field) of a right-aligned value.
-func (t *Trie) bitOf(value uint64, i int) int {
-	return int(value >> uint(t.width-1-i) & 1)
+// align left-aligns a right-aligned field value, bits above the field
+// width dropped.
+func (t *Trie) align(value uint64) uint64 { return value << uint(64-t.width) }
+
+// top keeps the first n bits of a left-aligned word (n in 0..64).
+func top(v uint64, n int) uint64 { return v &^ (^uint64(0) >> uint(n)) }
+
+// bitAt is bit i (0 = MSB) of a left-aligned word, i < 64.
+func bitAt(v uint64, i int) int { return int(v >> uint(63-i) & 1) }
+
+// common is how many leading bits v shares with n's path, at most n.end.
+func (n *node) common(v uint64) int {
+	return min(bits.LeadingZeros64(v^n.prefix), int(n.end))
 }
 
 func (t *Trie) checkPlen(plen int) {
@@ -61,51 +92,78 @@ func (t *Trie) checkPlen(plen int) {
 
 // Insert adds the plen-bit prefix of value. Bits of value below the prefix
 // are ignored. Inserting the same prefix twice increments its reference
-// count.
+// count. A prefix that ends inside a run, or leaves it early, splits it.
 func (t *Trie) Insert(value uint64, plen int) {
 	t.checkPlen(plen)
-	n := t.root
-	for i := 0; i < plen; i++ {
-		b := t.bitOf(value, i)
-		if n.child[b] == nil {
-			n.child[b] = &node{}
+	v := top(t.align(value), plen)
+	p := &t.root
+	for {
+		n := *p
+		if n == nil {
+			*p = &node{prefix: v, end: uint8(plen), terminals: 1}
+			break
 		}
-		n = n.child[b]
+		if c := min(n.common(v), plen); c < int(n.end) {
+			// The new prefix ends or diverges inside n's run: split the run
+			// at c, n keeping the part past the split.
+			m := &node{prefix: top(v, c), end: uint8(c)}
+			m.child[bitAt(n.prefix, c)] = n
+			*p, n = m, m
+		}
+		if int(n.end) == plen {
+			n.terminals++
+			break
+		}
+		p = &n.child[bitAt(v, int(n.end))]
 	}
-	n.terminals++
 	t.size++
 }
 
-// Remove drops one reference to the plen-bit prefix of value, pruning nodes
-// that become empty. It reports whether the prefix was present.
+// Remove drops one reference to the plen-bit prefix of value, reporting
+// whether the prefix was present. A node left with no terminals is pruned
+// when it has no children and merged into its child when it has one,
+// which may in turn leave its parent to merge: the shape stays canonical.
 func (t *Trie) Remove(value uint64, plen int) bool {
 	t.checkPlen(plen)
-	path := make([]*node, 0, plen+1)
-	n := t.root
-	path = append(path, n)
-	for i := 0; i < plen; i++ {
-		b := t.bitOf(value, i)
-		if n.child[b] == nil {
+	v := top(t.align(value), plen)
+	var up **node // the slot holding the parent of *p
+	p := &t.root
+	for {
+		n := *p
+		if n == nil || int(n.end) > plen || n.common(v) < int(n.end) {
 			return false
 		}
-		n = n.child[b]
-		path = append(path, n)
+		if int(n.end) == plen {
+			break
+		}
+		up, p = p, &n.child[bitAt(v, int(n.end))]
 	}
+	n := *p
 	if n.terminals == 0 {
 		return false
 	}
 	n.terminals--
 	t.size--
-	// Prune childless, terminal-free nodes bottom-up.
-	for i := len(path) - 1; i > 0; i-- {
-		cur := path[i]
-		if cur.terminals > 0 || cur.child[0] != nil || cur.child[1] != nil {
-			break
-		}
-		b := t.bitOf(value, i-1)
-		path[i-1].child[b] = nil
+	if n.terminals > 0 || n.child[0] != nil && n.child[1] != nil {
+		return true
+	}
+	if c := n.only(); c != nil {
+		*p = c // a child's path already spells n's run out
+		return true
+	}
+	*p = nil
+	if up != nil && (*up).terminals == 0 {
+		*up = (*up).only() // the parent branched here and now has one child
 	}
 	return true
+}
+
+// only returns n's child when it has at most one, nil when it has none.
+func (n *node) only() *node {
+	if n.child[0] != nil {
+		return n.child[0]
+	}
+	return n.child[1]
 }
 
 // Result is the outcome of a Lookup.
@@ -125,23 +183,38 @@ type Result struct {
 // Lookup asks whether a stored prefix of length plen matches value,
 // reporting how many leading bits of value were examined.
 //
-// The walk follows value's bits from the root. If it reaches depth plen, a
-// terminal there answers CanMatch=true with plen bits examined. If the walk
-// falls off the trie at depth d < plen, no stored prefix of length >= d+1
-// agrees with value, so CanMatch=false after examining d+1 bits — the
-// divergence depth the attack manipulates.
+// The answer is the one-bit-per-step walk's: follow value's bits from the
+// root; if the walk reaches depth plen, a terminal there answers
+// CanMatch=true with plen bits examined; if it falls off the trie at depth
+// d < plen, no stored prefix of length >= d+1 agrees with value, so
+// CanMatch=false after examining d+1 bits — the divergence depth the
+// attack manipulates. Here a step takes a whole run: one XOR and a
+// leading-zero count find where value leaves it. Depth plen reached inside
+// a run is a path no stored prefix ends on: CanMatch=false, plen bits.
 func (t *Trie) Lookup(value uint64, plen int) Result {
 	t.checkPlen(plen)
+	v := t.align(value)
 	n := t.root
-	for i := 0; i < plen; i++ {
-		b := t.bitOf(value, i)
-		next := n.child[b]
-		if next == nil {
-			return Result{CanMatch: false, CheckBits: i + 1}
-		}
-		n = next
+	if n == nil {
+		return Result{CheckBits: min(plen, 1)}
 	}
-	return Result{CanMatch: n.terminals > 0, CheckBits: plen}
+	for {
+		c := n.common(v)
+		if c >= plen {
+			return Result{CanMatch: int(n.end) == plen && n.terminals > 0, CheckBits: plen}
+		}
+		if c < int(n.end) {
+			return Result{CheckBits: c + 1}
+		}
+		if n = n.child[bitAt(v, c)]; n == nil {
+			return Result{CheckBits: c + 1}
+		}
+	}
+}
+
+// prefixOf is the stored prefix that ends at n.
+func (t *Trie) prefixOf(n *node) Prefix {
+	return Prefix{Value: n.prefix >> uint(64-t.width), Len: int(n.end), Count: int(n.terminals)}
 }
 
 // Min returns the first stored prefix in Prefixes() order — the one with
@@ -151,48 +224,34 @@ func (t *Trie) Lookup(value uint64, plen int) Result {
 // per-subtable ports range filter consults on every burst.
 func (t *Trie) Min() (Prefix, bool) {
 	n := t.root
-	value, depth := uint64(0), 0
-	for {
-		if n.terminals > 0 {
-			return Prefix{Value: value << uint(t.width-depth), Len: depth, Count: n.terminals}, true
-		}
-		switch {
-		case n.child[0] != nil:
-			n = n.child[0]
-			value <<= 1
-		case n.child[1] != nil:
-			n = n.child[1]
-			value = value<<1 | 1
-		default:
-			return Prefix{}, false // only reachable on an empty trie
-		}
-		depth++
+	if n == nil {
+		return Prefix{}, false
 	}
+	for n.terminals == 0 {
+		n = n.only() // a terminal-free node branches: child 0 is there
+	}
+	return t.prefixOf(n), true
 }
 
 // Max returns the last stored prefix in Prefixes() order — the one with
 // the lexicographically largest bit string — and false when the trie is
 // empty. See Min.
 func (t *Trie) Max() (Prefix, bool) {
-	if t.size == 0 {
+	n := t.root
+	if n == nil {
 		return Prefix{}, false
 	}
-	n := t.root
-	value, depth := uint64(0), 0
 	for {
 		switch {
 		case n.child[1] != nil:
 			n = n.child[1]
-			value = value<<1 | 1
 		case n.child[0] != nil:
 			n = n.child[0]
-			value <<= 1
 		default:
 			// Deepest node on the rightmost path; pruning guarantees it
 			// carries a terminal.
-			return Prefix{Value: value << uint(t.width-depth), Len: depth, Count: n.terminals}, true
+			return t.prefixOf(n), true
 		}
-		depth++
 	}
 }
 
@@ -200,18 +259,18 @@ func (t *Trie) Max() (Prefix, bool) {
 // lexicographic order, for diagnostics and tests.
 func (t *Trie) Prefixes() []Prefix {
 	var out []Prefix
-	var walk func(n *node, value uint64, depth int)
-	walk = func(n *node, value uint64, depth int) {
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n == nil {
+			return
+		}
 		if n.terminals > 0 {
-			out = append(out, Prefix{Value: value << uint(t.width-depth), Len: depth, Count: n.terminals})
+			out = append(out, t.prefixOf(n))
 		}
-		for b := 0; b < 2; b++ {
-			if c := n.child[b]; c != nil {
-				walk(c, value<<1|uint64(b), depth+1)
-			}
-		}
+		walk(n.child[0])
+		walk(n.child[1])
 	}
-	walk(t.root, 0, 0)
+	walk(t.root)
 	return out
 }
 

@@ -1,7 +1,10 @@
 package trie
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -183,6 +186,21 @@ func (r *reference) insert(v uint64, plen int) {
 	r.prefixes = append(r.prefixes, Prefix{Value: v, Len: plen, Count: 1})
 }
 
+// remove drops one reference to the plen-bit prefix of v, reporting whether
+// it was stored.
+func (r *reference) remove(v uint64, plen int) bool {
+	v = topBits(v, plen, r.width)
+	for j := range r.prefixes {
+		if r.prefixes[j].Value == v && r.prefixes[j].Len == plen {
+			if r.prefixes[j].Count--; r.prefixes[j].Count == 0 {
+				r.prefixes = append(r.prefixes[:j], r.prefixes[j+1:]...)
+			}
+			return true
+		}
+	}
+	return false
+}
+
 func topBits(v uint64, plen, width int) uint64 {
 	if plen == 0 {
 		return 0
@@ -252,15 +270,7 @@ func TestTrieMatchesReference(t *testing.T) {
 			if !tr.Remove(s.v, s.plen) {
 				t.Fatalf("step %d: Remove(%#x/%d) failed", step, s.v, s.plen)
 			}
-			for j := range ref.prefixes {
-				if ref.prefixes[j].Value == topBits(s.v, s.plen, width) && ref.prefixes[j].Len == s.plen {
-					ref.prefixes[j].Count--
-					if ref.prefixes[j].Count == 0 {
-						ref.prefixes = append(ref.prefixes[:j], ref.prefixes[j+1:]...)
-					}
-					break
-				}
-			}
+			ref.remove(s.v, s.plen)
 			live = append(live[:i], live[i+1:]...)
 		default: // lookup
 			v := rng.Uint64() & 0xffff
@@ -378,4 +388,106 @@ func TestMinMaxSamePlen(t *testing.T) {
 	if mn.Value != 0x0010&^0xf || mx.Value != 0xfff0 {
 		t.Fatalf("min/max = %#x/%#x, want 0x0010/0xfff0", mn.Value, mx.Value)
 	}
+}
+
+// nodeCount is the number of nodes of tr.
+func nodeCount(tr *Trie) int {
+	var count func(n *node) int
+	count = func(n *node) int {
+		if n == nil {
+			return 0
+		}
+		return 1 + count(n.child[0]) + count(n.child[1])
+	}
+	return count(tr.root)
+}
+
+// checkAgainstReference holds every read of tr to ref's answer: Len,
+// Prefixes (in order), Min, Max, Lookup of v at every plen, and the node
+// bound of a canonical shape.
+func checkAgainstReference(t *testing.T, tr *Trie, ref *reference, v uint64) {
+	t.Helper()
+	// Prefixes' order: by bit string (values are zero past Len, so the
+	// first differing bit decides), a prefix before its extensions.
+	want := slices.Clone(ref.prefixes)
+	slices.SortFunc(want, func(a, b Prefix) int {
+		return cmp.Or(cmp.Compare(a.Value, b.Value), cmp.Compare(a.Len, b.Len))
+	})
+	n := 0
+	for _, p := range want {
+		n += p.Count
+	}
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, reference %d", tr.Len(), n)
+	}
+	if got := tr.Prefixes(); !slices.Equal(got, want) {
+		t.Fatalf("Prefixes = %v, reference %v", got, want)
+	}
+	mn, okMin := tr.Min()
+	mx, okMax := tr.Max()
+	if okMin != (len(want) > 0) || okMax != (len(want) > 0) {
+		t.Fatalf("Min ok=%v Max ok=%v over %d prefixes", okMin, okMax, len(want))
+	}
+	if len(want) > 0 && (mn != want[0] || mx != want[len(want)-1]) {
+		t.Fatalf("Min = %v, Max = %v, reference %v and %v", mn, mx, want[0], want[len(want)-1])
+	}
+	for plen := 0; plen <= tr.Width(); plen++ {
+		if got, exp := tr.Lookup(v, plen), ref.lookup(v, plen); got != exp {
+			t.Fatalf("Lookup(%#x, %d) = %+v, reference %+v\nstore: %v", v, plen, got, exp, want)
+		}
+	}
+	if nodes := nodeCount(tr); nodes > 2*len(want)+1 {
+		t.Fatalf("%d nodes for %d distinct prefixes: the shape is not canonical", nodes, len(want))
+	}
+}
+
+// FuzzTrie drives an insert/remove/lookup op stream through a trie and the
+// bit-per-bit reference, checking every read after every op. The first
+// byte picks the width (1..64); each op is ten bytes: the op, a prefix
+// length, and a big-endian value. Op%4 is 0 or 1: insert; 2: remove one of
+// the stored prefixes (picked by the value) or, on an empty store, the
+// given one; 3: remove the given prefix, which is usually absent.
+func FuzzTrie(f *testing.F) {
+	seed := func(width byte, ops ...[3]uint64) []byte {
+		b := []byte{width - 1}
+		for _, op := range ops {
+			b = append(b, byte(op[0]), byte(op[1]))
+			b = binary.BigEndian.AppendUint64(b, op[2])
+		}
+		return b
+	}
+	f.Add(seed(8, [3]uint64{0, 8, 0x0a}, [3]uint64{0, 3, 0x00}, [3]uint64{0, 8, 0x0b}, [3]uint64{2, 0, 0}, [3]uint64{3, 8, 0x0b}))
+	f.Add(seed(32, [3]uint64{0, 8, 0x0a000000}, [3]uint64{0, 16, 0x0a010000}, [3]uint64{0, 0, 0}, [3]uint64{0, 32, 0xffffffff},
+		[3]uint64{2, 0, 1}, [3]uint64{2, 0, 0}, [3]uint64{0, 24, 0x0a010100}))
+	f.Add(seed(64, [3]uint64{0, 64, 1 << 63}, [3]uint64{0, 64, 1<<63 | 1}, [3]uint64{0, 1, 1 << 63}, [3]uint64{0, 63, 0},
+		[3]uint64{2, 0, 0}, [3]uint64{2, 0, 0}, [3]uint64{3, 64, 1 << 63}))
+	f.Add(seed(16, [3]uint64{0, 16, 0x5550}, [3]uint64{1, 12, 0x5550}, [3]uint64{0, 12, 0x0010}, [3]uint64{0, 4, 0xf000},
+		[3]uint64{2, 0, 3}, [3]uint64{2, 0, 2}, [3]uint64{2, 0, 1}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		width := 1 + int(data[0]%64)
+		tr, ref := New(width), &reference{width: width}
+		field := ^uint64(0) >> uint(64-width)
+		for data = data[1:]; len(data) >= 10; data = data[10:] {
+			plen, v := int(data[1])%(width+1), binary.BigEndian.Uint64(data[2:10])&field
+			switch op := data[0] % 4; {
+			case op < 2:
+				tr.Insert(v, plen)
+				ref.insert(v, plen)
+			case op == 2 && len(ref.prefixes) > 0:
+				p := ref.prefixes[v%uint64(len(ref.prefixes))]
+				if !tr.Remove(p.Value, p.Len) {
+					t.Fatalf("Remove(%#x/%d) of a stored prefix = false", p.Value, p.Len)
+				}
+				ref.remove(p.Value, p.Len)
+			default:
+				if got, want := tr.Remove(v, plen), ref.remove(v, plen); got != want {
+					t.Fatalf("Remove(%#x/%d) = %v, reference %v", v, plen, got, want)
+				}
+			}
+			checkAgainstReference(t, tr, ref, v)
+		}
+	})
 }
