@@ -274,7 +274,7 @@ func Inner() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sym := range []string{"cache.(*Megaflow).LookupBatch", "cache.(*Megaflow).scan", "cache.(*gathered).load", "dataplane.(*Switch).ProcessFrames", "pkt.ExtractHashBatch"} {
+	for _, sym := range []string{"cache.(*Megaflow).LookupBatch", "cache.(*Megaflow).scan", "cache.(*gathered).load", "dataplane.(*Switch).ProcessFrames", "dataplane.(*Switch).walk", "pkt.ExtractHashBatch"} {
 		if !slices.Contains(got, sym) {
 			t.Errorf("the repository's hot functions %q lack %s", got, sym)
 		}

@@ -68,12 +68,15 @@ type settings struct {
 
 // innerSymbols are hot functions that no //lint:hotpath marks, whose
 // alignment the analysis reports beside the roots': the megaflow sweep, its
-// scan loop and the gather that feeds it, and the burst path that calls them.
+// scan loop and the gather that feeds it, and the burst path that calls
+// them — the frame pipeline, the run pass and the tier walk.
 var innerSymbols = []string{
 	"cache.(*Megaflow).scan",
 	"cache.(*Megaflow).sweep",
 	"cache.(*gathered).load",
 	"dataplane.(*Switch).processFrames",
+	"dataplane.(*Switch).processBatch",
+	"dataplane.(*Switch).walk",
 }
 
 // hotSymbols names the functions whose alignment the analysis reports for a

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"bytes"
 	"net/netip"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"policyinject/internal/dataplane"
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
+	"policyinject/internal/pkt"
 )
 
 // installACL compiles the attack ACL into a fresh switch.
@@ -212,6 +214,69 @@ func TestFramesBuildAndParse(t *testing.T) {
 	}
 	if sw.Megaflow().NumMasks() != 8 {
 		t.Fatalf("frame path injected %d masks", sw.Megaflow().NumMasks())
+	}
+}
+
+// TestFramesMatchBuilder pins Frames' patched template to the builder:
+// every frame is byte for byte pkt.BuildTuple of the matching key of Keys,
+// on every preset, both transports, ICMP, custom addresses and a frame too
+// short for its headers. A frame owns its bytes: appending to one must not
+// reach the next.
+func TestFramesMatchBuilder(t *testing.T) {
+	udp := TwoField()
+	udp.Proto = pkt.ProtoUDP
+	custom := ThreeField()
+	custom.SrcIP, custom.DstIP = netip.MustParseAddr("192.0.2.7"), netip.MustParseAddr("198.51.100.9")
+	customV6 := V6TwoField()
+	customV6.SrcIP, customV6.DstIP = netip.MustParseAddr("2001:db8:aa::1"), netip.MustParseAddr("2001:db8:bb::2")
+	customV6.Proto, customV6.FrameLen = pkt.ProtoUDP, 128
+	icmp := &Attack{Proto: pkt.ProtoICMP, Fields: []TargetField{
+		{Field: flow.FieldIPDst, Allow: 0xac100002, Width: 24},
+		{Field: flow.FieldTPSrc, Allow: 8, Width: 8},
+	}}
+	for name, a := range map[string]*Attack{
+		"single": SingleField(), "two": TwoField(), "three": ThreeField(), "v6two": V6TwoField(),
+		"udp": udp, "custom-addrs": custom, "custom-v6-udp": customV6, "icmp": icmp,
+	} {
+		t.Run(name, func(t *testing.T) {
+			keys, err := a.Keys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, err := a.Frames()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(frames) != len(keys) {
+				t.Fatalf("%d frames for %d keys", len(frames), len(keys))
+			}
+			_, _, _, flen := a.defaults()
+			for i, k := range keys {
+				want, err := pkt.BuildTuple(k.Tuple(), flen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(frames[i], want) {
+					t.Fatalf("frame %d:\n got %x\nwant %x", i, frames[i], want)
+				}
+				if cap(frames[i]) != len(frames[i]) {
+					t.Fatalf("frame %d: cap %d > len %d: an append would overwrite frame %d", i, cap(frames[i]), len(frames[i]), i+1)
+				}
+			}
+		})
+	}
+}
+
+// TestFramesAllocateOnce pins the covert stream's allocations to a few,
+// not one a frame: the 8 192 frames share one backing array.
+func TestFramesAllocateOnce(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := ThreeField().Frames(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("Frames allocates %.0f times for 8192 frames, want a few", allocs)
 	}
 }
 

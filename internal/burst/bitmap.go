@@ -116,7 +116,9 @@ func (b *Bitmap) Deal(keys []uint64, shift uint, mask uint64) []Bitmap {
 
 // Words exposes the backing words (64 indices per word, LSB first) for
 // allocation-free iteration in hot sweeps. Callers may clear bits via
-// Clear while iterating a snapshot word but must not resize the bitmap.
+// Clear while iterating a snapshot word, or store whole words (a word's
+// bits assembled in a register and written once), but must not resize
+// the bitmap.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
 // ForEach calls fn for every set index in ascending order. fn may clear

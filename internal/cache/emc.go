@@ -221,15 +221,17 @@ func (e *EMC) LookupBatch(keys []flow.Key, hashes []uint64, now uint64, ents []*
 	}
 	words := miss.Words()
 	for wi := range words {
-		w := words[wi]
+		w, hit := words[wi], uint64(0)
 		for w != 0 {
 			i := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
+			b := w & -w
+			w ^= b
 			if f, ok := e.lookup(&keys[i], hashes[i], now); ok {
 				ents[i] = f
-				miss.Clear(i)
+				hit |= b
 			}
 		}
+		words[wi] &^= hit // the word's hits leave the miss set in one store
 	}
 }
 

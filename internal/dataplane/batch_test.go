@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"policyinject/internal/acl"
@@ -10,6 +11,7 @@ import (
 	"policyinject/internal/conntrack"
 	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
+	"policyinject/internal/pkt"
 
 	"net/netip"
 )
@@ -257,5 +259,136 @@ func TestSMCForcesProbabilisticEMCInsertion(t *testing.T) {
 		WithSMC(cache.SMCConfig{Entries: 1 << 12})))
 	if explicit != 64 {
 		t.Fatalf("explicit InsertProb=1 cached %d/64 flows, want all", explicit)
+	}
+}
+
+// TestBatchWordBoundaries checks processBatch's word-at-a-time bookkeeping
+// — the run pass assembling the miss bitmap a 64-key word at a time, the
+// tier walk billing each pass's hits per word — against the sequential
+// ProcessKey loop, on bursts of 1 to 256 keys whose same-flow runs start
+// at, end at and span the word boundaries 63/64 and 127/128. Each burst
+// walks cold (upcalls), warm (top-tier hits) and half warm (every other
+// run a new flow its neighbour's megaflow covers), so one walk bills hits
+// on several tiers across several words. Within a burst a promotion that
+// displaces another flow's cache slot takes effect in walk order, not
+// packet order (ProcessFrames' visibility rule), so the SMC is sized far
+// past the burst for its fingerprint slots not to collide.
+func TestBatchWordBoundaries(t *testing.T) {
+	layouts := map[string][]int{ // run starts beyond index 0
+		"singles":   nil, // every key its own run
+		"one-run":   {},
+		"at-bounds": {1, 62, 63, 64, 65, 127, 128, 129},
+		"spanning":  {60, 70, 120, 135},
+	}
+	for _, h := range []struct {
+		name string
+		opts []Option
+	}{
+		{"emc+tss", nil},
+		{"smc+tss", []Option{WithoutEMC(), WithSMC(cache.SMCConfig{Entries: 1 << 20})}},
+	} {
+		for lname, cuts := range layouts {
+			for _, n := range []int{1, 63, 64, 65, 128, 129, 256} {
+				t.Run(fmt.Sprintf("%s/%s/%d", h.name, lname, n), func(t *testing.T) {
+					seqSW, batchSW := aclSwitch(h.opts...), aclSwitch(h.opts...)
+					var fb FrameBatch
+					var batchOut []Decision
+					for round := 0; round < 3; round++ {
+						keys := boundaryBurst(n, cuts, round)
+						now := uint64(round + 1)
+						batchOut = batchSW.ProcessFrames(now, keyBurst(&fb, keys), batchOut)
+						seq := make([]Decision, n)
+						for i := range keys {
+							seq[i] = seqSW.ProcessKey(now, fb.Key(i))
+						}
+						batchEq(t, fmt.Sprintf("round %d", round), seq, batchOut, seqSW, batchSW)
+					}
+				})
+			}
+		}
+	}
+}
+
+// boundaryBurst lays n keys out in same-flow runs starting at 0 and at
+// every cut below n (nil cuts: every key its own run). Run r carries flow
+// r, a distinct key per run, allowed (10/8) or denied by turns; from round
+// 2 on, every other run carries a new flow of its allowance instead, which
+// misses the exact-match tiers and hits the megaflow the round before
+// installed.
+func boundaryBurst(n int, cuts []int, round int) []flow.Key {
+	keys := make([]flow.Key, n)
+	r := 0
+	for i := range keys {
+		if i > 0 && (cuts == nil || slices.Contains(cuts, i)) {
+			r++
+		}
+		src := uint64(0x0a000000 + r)
+		if r%3 == 2 {
+			src = uint64(0xc0a80000 + r)
+		}
+		dport := uint64(80)
+		if round >= 2 && r%2 == 1 {
+			dport = 8080
+		}
+		keys[i] = tcpKey(src, 0x0a000002, uint64(1024+r), dport)
+	}
+	return keys
+}
+
+// TestPortCountersMatchOneFrameLoop checks processFrames' per-stretch port
+// tallies against the one-frame loop on a burst that changes in-port
+// mid-burst, returns to an earlier port, visits a port the switch does not
+// have and carries a truncated frame: all six counters of every port, and
+// the switch counters, must match Process frame by frame.
+func TestPortCountersMatchOneFrameLoop(t *testing.T) {
+	build := func() *Switch {
+		sw := aclSwitch()
+		sw.AddPort(1, "p1")
+		sw.AddPort(2, "p2")
+		return sw
+	}
+	seqSW, batchSW := build(), build()
+	var fb FrameBatch
+	for i := 0; i < 70; i++ {
+		src := uint64(0x0a000001 + i%4) // allowed
+		if i%5 == 0 {
+			src = 0xc0a80001 // denied
+		}
+		frame, err := pkt.BuildTuple(tcpKey(src, 0x0a000002, uint64(2000+i%4), 80).Tuple(), 64+i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		port := uint32(1)
+		switch {
+		case i >= 20 && i < 35:
+			port = 2
+		case i >= 35 && i < 40:
+			port = 9 // no such port
+		}
+		if i == 25 || i == 37 {
+			frame = frame[:20] // truncated IPv4 header
+		}
+		fb.Append(frame, port)
+	}
+	for round := uint64(1); round <= 2; round++ {
+		batchSW.ProcessFrames(round, &fb, nil)
+		for i, f := range fb.Frames {
+			_, err := seqSW.Process(round, fb.InPorts[i], f)
+			if (err != nil) != (i == 25 || i == 37) {
+				t.Fatalf("frame %d: parse error %v", i, err)
+			}
+		}
+	}
+	for _, id := range []uint32{1, 2} {
+		if a, b := *seqSW.Port(id), *batchSW.Port(id); a != b {
+			t.Fatalf("port %d diverges:\n one-frame %+v\n burst     %+v", id, a, b)
+		}
+	}
+	if p := batchSW.Port(2); p.RxErrors != 2 || p.RxDropped <= p.RxErrors || p.TxPackets == 0 {
+		t.Fatalf("port 2 did not see errors, drops and transmits: %+v", *p)
+	}
+	a, b := seqSW.Counters(), batchSW.Counters()
+	if a.Packets != b.Packets || a.ParseError != b.ParseError || a.Allowed != b.Allowed || a.Denied != b.Denied {
+		t.Fatalf("switch counters diverge:\n one-frame %+v\n burst     %+v", a, b)
 	}
 }

@@ -266,7 +266,6 @@ type batchScratch struct {
 	ents   []*cache.Entry
 	costs  []int
 	runs   []int // start index of each same-key run, ascending, then the burst length
-	hits   []int // indices resolved by the current tier pass
 	miss   burst.Bitmap
 	prev   burst.Bitmap
 }
@@ -571,13 +570,23 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 	// elephant-flow burst) enters the tier walk once, through its first
 	// key; the copies are settled against the warm cache afterwards. Where
 	// the hash pass has run, unequal hashes tell two keys apart without the
-	// 80-byte compare. Run ri is keys[runs[ri]:runs[ri+1]].
+	// 80-byte compare. Run ri is keys[runs[ri]:runs[ri+1]]. The same pass
+	// marks the heads in the miss bitmap, each 64-key word assembled in a
+	// register and stored once.
+	bs.miss.Reset(n)
+	words := bs.miss.Words()
 	bs.runs = append(bs.runs, 0)
+	w := uint64(1)
 	for i := 1; i < n; i++ {
+		if i&63 == 0 {
+			words[i>>6-1], w = w, 0
+		}
 		if (hashes != nil && hashes[i] != hashes[i-1]) || keys[i] != keys[i-1] {
 			bs.runs = append(bs.runs, i)
+			w |= 1 << uint(i&63)
 		}
 	}
+	words[(n-1)>>6] = w
 	heads := bs.runs
 	bs.runs = append(bs.runs, n)
 
@@ -596,20 +605,22 @@ func (s *Switch) processBatch(now uint64, keys []flow.Key, hashes []uint64, out 
 		hashes = bs.hashes
 	}
 
-	// The run heads walk the tiers as one burst, then settle in input order.
-	bs.miss.Reset(n)
-	for _, r := range heads {
-		bs.miss.Set(r)
-		bs.ents[r] = nil
-		bs.costs[r] = 0
-	}
+	// The run heads walk the tiers as one burst, then settle in input
+	// order; their verdicts are counted in a register and stored once.
+	clear(bs.ents)
+	clear(bs.costs)
 	s.walk(now, keys, hashes, out)
+	allowed := 0
 	for _, r := range heads {
 		if out[r].Verdict.Recirc {
 			s.recirculate(now, &keys[r], &out[r])
 		}
-		s.account(out[r].Verdict)
+		if out[r].Verdict.Verdict == flowtable.Allow {
+			allowed++
+		}
 	}
+	s.counters.Allowed += uint64(allowed)
+	s.counters.Denied += uint64(len(heads) - allowed)
 
 	// Settle the runs: every non-representative copy classifies against
 	// the cache its run's first key just warmed.
@@ -664,18 +675,26 @@ func (s *Switch) walk(now uint64, keys []flow.Key, hashes []uint64, out []Decisi
 			// time of the LookupBatch (or key-by-key) pass alone.
 			s.tel.tierNs[ti].Record(telemetry.Clock() - tierStart)
 		}
-		// Bill and promote this pass's hits (prev &^ miss): a hit on tier
-		// ti installs into tiers [0, ti) — none for the top tier.
-		bs.hits = bs.prev.AndNot(&bs.miss, bs.hits[:0])
-		if ti == 0 {
-			top = len(bs.hits)
-		}
-		for _, i := range bs.hits {
-			s.tierHits[ti]++
-			if ti > 0 {
-				s.promote(keys, hashes, i, bs.ents[i], ti)
+		// Bill and promote this pass's hits (prev &^ miss), a word at a
+		// time: a hit on tier ti installs into tiers [0, ti) — none for the
+		// top tier — and the pass's popcount is billed once.
+		path, hits := t.Path(), 0
+		prev, miss := bs.prev.Words(), bs.miss.Words()
+		for wi := range prev {
+			w := prev[wi] &^ miss[wi]
+			hits += bits.OnesCount64(w)
+			for w != 0 {
+				i := wi<<6 + bits.TrailingZeros64(w)
+				w &= w - 1
+				if ti > 0 {
+					s.promote(keys, hashes, i, bs.ents[i], ti)
+				}
+				out[i] = Decision{Verdict: bs.ents[i].Verdict, Path: path, MasksScanned: bs.costs[i]}
 			}
-			out[i] = Decision{Verdict: bs.ents[i].Verdict, Path: t.Path(), MasksScanned: bs.costs[i]}
+		}
+		s.tierHits[ti] += uint64(hits)
+		if ti == 0 {
+			top = hits
 		}
 	}
 

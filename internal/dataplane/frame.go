@@ -133,8 +133,11 @@ func denyDecision() Decision {
 // is probed once per run in the same sweep, so the second run does not see
 // the first's promotions and may answer from a lower tier than a Process
 // loop would (the verdict is identical either way). This is the visibility
-// rule of OVS's dp_packet_batch processing; exact batch==sequential
-// equivalence holds for bursts whose duplicate flows are consecutive.
+// rule of OVS's dp_packet_batch processing. By the same rule a promotion
+// that displaces another flow of the burst from a shared cache slot (an
+// SMC fingerprint, an EMC way) takes effect in walk order, not packet
+// order. Exact batch==sequential equivalence holds for bursts whose
+// duplicate flows are consecutive and whose flows share no cache slot.
 //
 //lint:hotpath
 func (s *Switch) ProcessFrames(now uint64, fb *FrameBatch, out []Decision) []Decision {
@@ -188,30 +191,50 @@ func (s *Switch) processFrames(now uint64, fb *FrameBatch, out []Decision) []Dec
 		}
 	}
 
-	// Port counters, one pass: a port is resolved once per frame, and only
-	// where the in-port changes — a burst comes off one rx queue.
-	id := fb.InPorts[0]
-	p := s.ports[id]
+	// Port counters, one pass: each stretch of frames from one in-port is
+	// tallied in registers and settled into its port once, where the
+	// in-port changes and at the end — a burst comes off one rx queue.
+	id, from := fb.InPorts[0], 0
+	var t portTally
 	for i, frame := range fb.Frames {
 		if fb.InPorts[i] != id {
-			id = fb.InPorts[i]
-			p = s.ports[id]
+			t.settle(s.ports[id], i-from)
+			id, from, t = fb.InPorts[i], i, portTally{}
 		}
-		if p == nil {
-			continue
-		}
-		p.RxPackets++
-		p.RxBytes += uint64(len(frame))
-		switch {
-		case errs[i] != nil:
-			p.RxErrors++
-			p.RxDropped++
-		case out[i].Verdict.Verdict == flowtable.Allow:
-			p.TxPackets++
-			p.TxBytes += uint64(len(frame))
-		default:
-			p.RxDropped++
-		}
+		t = t.add(len(frame), errs[i] != nil, out[i].Verdict.Verdict == flowtable.Allow)
 	}
+	t.settle(s.ports[id], n-from)
 	return out
+}
+
+// portTally is one in-port's stretch of a burst in the port counters'
+// terms. Its frame count is the stretch's length and every frame it did
+// not transmit it dropped, so four fields carry the six counters.
+type portTally struct{ rxBytes, rxErrors, txPackets, txBytes uint64 }
+
+// add counts one frame of size bytes: malformed, or else allowed out.
+func (t portTally) add(size int, malformed, allowed bool) portTally {
+	t.rxBytes += uint64(size)
+	switch {
+	case malformed:
+		t.rxErrors++
+	case allowed:
+		t.txPackets++
+		t.txBytes += uint64(size)
+	}
+	return t
+}
+
+// settle adds the tally of a stretch of n frames to port p; an unknown
+// in-port (nil) counts nothing.
+func (t portTally) settle(p *Port, n int) {
+	if p == nil {
+		return
+	}
+	p.RxPackets += uint64(n)
+	p.RxBytes += t.rxBytes
+	p.RxErrors += t.rxErrors
+	p.RxDropped += uint64(n) - t.txPackets
+	p.TxPackets += t.txPackets
+	p.TxBytes += t.txBytes
 }
