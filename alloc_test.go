@@ -14,6 +14,7 @@ import (
 	"policyinject/internal/cache"
 	"policyinject/internal/dataplane"
 	"policyinject/internal/flow"
+	"policyinject/internal/flowtable"
 	"policyinject/internal/pkt"
 	"policyinject/internal/telemetry"
 	"policyinject/internal/traffic"
@@ -30,7 +31,10 @@ import (
 // of the caller's own miss bitmap: concurrent callers share the wrapper, so
 // it cannot live there) to the same zero. The emc-thrash leg sends 256 flows
 // through a 64-entry always-insert EMC, so every burst inserts and evicts: the
-// cache's slots are its own storage, reused in place. The victim-emc-malformed
+// cache's slots are its own storage, reused in place. The smc-thrash leg sends
+// 1 024 flows, each under a megaflow of its own, through a 64-entry EMC and a
+// 256-entry SMC, so every burst overwrites SMC slots with other entries and
+// frees and reuses their refs. The victim-emc-malformed
 // leg cuts one frame of the burst short inside its TCP header: the full
 // decoder's error, the compaction of the other 255 keys with their hashes and
 // the malformed frame's accounting allocate nothing either.
@@ -105,6 +109,27 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			burst: 256,
 			flows: 256,
 		},
+		{
+			name: "smc-thrash",
+			build: func() *dataplane.Switch {
+				sw := attackSwitch(t, attack.TwoField(), false,
+					dataplane.WithEMC(cache.EMCConfig{Entries: 64}),
+					dataplane.WithSMC(cache.SMCConfig{Entries: 256}))
+				// A rule per victim flow: each flow installs a megaflow of its
+				// own, so an SMC overwrite changes the referenced entry.
+				for i := range 1024 {
+					var m flow.Match
+					m.Key.Set(flow.FieldInPort, 1)
+					m.Mask.SetExact(flow.FieldInPort)
+					m.Key.Set(flow.FieldTPSrc, 49152+uint64(i))
+					m.Mask.SetExact(flow.FieldTPSrc)
+					sw.InstallRule(flowtable.Rule{Match: m, Priority: 150, Action: flowtable.Action{Verdict: flowtable.Allow}})
+				}
+				return sw
+			},
+			burst: 1024,
+			flows: 1024,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +159,11 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("ProcessFrames allocates %.1f times per warm burst; the hot path must hold 0", avg)
 			}
-			if emc := sw.EMC(); tc.flows > 0 && emc.Evictions < 100*uint64(tc.flows-emc.Cap()) {
+			if smc := sw.SMC(); smc != nil {
+				if smc.Evictions < 100*uint64(smc.Cap()) || sw.Megaflow().Len() < tc.flows {
+					t.Errorf("%d SMC evictions over 100 bursts of %d flows under %d megaflows: the leg did not thrash", smc.Evictions, tc.flows, sw.Megaflow().Len())
+				}
+			} else if emc := sw.EMC(); tc.flows > 0 && emc.Evictions < 100*uint64(tc.flows-emc.Cap()) {
 				t.Errorf("%d EMC evictions over 100 bursts of %d flows: the leg did not thrash", emc.Evictions, tc.flows)
 			}
 		})

@@ -21,20 +21,41 @@ import (
 // but any flow the SMC retains skips the scan entirely, and the SMC is far
 // too large for the covert stream to thrash the way it thrashes the EMC.
 //
-// The model is deterministic: the table is a direct-mapped
-// fingerprint-indexed map (a colliding insert overwrites), reproducing the
-// bounded-memory, overwrite-on-collision behaviour of the real
-// fixed-geometry structure without modelling its 4-way buckets.
+// The table is OVS's layout: one flat array of 4-byte slots, each a 16-bit
+// signature (the hash's top bits) over a 16-bit ref into a small table of
+// referenced megaflows, 0 meaning empty — 4 MiB for the default million
+// slots. A slot is direct-mapped by the hash's low bits (a colliding insert
+// overwrites), reproducing the bounded-memory, overwrite-on-collision
+// behaviour of the real fixed-geometry structure without modelling its
+// 4-way buckets. A lookup loads one word, compares the signature and loads
+// the ref's entry; only an insert consults the map from an entry to its ref.
+// A ref counts the slots that hold it and is freed when the last goes, so at
+// most 65 535 distinct megaflows are referenced at once: an insert that
+// would need another is skipped, as OVS's smc_insert skips a flow whose
+// index passes UINT16_MAX.
 type SMC struct {
 	cfg    SMCConfig
 	max    int
 	shared bool // a shard child: lookups run under a shared read lock (see bump)
 	fpMask uint64
-	slots  map[uint64]smcSlot
+	slots  []uint32          // sig<<16 | ref, or 0; allocated at the first insert
+	refs   []smcRef          // refs[0] is reserved: ref 0 is the empty slot
+	refOf  map[*Entry]uint16 // insert side only: the ref of each referenced entry
+	free   []uint16          // refs no slot holds, for reuse
+	used   int               // occupied slots
 
 	// Stats
 	Hits, Misses, Inserts, Evictions, Stale uint64
 }
+
+// smcRef is one referenced megaflow and the number of slots holding it.
+type smcRef struct {
+	ent *Entry
+	n   uint32
+}
+
+// smcMaxRef is the highest ref a slot's 16 bits can name.
+const smcMaxRef = 1<<16 - 1
 
 // SMCConfig tunes the signature-match cache.
 type SMCConfig struct {
@@ -46,11 +67,6 @@ type SMCConfig struct {
 
 // DefaultSMCEntries matches the OVS smc-enable default table size.
 const DefaultSMCEntries = 1 << 20
-
-type smcSlot struct {
-	sig uint16 // signature: high hash bits, cheap mismatch rejection
-	ent *Entry
-}
 
 // NewSMC builds a signature-match cache per cfg.
 func NewSMC(cfg SMCConfig) *SMC {
@@ -67,14 +83,14 @@ func NewSMC(cfg SMCConfig) *SMC {
 	for n < max && n < 1<<62 {
 		n <<= 1
 	}
-	return &SMC{cfg: cfg, max: n, fpMask: uint64(n - 1), slots: make(map[uint64]smcSlot)}
+	return &SMC{cfg: cfg, max: n, fpMask: uint64(n - 1)}
 }
 
 // Cap returns the configured capacity (0 when disabled).
 func (s *SMC) Cap() int { return s.max }
 
 // Len returns the number of occupied fingerprint slots.
-func (s *SMC) Len() int { return len(s.slots) }
+func (s *SMC) Len() int { return s.used }
 
 func (s *SMC) indexHash(h uint64) (fp uint64, sig uint16) {
 	return h & s.fpMask, uint16(h >> 48)
@@ -101,16 +117,21 @@ func (s *SMC) lookup(k *flow.Key, h uint64, now uint64) (*Entry, bool) {
 		return nil, false
 	}
 	fp, sig := s.indexHash(h)
-	slot, ok := s.slots[fp]
-	if !ok || slot.sig != sig {
+	if fp >= uint64(len(s.slots)) {
+		bump(s.shared, &s.Misses, 1) // nothing inserted yet: no slots
+		return nil, false
+	}
+	w := s.slots[fp]
+	if w == 0 || uint16(w>>16) != sig {
 		bump(s.shared, &s.Misses, 1)
 		return nil, false
 	}
-	if slot.ent.Dead() {
+	ent := s.refs[uint16(w)].ent
+	if ent.Dead() {
 		if !s.shared {
-			// No map write under a shard's read lock: there the dead slot
+			// No table write under a shard's read lock: there the dead slot
 			// keeps missing until an insert overwrites it.
-			delete(s.slots, fp)
+			s.purge(fp)
 		}
 		bump(s.shared, &s.Stale, 1)
 		bump(s.shared, &s.Misses, 1)
@@ -119,7 +140,6 @@ func (s *SMC) lookup(k *flow.Key, h uint64, now uint64) (*Entry, bool) {
 	// The entry keeps no mask: its subtable's is the megaflow's. All ten
 	// words in a fixed loop, not st.matches over the significant ones,
 	// which read about 2 % slower on mix_smc.
-	ent := slot.ent
 	for i, m := range &ent.st.mask {
 		if k[i]&m != ent.Key[i] {
 			// Fingerprint collision between distinct flows: a true miss.
@@ -175,25 +195,85 @@ func (s *SMC) Insert(k flow.Key, f *Entry) { s.InsertHashed(k, k.Hash(), f) }
 // InsertHashed is Insert with k's flow hash already computed — the batched
 // datapath's install path, where promotions reuse the burst's cached
 // hashes instead of re-hashing each promoted key. Effects are identical to
-// Insert given h == k.Hash(); the key itself is not stored.
+// Insert given h == k.Hash(); the key itself is not stored. An insert that
+// would reference a 65 536th distinct entry is skipped, counters and all.
 func (s *SMC) InsertHashed(_ flow.Key, h uint64, f *Entry) {
 	if s.max == 0 || f == nil {
 		return
 	}
-	fp, sig := s.indexHash(h)
-	if old, ok := s.slots[fp]; ok && (old.sig != sig || old.ent != f) {
-		s.Evictions++
+	r, ok := s.refOf[f]
+	if !ok {
+		if r = s.newRef(f); r == 0 {
+			return
+		}
 	}
-	s.slots[fp] = smcSlot{sig: sig, ent: f}
+	fp, sig := s.indexHash(h)
+	w := uint32(sig)<<16 | uint32(r)
+	s.refs[r].n++ // before the old word's release: it may hold r itself
+	if old := s.slots[fp]; old == 0 {
+		s.used++
+	} else {
+		if old != w { // another signature, or another entry (refs are unique)
+			s.Evictions++
+		}
+		s.release(uint16(old))
+	}
+	s.slots[fp] = w
 	s.Inserts++
 }
 
-// Flush empties the cache (used after policy changes).
-func (s *SMC) Flush() {
-	if s.max == 0 {
-		return
+// newRef gives f a ref of its own — a freed one, else a new one — or
+// returns 0 when all 65 535 are held. The first call allocates the table.
+func (s *SMC) newRef(f *Entry) uint16 {
+	if s.slots == nil {
+		s.slots = make([]uint32, s.max)
+		s.refs = make([]smcRef, 1)
+		s.refOf = make(map[*Entry]uint16)
 	}
-	s.slots = make(map[uint64]smcSlot)
+	var r uint16
+	switch n := len(s.free); {
+	case n > 0:
+		r, s.free = s.free[n-1], s.free[:n-1]
+	case len(s.refs) <= smcMaxRef:
+		r = uint16(len(s.refs))
+		s.refs = append(s.refs, smcRef{})
+	default:
+		return 0
+	}
+	s.refs[r].ent = f
+	s.refOf[f] = r
+	return r
+}
+
+// release drops one slot's hold on ref r, freeing r with the last.
+func (s *SMC) release(r uint16) {
+	ref := &s.refs[r]
+	if ref.n--; ref.n == 0 {
+		delete(s.refOf, ref.ent)
+		ref.ent = nil // do not pin the retired megaflow
+		s.free = append(s.free, r)
+	}
+}
+
+// purge empties slot fp, whose megaflow has died.
+func (s *SMC) purge(fp uint64) {
+	s.release(uint16(s.slots[fp]))
+	s.slots[fp] = 0
+	s.used--
+}
+
+// Flush empties the cache in place (used after policy changes) and lets go
+// of every referenced megaflow.
+func (s *SMC) Flush() {
+	if s.used == 0 {
+		return // every policy change flushes: skip the sweep of an empty cache
+	}
+	clear(s.slots)
+	clear(s.refs)
+	s.refs = s.refs[:1]
+	clear(s.refOf)
+	s.free = s.free[:0]
+	s.used = 0
 }
 
 func (s *SMC) snapshot() CacheSnapshot {
