@@ -72,15 +72,6 @@ func New(cfg Config) *Switch {
 	return &Switch{cfg: cfg, byMask: make(map[flow.Mask]*subtable)}
 }
 
-// Name returns the configured name.
-func (s *Switch) Name() string { return s.cfg.Name }
-
-// Tiers returns nil: the baseline has no cache hierarchy, which makes it a
-// trivially valid (maintenance-free) revalidator target — there is nothing
-// for a dump round to expire, trim or revalidate. That is the mitigation's
-// whole argument, visible as a permanently flat dump.
-func (s *Switch) Tiers() []dataplane.Tier { return nil }
-
 // InstallRule adds a policy rule. Unlike the cached dataplane there is
 // nothing to flush: the matcher is recompiled incrementally.
 func (s *Switch) InstallRule(r flowtable.Rule) *flowtable.Rule {

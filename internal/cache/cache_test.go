@@ -228,6 +228,44 @@ func TestMegaflowMaskLimit(t *testing.T) {
 	}
 }
 
+// TestMaskEvictLRUTieSparesRankedFirst: subtables hit in the same tick tie
+// on recency, and the mask cap's LRU eviction then takes the last of them in
+// scan order — under hit ranking the least hit — not the first, the hot
+// subtable the ranking put there.
+func TestMaskEvictLRUTieSparesRankedFirst(t *testing.T) {
+	m := NewMegaflow(MegaflowConfig{MaxMasks: 2, MaskEvictLRU: true, SortByHits: true, SortEvery: 4})
+	m.Insert(prefixMatch(0x80000000, 1), deny, 5)
+	m.Insert(prefixMatch(0x40000000, 2), allow, 5)
+	hot := key(0x40000001, 0)
+	m.Lookup(key(0x80000001, 0), 5)
+	for range 7 {
+		m.Lookup(hot, 5) // two re-ranks: hot first, both last hit at 5
+	}
+	if _, err := m.Insert(prefixMatch(0x20000000, 3), deny, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, scanned, ok := m.Lookup(hot, 5); !ok || scanned != 1 {
+		t.Fatalf("hot subtable after a tied eviction: hit=%v at depth %d, want a hit at 1", ok, scanned)
+	}
+}
+
+// TestMaskEvictLRUTieTakesOldestUnranked: without a ranked scan, a recency
+// tie goes to the first subtable in scan order, the oldest.
+func TestMaskEvictLRUTieTakesOldestUnranked(t *testing.T) {
+	m := NewMegaflow(MegaflowConfig{MaxMasks: 2, MaskEvictLRU: true})
+	m.Insert(prefixMatch(0x80000000, 1), deny, 5)
+	m.Insert(prefixMatch(0x40000000, 2), allow, 5)
+	if _, err := m.Insert(prefixMatch(0x20000000, 3), deny, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := m.Lookup(key(0x80000001, 0), 5); ok {
+		t.Error("the oldest subtable survived a tied eviction")
+	}
+	if _, _, ok := m.Lookup(key(0x40000001, 0), 5); !ok {
+		t.Error("the newer subtable was evicted on a tie")
+	}
+}
+
 func TestMegaflowRemoveDropsEmptySubtable(t *testing.T) {
 	m := NewMegaflow(MegaflowConfig{})
 	m.Insert(prefixMatch(0x0a000000, 8), allow, 0)

@@ -743,14 +743,17 @@ func (m *Megaflow) Remove(match flow.Match) bool {
 }
 
 // evictColdestSubtable removes the least-recently-hit subtable and all of
-// its entries — the LRU flavour of the mask-quota mitigation.
+// its entries — the LRU flavour of the mask-quota mitigation. Ties go to the
+// first in scan order, the oldest, unless the scan is ranked (hit counts or
+// staged pruning): then to the last, the least hit, not the hottest.
 func (m *Megaflow) evictColdestSubtable() {
 	if len(m.subtables) == 0 {
 		return
 	}
+	ranked := m.cfg.SortByHits || m.cfg.StagedPruning
 	coldest := m.subtables[0].st
 	for _, row := range m.subtables[1:] {
-		if row.st.lastHit < coldest.lastHit {
+		if row.st.lastHit < coldest.lastHit || ranked && row.st.lastHit == coldest.lastHit {
 			coldest = row.st
 		}
 	}

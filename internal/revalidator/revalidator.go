@@ -44,13 +44,11 @@ import (
 	"policyinject/internal/telemetry"
 )
 
-// Target is one datapath instance under revalidator maintenance.
-// dataplane.Switch satisfies it directly; baseline.Switch satisfies it
-// trivially (no tiers — cache-less datapaths are maintenance-free by
-// construction). Optional capabilities are discovered by type assertion:
-// a Conntrack() *conntrack.Table method gets its table expired each round,
-// and a Classifier() *classifier.Classifier method enables the policy
-// consistency pass on revalidatable tiers.
+// Target is one datapath instance under revalidator maintenance;
+// dataplane.Switch satisfies it. Optional capabilities are discovered by
+// type assertion: a Conntrack() *conntrack.Table method gets its table
+// expired each round, and a Classifier() *classifier.Classifier method
+// enables the policy consistency pass on revalidatable tiers.
 type Target interface {
 	Name() string
 	Tiers() []dataplane.Tier

@@ -2,7 +2,7 @@
 // *pack* is a small YAML or JSON file declaring the whole scenario —
 // datapath variant, tenants and policies, traffic mixes, the attack
 // schedule, expected-metric assertions — which the runner compiles onto
-// the existing sim/traffic/attack/mitigation machinery and executes
+// the existing sim/traffic/attack machinery and executes
 // deterministically. Reporters (human, JSON, CSV) render the common
 // Result type. The split — runner vs reporters vs packs-as-data — means
 // new scenarios are data files, not simulator edits.

@@ -1,10 +1,10 @@
 // Package scenario is the declarative scenario-pack subsystem: a pack is
 // a small YAML/JSON file declaring tenants, policies, traffic mixes, an
 // attack schedule, datapath/mitigation variants, a seed and
-// expected-metric assertions; the runner compiles a pack onto the
-// existing sim/traffic/attack/mitigation machinery and executes it
-// deterministically; pluggable reporters (human table, JSON, CSV) render
-// a common Result. cmd/scenario is the CLI.
+// expected-metric assertions; the runner compiles every variant onto one
+// timeline engine over the existing sim/traffic/attack machinery and
+// executes it deterministically; pluggable reporters (human table, JSON,
+// CSV) render a common Result. cmd/scenario is the CLI.
 //
 // The split — runners vs reporters vs output formats, packs as data — is
 // modelled on elastic-package's benchrunner (see ROADMAP item 2).

@@ -24,7 +24,7 @@ type Pack struct {
 	Description string
 	File        string
 	Tags        []string
-	Mode        string // "timeline" or "matrix" (see Run)
+	Mode        string // "timeline", the one run engine (see Run)
 	Seed        uint64
 	Duration    int // ticks
 
@@ -54,13 +54,13 @@ type Pack struct {
 // produce a byte-identical JSON report.
 type MeasureSpec struct {
 	Mode        string // "wall" (default) or "off"
-	CostSamples int    // victim burst per tick; matrix mode: timed samples (default 64)
+	CostSamples int    // victim burst per tick (default 64)
 }
 
 // DatapathSpec maps onto dataplane.New options. The zero value models the
 // paper's kernel datapath: no EMC, flat megaflow TSS, no conntrack.
-// CacheLess (matrix mode only, alone) builds the flow-cache-less
-// baseline.Switch instead.
+// CacheLess (alone) sends the run's traffic through the flow-cache-less
+// baseline.Switch instead, mirroring the node switch's rules.
 type DatapathSpec struct {
 	CacheLess     bool
 	EMC           bool
@@ -95,13 +95,14 @@ type RevalSpec struct {
 
 // VictimSpec shapes the measured victim workload and its ingress policy.
 type VictimSpec struct {
-	Tenant   string // default "victim-corp"
-	Pod      string // default "iperf-server"
-	Client   netip.Addr
-	Gbps     float64
-	Flows    int
-	FrameLen int
-	Policy   *PolicySpec // default: allow client/24 tcp :5201
+	Tenant         string // default "victim-corp"
+	Pod            string // default "iperf-server"
+	Client         netip.Addr
+	Gbps           float64
+	Flows          int
+	FrameLen       int
+	Policy         *PolicySpec // default: allow client/24 tcp :5201
+	NewClientEvery int         // every Nth packet from a new client (traffic.WithNewClients); 0: off
 }
 
 // PolicySpec is a tenant ingress whitelist in pack form.
@@ -521,9 +522,6 @@ func (b *binder) bindPack(root *node) (p *Pack, err error) {
 	if p.Name == "" {
 		b.failf(root, "name", "required")
 	}
-	if p.Mode != "timeline" && p.Mode != "matrix" {
-		b.failf(m.child("mode"), "mode", "must be \"timeline\" or \"matrix\", got %q", p.Mode)
-	}
 	if p.Duration <= 0 {
 		b.failf(m.child("duration"), "duration", "must be positive, got %d", p.Duration)
 	}
@@ -549,17 +547,11 @@ func (b *binder) bindPack(root *node) (p *Pack, err error) {
 	m.used["variants"] = true // consumed by Load, not per-variant binding
 	m.done()
 
-	if p.Mode == "matrix" && p.Attack == nil {
-		b.failf(root, "attack", "mode \"matrix\" requires an attack section")
+	if p.Datapath.CacheLess && p.Datapath != (DatapathSpec{CacheLess: true}) {
+		b.failf(m.child("datapath").fields["cache_less"], "datapath.cache_less", "excludes every other datapath key")
 	}
-	if p.Datapath.CacheLess {
-		n := m.child("datapath").fields["cache_less"]
-		if p.Mode != "matrix" {
-			b.failf(n, "datapath.cache_less", "requires mode: matrix (the cache-less switch has no timeline model)")
-		}
-		if p.Datapath != (DatapathSpec{CacheLess: true}) {
-			b.failf(n, "datapath.cache_less", "excludes every other datapath key")
-		}
+	if p.Mode != "timeline" { // a former "matrix" pack's rows are its variants
+		b.failf(m.child("mode"), "mode", "must be \"timeline\" (each row a variant), got %q", p.Mode)
 	}
 	if p.Attack != nil && p.Attack.Start >= p.Duration {
 		b.failf(m.child("attack"), "attack.start", "start tick %d is beyond duration %d", p.Attack.Start, p.Duration)
@@ -662,10 +654,14 @@ func (b *binder) bindVictim(n *node) VictimSpec {
 	spec.Gbps = m.floatval("gbps", spec.Gbps)
 	spec.Flows = m.intval("flows", spec.Flows)
 	spec.FrameLen = m.intval("frame_len", 0)
+	spec.NewClientEvery = m.intval("new_client_every", 0)
 	if pn := m.child("policy"); pn != nil {
 		spec.Policy = b.bindPolicy(pn, "victim.policy")
 	}
 	m.done()
+	if spec.NewClientEvery < 0 {
+		b.failf(n, "victim.new_client_every", "must not be negative")
+	}
 	return spec
 }
 
@@ -958,9 +954,13 @@ func (p *Pack) Describe() string {
 			fmt.Fprintf(&sb, "  revalidator: interval=%d workers=%d dump_rate=%g limit=%d..%d fixed=%v\n",
 				r.Interval, r.Workers, r.DumpRate, r.MinFlowLimit, r.FlowLimit, r.FixedLimit)
 		}
-		fmt.Fprintf(&sb, "  victim: tenant=%s pod=%s flows=%d gbps=%g frame=%d stateful=%v\n",
+		fmt.Fprintf(&sb, "  victim: tenant=%s pod=%s flows=%d gbps=%g frame=%d stateful=%v",
 			v.Victim.Tenant, v.Victim.Pod, v.Victim.Flows, v.Victim.Gbps, v.Victim.FrameLen,
 			v.Victim.Policy != nil && v.Victim.Policy.Stateful)
+		if v.Victim.NewClientEvery > 0 {
+			fmt.Fprintf(&sb, " new_client_every=%d", v.Victim.NewClientEvery)
+		}
+		sb.WriteString("\n")
 		if v.Attack != nil {
 			var names []string
 			masks := 0

@@ -57,19 +57,18 @@ func TestCorpusGolden(t *testing.T) {
 // file:line: path-qualified message.
 func TestRejectBadPacks(t *testing.T) {
 	cases := map[string]string{
-		"unknown-key.yaml":         `unknown-key.yaml:2: durration: unknown key "durration"`,
-		"unknown-key.json":         `unknown-key.json:3: durration: unknown key "durration"`,
-		"bad-op.yaml":              `bad-op.yaml:3: expect[0].op: must be one of ==, !=, <, <=, >, >=; got "~="`,
-		"bad-prefix.yaml":          `bad-prefix.yaml:5: victim.policy.entries[0].src: expected a CIDR prefix, got "10.0.0.0=24"`,
-		"bad-proto.yaml":           `bad-proto.yaml:6: victim.policy.entries[0].proto: expected tcp, udp, icmp or a protocol number, got "sctp"`,
-		"dup-key.yaml":             `dup-key.yaml:2: duplicate key "name"`,
-		"dup-variant.yaml":         `dup-variant.yaml:4: variants[1].name: duplicate variant "a"`,
-		"inline-map.yaml":          `inline-map.yaml:2: inline mappings are not supported; use block form`,
-		"matrix-no-attack.yaml":    `matrix-no-attack.yaml:1: attack: mode "matrix" requires an attack section`,
-		"preset-conflict.yaml":     `preset-conflict.yaml:3: attack: attack: preset and fields are mutually exclusive`,
-		"expect-no-variant.yaml":   `expect-no-variant.yaml:7: expect[0].variant: no variant "c" (have a, b)`,
-		"cache-less-timeline.yaml": `cache-less-timeline.yaml:3: datapath.cache_less: requires mode: matrix`,
-		"cache-less-mixed.yaml":    `cache-less-mixed.yaml:6: datapath.cache_less: excludes every other datapath key`,
+		"unknown-key.yaml":       `unknown-key.yaml:2: durration: unknown key "durration"`,
+		"unknown-key.json":       `unknown-key.json:3: durration: unknown key "durration"`,
+		"bad-op.yaml":            `bad-op.yaml:3: expect[0].op: must be one of ==, !=, <, <=, >, >=; got "~="`,
+		"bad-prefix.yaml":        `bad-prefix.yaml:5: victim.policy.entries[0].src: expected a CIDR prefix, got "10.0.0.0=24"`,
+		"bad-proto.yaml":         `bad-proto.yaml:6: victim.policy.entries[0].proto: expected tcp, udp, icmp or a protocol number, got "sctp"`,
+		"dup-key.yaml":           `dup-key.yaml:2: duplicate key "name"`,
+		"dup-variant.yaml":       `dup-variant.yaml:4: variants[1].name: duplicate variant "a"`,
+		"inline-map.yaml":        `inline-map.yaml:2: inline mappings are not supported; use block form`,
+		"matrix-no-attack.yaml":  `matrix-no-attack.yaml:2: mode: must be "timeline" (each row a variant), got "matrix"`,
+		"preset-conflict.yaml":   `preset-conflict.yaml:3: attack: attack: preset and fields are mutually exclusive`,
+		"expect-no-variant.yaml": `expect-no-variant.yaml:7: expect[0].variant: no variant "c" (have a, b)`,
+		"cache-less-mixed.yaml":  `cache-less-mixed.yaml:6: datapath.cache_less: excludes every other datapath key`,
 	}
 	for file, want := range cases {
 		_, err := scenario.Load(filepath.Join("testdata", "bad", file))

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"policyinject/internal/acl"
 	"policyinject/internal/attack"
@@ -15,9 +16,9 @@ import (
 	"policyinject/internal/cms"
 	"policyinject/internal/conntrack"
 	"policyinject/internal/dataplane"
+	"policyinject/internal/flowtable"
 	"policyinject/internal/guard"
 	"policyinject/internal/metrics"
-	"policyinject/internal/mitigation"
 	"policyinject/internal/pkt"
 	"policyinject/internal/revalidator"
 	"policyinject/internal/sim"
@@ -47,19 +48,19 @@ func (r *Result) Passed() bool {
 	return true
 }
 
-// VariantRun is one executed variant: the recorded timeline (timeline
-// mode) and the summary metrics expectations assert against.
+// VariantRun is one executed variant: the recorded timeline and the
+// summary metrics expectations assert against.
 type VariantRun struct {
 	Variant  string
-	Timeline *metrics.Group // nil in matrix mode
+	Timeline *metrics.Group
 
-	// Summary maps metric name -> value. Timeline metrics: peak_masks,
-	// final_masks, final_entries, upcalls, denied, allowed, install_err,
-	// and with a revalidator flow_limit_initial/flow_limit_final/
-	// overruns/limit_evicted; wall measurement adds mean_before/
-	// mean_after/degradation; conntrack adds ct_peak/ct_final. Matrix
-	// metrics are mitigation.Outcome's: masks, slowdown, flow_limit,
-	// avg_scan, ns_before, ns_after.
+	// Summary maps metric name -> value: peak_masks, final_masks,
+	// final_entries, upcalls, denied, allowed, install_err and
+	// flow_limit_final (0 without a revalidator); with a revalidator
+	// flow_limit_initial/overruns/limit_evicted; wall measurement adds
+	// mean_before/mean_after/degradation and ns_before/ns_after/slowdown;
+	// a victim with new clients adds avg_scan; conntrack adds
+	// ct_peak/ct_final.
 	Summary map[string]float64
 }
 
@@ -102,10 +103,8 @@ type RunOptions struct {
 	Telemetry *telemetry.Registry
 }
 
-// Run executes every variant of the pack and evaluates its expectations.
-// A timeline variant runs through the cluster tick by tick; a matrix
-// variant's datapath and revalidator are scored by mitigation.Evaluate
-// under the pack's attack.
+// Run executes every variant of the pack through the cluster, tick by
+// tick, and evaluates its expectations.
 func Run(p *Pack, opt RunOptions) (*Result, error) {
 	seed := p.Seed
 	if opt.Seed != 0 {
@@ -113,15 +112,7 @@ func Run(p *Pack, opt RunOptions) (*Result, error) {
 	}
 	res := &Result{Pack: p.Name, File: p.File, Mode: p.Mode, Seed: seed}
 	for _, v := range p.Variants {
-		var (
-			run *VariantRun
-			err error
-		)
-		if v.Mode == "matrix" {
-			run, err = runMatrix(v, opt)
-		} else {
-			run, err = runTimeline(v, opt)
-		}
+		run, err := runTimeline(v, opt)
 		if err != nil {
 			return nil, fmt.Errorf("pack %s, variant %s: %w", p.Name, v.Variant, err)
 		}
@@ -188,16 +179,18 @@ func datapathOptions(d DatapathSpec) []dataplane.Option {
 	return opts
 }
 
-// revalConfig lowers a RevalSpec onto a revalidator configuration: nil
-// spec means the stock default, a disabled one no revalidator (nil).
-func revalConfig(r *RevalSpec) *revalidator.Config {
-	if r == nil {
-		return &revalidator.Config{}
-	}
-	if r.Disabled {
+// buildRevalidator builds the timeline's revalidator from a RevalSpec: a
+// nil spec means the stock default, a disabled one no revalidator (nil).
+// The overload controller (the kill-switch, when guards declare one)
+// hooks into every configuration, including the default.
+func buildRevalidator(r *RevalSpec, overload revalidator.OverloadController) *revalidator.Revalidator {
+	switch {
+	case r == nil:
+		return revalidator.New(revalidator.Config{Overload: overload})
+	case r.Disabled:
 		return nil
 	}
-	return &revalidator.Config{
+	return revalidator.New(revalidator.Config{
 		Interval:     r.Interval,
 		Workers:      r.Workers,
 		DumpRate:     r.DumpRate,
@@ -208,19 +201,8 @@ func revalConfig(r *RevalSpec) *revalidator.Config {
 		MaxIdle:      r.MaxIdle,
 		MaxHard:      r.MaxHard,
 		PolicyCheck:  r.PolicyCheck,
-	}
-}
-
-// buildRevalidator builds the timeline's revalidator from a RevalSpec.
-// The overload controller (the kill-switch, when guards declare one)
-// hooks into every configuration, including the default.
-func buildRevalidator(r *RevalSpec, overload revalidator.OverloadController) *revalidator.Revalidator {
-	cfg := revalConfig(r)
-	if cfg == nil {
-		return nil
-	}
-	cfg.Overload = overload
-	return revalidator.New(*cfg)
+		Overload:     overload,
+	})
 }
 
 // defaultVictimPolicy is the whitelist a pack without victim.policy gets:
@@ -310,6 +292,38 @@ func (p *pcapReplay) NextFrame() ([]byte, uint32) {
 	f := p.frames[p.next]
 	p.next = (p.next + 1) % len(p.frames)
 	return f, p.inPort
+}
+
+// pipeline is what a timeline sends its traffic through and reads its
+// verdict counters from: the node's switch, or the cacheLess mirror.
+type pipeline interface {
+	ProcessFrames(now uint64, fb *dataplane.FrameBatch, out []dataplane.Decision) []dataplane.Decision
+	Counters() dataplane.Counters
+}
+
+// cacheLess is a cache_less datapath's pipeline: a flow-cache-less
+// baseline.Switch mirroring the node switch's rules (sync, each tick); the
+// node switch keeps the policy (the CMS installs there) and no traffic.
+type cacheLess struct {
+	*baseline.Switch
+	src   []*flowtable.Rule // the node's rules as last mirrored
+	rules []*flowtable.Rule // their copies here
+}
+
+// sync mirrors sw's rule table if it changed since the last call.
+func (c *cacheLess) sync(sw *dataplane.Switch) {
+	src := sw.Rules() // evaluation order: ties keep their order
+	if slices.Equal(src, c.src) {
+		return
+	}
+	for _, r := range c.rules {
+		c.RemoveRule(r)
+	}
+	c.rules = c.rules[:0]
+	for _, r := range src {
+		c.rules = append(c.rules, c.InstallRule(*r))
+	}
+	c.src = src
 }
 
 // runTimeline executes one effective timeline pack: the fig-3 cluster
@@ -409,6 +423,12 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 		}
 	}
 	sw := victimSrv.Node.Switch
+	var pl pipeline = sw
+	var mirror *cacheLess
+	if p.Datapath.CacheLess {
+		mirror = &cacheLess{Switch: baseline.New(baseline.Config{})}
+		pl = mirror
+	}
 
 	victimPolicy := p.Victim.Policy
 	if victimPolicy == nil {
@@ -471,13 +491,13 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	if frameLen == 0 {
 		frameLen = 1514
 	}
-	victim := traffic.NewVictim(traffic.VictimConfig{
+	victim := traffic.WithNewClients(traffic.NewVictim(traffic.VictimConfig{
 		Src:      p.Victim.Client,
 		Dst:      victimSrv.IP,
 		Flows:    p.Victim.Flows,
 		InPort:   victimSrv.Port,
 		FrameLen: frameLen,
-	})
+	}), p.Victim.NewClientEvery)
 	offeredPPS := sim.PPSFor(p.Victim.Gbps, frameLen)
 
 	// Covert stream: the attack's wire frames replayed at the attacker
@@ -542,6 +562,10 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	}
 	ct := sw.Conntrack()
 	ctPeak := 0
+	// The victim's megaflow lookups in the fig-3 after-window [after, end),
+	// and the subtables they scanned: avg_scan.
+	before0, before1, after := fig3Windows(p.Attack != nil, attackStart, duration)
+	var lookups, scanned uint64
 
 	injected := false
 	var covertBurst, streamBurst, victimBurst dataplane.FrameBatch
@@ -578,6 +602,9 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 			}
 			injected = true
 		}
+		if mirror != nil {
+			mirror.sync(sw)
+		}
 
 		// Active faults fire before the tick's traffic, so a filled
 		// conntrack table is what the tick's commits bounce off.
@@ -593,7 +620,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 			for i := pacer.Take(1); i > 0; i-- {
 				covertBurst.Append(replay.NextFrame())
 			}
-			out = sw.ProcessFrames(now, &covertBurst, out)
+			out = pl.ProcessFrames(now, &covertBurst, out)
 		}
 
 		// 3. Background streams.
@@ -605,24 +632,33 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 			for i := s.pace.Take(1); i > 0; i-- {
 				streamBurst.Append(s.src.NextFrame())
 			}
-			out = sw.ProcessFrames(now, &streamBurst, out)
+			out = pl.ProcessFrames(now, &streamBurst, out)
 		}
 
 		// 4. Victim drive: timed burst (wall) or a fixed untimed burst
 		// (off — fully deterministic).
-		gbps, visits := 0.0, 0.0
+		gbps, visits, victimNs := 0.0, 0.0, 0.0
+		mf := sw.Megaflow()
+		lookups0, scanned0 := mf.Lookups, mf.MasksScanned
 		if mode == "wall" {
 			pkts0, probed0 := physicalWork(sw)
-			cost := sim.MeasureCost(sw, victim, now, samples)
+			cost := sim.MeasureCost(pl, victim, now, samples)
 			gbps = sim.Gbps(sim.Throughput(cost, offeredPPS), frameLen)
+			victimNs = float64(cost.Nanoseconds())
 			pkts, probed := physicalWork(sw)
-			visits = float64(probed-probed0) / float64(pkts-pkts0)
+			if pkts > pkts0 { // a cache_less node switch takes none
+				visits = float64(probed-probed0) / float64(pkts-pkts0)
+			}
 		} else {
 			victimBurst.Reset()
 			for i := 0; i < samples; i++ {
 				victimBurst.Append(victim.NextFrame())
 			}
-			out = sw.ProcessFrames(now, &victimBurst, out)
+			out = pl.ProcessFrames(now, &victimBurst, out)
+		}
+		if float64(t) >= after {
+			lookups += mf.Lookups - lookups0
+			scanned += mf.MasksScanned - scanned0
 		}
 
 		// 5. Maintenance round (unless a stall fault suppresses it), then
@@ -655,6 +691,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 		if mode == "wall" {
 			tl.Observe(ts, "victim_gbps", gbps)
 			tl.Observe(ts, "victim_visits", visits)
+			tl.Observe(ts, "victim_ns", victimNs)
 		}
 		if ct != nil {
 			ctEntries, _ := snap.GaugeValue("dp_ct_entries")
@@ -671,20 +708,35 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	run.Summary["peak_masks"] = metrics.Summarize(masks.V).Max
 	run.Summary["final_masks"] = masks.V[masks.Len()-1]
 	run.Summary["final_entries"] = entries.V[entries.Len()-1]
-	c := sw.Counters()
+	c := pl.Counters()
 	run.Summary["upcalls"] = float64(c.Upcalls)
 	run.Summary["allowed"] = float64(c.Allowed)
 	run.Summary["denied"] = float64(c.Denied)
 	run.Summary["install_err"] = float64(c.InstallErr)
 	if mode == "wall" {
-		gbps := tl.Series("victim_gbps")
-		before, after := meanWindows(gbps, p.Attack != nil, attackStart, duration)
-		run.Summary["mean_before"] = before
-		run.Summary["mean_after"] = after
-		if before > 0 {
-			run.Summary["degradation"] = 1 - after/before
+		// Throughput means, and the victim's cheapest tick (MeasureCost's
+		// own minimum estimator one level up), in each window.
+		end := float64(duration)
+		gbps, ns := tl.Series("victim_gbps"), tl.Series("victim_ns")
+		meanBefore := metrics.Summarize(gbps.Window(before0, before1)).Mean
+		meanAfter := metrics.Summarize(gbps.Window(after, end)).Mean
+		run.Summary["mean_before"] = meanBefore
+		run.Summary["mean_after"] = meanAfter
+		if meanBefore > 0 {
+			run.Summary["degradation"] = 1 - meanAfter/meanBefore
+		}
+		nsBefore := metrics.Summarize(ns.Window(before0, before1)).Min
+		nsAfter := metrics.Summarize(ns.Window(after, end)).Min
+		run.Summary["ns_before"] = nsBefore
+		run.Summary["ns_after"] = nsAfter
+		if nsBefore > 0 {
+			run.Summary["slowdown"] = nsAfter / nsBefore
 		}
 	}
+	if p.Victim.NewClientEvery > 0 { // the matrix's column; 0 without a lookup (cache_less)
+		run.Summary["avg_scan"] = float64(scanned) / float64(max(lookups, 1))
+	}
+	run.Summary["flow_limit_final"] = 0
 	if rev != nil {
 		st := rev.Stats()
 		run.Summary["flow_limit_initial"] = float64(initialLimit)
@@ -722,21 +774,18 @@ func physicalWork(sw *dataplane.Switch) (packets, probed uint64) {
 	return sw.Counters().Packets, mf.MasksScanned - mf.RunBilledScans
 }
 
-// meanWindows computes the pre/post-attack throughput means over the
-// fig-3 windows: before = [start/2, start), after = [start+10, end).
-// Without an attack both windows cover the whole run.
-func meanWindows(s *metrics.Series, attacked bool, start, duration int) (before, after float64) {
+// fig3Windows returns fig 3's pre/post-attack windows as tick ranges:
+// [start/2, start) and [start+10, end), the last tick if the run ends
+// sooner. Without an attack both windows cover the whole run.
+func fig3Windows(attacked bool, start, duration int) (before0, before1, after float64) {
 	if !attacked {
-		m := metrics.Summarize(s.V).Mean
-		return m, m
+		return 0, float64(duration), 0
 	}
-	before = metrics.Summarize(s.Window(float64(start)/2, float64(start))).Mean
 	settle := start + 10
 	if settle > duration {
 		settle = duration - 1
 	}
-	after = metrics.Summarize(s.Window(float64(settle), float64(duration))).Mean
-	return before, after
+	return float64(start) / 2, float64(start), float64(settle)
 }
 
 // statefulPolicies reports whether any policy in the pack is stateful.
@@ -750,44 +799,4 @@ func statefulPolicies(p *Pack) bool {
 		}
 	}
 	return false
-}
-
-// runMatrix scores one matrix variant: the pack's attack against its
-// datapath and revalidator, through mitigation.Evaluate.
-func runMatrix(p *Pack, opt RunOptions) (*VariantRun, error) {
-	atk, err := p.Attack.Build()
-	if err != nil {
-		return nil, err
-	}
-	samples := p.Measure.CostSamples
-	if opt.CostSamples > 0 {
-		samples = opt.CostSamples
-	}
-	o, err := mitigation.Evaluate(atk, p.MitigationVariant(), samples)
-	if err != nil {
-		return nil, err
-	}
-	return &VariantRun{Summary: map[string]float64{
-		"masks":      float64(o.Masks),
-		"slowdown":   o.Slowdown,
-		"flow_limit": float64(o.FlowLimit),
-		"avg_scan":   o.AvgScan,
-		"ns_before":  float64(o.CostBefore.Nanoseconds()),
-		"ns_after":   float64(o.CostAfter.Nanoseconds()),
-	}}, nil
-}
-
-// MitigationVariant lowers a variant pack's datapath and revalidator
-// sections onto the mitigation.Variant a matrix run evaluates.
-func (p *Pack) MitigationVariant() mitigation.Variant {
-	d, name := p.Datapath, p.Variant
-	return mitigation.Variant{
-		Build: func() mitigation.Target {
-			if d.CacheLess {
-				return baseline.New(baseline.Config{})
-			}
-			return dataplane.New(name, datapathOptions(d)...)
-		},
-		Reval: revalConfig(p.Reval),
-	}
 }

@@ -81,9 +81,9 @@ func TestChaosPackDeterminism(t *testing.T) {
 }
 
 // TestMitigationPackPins holds what the 512-mask attack leaves behind in
-// every row of the mitigation matrix: the masks resident and the
-// revalidator's flow limit, neither of which depends on timing. Every row
-// reports the six matrix metrics.
+// every row of the mitigation matrix, in wall mode: the masks resident and
+// the revalidator's flow limit, neither of which depends on timing. Every
+// row reports the matrix's columns.
 func TestMitigationPackPins(t *testing.T) {
 	p := loadEmbedded(t, "mitigation-matrix.yaml")
 	res, err := scenario.Run(p, scenario.RunOptions{})
@@ -110,20 +110,38 @@ func TestMitigationPackPins(t *testing.T) {
 	if len(res.Runs) != len(want) {
 		t.Fatalf("%d rows, want %d", len(res.Runs), len(want))
 	}
-	metrics := []string{"masks", "slowdown", "flow_limit", "avg_scan", "ns_before", "ns_after"}
 	for i, w := range want {
 		r := res.Runs[i]
-		if len(r.Summary) != len(metrics) {
-			t.Errorf("row %s reports %d metrics, want %v", r.Variant, len(r.Summary), metrics)
-		}
-		for _, m := range metrics {
+		for _, m := range []string{"final_masks", "flow_limit_final", "slowdown", "avg_scan", "ns_before", "ns_after"} {
 			if _, ok := r.Summary[m]; !ok {
 				t.Errorf("row %s lacks %s", r.Variant, m)
 			}
 		}
-		if r.Variant != w.variant || r.Summary["masks"] != w.masks || r.Summary["flow_limit"] != w.flowLimit {
+		if r.Variant != w.variant || r.Summary["final_masks"] != w.masks || r.Summary["flow_limit_final"] != w.flowLimit {
 			t.Errorf("row %d: got %s masks=%g flow_limit=%g, want %s %g/%g", i,
-				r.Variant, r.Summary["masks"], r.Summary["flow_limit"], w.variant, w.masks, w.flowLimit)
+				r.Variant, r.Summary["final_masks"], r.Summary["flow_limit_final"], w.variant, w.masks, w.flowLimit)
+		}
+	}
+}
+
+// TestMitigationVerdictsAgree is the matrix's verdict differential: every
+// row — cached hierarchies, quotas, revalidators, conntrack and the
+// cache-less baseline alike — sees the same packets under measure off and
+// must hand down the classifier's verdict on each, so every row counts the
+// same allowed and denied packets.
+func TestMitigationVerdictsAgree(t *testing.T) {
+	res, err := scenario.Run(loadEmbedded(t, "mitigation-matrix.yaml"), scenario.RunOptions{Measure: "off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := res.Runs[0].Summary
+	if ref["allowed"] == 0 || ref["denied"] == 0 {
+		t.Fatalf("row %s allowed %g and denied %g: the differential needs both", res.Runs[0].Variant, ref["allowed"], ref["denied"])
+	}
+	for _, r := range res.Runs[1:] {
+		if r.Summary["allowed"] != ref["allowed"] || r.Summary["denied"] != ref["denied"] {
+			t.Errorf("row %s allowed %g, denied %g; row %s %g, %g", r.Variant, r.Summary["allowed"], r.Summary["denied"],
+				res.Runs[0].Variant, ref["allowed"], ref["denied"])
 		}
 	}
 }
@@ -148,7 +166,7 @@ func TestTableRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	human := string(render(t, "human", res))
-	for _, want := range []string{"variant no-emc", "slowdown", "avg_scan", "flow_limit", "ns_before", "ns_after"} {
+	for _, want := range []string{"variant no-emc", "slowdown", "avg_scan", "flow_limit_final", "ns_before", "ns_after"} {
 		if !strings.Contains(human, want) {
 			t.Errorf("human report missing %q:\n%s", want, human)
 		}
@@ -174,7 +192,7 @@ func TestQuickTimelineRunGolden(t *testing.T) {
 	ran := 0
 	for _, f := range files {
 		p := loadEmbedded(t, f)
-		if !p.HasTag("quick") || p.Mode != "timeline" {
+		if !p.HasTag("quick") {
 			continue
 		}
 		res, err := scenario.Run(p, scenario.RunOptions{Measure: "off"})
@@ -184,8 +202,8 @@ func TestQuickTimelineRunGolden(t *testing.T) {
 		checkGolden(t, f, ".run.csv", render(t, "csv", res))
 		ran++
 	}
-	if ran < 7 {
-		t.Fatalf("only %d quick timeline packs ran, want >= 7", ran)
+	if ran < 9 {
+		t.Fatalf("only %d quick timeline packs ran, want >= 9", ran)
 	}
 }
 

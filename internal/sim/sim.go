@@ -20,7 +20,8 @@ import (
 )
 
 // Pipeline is the surface the simulator drives; dataplane.Switch,
-// dataplane.PMDPool and baseline.Switch all satisfy it. The wire burst is
+// dataplane.PMDPool and baseline.Switch all satisfy it (a scenario
+// timeline measures the last for a cache_less datapath). The wire burst is
 // the only interface: the simulator hands whole frame bursts to
 // ProcessFrames, as a NIC rx queue would, so measured cost includes the
 // parse stage.

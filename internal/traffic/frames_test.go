@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 
@@ -121,5 +122,60 @@ func TestPlainReplayerIsNotAFrameSource(t *testing.T) {
 	fr.NextFrame() // advances the shared cursor...
 	if got := fr.Next(); got != keys[1] {
 		t.Fatalf("cursor not shared: got %v", got)
+	}
+}
+
+// TestWithNewClients: every Nth frame of the churned stream comes from a new
+// remote client towards the victim's server on its port; the N-1 between are
+// byte-equal to a plain Victim's frames, in its order; two streams built
+// alike give equal bytes; and N = 0 passes the victim through.
+func TestWithNewClients(t *testing.T) {
+	cfg := VictimConfig{
+		Src:      netip.MustParseAddr("10.10.0.5"),
+		Dst:      netip.MustParseAddr("172.16.0.1"),
+		InPort:   4,
+		FrameLen: 128,
+	}
+	const every = 10
+	churned, twin := WithNewClients(NewVictim(cfg), every), WithNewClients(NewVictim(cfg), every)
+	plain := NewVictim(cfg)
+	clients := map[flow.Key]bool{}
+	for i := 1; i <= 50*every; i++ {
+		f, port := churned.NextFrame()
+		tf, tport := twin.NextFrame()
+		if !bytes.Equal(f, tf) || port != tport {
+			t.Fatalf("frame %d: two streams built alike differ", i)
+		}
+		if len(f) != cfg.FrameLen || port != cfg.InPort {
+			t.Fatalf("frame %d: %d bytes on port %d, want %d on %d", i, len(f), port, cfg.FrameLen, cfg.InPort)
+		}
+		if i%every != 0 {
+			if pf, _ := plain.NextFrame(); !bytes.Equal(f, pf) {
+				t.Fatalf("frame %d: not the plain victim's next frame", i)
+			}
+			continue
+		}
+		k := extractBack(t, f, port)
+		if src := k.Get(flow.FieldIPSrc); src>>8 == 0x0a0a00 {
+			t.Errorf("frame %d: new client %#x inside the victim's /24", i, src)
+		}
+		if k.Tuple().Dst != cfg.Dst || k.Get(flow.FieldIPProto) != uint64(flow.ProtoTCP) {
+			t.Errorf("frame %d: new client's packet %v not towards the victim's server", i, k.Tuple())
+		}
+		clients[k] = true
+	}
+	if len(clients) != 50 {
+		t.Errorf("%d distinct new clients in 50, want 50", len(clients))
+	}
+
+	off, ref := WithNewClients(NewVictim(cfg), 0), NewVictim(cfg)
+	if _, ok := off.(*Victim); !ok {
+		t.Fatalf("N = 0 wrapped the victim in a %T", off)
+	}
+	for i := 0; i < 3*every; i++ {
+		f, _ := off.NextFrame()
+		if rf, _ := ref.NextFrame(); !bytes.Equal(f, rf) {
+			t.Fatalf("N = 0: frame %d differs from the plain victim's", i)
+		}
 	}
 }

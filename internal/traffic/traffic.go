@@ -110,6 +110,40 @@ func (v *Victim) FrameLen() int { return v.cfg.FrameLen }
 // Flows returns the distinct keys of the stream.
 func (v *Victim) Flows() []flow.Key { return append([]flow.Key(nil), v.keys...) }
 
+// WithNewClients wraps v in a victim stream with connection churn: every
+// every-th frame comes from a new remote client (an arbitrary source address
+// and ports, to v's server on v's port), the frames between are v's, in v's
+// order. New clients land in cold subtables or miss outright, so no warm-flow
+// mitigation spares them the mask scan. every <= 0 returns v itself.
+func WithNewClients(v *Victim, every int) FrameSource {
+	if every <= 0 {
+		return v
+	}
+	return &newClients{v: v, every: every, lcg: 0x9e3779b97f4a7c15}
+}
+
+type newClients struct {
+	v     *Victim
+	every int
+	lcg   uint64
+	i     int
+}
+
+func (c *newClients) NextFrame() ([]byte, uint32) {
+	c.i++
+	if c.i%c.every != 0 {
+		return c.v.NextFrame()
+	}
+	c.lcg = c.lcg*6364136223846793005 + 1442695040888963407
+	t := c.v.keys[0].Tuple()
+	t.Src, t.SrcPort, t.DstPort = flow.V4Addr(c.lcg&0xffffffff), uint16(1024+(c.lcg>>32)%60000), uint16(c.lcg>>48)
+	f, err := pkt.BuildTuple(t, c.v.cfg.FrameLen)
+	if err != nil {
+		panic(err) // a TCP tuple always renders
+	}
+	return f, c.v.cfg.InPort
+}
+
 // MixConfig describes a benign multi-flow mix: NFlows distinct 5-tuples
 // drawn deterministically from a subnet and port pool, visited with a
 // skewed (approximately Zipfian) popularity so a handful of flows carry
