@@ -153,7 +153,10 @@ func WithoutRunCoalescing() Option { return func(c *config) { c.noCoalesce = tru
 // walked in order. The cache options (WithEMC/WithSMC/WithMegaflow) are
 // ignored when this is used. Upcall results are installed into the last
 // tier implementing MegaflowInstaller; without one the switch still
-// classifies correctly but caches nothing.
+// classifies correctly but caches nothing. WithTiers() with no tiers is the
+// flow-cache-less datapath (the paper's ref [4], ESWITCH-style): every
+// packet is one classification in the switch's classifier, and there is no
+// cache for a policy-injection attack to fill.
 func WithTiers(tiers ...Tier) Option {
 	return func(c *config) { c.tiers, c.tiersSet = tiers, true }
 }

@@ -5,8 +5,7 @@
 // insertion order — "if multiple rules in the flow table match, the one
 // added first will be applied". Lookup here is a deliberate straight linear
 // scan: it is the semantic reference the optimised classifier (package
-// classifier) is differential-tested against, and it doubles as the
-// "flow-cache-less" ingredient of the baseline switch.
+// classifier) is differential-tested against.
 package flowtable
 
 import (

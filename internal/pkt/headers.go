@@ -1,147 +1,46 @@
 package pkt
 
 import (
+	"errors"
 	"fmt"
-	"net/netip"
+
+	"policyinject/internal/flow"
 )
 
-// Ethernet is a decoded Ethernet header view.
-type Ethernet struct {
-	Dst, Src  MAC
-	EtherType uint16
-	VLAN      uint16 // TCI, 0 when untagged
-	Payload   []byte
-}
-
-// DecodeEthernet parses the outermost Ethernet (and one optional 802.1Q
-// tag) of frame.
-func DecodeEthernet(frame []byte) (Ethernet, error) {
-	var e Ethernet
-	if len(frame) < EthHeaderLen {
-		return e, fmt.Errorf("%w: Ethernet", ErrTruncated)
-	}
-	copy(e.Dst[:], frame[0:6])
-	copy(e.Src[:], frame[6:12])
-	e.EtherType = be16(frame[12:14])
-	off := EthHeaderLen
-	if e.EtherType == EtherTypeVLAN {
-		if len(frame) < off+VLANTagLen {
-			return e, fmt.Errorf("%w: VLAN tag", ErrTruncated)
-		}
-		e.VLAN = be16(frame[off : off+2])
-		e.EtherType = be16(frame[off+2 : off+4])
-		off += VLANTagLen
-	}
-	e.Payload = frame[off:]
-	return e, nil
-}
-
-// IPv4 is a decoded IPv4 header view.
-type IPv4 struct {
-	TOS      uint8
-	TotalLen uint16
-	TTL      uint8
-	Proto    uint8
-	Src, Dst netip.Addr
-	Payload  []byte
-}
-
-// DecodeIPv4 parses an IPv4 packet (starting at the IP header).
-func DecodeIPv4(b []byte) (IPv4, error) {
-	var p IPv4
-	if len(b) < IPv4HeaderLen {
-		return p, fmt.Errorf("%w: IPv4", ErrTruncated)
-	}
-	if b[0]>>4 != 4 {
-		return p, fmt.Errorf("%w: version %d", ErrBadVersion, b[0]>>4)
-	}
-	ihl := int(b[0]&0x0f) * 4
-	if ihl < IPv4HeaderLen || len(b) < ihl {
-		return p, fmt.Errorf("%w: IHL %d", ErrBadIHL, ihl)
-	}
-	p.TOS = b[1]
-	p.TotalLen = be16(b[2:4])
-	p.TTL = b[8]
-	p.Proto = b[9]
-	p.Src = netip.AddrFrom4([4]byte(b[12:16]))
-	p.Dst = netip.AddrFrom4([4]byte(b[16:20]))
-	p.Payload = b[ihl:]
-	return p, nil
-}
-
-// Transport is a decoded TCP or UDP header view.
-type Transport struct {
-	SrcPort, DstPort uint16
-	TCPFlags         uint8 // TCP only
-	Payload          []byte
-}
-
-// DecodeTransport parses the transport header for proto.
-func DecodeTransport(proto uint8, b []byte) (Transport, error) {
-	var t Transport
-	switch proto {
-	case ProtoTCP:
-		if len(b) < TCPHeaderLen {
-			return t, fmt.Errorf("%w: TCP", ErrTruncated)
-		}
-		t.SrcPort = be16(b[0:2])
-		t.DstPort = be16(b[2:4])
-		t.TCPFlags = b[13]
-		dataOff := int(b[12]>>4) * 4
-		if dataOff < TCPHeaderLen || dataOff > len(b) {
-			return t, fmt.Errorf("%w: TCP data offset %d", ErrTruncated, dataOff)
-		}
-		t.Payload = b[dataOff:]
-		return t, nil
-	case ProtoUDP:
-		if len(b) < UDPHeaderLen {
-			return t, fmt.Errorf("%w: UDP", ErrTruncated)
-		}
-		t.SrcPort = be16(b[0:2])
-		t.DstPort = be16(b[2:4])
-		t.Payload = b[UDPHeaderLen:]
-		return t, nil
-	default:
-		return t, fmt.Errorf("%w: proto %d", ErrUnsupported, proto)
-	}
-}
-
-// Summary renders a one-line description of a frame for logs and the dpctl
-// tool, e.g. "10.0.0.1:4242 > 10.0.0.2:80 tcp len=1500".
+// Summary renders a one-line description of a frame for logs and the ovsdos
+// tool, e.g. "10.0.0.1:4242 > 10.0.0.2:80 tcp len=1500", from the flow key
+// Extract parses: the one frame decoder. A frame Extract cannot parse
+// renders as its error, in angle brackets; one it parses only to L3 (an
+// unsupported EtherType or IP protocol) renders what it understood.
 func Summary(frame []byte) string {
-	eth, err := DecodeEthernet(frame)
-	if err != nil {
+	k, err := Extract(frame, 0)
+	if err != nil && !errors.Is(err, ErrUnsupported) {
 		return fmt.Sprintf("<%v>", err)
 	}
-	switch eth.EtherType {
+	switch etherType := k.Get(flow.FieldEthType); etherType {
 	case EtherTypeIPv4:
-		ip, err := DecodeIPv4(eth.Payload)
-		if err != nil {
-			return fmt.Sprintf("<%v>", err)
-		}
-		switch ip.Proto {
-		case ProtoTCP, ProtoUDP:
-			tp, err := DecodeTransport(ip.Proto, ip.Payload)
-			if err != nil {
-				return fmt.Sprintf("<%v>", err)
-			}
+		src, dst := flow.V4Addr(k.Get(flow.FieldIPSrc)), flow.V4Addr(k.Get(flow.FieldIPDst))
+		proto := uint8(k.Get(flow.FieldIPProto))
+		later := k.Get(flow.FieldIPFrag) == 2 // no L4 header to render
+		switch {
+		case (proto == ProtoTCP || proto == ProtoUDP) && !later:
 			name := "tcp"
-			if ip.Proto == ProtoUDP {
+			if proto == ProtoUDP {
 				name = "udp"
 			}
 			return fmt.Sprintf("%s:%d > %s:%d %s len=%d",
-				ip.Src, tp.SrcPort, ip.Dst, tp.DstPort, name, len(frame))
-		case ProtoICMP:
-			return fmt.Sprintf("%s > %s icmp len=%d", ip.Src, ip.Dst, len(frame))
+				src, k.Get(flow.FieldTPSrc), dst, k.Get(flow.FieldTPDst), name, len(frame))
+		case proto == ProtoICMP:
+			return fmt.Sprintf("%s > %s icmp len=%d", src, dst, len(frame))
 		default:
-			return fmt.Sprintf("%s > %s proto=%d len=%d", ip.Src, ip.Dst, ip.Proto, len(frame))
+			return fmt.Sprintf("%s > %s proto=%d len=%d", src, dst, proto, len(frame))
 		}
 	case EtherTypeARP:
 		return fmt.Sprintf("arp len=%d", len(frame))
 	case EtherTypeIPv6:
 		return fmt.Sprintf("ipv6 len=%d", len(frame))
 	default:
-		return fmt.Sprintf("ethertype=%#04x len=%d", eth.EtherType, len(frame))
+		return fmt.Sprintf("ethertype=%#04x len=%d", etherType, len(frame))
 	}
 }
 

@@ -161,29 +161,20 @@ func TestFrameLenPadding(t *testing.T) {
 
 func TestIPv4HeaderChecksumValid(t *testing.T) {
 	f := MustBuild(tcpSpec())
-	eth, err := DecodeEthernet(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifyIPv4Header(eth.Payload[:IPv4HeaderLen]) {
+	hdr := f[EthHeaderLen : EthHeaderLen+IPv4HeaderLen]
+	if !VerifyIPv4Header(hdr) {
 		t.Error("IPv4 header checksum does not verify")
 	}
 	// Corrupt a byte: verification must fail.
-	eth.Payload[8] ^= 0xff
-	if VerifyIPv4Header(eth.Payload[:IPv4HeaderLen]) {
+	hdr[8] ^= 0xff
+	if VerifyIPv4Header(hdr) {
 		t.Error("corrupted header still verifies")
 	}
 }
 
 func TestTCPChecksumValid(t *testing.T) {
-	f := MustBuild(tcpSpec())
-	eth, _ := DecodeEthernet(f)
-	ip, err := DecodeIPv4(eth.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, dst := ip.Src.As4(), ip.Dst.As4()
-	if got := PseudoChecksum(src[:], dst[:], ProtoTCP, ip.Payload); got != 0 {
+	ip := MustBuild(tcpSpec())[EthHeaderLen:]
+	if got := PseudoChecksum(ip[12:16], ip[16:20], ProtoTCP, ip[IPv4HeaderLen:]); got != 0 {
 		t.Errorf("TCP segment does not checksum to zero: %#x", got)
 	}
 }
@@ -192,11 +183,8 @@ func TestUDPChecksumValid(t *testing.T) {
 	s := tcpSpec()
 	s.Proto = ProtoUDP
 	s.PayloadLen = 37 // odd length exercises the trailing-byte path
-	f := MustBuild(s)
-	eth, _ := DecodeEthernet(f)
-	ip, _ := DecodeIPv4(eth.Payload)
-	src, dst := ip.Src.As4(), ip.Dst.As4()
-	if got := PseudoChecksum(src[:], dst[:], ProtoUDP, ip.Payload); got != 0 {
+	ip := MustBuild(s)[EthHeaderLen:]
+	if got := PseudoChecksum(ip[12:16], ip[16:20], ProtoUDP, ip[IPv4HeaderLen:]); got != 0 {
 		t.Errorf("UDP segment does not checksum to zero: %#x", got)
 	}
 }
@@ -299,19 +287,52 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestSummary holds the one-line rendering of each frame shape: the
+// 5-tuple with ports for TCP and UDP (VLAN-tagged too), addresses only for
+// ICMP and other IP protocols, a tag for ARP, IPv6 and unknown EtherTypes,
+// and the parse error, in angle brackets, for a frame cut short.
 func TestSummary(t *testing.T) {
-	s := tcpSpec()
-	s.FrameLen = 1500
-	got := Summary(MustBuild(s))
-	want := "10.0.0.1:4242 > 10.0.0.2:80 tcp len=1500"
-	if got != want {
-		t.Errorf("Summary = %q, want %q", got, want)
+	tcp := tcpSpec()
+	tcp.FrameLen = 1500
+	udp := tcpSpec()
+	udp.Proto = ProtoUDP
+	vlan := tcpSpec()
+	vlan.VLAN = 0x2123
+	icmp := Spec{Src: netip.MustParseAddr("1.1.1.1"), Dst: netip.MustParseAddr("2.2.2.2"), Proto: ProtoICMP}
+	gre := MustBuild(tcpSpec())
+	gre[EthHeaderLen+9] = 47
+	v6 := Spec{Src: netip.MustParseAddr("2001:db8::1"), Dst: netip.MustParseAddr("2001:db8::99"), Proto: ProtoUDP, SrcPort: 1000, DstPort: 53}
+	lldp := MustBuild(tcpSpec())
+	lldp[12], lldp[13] = 0x88, 0xcc
+	arp := BuildARP(1, MAC{2, 0, 0, 0, 0, 1}, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), MAC{})
+	truncated := "<" + ErrTruncated.Error() // the error's detail is the parser's
+	cases := []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"tcp", MustBuild(tcp), "10.0.0.1:4242 > 10.0.0.2:80 tcp len=1500"},
+		{"udp", MustBuild(udp), "10.0.0.1:4242 > 10.0.0.2:80 udp len=42"},
+		{"icmp", MustBuild(icmp), "1.1.1.1 > 2.2.2.2 icmp len=42"},
+		{"other ip proto", gre, "10.0.0.1 > 10.0.0.2 proto=47 len=54"},
+		{"vlan tcp", MustBuild(vlan), "10.0.0.1:4242 > 10.0.0.2:80 tcp len=58"},
+		{"arp", arp, "arp len=42"},
+		{"ipv6", MustBuild(v6), "ipv6 len=62"},
+		{"unknown ethertype", lldp, "ethertype=0x88cc len=54"},
+		{"truncated ethernet", lldp[:5], truncated},
+		{"truncated tcp", MustBuild(tcpSpec())[:EthHeaderLen+IPv4HeaderLen+2], truncated},
 	}
-	if !strings.Contains(Summary(MustBuild(Spec{
-		Src: netip.MustParseAddr("1.1.1.1"), Dst: netip.MustParseAddr("2.2.2.2"),
-		Proto: ProtoICMP,
-	})), "icmp") {
-		t.Error("ICMP summary missing protocol")
+	for _, c := range cases {
+		got := Summary(c.frame)
+		if c.want == truncated {
+			if !strings.HasPrefix(got, truncated) || !strings.HasSuffix(got, ">") {
+				t.Errorf("%s: Summary = %q, want %q...>", c.name, got, truncated)
+			}
+			continue
+		}
+		if got != c.want {
+			t.Errorf("%s: Summary = %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 

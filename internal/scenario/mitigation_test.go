@@ -15,7 +15,7 @@ package scenario
 //   - a reject-mode mask quota caps the damage but can displace the
 //     victim's own megaflow, turning its packets into upcalls;
 //   - quota + LRU eviction + ranking recovers the victim largely;
-//   - the cache-less baseline is immune by construction, at the price of
+//   - the cache-less switch is immune by construction, at the price of
 //     losing the near-free cache hits on friendly traffic.
 
 import (
@@ -170,8 +170,8 @@ func TestMaskCapLRUSortedRestoresVictim(t *testing.T) {
 	}
 }
 
-// TestCacheLessIsImmune: the ESWITCH-style baseline's cost is unchanged
-// within measurement noise.
+// TestCacheLessIsImmune: the ESWITCH-style cache-less switch's cost is
+// unchanged within measurement noise.
 func TestCacheLessIsImmune(t *testing.T) {
 	o := evaluateRows(t, "cache-less")[0]
 	if o.masks != 0 {

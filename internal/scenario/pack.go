@@ -59,8 +59,9 @@ type MeasureSpec struct {
 
 // DatapathSpec maps onto dataplane.New options. The zero value models the
 // paper's kernel datapath: no EMC, flat megaflow TSS, no conntrack.
-// CacheLess (alone) sends the run's traffic through the flow-cache-less
-// baseline.Switch instead, mirroring the node switch's rules.
+// CacheLess (alone) is the flow-cache-less datapath (paper ref [4]): the
+// switch holds no cache tier and classifies every packet in its own
+// classifier.
 type DatapathSpec struct {
 	CacheLess     bool
 	EMC           bool

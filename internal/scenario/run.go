@@ -6,17 +6,14 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"policyinject/internal/acl"
 	"policyinject/internal/attack"
-	"policyinject/internal/baseline"
 	"policyinject/internal/cache"
 	"policyinject/internal/chaos"
 	"policyinject/internal/cms"
 	"policyinject/internal/conntrack"
 	"policyinject/internal/dataplane"
-	"policyinject/internal/flowtable"
 	"policyinject/internal/guard"
 	"policyinject/internal/metrics"
 	"policyinject/internal/pkt"
@@ -55,11 +52,11 @@ type VariantRun struct {
 	Timeline *metrics.Group
 
 	// Summary maps metric name -> value: peak_masks, final_masks,
-	// final_entries, upcalls, denied, allowed, install_err and
-	// flow_limit_final (0 without a revalidator); with a revalidator
-	// flow_limit_initial/overruns/limit_evicted; wall measurement adds
-	// mean_before/mean_after/degradation and ns_before/ns_after/slowdown;
-	// a victim with new clients adds avg_scan; conntrack adds
+	// final_entries, upcalls, denied, allowed, install_err, avg_scan (0
+	// without a megaflow lookup) and flow_limit_final (0 without a
+	// revalidator); with a revalidator flow_limit_initial/overruns/
+	// limit_evicted; wall measurement adds mean_before/mean_after/
+	// degradation and ns_before/ns_after/slowdown; conntrack adds
 	// ct_peak/ct_final.
 	Summary map[string]float64
 }
@@ -150,8 +147,13 @@ func checkExpectations(p *Pack, res *Result) []Check {
 	return checks
 }
 
-// datapathOptions lowers a DatapathSpec onto dataplane.New options.
+// datapathOptions lowers a DatapathSpec onto dataplane.New options. A
+// cache_less datapath is the empty tier hierarchy: the switch classifies
+// every packet in its own classifier and caches nothing.
 func datapathOptions(d DatapathSpec) []dataplane.Option {
+	if d.CacheLess {
+		return []dataplane.Option{dataplane.WithTiers()}
+	}
 	var opts []dataplane.Option
 	if !d.EMC {
 		opts = append(opts, dataplane.WithoutEMC())
@@ -294,38 +296,6 @@ func (p *pcapReplay) NextFrame() ([]byte, uint32) {
 	return f, p.inPort
 }
 
-// pipeline is what a timeline sends its traffic through and reads its
-// verdict counters from: the node's switch, or the cacheLess mirror.
-type pipeline interface {
-	ProcessFrames(now uint64, fb *dataplane.FrameBatch, out []dataplane.Decision) []dataplane.Decision
-	Counters() dataplane.Counters
-}
-
-// cacheLess is a cache_less datapath's pipeline: a flow-cache-less
-// baseline.Switch mirroring the node switch's rules (sync, each tick); the
-// node switch keeps the policy (the CMS installs there) and no traffic.
-type cacheLess struct {
-	*baseline.Switch
-	src   []*flowtable.Rule // the node's rules as last mirrored
-	rules []*flowtable.Rule // their copies here
-}
-
-// sync mirrors sw's rule table if it changed since the last call.
-func (c *cacheLess) sync(sw *dataplane.Switch) {
-	src := sw.Rules() // evaluation order: ties keep their order
-	if slices.Equal(src, c.src) {
-		return
-	}
-	for _, r := range c.rules {
-		c.RemoveRule(r)
-	}
-	c.rules = c.rules[:0]
-	for _, r := range src {
-		c.rules = append(c.rules, c.InstallRule(*r))
-	}
-	c.src = src
-}
-
 // runTimeline executes one effective timeline pack: the fig-3 cluster
 // shape (one hypervisor node, victim pod + optional attacker pod +
 // declared tenant pods), the declared traffic, and the attack schedule.
@@ -423,12 +393,6 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 		}
 	}
 	sw := victimSrv.Node.Switch
-	var pl pipeline = sw
-	var mirror *cacheLess
-	if p.Datapath.CacheLess {
-		mirror = &cacheLess{Switch: baseline.New(baseline.Config{})}
-		pl = mirror
-	}
 
 	victimPolicy := p.Victim.Policy
 	if victimPolicy == nil {
@@ -602,9 +566,6 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 			}
 			injected = true
 		}
-		if mirror != nil {
-			mirror.sync(sw)
-		}
 
 		// Active faults fire before the tick's traffic, so a filled
 		// conntrack table is what the tick's commits bounce off.
@@ -620,7 +581,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 			for i := pacer.Take(1); i > 0; i-- {
 				covertBurst.Append(replay.NextFrame())
 			}
-			out = pl.ProcessFrames(now, &covertBurst, out)
+			out = sw.ProcessFrames(now, &covertBurst, out)
 		}
 
 		// 3. Background streams.
@@ -632,33 +593,31 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 			for i := s.pace.Take(1); i > 0; i-- {
 				streamBurst.Append(s.src.NextFrame())
 			}
-			out = pl.ProcessFrames(now, &streamBurst, out)
+			out = sw.ProcessFrames(now, &streamBurst, out)
 		}
 
 		// 4. Victim drive: timed burst (wall) or a fixed untimed burst
 		// (off — fully deterministic).
 		gbps, visits, victimNs := 0.0, 0.0, 0.0
-		mf := sw.Megaflow()
-		lookups0, scanned0 := mf.Lookups, mf.MasksScanned
+		lookups0, scanned0, probed0 := megaflowWork(sw)
 		if mode == "wall" {
-			pkts0, probed0 := physicalWork(sw)
-			cost := sim.MeasureCost(pl, victim, now, samples)
+			pkts0 := sw.Counters().Packets
+			cost := sim.MeasureCost(sw, victim, now, samples)
 			gbps = sim.Gbps(sim.Throughput(cost, offeredPPS), frameLen)
 			victimNs = float64(cost.Nanoseconds())
-			pkts, probed := physicalWork(sw)
-			if pkts > pkts0 { // a cache_less node switch takes none
-				visits = float64(probed-probed0) / float64(pkts-pkts0)
-			}
+			_, _, probed := megaflowWork(sw)
+			visits = float64(probed-probed0) / float64(sw.Counters().Packets-pkts0)
 		} else {
 			victimBurst.Reset()
 			for i := 0; i < samples; i++ {
 				victimBurst.Append(victim.NextFrame())
 			}
-			out = pl.ProcessFrames(now, &victimBurst, out)
+			out = sw.ProcessFrames(now, &victimBurst, out)
 		}
 		if float64(t) >= after {
-			lookups += mf.Lookups - lookups0
-			scanned += mf.MasksScanned - scanned0
+			lookups1, scanned1, _ := megaflowWork(sw)
+			lookups += lookups1 - lookups0
+			scanned += scanned1 - scanned0
 		}
 
 		// 5. Maintenance round (unless a stall fault suppresses it), then
@@ -708,7 +667,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	run.Summary["peak_masks"] = metrics.Summarize(masks.V).Max
 	run.Summary["final_masks"] = masks.V[masks.Len()-1]
 	run.Summary["final_entries"] = entries.V[entries.Len()-1]
-	c := pl.Counters()
+	c := sw.Counters()
 	run.Summary["upcalls"] = float64(c.Upcalls)
 	run.Summary["allowed"] = float64(c.Allowed)
 	run.Summary["denied"] = float64(c.Denied)
@@ -733,9 +692,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 			run.Summary["slowdown"] = nsAfter / nsBefore
 		}
 	}
-	if p.Victim.NewClientEvery > 0 { // the matrix's column; 0 without a lookup (cache_less)
-		run.Summary["avg_scan"] = float64(scanned) / float64(max(lookups, 1))
-	}
+	run.Summary["avg_scan"] = float64(scanned) / float64(max(lookups, 1))
 	run.Summary["flow_limit_final"] = 0
 	if rev != nil {
 		st := rev.Stats()
@@ -766,12 +723,17 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	return run, nil
 }
 
-// physicalWork reads off a timeline switch the packets it has taken and the
-// subtables its megaflow cache has probed for them (flat or staged, what
-// MasksScanned holds beyond RunBilledScans): victim_visits is their ratio.
-func physicalWork(sw *dataplane.Switch) (packets, probed uint64) {
+// megaflowWork reads off a timeline switch's megaflow cache its lookups,
+// the subtables they scanned (avg_scan's ratio), and those it probed
+// physically, flat or staged: what MasksScanned holds beyond RunBilledScans
+// (victim_visits, per packet). A cache_less switch has no megaflow cache
+// and reads 0 for each.
+func megaflowWork(sw *dataplane.Switch) (lookups, scanned, probed uint64) {
 	mf := sw.Megaflow()
-	return sw.Counters().Packets, mf.MasksScanned - mf.RunBilledScans
+	if mf == nil {
+		return 0, 0, 0
+	}
+	return mf.Lookups, mf.MasksScanned, mf.MasksScanned - mf.RunBilledScans
 }
 
 // fig3Windows returns fig 3's pre/post-attack windows as tick ranges:

@@ -126,7 +126,7 @@ func TestMitigationPackPins(t *testing.T) {
 
 // TestMitigationVerdictsAgree is the matrix's verdict differential: every
 // row — cached hierarchies, quotas, revalidators, conntrack and the
-// cache-less baseline alike — sees the same packets under measure off and
+// cache-less switch alike — sees the same packets under measure off and
 // must hand down the classifier's verdict on each, so every row counts the
 // same allowed and denied packets.
 func TestMitigationVerdictsAgree(t *testing.T) {

@@ -1,7 +1,9 @@
 // Package sim is the cost model: it measures the real per-packet processing
-// cost of the actual Go implementation at a pipeline's current state, over
-// bursts of wire frames (MeasureCost), and converts cost into achievable
-// throughput (Throughput, Gbps, PPSFor). It runs no timeline: who sends
+// cost of a dataplane.Switch at its current state, over bursts of wire
+// frames (MeasureCost), and converts cost into achievable throughput
+// (Throughput, Gbps, PPSFor). Every datapath a scenario models is a switch
+// — a cache_less one is the empty tier hierarchy — so the one measured
+// surface is the switch's burst ingress. It runs no timeline: who sends
 // what on which tick is internal/scenario's, which samples this model once
 // a tick.
 //
@@ -19,35 +21,25 @@ import (
 	"policyinject/internal/traffic"
 )
 
-// Pipeline is the surface the simulator drives; dataplane.Switch,
-// dataplane.PMDPool and baseline.Switch all satisfy it (a scenario
-// timeline measures the last for a cache_less datapath). The wire burst is
-// the only interface: the simulator hands whole frame bursts to
-// ProcessFrames, as a NIC rx queue would, so measured cost includes the
-// parse stage.
-type Pipeline interface {
-	ProcessFrames(now uint64, fb *dataplane.FrameBatch, out []dataplane.Decision) []dataplane.Decision
-}
-
 // costRounds is the number of rounds MeasureCost takes its minimum over.
 // Three rounds of 100 µs were few enough for one disturbance to reach the
 // minimum of one arm of a before/after ratio, and ended before a staged
 // cache's next re-rank in 9 of 30 evaluations (read x6-9 against a settled
-// x2); eight are still under a millisecond on a cheap pipeline.
+// x2); eight are still under a millisecond on a cheap switch.
 const costRounds = 8
 
-// MeasureCost measures the per-packet processing cost of p for src's
-// traffic at the pipeline's current state, by timing real ProcessFrames
+// MeasureCost measures the per-packet processing cost of sw for src's
+// traffic at the switch's current state, by timing real ProcessFrames
 // calls over bursts of src's wire frames — end-to-end cost, parsing
 // included, the regime the paper's Figure 3 studies. It adapts the sample
 // count so each timed region is long enough to dominate clock granularity,
 // runs costRounds independent rounds, and returns the cheapest round — the
 // minimum estimator, which discards descheduling noise that a mean would
-// absorb (cheap pipelines are otherwise dominated by a single preemption
+// absorb (cheap switches are otherwise dominated by a single preemption
 // inside the window). The calls mutate cache state exactly as the
 // measured traffic would — that is intentional. Burst generation happens
-// outside the timed region, so the cost is the pipeline's alone.
-func MeasureCost(p Pipeline, src traffic.FrameSource, now uint64, minSamples int) time.Duration {
+// outside the timed region, so the cost is the switch's alone.
+func MeasureCost(sw *dataplane.Switch, src traffic.FrameSource, now uint64, minSamples int) time.Duration {
 	if minSamples < 16 {
 		minSamples = 16
 	}
@@ -64,7 +56,7 @@ func MeasureCost(p Pipeline, src traffic.FrameSource, now uint64, minSamples int
 				fb.Append(src.NextFrame())
 			}
 			start := time.Now()
-			out = p.ProcessFrames(now, &fb, out)
+			out = sw.ProcessFrames(now, &fb, out)
 			elapsed += time.Since(start)
 			samples += minSamples
 			if samples > 1<<20 {
