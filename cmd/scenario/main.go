@@ -147,7 +147,7 @@ func cmdList(args []string) error {
 		for _, v := range p.Variants {
 			variants = append(variants, v.Variant)
 		}
-		fmt.Fprintf(w, "%-22s %-8s %-28s %s\n", p.Name, p.Mode, strings.Join(variants, ","), l.file)
+		fmt.Fprintf(w, "%-22s %-28s %s\n", p.Name, strings.Join(variants, ","), l.file)
 		if p.Description != "" {
 			fmt.Fprintf(w, "%22s %s\n", "", p.Description)
 		}

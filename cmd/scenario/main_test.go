@@ -18,7 +18,7 @@ func TestWriteReportNestedPackName(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	res := &scenario.Result{Pack: "attacks/three-field", Mode: "timeline"}
+	res := &scenario.Result{Pack: "attacks/three-field"}
 
 	path, err := writeReport(rep, dir, res.Pack, "json", res)
 	if err != nil {

@@ -371,6 +371,29 @@ func TestV6TwoFieldInjection1024(t *testing.T) {
 	}
 }
 
+// TestV4CovertStreamIsIPv4 is TestV6CovertStreamIsIPv6's IPv4 twin: the
+// two-field attack's covert keys carry eth_type 0x0800, and one frame
+// builds for each of them.
+func TestV4CovertStreamIsIPv4(t *testing.T) {
+	a := TwoField()
+	keys, err := a.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if k.Get(flow.FieldEthType) != flow.EthTypeIPv4 {
+			t.Fatal("covert key not IPv4")
+		}
+	}
+	frames, err := a.Frames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != len(keys) {
+		t.Fatalf("frames = %d, keys = %d", len(frames), len(keys))
+	}
+}
+
 // TestV6CovertStreamIsIPv6 guards the template plumbing: covert keys for
 // a v6 attack must carry eth_type 0x86dd, and frames must build.
 func TestV6CovertStreamIsIPv6(t *testing.T) {

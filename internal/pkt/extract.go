@@ -129,6 +129,10 @@ func extractL4(b []byte, proto byte, k flow.Key) (flow.Key, error) {
 		if len(b) < TCPHeaderLen {
 			return k, errTruncTCP
 		}
+		// Below five words or past the frame: as miniflow_extract, no L4 key.
+		if off := int(b[12]>>4) * 4; off < TCPHeaderLen || len(b) < off {
+			return k, errTruncTCP
+		}
 		k.Set(flow.FieldTPSrc, uint64(be16(b[0:2])))
 		k.Set(flow.FieldTPDst, uint64(be16(b[2:4])))
 		k.Set(flow.FieldTCPFlags, uint64(b[13]))
@@ -234,10 +238,11 @@ const (
 )
 
 // extractFast decodes the common wire shapes — untagged or single-802.1Q
-// IPv4, IHL 5, not a fragment, TCP or UDP — with a single bounds check per
-// layer, and returns the key's five leading words; the other five are zero,
-// and the key is exactly what Extract would produce. It reports false for
-// anything it does not handle, sending the frame to the full decoder.
+// IPv4, IHL 5, not a fragment, UDP or TCP with a data offset that fits the
+// frame — with a single bounds check per layer, and returns the key's five
+// leading words; the other five are zero, and the key is exactly what
+// Extract would produce. It reports false for anything it does not handle,
+// sending the frame to the full decoder.
 //
 // Each word is composed whole from big-endian loads, by the Words layout
 // (flow/field.go): word 1 takes eth_src from frame[6:12] as the low six
@@ -275,7 +280,11 @@ func extractFast(frame []byte, inPort uint32) (w0, w1, w2, w3, w4 uint64, ok boo
 		if len(frame) < minTCP {
 			return
 		}
-		flags = uint64(frame[l3+IPv4HeaderLen+13])
+		tcp := l3 + IPv4HeaderLen
+		if off := int(frame[tcp+12]>>4) * 4; off < TCPHeaderLen || len(frame) < tcp+off {
+			return // a bad data offset: the full decoder refuses it
+		}
+		flags = uint64(frame[tcp+13])
 	default:
 		return
 	}

@@ -70,6 +70,20 @@ func corpusFrames(t testing.TB) [][]byte {
 	qinq := append([]byte(nil), vlanTCP...)
 	qinq[16], qinq[17] = 0x81, 0x00
 	frames = append(frames, qinq)
+	// TCP data offsets the decoders must refuse, untagged and tagged: below
+	// five words (0 and 4), and 15 words on a frame that ends after the
+	// 20-byte header.
+	for _, f := range [][]byte{weird, vlanTCP} {
+		tcp := len(f) - len(weird) + EthHeaderLen + IPv4HeaderLen
+		for _, off := range []byte{0, 4} {
+			bad := append([]byte(nil), f...)
+			bad[tcp+12] = off << 4
+			frames = append(frames, bad)
+		}
+		long := append([]byte(nil), f[:tcp+TCPHeaderLen]...)
+		long[tcp+12] = 15 << 4
+		frames = append(frames, long)
+	}
 	// Every truncation prefix of a TCP frame, untagged and tagged.
 	for n := 0; n < len(weird); n += 3 {
 		frames = append(frames, weird[:n])

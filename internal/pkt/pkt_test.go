@@ -207,6 +207,32 @@ func TestExtractTruncated(t *testing.T) {
 	}
 }
 
+// TestExtractTCPDataOffset: a TCP header whose data offset is below five
+// words, or runs past the frame, is cut short, as OVS reads it; an offset
+// that fits, options included, is a clean key.
+func TestExtractTCPDataOffset(t *testing.T) {
+	f := append(MustBuild(tcpSpec()), 0, 0, 0, 0) // room for one option word
+	tcp := EthHeaderLen + IPv4HeaderLen
+	for _, c := range []struct {
+		off, frameLen int
+		bad           bool
+	}{
+		{0, len(f), true},
+		{4, len(f), true},
+		{15, tcp + TCPHeaderLen, true},
+		{6, tcp + TCPHeaderLen, true},
+		{5, tcp + TCPHeaderLen, false},
+		{6, tcp + TCPHeaderLen + 4, false},
+	} {
+		g := append([]byte(nil), f[:c.frameLen]...)
+		g[tcp+12] = byte(c.off) << 4
+		_, err := Extract(g, 1)
+		if c.bad != errors.Is(err, ErrTruncated) || !c.bad && err != nil {
+			t.Errorf("offset %d on %d bytes: err = %v, want truncated %v", c.off, c.frameLen, err, c.bad)
+		}
+	}
+}
+
 func TestExtractUnsupportedEtherType(t *testing.T) {
 	f := MustBuild(tcpSpec())
 	f[12], f[13] = 0x88, 0xcc // LLDP

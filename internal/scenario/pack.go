@@ -24,7 +24,6 @@ type Pack struct {
 	Description string
 	File        string
 	Tags        []string
-	Mode        string // "timeline", the one run engine (see Run)
 	Seed        uint64
 	Duration    int // ticks
 
@@ -47,14 +46,15 @@ type Pack struct {
 	Variant  string
 }
 
-// MeasureSpec selects how the victim's cost is observed each tick.
-// "wall" times real bursts through the pipeline (sim.MeasureCost) and
-// yields Gbps series and summary metrics; "off" drives a fixed burst per
-// tick without timing, so a run is fully deterministic — same pack + seed
-// produce a byte-identical JSON report.
+// MeasureSpec selects how the victim's cost is observed each tick. In
+// both modes a tick drives the victim through sim.MeasureCost: 8 bursts of
+// exactly CostSamples frames, so the traffic — and every count it leaves —
+// is the same in either mode and on any host. "wall" keeps the timing and
+// yields Gbps series and summary metrics; "off" discards it, so a run is
+// fully deterministic — same pack + seed produce a byte-identical report.
 type MeasureSpec struct {
 	Mode        string // "wall" (default) or "off"
-	CostSamples int    // victim burst per tick (default 64)
+	CostSamples int    // victim frames a burst, 8 bursts a tick (default 64)
 }
 
 // DatapathSpec maps onto dataplane.New options. The zero value models the
@@ -515,7 +515,6 @@ func (b *binder) bindPack(root *node) (p *Pack, err error) {
 		Name:        m.str("name", ""),
 		Description: m.str("description", ""),
 		Tags:        m.strs("tags"),
-		Mode:        m.str("mode", "timeline"),
 		Seed:        m.uintval("seed", 1),
 		Duration:    m.intval("duration", 150),
 		File:        b.file,
@@ -550,9 +549,6 @@ func (b *binder) bindPack(root *node) (p *Pack, err error) {
 
 	if p.Datapath.CacheLess && p.Datapath != (DatapathSpec{CacheLess: true}) {
 		b.failf(m.child("datapath").fields["cache_less"], "datapath.cache_less", "excludes every other datapath key")
-	}
-	if p.Mode != "timeline" { // a former "matrix" pack's rows are its variants
-		b.failf(m.child("mode"), "mode", "must be \"timeline\" (each row a variant), got %q", p.Mode)
 	}
 	if p.Attack != nil && p.Attack.Start >= p.Duration {
 		b.failf(m.child("attack"), "attack.start", "start tick %d is beyond duration %d", p.Attack.Start, p.Duration)
@@ -933,8 +929,8 @@ func (b *binder) bindExpect(n *node, path string) Expectation {
 // golden-file loader tests pin.
 func (p *Pack) Describe() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "pack %s mode=%s seed=%d duration=%d tags=[%s]\n",
-		p.Name, p.Mode, p.Seed, p.Duration, strings.Join(p.Tags, " "))
+	fmt.Fprintf(&sb, "pack %s seed=%d duration=%d tags=[%s]\n",
+		p.Name, p.Seed, p.Duration, strings.Join(p.Tags, " "))
 	for _, v := range p.Variants {
 		fmt.Fprintf(&sb, "variant %s\n", v.Variant)
 		fmt.Fprintf(&sb, "  measure: mode=%s samples=%d\n", v.Measure.Mode, v.Measure.CostSamples)

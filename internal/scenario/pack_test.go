@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // rewrites the file instead.
 func checkGolden(t *testing.T, packFile, ext string, got []byte) {
 	t.Helper()
-	golden := filepath.Join("testdata", "golden", strings.TrimSuffix(packFile, filepath.Ext(packFile))+ext)
+	golden := goldenPath(packFile, ext)
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -32,6 +32,11 @@ func checkGolden(t *testing.T, packFile, ext string, got []byte) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: diverges from %s\n--- got ---\n%s--- want ---\n%s", packFile, golden, got, want)
 	}
+}
+
+// goldenPath is where a pack file's golden with extension ext lives.
+func goldenPath(packFile, ext string) string {
+	return filepath.Join("testdata", "golden", strings.TrimSuffix(packFile, filepath.Ext(packFile))+ext)
 }
 
 // TestCorpusGolden loads every starter pack from the embedded corpus and
@@ -65,10 +70,10 @@ func TestRejectBadPacks(t *testing.T) {
 		"dup-key.yaml":           `dup-key.yaml:2: duplicate key "name"`,
 		"dup-variant.yaml":       `dup-variant.yaml:4: variants[1].name: duplicate variant "a"`,
 		"inline-map.yaml":        `inline-map.yaml:2: inline mappings are not supported; use block form`,
-		"matrix-no-attack.yaml":  `matrix-no-attack.yaml:2: mode: must be "timeline" (each row a variant), got "matrix"`,
+		"matrix-no-attack.yaml":  `matrix-no-attack.yaml:2: mode: unknown key "mode"`,
 		"preset-conflict.yaml":   `preset-conflict.yaml:3: attack: attack: preset and fields are mutually exclusive`,
 		"expect-no-variant.yaml": `expect-no-variant.yaml:7: expect[0].variant: no variant "c" (have a, b)`,
-		"cache-less-mixed.yaml":  `cache-less-mixed.yaml:6: datapath.cache_less: excludes every other datapath key`,
+		"cache-less-mixed.yaml":  `cache-less-mixed.yaml:5: datapath.cache_less: excludes every other datapath key`,
 	}
 	for file, want := range cases {
 		_, err := scenario.Load(filepath.Join("testdata", "bad", file))

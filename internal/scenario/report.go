@@ -59,7 +59,6 @@ func (JSONReporter) Name() string { return "json" }
 type jsonReport struct {
 	Pack   string      `json:"pack"`
 	File   string      `json:"file"`
-	Mode   string      `json:"mode"`
 	Seed   uint64      `json:"seed"`
 	Runs   []jsonRun   `json:"runs"`
 	Checks []jsonCheck `json:"checks,omitempty"`
@@ -92,7 +91,7 @@ type jsonCheck struct {
 // Report implements Reporter.
 func (JSONReporter) Report(w io.Writer, res *Result) error {
 	doc := jsonReport{
-		Pack: res.Pack, File: res.File, Mode: res.Mode, Seed: res.Seed,
+		Pack: res.Pack, File: res.File, Seed: res.Seed,
 		Passed: res.Passed(),
 	}
 	for _, run := range res.Runs {
@@ -173,7 +172,7 @@ func (HumanReporter) Name() string { return "human" }
 // Report implements Reporter.
 func (HumanReporter) Report(w io.Writer, res *Result) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pack %s (%s, seed %d)\n", res.Pack, res.Mode, res.Seed)
+	fmt.Fprintf(&b, "pack %s (seed %d)\n", res.Pack, res.Seed)
 	for _, run := range res.Runs {
 		fmt.Fprintf(&b, "\nvariant %s\n", run.Variant)
 		tbl := &metrics.Table{Header: []string{"metric", "value"}}

@@ -28,7 +28,6 @@ import (
 type Result struct {
 	Pack string
 	File string
-	Mode string
 	Seed uint64
 
 	Runs   []*VariantRun
@@ -107,7 +106,7 @@ func Run(p *Pack, opt RunOptions) (*Result, error) {
 	if opt.Seed != 0 {
 		seed = opt.Seed
 	}
-	res := &Result{Pack: p.Name, File: p.File, Mode: p.Mode, Seed: seed}
+	res := &Result{Pack: p.Name, File: p.File, Seed: seed}
 	for _, v := range p.Variants {
 		run, err := runTimeline(v, opt)
 		if err != nil {
@@ -532,7 +531,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	var lookups, scanned uint64
 
 	injected := false
-	var covertBurst, streamBurst, victimBurst dataplane.FrameBatch
+	var covertBurst, streamBurst dataplane.FrameBatch
 	var out []dataplane.Decision
 	for t := 0; t < duration; t++ {
 		now := uint64(t)
@@ -596,26 +595,16 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 			out = sw.ProcessFrames(now, &streamBurst, out)
 		}
 
-		// 4. Victim drive: timed burst (wall) or a fixed untimed burst
-		// (off — fully deterministic).
-		gbps, visits, victimNs := 0.0, 0.0, 0.0
+		// 4. Victim drive: the same fixed volume in both modes (costRounds
+		// bursts of cost_samples frames, sim.MeasureCost), so every count
+		// a run records is the same on every host, however fast; off mode
+		// only discards the timing.
 		lookups0, scanned0, probed0 := megaflowWork(sw)
-		if mode == "wall" {
-			pkts0 := sw.Counters().Packets
-			cost := sim.MeasureCost(sw, victim, now, samples)
-			gbps = sim.Gbps(sim.Throughput(cost, offeredPPS), frameLen)
-			victimNs = float64(cost.Nanoseconds())
-			_, _, probed := megaflowWork(sw)
-			visits = float64(probed-probed0) / float64(sw.Counters().Packets-pkts0)
-		} else {
-			victimBurst.Reset()
-			for i := 0; i < samples; i++ {
-				victimBurst.Append(victim.NextFrame())
-			}
-			out = sw.ProcessFrames(now, &victimBurst, out)
-		}
+		pkts0 := sw.Counters().Packets
+		cost := sim.MeasureCost(sw, victim, now, samples)
+		lookups1, scanned1, probed1 := megaflowWork(sw)
+		visits := float64(probed1-probed0) / float64(sw.Counters().Packets-pkts0)
 		if float64(t) >= after {
-			lookups1, scanned1, _ := megaflowWork(sw)
 			lookups += lookups1 - lookups0
 			scanned += scanned1 - scanned0
 		}
@@ -647,10 +636,10 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 		mfMasks, _ := snap.GaugeValue("dp_mf_masks")
 		tl.Observe(ts, "mf_entries", mfEntries)
 		tl.Observe(ts, "mf_masks", mfMasks)
+		tl.Observe(ts, "victim_visits", visits)
 		if mode == "wall" {
-			tl.Observe(ts, "victim_gbps", gbps)
-			tl.Observe(ts, "victim_visits", visits)
-			tl.Observe(ts, "victim_ns", victimNs)
+			tl.Observe(ts, "victim_gbps", sim.Gbps(sim.Throughput(cost, offeredPPS), frameLen))
+			tl.Observe(ts, "victim_ns", float64(cost.Nanoseconds()))
 		}
 		if ct != nil {
 			ctEntries, _ := snap.GaugeValue("dp_ct_entries")

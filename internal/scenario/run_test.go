@@ -2,6 +2,10 @@ package scenario_test
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,10 +184,11 @@ func TestTableRendering(t *testing.T) {
 }
 
 // TestQuickTimelineRunGolden runs every quick-tagged timeline pack with
-// the wall clock out of the loop (measure off: a fixed untimed victim burst
-// per tick) and pins its CSV report — every summary count and every tick of
-// every series — byte for byte against testdata/golden/<pack>.run.csv.
-// Same pack + seed => same bytes.
+// the wall clock out of the loop (measure off: the victim sends the same 8
+// bursts of cost_samples frames a tick as in wall mode, untimed) and pins
+// its CSV report — every summary count and every tick of every series —
+// byte for byte against testdata/golden/<pack>.run.csv. Same pack + seed =>
+// same bytes.
 func TestQuickTimelineRunGolden(t *testing.T) {
 	files, err := scenario.DiscoverFS(scenarios.FS)
 	if err != nil {
@@ -207,8 +212,11 @@ func TestQuickTimelineRunGolden(t *testing.T) {
 	}
 }
 
-// TestQuickCorpusRuns executes every quick-tagged starter pack in all
-// three report formats and requires their expectations to hold.
+// TestQuickCorpusRuns executes every quick-tagged starter pack in its own
+// measure mode, in all three report formats, and requires its expectations
+// to hold. Both modes send the same traffic, so every summary metric that
+// is not a timing must equal the pack's measure-off run golden: a count a
+// wall-mode run reads must not depend on the host's speed.
 func TestQuickCorpusRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus run is slow")
@@ -232,6 +240,25 @@ func TestQuickCorpusRuns(t *testing.T) {
 				t.Errorf("%s: %s", p.Name, c)
 			}
 		}
+		want := goldenCounts(t, f)
+		got := map[string]string{}
+		for _, r := range res.Runs {
+			for k, v := range r.Summary {
+				if !isTiming(k) {
+					got[r.Variant+","+k] = fmt.Sprintf("%g", v)
+				}
+			}
+		}
+		for _, k := range slices.Sorted(maps.Keys(got)) {
+			if want[k] != got[k] {
+				t.Errorf("%s: %s = %s in %s mode, %q in the measure-off golden", p.Name, k, got[k], p.Measure.Mode, want[k])
+			}
+		}
+		for _, k := range slices.Sorted(maps.Keys(want)) {
+			if _, ok := got[k]; !ok {
+				t.Errorf("%s: %s = %s in the measure-off golden, missing from the %s-mode run", p.Name, k, want[k], p.Measure.Mode)
+			}
+		}
 		for _, format := range []string{"human", "json", "csv"} {
 			if out := render(t, format, res); len(out) == 0 {
 				t.Errorf("%s: empty %s report", p.Name, format)
@@ -242,4 +269,36 @@ func TestQuickCorpusRuns(t *testing.T) {
 	if ran < 7 {
 		t.Fatalf("only %d quick packs ran, want >= 7", ran)
 	}
+}
+
+// goldenCounts reads the summary block of packFile's measure-off run
+// golden as "variant,metric" -> value.
+func goldenCounts(t *testing.T, packFile string) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath(packFile, ".run.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n")[2:] {
+		if line == "" {
+			break
+		}
+		f := strings.Split(line, ",")
+		if len(f) != 4 || strings.HasPrefix(f[2], "check:") {
+			continue
+		}
+		counts[f[1]+","+f[2]] = f[3]
+	}
+	return counts
+}
+
+// isTiming reports whether a summary metric is read off the wall clock.
+func isTiming(metric string) bool {
+	for _, prefix := range []string{"ns_", "slowdown", "mean_", "degradation", "capacity"} {
+		if strings.HasPrefix(metric, prefix) {
+			return true
+		}
+	}
+	return strings.Contains(metric, "gbps")
 }

@@ -4,8 +4,9 @@
 // (Throughput, Gbps, PPSFor). Every datapath a scenario models is a switch
 // — a cache_less one is the empty tier hierarchy — so the one measured
 // surface is the switch's burst ingress. It runs no timeline: who sends
-// what on which tick is internal/scenario's, which samples this model once
-// a tick.
+// what on which tick is internal/scenario's, which drives the victim through
+// MeasureCost once a tick in both measure modes — a fixed volume of frames,
+// so the clock decides only the cost read, never the traffic sent.
 //
 // Methodology: absolute Gbps of the paper's testbed cannot be reproduced on
 // an arbitrary host, so the simulator measures the *real* cost of the real
@@ -21,50 +22,36 @@ import (
 	"policyinject/internal/traffic"
 )
 
-// costRounds is the number of rounds MeasureCost takes its minimum over.
-// Three rounds of 100 µs were few enough for one disturbance to reach the
-// minimum of one arm of a before/after ratio, and ended before a staged
-// cache's next re-rank in 9 of 30 evaluations (read x6-9 against a settled
-// x2); eight are still under a millisecond on a cheap switch.
+// costRounds is the number of rounds MeasureCost takes its minimum over,
+// one burst each. Three rounds were few enough for one disturbance to reach
+// the minimum of one arm of a before/after ratio; eight still take well
+// under a millisecond on a cheap switch.
 const costRounds = 8
 
-// MeasureCost measures the per-packet processing cost of sw for src's
-// traffic at the switch's current state, by timing real ProcessFrames
-// calls over bursts of src's wire frames — end-to-end cost, parsing
-// included, the regime the paper's Figure 3 studies. It adapts the sample
-// count so each timed region is long enough to dominate clock granularity,
-// runs costRounds independent rounds, and returns the cheapest round — the
-// minimum estimator, which discards descheduling noise that a mean would
-// absorb (cheap switches are otherwise dominated by a single preemption
-// inside the window). The calls mutate cache state exactly as the
-// measured traffic would — that is intentional. Burst generation happens
-// outside the timed region, so the cost is the switch's alone.
-func MeasureCost(sw *dataplane.Switch, src traffic.FrameSource, now uint64, minSamples int) time.Duration {
-	if minSamples < 16 {
-		minSamples = 16
-	}
+// MeasureCost drives costRounds bursts of exactly samples frames of src's
+// traffic through sw at the switch's current state, times each
+// ProcessFrames call — end-to-end cost, parsing included, the regime the
+// paper's Figure 3 studies — and returns the per-packet cost of the
+// cheapest round: the minimum estimator, which discards descheduling noise
+// that a mean would absorb (cheap switches are otherwise dominated by a
+// single preemption inside the window). The volume is fixed, so what the
+// bursts leave behind in the caches — new clients, masks, entries, ranking
+// windows — is the same on every host; only the returned cost depends on
+// the clock. Burst generation happens outside the timed region, so the
+// cost is the switch's alone. samples must be positive.
+func MeasureCost(sw *dataplane.Switch, src traffic.FrameSource, now uint64, samples int) time.Duration {
 	var fb dataplane.FrameBatch
 	var out []dataplane.Decision
 	best := time.Duration(0)
 	for round := 0; round < costRounds; round++ {
-		const minElapsed = 100 * time.Microsecond
-		samples := 0
-		var elapsed time.Duration
-		for elapsed < minElapsed || samples < minSamples {
-			fb.Reset()
-			for i := 0; i < minSamples; i++ {
-				fb.Append(src.NextFrame())
-			}
-			start := time.Now()
-			out = sw.ProcessFrames(now, &fb, out)
-			elapsed += time.Since(start)
-			samples += minSamples
-			if samples > 1<<20 {
-				break // pathological clock; avoid spinning forever
-			}
+		fb.Reset()
+		for i := 0; i < samples; i++ {
+			fb.Append(src.NextFrame())
 		}
-		cost := elapsed / time.Duration(samples)
-		if best == 0 || cost < best {
+		start := time.Now()
+		out = sw.ProcessFrames(now, &fb, out)
+		cost := time.Since(start) / time.Duration(samples)
+		if round == 0 || cost < best {
 			best = cost
 		}
 	}

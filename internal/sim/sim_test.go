@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"policyinject/internal/attack"
 	"policyinject/internal/dataplane"
-	"policyinject/internal/flow"
 	"policyinject/internal/flowtable"
 	"policyinject/internal/traffic"
 )
@@ -46,20 +44,5 @@ func TestMeasureCostSane(t *testing.T) {
 	cost := MeasureCost(sw, gen, 1, 64)
 	if cost <= 0 || cost > time.Millisecond {
 		t.Errorf("cost = %v", cost)
-	}
-}
-
-// TestFig3VictimKeysDistinctFromAttack guards the scenario plumbing: the
-// covert keys must carry the attacker pod's port, not the victim's.
-func TestFig3CovertKeysScoped(t *testing.T) {
-	atk := attack.TwoField()
-	keys, err := atk.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if k.Get(flow.FieldEthType) != flow.EthTypeIPv4 {
-			t.Fatal("covert key not IPv4")
-		}
 	}
 }
