@@ -188,6 +188,12 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *measure != "" && *measure != "wall" && *measure != "off" {
+		return fmt.Errorf("-measure %q: must be wall or off", *measure)
+	}
+	if *samples < 0 {
+		return fmt.Errorf("-samples %d: must be positive, or 0 to keep the pack's", *samples)
+	}
 	rep, err := scenario.NewReporter(*format)
 	if err != nil {
 		return err

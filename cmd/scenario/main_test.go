@@ -57,3 +57,17 @@ func TestWriteReportErrorNamesPath(t *testing.T) {
 		t.Fatalf("error does not name the report path: %v", err)
 	}
 }
+
+// TestRunRefusesBadFlags: run refuses a measure mode other than wall or off
+// and a negative sample count at flag parse, before any pack runs.
+func TestRunRefusesBadFlags(t *testing.T) {
+	pack := filepath.Join(t.TempDir(), "tiny.yaml")
+	if err := os.WriteFile(pack, []byte("name: tiny\nduration: 1\nmeasure:\n  mode: off\n  cost_samples: 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-measure", "bogus"}, {"-samples", "-5"}} {
+		if err := cmdRun(append(args, pack)); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("run %s %s: err = %v, want a refusal naming %s", args[0], args[1], err, args[0])
+		}
+	}
+}

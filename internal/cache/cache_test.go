@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"policyinject/internal/flow"
@@ -229,23 +230,72 @@ func TestMegaflowMaskLimit(t *testing.T) {
 }
 
 // TestMaskEvictLRUTieSparesRankedFirst: subtables hit in the same tick tie
-// on recency, and the mask cap's LRU eviction then takes the last of them in
-// scan order — under hit ranking the least hit — not the first, the hot
-// subtable the ranking put there.
+// on recency, and under hit ranking the mask cap's eviction takes the last row
+// — the least hit — not the first, the hot subtable the ranking put there.
 func TestMaskEvictLRUTieSparesRankedFirst(t *testing.T) {
-	m := NewMegaflow(MegaflowConfig{MaxMasks: 2, MaskEvictLRU: true, SortByHits: true, SortEvery: 4})
+	m := NewMegaflow(MegaflowConfig{MaxMasks: 2, MaskEvictLRU: true, SortByHits: true})
 	m.Insert(prefixMatch(0x80000000, 1), deny, 5)
 	m.Insert(prefixMatch(0x40000000, 2), allow, 5)
-	hot := key(0x40000001, 0)
-	m.Lookup(key(0x80000001, 0), 5)
+	cold, hot := key(0x80000001, 0), key(0x40000001, 0)
+	m.Lookup(cold, 5)
 	for range 7 {
-		m.Lookup(hot, 5) // two re-ranks: hot first, both last hit at 5
+		m.Lookup(hot, 5)
 	}
-	if _, err := m.Insert(prefixMatch(0x20000000, 3), deny, 5); err != nil {
+	m.Lookup(cold, 6) // the tick's first lookup ranks hot first
+	m.Lookup(hot, 6)  // both last hit at 6
+	if _, err := m.Insert(prefixMatch(0x20000000, 3), deny, 6); err != nil {
 		t.Fatal(err)
 	}
-	if _, scanned, ok := m.Lookup(hot, 5); !ok || scanned != 1 {
+	if _, scanned, ok := m.Lookup(hot, 6); !ok || scanned != 1 {
 		t.Fatalf("hot subtable after a tied eviction: hit=%v at depth %d, want a hit at 1", ok, scanned)
+	}
+}
+
+// TestRankOncePerTick pins the ranker's clock on both ranked caches: lookups
+// inside a tick, however many, leave the scan order as it is; the first lookup
+// of the next tick orders it by the last tick's hits and zeroes them; and the
+// mask cap then takes the last row, sparing an older, hot subtable.
+func TestRankOncePerTick(t *testing.T) {
+	for _, cfg := range []MegaflowConfig{{SortByHits: true}, {StagedPruning: true}} {
+		cfg.MaxMasks, cfg.MaskEvictLRU = 3, true
+		m := NewMegaflow(cfg)
+		a, b, c := prefixMatch(0x80000000, 1), prefixMatch(0x40000000, 2), prefixMatch(0x20000000, 3)
+		for _, match := range []flow.Match{a, b, c} {
+			if _, err := m.Insert(match, allow, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		order := func() (masks []flow.Mask) {
+			for _, row := range m.subtables {
+				masks = append(masks, row.st.mask)
+			}
+			return masks
+		}
+		for range 5000 {
+			m.Lookup(key(0x20000001, 0), 2) // c: hot
+		}
+		for range 100 {
+			m.Lookup(key(0x40000001, 0), 2) // b: warm; a: cold
+		}
+		if got, want := order(), []flow.Mask{a.Mask, b.Mask, c.Mask}; !slices.Equal(got, want) {
+			t.Fatalf("%+v: lookups inside a tick reordered the scan to %v", cfg, got)
+		}
+		m.Lookup(key(0x80000001, 0), 3) // the next tick's first lookup: a's only hit
+		if got, want := order(), []flow.Mask{c.Mask, b.Mask, a.Mask}; !slices.Equal(got, want) {
+			t.Fatalf("%+v: the next tick ranked the scan to %v, want by the last tick's hits", cfg, got)
+		}
+		for i, want := range []uint64{0, 0, 1} {
+			if st := m.subtables[i].st; st.hits != want || st.pos != uint32(i) {
+				t.Fatalf("%+v: row %d holds %d hits at pos %d after the rank, want %d", cfg, i, st.hits, st.pos, want)
+			}
+		}
+		// c last hit at 2, a at 3: recency would evict the hot subtable.
+		if _, err := m.Insert(prefixMatch(0x10000000, 4), deny, 3); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := order(), []flow.Mask{c.Mask, b.Mask, prefixMatch(0x10000000, 4).Mask}; !slices.Equal(got, want) {
+			t.Fatalf("%+v: the mask cap left %v, want the last row evicted", cfg, got)
+		}
 	}
 }
 
@@ -414,9 +464,9 @@ func TestMegaflowStatsAverage(t *testing.T) {
 }
 
 // TestSortedTSSMovesHotSubtableFirst verifies the "sorted TSS" mitigation:
-// after enough lookups, the hot mask is scanned first.
+// from the tick after its hits, the hot mask is scanned first.
 func TestSortedTSSMovesHotSubtableFirst(t *testing.T) {
-	m := NewMegaflow(MegaflowConfig{SortByHits: true, SortEvery: 10})
+	m := NewMegaflow(MegaflowConfig{SortByHits: true})
 	m.Insert(prefixMatch(0x80000000, 1), deny, 0) // cold, scanned first initially
 	m.Insert(prefixMatch(0x40000000, 2), deny, 0) // hot
 	hot := key(0x40000001, 0)

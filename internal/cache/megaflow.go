@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -37,39 +38,31 @@ type MegaflowConfig struct {
 	// "mask quota" mitigation evaluated in the mitigation benches. Stock
 	// OVS has no such cap. By default inserts needing a new mask beyond
 	// the cap are rejected with ErrMaskLimit; with MaskEvictLRU the
-	// least-recently-hit subtable is evicted instead.
+	// coldest subtable is evicted instead.
 	MaxMasks int
 	// MaskEvictLRU selects evict-coldest-subtable behaviour at the mask
-	// cap instead of rejecting new masks.
+	// cap instead of rejecting new masks: the last row of a ranked scan,
+	// the least recently hit subtable of an unranked one.
 	MaskEvictLRU bool
-	// SortByHits, when true, periodically reorders the subtable scan by
-	// descending hit count ("sorted TSS"), OVS's pragmatic optimisation.
+	// SortByHits ranks the subtable scan by hit count ("sorted TSS"), OVS's
+	// pragmatic optimisation (dpcls_sort_subtable_vector): once a tick, at
+	// the first lookup whose logical time is past the last rank, the rows
+	// are stable-sorted by the hits each subtable took since, most first.
 	// It helps skewed benign traffic and does nothing against the attack,
 	// which is exactly the point the mitigation benches make.
 	SortByHits bool
-	// SortEvery is the number of lookups between reorderings when
-	// SortByHits is set; 0 means 4096.
-	SortEvery int
 	// StagedPruning enables staged subtable lookups with signature and
-	// L4-ports pruning plus EWMA hit-rate scan ranking — the OVS
-	// countermeasure pair (classifier staged indices + ports trie) that
-	// lets most subtables be rejected without a full hash probe. Lookup
-	// results (hits, verdicts) are identical to the flat scan; the
-	// reported scan cost becomes *physical* — subtables actually hashed —
-	// instead of the flat scan position, and the SubtableVisits /
-	// SubtablePrunes / StageBails counters open up. Staged pruning
-	// assumes megaflows are disjoint (which slow-path synthesis
-	// guarantees), since ranking reorders the scan. Overrides SortByHits.
+	// L4-ports pruning — the OVS countermeasure pair (classifier staged
+	// indices + ports trie) that lets most subtables be rejected without a
+	// full hash probe — over the scan SortByHits ranks. Lookup results
+	// (hits, verdicts) are identical to the flat scan; the reported scan
+	// cost becomes *physical* — subtables actually hashed — instead of the
+	// flat scan position, and the SubtableVisits / SubtablePrunes /
+	// StageBails counters open up. Staged pruning assumes megaflows are
+	// disjoint (which slow-path synthesis guarantees), since ranking
+	// reorders the scan.
 	StagedPruning bool
-	// RankEvery is the number of lookups between EWMA re-rankings of the
-	// scan order when StagedPruning is set; 0 means 4096. The batched
-	// sweep re-ranks only at burst boundaries.
-	RankEvery int
 }
-
-// rankAlpha is the EWMA smoothing factor of the staged-pruning scan
-// ranking: ewma' = alpha*hitsInWindow + (1-alpha)*ewma.
-const rankAlpha = 0.25
 
 // Entry is one cached megaflow: its normalised masked key and verdict. The
 // mask is its subtable's, shared by every resident of that subtable as OVS's
@@ -127,8 +120,9 @@ type Megaflow struct {
 	// own lock.
 	shared bool
 
-	sinceSort int
-	lastRank  uint64 // Lookups value at the last EWMA re-ranking
+	// rankedAt is the logical time of the last rank (see rank); ^0 on an
+	// unranked cache, which no now is past.
+	rankedAt uint64
 
 	batchCost []int        // per-key scan-cost scratch of the staged sweep
 	oneMiss   burst.Bitmap // the staged Lookup's one-key miss bitmap
@@ -170,23 +164,19 @@ func NewMegaflow(cfg MegaflowConfig) *Megaflow {
 	if limit == 0 {
 		limit = DefaultFlowLimit
 	}
-	if cfg.SortEvery == 0 {
-		cfg.SortEvery = 4096
-	}
-	if cfg.RankEvery == 0 {
-		cfg.RankEvery = 4096
-	}
-	if cfg.StagedPruning {
-		// Staged pruning owns the scan order (EWMA ranking); hit-count
-		// resorting would fight it.
-		cfg.SortByHits = false
-	}
-	return &Megaflow{
+	m := &Megaflow{
 		cfg:   cfg,
 		limit: limit,
 		seed:  tableSeed,
 	}
+	if !m.ranked() {
+		m.rankedAt = ^uint64(0)
+	}
+	return m
 }
+
+// ranked reports whether the cache ranks its scan order (see rank).
+func (m *Megaflow) ranked() bool { return m.cfg.SortByHits || m.cfg.StagedPruning }
 
 // bump adds n to a cache counter: plain when one goroutine owns the cache,
 // atomic when the cache is a shard child (shared) and its readers hold the
@@ -240,6 +230,9 @@ func (m *Megaflow) NumMasks() int { return len(m.subtables) }
 // visited, the direct cost measure of TSS (with StagedPruning: physically
 // costed, bails + full probes). Flat or staged, it is a one-key sweep.
 func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
+	if now > m.rankedAt {
+		m.rank(now)
+	}
 	var (
 		key  = [1]flow.Key{k}
 		ent  [1]*Entry
@@ -252,7 +245,6 @@ func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 	} else {
 		miss, buf := [1]uint64{1}, [1][4]uint64{}
 		m.sweep(key[:], now, ent[:], cost[:], miss[:], buf[:])
-		m.maybeResort()
 	}
 	return ent[0], cost[0], ent[0] != nil
 }
@@ -266,12 +258,14 @@ func (m *Megaflow) Lookup(k flow.Key, now uint64) (*Entry, int, bool) {
 // For every key index set in miss: a hit writes ents[i], adds the scan
 // depth to costs[i] and clears the bit; a miss adds the full scan length
 // to costs[i] and keeps the bit. Counter and per-entry effects equal the
-// scalar Lookup sequence over the same keys. With SortByHits enabled the
-// sweep falls back to per-key scalar lookups, because re-sort boundaries
-// are clocked per lookup and the inverted loop would shift them mid-burst.
+// scalar Lookup sequence over the same keys: a ranked scan moves only
+// between ticks (see rank), so a burst sees one order, as its keys would.
 //
 //lint:hotpath
 func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
+	if now > m.rankedAt {
+		m.rank(now)
+	}
 	if len(m.putLog) > 0 { // never on a shard child, whose readers sweep together
 		m.resetPutLog()
 	}
@@ -280,25 +274,25 @@ func (m *Megaflow) LookupBatch(keys []flow.Key, now uint64, ents []*Entry, costs
 		m.sweepStaged(keys, now, ents, costs, miss)
 		return
 	}
-	if m.cfg.SortByHits {
-		words := miss.Words()
-		for wi := range words {
-			w := words[wi]
-			for w != 0 {
-				i := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				ent, cost, ok := m.Lookup(keys[i], now)
-				costs[i] += cost
-				if ok {
-					ents[i] = ent
-					miss.Clear(i)
-				}
-			}
-		}
-		return
-	}
 	var buf [64][4]uint64 // 2 KiB zeroed a call; the callers skip a tier when miss is empty
 	m.sweep(keys, now, ents, costs, miss.Words(), buf[:])
+}
+
+// rank orders a ranked cache's scan (SortByHits, StagedPruning) by the hits
+// each subtable took since the last rank, most first, stably, and zeroes
+// them, as OVS's dp_netdev_pmd_try_optimize sorts the subtable vector once an
+// optimisation interval on that interval's hits. Lookup, LookupBatch and
+// Reprobe call it at the first lookup whose logical time now is past the last
+// rank: once a tick, the model's second, between bursts and never inside one.
+// Any order finds the same entry, since megaflows are disjoint. A shard child
+// ranks only if staged, under its shard's write lock.
+func (m *Megaflow) rank(now uint64) {
+	m.rankedAt = now
+	slices.SortStableFunc(m.subtables, func(a, b scanRow) int { return cmp.Compare(b.st.hits, a.st.hits) })
+	for i := range m.subtables {
+		st := m.subtables[i].st
+		st.pos, st.hits = uint32(i), 0
+	}
 }
 
 // sweep is the one flat scan: miss holds a bit per unresolved key, and each
@@ -386,14 +380,17 @@ func (m *Megaflow) resetPutLog() {
 // by pointer: a reorder moves none, one retired since is empty — and the
 // lowest scan position wins, as the scan's first hit would. It bills what
 // Lookup bills, and books the positions billed beyond the probes made in
-// RunBilledScans. Where the log cannot vouch for itself (overflow, a shard
-// child), the scan order is clocked per lookup (SortByHits, StagedPruning) or
+// RunBilledScans. A rank due at now runs first, as in Lookup; the log holds
+// subtables, not rows, so it survives it. Where the log cannot vouch for
+// itself (overflow, a shard child), the cost is physical (StagedPruning) or
 // the log is no shorter than the scan order, it is the full Lookup: a stale
 // log may cost a sweep, never a wrong miss.
 func (m *Megaflow) Reprobe(k flow.Key, now uint64) (*Entry, int, bool) {
-	if m.shared || m.cfg.SortByHits || m.cfg.StagedPruning ||
-		len(m.putLog) == putLogCap || len(m.putLog) >= len(m.subtables) {
+	if m.shared || m.cfg.StagedPruning || len(m.putLog) == putLogCap || len(m.putLog) >= len(m.subtables) {
 		return m.Lookup(k, now)
+	}
+	if now > m.rankedAt {
+		m.rank(now)
 	}
 	var ent *Entry
 	cost := len(m.subtables)
@@ -577,14 +574,9 @@ func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 
 // AccountRun bills n additional lookups that hit ent at scan depth cost
 // without re-probing — the same-flow run coalescing fast path, equivalent
-// to n Lookup calls for a key resident at that depth. Returns false when
-// hit-count re-sorting is enabled: resorts are clocked per lookup, so
-// coalesced runs would shift the re-sort boundary and the caller must fall
-// back to real lookups.
-func (m *Megaflow) AccountRun(ent *Entry, n int, cost int, now uint64) bool {
-	if m.cfg.SortByHits {
-		return false
-	}
+// to n Lookup calls for a key resident at that depth at the same now as the
+// lookup that found it (so no rank falls between them).
+func (m *Megaflow) AccountRun(ent *Entry, n int, cost int, now uint64) {
 	nn := uint64(n)
 	m.Lookups += nn
 	m.Hits += nn
@@ -594,30 +586,7 @@ func (m *Megaflow) AccountRun(ent *Entry, n int, cost int, now uint64) bool {
 	if st := ent.st; !ent.Dead() {
 		st.hits += nn
 		st.lastHit = now
-		if st.staged != nil {
-			st.staged.sinceRank += nn
-		}
 	}
-	return true
-}
-
-func (m *Megaflow) maybeResort() {
-	if !m.cfg.SortByHits {
-		return
-	}
-	m.sinceSort++
-	if m.sinceSort < m.cfg.SortEvery {
-		return
-	}
-	m.sinceSort = 0
-	//lint:allow hotpathalloc re-sort is amortized over SortEvery lookups
-	sort.SliceStable(m.subtables, func(i, j int) bool {
-		return m.subtables[i].st.hits > m.subtables[j].st.hits
-	})
-	for _, row := range m.subtables {
-		row.st.hits = 0 // decay so ordering tracks current traffic
-	}
-	m.renumber(0)
 }
 
 // Insert installs a megaflow produced by the slow path. The match is
@@ -742,19 +711,22 @@ func (m *Megaflow) Remove(match flow.Match) bool {
 	return true
 }
 
-// evictColdestSubtable removes the least-recently-hit subtable and all of
-// its entries — the LRU flavour of the mask-quota mitigation. Ties go to the
-// first in scan order, the oldest, unless the scan is ranked (hit counts or
-// staged pruning): then to the last, the least hit, not the hottest.
+// evictColdestSubtable removes the coldest subtable and all of its entries —
+// the LRU flavour of the mask-quota mitigation. On a ranked scan that is the
+// last row, the scan order being the recency order there: the fewest hits
+// last tick, or the newest mint since. Otherwise it is the least recently
+// hit, ties going to the first in scan order, the oldest.
 func (m *Megaflow) evictColdestSubtable() {
 	if len(m.subtables) == 0 {
 		return
 	}
-	ranked := m.cfg.SortByHits || m.cfg.StagedPruning
-	coldest := m.subtables[0].st
-	for _, row := range m.subtables[1:] {
-		if row.st.lastHit < coldest.lastHit || ranked && row.st.lastHit == coldest.lastHit {
-			coldest = row.st
+	coldest := m.subtables[len(m.subtables)-1].st
+	if !m.ranked() {
+		coldest = m.subtables[0].st
+		for _, row := range m.subtables[1:] {
+			if row.st.lastHit < coldest.lastHit {
+				coldest = row.st
+			}
 		}
 	}
 	coldest.sweep(func(ent *Entry) bool {

@@ -20,8 +20,8 @@
 //     concurrently on one shard. LookupBatch deals the burst's miss bitmap
 //     out by shard and hands each shard its own slice, one lock and one
 //     child LookupBatch per shard per burst. Staged megaflow children
-//     re-rank their scan order on lookup, so their reads take the write
-//     lock instead (still S-way parallel across shards);
+//     rank their scan order at a tick's first lookup, so their reads take
+//     the write lock instead (still S-way parallel across shards);
 //   - the write side (Insert, EvictIdle, TrimToLimit, Revalidate, Flush)
 //     takes the shard *write* lock around the child's own method, excluding
 //     readers of that shard only.
@@ -320,7 +320,8 @@ type ShardedMegaflow struct {
 // shard count (see shardCount). The per-entry flow limit is split evenly
 // across shards; the MaxMasks quota is enforced globally through the
 // wrapper's mask ledger. SortByHits is incompatible with concurrent
-// readers (lookups would reorder the scan) and is forced off;
+// readers (a tick's first lookup would rank the scan under them) and is
+// forced off; staged children rank under their shard's write lock;
 // MaskEvictLRU would need cross-shard eviction and is not supported
 // (callers reject it — see dataplane.WithShards).
 func NewShardedMegaflow(cfg MegaflowConfig, shards int) *ShardedMegaflow {
@@ -465,13 +466,12 @@ func (sm *ShardedMegaflow) LookupBatch(keys []flow.Key, hashes []uint64, now uin
 // entry's shard is unknown here (runs are keyed by entry, not hash), so
 // the hits land on wrapper-level atomic counters and the entry itself —
 // no shard lock needed, everything is atomic.
-func (sm *ShardedMegaflow) AccountRun(ent *Entry, n int, cost int, now uint64) bool {
+func (sm *ShardedMegaflow) AccountRun(ent *Entry, n int, cost int, now uint64) {
 	nn := uint64(n)
 	atomic.AddUint64(&sm.runLookups, nn)
 	atomic.AddUint64(&sm.runHits, nn)
 	atomic.AddUint64(&sm.runScans, nn*uint64(cost))
 	credit(true, ent, nn, now)
-	return true
 }
 
 // Insert installs a megaflow into the shard of the triggering key's

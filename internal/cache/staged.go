@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/bits"
-	"sort"
 
 	"policyinject/internal/burst"
 	"policyinject/internal/flow"
@@ -36,11 +35,6 @@ type stagedState struct {
 	idx  []stageIndex // intermediate stage-hash indices, ascending stage
 
 	ports []portFilter // L4 ports filters (masks with a pure port prefix)
-
-	// EWMA ranking state: hot subtables are probed first. sinceRank
-	// counts hits in the current rank window.
-	ewma      float64
-	sinceRank uint64
 }
 
 type stageIndex struct {
@@ -250,9 +244,8 @@ const maxBurstSignatures = 16
 // whole burst in O(1) — the per-key prefilters would have rejected every
 // key anyway (prefix masking is monotonic, and the signature sets are
 // exact), so per-key counter effects equal those of sweeping the keys one
-// at a time. Ranking happens at the sweep boundary; exact equality with
-// the key-by-key sequence therefore holds for bursts that do not cross a
-// RankEvery boundary.
+// at a time. The scan is ranked between ticks (Megaflow.rank), never inside
+// a sweep, so a burst equals its key-by-key sequence exactly.
 //
 //lint:hotpath
 func (m *Megaflow) sweepStaged(keys []flow.Key, now uint64, ents []*Entry, costs []int, miss *burst.Bitmap) {
@@ -382,7 +375,6 @@ func (m *Megaflow) sweepStaged(keys []flow.Key, now uint64, ents []*Entry, costs
 				credit(m.shared, ent, 1, now)
 				st.hits++
 				st.lastHit = now
-				ss.sinceRank++
 				m.Lookups++
 				m.Hits++
 				m.MasksScanned += uint64(mfCost[i])
@@ -405,28 +397,4 @@ func (m *Megaflow) sweepStaged(keys []flow.Key, now uint64, ents []*Entry, costs
 			costs[i] += mfCost[i]
 		}
 	}
-	m.maybeRank()
-}
-
-// maybeRank re-ranks the staged scan order by EWMA hit rate once per
-// RankEvery lookups: hot subtables float to the front, so warm traffic
-// resolves in the first probes regardless of how many cold masks the
-// attacker minted behind them. Safe because megaflows are disjoint — any
-// scan order finds the same (unique) match. The boundary is clocked per
-// sweep, which for a Lookup is per key.
-func (m *Megaflow) maybeRank() {
-	if !m.cfg.StagedPruning || m.Lookups-m.lastRank < uint64(m.cfg.RankEvery) {
-		return
-	}
-	m.lastRank = m.Lookups
-	for _, row := range m.subtables {
-		ss := row.st.staged
-		ss.ewma = rankAlpha*float64(ss.sinceRank) + (1-rankAlpha)*ss.ewma
-		ss.sinceRank = 0
-	}
-	//lint:allow hotpathalloc re-rank is amortized over RankEvery lookups
-	sort.SliceStable(m.subtables, func(i, j int) bool {
-		return m.subtables[i].st.staged.ewma > m.subtables[j].st.staged.ewma
-	})
-	m.renumber(0)
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"policyinject/internal/burst"
@@ -221,8 +222,8 @@ func TestStagedBatchEqualsScalar(t *testing.T) {
 
 // TestStagedOrderingIndependence inserts the same disjoint megaflow
 // population in shuffled orders (so the initial scan orders differ) and
-// demands identical classification — the property that makes EWMA
-// re-ranking safe.
+// demands identical classification — the property that makes re-ranking
+// the scan safe.
 func TestStagedOrderingIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var pop []flow.Match
@@ -230,9 +231,9 @@ func TestStagedOrderingIndependence(t *testing.T) {
 		pop = append(pop, randomNonOverlapMatch(rng))
 	}
 	build := func(perm []int) *Megaflow {
-		// Tiny RankEvery so re-ranking fires mid-test and must not change
-		// results either.
-		m := NewMegaflow(MegaflowConfig{StagedPruning: true, RankEvery: 32})
+		// Every step is a tick, so re-ranking fires throughout and must not
+		// change results either.
+		m := NewMegaflow(stagedCfg())
 		for _, i := range perm {
 			if _, err := m.Insert(pop[i], allow, 1); err != nil {
 				t.Fatal(err)
@@ -267,11 +268,11 @@ func TestStagedOrderingIndependence(t *testing.T) {
 	}
 }
 
-// TestStagedRankingPromotesHot pins the EWMA ranking: a hot subtable
-// inserted last must float to the front of the scan after a rank window,
-// dropping its lookup cost to a single visit.
+// TestStagedRankingPromotesHot pins the staged ranking: a hot subtable
+// inserted last must float to the front of the scan at the tick after its
+// hits, dropping its lookup cost to a single visit.
 func TestStagedRankingPromotesHot(t *testing.T) {
-	m := NewMegaflow(MegaflowConfig{StagedPruning: true, RankEvery: 64})
+	m := NewMegaflow(stagedCfg())
 	// 8 cold decoy subtables, same in_port so the signature filter cannot
 	// hide them (distinct ip_src prefix depths mint distinct masks).
 	for d := 1; d <= 8; d++ {
@@ -301,14 +302,14 @@ func TestStagedRankingPromotesHot(t *testing.T) {
 		t.Fatal("precondition: hot subtable should start last in scan order")
 	}
 	for i := 0; i < 2*64; i++ {
-		if _, _, ok := m.Lookup(k, uint64(2+i)); !ok {
+		if _, _, ok := m.Lookup(k, 2); !ok {
 			t.Fatal("hot key missed")
 		}
 	}
+	_, cost, ok := m.Lookup(k, 3)
 	if m.subtables[0].st.mask != hot.Mask {
-		t.Fatal("hot subtable not ranked to the front after the EWMA window")
+		t.Fatal("hot subtable not ranked to the front at the tick after its hits")
 	}
-	_, cost, ok := m.Lookup(k, 200)
 	if !ok || cost != 1 {
 		t.Fatalf("ranked hot lookup: cost=%d ok=%v, want cost 1", cost, ok)
 	}
@@ -319,20 +320,26 @@ func TestStagedRankingPromotesHot(t *testing.T) {
 // order (relative order of survivors) and every staged prefilter
 // consistent, and Flush must reset the whole staged state.
 func TestStagedFlushTrimConsistency(t *testing.T) {
-	m := NewMegaflow(MegaflowConfig{StagedPruning: true, RankEvery: 16})
+	m := NewMegaflow(stagedCfg())
 	rng := rand.New(rand.NewSource(33))
 	for i := uint64(1); i <= 40; i++ {
 		if _, err := m.Insert(randomNonOverlapMatch(rng), allow, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Heat a few subtables so ranking produces a non-insertion order.
-	for _, ent := range m.Entries()[:10] {
+	// Heat a few subtables so ranking produces a non-insertion order; the
+	// next tick's first lookup ranks them.
+	hot := m.Entries()[10:20]
+	for _, ent := range hot {
 		for i := 0; i < 20; i++ {
 			if _, _, ok := m.Lookup(ent.Key, 50); !ok {
 				t.Fatal("resident masked key missed its own subtable")
 			}
 		}
+	}
+	m.Lookup(hot[0].Key, 51)
+	if !slices.ContainsFunc(hot, func(e *Entry) bool { return e.st == m.subtables[0].st }) {
+		t.Fatal("the heated subtables were not ranked ahead of the rest")
 	}
 	checkStagedInvariants(t, m)
 
@@ -461,7 +468,7 @@ func FuzzStagedVsFlatLookup(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		staged := NewMegaflow(MegaflowConfig{StagedPruning: true, RankEvery: 8})
+		staged := NewMegaflow(stagedCfg())
 		flat := NewMegaflow(MegaflowConfig{})
 		byteAt := func(i int) uint64 { return uint64(data[i%len(data)]) }
 		now := uint64(1)

@@ -51,8 +51,8 @@ type mfSubtable struct {
 	mask   flow.Mask
 	n      int // resident entries
 
-	hits    uint64 // for sorted TSS
-	lastHit uint64 // for LRU mask eviction
+	hits    uint64 // since the last rank (Megaflow.rank)
+	lastHit uint64 // for LRU mask eviction on an unranked scan
 	mhash   uint64 // maskHash of mask under Megaflow.seed: its home in the mask index
 }
 

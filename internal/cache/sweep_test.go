@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -114,9 +115,15 @@ func countersOf(m *Megaflow) sweepCounters {
 
 // checkBatchAgainstProbes runs LookupBatch over the keys whose bits are set
 // in live and compares everything it reports and credits with the
-// reference: one st.probe per subtable per key, in scan order.
+// reference: one st.probe per subtable per key, in scan order — on a ranked
+// cache whose last rank now is past, the order by hits the sweep ranks first.
 func checkBatchAgainstProbes(t *testing.T, m *Megaflow, keys []flow.Key, live func(i int) bool, now uint64) {
 	t.Helper()
+	rows, ranks := m.subtables, now > m.rankedAt
+	if ranks {
+		rows = slices.Clone(rows)
+		slices.SortStableFunc(rows, func(a, b scanRow) int { return cmp.Compare(b.st.hits, a.st.hits) })
+	}
 	n := len(keys)
 	wantEnt, wantCost := make([]*Entry, n), make([]int, n)
 	entHits, stHits := map[*Entry]uint64{}, map[*mfSubtable]uint64{}
@@ -129,8 +136,8 @@ func checkBatchAgainstProbes(t *testing.T, m *Megaflow, keys []flow.Key, live fu
 		}
 		miss.Set(i)
 		want.lookups++
-		wantCost[i] = len(m.subtables)
-		for si, row := range m.subtables {
+		wantCost[i] = len(rows)
+		for si, row := range rows {
 			if ent := row.st.probe(&keys[i], m.seed); ent != nil {
 				wantEnt[i], wantCost[i] = ent, si+1
 				entHits[ent]++
@@ -148,7 +155,9 @@ func checkBatchAgainstProbes(t *testing.T, m *Megaflow, keys []flow.Key, live fu
 		entHits[ent] = ent.Hits + h
 	}
 	for st, h := range stHits {
-		stHits[st] = st.hits + h
+		if !ranks { // a rank zeroes the hits
+			stHits[st] = st.hits + h
+		}
 	}
 
 	ents, costs := make([]*Entry, n), make([]int, n)
@@ -164,15 +173,17 @@ func checkBatchAgainstProbes(t *testing.T, m *Megaflow, keys []flow.Key, live fu
 	if got := countersOf(m); got != want {
 		t.Fatalf("counters %+v after the sweep, probes bill %+v", got, want)
 	}
+	for i := range rows {
+		if m.subtables[i].st != rows[i].st {
+			t.Fatalf("row %d: the sweep scanned subtable %v there, the reference %v", i, m.subtables[i].st.mask, rows[i].st.mask)
+		}
+	}
 	for ent, h := range entHits {
 		if ent.Hits != h || ent.LastHit != now {
 			t.Fatalf("entry %v: hits %d last hit %d, want %d at %d", ent.Key, ent.Hits, ent.LastHit, h, now)
 		}
 	}
 	for st, h := range stHits {
-		if m.cfg.SortByHits {
-			h = st.hits // a re-sort right after the lookup zeroes the hit counts
-		}
 		if st.hits != h || st.lastHit != now {
 			t.Fatalf("subtable %v: hits %d last hit %d, want %d at %d", st.mask, st.hits, st.lastHit, h, now)
 		}
@@ -904,10 +915,10 @@ func TestSingleRowFollowsTable(t *testing.T) {
 	}
 }
 
-// reprobePaths counts, over the re-probes runSweepOps checks on flat caches,
-// the ones that took the put log, those among them with a subtable retired
-// since it was logged, the ones an overflowed log sent to the full Lookup, and
-// (in every mode) the ones that hit; over its operations, the removals that
+// reprobePaths counts, over the re-probes runSweepOps checks on flat-swept
+// caches (sorted TSS included), the ones that took the put log, those among
+// them with a subtable retired since it was logged, the ones an overflowed log
+// sent to the full Lookup, and (in every mode) the ones that hit; over its operations, the removals that
 // took a subtable out of the mask index across its wrap (see wrapSide); and,
 // over the flat bursts, the rows the third-word summary rejected before the
 // burst's first hit (see summaryRejects).
@@ -944,15 +955,16 @@ func wrapSide(m *Megaflow) []*mfSubtable {
 // the put log's cap): the upcall tail of a walk, with anything the revalidator
 // or a limit may do inside it. Every key the burst left a miss is then looked
 // up again — Reprobe on the cache, Lookup on the twin — and entry, cost and
-// counters must agree: trivially in the modes that fall back, by the put log in
-// the flat ones.
+// counters must agree: trivially in the staged modes, which fall back, by the
+// put log in the flat-swept ones, sorted TSS included, whose ranker may run at
+// the re-probe's tick.
 func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths {
 	cfg := MegaflowConfig{FlowLimit: 48}
 	switch mode % 4 {
 	case 1:
-		cfg.SortByHits, cfg.SortEvery = true, 5
+		cfg.SortByHits = true
 	case 2:
-		cfg.StagedPruning, cfg.RankEvery = true, 5
+		cfg.StagedPruning = true
 	case 3:
 		cfg.MaxMasks, cfg.MaskEvictLRU = 6, true
 	}
@@ -1041,16 +1053,12 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 					t.Fatalf("staged sweep: key %d hit %v, probes say %v", j, ents[j] != nil, hit)
 				}
 			}
-		case cfg.SortByHits:
-			// A re-sort may fall between any two keys: one-key bursts.
-			for j := range keys {
-				checkBatchAgainstProbes(t, m, keys[j:j+1], func(int) bool { return true }, now)
-				sweepAll(twin, keys[j:j+1], now)
-			}
 		default:
-			paths.summaryRejects += summaryRejects(m, keys)
+			// The summary is replayed over the order the sweep took, a rank
+			// included; the twin takes the LookupBatch m was given.
 			checkBatchAgainstProbes(t, m, keys, func(int) bool { return true }, now)
-			sweepAll(twin, keys, now) // the LookupBatch m was given
+			sweepAll(twin, keys, now)
+			paths.summaryRejects += summaryRejects(m, keys)
 		}
 		checkScanRows(t, m)
 
@@ -1066,7 +1074,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 		checkScanRows(t, m)
 		for _, k := range missed {
 			short := false
-			if flat := !cfg.SortByHits && !cfg.StagedPruning; flat && len(m.putLog) == putLogCap {
+			if flat := !cfg.StagedPruning; flat && len(m.putLog) == putLogCap {
 				paths.overflowed++
 			} else if flat && len(m.putLog) < len(m.subtables) {
 				short = true
@@ -1187,8 +1195,8 @@ func nearMissOf(k flow.Key, match flow.Match, d int) flow.Key {
 }
 
 // FuzzMegaflowSweep feeds arbitrary operation streams, cache modes (flat,
-// hit-count re-sorting, staged re-ranking, mask-cap LRU eviction; each with or
-// without near misses) and hash seeds to runSweepOps.
+// sorted TSS, staged pruning, mask-cap LRU eviction; each with or without near
+// misses) and hash seeds to runSweepOps.
 func FuzzMegaflowSweep(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte("insert, insert, remove; trim and look again"))
 	f.Add(uint8(1), uint64(2), []byte{0, 1, 9, 0, 2, 9, 1, 3, 9, 0, 9, 70, 2, 17, 3, 3, 1, 0, 0, 1, 1})

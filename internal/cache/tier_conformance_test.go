@@ -5,6 +5,7 @@
 package cache_test
 
 import (
+	"slices"
 	"testing"
 
 	"policyinject/internal/burst"
@@ -371,50 +372,59 @@ func TestMegaflowBatchSweepMultiSubtable(t *testing.T) {
 	}
 }
 
-// TestMegaflowBatchSortedTSSFallback: with hit-count re-sorting enabled
-// the sweep must fall back to scalar per-key semantics (resort boundaries
-// are clocked per lookup), so batch == sequential still holds exactly.
-func TestMegaflowBatchSortedTSSFallback(t *testing.T) {
+// TestMegaflowBatchSortedTSSTicks: with hit-count ranking the scan order
+// moves only between ticks, so a burst equals its key-by-key sequence exactly
+// — the burst that opens a tick ranks first, as its first key's Lookup would —
+// tick after tick as the ranking moves the hot subtable forward.
+func TestMegaflowBatchSortedTSSTicks(t *testing.T) {
 	build := func() *cache.Megaflow {
-		m := cache.NewMegaflow(cache.MegaflowConfig{SortByHits: true, SortEvery: 4})
-		for i, plen := range []int{8, 16, 24} {
+		m := cache.NewMegaflow(cache.MegaflowConfig{SortByHits: true})
+		for _, p := range []struct {
+			ip   uint64
+			plen int
+		}{{0x0b000000, 8}, {0x0a010000, 16}, {0x0a000200, 24}} {
 			var match flow.Match
-			match.Key.Set(flow.FieldIPSrc, uint64(0x0a000000+i<<8))
-			match.Mask.SetPrefix(flow.FieldIPSrc, plen)
+			match.Key.Set(flow.FieldIPSrc, p.ip)
+			match.Mask.SetPrefix(flow.FieldIPSrc, p.plen)
 			if _, err := m.Insert(match, allowVerdict(), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return m
 	}
-	var k flow.Key
-	k.Set(flow.FieldIPSrc, 0x0a000001)
 	keys := make([]flow.Key, 16)
 	for i := range keys {
-		keys[i] = k // hammer one key so the resort threshold crosses mid-burst
+		ip := uint64(0x0a000201) // the last subtable's, three hits in four
+		if i%4 == 3 {
+			ip = 0x0a010005 // the middle one's
+		}
+		keys[i].Set(flow.FieldIPSrc, ip)
 	}
 	seqM, batchM := build(), build()
-	seqCosts := make([]int, len(keys))
-	for i := range keys {
-		_, cost, _ := seqM.Lookup(keys[i], 3)
-		seqCosts[i] = cost
-	}
-	var miss burst.Bitmap
-	miss.Reset(len(keys))
-	miss.SetAll()
-	ents := make([]*cache.Entry, len(keys))
-	costs := make([]int, len(keys))
-	batchM.LookupBatch(keys, 3, ents, costs, &miss)
-	if !miss.Empty() {
-		t.Fatal("resident key missed under SortByHits")
-	}
-	for i := range keys {
-		if costs[i] != seqCosts[i] {
-			t.Errorf("key %d: batch cost=%d, scalar cost=%d (resort boundary shifted)", i, costs[i], seqCosts[i])
+	for now := uint64(3); now <= 5; now++ {
+		seqCosts := make([]int, len(keys))
+		for i := range keys {
+			_, seqCosts[i], _ = seqM.Lookup(keys[i], now)
+		}
+		var miss burst.Bitmap
+		miss.Reset(len(keys))
+		miss.SetAll()
+		ents := make([]*cache.Entry, len(keys))
+		costs := make([]int, len(keys))
+		batchM.LookupBatch(keys, now, ents, costs, &miss)
+		if !miss.Empty() {
+			t.Fatalf("tick %d: resident key missed under SortByHits", now)
+		}
+		if !slices.Equal(costs, seqCosts) {
+			t.Errorf("tick %d: batch costs %v, scalar costs %v", now, costs, seqCosts)
+		}
+		if want := []int{3, 1, 1}[now-3]; costs[0] != want {
+			t.Errorf("tick %d: the hot key cost %d, want %d as the ranking moves its subtable first", now, costs[0], want)
 		}
 	}
-	if seqM.MasksScanned != batchM.MasksScanned {
-		t.Errorf("MasksScanned diverge: %d vs %d", seqM.MasksScanned, batchM.MasksScanned)
+	if seqM.Lookups != batchM.Lookups || seqM.Hits != batchM.Hits || seqM.MasksScanned != batchM.MasksScanned {
+		t.Errorf("counters diverge: scalar {L%d H%d S%d} batch {L%d H%d S%d}",
+			seqM.Lookups, seqM.Hits, seqM.MasksScanned, batchM.Lookups, batchM.Hits, batchM.MasksScanned)
 	}
 }
 

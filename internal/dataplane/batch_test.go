@@ -174,7 +174,7 @@ func TestRunCoalescingExactness(t *testing.T) {
 		{"emc+smc+tss", []Option{WithSMC(cache.SMCConfig{Entries: 1 << 12})}},
 		{"smc+tss", []Option{WithoutEMC(), WithSMC(cache.SMCConfig{Entries: 1 << 12})}},
 		{"tss-only", []Option{WithoutEMC()}},
-		{"sorted-tss", []Option{WithoutEMC(), WithMegaflow(cache.MegaflowConfig{SortByHits: true, SortEvery: 8})}},
+		{"sorted-tss", []Option{WithoutEMC(), WithMegaflow(cache.MegaflowConfig{SortByHits: true})}},
 	}
 	for _, h := range hierarchies {
 		t.Run(h.name, func(t *testing.T) {

@@ -114,7 +114,7 @@ func WithSMC(cfg cache.SMCConfig) Option { return func(c *config) { c.smc = &cfg
 func WithMegaflow(cfg cache.MegaflowConfig) Option { return func(c *config) { c.megaflow = cfg } }
 
 // WithStagedPruning enables staged subtable lookups with signature and
-// L4-ports pruning plus EWMA scan ranking in the default megaflow tier
+// L4-ports pruning over a hit-ranked scan in the default megaflow tier
 // (cache.MegaflowConfig.StagedPruning) — the OVS countermeasure that
 // rejects most subtables without a full hash probe, bending the paper's
 // attack curve. Composes with WithMegaflow in any order.

@@ -47,7 +47,7 @@ func validateSharded(cfg *config) {
 		}
 	}
 	if cfg.megaflow.SortByHits {
-		panic("dataplane: WithShards is incompatible with Megaflow SortByHits (hit-count resorting races concurrent readers)")
+		panic("dataplane: WithShards is incompatible with Megaflow SortByHits (hit-count ranking races concurrent readers)")
 	}
 	if cfg.megaflow.MaskEvictLRU {
 		panic("dataplane: WithShards is incompatible with MaskEvictLRU (cross-shard mask eviction would deadlock the shard/ledger lock order)")
@@ -158,7 +158,8 @@ func (t *ShardedMegaflowTier) LookupBatch(keys []flow.Key, hashes []uint64, now 
 // AccountRun coalesces a same-flow run into n billed hits at the run's
 // scan depth (atomic wrapper counters).
 func (t *ShardedMegaflowTier) AccountRun(ent *cache.Entry, n int, cost int, now uint64) bool {
-	return t.sm.AccountRun(ent, n, cost, now)
+	t.sm.AccountRun(ent, n, cost, now)
+	return true
 }
 
 // Install is a no-op: the megaflow tier mints its own entries via

@@ -118,7 +118,7 @@ type RunCoalescer interface {
 	// AccountRun bills n additional hits of ent at scan cost cost, as if
 	// Lookup ran n more times at logical time now. Returns false when the
 	// tier cannot coalesce exactly (the switch then walks each of the
-	// run's remaining copies).
+	// run's remaining copies); every in-tree tier coalesces.
 	AccountRun(ent *cache.Entry, n int, cost int, now uint64) bool
 }
 
@@ -337,9 +337,10 @@ func (t *MegaflowTier) LookupBatch(keys []flow.Key, _ []uint64, now uint64, ents
 }
 
 // AccountRun coalesces a same-flow run into n billed hits at the run's
-// scan depth; refused (false) when hit-count re-sorting is enabled.
+// scan depth.
 func (t *MegaflowTier) AccountRun(ent *cache.Entry, n int, cost int, now uint64) bool {
-	return t.mfc.AccountRun(ent, n, cost, now)
+	t.mfc.AccountRun(ent, n, cost, now)
+	return true
 }
 
 // Install is a no-op: the megaflow tier mints its own entries via

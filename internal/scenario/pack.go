@@ -68,7 +68,6 @@ type DatapathSpec struct {
 	EMCEntries    int
 	SMC           bool
 	SortByHits    bool
-	SortEvery     int
 	StagedPruning bool
 	MaxMasks      int
 	MaskEvictLRU  bool
@@ -600,7 +599,6 @@ func (b *binder) bindDatapath(n *node) DatapathSpec {
 	spec.EMCEntries = m.intval("emc_entries", 0)
 	spec.SMC = m.boolval("smc", false)
 	spec.SortByHits = m.boolval("sort_by_hits", false)
-	spec.SortEvery = m.intval("sort_every", 0)
 	spec.StagedPruning = m.boolval("staged_pruning", false)
 	spec.MaxMasks = m.intval("max_masks", 0)
 	spec.MaskEvictLRU = m.boolval("mask_evict_lru", false)

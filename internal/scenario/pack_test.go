@@ -74,6 +74,7 @@ func TestRejectBadPacks(t *testing.T) {
 		"preset-conflict.yaml":   `preset-conflict.yaml:3: attack: attack: preset and fields are mutually exclusive`,
 		"expect-no-variant.yaml": `expect-no-variant.yaml:7: expect[0].variant: no variant "c" (have a, b)`,
 		"cache-less-mixed.yaml":  `cache-less-mixed.yaml:5: datapath.cache_less: excludes every other datapath key`,
+		"sort-every.yaml":        `sort-every.yaml:4: datapath.sort_every: unknown key "sort_every"`,
 	}
 	for file, want := range cases {
 		_, err := scenario.Load(filepath.Join("testdata", "bad", file))

@@ -88,8 +88,8 @@ func (c Check) String() string {
 type RunOptions struct {
 	Seed        uint64 // 0: pack seed
 	Duration    int    // 0: pack duration
-	Measure     string // "": pack measure mode
-	CostSamples int    // 0: pack cost_samples
+	Measure     string // "": pack measure mode; else "wall" or "off"
+	CostSamples int    // 0: pack cost_samples; else positive
 
 	// Telemetry is the live instrument registry timeline runs record
 	// into (dataplane, revalidator, guards). Nil uses a private
@@ -160,8 +160,7 @@ func datapathOptions(d DatapathSpec) []dataplane.Option {
 		opts = append(opts, dataplane.WithEMC(cache.EMCConfig{Entries: d.EMCEntries}))
 	}
 	mf := cache.MegaflowConfig{
-		SortByHits: d.SortByHits, SortEvery: d.SortEvery,
-		MaxMasks: d.MaxMasks, MaskEvictLRU: d.MaskEvictLRU,
+		SortByHits: d.SortByHits, MaxMasks: d.MaxMasks, MaskEvictLRU: d.MaskEvictLRU,
 	}
 	if mf != (cache.MegaflowConfig{}) {
 		opts = append(opts, dataplane.WithMegaflow(mf))
@@ -311,11 +310,18 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 		seed = opt.Seed
 	}
 	mode := p.Measure.Mode
-	if opt.Measure != "" {
+	switch opt.Measure {
+	case "":
+	case "wall", "off":
 		mode = opt.Measure
+	default:
+		return nil, fmt.Errorf("measure mode %q: must be \"wall\" or \"off\"", opt.Measure)
 	}
 	samples := p.Measure.CostSamples
-	if opt.CostSamples > 0 {
+	switch {
+	case opt.CostSamples < 0:
+		return nil, fmt.Errorf("cost samples %d: must be positive, or 0 for the pack's", opt.CostSamples)
+	case opt.CostSamples > 0:
 		samples = opt.CostSamples
 	}
 	attackStart, attackStop := 0, 0

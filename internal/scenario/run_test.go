@@ -46,6 +46,21 @@ func render(t *testing.T, format string, res *scenario.Result) []byte {
 	return buf.Bytes()
 }
 
+// TestRunRefusesBadOptions: a run-time override the pack loader would refuse
+// fails the run instead of reading as a default — a measure mode other than
+// wall or off, and a negative cost-sample count.
+func TestRunRefusesBadOptions(t *testing.T) {
+	p, err := scenario.LoadBytes("tiny.yaml", []byte(tinyPack))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []scenario.RunOptions{{Measure: "bogus"}, {Measure: "Off"}, {CostSamples: -5}} {
+		if _, err := scenario.Run(p, opt); err == nil {
+			t.Errorf("options %+v: the run went ahead", opt)
+		}
+	}
+}
+
 // TestSeededDeterminism: a measure-off pack run twice at the same seed
 // renders byte-identical JSON reports.
 func TestSeededDeterminism(t *testing.T) {
