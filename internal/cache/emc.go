@@ -72,8 +72,13 @@ const emcSlotBits = 32
 // at the first empty word — the conventions of the megaflow subtables). A
 // flow's home word is the top bits of hash*seed, and its index word carries
 // the product's top 32 bits as the tag over its slot number, so a probe
-// touches the slots only on a tag match and a backward shift reads homes off
-// the index alone.
+// touches the slots only on a tag match and a backward shift — or a
+// doubling — reads homes off the index alone.
+//
+// The index follows residency: it starts at emcIndexMin words and doubles
+// when an insert would take it past load 1/2, up to ceilPow2(2*max), the
+// size a full cache needs. It never shrinks: Flush clears it in place at its
+// high-water size, so refilling after a policy change allocates nothing.
 //
 // Two rules bound what keys chosen by an adversary can cost (the flow hash is
 // public, and whole IPv6 address words make keys of any one hash free to
@@ -88,7 +93,7 @@ type EMC struct {
 	max     int
 	shared  bool      // a shard child: lookups run under a shared read lock (see bump)
 	slots   []emcSlot // len <= max
-	index   []uint64  // tag<<emcSlotBits | slot+1, or 0; len is a power of two >= 2*max
+	index   []uint64  // tag<<emcSlotBits | slot+1, or 0; len is a power of two in [2*len(slots), ceilPow2(2*max)]
 	shift   uint      // 64 - log2(len(index)): hash*seed >> shift is the home word
 	seed    uint64    // tableSeed, but for tests that pin it
 	missSeq int       // periodic-insertion counter (InsertEvery)
@@ -99,10 +104,17 @@ type EMC struct {
 	Hits, Misses, Inserts, Evictions, Stale uint64
 }
 
-// NewEMC builds an EMC per cfg.
+// emcIndexMin is the size in words of a new EMC's index (smaller when the
+// cache's full size is): 128 bytes, enough for 8 flows before the first
+// doubling.
+const emcIndexMin = 16
+
+// NewEMC builds an EMC per cfg. Its index starts at emcIndexMin words, so a
+// large capacity costs nothing until flows fill it.
 func NewEMC(cfg EMCConfig) *EMC {
-	// An index word numbers slots in emcSlotBits bits, and the index is
-	// allocated whole: hold a configured size to what both can take.
+	// An index word numbers slots in emcSlotBits bits, and a word's home is
+	// the top bits of its tag only while the index has at most 1<<emcSlotBits
+	// words: hold a configured size to what both can take.
 	max := min(cfg.Entries, 1<<(emcSlotBits-2))
 	if max == 0 {
 		max = DefaultEMCEntries
@@ -119,7 +131,7 @@ func NewEMC(cfg EMCConfig) *EMC {
 		insRng: (cfg.Seed + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9,
 	}
 	if max > 0 {
-		e.shift = uint(bits.LeadingZeros64(uint64(2*max - 1))) // 2*max <= 1<<(64-shift)
+		e.shift = uint(bits.LeadingZeros64(uint64(min(2*max, emcIndexMin) - 1))) // the full size, if smaller
 		e.index = make([]uint64, 1<<(64-e.shift))
 	}
 	if e.insRng == 0 {
@@ -292,6 +304,10 @@ func (e *EMC) insert(k *flow.Key, h uint64, f *Entry) {
 	}
 	if len(e.slots) >= e.max {
 		e.evictOne(h)
+	} else if 2*(len(e.slots)+1) > len(e.index) {
+		// len(index) < 2*(len(slots)+1) <= 2*max, so the doubled index is
+		// still within ceilPow2(2*max).
+		e.grow()
 	}
 	e.slots = append(e.slots, emcSlot{key: *k, hash: h, flow: f})
 	ih := h * e.seed
@@ -302,6 +318,26 @@ func (e *EMC) insert(k *flow.Key, h uint64, f *Entry) {
 	}
 	e.index[i] = ih>>emcSlotBits<<emcSlotBits | uint64(len(e.slots))
 	e.Inserts++
+}
+
+// grow doubles the index. A word's home at the new size is the top bits of
+// its tag (w >> shift, as removeAt reads it), so every word is re-homed from
+// the old index alone; linear probing takes them in any order.
+func (e *EMC) grow() {
+	old := e.index
+	e.index = make([]uint64, 2*len(old))
+	e.shift--
+	m := uint64(len(e.index) - 1)
+	for _, w := range old {
+		if w == 0 {
+			continue
+		}
+		i := w >> e.shift
+		for e.index[i] != 0 {
+			i = (i + 1) & m
+		}
+		e.index[i] = w
+	}
 }
 
 // evictOne removes a pseudo-random entry. OVS's EMC is a 2-way
@@ -357,7 +393,8 @@ func (e *EMC) Remove(k flow.Key) bool {
 	return true
 }
 
-// Flush empties the cache in place (used after policy changes).
+// Flush empties the cache in place (used after policy changes); the index
+// keeps its size.
 func (e *EMC) Flush() {
 	if len(e.slots) == 0 {
 		return // every policy change flushes: skip the index sweep of an empty cache

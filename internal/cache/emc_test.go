@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -106,7 +107,8 @@ func (m *emcModel) flush() {
 }
 
 // checkEMC verifies the table's own invariants: the index is a power of two
-// at load <= 1/2, holds exactly one word per slot, every slot's word is
+// at load <= 1/2 and no larger than a full cache needs (emcIndexCap), holds
+// exactly one word per slot, every slot's word is
 // reached from the slot's home before any empty word (so nothing sits past
 // the end of its run) and carries the slot's tag, and no two residents share
 // a hash. honest says the hashes were the keys' own (crafted-collision tests
@@ -119,7 +121,7 @@ func checkEMC(t *testing.T, e *EMC, honest bool) {
 		}
 		return
 	}
-	if l := len(e.index); l&(l-1) != 0 || l < 2*e.max || l != 1<<(64-e.shift) || len(e.slots) > e.max {
+	if l := len(e.index); l&(l-1) != 0 || l < 2*len(e.slots) || l > emcIndexCap(e.max) || l != 1<<(64-e.shift) || len(e.slots) > e.max {
 		t.Fatalf("%d slots (cap %d) under %d index words, shift %d", len(e.slots), e.max, l, e.shift)
 	}
 	used := 0
@@ -166,6 +168,10 @@ func checkEMC(t *testing.T, e *EMC, honest bool) {
 		t.Fatal("a retired slot still pins its megaflow")
 	}
 }
+
+// emcIndexCap is the index size of a full EMC of capacity max:
+// ceilPow2(2*max), the load-1/2 size the index grows to and never past.
+func emcIndexCap(max int) int { return 1 << bits.Len(uint(2*max-1)) }
 
 // emcOpKey is the id-th key of the op streams' 1024-key universe: twice the
 // largest capacity, so full tables evict.
@@ -328,6 +334,79 @@ func TestEMCSlotConsistency(t *testing.T) {
 			e.Insert(k, mf(allow))
 		}
 		checkEMC(t, e, true)
+	}
+}
+
+// TestEMCIndexFollowsResidency: the index starts small and doubles with the
+// flows it holds — at load <= 1/2 after every insert, never past a full
+// cache's size — every resident flow still hits after each doubling, and
+// Flush empties it at its high-water size. Plain and as a shard child.
+func TestEMCIndexFollowsResidency(t *testing.T) {
+	flowKey := func(i int) flow.Key {
+		k := key(uint64(i)&0xffffffff, uint64(i)>>32)
+		k.Set(flow.FieldInPort, 7)
+		return k
+	}
+	for _, capacity := range []int{1, 3, 24, 512, 1 << 20} {
+		for _, child := range []bool{false, true} {
+			var e *EMC
+			if child {
+				// Two shards of half the total each: shard 0's child holds capacity.
+				e = NewShardedEMC(EMCConfig{Entries: 2 * capacity}, 2).all[0].c.(*EMC)
+			} else {
+				e = NewEMC(EMCConfig{Entries: capacity})
+			}
+			full := emcIndexCap(capacity)
+			if e.max != capacity || e.shared != child || len(e.index) != min(16, full) {
+				t.Fatalf("cap %d (child %v): max %d, shared %v, %d index words to start, want %d",
+					capacity, child, e.max, e.shared, len(e.index), min(16, full))
+			}
+			// Twice the capacity (1 000 flows at 1<<20), so full caches evict.
+			n := min(2*capacity, 1000)
+			for i := 0; i < n; i++ {
+				before := len(e.index)
+				e.Insert(flowKey(i), mf(allow))
+				if l := len(e.index); 2*e.Len() > l || l > full {
+					t.Fatalf("cap %d (child %v), insert %d: %d flows under %d index words (cap %d)", capacity, child, i, e.Len(), l, full)
+				}
+				if len(e.index) == before {
+					continue
+				}
+				checkEMC(t, e, true)
+				for s := range e.slots {
+					if _, ok := e.Lookup(e.slots[s].key, 1); !ok {
+						t.Fatalf("cap %d (child %v): resident flow %d misses after the index grew to %d words", capacity, child, s, len(e.index))
+					}
+				}
+			}
+			checkEMC(t, e, true)
+			want := full // a full cache's index is exactly as large as a fixed one
+			if capacity == 1<<20 {
+				want = 2048 // 1 000 flows at load <= 1/2
+			}
+			if len(e.index) != want {
+				t.Fatalf("cap %d (child %v): %d flows under %d index words, want %d", capacity, child, e.Len(), len(e.index), want)
+			}
+			e.Flush()
+			for i, w := range e.index {
+				if w != 0 {
+					t.Fatalf("cap %d (child %v): index word %d survives Flush", capacity, child, i)
+				}
+			}
+			if e.Len() != 0 || len(e.index) != want {
+				t.Fatalf("cap %d (child %v): Flush left %d flows under %d index words, want 0 under %d", capacity, child, e.Len(), len(e.index), want)
+			}
+			checkEMC(t, e, true)
+			// Refilling after a flush allocates no index.
+			high := &e.index[0]
+			for i := 0; i < min(capacity, 1000); i++ {
+				e.Insert(flowKey(n+i), mf(allow))
+			}
+			if &e.index[0] != high || len(e.index) != want {
+				t.Fatalf("cap %d (child %v): refilling after Flush reallocated the index (%d words)", capacity, child, len(e.index))
+			}
+			checkEMC(t, e, true)
+		}
 	}
 }
 

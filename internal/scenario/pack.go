@@ -606,6 +606,14 @@ func (b *binder) bindDatapath(n *node) DatapathSpec {
 	spec.MaxConns = m.intval("max_conns", 0)
 	spec.MaxIdle = m.uintval("max_idle", 0)
 	m.done()
+	if at := m.n.fields["emc_entries"]; at != nil {
+		switch {
+		case !spec.EMC:
+			b.failf(at, "datapath.emc_entries", "sizes the EMC; set emc: true")
+		case spec.EMCEntries < 0:
+			b.failf(at, "datapath.emc_entries", "must not be negative, got %d; use emc: false", spec.EMCEntries)
+		}
+	}
 	return spec
 }
 

@@ -62,19 +62,21 @@ func TestCorpusGolden(t *testing.T) {
 // file:line: path-qualified message.
 func TestRejectBadPacks(t *testing.T) {
 	cases := map[string]string{
-		"unknown-key.yaml":       `unknown-key.yaml:2: durration: unknown key "durration"`,
-		"unknown-key.json":       `unknown-key.json:3: durration: unknown key "durration"`,
-		"bad-op.yaml":            `bad-op.yaml:3: expect[0].op: must be one of ==, !=, <, <=, >, >=; got "~="`,
-		"bad-prefix.yaml":        `bad-prefix.yaml:5: victim.policy.entries[0].src: expected a CIDR prefix, got "10.0.0.0=24"`,
-		"bad-proto.yaml":         `bad-proto.yaml:6: victim.policy.entries[0].proto: expected tcp, udp, icmp or a protocol number, got "sctp"`,
-		"dup-key.yaml":           `dup-key.yaml:2: duplicate key "name"`,
-		"dup-variant.yaml":       `dup-variant.yaml:4: variants[1].name: duplicate variant "a"`,
-		"inline-map.yaml":        `inline-map.yaml:2: inline mappings are not supported; use block form`,
-		"matrix-no-attack.yaml":  `matrix-no-attack.yaml:2: mode: unknown key "mode"`,
-		"preset-conflict.yaml":   `preset-conflict.yaml:3: attack: attack: preset and fields are mutually exclusive`,
-		"expect-no-variant.yaml": `expect-no-variant.yaml:7: expect[0].variant: no variant "c" (have a, b)`,
-		"cache-less-mixed.yaml":  `cache-less-mixed.yaml:5: datapath.cache_less: excludes every other datapath key`,
-		"sort-every.yaml":        `sort-every.yaml:4: datapath.sort_every: unknown key "sort_every"`,
+		"unknown-key.yaml":          `unknown-key.yaml:2: durration: unknown key "durration"`,
+		"unknown-key.json":          `unknown-key.json:3: durration: unknown key "durration"`,
+		"bad-op.yaml":               `bad-op.yaml:3: expect[0].op: must be one of ==, !=, <, <=, >, >=; got "~="`,
+		"bad-prefix.yaml":           `bad-prefix.yaml:5: victim.policy.entries[0].src: expected a CIDR prefix, got "10.0.0.0=24"`,
+		"bad-proto.yaml":            `bad-proto.yaml:6: victim.policy.entries[0].proto: expected tcp, udp, icmp or a protocol number, got "sctp"`,
+		"dup-key.yaml":              `dup-key.yaml:2: duplicate key "name"`,
+		"dup-variant.yaml":          `dup-variant.yaml:4: variants[1].name: duplicate variant "a"`,
+		"inline-map.yaml":           `inline-map.yaml:2: inline mappings are not supported; use block form`,
+		"matrix-no-attack.yaml":     `matrix-no-attack.yaml:2: mode: unknown key "mode"`,
+		"preset-conflict.yaml":      `preset-conflict.yaml:3: attack: attack: preset and fields are mutually exclusive`,
+		"expect-no-variant.yaml":    `expect-no-variant.yaml:7: expect[0].variant: no variant "c" (have a, b)`,
+		"cache-less-mixed.yaml":     `cache-less-mixed.yaml:5: datapath.cache_less: excludes every other datapath key`,
+		"sort-every.yaml":           `sort-every.yaml:4: datapath.sort_every: unknown key "sort_every"`,
+		"emc-entries-negative.yaml": `emc-entries-negative.yaml:5: datapath.emc_entries: must not be negative, got -5; use emc: false`,
+		"emc-entries-no-emc.yaml":   `emc-entries-no-emc.yaml:5: datapath.emc_entries: sizes the EMC; set emc: true`,
 	}
 	for file, want := range cases {
 		_, err := scenario.Load(filepath.Join("testdata", "bad", file))
