@@ -34,7 +34,10 @@ import (
 // cache's slots are its own storage, reused in place. The smc-thrash leg sends
 // 1 024 flows, each under a megaflow of its own, through a 64-entry EMC and a
 // 256-entry SMC, so every burst overwrites SMC slots with other entries and
-// frees and reuses their refs. The victim-emc-malformed
+// frees and reuses their refs. The mix-emc-smc leg is the mix_smc workload's
+// shape: bursts of 4 096 frames from a Zipf mix of 4 096 flows through a
+// 512-entry EMC inserting one miss in 100 and a 16 384-slot SMC, so the SMC
+// hits and the EMC fills, then inserts and evicts. The victim-emc-malformed
 // leg cuts one frame of the burst short inside its TCP header: the full
 // decoder's error, the compaction of the other 255 keys with their hashes and
 // the malformed frame's accounting allocate nothing either.
@@ -43,7 +46,8 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		name      string
 		build     func() *dataplane.Switch
 		burst     int
-		flows     int  // victim flows, 0 for victimGen's 8
+		flows     int  // victim flows of a thrash leg, 0 for victimGen's 8
+		mix       int  // flows of a Zipf mix sent instead of the victim's
 		truncated bool // the burst's middle frame is cut inside its TCP header
 	}{
 		{
@@ -130,12 +134,28 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			burst: 1024,
 			flows: 1024,
 		},
+		{
+			name: "mix-emc-smc",
+			build: func() *dataplane.Switch {
+				return attackSwitch(t, attack.TwoField(), false,
+					dataplane.WithEMC(cache.EMCConfig{Entries: 512, InsertProb: 100}),
+					dataplane.WithSMC(cache.SMCConfig{Entries: 16384}))
+			},
+			burst: 4096,
+			mix:   4096,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sw := tc.build()
-			gen := victimGen()
-			if tc.flows > 0 {
+			var gen traffic.FrameSource = victimGen()
+			switch {
+			case tc.mix > 0:
+				gen = traffic.NewMix(traffic.MixConfig{
+					Seed: 1, NFlows: tc.mix, Subnet: netip.MustParsePrefix("10.10.0.0/16"),
+					InPort: 1, FrameLen: 64,
+				})
+			case tc.flows > 0:
 				gen = traffic.NewVictim(traffic.VictimConfig{
 					Src: netip.MustParseAddr("10.10.0.5"), Dst: netip.MustParseAddr("172.16.0.2"),
 					InPort: 1, Flows: tc.flows,
@@ -153,11 +173,22 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			if bad := sw.Counters().ParseError; tc.truncated != (bad == 1) {
 				t.Fatalf("%d parse errors in the warm-up burst, want the truncated frame's alone", bad)
 			}
+			var evictions, smcHits uint64
+			if tc.mix > 0 {
+				evictions, smcHits = sw.EMC().Evictions, sw.SMC().Hits
+			}
 			avg := testing.AllocsPerRun(100, func() {
 				out = sw.ProcessFrames(2, &fb, out)
 			})
 			if avg != 0 {
 				t.Errorf("ProcessFrames allocates %.1f times per warm burst; the hot path must hold 0", avg)
+			}
+			if tc.mix > 0 {
+				if emc, smc := sw.EMC(), sw.SMC(); emc.Evictions == evictions || smc.Hits == smcHits {
+					t.Errorf("%d EMC evictions and %d SMC hits over 100 bursts of the mix: the leg did not insert into a full EMC behind SMC hits",
+						emc.Evictions-evictions, smc.Hits-smcHits)
+				}
+				return
 			}
 			if smc := sw.SMC(); smc != nil {
 				if smc.Evictions < 100*uint64(smc.Cap()) || sw.Megaflow().Len() < tc.flows {

@@ -692,3 +692,69 @@ func TestEntryMatchOutlivesEviction(t *testing.T) {
 		})
 	}
 }
+
+// TestInlineEntryNotReused holds the subtable's inline first entry (ent0) to
+// its lifetime: the mask's first insert takes it, and once retired it is
+// never handed out again, since an EMC slot may still hold it and only its
+// dead flag retires it there. A bystander in the same subtable keeps the
+// subtable alive across the eviction, so the re-insert of the same match
+// lands in the subtable whose ent0 is retired, not in a fresh one. The
+// shared leg retires ent0 by a verdict change, the RCU path of a shard child.
+func TestInlineEntryNotReused(t *testing.T) {
+	a, b := prefixMatch(0x0a0b0000, 16), prefixMatch(0x0a0c0000, 16)
+	for _, tc := range []struct {
+		name   string
+		shared bool
+		evict  func(m *Megaflow) // retires a's entry; b stays resident
+		again  Verdict           // the re-insert's verdict
+	}{
+		{"Remove", false, func(m *Megaflow) { m.Remove(a) }, allow},
+		{"EvictIdle", false, func(m *Megaflow) { m.EvictIdle(5) }, allow},
+		{"Revalidate", false, func(m *Megaflow) {
+			m.Revalidate(func(e *Entry) (Verdict, bool) { return e.Verdict, e.Key != a.Key })
+		}, allow},
+		{"shared-verdict-change", true, func(*Megaflow) {}, deny},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMegaflow(MegaflowConfig{FlowLimit: -1})
+			m.shared = tc.shared
+			first, err := m.Insert(a, allow, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := first.st
+			if first != &st.ent0 {
+				t.Fatal("the mask's first insert did not take the subtable's inline entry")
+			}
+			if _, err := m.Insert(b, allow, 100); err != nil {
+				t.Fatal(err)
+			}
+			e := NewEMC(EMCConfig{Entries: 4})
+			e.Insert(a.Key, first)
+
+			tc.evict(m)
+			again, err := m.Insert(a, tc.again, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.st != st || m.NumMasks() != 1 {
+				t.Fatalf("re-insert landed in another subtable (%d masks): the test lost its premise", m.NumMasks())
+			}
+			if again == first {
+				t.Fatal("re-insert reused the retired inline entry")
+			}
+			if !first.Dead() {
+				t.Fatal("retired inline entry reads live")
+			}
+			if first.Match() != a {
+				t.Fatalf("retired inline entry's Match() = %v, want %v", first.Match(), a)
+			}
+			if ent, ok := e.Lookup(a.Key, 10); ok {
+				t.Fatalf("EMC served the retired inline entry (%p, verdict %v)", ent, ent.Verdict)
+			}
+			if hit, _, ok := m.Lookup(a.Key, 10); !ok || hit != again || hit.Verdict != tc.again {
+				t.Fatalf("megaflow lookup = %p, %v; want the re-inserted entry %p", hit, ok, again)
+			}
+		})
+	}
+}

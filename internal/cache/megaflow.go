@@ -71,7 +71,8 @@ type MegaflowConfig struct {
 // single-goroutine use they are plain fields, while the sharded wrappers
 // (ShardedMegaflow and friends) credit them atomically because an EMC shard's
 // readers and a megaflow shard's sweeps touch the same entry under different
-// locks. An entry is 128 bytes, exactly a size class (TestScanRowLayout).
+// locks. An entry is 128 bytes, exactly a size class (TestScanRowLayout); a
+// subtable's first entry is allocated inside the subtable (mfSubtable.ent0).
 type Entry struct {
 	Key     flow.Key // normalised: every word already under the subtable's mask
 	Verdict Verdict
@@ -79,7 +80,7 @@ type Entry struct {
 	// dead is set on eviction so EMC/SMC references invalidate lazily.
 	// Atomic because in sharded hierarchies the evicting shard and a
 	// reference tier's reader hold different locks. It sits in the padding
-	// behind Verdict's 12 bytes: between the 8-byte fields it would add 8
+	// behind Verdict's 8 bytes: between the 8-byte fields it would add 8
 	// bytes and move the entry out of its size class.
 	dead atomic.Bool
 
@@ -627,6 +628,14 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 		st.mhash = mh
 		m.indexAdd(st)
 		st.pos = uint32(len(m.subtables))
+		if n := len(m.subtables); n >= 256 && n == cap(m.subtables) {
+			// Past 256 rows append grows a slice by less than double,
+			// tending to 1.25x; the rows grow to the next power of two
+			// instead, doubling from there on, so minting n masks
+			// allocates the scan order log2(n) times and leaves it at
+			// most half empty.
+			m.subtables = append(make([]scanRow, 0, 1<<bits.Len(uint(n))), m.subtables...)
+		}
 		m.subtables = append(m.subtables, st.row())
 		if m.hooks.Minted != nil {
 			m.hooks.Minted(match)
@@ -660,7 +669,11 @@ func (m *Megaflow) Insert(match flow.Match, v Verdict, now uint64) (*Entry, erro
 	if m.limit > 0 && m.nEntries >= m.limit {
 		return nil, ErrFlowLimit
 	}
-	ent := &Entry{Key: match.Key, Verdict: v, Added: now, LastHit: now, st: st}
+	ent := &st.ent0
+	if ent.st != nil { // taken by the subtable's first insert
+		ent = new(Entry)
+	}
+	*ent = Entry{Key: match.Key, Verdict: v, Added: now, LastHit: now, st: st}
 	st.put(ent, hash)
 	m.syncRow(st)
 	m.logPut(st)

@@ -32,14 +32,20 @@ const minSlots = 2
 // table with linear probing, grown at load 1/2, deleted by backward shift
 // (no tombstones, so a miss always ends at the first empty slot).
 //
-// What a sweep reads fills the first cache line (the 192-byte size class
+// What a sweep reads fills the first cache line (the 320-byte size class
 // starts a subtable on a line boundary): a staged sweep, which prunes most
 // subtables on their staged state alone, reads one pointer (in the third
 // line it cost the staged attack 17 % of its setup time); a flat sweep, with
 // the mask words in its scanRow, reads the table header and, in a two-slot
 // table, both slot hashes — and nothing at all of a subtable whose row is
 // single. logged and pos sit in the padding before mask, and mhash fills the
-// class: the struct must stay inside its 192 bytes (TestScanRowLayout).
+// first 192 bytes (TestScanRowLayout).
+//
+// ent0, the subtable's first entry, starts on the line boundary behind them,
+// at offset 192, so a minted mask is one allocation, not a subtable and an
+// entry. Only the first insert takes it (ent0.st is set from then on), and a
+// retired ent0 is never reused: an EMC or SMC slot may still hold it, and
+// only dead retires it there.
 type mfSubtable struct {
 	staged *stagedState      // staged-lookup/pruning state; nil unless StagedPruning
 	slots  []mfSlot          // len is a power of two, >= 2*n
@@ -54,6 +60,8 @@ type mfSubtable struct {
 	hits    uint64 // since the last rank (Megaflow.rank)
 	lastHit uint64 // for LRU mask eviction on an unranked scan
 	mhash   uint64 // maskHash of mask under Megaflow.seed: its home in the mask index
+
+	ent0 Entry // the first entry inserted, resident or retired (see above)
 }
 
 // scanRow is one position of a Megaflow's scan order, by value and one cache

@@ -259,7 +259,8 @@ func TestSubtableBackwardShiftAcrossWrap(t *testing.T) {
 const (
 	maxMeanProbeLen     = 2.0 // slots examined per resident lookup, mean
 	maxProbeLen         = 64  // ... and worst resident, up to 8192 entries
-	maxSingletonBytes   = 432 // heap per one-entry subtable, entry, 64-byte row and index share included
+	maxSingletonBytes   = 401 // heap per one-entry subtable with its inline entry, 64-byte row and index share included
+	maxMintAllocs       = 32  // allocations beyond one a mask, minting singletonSampleSize masks
 	singletonSampleSize = 4096
 )
 
@@ -487,12 +488,9 @@ func TestMaskIndexProbeLengthBound(t *testing.T) {
 	}
 }
 
-// TestSingletonSubtableHeapBound mints one-entry subtables the way the
-// attack does and holds the live heap each costs — entry, descriptor with
-// its inline two-slot table, mask index and scan-order share — to the
-// stated budget. The input matches stay live to the second reading: freed
-// between the two, their 160 bytes a mask would come off the cache's cost.
-func TestSingletonSubtableHeapBound(t *testing.T) {
+// singletonMatches are singletonSampleSize matches under as many masks,
+// minted the way the three-field attack mints them: one entry a mask.
+func singletonMatches() []flow.Match {
 	matches := make([]flow.Match, singletonSampleSize)
 	for i := range matches {
 		m := &matches[i]
@@ -505,7 +503,21 @@ func TestSingletonSubtableHeapBound(t *testing.T) {
 		m.Key.Set(flow.FieldTPSrc, 0xffff)
 		m.Key.Set(flow.FieldTPDst, 0xffff)
 	}
+	return matches
+}
+
+// TestSingletonSubtableHeapBound mints one-entry subtables the way the
+// attack does and holds the live heap each costs — descriptor with its
+// inline two-slot table and inline entry, mask index and scan-order share —
+// to the stated budget: 320 + 64 + 16 bytes, and the cache's own header and
+// put log spread over the sample. The input matches stay live to the second
+// reading: freed between the two, their 160 bytes a mask would come off the
+// cache's cost. Each reading follows two collections: after one alone, the
+// reading moved by 9 bytes a mask with the tests that ran before.
+func TestSingletonSubtableHeapBound(t *testing.T) {
+	matches := singletonMatches()
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	mf := NewMegaflow(MegaflowConfig{})
@@ -515,15 +527,41 @@ func TestSingletonSubtableHeapBound(t *testing.T) {
 		}
 	}
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if mf.NumMasks() != singletonSampleSize {
 		t.Fatalf("minted %d masks, want %d", mf.NumMasks(), singletonSampleSize)
 	}
 	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / singletonSampleSize
-	t.Logf("%.0f bytes of live heap per singleton subtable", per)
+	t.Logf("%.2f bytes of live heap per singleton subtable", per)
 	if per > maxSingletonBytes {
 		t.Errorf("%.0f bytes per singleton subtable, budget %d", per, maxSingletonBytes)
 	}
 	runtime.KeepAlive(mf)
 	runtime.KeepAlive(matches)
+}
+
+// TestMintAllocations counts what minting a mask allocates: one object, the
+// subtable with its first entry inline. The cache, its put log and the
+// doublings of the scan order and the mask index take at most maxMintAllocs
+// more over singletonSampleSize masks; a separate entry a mask would double
+// the count.
+func TestMintAllocations(t *testing.T) {
+	matches := singletonMatches()
+	var mf *Megaflow
+	avg := testing.AllocsPerRun(1, func() {
+		mf = NewMegaflow(MegaflowConfig{})
+		for _, m := range matches {
+			if _, err := mf.Insert(m, Verdict{}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if mf.NumMasks() != singletonSampleSize {
+		t.Fatalf("minted %d masks, want %d", mf.NumMasks(), singletonSampleSize)
+	}
+	t.Logf("%.0f allocations minting %d masks", avg, singletonSampleSize)
+	if avg > singletonSampleSize+maxMintAllocs {
+		t.Errorf("minting %d masks allocates %.0f times, bound %d", singletonSampleSize, avg, singletonSampleSize+maxMintAllocs)
+	}
 }

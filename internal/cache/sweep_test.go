@@ -800,17 +800,21 @@ func TestRemoveUnpinsSubtable(t *testing.T) {
 }
 
 // TestScanRowLayout pins the sizes the sweep's loads and the attack's memory
-// rest on: a row is one cache line, a subtable fits the 192-byte size class
-// that starts it on a line boundary (pos, the row's ew and the mask hash must
-// not push it out), and an entry is 128 bytes, exactly a size class: its key
-// and no copy of its subtable's mask (dead beside Verdict: between the 8-byte
-// fields it costs a 144-byte class).
+// rest on: a row is one cache line; a subtable is 320 bytes, a size class
+// that starts it on a line boundary, the sweep's fields in its first 192
+// (pos and the mask hash must not grow them) and its inline first entry on
+// the line boundary behind them; and an entry is 128 bytes, exactly a size
+// class: its key and no copy of its subtable's mask (dead beside Verdict:
+// between the 8-byte fields it costs a 144-byte class).
 func TestScanRowLayout(t *testing.T) {
 	if got := unsafe.Sizeof(scanRow{}); got != 64 {
 		t.Errorf("scanRow is %d bytes, want 64", got)
 	}
-	if got := unsafe.Sizeof(mfSubtable{}); got > 192 {
-		t.Errorf("mfSubtable is %d bytes, over the 192-byte size class", got)
+	if got := unsafe.Sizeof(mfSubtable{}); got != 320 {
+		t.Errorf("mfSubtable is %d bytes, want 320", got)
+	}
+	if off := unsafe.Offsetof(mfSubtable{}.ent0); off != 192 {
+		t.Errorf("mfSubtable's inline entry sits at offset %d, want 192, the line boundary behind the sweep's fields", off)
 	}
 	if got := unsafe.Sizeof(Entry{}); got != 128 {
 		t.Errorf("Entry is %d bytes, want 128", got)

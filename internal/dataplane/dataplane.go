@@ -161,12 +161,13 @@ func WithTiers(tiers ...Tier) Option {
 	return func(c *config) { c.tiers, c.tiersSet = tiers, true }
 }
 
-// Decision is the outcome of processing one packet.
+// Decision is the outcome of processing one packet: 16 bytes, the record
+// the datapath writes for every packet (TestDecisionLayout).
 type Decision struct {
 	Verdict      cache.Verdict
 	Path         Path
-	MasksScanned int // megaflow subtables visited, summed over recirculations
 	Recirculated bool
+	MasksScanned int32 // megaflow subtables visited, summed over recirculations
 }
 
 // TierHit is one tier's hit count in a Counters snapshot, in tier walk
@@ -692,7 +693,7 @@ func (s *Switch) walk(now uint64, keys []flow.Key, hashes []uint64, out []Decisi
 				if ti > 0 {
 					s.promote(keys, hashes, i, bs.ents[i], ti)
 				}
-				out[i] = Decision{Verdict: bs.ents[i].Verdict, Path: path, MasksScanned: bs.costs[i]}
+				out[i] = Decision{Verdict: bs.ents[i].Verdict, Path: path, MasksScanned: int32(bs.costs[i])}
 			}
 		}
 		s.tierHits[ti] += uint64(hits)
@@ -752,7 +753,7 @@ func (s *Switch) processRun(now uint64, keys []flow.Key, hashes []uint64, out []
 		if i > from || rest == 0 || s.noCoalesce || top != 1 || d.Recirculated {
 			continue
 		}
-		if rc, ok := s.tiers[0].(RunCoalescer); ok && rc.AccountRun(ent, rest, d.MasksScanned, now) {
+		if rc, ok := s.tiers[0].(RunCoalescer); ok && rc.AccountRun(ent, rest, int(d.MasksScanned), now) {
 			s.tierHits[0] += uint64(rest)
 			if d.Verdict.Verdict == flowtable.Allow {
 				s.counters.Allowed += uint64(rest)
@@ -790,7 +791,7 @@ func (s *Switch) upcallOne(now uint64, keys []flow.Key, hashes []uint64, i, swee
 		if ok {
 			s.tierHits[s.promoteTo]++
 			s.promote(keys, hashes, i, ent, s.promoteTo)
-			return Decision{Verdict: ent.Verdict, Path: s.installer.Path(), MasksScanned: cost}
+			return Decision{Verdict: ent.Verdict, Path: s.installer.Path(), MasksScanned: int32(cost)}
 		}
 		sweepCost = cost
 	}
@@ -823,7 +824,7 @@ func (s *Switch) upcall(now uint64, keys []flow.Key, hashes []uint64, i, scanned
 		// without a slow-path visit — no classification, no install.
 		s.counters.UpcallDrops++
 		up.refused = true
-		return Decision{Verdict: cache.Verdict{Verdict: flowtable.Deny}, Path: PathSlow, MasksScanned: scanned}, up
+		return Decision{Verdict: cache.Verdict{Verdict: flowtable.Deny}, Path: PathSlow, MasksScanned: int32(scanned)}, up
 	}
 	s.counters.Upcalls++
 	up.res = s.cls.Lookup(*k)
@@ -848,7 +849,7 @@ func (s *Switch) upcall(now uint64, keys []flow.Key, hashes []uint64, i, scanned
 			up.installed = true
 		}
 	}
-	return Decision{Verdict: v, Path: PathSlow, MasksScanned: scanned}, up
+	return Decision{Verdict: v, Path: PathSlow, MasksScanned: int32(scanned)}, up
 }
 
 func (s *Switch) account(v cache.Verdict) {

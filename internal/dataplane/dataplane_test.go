@@ -3,6 +3,7 @@ package dataplane
 import (
 	"net/netip"
 	"testing"
+	"unsafe"
 
 	"policyinject/internal/cache"
 	"policyinject/internal/flow"
@@ -430,5 +431,19 @@ func TestTxCountersAccountAllowedFrames(t *testing.T) {
 	}
 	if p.RxPackets != 3 || p.RxDropped != 1 {
 		t.Errorf("rx counters: %+v", p)
+	}
+}
+
+// TestDecisionLayout pins the per-packet records at their packed sizes: a
+// Decision is written for every packet into buffers a caller keeps, and an
+// Action rides in every Decision and every cached entry. Each keeps its
+// one-byte fields together ahead of its 4-byte one: interleaved, padding
+// takes a Decision to 32 bytes and an Action to 12.
+func TestDecisionLayout(t *testing.T) {
+	if got := unsafe.Sizeof(flowtable.Action{}); got != 8 {
+		t.Errorf("flowtable.Action is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(Decision{}); got != 16 {
+		t.Errorf("Decision is %d bytes, want 16", got)
 	}
 }

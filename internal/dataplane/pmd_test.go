@@ -87,7 +87,7 @@ func TestPMDVictimPaysOnlyItsCore(t *testing.T) {
 	core := pool.Steer(victim)
 	d := pool.PMD(pool.Steer(victim)).ProcessKey(2, victim)
 	coreMasks := pool.MasksPerPMD()[core]
-	if d.MasksScanned > coreMasks+2 {
+	if int(d.MasksScanned) > coreMasks+2 {
 		t.Fatalf("victim scanned %d masks; its core holds %d", d.MasksScanned, coreMasks)
 	}
 	if d.Verdict.Verdict != flowtable.Deny {

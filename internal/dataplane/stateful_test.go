@@ -155,7 +155,7 @@ func TestStatefulAttackStillBites(t *testing.T) {
 	if !d.Recirculated {
 		t.Fatal("victim packet skipped recirculation")
 	}
-	if d.MasksScanned < minted {
+	if int(d.MasksScanned) < minted {
 		t.Fatalf("setup scanned %d masks; with %d attack masks the tracked pass should pay", d.MasksScanned, minted)
 	}
 	// Once established (reply seen), traffic rides ONE broad +est

@@ -128,7 +128,7 @@ func (s *Switch) TraceFrame(now uint64, frame []byte, inPort uint32) *TraceResul
 	d, sp := s.upcall(now, keys[:], hashes, 0, scanned)
 	up := &TraceUpcall{Refused: sp.refused, Installed: sp.installed}
 	res.Upcall = up
-	res.Verdict, res.Path, res.Scanned = d.Verdict, d.Path, d.MasksScanned
+	res.Verdict, res.Path, res.Scanned = d.Verdict, d.Path, int(d.MasksScanned)
 	if !sp.refused {
 		if r := sp.res.Rule; r != nil {
 			up.RuleFound = true

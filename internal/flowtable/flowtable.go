@@ -34,17 +34,19 @@ func (v Verdict) String() string {
 	return "deny"
 }
 
-// Action is what happens to packets matching a rule.
+// Action is what happens to packets matching a rule. Every cached entry and
+// every per-packet decision carries one, so the three one-byte fields lead
+// and OutPort packs behind them in 8 bytes (between them, padding makes 12).
 type Action struct {
 	Verdict Verdict
-	OutPort uint32 // output port for Allow; 0 = normal forwarding
 	// Recirc sends the packet through conntrack and re-classifies it
 	// with ct_state set (the OVS "ct" action + recirculation). Verdict
 	// is ignored for recirculated packets; the second pass decides.
 	Recirc bool
 	// Commit records the connection in the tracker when this (allow)
 	// action fires — the OVS "ct(commit)" action.
-	Commit bool
+	Commit  bool
+	OutPort uint32 // output port for Allow; 0 = normal forwarding
 }
 
 func (a Action) String() string {
