@@ -52,6 +52,9 @@ func init() {
 		"hot.go:23: fmt.Sprintf allocates (formatting boxes its operands) (hot path via Process)",
 		"hot.go:35: closure captures \"n\" and allocates per call (hot path via Process)",
 		"hot.go:42: argument boxes a int into an interface parameter (hot path via Process)",
+		"hot.go:57: assertion to interface type hot.runner can allocate in the runtime's type-assertion cache (resolve it once, off the hot path) (hot path via Process)",
+		"hot.go:66: assertion to interface type hot.runner can allocate in the runtime's type-assertion cache (resolve it once, off the hot path) (hot path via Process)",
+		"hot.go:66: assertion to interface type fmt.Stringer can allocate in the runtime's type-assertion cache (resolve it once, off the hot path) (hot path via Process)",
 	}
 }
 

@@ -146,9 +146,32 @@ func checkHotBody(pass *Pass, hf *hotFunc) {
 			}
 		case *ast.IncDecStmt:
 			checkMapWrite(report, info, n.X)
+		case *ast.TypeAssertExpr:
+			if n.Type != nil { // x.(type) is the switch's, checked per case
+				checkIfaceAssert(report, info, n.Type)
+			}
+		case *ast.CaseClause:
+			if _, ok := stack[len(stack)-2].(*ast.TypeSwitchStmt); ok {
+				for _, e := range n.List {
+					checkIfaceAssert(report, info, e)
+				}
+			}
 		}
 		return true
 	})
+}
+
+// checkIfaceAssert flags a type assertion, or a type switch case, to an
+// interface type: the runtime answers it from a per-call-site cache of the
+// dynamic types seen there, and rebuilds that cache now and then as it
+// fills, allocating (runtime.typeAssert). An assertion to a concrete type is
+// a compare of type words and stays exempt.
+func checkIfaceAssert(report func(token.Pos, string, ...any), info *types.Info, typ ast.Expr) {
+	t := info.TypeOf(typ)
+	if t == nil || !types.IsInterface(t) {
+		return
+	}
+	report(typ.Pos(), "assertion to interface type %s can allocate in the runtime's type-assertion cache (resolve it once, off the hot path)", types.TypeString(t, (*types.Package).Name))
 }
 
 // checkMapWrite flags stores through a map index expression — bucket

@@ -40,7 +40,31 @@ func helper(keys []uint64, scratch []int) {
 	}
 	Sink = scratch
 	box(n) // want at the call: boxing an int into any
+	assertions(Sink)
 }
 
 // box takes an interface parameter so callers box concrete values.
 func box(v any) { Sink = v }
+
+// runner is a capability a hot function might look up per call.
+type runner interface{ run() }
+
+func (p *point) run() {}
+
+// assertions is reachable from Process: assertions and type switch cases to
+// an interface type are flagged, those to a concrete type are not.
+func assertions(v any) {
+	if r, ok := v.(runner); ok { // want: assertion to an interface type
+		r.run()
+	}
+	if p, ok := v.(*point); ok { // concrete: exempt
+		p.run()
+	}
+	switch x := v.(type) {
+	case *point: // concrete: exempt
+		x.run()
+	case runner, fmt.Stringer: // want both: interface cases
+		Sink = x
+	case nil: // exempt
+	}
+}

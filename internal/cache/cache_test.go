@@ -267,7 +267,7 @@ func TestRankOncePerTick(t *testing.T) {
 		}
 		order := func() (masks []flow.Mask) {
 			for _, row := range m.subtables {
-				masks = append(masks, row.st.mask)
+				masks = append(masks, row.st.mask())
 			}
 			return masks
 		}

@@ -95,7 +95,7 @@ type Entry struct {
 }
 
 // Match returns the entry's megaflow: its key under its subtable's mask.
-func (e *Entry) Match() flow.Match { return flow.Match{Key: e.Key, Mask: e.st.mask} }
+func (e *Entry) Match() flow.Match { return flow.Match{Key: e.Key, Mask: e.st.mask()} }
 
 // Dead reports whether the entry has been evicted from the megaflow cache
 // (EMC references to it are stale).
@@ -356,22 +356,22 @@ func (m *Megaflow) sweep(keys []flow.Key, now uint64, ents []*Entry, costs []int
 const putLogCap = 64
 
 // logPut records that st's table took an entry. A full log stays full, and so
-// reads as overflowed, until the next LookupBatch or Flush empties it.
+// reads as overflowed, until the next LookupBatch or Flush empties it. A
+// subtable already logged is found by scanning the log, which an upcall's
+// insert can afford at putLogCap entries; a flag in the subtable would take
+// a byte its second line has no room for.
 func (m *Megaflow) logPut(st *mfSubtable) {
-	if !m.shared && !st.logged && len(m.putLog) < putLogCap {
+	if !m.shared && len(m.putLog) < putLogCap && !slices.Contains(m.putLog, st) {
 		if m.putLog == nil {
 			m.putLog = make([]*mfSubtable, 0, putLogCap)
 		}
-		st.logged = true
 		m.putLog = append(m.putLog, st)
 	}
 }
 
 // resetPutLog empties the put log in place; what it logged may have retired.
 func (m *Megaflow) resetPutLog() {
-	for i, st := range m.putLog {
-		st.logged, m.putLog[i] = false, nil
-	}
+	clear(m.putLog)
 	m.putLog = m.putLog[:0]
 }
 
@@ -558,7 +558,7 @@ func (m *Megaflow) scan(ri int, g *gathered) (int, uint64) {
 			}
 			for w := g.live; w != 0; w &= w - 1 {
 				kw := &g.w[bits.TrailingZeros64(w)]
-				h := row.st.probeHash(seed, kw[0]&row.mw[0], kw[1]&row.mw[1], kw[2]&row.mw[2], nil, nil)
+				h := probeHash(seed, kw[0]&row.mw[0], kw[1]&row.mw[1], kw[2]&row.mw[2], nil, nil)
 				h0, h1 := slots[h&uint64(len(slots)-1)].hash, slots[(h+1)&uint64(len(slots)-1)].hash
 				if h0 == h || h1 == h || int64(h0&h1) < 0 {
 					kw[3] = h
@@ -753,7 +753,7 @@ func (m *Megaflow) evictColdestSubtable() {
 // its mask; the caller takes it out of the scan order.
 func (m *Megaflow) forgetSubtable(st *mfSubtable) {
 	if m.hooks.Dropped != nil {
-		m.hooks.Dropped(st.mask)
+		m.hooks.Dropped(st.mask())
 	}
 	m.indexDel(st)
 }
@@ -768,14 +768,14 @@ func (m *Megaflow) forgetSubtable(st *mfSubtable) {
 // keeps its own (mhash), so a probe compares masks only on an equal hash and
 // a grow re-homes without hashing. It is read and written by Insert, Remove
 // and the retirement of subtables only, all on the write side.
-func (m *Megaflow) subtableOf(mask *flow.Mask) (*mfSubtable, uint64) {
+func (m *Megaflow) subtableOf(mask *flow.Mask) (*mfSubtable, uint32) {
 	h := maskHash(m.seed, mask)
 	if len(m.index) == 0 {
 		return nil, h
 	}
 	n := uint64(len(m.index) - 1)
-	for i := h & n; m.index[i] != nil; i = (i + 1) & n {
-		if st := m.index[i]; st.mhash == h && st.mask == *mask {
+	for i := uint64(h) & n; m.index[i] != nil; i = (i + 1) & n {
+		if st := m.index[i]; st.mhash == h && st.mask() == *mask {
 			return st, h
 		}
 	}
@@ -801,7 +801,7 @@ func (m *Megaflow) indexAdd(st *mfSubtable) {
 // indexPlace stores st in the first empty index slot at or after its home.
 func (m *Megaflow) indexPlace(st *mfSubtable) {
 	n := uint64(len(m.index) - 1)
-	i := st.mhash & n
+	i := uint64(st.mhash) & n
 	for m.index[i] != nil {
 		i = (i + 1) & n
 	}
@@ -812,7 +812,7 @@ func (m *Megaflow) indexPlace(st *mfSubtable) {
 // shift, as delAt does in a subtable.
 func (m *Megaflow) indexDel(st *mfSubtable) {
 	n := uint64(len(m.index) - 1)
-	i := st.mhash & n
+	i := uint64(st.mhash) & n
 	for m.index[i] != st {
 		i = (i + 1) & n
 	}
@@ -823,7 +823,7 @@ func (m *Megaflow) indexDel(st *mfSubtable) {
 			m.index[i] = nil
 			return
 		}
-		if (j-s.mhash)&n >= (j-i)&n {
+		if (j-uint64(s.mhash))&n >= (j-i)&n {
 			m.index[i] = s
 			i = j
 		}
@@ -991,7 +991,7 @@ func (m *Megaflow) Flush() {
 			ent.dead.Store(true)
 		}
 		if m.hooks.Dropped != nil {
-			m.hooks.Dropped(row.st.mask)
+			m.hooks.Dropped(row.st.mask())
 		}
 	}
 	m.subtables = nil

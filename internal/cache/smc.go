@@ -137,15 +137,24 @@ func (s *SMC) lookup(k *flow.Key, h uint64, now uint64) (*Entry, bool) {
 		bump(s.shared, &s.Misses, 1)
 		return nil, false
 	}
-	// The entry keeps no mask: its subtable's is the megaflow's. All ten
-	// words in a fixed loop, not st.matches over the significant ones,
-	// which read about 2 % slower on mix_smc.
-	for i, m := range &ent.st.mask {
-		if k[i]&m != ent.Key[i] {
-			// Fingerprint collision between distinct flows: a true miss.
-			bump(s.shared, &s.Misses, 1)
-			return nil, false
+	// The entry keeps no mask: its subtable's compiled words are the
+	// megaflow's. This is mfSubtable.matches, written out: too long to
+	// inline, the call read mix_smc's pkt_ns_p02 about 4 % slower.
+	st, e := ent.st, &ent.Key
+	x := &st.widx
+	miss := (k[x[0]]&st.mw[0]^e[x[0]])|(k[x[1]]&st.mw[1]^e[x[1]])|(k[x[2]]&st.mw[2]^e[x[2]]) != 0
+	if m := st.wide; m != nil && !miss {
+		for i := range m {
+			if k[i]&m[i] != e[i] {
+				miss = true
+				break
+			}
 		}
+	}
+	if miss {
+		// Fingerprint collision between distinct flows: a true miss.
+		bump(s.shared, &s.Misses, 1)
+		return nil, false
 	}
 	credit(s.shared, ent, 1, now)
 	bump(s.shared, &s.Hits, 1)

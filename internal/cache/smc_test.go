@@ -170,7 +170,7 @@ func (m *smcModel) lookup(k flow.Key, h uint64) (*Entry, bool) {
 		m.Misses++
 		return nil, false
 	}
-	for i, mw := range &slot.ent.st.mask {
+	for i, mw := range slot.ent.st.mask() {
 		if k[i]&mw != slot.ent.Key[i] {
 			m.Misses++
 			return nil, false

@@ -117,9 +117,10 @@ func (st *mfSubtable) addEntry(k flow.Key) {
 	if ss.w0vals != nil {
 		ss.w0vals[k[0]]++
 	}
+	mask := st.mask()
 	h, next := flow.StageHashSeed, flow.Stage(0)
 	for i := range ss.idx {
-		h, next = ss.chainTo(h, &k, &st.mask, next, ss.idx[i].stage)
+		h, next = ss.chainTo(h, &k, &mask, next, ss.idx[i].stage)
 		ss.idx[i].hashes[h]++
 	}
 	for i := range ss.ports {
@@ -139,9 +140,10 @@ func (st *mfSubtable) dropEntry(k flow.Key) {
 			delete(ss.w0vals, k[0])
 		}
 	}
+	mask := st.mask()
 	h, next := flow.StageHashSeed, flow.Stage(0)
 	for i := range ss.idx {
-		h, next = ss.chainTo(h, &k, &st.mask, next, ss.idx[i].stage)
+		h, next = ss.chainTo(h, &k, &mask, next, ss.idx[i].stage)
 		if ss.idx[i].hashes[h]--; ss.idx[i].hashes[h] <= 0 {
 			delete(ss.idx[i].hashes, h)
 		}
@@ -218,9 +220,10 @@ func (st *mfSubtable) stagedProbe(k *flow.Key, seed uint64, skipW0 bool) (*Entry
 			return nil, probePruned
 		}
 	}
+	mask := st.mask()
 	h, next := flow.StageHashSeed, flow.Stage(0)
 	for i := range ss.idx {
-		h, next = ss.chainTo(h, k, &st.mask, next, ss.idx[i].stage)
+		h, next = ss.chainTo(h, k, &mask, next, ss.idx[i].stage)
 		if _, ok := ss.idx[i].hashes[h]; !ok {
 			return nil, probeBailed
 		}

@@ -35,12 +35,12 @@ func checkStagedInvariants(t *testing.T, m *Megaflow) {
 		if st.staged == nil {
 			t.Fatalf("subtable %d has no staged state", si)
 		}
-		want := newStagedState(st.mask)
-		ref := &mfSubtable{mask: st.mask, staged: want}
+		ref := newSubtable(st.mask(), 0)
+		ref.staged = newStagedState(st.mask())
 		for ent := range st.residents {
 			ref.addEntry(ent.Key)
 		}
-		got := st.staged
+		got, want := st.staged, ref.staged
 		if len(got.w0vals) != len(want.w0vals) {
 			t.Fatalf("subtable %d: w0vals size %d, want %d", si, len(got.w0vals), len(want.w0vals))
 		}
@@ -298,7 +298,7 @@ func TestStagedRankingPromotesHot(t *testing.T) {
 	var k flow.Key
 	k.Set(flow.FieldInPort, 1)
 	k.Set(flow.FieldIPSrc, 0xc0a80101)
-	if m.subtables[len(m.subtables)-1].st.mask != hot.Mask {
+	if m.subtables[len(m.subtables)-1].st.mask() != hot.Mask {
 		t.Fatal("precondition: hot subtable should start last in scan order")
 	}
 	for i := 0; i < 2*64; i++ {
@@ -307,7 +307,7 @@ func TestStagedRankingPromotesHot(t *testing.T) {
 		}
 	}
 	_, cost, ok := m.Lookup(k, 3)
-	if m.subtables[0].st.mask != hot.Mask {
+	if m.subtables[0].st.mask() != hot.Mask {
 		t.Fatal("hot subtable not ranked to the front at the tick after its hits")
 	}
 	if !ok || cost != 1 {
@@ -346,7 +346,7 @@ func TestStagedFlushTrimConsistency(t *testing.T) {
 	order := func() []flow.Mask {
 		out := make([]flow.Mask, len(m.subtables))
 		for i, row := range m.subtables {
-			out[i] = row.st.mask
+			out[i] = row.st.mask()
 		}
 		return out
 	}

@@ -25,41 +25,46 @@ const slotUsed uint64 = 1 << 63
 // entry nearly every attack-minted subtable ever holds, at load 1/2.
 const minSlots = 2
 
-// mfSubtable is one megaflow subtable: every resident entry shares mask.
-// The mask is compiled at mint time into the indices of its significant
-// (non-zero) words — OVS's minimask — so a probe hashes and compares only
-// those, never the whole ten-word key. Entries sit in a flat power-of-two
-// table with linear probing, grown at load 1/2, deleted by backward shift
-// (no tombstones, so a miss always ends at the first empty slot).
+// mfSubtable is one megaflow subtable: every resident entry shares its mask.
+// The mask is compiled at mint time into its first three significant
+// (non-zero) words and their indices — OVS's minimask — so a probe hashes and
+// compares only those, never the whole ten-word key, and the subtable keeps
+// no more of the mask than that unless the mask has more than three
+// significant words: then a whole copy sits out of line, behind wide.
+// Entries sit in a flat power-of-two table with linear probing, grown at load
+// 1/2, deleted by backward shift (no tombstones, so a miss always ends at the
+// first empty slot).
 //
-// What a sweep reads fills the first cache line (the 320-byte size class
+// What a sweep reads fills the first cache line (the 256-byte size class
 // starts a subtable on a line boundary): a staged sweep, which prunes most
 // subtables on their staged state alone, reads one pointer (in the third
 // line it cost the staged attack 17 % of its setup time); a flat sweep, with
 // the mask words in its scanRow, reads the table header and, in a two-slot
 // table, both slot hashes — and nothing at all of a subtable whose row is
-// single. logged and pos sit in the padding before mask, and mhash fills the
-// first 192 bytes (TestScanRowLayout).
+// single. What verifying a key reads, the compiled mask and the wide mask's
+// pointer, fills the second line with the counts and the clocks
+// (TestScanRowLayout): an SMC hit reads one line of its subtable, and a wide
+// mask one pointer away.
 //
 // ent0, the subtable's first entry, starts on the line boundary behind them,
-// at offset 192, so a minted mask is one allocation, not a subtable and an
+// at offset 128, so a minted mask is one allocation, not a subtable and an
 // entry. Only the first insert takes it (ent0.st is set from then on), and a
 // retired ent0 is never reused: an EMC or SMC slot may still hold it, and
 // only dead retires it there.
 type mfSubtable struct {
-	staged *stagedState      // staged-lookup/pruning state; nil unless StagedPruning
-	slots  []mfSlot          // len is a power of two, >= 2*n
-	first  [minSlots]mfSlot  // backing store of slots until the first grow
-	nw     uint8             // number of significant mask words
-	widx   [flow.Words]uint8 // their Key word indices, ascending; zero past nw
-	logged bool              // in Megaflow.putLog
-	pos    uint32            // index of the subtable's row in Megaflow.subtables
-	mask   flow.Mask
-	n      int // resident entries
+	staged *stagedState     // staged-lookup/pruning state; nil unless StagedPruning
+	slots  []mfSlot         // len is a power of two, >= 2*n
+	first  [minSlots]mfSlot // backing store of slots until the first grow
 
-	hits    uint64 // since the last rank (Megaflow.rank)
-	lastHit uint64 // for LRU mask eviction on an unranked scan
-	mhash   uint64 // maskHash of mask under Megaflow.seed: its home in the mask index
+	wide    *flow.Mask // the whole mask if it has more than three significant words; else nil
+	mw      [3]uint64  // mask[widx[j]]: past nw, mask word 0 again
+	hits    uint64     // since the last rank (Megaflow.rank)
+	lastHit uint64     // for LRU mask eviction on an unranked scan
+	n       int32      // resident entries
+	mhash   uint32     // maskHash of the mask under Megaflow.seed: its home in the mask index
+	pos     uint32     // index of the subtable's row in Megaflow.subtables
+	nw      uint8      // number of significant mask words
+	widx    [3]uint8   // the Key word indices of the first three, ascending; zero past nw
 
 	ent0 Entry // the first entry inserted, resident or retired (see above)
 }
@@ -75,7 +80,7 @@ type mfSubtable struct {
 // A row is a copy, so it follows its subtable: only row builds one, and
 // Megaflow.syncRow rewrites it after every edit of the subtable's table.
 type scanRow struct {
-	mw     [3]uint64 // st.mask[st.widx[j]], j < 3
+	mw     [3]uint64 // st.mw
 	ew     [3]uint64 // single: the lone resident's Key[st.widx[j]]; else zero
 	st     *mfSubtable
 	shape  uint32 // st.widx[0..2], the key words mw selects, a byte each
@@ -83,15 +88,15 @@ type scanRow struct {
 	single bool // st.n == 1 && st.nw <= 3
 }
 
-// row compiles the subtable's row from its mask and, for single, its one
-// resident. Past nw, widx is zero: mw repeats mask word 0 and ew the entry's
-// key word 0, which the entry's normalisation makes the same compare again
-// (or 0 == 0 under a mask without word 0), so the three compares are exact
-// for one- and two-word masks and the catch-all too.
+// row compiles the subtable's row from its compiled mask and, for single,
+// its one resident. Past nw, widx is zero: mw repeats mask word 0 and ew the
+// entry's key word 0, which the entry's normalisation makes the same compare
+// again (or 0 == 0 under a mask without word 0), so the three compares are
+// exact for one- and two-word masks and the catch-all too.
 func (st *mfSubtable) row() scanRow {
 	w := st.widx
 	r := scanRow{
-		mw:    [3]uint64{st.mask[w[0]], st.mask[w[1]], st.mask[w[2]]},
+		mw:    st.mw,
 		st:    st,
 		shape: uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16,
 		nw:    st.nw,
@@ -124,21 +129,43 @@ var tableSeed = func() uint64 {
 
 // newSubtable mints an empty subtable for mask.
 func newSubtable(mask flow.Mask, now uint64) *mfSubtable {
-	st := &mfSubtable{mask: mask, lastHit: now}
+	st := &mfSubtable{lastHit: now}
 	for i, w := range mask {
 		if w != 0 {
-			st.widx[st.nw] = uint8(i)
+			if st.nw < 3 {
+				st.widx[st.nw] = uint8(i)
+			}
 			st.nw++
 		}
+	}
+	st.mw = [3]uint64{mask[st.widx[0]], mask[st.widx[1]], mask[st.widx[2]]}
+	if st.nw > 3 {
+		st.wide = new(flow.Mask)
+		*st.wide = mask
 	}
 	st.slots = st.first[:]
 	return st
 }
 
+// mask returns the subtable's whole mask: the wide copy, or rebuilt from
+// the compiled words.
+func (st *mfSubtable) mask() flow.Mask {
+	if st.wide != nil {
+		return *st.wide
+	}
+	var m flow.Mask
+	for j, w := range st.widx[:st.nw] {
+		m[w] = st.mw[j]
+	}
+	return m
+}
+
 // probeHash is the one probe hash, inlined into find and into the flat
 // sweep's scan: a, b and c are the key's first three significant words,
-// masked (find reads them through widx and mask, scan from its gather and
-// the scanRow); more is widx past the third, whose words are read from k.
+// masked (find reads them through widx and mw, scan from its gather and
+// the scanRow); a mask of more than three words folds in kb, the key's words
+// behind the third, each under its word of mb, the same words of the whole
+// mask (both nil for the others).
 //
 // Each round xors a masked word in and takes the full 128-bit product with
 // the odd seed, halves xored together; one more round closes, so the last
@@ -150,26 +177,30 @@ func newSubtable(mask flow.Mask, now uint64) *mfSubtable {
 // multiply and saves the loop for the one-to-three-word masks that prefix
 // ACLs compile to (10-13 % of attack8192_flat's pkt_ns_p02; CHANGES.md,
 // PR 13). A catch-all mask hashes every key alike.
-func (st *mfSubtable) probeHash(seed, a, b, c uint64, more []uint8, k *flow.Key) uint64 {
+//
+// Behind the third, the words the mask leaves out fold in as zeros: a fixed
+// loop, where skipping them would branch on the mask.
+func probeHash(seed, a, b, c uint64, kb, mb []uint64) uint64 {
 	hi, lo := bits.Mul64(seed^a, seed)
 	hi, lo = bits.Mul64(hi^lo^b, seed)
 	hi, lo = bits.Mul64(hi^lo^c, seed)
-	for _, w := range more {
-		hi, lo = bits.Mul64(hi^lo^k[w]&st.mask[w], seed)
+	for i, m := range mb {
+		hi, lo = bits.Mul64(hi^lo^kb[i]&m, seed)
 	}
 	hi, lo = bits.Mul64(hi^lo, seed)
 	return hi ^ lo | slotUsed
 }
 
 // maskHash is the hash the mask index homes a mask by: probeHash's rounds
-// over all ten words of the mask, then the closing one, under the same seed.
-func maskHash(seed uint64, mask *flow.Mask) uint64 {
+// over all ten words of the mask, then the closing one, under the same seed,
+// folded to the 32 bits a subtable keeps (mhash).
+func maskHash(seed uint64, mask *flow.Mask) uint32 {
 	hi, lo := uint64(0), seed
 	for _, w := range mask {
 		hi, lo = bits.Mul64(hi^lo^w, seed)
 	}
 	hi, lo = bits.Mul64(hi^lo, seed)
-	return hi ^ lo
+	return uint32(hi ^ lo)
 }
 
 // find returns the index of the slot holding the entry that matches k under
@@ -177,7 +208,11 @@ func maskHash(seed uint64, mask *flow.Mask) uint64 {
 // any number of readers may search one subtable while no writer runs.
 func (st *mfSubtable) find(k *flow.Key, seed uint64) (int, uint64) {
 	w0, w1, w2 := st.widx[0], st.widx[1], st.widx[2]
-	h := st.probeHash(seed, k[w0]&st.mask[w0], k[w1]&st.mask[w1], k[w2]&st.mask[w2], st.widx[3:max(st.nw, 3)], k)
+	var kb, mb []uint64
+	if st.wide != nil {
+		kb, mb = k[w2+1:], st.wide[w2+1:]
+	}
+	h := probeHash(seed, k[w0]&st.mw[0], k[w1]&st.mw[1], k[w2]&st.mw[2], kb, mb)
 	return st.walk(k, h), h
 }
 
@@ -216,11 +251,18 @@ func (st *mfSubtable) probe(k *flow.Key, seed uint64) *Entry {
 }
 
 // matches reports whether k agrees with ent's masked key on every
-// significant word.
+// significant word: the three compares row explains and, under a mask of more
+// than three words, all ten under the whole mask, in a fixed loop.
 func (st *mfSubtable) matches(k *flow.Key, ent *Entry) bool {
-	for _, w := range st.widx[:st.nw] {
-		if k[w]&st.mask[w] != ent.Key[w] {
-			return false
+	e, w := &ent.Key, &st.widx
+	if (k[w[0]]&st.mw[0]^e[w[0]])|(k[w[1]]&st.mw[1]^e[w[1]])|(k[w[2]]&st.mw[2]^e[w[2]]) != 0 {
+		return false
+	}
+	if m := st.wide; m != nil {
+		for i := range m {
+			if k[i]&m[i] != e[i] {
+				return false
+			}
 		}
 	}
 	return true
@@ -228,7 +270,7 @@ func (st *mfSubtable) matches(k *flow.Key, ent *Entry) bool {
 
 // put adds ent, whose masked key find reported absent with probe hash h.
 func (st *mfSubtable) put(ent *Entry, h uint64) {
-	if 2*(st.n+1) > len(st.slots) {
+	if 2*(int(st.n)+1) > len(st.slots) {
 		old := st.slots
 		st.slots = make([]mfSlot, 2*len(old))
 		for _, s := range old {

@@ -66,13 +66,13 @@ func newTableModel(t *testing.T, mask flow.Mask, seed uint64) *tableModel {
 // probe checks the table against the reference for one raw key.
 func (tm *tableModel) probe(raw flow.Key) {
 	tm.t.Helper()
-	if got, want := tm.st.probe(&raw, tm.seed), tm.ref[tm.st.mask.Apply(raw)]; got != want {
+	if got, want := tm.st.probe(&raw, tm.seed), tm.ref[tm.st.mask().Apply(raw)]; got != want {
 		tm.t.Fatalf("probe(%v) = %p, reference holds %p", raw, got, want)
 	}
 }
 
 func (tm *tableModel) put(raw flow.Key) {
-	mk := tm.st.mask.Apply(raw)
+	mk := tm.st.mask().Apply(raw)
 	if tm.ref[mk] != nil {
 		return
 	}
@@ -83,7 +83,7 @@ func (tm *tableModel) put(raw flow.Key) {
 }
 
 func (tm *tableModel) del(raw flow.Key) {
-	mk := tm.st.mask.Apply(raw)
+	mk := tm.st.mask().Apply(raw)
 	ent := tm.ref[mk]
 	if ent == nil {
 		return
@@ -124,10 +124,10 @@ func (tm *tableModel) sweep(sel uint64) {
 func (tm *tableModel) check() {
 	tm.t.Helper()
 	st := tm.st
-	if st.n != len(tm.ref) {
+	if int(st.n) != len(tm.ref) {
 		tm.t.Fatalf("table holds %d entries, reference %d", st.n, len(tm.ref))
 	}
-	if l := len(st.slots); l < minSlots || l&(l-1) != 0 || 2*st.n > l {
+	if l := len(st.slots); l < minSlots || l&(l-1) != 0 || 2*int(st.n) > l {
 		tm.t.Fatalf("%d entries in %d slots: want a power of two at load <= 1/2", st.n, l)
 	}
 	walked := 0
@@ -259,7 +259,7 @@ func TestSubtableBackwardShiftAcrossWrap(t *testing.T) {
 const (
 	maxMeanProbeLen     = 2.0 // slots examined per resident lookup, mean
 	maxProbeLen         = 64  // ... and worst resident, up to 8192 entries
-	maxSingletonBytes   = 401 // heap per one-entry subtable with its inline entry, 64-byte row and index share included
+	maxSingletonBytes   = 337 // heap per one-entry subtable with its inline entry, 64-byte row and index share included
 	maxMintAllocs       = 32  // allocations beyond one a mask, minting singletonSampleSize masks
 	singletonSampleSize = 4096
 )
@@ -436,7 +436,7 @@ func threeFieldMasks(t *testing.T) []flow.Mask {
 	}
 	masks := make([]flow.Mask, 0, mf.NumMasks())
 	for _, row := range mf.subtables {
-		masks = append(masks, row.st.mask)
+		masks = append(masks, row.st.mask())
 	}
 	return masks
 }
@@ -475,7 +475,7 @@ func TestMaskIndexProbeLengthBound(t *testing.T) {
 				if st == nil {
 					continue
 				}
-				d := int((uint64(i)-st.mhash)&n) + 1
+				d := int((uint64(i)-uint64(st.mhash))&n) + 1
 				total += d
 				worst = max(worst, d)
 			}
@@ -509,7 +509,7 @@ func singletonMatches() []flow.Match {
 // TestSingletonSubtableHeapBound mints one-entry subtables the way the
 // attack does and holds the live heap each costs — descriptor with its
 // inline two-slot table and inline entry, mask index and scan-order share —
-// to the stated budget: 320 + 64 + 16 bytes, and the cache's own header and
+// to the stated budget: 256 + 64 + 16 bytes, and the cache's own header and
 // put log spread over the sample. The input matches stay live to the second
 // reading: freed between the two, their 160 bytes a mask would come off the
 // cache's cost. Each reading follows two collections: after one alone, the
@@ -563,5 +563,86 @@ func TestMintAllocations(t *testing.T) {
 	t.Logf("%.0f allocations minting %d masks", avg, singletonSampleSize)
 	if avg > singletonSampleSize+maxMintAllocs {
 		t.Errorf("minting %d masks allocates %.0f times, bound %d", singletonSampleSize, avg, singletonSampleSize+maxMintAllocs)
+	}
+}
+
+// TestWideMaskRoundTrip takes a mask of more than three significant words —
+// the one kind whose subtable keeps its whole mask aside, beside the three
+// compiled words — through a flat and a staged cache, twice: inserted, then
+// removed, then inserted again. Each time the entry answers with the
+// normalised match it was inserted as, the mask index finds its subtable, a
+// lookup hits it with the raw key and misses with one that differs only in
+// the fourth significant word, the SMC's hit check accepts the one and
+// refuses the other under the same hash, and the mask hooks see the whole
+// mask go; the dead entry still answers its match.
+func TestWideMaskRoundTrip(t *testing.T) {
+	var mask flow.Mask
+	mask.SetExact(flow.FieldInPort)
+	mask.SetPrefix(flow.FieldIPSrc, 24)
+	mask.SetPrefix(flow.FieldIPv6DstHi, 48)
+	mask.SetPrefix(flow.FieldTPDst, 12)
+	mask.SetExact(flow.FieldCTState)
+	var sig []int
+	for w, bits := range mask {
+		if bits != 0 {
+			sig = append(sig, w)
+		}
+	}
+	if len(sig) <= 3 {
+		t.Fatalf("mask %v has %d significant words, want more than three", mask, len(sig))
+	}
+	match := flow.Match{Mask: mask}
+	for w := range match.Key {
+		match.Key[w] = splitmix(uint64(w))
+	}
+	want := match
+	want.Normalize()
+	fourth := match.Key
+	fourth[sig[3]] ^= mask[sig[3]] & -mask[sig[3]] // the word's lowest masked bit
+	h := match.Key.Hash()
+
+	for _, staged := range []bool{false, true} {
+		var dropped []flow.Mask
+		m := NewMegaflow(MegaflowConfig{FlowLimit: -1, StagedPruning: staged})
+		m.SetMaskHooks(MaskHooks{Dropped: func(mk flow.Mask) { dropped = append(dropped, mk) }})
+		for round := range 2 {
+			ent, err := m.Insert(match, allow, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ent.Match(); got != want {
+				t.Fatalf("staged %v, round %d: entry answers %v, want %v", staged, round, got, want)
+			}
+			if st, _ := m.subtableOf(&want.Mask); st == nil || st != ent.st {
+				t.Fatalf("staged %v, round %d: the mask index finds %p under the mask, want the entry's %p", staged, round, st, ent.st)
+			}
+			checkScanRows(t, m)
+			if staged {
+				checkStagedInvariants(t, m)
+			}
+			if got, _, ok := m.Lookup(match.Key, 2); !ok || got != ent {
+				t.Fatalf("staged %v, round %d: lookup of the inserted key got %p, %v; want %p", staged, round, got, ok, ent)
+			}
+			if got, _, ok := m.Lookup(fourth, 2); ok {
+				t.Fatalf("staged %v, round %d: a key off in the fourth word hit %v", staged, round, got.Match())
+			}
+			smc := NewSMC(SMCConfig{Entries: 64})
+			smc.InsertHashed(match.Key, h, ent)
+			if got, ok := smc.LookupHashed(match.Key, h, 2); !ok || got != ent {
+				t.Fatalf("staged %v, round %d: SMC refused the inserted key", staged, round)
+			}
+			if _, ok := smc.LookupHashed(fourth, h, 2); ok {
+				t.Fatalf("staged %v, round %d: SMC accepted a key off in the fourth word", staged, round)
+			}
+			if !m.Remove(want) || m.NumMasks() != 0 {
+				t.Fatalf("staged %v, round %d: remove left %d masks", staged, round, m.NumMasks())
+			}
+			if len(dropped) != round+1 || dropped[round] != mask {
+				t.Fatalf("staged %v, round %d: hooks saw %v dropped, want the whole mask %v", staged, round, dropped, mask)
+			}
+			if got := ent.Match(); !ent.Dead() || got != want {
+				t.Fatalf("staged %v, round %d: removed entry dead %v, answers %v; want dead, %v", staged, round, ent.Dead(), got, want)
+			}
+		}
 	}
 }

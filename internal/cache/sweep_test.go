@@ -58,37 +58,50 @@ func checkScanRows(t *testing.T, m *Megaflow) {
 	}
 	for i, row := range m.subtables {
 		st := row.st
-		if st == nil || st.mhash != maskHash(m.seed, &st.mask) {
-			t.Fatalf("row %d: subtable %p does not hold its mask's hash", i, st)
+		if st == nil {
+			t.Fatalf("row %d: no subtable", i)
 		}
-		if found, _ := m.subtableOf(&st.mask); found != st {
+		// The mask the subtable answers with, rebuilt from its compiled words
+		// (or its side's whole mask), hashes to the hash taken of the inserted
+		// mask at mint time: compiled words that lost or changed a bit fail.
+		mask := st.mask()
+		if st.mhash != maskHash(m.seed, &mask) {
+			t.Fatalf("row %d: subtable %p's mask %v does not hash to its mask hash", i, st, mask)
+		}
+		if found, _ := m.subtableOf(&mask); found != st {
 			t.Fatalf("row %d: subtable %p is not the one indexed under its mask (%p is)", i, st, found)
 		}
 		if int(st.pos) != i {
 			t.Fatalf("row %d: its subtable says it sits at %d", i, st.pos)
 		}
-		var widx [3]uint32
+		var widx [3]uint8
 		nw := 0
-		for w, bits := range st.mask {
-			if bits == 0 {
-				continue
+		for w, bits := range mask {
+			if bits != 0 {
+				if nw < 3 {
+					widx[nw] = uint8(w)
+				}
+				nw++
 			}
-			if nw < 3 {
-				widx[nw] = uint32(w)
-			}
-			nw++
+		}
+		mw := [3]uint64{mask[widx[0]], mask[widx[1]], mask[widx[2]]}
+		if st.widx != widx || int(st.nw) != nw || st.mw != mw {
+			t.Fatalf("row %d: subtable compiled to words %v (%d) and mask words %#x; its mask %v compiles to %v (%d) and %#x", i, st.widx, st.nw, st.mw, mask, widx, nw, mw)
+		}
+		if (st.wide != nil) != (nw > 3) {
+			t.Fatalf("row %d: a mask of %d significant words, a whole copy kept: %v", i, nw, st.wide != nil)
 		}
 		want := scanRow{
-			mw:    [3]uint64{st.mask[widx[0]], st.mask[widx[1]], st.mask[widx[2]]},
+			mw:    mw,
 			st:    st,
-			shape: widx[0] | widx[1]<<8 | widx[2]<<16,
+			shape: uint32(widx[0]) | uint32(widx[1])<<8 | uint32(widx[2])<<16,
 			nw:    uint8(nw),
 		}
 		var resident []*Entry
 		for ent := range st.residents {
 			resident = append(resident, ent)
 		}
-		if len(resident) != st.n {
+		if len(resident) != int(st.n) {
 			t.Fatalf("row %d: %d residents in the table, n = %d", i, len(resident), st.n)
 		}
 		if len(resident) == 1 && nw <= 3 {
@@ -96,7 +109,7 @@ func checkScanRows(t *testing.T, m *Megaflow) {
 			want.ew, want.single = [3]uint64{k[widx[0]], k[widx[1]], k[widx[2]]}, true
 		}
 		if row != want {
-			t.Fatalf("row %d = %+v, subtable's mask %v and %d residents compile to %+v", i, row, st.mask, len(resident), want)
+			t.Fatalf("row %d = %+v, subtable's mask %v and %d residents compile to %+v", i, row, mask, len(resident), want)
 		}
 	}
 	for i, row := range m.subtables[len(m.subtables):cap(m.subtables)] {
@@ -175,7 +188,7 @@ func checkBatchAgainstProbes(t *testing.T, m *Megaflow, keys []flow.Key, live fu
 	}
 	for i := range rows {
 		if m.subtables[i].st != rows[i].st {
-			t.Fatalf("row %d: the sweep scanned subtable %v there, the reference %v", i, m.subtables[i].st.mask, rows[i].st.mask)
+			t.Fatalf("row %d: the sweep scanned subtable %v there, the reference %v", i, m.subtables[i].st.mask(), rows[i].st.mask())
 		}
 	}
 	for ent, h := range entHits {
@@ -185,7 +198,7 @@ func checkBatchAgainstProbes(t *testing.T, m *Megaflow, keys []flow.Key, live fu
 	}
 	for st, h := range stHits {
 		if st.hits != h || st.lastHit != now {
-			t.Fatalf("subtable %v: hits %d last hit %d, want %d at %d", st.mask, st.hits, st.lastHit, h, now)
+			t.Fatalf("subtable %v: hits %d last hit %d, want %d at %d", st.mask(), st.hits, st.lastHit, h, now)
 		}
 	}
 }
@@ -529,8 +542,8 @@ func newDeepWordLadder(t *testing.T, nRows, nw int, catchAll bool) (*Megaflow, [
 	}
 	checkScanRows(t, m)
 	for i, row := range m.subtables {
-		if !row.single || row.st.mask != residents[i].Mask {
-			t.Fatalf("row %d: single %v, mask %v; want single, %v", i, row.single, row.st.mask, residents[i].Mask)
+		if !row.single || row.st.mask() != residents[i].Mask {
+			t.Fatalf("row %d: single %v, mask %v; want single, %v", i, row.single, row.st.mask(), residents[i].Mask)
 		}
 	}
 	return m, residents, own
@@ -800,22 +813,24 @@ func TestRemoveUnpinsSubtable(t *testing.T) {
 }
 
 // TestScanRowLayout pins the sizes the sweep's loads and the attack's memory
-// rest on: a row is one cache line; a subtable is 320 bytes, a size class
-// that starts it on a line boundary, the sweep's fields in its first 192
-// (pos and the mask hash must not grow them) and its inline first entry on
-// the line boundary behind them; and an entry is 128 bytes, exactly a size
-// class: its key and no copy of its subtable's mask (dead beside Verdict:
-// between the 8-byte fields it costs a 144-byte class).
+// rest on: a row is one cache line; a subtable is 256 bytes, a size class
+// that starts it on a line boundary, the sweep's fields in its first line,
+// what a key's verification reads (the compiled mask, the wide mask's
+// pointer) with the counts and clocks in its second, and its inline first
+// entry on the line boundary behind them; and an entry is 128 bytes, exactly
+// a size class: its key and no copy of its subtable's mask (dead beside
+// Verdict: between the 8-byte fields it costs a 144-byte class).
 func TestScanRowLayout(t *testing.T) {
 	if got := unsafe.Sizeof(scanRow{}); got != 64 {
 		t.Errorf("scanRow is %d bytes, want 64", got)
 	}
-	if got := unsafe.Sizeof(mfSubtable{}); got != 320 {
-		t.Errorf("mfSubtable is %d bytes, want 320", got)
+	if got := unsafe.Sizeof(mfSubtable{}); got != 256 {
+		t.Errorf("mfSubtable is %d bytes, want 256", got)
 	}
-	if off := unsafe.Offsetof(mfSubtable{}.ent0); off != 192 {
-		t.Errorf("mfSubtable's inline entry sits at offset %d, want 192, the line boundary behind the sweep's fields", off)
+	if off := unsafe.Offsetof(mfSubtable{}.ent0); off != 128 {
+		t.Errorf("mfSubtable's inline entry sits at offset %d, want 128, the line boundary behind the compiled mask", off)
 	}
+
 	if got := unsafe.Sizeof(Entry{}); got != 128 {
 		t.Errorf("Entry is %d bytes, want 128", got)
 	}
@@ -1083,7 +1098,7 @@ func runSweepOps(t *testing.T, mode uint8, seed uint64, ops []byte) reprobePaths
 			} else if flat && len(m.putLog) < len(m.subtables) {
 				short = true
 				paths.short++
-				if slices.ContainsFunc(m.putLog, func(st *mfSubtable) bool { found, _ := m.subtableOf(&st.mask); return found != st }) {
+				if slices.ContainsFunc(m.putLog, func(st *mfSubtable) bool { mask := st.mask(); found, _ := m.subtableOf(&mask); return found != st }) {
 					paths.retired++
 				}
 			}
@@ -1302,7 +1317,7 @@ func TestShardedChildConcurrentSweep(t *testing.T) {
 		}
 		keys[i] = match.Key
 	}
-	grown := m.subtables[0].st.mask
+	grown := m.subtables[0].st.mask()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

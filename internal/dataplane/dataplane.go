@@ -242,6 +242,8 @@ type Switch struct {
 	tiers      []Tier
 	tierHits   []uint64
 	hashedInst []HashedInstaller       // per-tier hashed-install capability (nil entries: plain Install)
+	batchTiers []BatchTier             // per-tier batch capability (nil entries: key-by-key Lookup)
+	coalescer  RunCoalescer            // tiers[0]'s same-flow run capability, nil without
 	installer  MegaflowInstaller       // last installer tier, nil if none
 	hashedMF   HashedMegaflowInstaller // installer's hash-aware capability, nil without
 	promoteTo  int                     // tiers[:promoteTo] receive upcall promotions
@@ -372,7 +374,11 @@ func New(name string, opts ...Option) *Switch {
 			break
 		}
 	}
+	// Each capability is asserted here, once: an assertion to an interface
+	// type on the frame path goes through the runtime's per-call-site cache,
+	// which the runtime now and then rebuilds, allocating.
 	s.hashedInst = make([]HashedInstaller, len(tiers))
+	s.batchTiers = make([]BatchTier, len(tiers))
 	for i, t := range tiers {
 		if _, ok := t.(HashUser); ok {
 			s.needHashes = true
@@ -381,6 +387,10 @@ func New(name string, opts ...Option) *Switch {
 			s.hashedInst[i] = hi
 			s.needHashes = true
 		}
+		s.batchTiers[i], _ = t.(BatchTier)
+	}
+	if len(tiers) > 0 {
+		s.coalescer, _ = tiers[0].(RunCoalescer)
 	}
 	if cfg.conntrack != nil {
 		s.ct = conntrack.New(*cfg.conntrack)
@@ -652,7 +662,7 @@ func (s *Switch) walk(now uint64, keys []flow.Key, hashes []uint64, out []Decisi
 		if s.tel != nil {
 			tierStart = telemetry.Clock()
 		}
-		if bt, ok := t.(BatchTier); ok {
+		if bt := s.batchTiers[ti]; bt != nil {
 			bt.LookupBatch(keys, hashes, now, bs.ents, bs.costs, &bs.miss)
 		} else {
 			// Tiers without a batch path are probed key by key, so
@@ -753,7 +763,7 @@ func (s *Switch) processRun(now uint64, keys []flow.Key, hashes []uint64, out []
 		if i > from || rest == 0 || s.noCoalesce || top != 1 || d.Recirculated {
 			continue
 		}
-		if rc, ok := s.tiers[0].(RunCoalescer); ok && rc.AccountRun(ent, rest, int(d.MasksScanned), now) {
+		if rc := s.coalescer; rc != nil && rc.AccountRun(ent, rest, int(d.MasksScanned), now) {
 			s.tierHits[0] += uint64(rest)
 			if d.Verdict.Verdict == flowtable.Allow {
 				s.counters.Allowed += uint64(rest)

@@ -175,6 +175,8 @@ func newSharedView(primary *Switch, name string) *Switch {
 		tiers:      primary.tiers,
 		tierHits:   make([]uint64, len(primary.tiers)),
 		hashedInst: primary.hashedInst,
+		batchTiers: primary.batchTiers,
+		coalescer:  primary.coalescer,
 		installer:  primary.installer,
 		hashedMF:   primary.hashedMF,
 		promoteTo:  primary.promoteTo,
