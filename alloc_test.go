@@ -175,7 +175,9 @@ func TestFramePathZeroAlloc(t *testing.T) {
 			}
 			var evictions, smcHits uint64
 			if tc.mix > 0 {
-				evictions, smcHits = sw.EMC().Evictions, sw.SMC().Hits
+				emc, _ := tierStats(sw, "emc")
+				smc, _ := tierStats(sw, "smc")
+				evictions, smcHits = emc.Evictions, smc.Hits
 			}
 			avg := testing.AllocsPerRun(100, func() {
 				out = sw.ProcessFrames(2, &fb, out)
@@ -184,17 +186,19 @@ func TestFramePathZeroAlloc(t *testing.T) {
 				t.Errorf("ProcessFrames allocates %.1f times per warm burst; the hot path must hold 0", avg)
 			}
 			if tc.mix > 0 {
-				if emc, smc := sw.EMC(), sw.SMC(); emc.Evictions == evictions || smc.Hits == smcHits {
+				emc, _ := tierStats(sw, "emc")
+				smc, _ := tierStats(sw, "smc")
+				if emc.Evictions == evictions || smc.Hits == smcHits {
 					t.Errorf("%d EMC evictions and %d SMC hits over 100 bursts of the mix: the leg did not insert into a full EMC behind SMC hits",
 						emc.Evictions-evictions, smc.Hits-smcHits)
 				}
 				return
 			}
-			if smc := sw.SMC(); smc != nil {
-				if smc.Evictions < 100*uint64(smc.Cap()) || sw.Megaflow().Len() < tc.flows {
+			if smc, ok := tierStats(sw, "smc"); ok {
+				if smc.Evictions < 100*uint64(smc.Capacity) || sw.Megaflow().Len() < tc.flows {
 					t.Errorf("%d SMC evictions over 100 bursts of %d flows under %d megaflows: the leg did not thrash", smc.Evictions, tc.flows, sw.Megaflow().Len())
 				}
-			} else if emc := sw.EMC(); tc.flows > 0 && emc.Evictions < 100*uint64(tc.flows-emc.Cap()) {
+			} else if emc, _ := tierStats(sw, "emc"); tc.flows > 0 && emc.Evictions < 100*uint64(tc.flows-emc.Capacity) {
 				t.Errorf("%d EMC evictions over 100 bursts of %d flows: the leg did not thrash", emc.Evictions, tc.flows)
 			}
 		})
@@ -283,4 +287,15 @@ func TestSweepScratchOnStack(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { m.Lookup(keys[1], 2) }); avg != 0 {
 		t.Errorf("Lookup allocates %.1f times; the sweep's scratch must stay on the stack", avg)
 	}
+}
+
+// tierStats returns the counters of the switch's tier named name, and
+// whether the hierarchy has one.
+func tierStats(sw *dataplane.Switch, name string) (dataplane.TierStats, bool) {
+	for _, t := range sw.Tiers() {
+		if t.Name() == name {
+			return t.Stats(), true
+		}
+	}
+	return dataplane.TierStats{}, false
 }

@@ -30,6 +30,7 @@ package main
 
 import (
 	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"net/netip"
@@ -122,7 +123,10 @@ func main() {
 			fatal(err)
 		}
 	case "self-check":
-		selfCheck(sw)
+		if err := selfCheck(sw); err != nil {
+			fatal(err)
+		}
+		fmt.Println("ok: rule order and megaflow consistency hold")
 	default:
 		usage()
 		os.Exit(2)
@@ -545,15 +549,12 @@ func parseFrameSpec(spec string, sc *scenario) ([]byte, uint32, error) {
 	return frame, inPort, nil
 }
 
-func selfCheck(sw *dataplane.Switch) {
-	ok := true
-	// Rule table invariants.
-	rules := sw.Rules()
-	for i := 1; i < len(rules); i++ {
-		if rules[i].Priority > rules[i-1].Priority {
-			fmt.Printf("FAIL: rule order violated at %d\n", i)
-			ok = false
-		}
+// selfCheck validates the rule table's invariants and the megaflow
+// cache's consistency, and returns every violation it finds.
+func selfCheck(sw *dataplane.Switch) error {
+	var errs []error
+	if err := sw.ValidateRules(); err != nil {
+		errs = append(errs, err)
 	}
 	// Megaflow non-overlap within the cache (pairwise on a sample).
 	entries := sw.Megaflow().Entries()
@@ -562,15 +563,10 @@ func selfCheck(sw *dataplane.Switch) {
 		for j := i + 1; j < limit; j++ {
 			if entries[i].Match().Overlaps(entries[j].Match()) &&
 				entries[i].Verdict != entries[j].Verdict {
-				fmt.Printf("FAIL: conflicting overlapping megaflows %v / %v\n",
-					entries[i].Match(), entries[j].Match())
-				ok = false
+				errs = append(errs, fmt.Errorf("conflicting overlapping megaflows %v / %v",
+					entries[i].Match(), entries[j].Match()))
 			}
 		}
 	}
-	if ok {
-		fmt.Println("ok: rule order and megaflow consistency hold")
-	} else {
-		os.Exit(1)
-	}
+	return errors.Join(errs...)
 }

@@ -15,10 +15,11 @@ func segmented(t *testing.T) *cluster {
 	return c
 }
 
-// packets reports how many frames each server's switch has processed.
+// packets reports how many frames each server's switch has processed:
+// web runs on server-1, the client on server-2.
 func packets(c *cluster) (server1, server2 uint64) {
-	return c.Node("server-1").Switch.Counters().Packets,
-		c.Node("server-2").Switch.Counters().Packets
+	return c.web.Node.Switch.Counters().Packets,
+		c.client.Node.Switch.Counters().Packets
 }
 
 func TestSendCrossHost(t *testing.T) {

@@ -35,9 +35,6 @@ func PortRange(from, to uint16) PortMatch { return PortMatch{From: from, To: to,
 // Any reports whether the match is unconstrained.
 func (p PortMatch) Any() bool { return !p.set }
 
-// Exact reports whether the match is a single port.
-func (p PortMatch) Exact() bool { return p.set && p.From == p.To }
-
 func (p PortMatch) String() string {
 	switch {
 	case !p.set:

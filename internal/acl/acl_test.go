@@ -34,7 +34,7 @@ func TestCompilePaperACL(t *testing.T) {
 		t.Errorf("eth_type = %#x", got)
 	}
 	deny := rules[1]
-	if deny.Action.Verdict != flowtable.Deny || !deny.Match.Mask.IsZero() || deny.Priority != DenyPriority {
+	if deny.Action.Verdict != flowtable.Deny || deny.Match.Mask != (flow.Mask{}) || deny.Priority != DenyPriority {
 		t.Errorf("default deny: %v", deny)
 	}
 }
@@ -254,7 +254,7 @@ deny *
 	if a.Entries[0].Src.Bits() != 32 {
 		t.Errorf("bare address should parse as /32, got /%d", a.Entries[0].Src.Bits())
 	}
-	if a.Entries[1].Proto != 6 || !a.Entries[1].DstPort.Exact() {
+	if a.Entries[1].Proto != 6 || a.Entries[1].DstPort != Port(80) {
 		t.Errorf("entry 1: %+v", a.Entries[1])
 	}
 	// Round trip through String and Parse again.

@@ -133,33 +133,6 @@ func Load(dir string, patterns []string) (*Program, error) {
 	return prog, nil
 }
 
-// LoadDir loads one directory as a standalone single package (stdlib
-// imports only) — the fixture loader the golden-diagnostic tests use for
-// the seeded-bad testdata corpus, which must stay invisible to the go
-// tool itself.
-func LoadDir(dir string) (*Program, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	prog := &Program{
-		Fset:       token.NewFileSet(),
-		ByPath:     make(map[string]*Package),
-		ModulePath: "fixture",
-		Root:       abs,
-	}
-	pkg := &Package{Path: "fixture/" + filepath.Base(abs), Dir: abs, Target: true}
-	if err := parseDirInto(prog.Fset, pkg); err != nil {
-		return nil, err
-	}
-	if err := newTypeChecker(prog).check(pkg); err != nil {
-		return nil, err
-	}
-	prog.Pkgs = append(prog.Pkgs, pkg)
-	prog.ByPath[pkg.Path] = pkg
-	return prog, nil
-}
-
 // parsePackage parses the non-test files of the package at import path ip.
 func (prog *Program) parsePackage(ip string) (*Package, error) {
 	rel := strings.TrimPrefix(strings.TrimPrefix(ip, prog.ModulePath), "/")

@@ -211,14 +211,6 @@ type Verification struct {
 	Denied    int // covert packets denied (expected: all of them)
 }
 
-// Achieved reports whether the cache reached at least 90% of the
-// predicted mask count. The tolerance is not slack in the attack: the
-// prediction assumes a pristine classifier, while co-resident tenants'
-// whitelists share the per-field tries and perturb a few divergence
-// depths, merging a handful of combinations (measured ~3% for a /24
-// victim whitelist).
-func (v Verification) Achieved() bool { return v.Injected*10 >= v.Predicted*9 }
-
 func (v Verification) String() string {
 	return fmt.Sprintf("masks: %d injected / %d predicted; %d entries; %d covert packets denied",
 		v.Injected, v.Predicted, v.Entries, v.Denied)

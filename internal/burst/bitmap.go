@@ -8,9 +8,9 @@ package burst
 
 import "math/bits"
 
-// Bitmap is a set of indices in [0, Len()). The zero value is an empty
-// bitmap of length 0; use Reset to size it for a burst. Bitmaps are
-// reused across bursts without reallocating.
+// Bitmap is a set of indices in [0, n), n as set by Reset. The zero
+// value is an empty bitmap of length 0; use Reset to size it for a burst.
+// Bitmaps are reused across bursts without reallocating.
 type Bitmap struct {
 	words []uint64
 	n     int
@@ -30,9 +30,6 @@ func (b *Bitmap) Reset(n int) {
 	b.n = n
 }
 
-// Len returns the index capacity set by Reset.
-func (b *Bitmap) Len() int { return b.n }
-
 // Set adds index i to the set.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << uint(i&63) }
 
@@ -42,7 +39,7 @@ func (b *Bitmap) Clear(i int) { b.words[i>>6] &^= 1 << uint(i&63) }
 // Test reports whether index i is in the set.
 func (b *Bitmap) Test(i int) bool { return b.words[i>>6]&(1<<uint(i&63)) != 0 }
 
-// SetAll adds every index in [0, Len()).
+// SetAll adds every index in [0, n), n as set by Reset.
 func (b *Bitmap) SetAll() {
 	for i := range b.words {
 		b.words[i] = ^uint64(0)
@@ -120,22 +117,6 @@ func (b *Bitmap) Deal(keys []uint64, shift uint, mask uint64) []Bitmap {
 // bits assembled in a register and written once), but must not resize
 // the bitmap.
 func (b *Bitmap) Words() []uint64 { return b.words }
-
-// ForEach calls fn for every set index in ascending order. fn may clear
-// the current or any earlier index; clearing later indices mid-iteration
-// skips them, and setting new bits mid-iteration is not supported.
-func (b *Bitmap) ForEach(fn func(i int)) {
-	for wi := range b.words {
-		w := b.words[wi]
-		for w != 0 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if b.words[wi]&(1<<uint(i&63)) != 0 { // still set?
-				fn(i)
-			}
-		}
-	}
-}
 
 // AndNot returns the indices set in a but not in o, appended to dst.
 // Used to enumerate the keys a tier pass just resolved (prev &^ miss).

@@ -5,8 +5,8 @@ import "testing"
 func TestBitmapBasics(t *testing.T) {
 	var b Bitmap
 	b.Reset(130)
-	if !b.Empty() || b.Count() != 0 || b.Len() != 130 {
-		t.Fatalf("fresh bitmap: empty=%v count=%d len=%d", b.Empty(), b.Count(), b.Len())
+	if !b.Empty() || b.Count() != 0 || b.n != 130 {
+		t.Fatalf("fresh bitmap: empty=%v count=%d len=%d", b.Empty(), b.Count(), b.n)
 	}
 	for _, i := range []int{0, 63, 64, 129} {
 		b.Set(i)
@@ -44,31 +44,6 @@ func TestBitmapReuseClears(t *testing.T) {
 	b.Reset(70)
 	if !b.Empty() {
 		t.Fatal("Reset did not clear")
-	}
-}
-
-func TestBitmapForEachAndClearDuring(t *testing.T) {
-	var b Bitmap
-	b.Reset(200)
-	want := []int{3, 64, 65, 190}
-	for _, i := range want {
-		b.Set(i)
-	}
-	var got []int
-	b.ForEach(func(i int) {
-		got = append(got, i)
-		if i == 64 {
-			b.Clear(65) // clearing a later index must skip it
-		}
-	})
-	exp := []int{3, 64, 190}
-	if len(got) != len(exp) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range exp {
-		if got[i] != exp[i] {
-			t.Fatalf("got %v, want %v", got, exp)
-		}
 	}
 }
 
@@ -134,7 +109,7 @@ func TestBitmapCopyFrom(t *testing.T) {
 	a.Set(7)
 	a.Set(77)
 	b.CopyFrom(&a)
-	if b.Len() != 80 || b.Count() != 2 || !b.Test(77) {
+	if b.n != 80 || b.Count() != 2 || !b.Test(77) {
 		t.Fatal("CopyFrom mismatch")
 	}
 	b.Clear(77)

@@ -380,19 +380,6 @@ func (e *EMC) removeAt(pos uint64, n int) {
 	e.slots = e.slots[:last]
 }
 
-// Remove drops the entry for k if present.
-func (e *EMC) Remove(k flow.Key) bool {
-	if e.max == 0 {
-		return false
-	}
-	pos, n := e.find(k.Hash())
-	if n < 0 || e.slots[n].key != k {
-		return false
-	}
-	e.removeAt(pos, n)
-	return true
-}
-
 // Flush empties the cache in place (used after policy changes); the index
 // keeps its size.
 func (e *EMC) Flush() {

@@ -706,24 +706,6 @@ func (m *Megaflow) retireEntry(ent *Entry) {
 	m.nEntries--
 }
 
-// Remove deletes the entry with exactly the given match.
-func (m *Megaflow) Remove(match flow.Match) bool {
-	match.Normalize()
-	st, _ := m.subtableOf(&match.Mask)
-	if st == nil {
-		return false
-	}
-	ent := st.probe(&match.Key, m.seed)
-	if ent == nil {
-		return false
-	}
-	m.removeEntry(ent)
-	if st.n == 0 {
-		m.dropSubtable(st)
-	}
-	return true
-}
-
 // evictColdestSubtable removes the coldest subtable and all of its entries —
 // the LRU flavour of the mask-quota mitigation. On a ranked scan that is the
 // last row, the scan order being the recency order there: the fewest hits

@@ -107,9 +107,6 @@ func newShards[C any](n int, child func(i int) C) shards[C] {
 // NumShards returns the shard count.
 func (s *shards[C]) NumShards() int { return len(s.all) }
 
-// ShardIndex returns the shard a flow hash selects.
-func (s *shards[C]) ShardIndex(h uint64) int { return int((h >> shardShift) & s.smask) }
-
 // at returns the shard a flow hash selects.
 func (s *shards[C]) at(h uint64) *shard[C] { return &s.all[(h>>shardShift)&s.smask] }
 
@@ -265,12 +262,6 @@ func (r *ShardedRef) InsertHashed(k flow.Key, h uint64, f *Entry) {
 
 // Flush empties every shard.
 func (r *ShardedRef) Flush() { r.each(refChild.Flush) }
-
-// Len returns the total cached references.
-func (r *ShardedRef) Len() int { return r.Snapshot().Entries }
-
-// Cap returns the total configured capacity.
-func (r *ShardedRef) Cap() int { return r.Snapshot().Capacity }
 
 // Snapshot aggregates every shard's counters plus the wrapper's
 // coalesced-run hits.

@@ -196,9 +196,6 @@ func (inj *Injector) FillConntrack(now uint64, ct *conntrack.Table) {
 	}
 }
 
-// Stats returns a snapshot of the fired-fault counters.
-func (inj *Injector) Stats() Stats { return inj.stats }
-
 // Observe records the injector's cumulative gauges at logical time t.
 func (inj *Injector) Observe(tl *metrics.Group, t float64) {
 	tl.Observe(t, "chaos_dropped", float64(inj.stats.DroppedUpcalls))

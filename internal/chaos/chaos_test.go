@@ -71,7 +71,7 @@ func TestDropUpcallsDeterministic(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			sw.ProcessKey(0, chaosKey(i))
 		}
-		return sw.Counters().InstallErr, inj.Stats().DroppedUpcalls, sw.Megaflow().Len()
+		return sw.Counters().InstallErr, inj.stats.DroppedUpcalls, sw.Megaflow().Len()
 	}
 	e1, d1, r1 := run(7)
 	e2, d2, r2 := run(7)
@@ -92,7 +92,7 @@ func TestDropUpcallsDeterministic(t *testing.T) {
 	inj, _ := New(Config{Seed: 7, Faults: []Fault{{Kind: KindDropUpcalls, Start: 10, Stop: 20, Prob: 1}}})
 	sw := chaosSwitch(t, inj)
 	sw.ProcessKey(0, chaosKey(0))
-	if sw.Megaflow().Len() != 1 || inj.Stats().DroppedUpcalls != 0 {
+	if sw.Megaflow().Len() != 1 || inj.stats.DroppedUpcalls != 0 {
 		t.Fatal("drop fault fired outside its window")
 	}
 }
@@ -109,7 +109,7 @@ func TestDelayUpcallsLand(t *testing.T) {
 	if got := sw.Megaflow().Len(); got != 0 {
 		t.Fatalf("%d megaflows resident during the delay, want 0", got)
 	}
-	st := inj.Stats()
+	st := inj.stats
 	if st.DelayedUpcalls != 1 || st.LandedDelayed != 0 {
 		t.Fatalf("stats %+v, want one in-flight delayed install", st)
 	}
@@ -124,7 +124,7 @@ func TestDelayUpcallsLand(t *testing.T) {
 	if got := sw.Megaflow().Len(); got == 0 {
 		t.Fatal("delayed install never landed")
 	}
-	if st := inj.Stats(); st.LandedDelayed == 0 {
+	if st := inj.stats; st.LandedDelayed == 0 {
 		t.Fatalf("stats %+v, want landed delayed installs", st)
 	}
 }
@@ -150,7 +150,7 @@ func TestSlowScanInflatesCost(t *testing.T) {
 	if after != base {
 		t.Fatalf("cost %d after the window, want baseline %d", after, base)
 	}
-	if inj.Stats().SlowScans == 0 {
+	if inj.stats.SlowScans == 0 {
 		t.Fatal("no slow scans counted")
 	}
 }
@@ -168,8 +168,8 @@ func TestStallRevalidatorWindow(t *testing.T) {
 			stalled++
 		}
 	}
-	if stalled != 3 || inj.Stats().StalledRounds != 3 {
-		t.Fatalf("stalled %d rounds (stats %d), want 3", stalled, inj.Stats().StalledRounds)
+	if stalled != 3 || inj.stats.StalledRounds != 3 {
+		t.Fatalf("stalled %d rounds (stats %d), want 3", stalled, inj.stats.StalledRounds)
 	}
 }
 
@@ -189,8 +189,8 @@ func TestFillConntrack(t *testing.T) {
 	if ct.Len() != ct.Cap() {
 		t.Fatalf("table at %d/%d during ct-fill", ct.Len(), ct.Cap())
 	}
-	if inj.Stats().CtFilled != 32 {
-		t.Fatalf("counted %d synthetic commits, want 32", inj.Stats().CtFilled)
+	if inj.stats.CtFilled != 32 {
+		t.Fatalf("counted %d synthetic commits, want 32", inj.stats.CtFilled)
 	}
 	// A real commit bounces off the full table.
 	real := conntrack.MustTuple("192.168.1.1", "192.168.1.2", 6, 40000, 443)
@@ -199,8 +199,8 @@ func TestFillConntrack(t *testing.T) {
 	}
 	// Re-fill within the window only tops up what expired.
 	inj.FillConntrack(3, ct)
-	if inj.Stats().CtFilled != 32 {
-		t.Fatalf("refilled an already-full table: %d commits", inj.Stats().CtFilled)
+	if inj.stats.CtFilled != 32 {
+		t.Fatalf("refilled an already-full table: %d commits", inj.stats.CtFilled)
 	}
 }
 

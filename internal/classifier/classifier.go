@@ -102,9 +102,6 @@ func New(cfg Config) *Classifier {
 	return c
 }
 
-// Len returns the number of inserted rules.
-func (c *Classifier) Len() int { return c.nRules }
-
 // NumSubtables returns the number of distinct rule masks.
 func (c *Classifier) NumSubtables() int { return len(c.subtables) }
 

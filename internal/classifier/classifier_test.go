@@ -133,8 +133,8 @@ func TestRemoveRestoresState(t *testing.T) {
 	if c.Remove(allow) {
 		t.Fatal("double Remove succeeded")
 	}
-	if c.Len() != 1 || c.NumSubtables() != 1 {
-		t.Fatalf("len=%d subtables=%d", c.Len(), c.NumSubtables())
+	if c.nRules != 1 || c.NumSubtables() != 1 {
+		t.Fatalf("len=%d subtables=%d", c.nRules, c.NumSubtables())
 	}
 	// 10.x packets now hit deny, and the allow trie gate must be gone:
 	// the megaflow should not unwildcard any ip_src bits.
@@ -142,7 +142,7 @@ func TestRemoveRestoresState(t *testing.T) {
 	if res.Rule == nil || res.Rule.Action.Verdict != flowtable.Deny {
 		t.Fatalf("verdict after remove: %v", res.Rule)
 	}
-	if !res.Megaflow.Mask.IsZero() {
+	if res.Megaflow.Mask != (flow.Mask{}) {
 		t.Errorf("megaflow mask not empty after removing the only prefix rule: %v", res.Megaflow)
 	}
 }
@@ -517,7 +517,9 @@ func (r *refClassifier) lookup(c *Classifier, k flow.Key) Result {
 			continue
 		}
 		stats.SubtablesProbed++
-		wc = wc.Union(st.mask)
+		for i := range wc {
+			wc[i] |= st.mask[i]
+		}
 		if b := st.rules[st.mask.Apply(k)]; len(b) > 0 && (best == nil || better(b[0], best)) {
 			best = b[0]
 		}

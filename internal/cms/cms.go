@@ -37,10 +37,8 @@ type Pod struct {
 	Node   *Node
 	IP     netip.Addr
 	Port   uint32 // virtual port on the node's switch
-	Labels Labels // Kubernetes-style labels, set via SetLabels
 
-	policy       *Policy // applied ingress policy, nil = default allow-all
-	fromSelector bool    // policy came from a selector policy
+	policy *Policy // applied ingress policy, nil = default allow-all
 
 	// installed rules for the current policy, for clean replacement
 	rules []*flowtable.Rule
@@ -77,10 +75,6 @@ type Cluster struct {
 	nodes map[string]*Node
 	pods  map[string]*Pod
 
-	// selectorPolicies are the tenant's label-selector policies, applied
-	// and reconciled by ApplySelectorPolicy / SetLabels / DeployPod.
-	selectorPolicies map[string][]*selectorPolicy
-
 	// SwitchOpts configure the switches of nodes added with AddNode (each
 	// node gets its own tier instances, assembled fresh from the options).
 	SwitchOpts []dataplane.Option
@@ -94,10 +88,9 @@ type Cluster struct {
 // NewCluster returns an empty cluster.
 func NewCluster() *Cluster {
 	return &Cluster{
-		nodes:            make(map[string]*Node),
-		pods:             make(map[string]*Pod),
-		selectorPolicies: make(map[string][]*selectorPolicy),
-		nextIP:           0xac100001, // 172.16.0.1
+		nodes:  make(map[string]*Node),
+		pods:   make(map[string]*Pod),
+		nextIP: 0xac100001, // 172.16.0.1
 	}
 }
 
@@ -132,9 +125,6 @@ func (c *Cluster) AttachRevalidator(rev *revalidator.Revalidator) {
 	}
 }
 
-// Revalidator returns the attached maintenance actor, or nil.
-func (c *Cluster) Revalidator() *revalidator.Revalidator { return c.rev }
-
 // PortBinder learns which tenant owns which virtual port — the CMS is
 // the only layer that knows, and the guard's mask ledger needs it to
 // attribute minted megaflow masks (guard.MaskLedger implements this).
@@ -157,9 +147,6 @@ func (c *Cluster) AttachPortLedger(b PortBinder) {
 		b.BindPort(p.Port, p.Tenant)
 	}
 }
-
-// Node returns a node by name, or nil.
-func (c *Cluster) Node(name string) *Node { return c.nodes[name] }
 
 // DeployPod schedules a pod for a tenant onto a node, allocating an IP and
 // a virtual port. Without a policy the pod starts open (allow-all), as
@@ -195,9 +182,6 @@ func (c *Cluster) DeployPod(tenant, name, nodeName string) (*Pod, error) {
 		Action:   flowtable.Action{Verdict: flowtable.Allow},
 		Comment:  fmt.Sprintf("pod %s default-open", name),
 	}))
-	if err := c.reconcile(tenant); err != nil {
-		return nil, err
-	}
 	return p, nil
 }
 
@@ -262,37 +246,8 @@ func (c *Cluster) ApplyPolicy(tenant, podName string, pol *Policy) error {
 		p.rules = append(p.rules, sw.InstallRule(r))
 	}
 	p.policy = pol
-	p.fromSelector = false
 	return nil
 }
-
-// RemovePolicy reverts a pod to its default-open state.
-func (c *Cluster) RemovePolicy(tenant, podName string) error {
-	p := c.pods[podName]
-	if p == nil {
-		return fmt.Errorf("cms: no pod %q", podName)
-	}
-	if p.Tenant != tenant {
-		return fmt.Errorf("cms: tenant %q does not own pod %q", tenant, podName)
-	}
-	sw := p.Node.Switch
-	for _, old := range p.rules {
-		sw.RemoveRule(old)
-	}
-	p.rules = p.rules[:0]
-	p.rules = append(p.rules, sw.InstallRule(flowtable.Rule{
-		Match:    portMatch(p.Port),
-		Priority: acl.EntryPriority,
-		Action:   flowtable.Action{Verdict: flowtable.Allow},
-		Comment:  fmt.Sprintf("pod %s default-open", podName),
-	}))
-	p.policy = nil
-	p.fromSelector = false
-	return nil
-}
-
-// Policy returns the pod's applied policy, or nil.
-func (p *Pod) Policy() *Policy { return p.policy }
 
 // String renders the cluster inventory.
 func (c *Cluster) String() string {

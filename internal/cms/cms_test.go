@@ -89,7 +89,7 @@ func TestApplyPolicyWhitelists(t *testing.T) {
 	if d := sw.ProcessKey(1, key(p.Port, "203.0.113.7", 443)); d.Verdict.Verdict != flowtable.Deny {
 		t.Error("non-whitelisted source allowed")
 	}
-	if p.Policy() == nil || p.Policy().Name != "web-ingress" {
+	if p.policy == nil || p.policy.Name != "web-ingress" {
 		t.Error("policy not recorded")
 	}
 }
@@ -122,9 +122,6 @@ func TestTenancyEnforced(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "does not own") {
 		t.Fatalf("cross-tenant policy accepted: %v", err)
 	}
-	if err := c.RemovePolicy("mallory", "web"); err == nil {
-		t.Fatal("cross-tenant policy removal accepted")
-	}
 }
 
 func TestSrcPortCapabilityGate(t *testing.T) {
@@ -140,21 +137,6 @@ func TestSrcPortCapabilityGate(t *testing.T) {
 	pol.AllowSrcPortFilters = true
 	if err := c.ApplyPolicy("acme", "web", pol); err != nil {
 		t.Fatalf("Calico-style policy rejected: %v", err)
-	}
-}
-
-func TestRemovePolicyReopens(t *testing.T) {
-	c := cluster(t)
-	p, _ := c.DeployPod("acme", "web", "server-1")
-	c.ApplyPolicy("acme", "web", &Policy{Name: "lockdown"})
-	if err := c.RemovePolicy("acme", "web"); err != nil {
-		t.Fatal(err)
-	}
-	if d := p.Node.Switch.ProcessKey(1, key(p.Port, "203.0.113.7", 1)); d.Verdict.Verdict != flowtable.Allow {
-		t.Error("pod still locked after policy removal")
-	}
-	if p.Policy() != nil {
-		t.Error("policy still recorded")
 	}
 }
 
@@ -176,6 +158,38 @@ func TestPolicyReplacementRemovesOldRules(t *testing.T) {
 	}
 	if got := len(p.Node.Switch.Rules()); got != len(v1Rules) {
 		t.Errorf("rule count drifted across replacement: %d -> %d", len(v1Rules), got)
+	}
+}
+
+// TestDeployPodLeavesPoliciesAlone deploys a second pod of the tenant
+// beside a locked-down one: the new pod adds its one default-open rule
+// and starts open, and the existing pod's policy and verdicts stand.
+func TestDeployPodLeavesPoliciesAlone(t *testing.T) {
+	c := cluster(t)
+	web, _ := c.DeployPod("acme", "web", "server-1")
+	if err := c.ApplyPolicy("acme", "web", &Policy{
+		Name:    "web-ingress",
+		Ingress: []acl.Entry{{Src: netip.MustParsePrefix("10.0.0.0/8"), Proto: 6, DstPort: acl.Port(443)}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sw := web.Node.Switch
+	before := len(sw.Rules())
+	db, err := c.DeployPod("acme", "db", "server-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sw.Rules()); got != before+1 {
+		t.Errorf("deploy changed the rule count %d -> %d, want one default-open rule", before, got)
+	}
+	if web.policy == nil || web.policy.Name != "web-ingress" || db.policy != nil {
+		t.Errorf("policies after deploy: web %v, db %v", web.policy, db.policy)
+	}
+	if d := sw.ProcessKey(1, key(web.Port, "10.1.2.3", 80)); d.Verdict.Verdict != flowtable.Deny {
+		t.Error("web's policy stopped denying after a deploy")
+	}
+	if d := sw.ProcessKey(1, key(db.Port, "203.0.113.7", 80)); d.Verdict.Verdict != flowtable.Allow {
+		t.Error("new pod is not open by default")
 	}
 }
 
@@ -231,26 +245,23 @@ func TestClusterString(t *testing.T) {
 
 // TestAttachRevalidator: attaching covers the nodes that exist and the
 // nodes added afterwards, so the whole cluster stays under one maintenance
-// actor.
+// actor: a round dumps the flow each node's pod has cached.
 func TestAttachRevalidator(t *testing.T) {
 	c := cluster(t) // server-1, server-2
 	rev := revalidator.New(revalidator.Config{})
 	c.AttachRevalidator(rev)
-	if rev.Targets() != 2 {
-		t.Fatalf("attached %d targets, want the 2 existing nodes", rev.Targets())
-	}
 	if _, err := c.AddNode("server-3"); err != nil {
 		t.Fatal(err)
 	}
-	if rev.Targets() != 3 {
-		t.Fatalf("attached %d targets after AddNode, want 3", rev.Targets())
+	for i, node := range []string{"server-1", "server-2", "server-3"} {
+		p, err := c.DeployPod("acme", "pod-"+node, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Node.Switch.ProcessKey(uint64(i), key(p.Port, "10.0.0.1", 80))
 	}
-	if c.Revalidator() != rev {
-		t.Fatal("Revalidator accessor lost the actor")
-	}
-	// A round across the cluster runs without traffic (empty dump).
 	rev.Tick(0)
-	if got := rev.Stats().Rounds; got != 1 {
-		t.Fatalf("rounds = %d", got)
+	if st := rev.Stats(); st.Rounds != 1 || st.Last.Flows != 3 {
+		t.Fatalf("round %d dumped %d flows, want round 1 over the 3 nodes' flows", st.Rounds, st.Last.Flows)
 	}
 }

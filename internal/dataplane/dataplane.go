@@ -142,13 +142,6 @@ func WithMaskGuard(g MaskGuard) Option { return func(c *config) { c.maskGuard = 
 // (internal/chaos wraps the megaflow tier through it).
 func WithTierWrapper(wrap func(Tier) Tier) Option { return func(c *config) { c.tierWrap = wrap } }
 
-// WithoutRunCoalescing disables same-flow run coalescing in the burst
-// walk: consecutive identical keys are then classified one by one. The
-// batched tier walk itself stays on. It is the reference leg of
-// TestRunCoalescingExactness and of the batch==sequential suite's
-// smc-nocoalesce hierarchy.
-func WithoutRunCoalescing() Option { return func(c *config) { c.noCoalesce = true } }
-
 // WithTiers replaces the default hierarchy with an explicit tier list,
 // walked in order. The cache options (WithEMC/WithSMC/WithMegaflow) are
 // ignored when this is used. Upcall results are installed into the last
@@ -178,7 +171,7 @@ type TierHit struct {
 }
 
 // Counters aggregates switch-level statistics. Cache hits are per tier
-// (TierHits, in walk order); the EMCHits/MFHits accessors cover the common
+// (TierHits, in walk order); the EMCHits/SMCHits accessors cover the common
 // hierarchies. The whole struct is owned by the single-threaded switch
 // loop, so the discipline counteratomic holds every field to is "always
 // plain" — never mix in atomic access.
@@ -214,9 +207,6 @@ func (c Counters) EMCHits() uint64 { return c.HitsFor("emc") }
 
 // SMCHits returns the signature-match tier's hit count.
 func (c Counters) SMCHits() uint64 { return c.HitsFor("smc") }
-
-// MFHits returns the megaflow tier's hit count.
-func (c Counters) MFHits() uint64 { return c.HitsFor("megaflow") }
 
 // Port is a virtual port of the switch (a pod/VM attachment point).
 type Port struct {
@@ -448,15 +438,6 @@ func (s *Switch) AddPort(id uint32, name string) *Port {
 // Port returns the port with the given id, or nil.
 func (s *Switch) Port(id uint32) *Port { return s.ports[id] }
 
-// Ports returns all ports (unordered).
-func (s *Switch) Ports() []*Port {
-	out := make([]*Port, 0, len(s.ports))
-	for _, p := range s.ports {
-		out = append(out, p)
-	}
-	return out
-}
-
 // InstallRule adds a policy rule to the slow path. Installed caches are
 // flushed: a policy change invalidates cached verdicts wholesale, the
 // conservative variant of the OVS revalidator's consistency pass.
@@ -485,6 +466,9 @@ func (s *Switch) flushCaches() {
 
 // Rules returns the installed rules in evaluation order.
 func (s *Switch) Rules() []*flowtable.Rule { return s.table.Rules() }
+
+// ValidateRules checks the rule table's invariants (flowtable.Table.Validate).
+func (s *Switch) ValidateRules() error { return s.table.Validate() }
 
 // Process runs one frame received on port inPort through the pipeline at
 // logical time now: a burst of one through ProcessFrames, the one
@@ -667,8 +651,7 @@ func (s *Switch) walk(now uint64, keys []flow.Key, hashes []uint64, out []Decisi
 		} else {
 			// Tiers without a batch path are probed key by key, so
 			// WithTiers custom hierarchies keep working. The
-			// word-at-a-time iteration (not ForEach) keeps the hot loop
-			// closure-free.
+			// word-at-a-time iteration keeps the hot loop closure-free.
 			words := bs.prev.Words()
 			for wi := range words {
 				w := words[wi]
@@ -904,28 +887,6 @@ func (s *Switch) Counters() Counters {
 		c.TierHits[i] = TierHit{Tier: t.Name(), Hits: s.tierHits[i]}
 	}
 	return c
-}
-
-// EMC exposes the microflow cache for inspection and experiments, or nil
-// when the hierarchy has no EMC tier.
-func (s *Switch) EMC() *cache.EMC {
-	for _, t := range s.tiers {
-		if et, ok := t.(*EMCTier); ok {
-			return et.EMC()
-		}
-	}
-	return nil
-}
-
-// SMC exposes the signature-match cache, or nil when the hierarchy has no
-// SMC tier.
-func (s *Switch) SMC() *cache.SMC {
-	for _, t := range s.tiers {
-		if st, ok := t.(*SMCTier); ok {
-			return st.SMC()
-		}
-	}
-	return nil
 }
 
 // megaflowBacked is any tier backed by a megaflow cache — the concrete

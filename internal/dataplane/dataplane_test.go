@@ -59,7 +59,7 @@ func TestPipelinePathProgression(t *testing.T) {
 	}
 
 	c := s.Counters()
-	if c.Upcalls != 1 || c.EMCHits() != 2 || c.MFHits() != 1 || c.Packets != 4 {
+	if c.Upcalls != 1 || c.EMCHits() != 2 || c.HitsFor("megaflow") != 1 || c.Packets != 4 {
 		t.Errorf("counters: %+v", c)
 	}
 }
@@ -230,8 +230,8 @@ func TestPorts(t *testing.T) {
 		t.Error("duplicate AddPort did not return existing port")
 	}
 	s.AddPort(2, "b")
-	if len(s.Ports()) != 2 {
-		t.Errorf("Ports() = %v", s.Ports())
+	if len(s.ports) != 2 {
+		t.Errorf("ports = %v", s.ports)
 	}
 	if s.Port(9) != nil {
 		t.Error("Port(9) should be nil")
@@ -297,7 +297,7 @@ func TestPipelineWithSMCPathProgression(t *testing.T) {
 	}
 	// Drop the flow from the EMC only: the SMC must answer next, and the
 	// hit re-promotes into the EMC.
-	s.EMC().Remove(k)
+	s.EMC().Flush()
 	if d := s.ProcessKey(3, k); d.Path != PathSMC {
 		t.Fatalf("post-EMC-eviction path = %v, want smc", d.Path)
 	}

@@ -51,17 +51,11 @@ func (fb *FrameBatch) Append(frame []byte, inPort uint32) {
 // Len returns the number of frames in the batch.
 func (fb *FrameBatch) Len() int { return len(fb.Frames) }
 
-// Extract parses every frame into the batch's key scratch (one
-// pkt.ExtractBatch pass) and returns the keys, the per-frame error slots
-// and the number of malformed frames. The returned slices are the batch's
-// scratch: valid until the next Extract call.
-func (fb *FrameBatch) Extract() (keys []flow.Key, errs []error, bad int) {
-	keys, _, errs, bad = fb.extract(false)
-	return keys, errs, bad
-}
-
-// extract is Extract that, with hash set, also returns each frame's flow
-// hash, computed in the same pass (nil without hash).
+// extract parses every frame into the batch's key scratch (one
+// pkt.ExtractHashBatch pass) and returns the keys, the per-frame error
+// slots and the number of malformed frames; with hash set, also each
+// frame's flow hash, computed in the same pass (nil without hash). The
+// returned slices are the batch's scratch: valid until the next extract.
 func (fb *FrameBatch) extract(hash bool) (keys []flow.Key, hashes []uint64, errs []error, bad int) {
 	n := fb.Len()
 	if cap(fb.keys) < n {
@@ -99,13 +93,9 @@ func (fb *FrameBatch) compactValid(keys []flow.Key, hashes []uint64, errs []erro
 	return fb.vkeys, hashes
 }
 
-// Err returns frame i's parse outcome from the last Extract (nil for a
+// Err returns frame i's parse outcome from the last burst (nil for a
 // clean decode).
 func (fb *FrameBatch) Err(i int) error { return fb.errs[i] }
-
-// Key returns frame i's extracted key from the last Extract. Only
-// meaningful when Err(i) is nil.
-func (fb *FrameBatch) Key(i int) flow.Key { return fb.keys[i] }
 
 // denyDecision is the decision a malformed frame receives: dropped without
 // entering the classifier, as a real datapath discards what it cannot

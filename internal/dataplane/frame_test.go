@@ -310,7 +310,7 @@ func TestPMDPoolProcessFrames(t *testing.T) {
 	for _, f := range frames {
 		fb.Append(f, 1)
 	}
-	keys, _, _ := fb.Extract()
+	keys, _, _, _ := fb.extract(false)
 	keysCopy := append([]flow.Key(nil), keys...)
 	for round := 0; round < 2; round++ {
 		now := uint64(round + 1)

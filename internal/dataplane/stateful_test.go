@@ -22,8 +22,7 @@ func statefulSwitch(t testing.TB, ctCfg conntrack.Config) *Switch {
 	}
 	// Two entries, as security groups typically accrete them: a trusted
 	// source network and a public service port. (Two entries = two
-	// subtables = multiplicative divergence ladders; see
-	// attack.Reflected.)
+	// subtables = multiplicative divergence ladders.)
 	group.Allow(acl.Entry{Src: netip.MustParsePrefix("10.0.0.0/8")})
 	group.Allow(acl.Entry{Proto: 6, DstPort: acl.Port(443)})
 	rules, err := group.Compile()

@@ -37,7 +37,7 @@ func TestTelemetryWiring(t *testing.T) {
 	snap := reg.Snapshot()
 	mustCounter := func(name string, want uint64) {
 		t.Helper()
-		got, ok := snap.CounterValue(name)
+		got, ok := counterValue(snap, name)
 		if !ok || got != want {
 			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
 		}
@@ -48,19 +48,19 @@ func TestTelemetryWiring(t *testing.T) {
 	mustCounter("dp_allowed_total", good)
 
 	c := s.Counters()
-	if up, _ := snap.CounterValue("dp_upcalls_total"); up != c.Upcalls || up == 0 {
+	if up, _ := counterValue(snap, "dp_upcalls_total"); up != c.Upcalls || up == 0 {
 		t.Errorf("dp_upcalls_total = %d, switch says %d (want equal, nonzero)", up, c.Upcalls)
 	}
 	var tierHits uint64
 	for _, th := range c.TierHits {
 		tierHits += th.Hits
 	}
-	if got, _ := snap.CounterValue("dp_tier_hits_total"); got != tierHits {
+	if got, _ := counterValue(snap, "dp_tier_hits_total"); got != tierHits {
 		t.Errorf("dp_tier_hits_total = %d, switch tier hits %d", got, tierHits)
 	}
 
 	for _, h := range []string{"dp_burst_ns", "dp_burst_frames", "dp_burst_scan_cost", "dp_burst_subtable_visits"} {
-		hp := snap.HistogramPoint(h)
+		hp := histogramPoint(snap, h)
 		if hp == nil || hp.Count != 1 {
 			t.Errorf("%s: want exactly one burst observation, got %+v", h, hp)
 			continue
@@ -84,13 +84,13 @@ func TestTelemetryWiring(t *testing.T) {
 	}
 
 	// A second identical burst answers from warm caches: no new upcalls.
-	upBefore, _ := snap.CounterValue("dp_upcalls_total")
+	upBefore, _ := counterValue(snap, "dp_upcalls_total")
 	s.ProcessFrames(6, &fb, out)
 	snap2 := reg.Snapshot()
-	if up2, _ := snap2.CounterValue("dp_upcalls_total"); up2 != upBefore {
+	if up2, _ := counterValue(snap2, "dp_upcalls_total"); up2 != upBefore {
 		t.Errorf("warm burst raised upcalls %d -> %d", upBefore, up2)
 	}
-	if b, _ := snap2.CounterValue("dp_bursts_total"); b != 2 {
+	if b, _ := counterValue(snap2, "dp_bursts_total"); b != 2 {
 		t.Errorf("dp_bursts_total = %d, want 2", b)
 	}
 
@@ -149,4 +149,28 @@ func TestTelemetryOffIsUntouched(t *testing.T) {
 	if d1 != d2 || (err1 == nil) != (err2 == nil) {
 		t.Errorf("instrumented switch decided differently: %+v vs %+v", d1, d2)
 	}
+}
+
+// counterValue returns the sum of every counter named name in snap
+// (across label sets), and whether any was present.
+func counterValue(snap *telemetry.Snapshot, name string) (uint64, bool) {
+	var t uint64
+	found := false
+	for _, c := range snap.Counters {
+		if c.Name == name {
+			t += c.Value
+			found = true
+		}
+	}
+	return t, found
+}
+
+// histogramPoint returns the first histogram named name in snap, or nil.
+func histogramPoint(snap *telemetry.Snapshot, name string) *telemetry.HistogramPoint {
+	for i := range snap.Histograms {
+		if snap.Histograms[i].Name == name {
+			return &snap.Histograms[i]
+		}
+	}
+	return nil
 }

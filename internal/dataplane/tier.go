@@ -210,9 +210,6 @@ type EMCTier struct{ emc *cache.EMC }
 // NewEMCTier builds an EMC tier per cfg.
 func NewEMCTier(cfg cache.EMCConfig) *EMCTier { return &EMCTier{emc: cache.NewEMC(cfg)} }
 
-// EMC exposes the wrapped cache for inspection and experiments.
-func (t *EMCTier) EMC() *cache.EMC { return t.emc }
-
 func (t *EMCTier) Name() string { return "emc" }
 func (t *EMCTier) Path() Path   { return PathEMC }
 
@@ -261,9 +258,6 @@ type SMCTier struct{ smc *cache.SMC }
 
 // NewSMCTier builds an SMC tier per cfg.
 func NewSMCTier(cfg cache.SMCConfig) *SMCTier { return &SMCTier{smc: cache.NewSMC(cfg)} }
-
-// SMC exposes the wrapped cache for inspection and experiments.
-func (t *SMCTier) SMC() *cache.SMC { return t.smc }
 
 func (t *SMCTier) Name() string { return "smc" }
 func (t *SMCTier) Path() Path   { return PathSMC }

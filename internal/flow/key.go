@@ -42,54 +42,6 @@ func (m Mask) Apply(k Key) Key {
 	return out
 }
 
-// Union returns the bitwise OR of m and o: the mask that is at least as
-// specific as both.
-func (m Mask) Union(o Mask) Mask {
-	var out Mask
-	for i := range m {
-		out[i] = m[i] | o[i]
-	}
-	return out
-}
-
-// Subset reports whether every bit set in m is also set in o.
-func (m Mask) Subset(o Mask) bool {
-	for i := range m {
-		if m[i]&^o[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsZero reports whether the mask selects no bits (matches everything).
-func (m Mask) IsZero() bool {
-	for _, w := range m {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Bits returns the total number of selected bits.
-func (m Mask) Bits() int {
-	n := 0
-	for _, w := range m {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
 // SetPrefix marks the top nbits of field id as significant.
 func (m *Mask) SetPrefix(id FieldID, nbits int) {
 	f := FieldByID(id)
@@ -189,10 +141,6 @@ func hashWords(k *Key) uint64 {
 	}
 	return HashFinish(h)
 }
-
-// Hash returns a 64-bit hash of the mask words, used to cheaply index
-// per-mask statistics.
-func (m Mask) Hash() uint64 { return Key(m).Hash() }
 
 // HashKeys fills dst with the Hash of each key, reusing dst's storage when
 // its capacity suffices, and returns it. This is the batch-entry hash pass

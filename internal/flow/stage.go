@@ -53,10 +53,6 @@ var stageWords = [NumStages][]int{
 	StageL4:   {4, 9},
 }
 
-// StageWords returns the Key word indices stage s covers. The returned
-// slice is shared; callers must not modify it.
-func (s Stage) StageWords() []int { return stageWords[s] }
-
 // StageUsed reports whether the mask selects any bit in stage s.
 func (m *Mask) StageUsed(s Stage) bool {
 	for _, w := range stageWords[s] {

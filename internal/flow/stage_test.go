@@ -7,7 +7,7 @@ import "testing"
 func TestStageWordsPartition(t *testing.T) {
 	seen := make(map[int]Stage)
 	for s := Stage(0); s < NumStages; s++ {
-		for _, w := range s.StageWords() {
+		for _, w := range stageWords[s] {
 			if prev, dup := seen[w]; dup {
 				t.Fatalf("word %d in both stage %v and %v", w, prev, s)
 			}

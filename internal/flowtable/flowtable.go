@@ -122,9 +122,6 @@ func (t *Table) Remove(r *Rule) bool {
 	return false
 }
 
-// Clear removes every rule.
-func (t *Table) Clear() { t.rules = nil }
-
 // Len returns the number of rules.
 func (t *Table) Len() int { return len(t.rules) }
 

@@ -108,6 +108,32 @@ func TestValidateCatchesDisorder(t *testing.T) {
 	}
 }
 
+// Equal priorities keep insertion order: the earlier rule wins the tie,
+// so a later rule placed ahead of it breaks the table.
+func TestValidateCatchesSequenceDisorder(t *testing.T) {
+	var tbl Table
+	tbl.Insert(ruleIPSrc(0x0a000000, 8, 5, Allow))
+	tbl.Insert(ruleIPSrc(0x0a000000, 16, 5, Deny))
+	if err := tbl.Validate(); err != nil {
+		t.Fatalf("valid table failed validation: %v", err)
+	}
+	tbl.rules[0], tbl.rules[1] = tbl.rules[1], tbl.rules[0]
+	if err := tbl.Validate(); err == nil {
+		t.Fatal("Validate missed a sequence inversion between equal priorities")
+	}
+}
+
+// A stored match carries no key bits outside its mask; Insert masks them
+// off, so one left set means the table was written around Insert.
+func TestValidateCatchesUnnormalisedMatch(t *testing.T) {
+	var tbl Table
+	tbl.Insert(ruleIPSrc(0x0a000000, 8, 1, Allow))
+	tbl.rules[0].Match.Key.Set(flow.FieldIPSrc, 0x0a0000ff)
+	if err := tbl.Validate(); err == nil {
+		t.Fatal("Validate missed a key bit outside the mask")
+	}
+}
+
 func TestStringDump(t *testing.T) {
 	var tbl Table
 	tbl.Insert(ruleIPSrc(0x0a000000, 8, 100, Allow))
@@ -171,14 +197,5 @@ func TestRulesReturnsEvaluationOrder(t *testing.T) {
 		if r.Comment != want[i] {
 			t.Fatalf("order = [%s %s %s], want %v", got[0].Comment, got[1].Comment, got[2].Comment, want)
 		}
-	}
-}
-
-func TestClear(t *testing.T) {
-	var tbl Table
-	tbl.Insert(Rule{})
-	tbl.Clear()
-	if tbl.Len() != 0 || tbl.Lookup(flow.Key{}) != nil {
-		t.Fatal("Clear left rules behind")
 	}
 }

@@ -32,14 +32,14 @@ func TestKillSwitchTripAndRecovery(t *testing.T) {
 	if got := k.RoundMaxIdle(15, 1000, 1000, maxIdle); got != maxIdle {
 		t.Fatalf("clear round: maxIdle %d, want restored %d", got, maxIdle)
 	}
-	if k.Engaged() || !k.Recovering() || k.Recoveries() != 0 {
-		t.Fatalf("after first clear: engaged=%v recovering=%v recoveries=%d", k.Engaged(), k.Recovering(), k.Recoveries())
+	if k.Engaged() || !k.recovering || k.Recoveries() != 0 {
+		t.Fatalf("after first clear: engaged=%v recovering=%v recoveries=%d", k.Engaged(), k.recovering, k.Recoveries())
 	}
 	// Clear round 2: recovery completes, duration = 20 - 5.
 	k.RoundMaxIdle(20, 900, 1000, maxIdle)
-	if k.Recovering() || k.Recoveries() != 1 || k.LastRecoveryTicks() != 15 {
+	if k.recovering || k.Recoveries() != 1 || k.LastRecoveryTicks() != 15 {
 		t.Fatalf("after second clear: recovering=%v recoveries=%d ticks=%d, want recovered in 15",
-			k.Recovering(), k.Recoveries(), k.LastRecoveryTicks())
+			k.recovering, k.Recoveries(), k.LastRecoveryTicks())
 	}
 }
 
@@ -170,14 +170,14 @@ func TestMaskLedgerQuotaIsolation(t *testing.T) {
 	if err := l.AdmitMask(portMatch(2, 3)); !errors.Is(err, ErrMaskQuota) {
 		t.Fatalf("mallory over quota: err %v, want ErrMaskQuota", err)
 	}
-	if l.Rejects() != 1 || l.Live("mallory") != 2 {
-		t.Fatalf("rejects=%d live=%d, want 1/2", l.Rejects(), l.Live("mallory"))
+	if l.Rejects() != 1 || l.live["mallory"] != 2 {
+		t.Fatalf("rejects=%d live=%d, want 1/2", l.Rejects(), l.live["mallory"])
 	}
 	// The victim is not charged for mallory's masks.
 	mint(1, 5)
 	mint(1, 6)
-	if l.Live("victim") != 2 {
-		t.Fatalf("victim live %d, want 2", l.Live("victim"))
+	if l.live["victim"] != 2 {
+		t.Fatalf("victim live %d, want 2", l.live["victim"])
 	}
 	// Dropping a mallory mask refunds the quota.
 	l.MaskDropped(m1.Mask)

@@ -105,9 +105,6 @@ func (k *KillSwitch) RoundMaxIdle(now uint64, flows, limit int, maxIdle uint64) 
 // Engaged reports whether the switch is currently collapsing max-idle.
 func (k *KillSwitch) Engaged() bool { return k.engaged }
 
-// Recovering reports whether a trip episode is still open.
-func (k *KillSwitch) Recovering() bool { return k.recovering }
-
 // Trips returns how many times the switch engaged.
 func (k *KillSwitch) Trips() uint64 { return k.trips }
 

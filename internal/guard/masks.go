@@ -139,13 +139,6 @@ func (l *MaskLedger) MaskDropped(mask flow.Mask) {
 	}
 }
 
-// Live returns how many masks a tenant currently holds.
-func (l *MaskLedger) Live(tenant string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.live[tenant]
-}
-
 // Owner returns the tenant a live mask is attributed to ("" if none).
 func (l *MaskLedger) Owner(mask flow.Mask) string {
 	l.mu.Lock()

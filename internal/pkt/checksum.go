@@ -20,12 +20,6 @@ func PseudoChecksum(src, dst []byte, proto uint8, segment []byte) uint16 {
 	return finish(s)
 }
 
-// VerifyIPv4Header reports whether an IPv4 header (IHL-sized slice)
-// checksums to zero, i.e. is intact.
-func VerifyIPv4Header(hdr []byte) bool {
-	return finish(sum1c(hdr, 0)) == 0
-}
-
 func sum1c(b []byte, acc uint32) uint32 {
 	for len(b) >= 2 {
 		acc += uint32(b[0])<<8 | uint32(b[1])

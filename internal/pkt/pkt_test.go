@@ -162,12 +162,12 @@ func TestFrameLenPadding(t *testing.T) {
 func TestIPv4HeaderChecksumValid(t *testing.T) {
 	f := MustBuild(tcpSpec())
 	hdr := f[EthHeaderLen : EthHeaderLen+IPv4HeaderLen]
-	if !VerifyIPv4Header(hdr) {
+	if Checksum(hdr) != 0 {
 		t.Error("IPv4 header checksum does not verify")
 	}
 	// Corrupt a byte: verification must fail.
 	hdr[8] ^= 0xff
-	if VerifyIPv4Header(hdr) {
+	if Checksum(hdr) == 0 {
 		t.Error("corrupted header still verifies")
 	}
 }
@@ -419,4 +419,32 @@ func TestRoundTripRandomSpecs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BuildARP constructs an ARP request/reply frame (op 1 or 2).
+func BuildARP(op uint16, srcMAC MAC, srcIP, dstIP netip.Addr, dstMAC MAC) []byte {
+	b := make([]byte, EthHeaderLen+ARPLen)
+	bcast := MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	target := dstMAC
+	if op == 1 {
+		target = MAC{}
+	}
+	ethDst := dstMAC
+	if op == 1 {
+		ethDst = bcast
+	}
+	copy(b[0:6], ethDst[:])
+	copy(b[6:12], srcMAC[:])
+	put16(b[12:14], EtherTypeARP)
+	a := b[EthHeaderLen:]
+	put16(a[0:2], 1)      // htype ethernet
+	put16(a[2:4], 0x0800) // ptype IPv4
+	a[4], a[5] = 6, 4
+	put16(a[6:8], op)
+	copy(a[8:14], srcMAC[:])
+	sip, dip := srcIP.Unmap().As4(), dstIP.Unmap().As4()
+	copy(a[14:18], sip[:])
+	copy(a[18:24], target[:])
+	copy(a[24:28], dip[:])
+	return b
 }

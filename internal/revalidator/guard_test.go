@@ -157,8 +157,8 @@ func TestKillSwitchCollapsesIdleSweep(t *testing.T) {
 		t.Fatal("kill-switch still engaged after a clear round")
 	}
 	rev.Tick(4) // second clear round: recovery declared
-	if k.Recovering() || k.Recoveries() != 1 {
-		t.Fatalf("recovering=%v recoveries=%d, want one closed recovery", k.Recovering(), k.Recoveries())
+	if k.Engaged() || k.Recoveries() != 1 {
+		t.Fatalf("engaged=%v recoveries=%d, want one closed recovery", k.Engaged(), k.Recoveries())
 	}
 	if got := k.LastRecoveryTicks(); got != 2 {
 		t.Fatalf("recovery took %d ticks, want 2 (trip at 2, clear streak at 4)", got)

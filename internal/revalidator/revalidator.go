@@ -294,9 +294,6 @@ func (r *Revalidator) AttachPool(p *dataplane.PMDPool) {
 	}
 }
 
-// Targets returns the number of attached targets.
-func (r *Revalidator) Targets() int { return len(r.targets) }
-
 // FlowLimit returns the current (possibly backed-off) flow limit.
 func (r *Revalidator) FlowLimit() int { return r.limit }
 

@@ -297,8 +297,8 @@ func TestAttachPool(t *testing.T) {
 	exactRules(pool.InstallRule, 256)
 	rev := New(Config{})
 	rev.AttachPool(pool)
-	if rev.Targets() != 4 {
-		t.Fatalf("attached %d targets, want 4", rev.Targets())
+	if len(rev.targets) != 4 {
+		t.Fatalf("attached %d targets, want 4", len(rev.targets))
 	}
 	var fb dataplane.FrameBatch
 	for _, f := range makeFrames(t, 256) {

@@ -17,8 +17,8 @@ func TestAttachShardedTargets(t *testing.T) {
 	rev := New(Config{})
 	rev.AttachPool(pool)
 	want := pool.PMD(0).ShardedMegaflow().NumShards()
-	if rev.Targets() != want {
-		t.Fatalf("shared pool attached %d targets, want one per shard (%d)", rev.Targets(), want)
+	if len(rev.targets) != want {
+		t.Fatalf("shared pool attached %d targets, want one per shard (%d)", len(rev.targets), want)
 	}
 	if n := New(Config{}).AttachSharded(testSwitch("flat")); n != 0 {
 		t.Fatalf("AttachSharded on an unsharded switch attached %d targets, want 0", n)

@@ -930,81 +930,3 @@ func (b *binder) bindExpect(n *node, path string) Expectation {
 	}
 	return spec
 }
-
-// Describe renders the pack's canonical one-pack summary — the shape the
-// golden-file loader tests pin.
-func (p *Pack) Describe() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "pack %s seed=%d duration=%d tags=[%s]\n",
-		p.Name, p.Seed, p.Duration, strings.Join(p.Tags, " "))
-	for _, v := range p.Variants {
-		fmt.Fprintf(&sb, "variant %s\n", v.Variant)
-		fmt.Fprintf(&sb, "  measure: mode=%s samples=%d\n", v.Measure.Mode, v.Measure.CostSamples)
-		d := v.Datapath
-		if d.CacheLess {
-			sb.WriteString("  datapath: cache_less\n")
-		} else {
-			fmt.Fprintf(&sb, "  datapath: emc=%v smc=%v sort=%v staged=%v max_masks=%d conntrack=%v\n",
-				d.EMC, d.SMC, d.SortByHits, d.StagedPruning, d.MaxMasks, d.Conntrack)
-		}
-		switch {
-		case v.Reval == nil:
-			sb.WriteString("  revalidator: default\n")
-		case v.Reval.Disabled:
-			sb.WriteString("  revalidator: disabled\n")
-		default:
-			r := v.Reval
-			fmt.Fprintf(&sb, "  revalidator: interval=%d workers=%d dump_rate=%g limit=%d..%d fixed=%v\n",
-				r.Interval, r.Workers, r.DumpRate, r.MinFlowLimit, r.FlowLimit, r.FixedLimit)
-		}
-		fmt.Fprintf(&sb, "  victim: tenant=%s pod=%s flows=%d gbps=%g frame=%d stateful=%v",
-			v.Victim.Tenant, v.Victim.Pod, v.Victim.Flows, v.Victim.Gbps, v.Victim.FrameLen,
-			v.Victim.Policy != nil && v.Victim.Policy.Stateful)
-		if v.Victim.NewClientEvery > 0 {
-			fmt.Fprintf(&sb, " new_client_every=%d", v.Victim.NewClientEvery)
-		}
-		sb.WriteString("\n")
-		if v.Attack != nil {
-			var names []string
-			masks := 0
-			if atk, err := v.Attack.Build(); err == nil {
-				masks = atk.PredictedMasks()
-				for _, f := range atk.Fields {
-					names = append(names, f.Field.Name())
-				}
-			}
-			stop := ""
-			if v.Attack.Stop > 0 {
-				stop = fmt.Sprintf(" stop=%d", v.Attack.Stop)
-			}
-			fmt.Fprintf(&sb, "  attack: start=%d%s fields=[%s] masks=%d\n", v.Attack.Start, stop, strings.Join(names, " "), masks)
-		}
-		for _, s := range v.Streams {
-			fmt.Fprintf(&sb, "  stream %s: kind=%s to=%s flows=%d pps=%g start=%d\n",
-				s.Name, s.Kind, s.To, s.Flows, s.PPS, s.Start)
-		}
-		for _, t := range v.Tenants {
-			fmt.Fprintf(&sb, "  tenant %s: pod=%s policy=%v stream=%v\n", t.Name, t.Pod, t.Policy != nil, t.Stream != nil)
-		}
-		if v.Churn != nil {
-			fmt.Fprintf(&sb, "  churn: period=%d start=%d rotate=%d\n", v.Churn.Period, v.Churn.Start, v.Churn.Rotate)
-		}
-		if v.Guards != nil {
-			g := v.Guards
-			fmt.Fprintf(&sb, "  guards: killswitch=%v admission=%v mask_quota=%v\n",
-				g.KillSwitch != nil, g.Admission != nil, g.MaskQuota != nil)
-		}
-		for _, f := range v.Faults {
-			fmt.Fprintf(&sb, "  fault %s: start=%d stop=%d prob=%g delay=%d factor=%g\n",
-				f.Kind, f.Start, f.Stop, f.Prob, f.Delay, f.Factor)
-		}
-	}
-	for _, e := range p.Expect {
-		v := e.Variant
-		if v == "" {
-			v = "*"
-		}
-		fmt.Fprintf(&sb, "expect %s: %s %s %g (tol %g)\n", v, e.Metric, e.Op, e.Value, e.Tolerance)
-	}
-	return sb.String()
-}

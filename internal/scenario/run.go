@@ -473,7 +473,7 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 	// pod's port, paced to cycle the full sequence every Cycle ticks.
 	var (
 		atk    *attack.Attack
-		replay *traffic.FrameReplayer
+		replay *traffic.Replayer
 		pacer  traffic.Pacer
 	)
 	if p.Attack != nil {
@@ -482,18 +482,14 @@ func runTimeline(p *Pack, opt RunOptions) (*VariantRun, error) {
 			return nil, err
 		}
 		atk.DstIP = attackerPod.IP
-		covertKeys, err := atk.Keys()
-		if err != nil {
-			return nil, err
-		}
 		covertFrames, err := atk.Frames()
 		if err != nil {
 			return nil, err
 		}
-		replay = traffic.NewReplayer(covertKeys).WithFrames(covertFrames, attackerPod.Port)
+		replay = traffic.NewReplayer(covertFrames, attackerPod.Port)
 		pps := p.Attack.PPS
 		if pps == 0 {
-			pps = float64(len(covertKeys)) / p.Attack.Cycle
+			pps = float64(len(covertFrames)) / p.Attack.Cycle
 		}
 		pacer = traffic.Pacer{PPS: pps}
 	}

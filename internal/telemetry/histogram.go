@@ -57,9 +57,6 @@ type Histogram struct {
 	max    atomic.Uint64
 }
 
-// Name returns the metric name.
-func (h *Histogram) Name() string { return h.name }
-
 // Record adds one observation on shard 0.
 func (h *Histogram) Record(v uint64) { h.RecordShard(0, v) }
 
@@ -93,7 +90,7 @@ func (h *Histogram) snapshot() HistogramPoint {
 }
 
 // HistogramPoint is one histogram sample: cumulative count, sum, max,
-// and the full bucket population for quantile estimation and deltas.
+// and the full bucket population for quantile estimation.
 type HistogramPoint struct {
 	Name   string
 	Labels []Label
@@ -135,19 +132,4 @@ func (p *HistogramPoint) Mean() float64 {
 		return 0
 	}
 	return float64(p.Sum) / float64(p.Count)
-}
-
-// delta subtracts prev (same identity) bucket-wise; nil prev means
-// "since zero". Max stays cumulative — see Snapshot.Delta.
-func (p *HistogramPoint) delta(prev *HistogramPoint) HistogramPoint {
-	d := HistogramPoint{Name: p.Name, Labels: p.Labels, Count: p.Count, Sum: p.Sum, Max: p.Max}
-	d.buckets = append([]uint64(nil), p.buckets...)
-	if prev != nil {
-		d.Count -= prev.Count
-		d.Sum -= prev.Sum
-		for i := range d.buckets {
-			d.buckets[i] -= prev.buckets[i]
-		}
-	}
-	return d
 }

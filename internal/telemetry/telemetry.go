@@ -9,7 +9,7 @@
 // record through atomic operations on preallocated, cache-line-padded
 // cells. Snapshot assembles a point-in-time copy by reading those
 // atomics, so a scrape never takes a lock the recorders can contend
-// on; Delta subtracts two snapshots for rate windows. Exposition
+// on. Exposition
 // (Prometheus text and JSON, see expose.go) renders snapshots, and
 // Handler (http.go) serves them alongside net/http/pprof.
 //
@@ -31,8 +31,8 @@ import (
 
 // numShards is the writer-shard count of counters and histogram
 // count/sum accumulators. Single-writer recorders use shard 0; genuine
-// multi-writer paths spread via AddShard/RecordShard. Power of two so
-// the shard mask is a single AND.
+// multi-writer paths spread via RecordShard. Power of two so the shard
+// mask is a single AND.
 const numShards = 8
 
 // cell is one padded accumulator: the padding keeps adjacent shards on
@@ -61,21 +61,11 @@ type Counter struct {
 	cells  [numShards]cell
 }
 
-// Name returns the metric name.
-func (c *Counter) Name() string { return c.name }
-
 // Inc adds 1 on shard 0.
 func (c *Counter) Inc() { c.cells[0].n.Add(1) }
 
 // Add adds d on shard 0.
 func (c *Counter) Add(d uint64) { c.cells[0].n.Add(d) }
-
-// AddShard adds d on the given writer shard (masked into range). Use
-// distinct shards from distinct writer goroutines to avoid cache-line
-// ping-pong on one cell.
-func (c *Counter) AddShard(shard int, d uint64) {
-	c.cells[shard&(numShards-1)].n.Add(d)
-}
 
 // Store overwrites the counter with an absolute cumulative value.
 // It is for single-publisher wiring where a layer already maintains
@@ -105,9 +95,6 @@ type Gauge struct {
 	labels []Label
 	bits   atomic.Uint64
 }
-
-// Name returns the metric name.
-func (g *Gauge) Name() string { return g.name }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
@@ -270,20 +257,6 @@ type GaugePoint struct {
 	Value  float64
 }
 
-// CounterValue returns the sum of every counter named name in the
-// snapshot (across label sets), and whether any was present.
-func (s *Snapshot) CounterValue(name string) (uint64, bool) {
-	var t uint64
-	found := false
-	for i := range s.Counters {
-		if s.Counters[i].Name == name {
-			t += s.Counters[i].Value
-			found = true
-		}
-	}
-	return t, found
-}
-
 // GaugeValue returns the first gauge named name (any label set), and
 // whether one was present.
 func (s *Snapshot) GaugeValue(name string) (float64, bool) {
@@ -293,46 +266,6 @@ func (s *Snapshot) GaugeValue(name string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// HistogramPoint returns the first histogram named name (any label
-// set), or nil.
-func (s *Snapshot) HistogramPoint(name string) *HistogramPoint {
-	for i := range s.Histograms {
-		if s.Histograms[i].Name == name {
-			return &s.Histograms[i]
-		}
-	}
-	return nil
-}
-
-// Delta returns a snapshot holding the change since prev: counters and
-// histogram populations are subtracted pairwise by identity (missing
-// in prev means "since zero"), gauges keep their current value, and a
-// histogram's Max is the current cumulative max (per-window maxima are
-// not recoverable from cumulative state). TakenAt is s's scrape time.
-func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
-	d := &Snapshot{TakenAt: s.TakenAt}
-	prevCounters := make(map[string]uint64, len(prev.Counters))
-	for _, c := range prev.Counters {
-		prevCounters[identity(c.Name, c.Labels)] = c.Value
-	}
-	d.Counters = make([]CounterPoint, len(s.Counters))
-	for i, c := range s.Counters {
-		c.Value -= prevCounters[identity(c.Name, c.Labels)]
-		d.Counters[i] = c
-	}
-	d.Gauges = append([]GaugePoint(nil), s.Gauges...)
-	prevHist := make(map[string]*HistogramPoint, len(prev.Histograms))
-	for i := range prev.Histograms {
-		h := &prev.Histograms[i]
-		prevHist[identity(h.Name, h.Labels)] = h
-	}
-	d.Histograms = make([]HistogramPoint, len(s.Histograms))
-	for i := range s.Histograms {
-		d.Histograms[i] = s.Histograms[i].delta(prevHist[identity(s.Histograms[i].Name, s.Histograms[i].Labels)])
-	}
-	return d
 }
 
 // epoch anchors Clock; monotonic since process start.

@@ -20,6 +20,13 @@ func extractBack(t *testing.T, frame []byte, inPort uint32) flow.Key {
 	return k
 }
 
+// nextKey parses src's next frame back into a key.
+func nextKey(t *testing.T, src FrameSource) flow.Key {
+	t.Helper()
+	frame, inPort := src.NextFrame()
+	return extractBack(t, frame, inPort)
+}
+
 // sameTuple fails unless the frame-extracted key carries exactly the
 // generator key's five-tuple and in-port (the frame adds L2 fields the
 // generator's keys leave zero; the classifier-relevant fields must agree).
@@ -35,34 +42,18 @@ func sameTuple(t *testing.T, want flow.Key, frame []byte, inPort uint32) {
 }
 
 func TestVictimFramesMatchKeys(t *testing.T) {
-	mk := func() *Victim {
-		return NewVictim(VictimConfig{
-			Src:    netip.MustParseAddr("10.10.0.5"),
-			Dst:    netip.MustParseAddr("172.16.0.2"),
-			InPort: 3,
-		})
-	}
-	keyGen, frameGen := mk(), mk()
+	v := NewVictim(VictimConfig{
+		Src:    netip.MustParseAddr("10.10.0.5"),
+		Dst:    netip.MustParseAddr("172.16.0.2"),
+		InPort: 3,
+	})
 	for i := 0; i < 20; i++ {
-		want := keyGen.Next()
-		frame, inPort := frameGen.NextFrame()
-		if len(frame) != keyGen.FrameLen() {
-			t.Fatalf("frame %d: %d bytes, want %d", i, len(frame), keyGen.FrameLen())
+		want := v.keys[i%len(v.keys)]
+		frame, inPort := v.NextFrame()
+		if len(frame) != v.cfg.FrameLen {
+			t.Fatalf("frame %d: %d bytes, want %d", i, len(frame), v.cfg.FrameLen)
 		}
 		sameTuple(t, want, frame, inPort)
-	}
-}
-
-// TestVictimSharedCursor pins that Next and NextFrame advance one stream.
-func TestVictimSharedCursor(t *testing.T) {
-	v := NewVictim(VictimConfig{
-		Src: netip.MustParseAddr("10.10.0.5"), Dst: netip.MustParseAddr("172.16.0.2"),
-	})
-	first := v.Next()
-	frame, inPort := v.NextFrame()
-	second := extractBack(t, frame, inPort)
-	if first.Tuple() == second.Tuple() {
-		t.Fatal("NextFrame did not advance the round-robin cursor")
 	}
 }
 
@@ -70,58 +61,12 @@ func TestMixFramesMatchKeys(t *testing.T) {
 	cfg := MixConfig{Seed: 7, NFlows: 64, InPort: 2, FrameLen: 256}
 	keyGen, frameGen := NewMix(cfg), NewMix(cfg)
 	for i := 0; i < 50; i++ {
-		want := keyGen.Next()
+		want := keyGen.keys[keyGen.draw()]
 		frame, inPort := frameGen.NextFrame()
 		if len(frame) != cfg.FrameLen {
 			t.Fatalf("frame %d: %d bytes, want %d", i, len(frame), cfg.FrameLen)
 		}
 		sameTuple(t, want, frame, inPort)
-	}
-}
-
-func TestReplayerWithFrames(t *testing.T) {
-	keys := []flow.Key{
-		flow.FiveTuple{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"), Proto: 6, SrcPort: 1, DstPort: 2}.Key(9),
-		flow.FiveTuple{Src: netip.MustParseAddr("10.0.0.3"), Dst: netip.MustParseAddr("10.0.0.2"), Proto: 6, SrcPort: 3, DstPort: 4}.Key(9),
-	}
-	frames := [][]byte{{1}, {2}}
-	r := NewReplayer(keys).WithFrames(frames, 9)
-	for i := 0; i < 5; i++ {
-		f, inPort := r.NextFrame()
-		if inPort != 9 || f[0] != byte(1+i%2) {
-			t.Fatalf("cycle %d: frame %v port %d", i, f, inPort)
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched frame count did not panic")
-		}
-	}()
-	NewReplayer(keys).WithFrames([][]byte{{1}}, 9)
-}
-
-// TestPlainReplayerIsNotAFrameSource pins the opt-in design: a Replayer
-// without attached frames must not satisfy FrameSource (its keys may
-// carry fields or protocols no builder rendering could round-trip), so
-// nothing can send or measure such a replay until its caller supplies
-// faithful frames. The FrameReplayer view shares the cursor with the
-// underlying Replayer.
-func TestPlainReplayerIsNotAFrameSource(t *testing.T) {
-	keys := []flow.Key{
-		flow.FiveTuple{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"), Proto: 17, SrcPort: 53, DstPort: 53}.Key(4),
-		flow.FiveTuple{Src: netip.MustParseAddr("10.0.0.9"), Dst: netip.MustParseAddr("10.0.0.2"), Proto: 6, SrcPort: 99, DstPort: 443}.Key(7),
-	}
-	if _, ok := any(NewReplayer(keys)).(FrameSource); ok {
-		t.Fatal("plain Replayer must not be a FrameSource")
-	}
-	fr := NewReplayer(keys).WithFrames([][]byte{{1}, {2}}, 4)
-	if _, ok := any(fr).(FrameSource); !ok {
-		t.Fatal("FrameReplayer must be a FrameSource")
-	}
-	fr.NextFrame() // advances the shared cursor...
-	if got := fr.Next(); got != keys[1] {
-		t.Fatalf("cursor not shared: got %v", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package traffic provides the deterministic workload generators of the
 // evaluation harness: the victim's iperf-like stream, benign multi-flow
-// mixes, and the attacker's paced covert-stream replayer. Generators are
-// seeded and allocation-free on the per-packet path so experiments are
-// reproducible run to run.
+// mixes, and the attacker's paced covert-stream replayer. Every generator
+// emits wire frames (FrameSource); they are seeded and allocation-free on
+// the per-packet path so experiments are reproducible run to run.
 //
 //lint:deterministic
 package traffic
@@ -19,9 +19,7 @@ import (
 // FrameSource is what the simulator measures with: the next packet of a
 // stream as a raw Ethernet frame plus its ingress port, ready for the
 // dataplane's frame-first ingress (dataplane.FrameBatch / ProcessFrames).
-// The Victim and Mix generators and the FrameReplayer implement it; each
-// also has a key view (Next) over the same cursor, so a consumer may
-// interleave Next and NextFrame and see one stream.
+// The Victim, Mix and Replayer generators implement it.
 type FrameSource interface {
 	NextFrame() (frame []byte, inPort uint32)
 }
@@ -52,9 +50,8 @@ type VictimConfig struct {
 	FrameLen int    // bytes on the wire, default 1514 (MTU frame)
 }
 
-// Victim is the victim stream generator: round-robins its flows,
-// producing a stable set of Flows distinct 5-tuples (and, via NextFrame,
-// the matching MTU-sized wire frames).
+// Victim is the victim stream generator: round-robins the wire frames of
+// a stable set of Flows distinct 5-tuples, MTU-sized by default.
 type Victim struct {
 	cfg    VictimConfig
 	keys   []flow.Key
@@ -86,15 +83,8 @@ func NewVictim(cfg VictimConfig) *Victim {
 	return v
 }
 
-// Next returns the next packet's key, round-robin over the flows.
-func (v *Victim) Next() flow.Key {
-	k := v.keys[v.next]
-	v.next = (v.next + 1) % len(v.keys)
-	return k
-}
-
-// NextFrame returns the next packet as a wire frame (FrameLen bytes) with
-// its ingress port, advancing the same round-robin cursor as Next.
+// NextFrame returns the next packet, round-robin over the flows, as a
+// wire frame (FrameLen bytes) with its ingress port.
 func (v *Victim) NextFrame() ([]byte, uint32) {
 	if v.frames == nil {
 		v.frames = renderFrames(v.keys, v.cfg.FrameLen)
@@ -103,12 +93,6 @@ func (v *Victim) NextFrame() ([]byte, uint32) {
 	v.next = (v.next + 1) % len(v.keys)
 	return f, v.cfg.InPort
 }
-
-// FrameLen returns the configured frame size in bytes.
-func (v *Victim) FrameLen() int { return v.cfg.FrameLen }
-
-// Flows returns the distinct keys of the stream.
-func (v *Victim) Flows() []flow.Key { return append([]flow.Key(nil), v.keys...) }
 
 // WithNewClients wraps v in a victim stream with connection churn: every
 // every-th frame comes from a new remote client (an arbitrary source address
@@ -155,7 +139,7 @@ type MixConfig struct {
 	DstIP    netip.Addr
 	InPort   uint32
 	Skew     float64 // 0 = uniform, 1 = heavy head; default 0.8
-	FrameLen int     // wire frame size for NextFrame; 0 = minimal frames
+	FrameLen int     // wire frame size; 0 = minimal frames
 }
 
 // Mix is the benign mix generator.
@@ -204,14 +188,8 @@ func NewMix(cfg MixConfig) *Mix {
 	return m
 }
 
-// Next draws the next packet with skewed flow popularity: flow index
-// floor(n^(u^(1/(1-skew)))) approximated by exponentiating a uniform draw.
-func (m *Mix) Next() flow.Key {
-	return m.keys[m.draw()]
-}
-
-// NextFrame draws the next packet as a wire frame with its ingress port,
-// advancing the same skewed PRNG as Next.
+// NextFrame draws the next packet, with skewed flow popularity, as a wire
+// frame with its ingress port.
 func (m *Mix) NextFrame() ([]byte, uint32) {
 	if m.frames == nil {
 		m.frames = renderFrames(m.keys, m.frameLen)
@@ -220,7 +198,8 @@ func (m *Mix) NextFrame() ([]byte, uint32) {
 }
 
 // draw advances the PRNG and picks the next flow index with the
-// configured skew (push the uniform draw toward the head of the list).
+// configured skew: flow index floor(n^(u^(1/(1-skew)))), approximated by
+// exponentiating a uniform draw, pushes it toward the head of the list.
 func (m *Mix) draw() int {
 	m.lcg = m.lcg*6364136223846793005 + 1442695040888963407
 	u := float64(m.lcg>>11) / (1 << 53)
@@ -231,69 +210,30 @@ func (m *Mix) draw() int {
 	return idx
 }
 
-// NFlows returns the number of distinct flows.
-func (m *Mix) NFlows() int { return len(m.keys) }
-
-// Replayer cycles through a fixed key sequence — the attacker's covert
-// stream (attack.Keys) replayed forever at low rate. A plain Replayer is
-// deliberately *not* a FrameSource: replay keys may carry fields no wire
-// rendering could round-trip (or protocols the builder does not speak),
-// so the frame capability is opt-in via WithFrames, which takes the
-// faithful frames the caller already has (e.g. attack.Frames).
+// Replayer cycles through a fixed frame sequence on one ingress port —
+// the attacker's covert stream (attack.Frames) replayed forever at low
+// rate.
 type Replayer struct {
-	keys []flow.Key
-	next int
-}
-
-// NewReplayer builds a replayer over keys; it panics on an empty sequence.
-func NewReplayer(keys []flow.Key) *Replayer {
-	if len(keys) == 0 {
-		panic("traffic: empty replay sequence")
-	}
-	return &Replayer{keys: append([]flow.Key(nil), keys...)}
-}
-
-// WithFrames attaches the wire rendering of the replay sequence —
-// frames[i] must be keys[i] on the wire — and the ingress port NextFrame
-// reports, returning the FrameSource view of the replayer (cursor
-// shared with r). It panics on a length mismatch.
-func (r *Replayer) WithFrames(frames [][]byte, inPort uint32) *FrameReplayer {
-	if len(frames) != len(r.keys) {
-		panic(fmt.Sprintf("traffic: %d frames for %d replay keys", len(frames), len(r.keys)))
-	}
-	return &FrameReplayer{
-		Replayer: r,
-		frames:   append([][]byte(nil), frames...),
-		inPort:   inPort,
-	}
-}
-
-// Next returns the next key in cyclic order.
-func (r *Replayer) Next() flow.Key {
-	k := r.keys[r.next]
-	r.next = (r.next + 1) % len(r.keys)
-	return k
-}
-
-// FrameReplayer is a Replayer with its wire rendering attached: the key
-// view of the embedded Replayer plus the FrameSource contract over the
-// supplied frames, one shared cursor.
-type FrameReplayer struct {
-	*Replayer
 	frames [][]byte
 	inPort uint32
+	next   int
 }
 
-// NextFrame returns the next packet as a wire frame with its ingress
-// port, advancing the same cursor as Next.
-func (r *FrameReplayer) NextFrame() ([]byte, uint32) {
+// NewReplayer builds a replayer over frames arriving on inPort; it panics
+// on an empty sequence.
+func NewReplayer(frames [][]byte, inPort uint32) *Replayer {
+	if len(frames) == 0 {
+		panic("traffic: empty replay sequence")
+	}
+	return &Replayer{frames: append([][]byte(nil), frames...), inPort: inPort}
+}
+
+// NextFrame returns the next frame in cyclic order with its ingress port.
+func (r *Replayer) NextFrame() ([]byte, uint32) {
 	f := r.frames[r.next]
-	r.next = (r.next + 1) % len(r.keys)
+	r.next = (r.next + 1) % len(r.frames)
 	return f, r.inPort
 }
-
-// Len returns the sequence length.
-func (r *Replayer) Len() int { return len(r.keys) }
 
 // Pacer converts a packets-per-second rate into integer packet counts per
 // simulation tick, accumulating fractional remainders so the long-run rate

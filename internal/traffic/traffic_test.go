@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestVictimFlowSet(t *testing.T) {
 	})
 	seen := map[flow.Key]int{}
 	for i := 0; i < 80; i++ {
-		seen[v.Next()]++
+		seen[nextKey(t, v)]++
 	}
 	if len(seen) != 8 {
 		t.Fatalf("distinct flows = %d, want 8", len(seen))
@@ -39,8 +40,34 @@ func TestVictimDefaults(t *testing.T) {
 		Src: netip.MustParseAddr("1.1.1.1"),
 		Dst: netip.MustParseAddr("2.2.2.2"),
 	})
-	if len(v.Flows()) != 8 || v.FrameLen() != 1514 {
-		t.Errorf("defaults: flows=%d frame=%d", len(v.Flows()), v.FrameLen())
+	if f, _ := v.NextFrame(); len(v.keys) != 8 || len(f) != 1514 {
+		t.Errorf("defaults: flows=%d frame=%d", len(v.keys), len(f))
+	}
+}
+
+// TestVictimReusesRenderedFrames checks that each flow's frame is rendered
+// once, at the configured length, and handed out again on every cycle.
+func TestVictimReusesRenderedFrames(t *testing.T) {
+	v := NewVictim(VictimConfig{
+		Src:      netip.MustParseAddr("10.10.0.5"),
+		Dst:      netip.MustParseAddr("172.16.0.2"),
+		Flows:    4,
+		FrameLen: 128,
+	})
+	first := make([][]byte, 4)
+	for i := range first {
+		first[i], _ = v.NextFrame()
+		if len(first[i]) != 128 {
+			t.Fatalf("frame %d: %d bytes, want 128", i, len(first[i]))
+		}
+	}
+	for cycle := 1; cycle < 3; cycle++ {
+		for i := range first {
+			f, _ := v.NextFrame()
+			if &f[0] != &first[i][0] {
+				t.Fatalf("cycle %d frame %d was rendered again", cycle, i)
+			}
+		}
 	}
 }
 
@@ -48,14 +75,16 @@ func TestMixDeterministic(t *testing.T) {
 	a := NewMix(MixConfig{Seed: 42, NFlows: 100})
 	b := NewMix(MixConfig{Seed: 42, NFlows: 100})
 	for i := 0; i < 1000; i++ {
-		if a.Next() != b.Next() {
+		fa, _ := a.NextFrame()
+		if fb, _ := b.NextFrame(); !bytes.Equal(fa, fb) {
 			t.Fatalf("same seed diverged at packet %d", i)
 		}
 	}
 	c := NewMix(MixConfig{Seed: 43, NFlows: 100})
 	same := 0
 	for i := 0; i < 1000; i++ {
-		if a.Next() == c.Next() {
+		fa, _ := a.NextFrame()
+		if fc, _ := c.NextFrame(); bytes.Equal(fa, fc) {
 			same++
 		}
 	}
@@ -70,11 +99,11 @@ func TestMixFlowsWithinSubnet(t *testing.T) {
 		NFlows: 500,
 		Subnet: netip.MustParsePrefix("10.1.0.0/16"),
 	})
-	if m.NFlows() != 500 {
-		t.Fatalf("NFlows = %d", m.NFlows())
+	if len(m.keys) != 500 {
+		t.Fatalf("flows = %d", len(m.keys))
 	}
 	for i := 0; i < 2000; i++ {
-		k := m.Next()
+		k := nextKey(t, m)
 		src := k.Get(flow.FieldIPSrc)
 		if src>>16 != 0x0a01 {
 			t.Fatalf("src %#x outside 10.1/16", src)
@@ -84,10 +113,10 @@ func TestMixFlowsWithinSubnet(t *testing.T) {
 
 func TestMixSkewIsHeadHeavy(t *testing.T) {
 	m := NewMix(MixConfig{Seed: 1, NFlows: 1000, Skew: 0.9})
-	counts := map[flow.Key]int{}
+	counts := map[int]int{}
 	const draws = 50000
 	for i := 0; i < draws; i++ {
-		counts[m.Next()]++
+		counts[m.draw()]++
 	}
 	// The most popular flow must carry far more than the uniform share.
 	max := 0
@@ -102,20 +131,14 @@ func TestMixSkewIsHeadHeavy(t *testing.T) {
 }
 
 func TestReplayerCycles(t *testing.T) {
-	keys := make([]flow.Key, 3)
-	for i := range keys {
-		keys[i].Set(flow.FieldIPSrc, uint64(i+1))
-	}
-	r := NewReplayer(keys)
+	frames := [][]byte{{1}, {2}, {3}}
+	r := NewReplayer(frames, 9)
 	for round := 0; round < 4; round++ {
-		for i := range keys {
-			if got := r.Next(); got != keys[i] {
-				t.Fatalf("round %d pos %d: wrong key", round, i)
+		for i := range frames {
+			if f, inPort := r.NextFrame(); f[0] != byte(i+1) || inPort != 9 {
+				t.Fatalf("round %d pos %d: frame %v on port %d", round, i, f, inPort)
 			}
 		}
-	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d", r.Len())
 	}
 }
 
@@ -125,7 +148,7 @@ func TestReplayerPanicsOnEmpty(t *testing.T) {
 			t.Fatal("empty replayer did not panic")
 		}
 	}()
-	NewReplayer(nil)
+	NewReplayer(nil, 0)
 }
 
 func TestPacerLongRunRate(t *testing.T) {

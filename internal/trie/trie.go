@@ -63,9 +63,6 @@ func New(width int) *Trie {
 	return &Trie{width: width}
 }
 
-// Width returns the field width the trie was built for.
-func (t *Trie) Width() int { return t.width }
-
 // Len returns the number of stored prefixes, counting multiplicity.
 func (t *Trie) Len() int { return t.size }
 
@@ -253,25 +250,6 @@ func (t *Trie) Max() (Prefix, bool) {
 			return t.prefixOf(n), true
 		}
 	}
-}
-
-// Prefixes returns all stored prefixes as (value, plen, count) triples in
-// lexicographic order, for diagnostics and tests.
-func (t *Trie) Prefixes() []Prefix {
-	var out []Prefix
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.terminals > 0 {
-			out = append(out, t.prefixOf(n))
-		}
-		walk(n.child[0])
-		walk(n.child[1])
-	}
-	walk(t.root)
-	return out
 }
 
 // Prefix is one stored prefix: the top Len bits of Value (right-padded with

@@ -431,7 +431,7 @@ func checkAgainstReference(t *testing.T, tr *Trie, ref *reference, v uint64) {
 	if len(want) > 0 && (mn != want[0] || mx != want[len(want)-1]) {
 		t.Fatalf("Min = %v, Max = %v, reference %v and %v", mn, mx, want[0], want[len(want)-1])
 	}
-	for plen := 0; plen <= tr.Width(); plen++ {
+	for plen := 0; plen <= tr.width; plen++ {
 		if got, exp := tr.Lookup(v, plen), ref.lookup(v, plen); got != exp {
 			t.Fatalf("Lookup(%#x, %d) = %+v, reference %+v\nstore: %v", v, plen, got, exp, want)
 		}
@@ -490,4 +490,23 @@ func FuzzTrie(f *testing.F) {
 			checkAgainstReference(t, tr, ref, v)
 		}
 	})
+}
+
+// Prefixes returns all stored prefixes as (value, plen, count) triples in
+// lexicographic order: the reference view the tests compare against.
+func (t *Trie) Prefixes() []Prefix {
+	var out []Prefix
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n == nil {
+			return
+		}
+		if n.terminals > 0 {
+			out = append(out, t.prefixOf(n))
+		}
+		walk(n.child[0])
+		walk(n.child[1])
+	}
+	walk(t.root)
+	return out
 }
